@@ -22,7 +22,7 @@ be generated concurrently.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .data import (
     generate_plastic_set,
     generate_sls_set,
     history_cost_dataset,
+    prior_slot_costs,
     stack_sets,
 )
 from .materials import PlasticParams, SlsParams, plastic_return_map, sls_affine_coefficients
@@ -397,10 +398,13 @@ def _empirical_response_init(
     m = sys.n_elements
     b = sys.b_free
     w = sys.weights
-    order = np.argsort(stacked.eps, axis=1)
-    es = np.take_along_axis(stacked.eps, order, axis=1)
-    ss = np.take_along_axis(stacked.sig, order, axis=1)
+    index = stacked.strain_index()
+    es = index.eps
     rows = np.arange(m)
+
+    def stress_at(pos):
+        return stacked.sig[rows, index.order[rows, pos]]
+
     k = min(4, (n - 1) // 2)
     c_ref = float(np.max(sys.c))
     # start from the metric-least-squares displacement fit of the predictor
@@ -409,15 +413,13 @@ def _empirical_response_init(
     f_scale = max(1.0, float(np.linalg.norm(f)))
     best = None
     for _ in range(max_iters):
-        idx = np.empty(m, dtype=np.int64)
-        for e in range(m):
-            j = int(np.searchsorted(es[e], eps[e]))
-            if j >= n:
-                j = n - 1
-            elif j > 0 and eps[e] - es[e, j - 1] <= es[e, j] - eps[e]:
-                j -= 1
-            idx[e] = j
-        sig_hat = ss[rows, idx]
+        # nearest sampled strain; an exact tie goes to the lower neighbour
+        j = index.search(eps[:, None])[:, 0]
+        above = np.minimum(j, n - 1)
+        below = np.maximum(j - 1, 0)
+        lower = (j > 0) & (j < n) & (eps - es[rows, below] <= es[rows, above] - eps)
+        idx = np.where(lower, below, above)
+        sig_hat = stress_at(idx)
         r = f - b.T @ (w * sig_hat)
         res = float(np.linalg.norm(r)) / f_scale
         if best is None or res < best[0]:
@@ -427,7 +429,7 @@ def _empirical_response_init(
         lo = np.clip(idx - k, 0, n - 1)
         hi = np.clip(idx + k, 0, n - 1)
         de = es[rows, hi] - es[rows, lo]
-        dsg = ss[rows, hi] - ss[rows, lo]
+        dsg = stress_at(hi) - stress_at(lo)
         slope = np.where(de > 0.0, dsg / np.where(de > 0.0, de, 1.0), c_ref)
         slope = np.clip(slope, 1e-3 * c_ref, 1e3 * c_ref)
         kt = (b.T * (w * slope)) @ b
@@ -829,6 +831,8 @@ def time_march(
         f = loads.forces(t) if loads is not None else np.zeros(system.n_free)
         dt = None if k == 0 else float(t_grid[k] - t_grid[k - 1])
         est = system.elastic_strain_increment(f, f_prev, t, t_prev)
+        # free the previous step's sets and index before drawing this step's
+        stacked = None
         stacked = _stacked_step_sets(generator, eps_prev, sig_prev, q_acc, est, dt, k)
         if dataset_sink is not None:
             sets = [
@@ -916,7 +920,9 @@ def history_matching_march(
     Each step searches the current slots of every element's repository with
     the prior-slot mismatch (against the previously accepted state) added as
     a fidelity cost; nothing is regenerated, so the archives can be sampled
-    entirely offline.
+    entirely offline. Archives of equal size are stacked and strain-sorted
+    once per march, and each step computes only their cost rows; archives
+    of different sizes are searched set by set.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -935,6 +941,17 @@ def history_matching_march(
     out_resid = np.zeros(T)
     out_u = np.zeros((T, system.n_free))
 
+    # equal-size archives are stacked and strain-sorted once per march;
+    # each step then adds only the prior-slot cost rows
+    archive = None
+    if len({h.n_entries for h in repositories}) == 1:
+        archive = StackedSets(
+            np.stack([h.eps_cur for h in repositories]),
+            np.stack([h.sig_cur for h in repositories]),
+            None,
+        )
+        archive.strain_index()
+
     eps_prev = np.zeros(m)
     sig_prev = np.zeros(m)
     drift_eps = np.zeros(m)
@@ -944,10 +961,14 @@ def history_matching_march(
     for k in range(T):
         t = float(t_grid[k])
         f = loads.forces(t) if loads is not None else np.zeros(system.n_free)
-        sets = []
-        for e, h in enumerate(repositories):
-            z_prev = GlobalState(eps_prev, sig_prev).point(e)
-            sets.append(history_cost_dataset(h, z_prev, gm.locals[e]))
+        z_prev = GlobalState(eps_prev, sig_prev)
+        if archive is None:
+            sets = [
+                history_cost_dataset(h, z_prev.point(e), gm.locals[e])
+                for e, h in enumerate(repositories)
+            ]
+        else:
+            sets = replace(archive, costs=prior_slot_costs(repositories, z_prev, gm))
         est = system.elastic_strain_increment(f, f_prev, t, t_prev)
         if cfg.init_strategy == "zero":
             inits = [GlobalState.zeros(m)]
@@ -963,14 +984,12 @@ def history_matching_march(
                     sig_prev + gm.c_diag * est + drift_sig,
                 )
             ]
-            if cfg.init_strategy == "response":
-                stacked_h = stack_sets(sets)
-                if stacked_h is not None:
-                    resp = _empirical_response_init(
-                        system, stacked_h, f, system.affine_strain(t), eps_prev + est
-                    )
-                    if resp is not None:
-                        inits.append(resp)
+            if cfg.init_strategy == "response" and archive is not None:
+                resp = _empirical_response_init(
+                    system, sets, f, system.affine_strain(t), eps_prev + est
+                )
+                if resp is not None:
+                    inits.append(resp)
         step = None
         for ini in inits:
             cand = fixed_point_solve(system, sets, gm, f, ini, cfg, t=t)
@@ -978,7 +997,8 @@ def history_matching_march(
                 step = cand
         if not step.converged and cfg.abort_on_nonconvergence:
             raise RuntimeError(
-                f"fixed point did not converge at step {k} (t={t})"
+                f"fixed point did not converge at step {k} (t={t}): "
+                f"{step.iterations} iterations, objective {step.objective_history[-1]:.6e}"
             )
         out_eps[k] = step.z.strain[:, 0]
         out_sig[k] = step.z.stress[:, 0]

@@ -6,12 +6,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ddmech import data as data_module
 from ddmech.data import (
     ConditioningState,
     DataPoint,
     GeneratorSpec,
     HistoryRepository,
     LocalDataSet,
+    StackedSets,
+    StrainIndex,
     WindowRule,
     batch_nearest,
     gaussian_fidelity_cost,
@@ -19,8 +22,10 @@ from ddmech.data import (
     generate_sls_set,
     history_cost_dataset,
     nearest_history,
+    prior_slot_costs,
     project_onto_D,
     read_datasets_csv,
+    scan_nearest,
     stack_sets,
     update_history_variable,
     write_datasets_csv,
@@ -113,7 +118,9 @@ class TestBatchSearch:
         assert stack_sets([a, b]) is None
 
     def test_batch_matches_per_element_nearest(self, rng):
-        """batch_nearest equals LocalDataSet.nearest element by element."""
+        """batch_nearest equals LocalDataSet.nearest element by element on
+        small sets (the scan), and equals the full scan on sets large enough
+        for the strain-sorted search."""
         m = 5
         n = 40
         sets = []
@@ -133,6 +140,68 @@ class TestBatchSearch:
                     LocalPhasePoint(eps[e], sig[e]), gm.locals[e]
                 )
                 assert idx[e] == ref
+
+        def check(eps_rows, sig_rows, costs, queries):
+            stacked = StackedSets(eps_rows, sig_rows, costs)
+            rows = eps_rows.shape[0]
+            assert eps_rows.size >= data_module._SORTED_SEARCH_MIN_SIZE
+            c = rng.uniform(10.0, 1000.0, rows)
+            for eps, sig in queries:
+                got = batch_nearest(eps, sig, stacked, c, 1.0 / c)
+                assert np.array_equal(got, scan_nearest(eps, sig, stacked, c, 1.0 / c))
+            assert stacked.index is not None  # the sorted path ran
+            return got
+
+        m = 8
+        n = data_module._SORTED_SEARCH_MIN_SIZE // m + 17
+        eps_rows = rng.normal(size=(m, n))
+        sig_rows = 100.0 * eps_rows + rng.normal(size=(m, n))
+        near = [(rng.normal(size=m), 100.0 * rng.normal(size=m)) for _ in range(20)]
+        far = [(np.full(m, s * 10.0), np.full(m, s * 1e3)) for s in (-1.0, 1.0)]
+        on_data = [(eps_rows[:, 7], sig_rows[:, 7])]
+        check(eps_rows, sig_rows, None, near + far + on_data)
+        # fidelity costs, some of them large enough to move the winner
+        costs = rng.uniform(0.0, 50.0, (m, n))
+        check(eps_rows, sig_rows, costs, near + far + on_data)
+        # duplicated strains with different stresses (and exact duplicates)
+        dup_eps = np.round(eps_rows, 1)
+        dup_sig = rng.normal(size=(m, n)) * 20.0
+        half = n // 2
+        dup_eps[:, half : 2 * half] = dup_eps[:, :half]
+        dup_sig[:, half : 2 * half] = dup_sig[:, :half]
+        check(dup_eps, dup_sig, None, near + far)
+        check(dup_eps, dup_sig, np.round(costs), near + far)
+        # exact ties symmetric about the query: strains x -+ 0.5, equal
+        # stress, with the lower index on the left in even rows and on the
+        # right in odd rows; the lowest index must win
+        tie_eps = rng.uniform(10.0, 20.0, (m, n))
+        tie_sig = np.zeros((m, n))
+        lo_j = 100 + np.arange(m)
+        hi_j = 5000 + np.arange(m)
+        left = np.where(np.arange(m) % 2 == 0, lo_j, hi_j)
+        right = np.where(np.arange(m) % 2 == 0, hi_j, lo_j)
+        tie_eps[np.arange(m), left] = -0.5
+        tie_eps[np.arange(m), right] = 0.5
+        got = check(tie_eps, tie_sig, None, [(np.zeros(m), np.zeros(m))])
+        assert np.array_equal(got, lo_j)
+        # one-point rows
+        ones = data_module._SORTED_SEARCH_MIN_SIZE
+        one_eps = rng.normal(size=(ones, 1))
+        query = (rng.normal(size=ones), rng.normal(size=ones))
+        got = check(one_eps, one_eps * 3.0, None, [query])
+        assert np.all(got == 0)
+
+    def test_row_search_equals_searchsorted(self, rng):
+        """StrainIndex.search gives np.searchsorted's left position per row,
+        for repeated strains, values on data, infinities and NaN."""
+        for n in (1, 2, 3, 7, 64, 1000):
+            strains = rng.normal(size=(5, n))
+            strains[:, : n // 2] = np.round(strains[:, : n // 2], 1)
+            index = StrainIndex(strains)
+            specials = np.tile([np.nan, np.inf, -np.inf], (5, 1))
+            x = np.concatenate([rng.normal(size=(5, 20)), strains[:, :3], specials], axis=1)
+            expect = [np.searchsorted(index.eps[e], x[e]) for e in range(5)]
+            assert np.array_equal(index.search(x), np.array(expect))
 
     def test_project_onto_d_gathers_nearest(self, rng):
         m = 3
@@ -350,6 +419,35 @@ class TestHistoryRepository:
             d = history_cost_dataset(h, prior, metric)
             got_idx, _ = d.nearest(current, metric)
             assert got_idx == ref_idx
+
+    def test_stacked_costs_equal_cost_datasets(self, rng):
+        """Each row of the stacked costs equals the cost dataset's costs
+        bit for bit; zero prior weight gives a zero row, all zero gives None,
+        and a non-finite cost is rejected as LocalDataSet rejects it."""
+        n = 30
+        repos = [
+            HistoryRepository(
+                rng.normal(size=n),
+                rng.normal(size=n) * 100.0,
+                rng.normal(size=n),
+                rng.normal(size=n) * 100.0,
+                weights=w,
+            )
+            for w in ((1.0, 0.7), (2.0, 0.0), (0.5, 3.0))
+        ]
+        metrics = [LocalMetric.from_modulus(v) for v in (175.0, 2.0, 9.0)]
+        gm = GlobalMetric(metrics, np.ones(3))
+        z_prev = GlobalState(rng.normal(size=3), rng.normal(size=3) * 100.0)
+        costs = prior_slot_costs(repos, z_prev, gm)
+        for e, h in enumerate(repos):
+            d = history_cost_dataset(h, z_prev.point(e), gm.locals[e])
+            expect = np.zeros(n) if d.costs is None else d.costs
+            assert np.array_equal(costs[e], expect)
+        one = GlobalMetric(metrics[1:2], [1.0])
+        assert prior_slot_costs(repos[1:2], z_prev, one) is None
+        huge = GlobalState(np.full(3, 1e200), np.zeros(3))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite and nonn"):
+            prior_slot_costs(repos, huge, gm)
 
 
 class TestDatasetCsv:

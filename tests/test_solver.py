@@ -390,6 +390,19 @@ class TestHistoryMatchingMarch:
         )
         assert rel < 1e-2
 
+    def test_abort_reports_iterations_and_objective(self):
+        mesh, gm, loads, times = small_truss_fixture(t_end=2.0)
+        repos = build_truss_repositories(
+            mesh, gm, DEFAULT_SLS, loads, times,
+            n_prior_strain=3, n_prior_offset=5, n_current=9,
+        )
+        cfg = SolverConfig(
+            max_fixed_point_iters=1, swap_polish=False, abort_on_nonconvergence=True
+        )
+        message = r"at step \d+ \(t=.*\): 1 iterations, objective "
+        with pytest.raises(RuntimeError, match=message):
+            history_matching_march(mesh, gm, repos, loads, times, cfg)
+
 
 class TestTrajectoryOutput:
     """CSV export and the summary dictionary."""
