@@ -20,8 +20,7 @@ large and cost-free.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -465,19 +464,20 @@ class WindowRule:
             if float(getattr(self, name)) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    def resolve(self, band_width: float, step_estimate: float = 0.0) -> float:
+    def halfwidths(self, band_width: float, step_estimates) -> np.ndarray:
+        """The half-width for every entry of ``step_estimates``."""
+        est = np.abs(np.asarray(step_estimates, dtype=float))
         if self.halfwidth is not None:
-            return float(self.halfwidth)
-        hw = max(
-            self.incr_factor * abs(step_estimate),
-            self.band_factor * band_width,
-            self.floor,
+            return np.full(est.shape, float(self.halfwidth))
+        hw = np.maximum(
+            self.incr_factor * est, max(self.band_factor * band_width, self.floor)
         )
-        if hw <= 0.0:
-            raise ValueError(
-                "sampling window collapsed to zero; set floor or halfwidth"
-            )
+        if np.any(hw <= 0.0):
+            raise ValueError("sampling window collapsed to zero; set floor or halfwidth")
         return hw
+
+    def resolve(self, band_width: float, step_estimate: float = 0.0) -> float:
+        return float(self.halfwidths(band_width, step_estimate))
 
 
 @dataclass(frozen=True)
@@ -531,20 +531,6 @@ def _sample_strains(
             raise ValueError("a banded draw requires a random generator")
         grid = grid + rng.uniform(-0.5 * g.band_width, 0.5 * g.band_width, n)
     return grid
-
-
-def relaxed_strain_increment(cond: ConditioningState, law, dt: float | None):
-    """Strain change that would keep the one-step stress unchanged (creep).
-
-    Zero in the instantaneous limit and for rate-independent laws; for a
-    viscoelastic solid it is the flow the sampling window must cover even
-    when the applied loads (and hence the elastic estimate) do not change.
-    """
-    eps = np.asarray(cond.prev_strain, dtype=float)
-    if dt is None or not isinstance(law, SlsParams):
-        return np.zeros_like(eps)
-    a, b = sls_affine_coefficients(cond, law, dt)
-    return (np.asarray(cond.prev_stress, dtype=float) - a) / b - eps
 
 
 def _resolve_window(

@@ -13,10 +13,13 @@ iteration because each half-step is an exact minimization. The enumeration
 oracle checks every data assignment and is the ground truth on instances
 small enough to afford it.
 
-Marches rebuild the per-element data sets every step, conditioned on the
-previously accepted local states; randomness is split per (step, element)
-from the run seed, so trajectories are bit-reproducible and elements could
-be generated concurrently.
+Both marches run one step loop and differ only in the data sets a step
+searches. :func:`time_march` regenerates the per-element sets every step,
+conditioned on the previously accepted local states; randomness is split
+per (step, element) from the run seed, so trajectories are bit-reproducible
+and elements could be generated concurrently. :func:`history_matching_march`
+searches fixed two-time archives, with the prior-slot mismatch against the
+previously accepted state as a fidelity cost.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ from .data import (
     LocalDataSet,
     StackedSets,
     batch_nearest,
-    generate_plastic_set,
-    generate_sls_set,
     history_cost_dataset,
     prior_slot_costs,
     stack_sets,
@@ -60,7 +61,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limits, initialization policy and tolerances.
+    """Iteration limit, warm-start policy, abort and polish switches.
 
     ``init_strategy`` picks the marches' warm start: "response" equilibrates
     against the empirical response read off the step's own data sets (nearest
@@ -75,9 +76,7 @@ class SolverConfig:
 
     max_fixed_point_iters: int = 200
     init_strategy: str = "response"
-    equilibrium_tol: float = 1e-9
     abort_on_nonconvergence: bool = False
-    rng_seed: int = 0
     swap_polish: bool = True
 
     def __post_init__(self) -> None:
@@ -86,8 +85,6 @@ class SolverConfig:
         object.__setattr__(self, "max_fixed_point_iters", int(self.max_fixed_point_iters))
         if self.init_strategy not in ("response", "predicted", "previous", "zero"):
             raise ValueError(f"unknown init strategy {self.init_strategy!r}")
-        if float(self.equilibrium_tol) <= 0.0:
-            raise ValueError("equilibrium_tol must be positive")
 
 
 @dataclass
@@ -714,22 +711,6 @@ def _check_times(times) -> np.ndarray:
     return t
 
 
-def _window_halfwidths(
-    g: GeneratorSpec, est: np.ndarray, creep: np.ndarray
-) -> np.ndarray:
-    rule = g.window
-    if rule.halfwidth is not None:
-        return np.full(est.size, float(rule.halfwidth) * g.window_scale)
-    hw = np.maximum(
-        rule.incr_factor * np.maximum(np.abs(est), np.abs(creep)),
-        max(rule.band_factor * g.band_width, rule.floor),
-    )
-    hw = hw * g.window_scale
-    if np.any(hw <= 0.0):
-        raise ValueError("sampling window collapsed to zero; set floor or halfwidth")
-    return hw
-
-
 def _stacked_step_sets(
     g: GeneratorSpec,
     eps_prev: np.ndarray,
@@ -756,7 +737,8 @@ def _stacked_step_sets(
         creep = (sig_prev - ab[0]) / ab[1] - eps_prev
     else:
         creep = np.zeros(m)
-    hw = _window_halfwidths(g, est, creep)
+    hw = g.window.halfwidths(g.band_width, np.maximum(np.abs(est), np.abs(creep)))
+    hw = hw * g.window_scale
     if g.sampling == "grid":
         steps = hw / max(n // 2, 1)
         eps = centers[:, None] + (np.arange(n) - n // 2)[None, :] * steps[:, None]
@@ -783,6 +765,103 @@ def _stacked_step_sets(
     return StackedSets(eps, sig, None)
 
 
+def _march(
+    system: ConstraintSystem,
+    gm: GlobalMetric,
+    loads: LoadProgram | None,
+    t_grid: np.ndarray,
+    cfg: SolverConfig,
+    step_sets: Callable[..., StackedSets | list[LocalDataSet]],
+    plastic_law: PlasticParams | None,
+) -> Trajectory:
+    """The step loop of both marches.
+
+    ``step_sets(k, dt, est, eps_prev, sig_prev, q_acc)`` returns step k's
+    data sets from its time increment (None on the first step), its elastic
+    strain estimate and the previously accepted strain, stress and
+    accumulated slip. Each step is solved from the warm start
+    ``cfg.init_strategy`` picks and, for stacked sets under "response", also
+    from the empirical response init; the lower objective wins. The
+    accumulated slip is tracked only for a ``plastic_law``.
+    """
+    m = system.n_elements
+    steps: list[StepResult] = []
+    q_rows: list[np.ndarray] = []
+    eps_prev = np.zeros(m)
+    sig_prev = np.zeros(m)
+    q_acc = np.zeros(m)
+    drift_eps = np.zeros(m)
+    drift_sig = np.zeros(m)
+    f_prev: np.ndarray | None = None
+    t_prev: float | None = None
+    for k in range(t_grid.size):
+        t = float(t_grid[k])
+        f = loads.forces(t) if loads is not None else np.zeros(system.n_free)
+        dt = None if k == 0 else float(t_grid[k] - t_grid[k - 1])
+        est = system.elastic_strain_increment(f, f_prev, t, t_prev)
+        # free the previous step's sets and index before drawing this step's
+        sets = None
+        sets = step_sets(k, dt, est, eps_prev, sig_prev, q_acc)
+        if cfg.init_strategy == "zero":
+            inits = [GlobalState.zeros(m)]
+        elif cfg.init_strategy == "previous":
+            inits = [GlobalState(eps_prev, sig_prev)]
+        else:
+            # warm start at the elastic estimate plus the previous step's
+            # inelastic increment, so steady flow never has to climb out of
+            # the previous step's basin (and a cold start inside an
+            # archive's stale neighbourhood cannot pin the walk there)
+            inits = [
+                GlobalState(
+                    eps_prev + est + drift_eps,
+                    sig_prev + gm.c_diag * est + drift_sig,
+                )
+            ]
+            if cfg.init_strategy == "response" and isinstance(sets, StackedSets):
+                resp = _empirical_response_init(
+                    system, sets, f, system.affine_strain(t), eps_prev + est
+                )
+                if resp is not None:
+                    inits.append(resp)
+        step = None
+        for ini in inits:
+            cand = fixed_point_solve(system, sets, gm, f, ini, cfg, t=t)
+            if step is None or cand.objective_history[-1] < step.objective_history[-1]:
+                step = cand
+        if not step.converged and cfg.abort_on_nonconvergence:
+            raise RuntimeError(
+                f"fixed point did not converge at step {k} (t={t}): "
+                f"{step.iterations} iterations, objective {step.objective_history[-1]:.6e}"
+            )
+        eps_new = step.z.strain[:, 0]
+        sig_new = step.z.stress[:, 0]
+        if plastic_law is not None:
+            p = plastic_law
+            dq = np.abs(
+                ((p.e0 + p.e1) * (eps_new - eps_prev) - (sig_new - sig_prev)) / p.e1
+            )
+            q_acc = q_acc + dq
+        steps.append(step)
+        q_rows.append(q_acc)
+        drift_eps = (eps_new - eps_prev) - est
+        drift_sig = (sig_new - sig_prev) - gm.c_diag * est
+        eps_prev, sig_prev = eps_new, sig_new
+        f_prev, t_prev = f, t
+    return Trajectory(
+        times=t_grid,
+        strain=np.array([s.z.strain[:, 0] for s in steps]),
+        stress=np.array([s.z.stress[:, 0] for s in steps]),
+        assignment=np.array([s.assignment for s in steps]),
+        iterations=np.array([s.iterations for s in steps]),
+        distance_sq=np.array([s.distance_sq for s in steps]),
+        converged=np.array([s.converged for s in steps]),
+        equilibrium_residual=np.array([s.equilibrium_residual for s in steps]),
+        displacements=np.array([s.displacements for s in steps]),
+        q_acc=np.array(q_rows),
+        gm=gm,
+    )
+
+
 def time_march(
     mesh: TrussMesh,
     gm: GlobalMetric,
@@ -805,104 +884,16 @@ def time_march(
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
     system = sys if sys is not None else assemble(mesh, gm)
-    m = system.n_elements
-    plastic = isinstance(generator.law, PlasticParams)
+    law = generator.law
+    plastic_law = law if isinstance(law, PlasticParams) else None
 
-    T = t_grid.size
-    out_eps = np.zeros((T, m))
-    out_sig = np.zeros((T, m))
-    out_assign = np.full((T, m), -1, dtype=np.int64)
-    out_iters = np.zeros(T, dtype=np.int64)
-    out_dist = np.zeros(T)
-    out_conv = np.zeros(T, dtype=bool)
-    out_resid = np.zeros(T)
-    out_u = np.zeros((T, system.n_free))
-    out_qacc = np.zeros((T, m))
-
-    eps_prev = np.zeros(m)
-    sig_prev = np.zeros(m)
-    q_acc = np.zeros(m)
-    drift_eps = np.zeros(m)
-    drift_sig = np.zeros(m)
-    f_prev: np.ndarray | None = None
-    t_prev: float | None = None
-    for k in range(T):
-        t = float(t_grid[k])
-        f = loads.forces(t) if loads is not None else np.zeros(system.n_free)
-        dt = None if k == 0 else float(t_grid[k] - t_grid[k - 1])
-        est = system.elastic_strain_increment(f, f_prev, t, t_prev)
-        # free the previous step's sets and index before drawing this step's
-        stacked = None
+    def step_sets(k, dt, est, eps_prev, sig_prev, q_acc):
         stacked = _stacked_step_sets(generator, eps_prev, sig_prev, q_acc, est, dt, k)
         if dataset_sink is not None:
-            sets = [
-                LocalDataSet(stacked.eps[e], stacked.sig[e]) for e in range(m)
-            ]
-            dataset_sink(k, sets)
-        if cfg.init_strategy == "zero":
-            inits = [GlobalState.zeros(m)]
-        elif cfg.init_strategy == "previous":
-            inits = [GlobalState(eps_prev, sig_prev)]
-        else:
-            # warm start at the elastic estimate plus the previous step's
-            # inelastic increment, so steady flow never has to climb out of
-            # the previous step's basin
-            inits = [
-                GlobalState(
-                    eps_prev + est + drift_eps,
-                    sig_prev + gm.c_diag * est + drift_sig,
-                )
-            ]
-            if cfg.init_strategy == "response":
-                resp = _empirical_response_init(
-                    system, stacked, f, system.affine_strain(t), eps_prev + est
-                )
-                if resp is not None:
-                    inits.append(resp)
-        step = None
-        for ini in inits:
-            cand = fixed_point_solve(system, stacked, gm, f, ini, cfg, t=t)
-            if step is None or cand.objective_history[-1] < step.objective_history[-1]:
-                step = cand
-        if not step.converged and cfg.abort_on_nonconvergence:
-            raise RuntimeError(
-                f"fixed point did not converge at step {k} (t={t}): "
-                f"{step.iterations} iterations, objective {step.objective_history[-1]:.6e}"
-            )
-        eps_new = step.z.strain[:, 0]
-        sig_new = step.z.stress[:, 0]
-        if plastic:
-            p = generator.law
-            dq = np.abs(
-                ((p.e0 + p.e1) * (eps_new - eps_prev) - (sig_new - sig_prev)) / p.e1
-            )
-            q_acc = q_acc + dq
-        out_eps[k] = eps_new
-        out_sig[k] = sig_new
-        out_assign[k] = step.assignment
-        out_iters[k] = step.iterations
-        out_dist[k] = step.distance_sq
-        out_conv[k] = step.converged
-        out_resid[k] = step.equilibrium_residual
-        out_u[k] = step.displacements
-        out_qacc[k] = q_acc
-        drift_eps = (eps_new - eps_prev) - est
-        drift_sig = (sig_new - sig_prev) - gm.c_diag * est
-        eps_prev, sig_prev = eps_new, sig_new
-        f_prev, t_prev = f, t
-    return Trajectory(
-        times=t_grid,
-        strain=out_eps,
-        stress=out_sig,
-        assignment=out_assign,
-        iterations=out_iters,
-        distance_sq=out_dist,
-        converged=out_conv,
-        equilibrium_residual=out_resid,
-        displacements=out_u,
-        q_acc=out_qacc,
-        gm=gm,
-    )
+            dataset_sink(k, [LocalDataSet(*row) for row in zip(stacked.eps, stacked.sig)])
+        return stacked
+
+    return _march(system, gm, loads, t_grid, cfg, step_sets, plastic_law)
 
 
 def history_matching_march(
@@ -931,18 +922,6 @@ def history_matching_march(
     if len(repositories) != m:
         raise ValueError(f"{m} repositories required, got {len(repositories)}")
 
-    T = t_grid.size
-    out_eps = np.zeros((T, m))
-    out_sig = np.zeros((T, m))
-    out_assign = np.full((T, m), -1, dtype=np.int64)
-    out_iters = np.zeros(T, dtype=np.int64)
-    out_dist = np.zeros(T)
-    out_conv = np.zeros(T, dtype=bool)
-    out_resid = np.zeros(T)
-    out_u = np.zeros((T, system.n_free))
-
-    # equal-size archives are stacked and strain-sorted once per march;
-    # each step then adds only the prior-slot cost rows
     archive = None
     if len({h.n_entries for h in repositories}) == 1:
         archive = StackedSets(
@@ -952,80 +931,16 @@ def history_matching_march(
         )
         archive.strain_index()
 
-    eps_prev = np.zeros(m)
-    sig_prev = np.zeros(m)
-    drift_eps = np.zeros(m)
-    drift_sig = np.zeros(m)
-    f_prev: np.ndarray | None = None
-    t_prev: float | None = None
-    for k in range(T):
-        t = float(t_grid[k])
-        f = loads.forces(t) if loads is not None else np.zeros(system.n_free)
+    def step_sets(k, dt, est, eps_prev, sig_prev, q_acc):
         z_prev = GlobalState(eps_prev, sig_prev)
-        if archive is None:
-            sets = [
-                history_cost_dataset(h, z_prev.point(e), gm.locals[e])
-                for e, h in enumerate(repositories)
-            ]
-        else:
-            sets = replace(archive, costs=prior_slot_costs(repositories, z_prev, gm))
-        est = system.elastic_strain_increment(f, f_prev, t, t_prev)
-        if cfg.init_strategy == "zero":
-            inits = [GlobalState.zeros(m)]
-        elif cfg.init_strategy == "previous":
-            inits = [GlobalState(eps_prev, sig_prev)]
-        else:
-            # same drift-corrected warm start as the differential march; the
-            # archive holds stale neighborhoods from every past step, so a
-            # cold start inside one of them can pin the walk there
-            inits = [
-                GlobalState(
-                    eps_prev + est + drift_eps,
-                    sig_prev + gm.c_diag * est + drift_sig,
-                )
-            ]
-            if cfg.init_strategy == "response" and archive is not None:
-                resp = _empirical_response_init(
-                    system, sets, f, system.affine_strain(t), eps_prev + est
-                )
-                if resp is not None:
-                    inits.append(resp)
-        step = None
-        for ini in inits:
-            cand = fixed_point_solve(system, sets, gm, f, ini, cfg, t=t)
-            if step is None or cand.objective_history[-1] < step.objective_history[-1]:
-                step = cand
-        if not step.converged and cfg.abort_on_nonconvergence:
-            raise RuntimeError(
-                f"fixed point did not converge at step {k} (t={t}): "
-                f"{step.iterations} iterations, objective {step.objective_history[-1]:.6e}"
-            )
-        out_eps[k] = step.z.strain[:, 0]
-        out_sig[k] = step.z.stress[:, 0]
-        out_assign[k] = step.assignment
-        out_iters[k] = step.iterations
-        out_dist[k] = step.distance_sq
-        out_conv[k] = step.converged
-        out_resid[k] = step.equilibrium_residual
-        out_u[k] = step.displacements
-        drift_eps = out_eps[k] - eps_prev - est
-        drift_sig = out_sig[k] - sig_prev - gm.c_diag * est
-        eps_prev = out_eps[k]
-        sig_prev = out_sig[k]
-        f_prev, t_prev = f, t
-    return Trajectory(
-        times=t_grid,
-        strain=out_eps,
-        stress=out_sig,
-        assignment=out_assign,
-        iterations=out_iters,
-        distance_sq=out_dist,
-        converged=out_conv,
-        equilibrium_residual=out_resid,
-        displacements=out_u,
-        q_acc=np.zeros((T, m)),
-        gm=gm,
-    )
+        if archive is not None:
+            return replace(archive, costs=prior_slot_costs(repositories, z_prev, gm))
+        return [
+            history_cost_dataset(h, z_prev.point(e), gm.locals[e])
+            for e, h in enumerate(repositories)
+        ]
+
+    return _march(system, gm, loads, t_grid, cfg, step_sets, None)
 
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:

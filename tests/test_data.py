@@ -230,6 +230,20 @@ class TestWindowRule:
         with pytest.raises(ValueError):
             WindowRule(incr_factor=1.0, band_factor=1.0, floor=0.0).resolve(0.0, 0.0)
 
+    def test_halfwidths_equal_resolve_per_entry(self):
+        """The vectorized rule gives every entry the scalar rule's value."""
+        est = np.array([0.0, 2e-3, -0.01, 0.03, -1e-9])
+        for rule in (
+            WindowRule(incr_factor=4.0, band_factor=8.0),
+            WindowRule(incr_factor=3.0, band_factor=0.0, floor=1e-9),
+            WindowRule(halfwidth=0.05),
+        ):
+            hw = rule.halfwidths(0.01, est)
+            assert hw.shape == est.shape
+            assert [float(v) for v in hw] == [rule.resolve(0.01, x) for x in est]
+        with pytest.raises(ValueError):
+            WindowRule(incr_factor=1.0, band_factor=1.0).halfwidths(0.0, est)
+
 
 class TestGenerators:
     """Conditioned one-step data set generators."""

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ddmech.data import GeneratorSpec, LocalDataSet, WindowRule
+from ddmech import solver
+from ddmech.data import GeneratorSpec, HistoryRepository, LocalDataSet, WindowRule
 from ddmech.experiments import (
     DEFAULT_PLASTIC,
     DEFAULT_SLS,
@@ -390,18 +391,60 @@ class TestHistoryMatchingMarch:
         )
         assert rel < 1e-2
 
-    def test_abort_reports_iterations_and_objective(self):
-        mesh, gm, loads, times = small_truss_fixture(t_end=2.0)
+    def test_ragged_archives_match_the_stacked_march(self, monkeypatch):
+        """Archives of different sizes are searched set by set; a far entry
+        that is never chosen leaves the march equal to the stacked one."""
+        mesh, gm, loads, times = small_truss_fixture(t_end=4.0)
         repos = build_truss_repositories(
             mesh, gm, DEFAULT_SLS, loads, times,
             n_prior_strain=3, n_prior_offset=5, n_current=9,
         )
+        h = repos[1]
+        ragged = list(repos)
+        ragged[1] = HistoryRepository(
+            np.append(h.eps_prev, 1e3),
+            np.append(h.sig_prev, 1e8),
+            np.append(h.eps_cur, 1e3),
+            np.append(h.sig_cur, 1e8),
+            h.weights,
+        )
+        cfg = SolverConfig(init_strategy="predicted")
+        stacked = history_matching_march(mesh, gm, repos, loads, times, cfg)
+        calls = []
+        per_set = solver.history_cost_dataset
+
+        def counted(*args):
+            calls.append(args)
+            return per_set(*args)
+
+        monkeypatch.setattr(solver, "history_cost_dataset", counted)
+        listed = history_matching_march(mesh, gm, ragged, loads, times, cfg)
+        assert len(calls) == len(repos) * times.size
+        assert np.array_equal(listed.strain, stacked.strain)
+        assert np.array_equal(listed.stress, stacked.stress)
+        assert np.array_equal(listed.assignment, stacked.assignment)
+
+    @pytest.mark.parametrize("march", [time_march, history_matching_march])
+    def test_abort_reports_iterations_and_objective(self, march):
+        """Both marches name the step, iterations and objective on abort."""
+        mesh, gm, loads, times = small_truss_fixture(t_end=2.0)
+        if march is time_march:
+            data = GeneratorSpec(
+                law=DEFAULT_SLS,
+                n_points=16,
+                window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
+            )
+        else:
+            data = build_truss_repositories(
+                mesh, gm, DEFAULT_SLS, loads, times,
+                n_prior_strain=3, n_prior_offset=5, n_current=9,
+            )
         cfg = SolverConfig(
             max_fixed_point_iters=1, swap_polish=False, abort_on_nonconvergence=True
         )
         message = r"at step \d+ \(t=.*\): 1 iterations, objective "
         with pytest.raises(RuntimeError, match=message):
-            history_matching_march(mesh, gm, repos, loads, times, cfg)
+            march(mesh, gm, data, loads, times, cfg)
 
 
 class TestTrajectoryOutput:
