@@ -1,20 +1,20 @@
-"""Material data sets, conditioned set generators, and nearest-point search.
+"""Material data sets, the per-step set window, and nearest-point search.
 
-A local data set is a cloud of (strain, stress) points for one element,
+A local data set is a cloud of scalar (strain, stress) points for one bar,
 optionally tagged with a nonnegative fidelity cost added to the square
 distance during search. Evolving-material behaviour enters through the
-generators: each time step gets a fresh set conditioned on the previously
-converged local state (and, for plasticity, on an accumulated-slip history
-variable recovered from stress-strain increments alone).
+per-step draw (``solver._stacked_step_sets``): each time step gets fresh
+sets conditioned on the previously converged local states (and, for
+plasticity, on an accumulated-slip history variable recovered from
+stress-strain increments alone), sampled in the window :class:`WindowRule`
+and :class:`GeneratorSpec` describe.
 
 Every search is exact and returns the lowest index among the minimizers.
-The solver searches equal-size scalar sets stacked as (M, n) arrays with
+The solver searches equal-size sets stacked as (M, n) arrays with
 :func:`batch_nearest`: a scan of every point for small stacks, and above a
 size crossover a search of each row in its strain order, which evaluates the
-scan's own arithmetic on a certified block of candidates. Single sets
-(:meth:`LocalDataSet.nearest`) are scanned, or searched through a KD-tree
-whose candidates are re-checked with the scan arithmetic when the set is
-large and cost-free.
+scan's own arithmetic on a certified block of candidates. A single set is
+scanned by :meth:`LocalDataSet.nearest`, the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -24,27 +24,16 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .materials import (
-    PlasticParams,
-    SlsParams,
-    plastic_return_map,
-    sls_affine_coefficients,
-)
+from .materials import PlasticParams, SlsParams
 from .phase import GlobalMetric, GlobalState, LocalMetric, LocalPhasePoint
 
 __all__ = [
-    "DataPoint",
     "LocalDataSet",
     "ConditioningState",
     "WindowRule",
     "GeneratorSpec",
     "HistoryRepository",
-    "nearest_point",
-    "project_onto_D",
-    "generate_sls_set",
-    "generate_plastic_set",
     "update_history_variable",
     "gaussian_fidelity_cost",
     "nearest_history",
@@ -54,35 +43,14 @@ __all__ = [
     "read_datasets_csv",
 ]
 
-_TREE_THRESHOLD = 64
-
-
-@dataclass(frozen=True)
-class DataPoint:
-    """One (strain, stress) sample with an optional fidelity cost."""
-
-    strain: np.ndarray
-    stress: np.ndarray
-    fidelity_cost: float = 0.0
-
-    def __post_init__(self) -> None:
-        point = LocalPhasePoint(self.strain, self.stress)
-        object.__setattr__(self, "strain", point.strain)
-        object.__setattr__(self, "stress", point.stress)
-        cost = float(self.fidelity_cost)
-        if not np.isfinite(cost) or cost < 0.0:
-            raise ValueError(f"fidelity cost must be nonnegative, got {cost!r}")
-        object.__setattr__(self, "fidelity_cost", cost)
-
-    @property
-    def dim(self) -> int:
-        return self.strain.size
-
 
 class LocalDataSet:
-    """Immutable point cloud for one element, with exact nearest search."""
+    """Immutable scalar point cloud for one element, with exact nearest search.
 
-    __slots__ = ("strains", "stresses", "costs", "_tree", "_tree_key")
+    Strains and stresses are stored as (n, 1) columns.
+    """
+
+    __slots__ = ("strains", "stresses", "costs")
 
     def __init__(self, strains, stresses, costs=None) -> None:
         eps = np.asarray(strains, dtype=float)
@@ -91,12 +59,10 @@ class LocalDataSet:
             eps = eps[:, None]
         if sig.ndim == 1:
             sig = sig[:, None]
-        if eps.ndim != 2 or eps.shape != sig.shape:
-            raise ValueError("strains and stresses must share shape (n, m)")
+        if eps.ndim != 2 or eps.shape[1] != 1 or eps.shape != sig.shape:
+            raise ValueError("strains and stresses must share shape (n, 1)")
         if eps.shape[0] < 1:
             raise ValueError("a data set must contain at least one point")
-        if eps.shape[1] < 1 or eps.shape[1] > 3:
-            raise ValueError("local dimension must be between 1 and 3")
         if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(sig))):
             raise ValueError("data points must be finite")
         eps = eps.copy()
@@ -115,97 +81,26 @@ class LocalDataSet:
                 raise ValueError("fidelity costs must be finite and nonnegative")
             c.setflags(write=False)
             self.costs = c
-        self._tree = None
-        self._tree_key = None
-
-    @classmethod
-    def from_points(cls, points: Sequence[DataPoint]) -> "LocalDataSet":
-        if not points:
-            raise ValueError("a data set must contain at least one point")
-        dims = {p.dim for p in points}
-        if len(dims) != 1:
-            raise ValueError("all points must share one local dimension")
-        costs = np.array([p.fidelity_cost for p in points])
-        return cls(
-            np.stack([p.strain for p in points]),
-            np.stack([p.stress for p in points]),
-            costs if np.any(costs != 0.0) else None,
-        )
 
     @property
     def n_points(self) -> int:
         return self.strains.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.strains.shape[1]
+    def point(self, i: int) -> LocalPhasePoint:
+        return LocalPhasePoint(self.strains[i], self.stresses[i])
 
-    def point(self, i: int) -> DataPoint:
-        cost = 0.0 if self.costs is None else float(self.costs[i])
-        return DataPoint(self.strains[i], self.stresses[i], cost)
-
-    def _distances_sq(self, z: LocalPhasePoint, metric: LocalMetric) -> np.ndarray:
-        de = self.strains - z.strain
-        ds = self.stresses - z.stress
-        if metric.dim == 1:
-            d2 = metric.c[0, 0] * de[:, 0] * de[:, 0] + metric.c_inv[0, 0] * ds[:, 0] * ds[:, 0]
-        else:
-            d2 = np.einsum("ni,ij,nj->n", de, metric.c, de) + np.einsum(
-                "ni,ij,nj->n", ds, metric.c_inv, ds
-            )
+    def nearest(self, z: LocalPhasePoint, metric: LocalMetric) -> tuple[int, LocalPhasePoint]:
+        """Lowest-index minimizer of square distance plus fidelity cost, by a
+        scan of every point."""
+        if z.dim != 1:
+            raise ValueError("data sets hold scalar states")
+        de = self.strains[:, 0] - z.strain[0]
+        ds = self.stresses[:, 0] - z.stress[0]
+        d2 = metric.c * de * de + metric.c_inv * ds * ds
         if self.costs is not None:
             d2 = d2 + self.costs
-        return d2
-
-    def _get_tree(self, metric: LocalMetric) -> tuple[cKDTree, np.ndarray]:
-        key = metric.c.tobytes()
-        if self._tree is None or self._tree_key != key:
-            chol = np.linalg.cholesky(metric.c)
-            coords = np.hstack(
-                [
-                    self.strains @ chol,  # |L^T e|^2 = e^T C e
-                    np.linalg.solve(chol, self.stresses.T).T,
-                ]
-            )
-            self._tree = (cKDTree(coords), chol)
-            self._tree_key = key
-        return self._tree
-
-    def nearest(self, z: LocalPhasePoint, metric: LocalMetric) -> tuple[int, DataPoint]:
-        """Lowest-index minimizer of square distance plus fidelity cost."""
-        if z.dim != self.dim or metric.dim != self.dim:
-            raise ValueError("point, metric and data set dimensions must agree")
-        if self.costs is not None or self.n_points < _TREE_THRESHOLD:
-            d2 = self._distances_sq(z, metric)
-            idx = int(np.argmin(d2))
-            return idx, self.point(idx)
-        tree, chol = self._get_tree(metric)
-        query = np.concatenate([z.strain @ chol, np.linalg.solve(chol, z.stress)])
-        dist, _ = tree.query(query)
-        # re-check candidates with scan arithmetic so ties and rounding agree
-        # with the linear-scan reference exactly
-        radius = dist * (1.0 + 1e-9) + 1e-300
-        candidates = sorted(tree.query_ball_point(query, radius))
-        if not candidates:
-            candidates = list(range(self.n_points))
-        cand = np.asarray(candidates, dtype=int)
-        de = self.strains[cand] - z.strain
-        ds = self.stresses[cand] - z.stress
-        if metric.dim == 1:
-            d2 = metric.c[0, 0] * de[:, 0] * de[:, 0] + metric.c_inv[0, 0] * ds[:, 0] * ds[:, 0]
-        else:
-            d2 = np.einsum("ni,ij,nj->n", de, metric.c, de) + np.einsum(
-                "ni,ij,nj->n", ds, metric.c_inv, ds
-            )
-        idx = int(cand[np.argmin(d2)])
+        idx = int(np.argmin(d2))
         return idx, self.point(idx)
-
-
-def nearest_point(
-    z: LocalPhasePoint, d: LocalDataSet, metric: LocalMetric
-) -> tuple[int, DataPoint]:
-    """Module-level alias of :meth:`LocalDataSet.nearest`."""
-    return d.nearest(z, metric)
 
 
 #: Smallest stacked size M*n searched through the strain order rather than
@@ -281,11 +176,11 @@ class StackedSets:
 
 
 def stack_sets(sets: Sequence[LocalDataSet]) -> StackedSets | None:
-    """Stacks scalar sets of equal size; None when the fast path cannot apply."""
+    """Stacks sets of equal size; None when they are ragged."""
     if not sets:
         return None
     n = sets[0].n_points
-    if any(d.dim != 1 or d.n_points != n for d in sets):
+    if any(d.n_points != n for d in sets):
         return None
     eps = np.stack([d.strains[:, 0] for d in sets])
     sig = np.stack([d.stresses[:, 0] for d in sets])
@@ -398,38 +293,12 @@ def _sorted_d2(stacked, index, r, pos, eps, sig, c, c_inv):
     return d2, p, j
 
 
-def project_onto_D(
-    z: GlobalState, sets: Sequence[LocalDataSet], gm: GlobalMetric
-) -> tuple[np.ndarray, GlobalState]:
-    """Elementwise nearest data points; global minimizer by decomposability."""
-    if len(sets) != gm.n_elements or z.n_elements != gm.n_elements:
-        raise ValueError("state, data sets and metric must have equal element counts")
-    stacked = stack_sets(sets)
-    if stacked is not None and gm.is_scalar and z.dim == 1:
-        idx = batch_nearest(
-            z.strain[:, 0], z.stress[:, 0], stacked, gm.c_diag, gm.c_inv_diag
-        )
-        eps = np.take_along_axis(stacked.eps, idx[:, None], axis=1)[:, 0]
-        sig = np.take_along_axis(stacked.sig, idx[:, None], axis=1)[:, 0]
-        return idx.astype(np.int64), GlobalState(eps, sig)
-    indices = np.zeros(len(sets), dtype=np.int64)
-    eps_rows = []
-    sig_rows = []
-    for e, d in enumerate(sets):
-        i, p = d.nearest(z.point(e), gm.locals[e])
-        indices[e] = i
-        eps_rows.append(p.strain)
-        sig_rows.append(p.stress)
-    return indices, GlobalState(np.stack(eps_rows), np.stack(sig_rows))
-
-
 @dataclass(frozen=True)
 class ConditioningState:
-    """Previously converged local state (plus accumulated slip, if any)."""
+    """Previously converged local states, one entry per element."""
 
     prev_strain: np.ndarray | float = 0.0
     prev_stress: np.ndarray | float = 0.0
-    q_acc: float = 0.0
 
     def __post_init__(self) -> None:
         point = LocalPhasePoint(
@@ -437,10 +306,6 @@ class ConditioningState:
         )
         object.__setattr__(self, "prev_strain", point.strain)
         object.__setattr__(self, "prev_stress", point.stress)
-        qa = float(self.q_acc)
-        if not np.isfinite(qa) or qa < 0.0:
-            raise ValueError(f"q_acc must be nonnegative, got {qa!r}")
-        object.__setattr__(self, "q_acc", qa)
 
 
 @dataclass(frozen=True)
@@ -458,11 +323,12 @@ class WindowRule:
     floor: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.halfwidth is not None and float(self.halfwidth) <= 0.0:
-            raise ValueError("fixed halfwidth must be positive")
+        # written so that NaN fails every comparison and is rejected
+        if self.halfwidth is not None and not 0.0 < float(self.halfwidth) < np.inf:
+            raise ValueError("fixed halfwidth must be finite and positive")
         for name in ("incr_factor", "band_factor", "floor"):
-            if float(getattr(self, name)) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= float(getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     def halfwidths(self, band_width: float, step_estimates) -> np.ndarray:
         """The half-width for every entry of ``step_estimates``."""
@@ -488,7 +354,8 @@ class GeneratorSpec:
     zero means noiseless. ``sampling`` is 'grid' (uniform spacing, window
     center always a sample) or 'uniform' (independent uniform positions).
     ``window_scale`` multiplies the resolved half-width; sweeps use it to
-    couple the window to the sampling resolution.
+    couple the window to the sampling resolution. The draw itself is
+    ``solver._stacked_step_sets``; the time step comes from the march.
     """
 
     law: SlsParams | PlasticParams
@@ -496,7 +363,6 @@ class GeneratorSpec:
     band_width: float = 0.0
     window: WindowRule = WindowRule(floor=1.0)
     rng_seed: int = 0
-    dt: float = 1.0
     sampling: str = "grid"
     window_scale: float = 1.0
 
@@ -504,132 +370,30 @@ class GeneratorSpec:
         if int(self.n_points) < 1:
             raise ValueError("n_points must be at least 1")
         object.__setattr__(self, "n_points", int(self.n_points))
-        if float(self.band_width) < 0.0:
-            raise ValueError("band_width must be nonnegative")
+        if not 0.0 <= float(self.band_width) < np.inf:
+            raise ValueError("band_width must be finite and nonnegative")
         if self.sampling not in ("grid", "uniform"):
             raise ValueError(f"unknown sampling mode {self.sampling!r}")
-        if float(self.window_scale) <= 0.0:
-            raise ValueError("window_scale must be positive")
-
-
-def _sample_strains(
-    g: GeneratorSpec,
-    center: float,
-    halfwidth: float,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
-    n = g.n_points
-    if g.sampling == "uniform":
-        if rng is None:
-            raise ValueError("uniform sampling requires a random generator")
-        return center + rng.uniform(-halfwidth, halfwidth, n)
-    # uniform grid through the center: offsets (i - n//2) * step
-    step = halfwidth / max(n // 2, 1)
-    grid = center + (np.arange(n) - n // 2) * step
-    if g.band_width > 0.0:
-        if rng is None:
-            raise ValueError("a banded draw requires a random generator")
-        grid = grid + rng.uniform(-0.5 * g.band_width, 0.5 * g.band_width, n)
-    return grid
-
-
-def _resolve_window(
-    cond: ConditioningState,
-    g: GeneratorSpec,
-    center: float | None,
-    halfwidth: float | None,
-    step_estimate: float,
-    creep_estimate: float = 0.0,
-) -> tuple[float, float]:
-    c = float(cond.prev_strain[0] + step_estimate) if center is None else float(center)
-    if halfwidth is None:
-        est_eff = max(abs(float(step_estimate)), abs(float(creep_estimate)))
-        hw = g.window.resolve(g.band_width, est_eff) * g.window_scale
-    else:
-        hw = float(halfwidth)
-    if hw <= 0.0:
-        raise ValueError("window half-width must be positive")
-    return c, hw
-
-
-def generate_sls_set(
-    cond: ConditioningState,
-    g: GeneratorSpec,
-    rng: np.random.Generator | None = None,
-    *,
-    dt: float | None | str = "spec",
-    center: float | None = None,
-    halfwidth: float | None = None,
-    step_estimate: float = 0.0,
-) -> LocalDataSet:
-    """Data set of one-step viscoelastic responses about the conditioning state.
-
-    Strains are sampled in a window centered (by default) on the previous
-    converged strain shifted by the elastic step estimate; stresses follow
-    the one-step response line for the given ``dt``; ``dt=None`` selects the
-    instantaneous limit for a suddenly applied first step. When
-    ``band_width > 0`` the sampled strains are perturbed uniformly within
-    the band, leaving stresses on the line (a noisy strain axis).
-    """
-    if not isinstance(g.law, SlsParams):
-        raise ValueError("generate_sls_set requires SlsParams")
-    if cond.prev_strain.size != 1:
-        raise ValueError("scalar conditioning state required")
-    dt_eff = g.dt if isinstance(dt, str) else dt
-    a, b = sls_affine_coefficients(cond, g.law, dt_eff)
-    if dt_eff is None:
-        creep = 0.0
-    else:
-        # creep widens the window during load holds but never moves its center
-        creep = float((cond.prev_stress[0] - a[0]) / b - cond.prev_strain[0])
-    c, hw = _resolve_window(cond, g, center, halfwidth, step_estimate, creep)
-    eps_grid = _sample_strains(g, c, hw, rng)
-    sig = float(a[0]) + b * eps_grid
-    return LocalDataSet(eps_grid, sig)
-
-
-def generate_plastic_set(
-    cond: ConditioningState,
-    g: GeneratorSpec,
-    rng: np.random.Generator | None = None,
-    *,
-    center: float | None = None,
-    halfwidth: float | None = None,
-    step_estimate: float = 0.0,
-) -> LocalDataSet:
-    """Data set of return-mapped responses about the conditioning state.
-
-    The internal variable is recovered from the conditioning state alone,
-    ``q = ((e0+e1) eps_k - sig_k) / e1``, and the accumulated slip from the
-    tracked history variable, so the generator never sees solver internals.
-    """
-    if not isinstance(g.law, PlasticParams):
-        raise ValueError("generate_plastic_set requires PlasticParams")
-    if cond.prev_strain.size != 1:
-        raise ValueError("scalar conditioning state required")
-    p = g.law
-    eps_k = float(cond.prev_strain[0])
-    sig_k = float(cond.prev_stress[0])
-    q_prev = ((p.e0 + p.e1) * eps_k - sig_k) / p.e1
-    c, hw = _resolve_window(cond, g, center, halfwidth, step_estimate)
-    eps_grid = _sample_strains(g, c, hw, rng)
-    sig, _, _ = plastic_return_map(eps_grid, q_prev, cond.q_acc, p)
-    return LocalDataSet(eps_grid, sig)
+        if not 0.0 < float(self.window_scale) < np.inf:
+            raise ValueError("window_scale must be finite and positive")
 
 
 def update_history_variable(
-    cond: ConditioningState, z_new: LocalPhasePoint, p: PlasticParams
-) -> float:
-    """Accumulated-slip update from accepted increments only.
+    q_acc: np.ndarray,
+    prev_strain: np.ndarray,
+    prev_stress: np.ndarray,
+    strain: np.ndarray,
+    stress: np.ndarray,
+    p: PlasticParams,
+) -> np.ndarray:
+    """Accumulated-slip update from accepted increments only, elementwise.
 
     ``dq = |((e0+e1) deps - dsig) / e1|`` is the slip increment implied by
     the accepted state change; it is nonnegative by construction, so the
     history variable is monotone along any trajectory.
     """
-    deps = z_new.strain - cond.prev_strain
-    dsig = z_new.stress - cond.prev_stress
-    dq = np.linalg.norm(((p.e0 + p.e1) * deps - dsig) / p.e1)
-    return cond.q_acc + float(dq)
+    dq = np.abs(((p.e0 + p.e1) * (strain - prev_strain) - (stress - prev_stress)) / p.e1)
+    return q_acc + dq
 
 
 def gaussian_fidelity_cost(std_devs, dims) -> float:
@@ -686,8 +450,8 @@ class HistoryRepository:
 def _slot_distances_sq(
     h: HistoryRepository, z: LocalPhasePoint, metric: LocalMetric, slot: str
 ) -> np.ndarray:
-    c = metric.c[0, 0]
-    ci = metric.c_inv[0, 0]
+    c = metric.c
+    ci = metric.c_inv
     eps = getattr(h, f"eps_{slot}")
     sig = getattr(h, f"sig_{slot}")
     de = eps - z.strain[0]
@@ -708,8 +472,6 @@ def nearest_history(
     lowest entry index. With weights (1, 0) this reduces to a plain nearest
     search on the current slot.
     """
-    if metric.dim != 1:
-        raise ValueError("history repositories hold scalar states")
     if len(z_hist) != 2:
         raise ValueError("z_hist must hold (current, prior) states")
     w = h.weights if weights is None else (float(weights[0]), float(weights[1]))
@@ -769,13 +531,11 @@ def prior_slot_costs(
 
 def write_datasets_csv(path, rows) -> None:
     """Writes (step, element, LocalDataSet) triples as step, element,
-    strain, stress, cost lines; scalar sets only."""
+    strain, stress, cost lines."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "element", "strain", "stress", "cost"])
         for step, element, d in rows:
-            if d.dim != 1:
-                raise ValueError("CSV dump supports scalar data sets only")
             costs = d.costs if d.costs is not None else np.zeros(d.n_points)
             for i in range(d.n_points):
                 writer.writerow(
@@ -794,7 +554,8 @@ def read_datasets_csv(path) -> list[tuple[int, int, LocalDataSet]]:
 
     Returns the (step, element, LocalDataSet) triples in file order; each
     run of consecutive lines with the same (step, element) is one set. An
-    all-zero cost column reads back as ``costs=None``.
+    all-zero cost column reads back as ``costs=None``. A malformed line
+    raises ``ValueError`` naming ``path:line``.
     """
     runs: list[tuple[int, int, list[tuple[float, float, float]]]] = []
     with open(path, newline="") as fh:
@@ -805,10 +566,19 @@ def read_datasets_csv(path) -> list[tuple[int, int, LocalDataSet]]:
         for row in reader:
             if not row:
                 continue
-            step, element = int(row[0]), int(row[1])
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 5:
+                raise ValueError(f"{where}: expected 5 fields, got {len(row)}")
+            try:
+                step, element = int(row[0]), int(row[1])
+                point = tuple(float(v) for v in row[2:])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not np.all(np.isfinite(point)) or point[2] < 0.0:
+                raise ValueError(f"{where}: values must be finite and the cost nonnegative")
             if not runs or runs[-1][:2] != (step, element):
                 runs.append((step, element, []))
-            runs[-1][2].append((float(row[2]), float(row[3]), float(row[4])))
+            runs[-1][2].append(point)
     out = []
     for step, element, pts in runs:
         eps, sig, cost = (np.array(col) for col in zip(*pts))

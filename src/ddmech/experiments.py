@@ -102,8 +102,6 @@ def _check_pair(traj: Trajectory, ref: Trajectory) -> None:
         raise ValueError("trajectories live on different time grids")
     if traj.gm is not ref.gm and not (
         np.array_equal(traj.gm.weights, ref.gm.weights)
-        and traj.gm.is_scalar
-        and ref.gm.is_scalar
         and np.array_equal(traj.gm.c_diag, ref.gm.c_diag)
     ):
         raise ValueError("trajectories measured in different metrics")
@@ -111,8 +109,6 @@ def _check_pair(traj: Trajectory, ref: Trajectory) -> None:
 
 def _step_norms_sq(de: np.ndarray, ds: np.ndarray, gm: GlobalMetric) -> np.ndarray:
     """Global square norm of per-step difference arrays of shape (T, M)."""
-    if not gm.is_scalar:
-        raise ValueError("trajectory norms require scalar local metrics")
     return (de * de) @ (gm.weights * gm.c_diag) + (ds * ds) @ (
         gm.weights * gm.c_inv_diag
     )
@@ -355,7 +351,6 @@ def run_relaxation(cfg: RelaxationConfig = RelaxationConfig()) -> RelaxationResu
         band_width=cfg.band_width,
         window=WindowRule(floor=abs(cfg.eps_bar)),
         rng_seed=cfg.seed,
-        dt=cfg.dt,
     )
     traj = time_march(mesh, gm, generator, None, times, SolverConfig())
     return _relaxation_result(cfg, times, traj)
@@ -555,7 +550,6 @@ def _generator_for(cfg: StudyConfig, n: int, run_seed: int) -> GeneratorSpec:
         band_width=band,
         window=cfg.window,
         rng_seed=run_seed,
-        dt=cfg.dt,
         sampling=cfg.sampling,
         window_scale=wscale,
     )

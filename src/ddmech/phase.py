@@ -5,9 +5,9 @@ States of a structure with ``M`` material points live in the product of the
 local phase spaces, one factor per point. Every distance used by the
 projection solvers derives from the quadratic local norm
 
-    |z|^2 = C eps . eps + C^{-1} sig . sig
+    |z|^2 = C eps^2 + C^{-1} sig^2
 
-with ``C`` a symmetric positive-definite modulus-like matrix, and from the
+with ``C > 0`` a scalar modulus-like constant of the bar, and from the
 volume-weighted global norm ``|z|^2 = sum_e w_e |z_e|^2``. The global square
 distance therefore decomposes into independent per-point terms, which is what
 makes the data-side projection a batch of local nearest-neighbour searches.
@@ -15,7 +15,7 @@ makes the data-side projection a batch of local nearest-neighbour searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -75,64 +75,31 @@ class LocalPhasePoint:
 
 @dataclass(frozen=True)
 class LocalMetric:
-    """SPD matrix ``c`` and its inverse, defining the local phase-space norm.
-
-    Construct through :meth:`from_matrix` or :meth:`from_modulus`; the
-    initializer validates symmetry, positive definiteness and that ``c_inv``
-    actually inverts ``c``.
+    """Scalar modulus ``c`` defining the local phase-space norm, and its
+    inverse ``c_inv``, derived from it. ``c`` must be finite and positive.
     """
 
-    c: np.ndarray
-    c_inv: np.ndarray
+    c: float
+    c_inv: float = field(init=False)
 
     def __post_init__(self) -> None:
-        c = np.atleast_2d(np.asarray(self.c, dtype=float))
-        c_inv = np.atleast_2d(np.asarray(self.c_inv, dtype=float))
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError(f"metric matrix must be square, got shape {c.shape}")
-        if c.shape[0] < 1 or c.shape[0] > 3:
-            raise ValueError("local dimension must be between 1 and 3")
-        if c_inv.shape != c.shape:
-            raise ValueError("c and c_inv shapes differ")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("metric matrix must be finite")
-        scale = np.linalg.norm(c)
-        if np.linalg.norm(c - c.T) > 1e-12 * scale:
-            raise ValueError("metric matrix must be symmetric")
-        if np.min(np.linalg.eigvalsh(c)) <= 0.0:
-            raise ValueError("metric matrix must be positive definite")
-        eye = np.eye(c.shape[0])
-        if np.linalg.norm(c @ c_inv - eye) > 1e-10 * max(1.0, scale):
-            raise ValueError("c_inv does not invert c")
-        c.setflags(write=False)
-        c_inv.setflags(write=False)
+        c = float(self.c)
+        if not 0.0 < c < np.inf:  # NaN fails the comparison too
+            raise ValueError(f"modulus must be finite and positive, got {c!r}")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "c_inv", c_inv)
-
-    @classmethod
-    def from_matrix(cls, c) -> "LocalMetric":
-        c = np.atleast_2d(np.asarray(c, dtype=float))
-        c = 0.5 * (c + c.T)
-        return cls(c, np.linalg.inv(c))
+        object.__setattr__(self, "c_inv", 1.0 / c)
 
     @classmethod
     def from_modulus(cls, value: float) -> "LocalMetric":
         """Scalar metric for one-dimensional local states."""
-        value = float(value)
-        if value <= 0.0:
-            raise ValueError("modulus must be positive")
-        return cls(np.array([[value]]), np.array([[1.0 / value]]))
-
-    @property
-    def dim(self) -> int:
-        return self.c.shape[0]
+        return cls(value)
 
 
 class GlobalMetric:
     """Per-element local metrics plus positive volume weights.
 
-    Provides a vectorized fast path when every local metric is scalar, which
-    is the case for all truss computations.
+    ``c_diag`` and ``c_inv_diag`` hold every element's modulus and its
+    inverse as arrays, the form all vectorized norms and searches read.
     """
 
     __slots__ = ("locals", "weights", "c_diag", "c_inv_diag")
@@ -148,18 +115,13 @@ class GlobalMetric:
             )
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be finite and positive")
-        w.setflags(write=False)
+        c = np.array([m.c for m in self.locals])
+        ci = np.array([m.c_inv for m in self.locals])
+        for a in (w, c, ci):
+            a.setflags(write=False)
         self.weights = w
-        if all(m.dim == 1 for m in self.locals):
-            c = np.array([m.c[0, 0] for m in self.locals])
-            ci = np.array([m.c_inv[0, 0] for m in self.locals])
-            c.setflags(write=False)
-            ci.setflags(write=False)
-            self.c_diag = c
-            self.c_inv_diag = ci
-        else:
-            self.c_diag = None
-            self.c_inv_diag = None
+        self.c_diag = c
+        self.c_inv_diag = ci
 
     @classmethod
     def uniform(cls, c_value: float, weights) -> "GlobalMetric":
@@ -172,14 +134,11 @@ class GlobalMetric:
     def n_elements(self) -> int:
         return len(self.locals)
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.c_diag is not None
-
 
 @dataclass(frozen=True)
 class GlobalState:
-    """Strain and stress arrays of shape ``(M, m)`` for the whole structure."""
+    """Strain and stress arrays of shape ``(M, 1)`` for the whole structure;
+    1-D arrays of length ``M`` are promoted to columns."""
 
     strain: np.ndarray
     stress: np.ndarray
@@ -191,9 +150,9 @@ class GlobalState:
             eps = eps[:, None]
         if sig.ndim == 1:
             sig = sig[:, None]
-        if eps.ndim != 2 or sig.shape != eps.shape:
+        if eps.ndim != 2 or eps.shape[1] != 1 or sig.shape != eps.shape:
             raise ValueError(
-                f"strain/stress must share shape (M, m), got {eps.shape} vs {sig.shape}"
+                f"strain/stress must share shape (M, 1), got {eps.shape} vs {sig.shape}"
             )
         if eps.shape[0] < 1:
             raise ValueError("state must hold at least one element")
@@ -207,16 +166,13 @@ class GlobalState:
         object.__setattr__(self, "stress", sig)
 
     @classmethod
-    def zeros(cls, n_elements: int, dim: int = 1) -> "GlobalState":
-        return cls(np.zeros((n_elements, dim)), np.zeros((n_elements, dim)))
+    def zeros(cls, n_elements: int) -> "GlobalState":
+        return cls(np.zeros(n_elements), np.zeros(n_elements))
 
     @classmethod
     def from_points(cls, points: Sequence[LocalPhasePoint]) -> "GlobalState":
         if not points:
             raise ValueError("at least one point is required")
-        dims = {p.dim for p in points}
-        if len(dims) != 1:
-            raise ValueError("all points must share one local dimension")
         return cls(
             np.stack([p.strain for p in points]),
             np.stack([p.stress for p in points]),
@@ -238,11 +194,11 @@ class GlobalState:
 
 
 def local_norm_sq(z: LocalPhasePoint, metric: LocalMetric) -> float:
-    """Quadratic local norm ``C eps . eps + C^{-1} sig . sig``."""
-    if z.dim != metric.dim:
-        raise ValueError(f"point dimension {z.dim} does not match metric dimension {metric.dim}")
-    e, s = z.strain, z.stress
-    return float(e @ metric.c @ e + s @ metric.c_inv @ s)
+    """Quadratic local norm ``C eps^2 + C^{-1} sig^2`` of a scalar point."""
+    if z.dim != 1:
+        raise ValueError(f"point dimension {z.dim} is not 1")
+    e, s = z.strain[0], z.stress[0]
+    return float(metric.c * e * e + metric.c_inv * s * s)
 
 
 def local_distance_sq(a: LocalPhasePoint, b: LocalPhasePoint, metric: LocalMetric) -> float:
@@ -259,14 +215,9 @@ def _check_state(z: GlobalState, gm: GlobalMetric) -> None:
 def global_norm_sq(z: GlobalState, gm: GlobalMetric) -> float:
     """Volume-weighted sum of local square norms."""
     _check_state(z, gm)
-    if gm.is_scalar and z.dim == 1:
-        e = z.strain[:, 0]
-        s = z.stress[:, 0]
-        return float(np.sum(gm.weights * (gm.c_diag * e * e + gm.c_inv_diag * s * s)))
-    total = 0.0
-    for e in range(z.n_elements):
-        total += gm.weights[e] * local_norm_sq(z.point(e), gm.locals[e])
-    return float(total)
+    e = z.strain[:, 0]
+    s = z.stress[:, 0]
+    return float(np.sum(gm.weights * (gm.c_diag * e * e + gm.c_inv_diag * s * s)))
 
 
 def global_distance_sq(a: GlobalState, b: GlobalState, gm: GlobalMetric) -> float:
@@ -274,11 +225,6 @@ def global_distance_sq(a: GlobalState, b: GlobalState, gm: GlobalMetric) -> floa
     if a.strain.shape != b.strain.shape:
         raise ValueError("states of different shape")
     _check_state(a, gm)
-    if gm.is_scalar and a.dim == 1:
-        de = a.strain[:, 0] - b.strain[:, 0]
-        ds = a.stress[:, 0] - b.stress[:, 0]
-        return float(np.sum(gm.weights * (gm.c_diag * de * de + gm.c_inv_diag * ds * ds)))
-    total = 0.0
-    for e in range(a.n_elements):
-        total += gm.weights[e] * local_distance_sq(a.point(e), b.point(e), gm.locals[e])
-    return float(total)
+    de = a.strain[:, 0] - b.strain[:, 0]
+    ds = a.stress[:, 0] - b.stress[:, 0]
+    return float(np.sum(gm.weights * (gm.c_diag * de * de + gm.c_inv_diag * ds * ds)))

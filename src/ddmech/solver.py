@@ -40,6 +40,7 @@ from .data import (
     history_cost_dataset,
     prior_slot_costs,
     stack_sets,
+    update_history_variable,
 )
 from .materials import PlasticParams, SlsParams, plastic_return_map, sls_affine_coefficients
 from .phase import GlobalMetric, GlobalState
@@ -460,8 +461,6 @@ def fixed_point_solve(
     with ``converged=False``.
     """
     cfg = cfg or SolverConfig()
-    if not gm.is_scalar:
-        raise ValueError("the projection solver requires scalar local metrics")
     m = sys.n_elements
     f = np.zeros(sys.n_free) if f is None else np.asarray(f, dtype=float).reshape(-1)
     if f.size != sys.n_free:
@@ -475,7 +474,7 @@ def fixed_point_solve(
         eps = np.zeros(m)
         sig = np.zeros(m)
     else:
-        if init.n_elements != m or init.dim != 1:
+        if init.n_elements != m:
             raise ValueError("initial state shape does not match the system")
         eps = init.strain[:, 0].copy()
         sig = init.stress[:, 0].copy()
@@ -593,8 +592,6 @@ def enumerate_global_min(
     a fixed-point solve that lands on the same assignment. Ties resolve to
     the lexicographically smallest assignment.
     """
-    if not gm.is_scalar:
-        raise ValueError("the projection solver requires scalar local metrics")
     m = sys.n_elements
     f = np.zeros(sys.n_free) if f is None else np.asarray(f, dtype=float).reshape(-1)
     g = sys.affine_strain(t)
@@ -720,11 +717,23 @@ def _stacked_step_sets(
     dt: float | None,
     step: int,
 ) -> StackedSets:
-    """Vectorized per-step draw of all element sets.
+    """The per-step data sets of every element, stacked as (M, n) arrays.
 
-    Matches the public per-element generators exactly: grids are anchored at
-    the predicted strain, and every element's noise stream is seeded from
-    (run seed, step, element) so the result is independent of batching.
+    Each element's strains are sampled in a window about its predicted
+    strain ``eps_prev + est``, whose half-width :meth:`WindowRule.halfwidths`
+    gives from the larger of the elastic step estimate and, for the standard
+    linear solid, the creep the previous state would show over ``dt``,
+    times ``window_scale``. ``sampling="grid"`` spaces the strains evenly
+    with the predicted strain a sample, perturbed uniformly within
+    ``band_width`` when it is positive; ``"uniform"`` draws them uniformly
+    in the window. Stresses are the one-step response of the law to each
+    strain: the response line over ``dt`` (``dt=None``: the instantaneous
+    limit of a suddenly applied first step) for the standard linear solid,
+    and for plasticity the return map from the internal variable recovered
+    from the previous state alone, ``q = ((e0+e1) eps_k - sig_k) / e1``,
+    with the accumulated slip ``q_acc``. Every element's noise stream is
+    seeded from (run seed, step, element), so a row does not depend on the
+    other rows or on how elements are batched.
     """
     m = eps_prev.size
     n = g.n_points
@@ -836,11 +845,9 @@ def _march(
         eps_new = step.z.strain[:, 0]
         sig_new = step.z.stress[:, 0]
         if plastic_law is not None:
-            p = plastic_law
-            dq = np.abs(
-                ((p.e0 + p.e1) * (eps_new - eps_prev) - (sig_new - sig_prev)) / p.e1
+            q_acc = update_history_variable(
+                q_acc, eps_prev, sig_prev, eps_new, sig_new, plastic_law
             )
-            q_acc = q_acc + dq
         steps.append(step)
         q_rows.append(q_acc)
         drift_eps = (eps_new - eps_prev) - est

@@ -242,8 +242,6 @@ class ConstraintSystem:
             raise ValueError(
                 f"metric has {gm.n_elements} elements but mesh has {mesh.n_bars} bars"
             )
-        if not gm.is_scalar:
-            raise ValueError("truss assembly requires scalar (axial) local metrics")
         self.mesh = mesh
         self.gm = gm
         self.weights = gm.weights
@@ -416,14 +414,14 @@ def project_onto_E(
     part and a multiplier solve enforcing equilibrium on the stress part.
     """
     if gm is not None and gm is not sys.gm:
-        if gm.n_elements != sys.gm.n_elements or not gm.is_scalar:
+        if gm.n_elements != sys.gm.n_elements:
             raise ValueError("metric incompatible with the assembled system")
         if not (
             np.array_equal(gm.weights, sys.weights)
             and np.array_equal(gm.c_diag, sys.c)
         ):
             raise ValueError("projection metric differs from the assembled one")
-    if y.n_elements != sys.n_elements or y.dim != 1:
+    if y.n_elements != sys.n_elements:
         raise ValueError("state shape does not match the assembled truss")
     f = np.zeros(sys.n_free) if f is None else np.asarray(f, dtype=float).reshape(-1)
     if f.size != sys.n_free:

@@ -1,7 +1,9 @@
-"""Local data sets, nearest searches, conditioned generators and two-time
-archives."""
+"""Local data sets, nearest searches, the conditioned per-step draw and
+two-time archives."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ import pytest
 from ddmech import data as data_module
 from ddmech.data import (
     ConditioningState,
-    DataPoint,
     GeneratorSpec,
     HistoryRepository,
     LocalDataSet,
@@ -18,38 +19,27 @@ from ddmech.data import (
     WindowRule,
     batch_nearest,
     gaussian_fidelity_cost,
-    generate_plastic_set,
-    generate_sls_set,
     history_cost_dataset,
     nearest_history,
     prior_slot_costs,
-    project_onto_D,
     read_datasets_csv,
     scan_nearest,
     stack_sets,
     update_history_variable,
     write_datasets_csv,
 )
-from ddmech.materials import PlasticParams, SlsParams, sls_affine_coefficients
+from ddmech.materials import (
+    PlasticParams,
+    SlsParams,
+    plastic_return_map,
+    sls_affine_coefficients,
+)
 from ddmech.phase import GlobalMetric, GlobalState, LocalMetric, LocalPhasePoint
 from ddmech.solver import _stacked_step_sets
 
 SLS = SlsParams(e0=75_000.0, e1=100_000.0, tau1=5.0)
 PLASTIC = PlasticParams(e0=10_000.0, e1=100_000.0, sigma1=500.0, h=0.0)
 METRIC = LocalMetric.from_modulus(1.0)
-
-
-class TestDataPoint:
-    """Sample container."""
-
-    def test_scalar_point(self):
-        p = DataPoint(1e-3, 100.0)
-        assert p.strain.shape == (1,)
-        assert p.fidelity_cost == 0.0
-
-    def test_rejects_negative_cost(self):
-        with pytest.raises(ValueError):
-            DataPoint(0.0, 0.0, fidelity_cost=-1.0)
 
 
 class TestLocalDataSet:
@@ -60,11 +50,17 @@ class TestLocalDataSet:
         with pytest.raises(ValueError):
             d.strains[0] = 5.0
 
+    def test_rejects_negative_cost(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            LocalDataSet(np.zeros(2), np.zeros(2), costs=np.array([0.0, -1.0]))
+
     def test_nearest_tie_takes_lowest_index(self):
         """Exactly equidistant points resolve to the first."""
         d = LocalDataSet(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
         idx, p = d.nearest(LocalPhasePoint(1.0, 2.0), METRIC)
         assert idx == 0
+        assert isinstance(p, LocalPhasePoint)
+        assert (p.strain.shape, p.strain[0], p.stress[0]) == ((1,), 1.0, 2.0)
         # symmetric pair around the query as well
         d2 = LocalDataSet(np.array([-1.0, 1.0]), np.array([0.0, 0.0]))
         idx2, _ = d2.nearest(LocalPhasePoint(0.0, 0.0), METRIC)
@@ -79,34 +75,6 @@ class TestLocalDataSet:
         )
         idx, _ = d.nearest(LocalPhasePoint(0.0, 0.0), METRIC)
         assert idx == 1
-
-    def test_tree_matches_scan_exactly(self, rng):
-        """Large sets search through a tree; indices must equal the scan."""
-        n = 400
-        strains = rng.normal(size=n)
-        stresses = rng.normal(size=n) * 100.0
-        metric = LocalMetric.from_modulus(175_000.0)
-        tree_set = LocalDataSet(strains, stresses)  # n >= 64: tree path
-        scan_set = LocalDataSet(strains, stresses, costs=np.zeros(n))  # scan path
-        for _ in range(200):
-            z = LocalPhasePoint(rng.normal(), rng.normal() * 100.0)
-            ti, tp = tree_set.nearest(z, metric)
-            si, sp = scan_set.nearest(z, metric)
-            assert ti == si
-            assert tp.strain[0] == sp.strain[0]
-        # queries sitting exactly on data points
-        for i in (0, n // 2, n - 1):
-            z = LocalPhasePoint(strains[i], stresses[i])
-            ti, _ = tree_set.nearest(z, metric)
-            si, _ = scan_set.nearest(z, metric)
-            assert ti == si
-
-    def test_from_points_round_trip(self):
-        pts = [DataPoint(0.0, 0.0), DataPoint(1.0, 2.0, 0.5)]
-        d = LocalDataSet.from_points(pts)
-        assert d.n_points == 2
-        assert d.costs is not None
-        assert d.point(1).fidelity_cost == 0.5
 
 
 class TestBatchSearch:
@@ -203,17 +171,6 @@ class TestBatchSearch:
             expect = [np.searchsorted(index.eps[e], x[e]) for e in range(5)]
             assert np.array_equal(index.search(x), np.array(expect))
 
-    def test_project_onto_d_gathers_nearest(self, rng):
-        m = 3
-        sets = [
-            LocalDataSet(rng.normal(size=10), rng.normal(size=10)) for _ in range(m)
-        ]
-        gm = GlobalMetric.uniform(1.0, np.ones(m))
-        z = GlobalState(rng.normal(size=m), rng.normal(size=m))
-        idx, y = project_onto_D(z, sets, gm)
-        for e in range(m):
-            assert y.strain[e, 0] == sets[e].strains[idx[e], 0]
-
 
 class TestWindowRule:
     """Sampling window half-width."""
@@ -244,31 +201,66 @@ class TestWindowRule:
         with pytest.raises(ValueError):
             WindowRule(incr_factor=1.0, band_factor=1.0).halfwidths(0.0, est)
 
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        [
+            (WindowRule, {"halfwidth": np.nan}),
+            (WindowRule, {"halfwidth": np.inf}),
+            (WindowRule, {"floor": np.nan}),
+            (WindowRule, {"floor": np.inf}),
+            (WindowRule, {"incr_factor": np.inf}),
+            (WindowRule, {"band_factor": np.nan}),
+            (GeneratorSpec, {"law": SLS, "n_points": 8, "band_width": np.nan}),
+            (GeneratorSpec, {"law": SLS, "n_points": 8, "band_width": np.inf}),
+            (GeneratorSpec, {"law": SLS, "n_points": 8, "window_scale": np.nan}),
+            (GeneratorSpec, {"law": SLS, "n_points": 8, "window_scale": np.inf}),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else str(list(v.items())[-1]),
+    )
+    def test_rejects_non_finite_settings(self, cls, kwargs):
+        """The window and the draw spec are the only checks on the per-step
+        draw, so a NaN or infinite setting must not get through."""
+        with pytest.raises(ValueError, match="finite"):
+            cls(**kwargs)
+
+
+def draw_sets(g, eps_prev, sig_prev, est, *, q_acc=None, dt=1.0, step=0):
+    """The per-step draw for the given previous states, one row each."""
+    eps_prev = np.atleast_1d(np.asarray(eps_prev, dtype=float))
+    q_acc = np.zeros(eps_prev.size) if q_acc is None else np.atleast_1d(q_acc)
+    return _stacked_step_sets(
+        g,
+        eps_prev,
+        np.atleast_1d(np.asarray(sig_prev, dtype=float)),
+        q_acc,
+        np.atleast_1d(np.asarray(est, dtype=float)),
+        dt,
+        step,
+    )
+
 
 class TestGenerators:
-    """Conditioned one-step data set generators."""
+    """The conditioned one-step data set draw (one row per element)."""
 
-    def test_sls_points_lie_on_the_response_line(self, rng):
+    def test_sls_points_lie_on_the_response_line(self):
         cond = ConditioningState(1e-3, 140.0)
         g = GeneratorSpec(law=SLS, n_points=64, band_width=1e-4, rng_seed=3)
-        d = generate_sls_set(cond, g, rng, step_estimate=2e-4)
-        a, b = sls_affine_coefficients(cond, SLS, g.dt)
-        assert np.array_equal(d.stresses[:, 0], float(a[0]) + b * d.strains[:, 0])
+        d = draw_sets(g, 1e-3, 140.0, 2e-4)
+        a, b = sls_affine_coefficients(cond, SLS, 1.0)
+        assert np.array_equal(d.sig[0], float(a[0]) + b * d.eps[0])
 
     def test_grid_sampling_is_deterministic(self):
-        cond = ConditioningState(0.0, 0.0)
         g = GeneratorSpec(law=SLS, n_points=32, band_width=1e-3, rng_seed=7)
-        d1 = generate_sls_set(cond, g, np.random.default_rng(11))
-        d2 = generate_sls_set(cond, g, np.random.default_rng(11))
-        assert np.array_equal(d1.strains, d2.strains)
+        d1 = draw_sets(g, 0.0, 0.0, 0.0, step=4)
+        d2 = draw_sets(g, 0.0, 0.0, 0.0, step=4)
+        assert np.array_equal(d1.eps, d2.eps)
 
     def test_noiseless_grid_centers_on_prediction(self):
         """With band 0 the window center is itself a sample point."""
-        cond = ConditioningState(1e-3, 100.0)
         g = GeneratorSpec(law=SLS, n_points=33, window=WindowRule(floor=1e-3))
-        d = generate_sls_set(cond, g, step_estimate=5e-4)
-        center = float(cond.prev_strain[0] + 5e-4)
-        assert np.min(np.abs(d.strains[:, 0] - center)) == 0.0
+        d = draw_sets(g, 1e-3, 100.0, 5e-4)
+        center = 1e-3 + 5e-4
+        assert np.min(np.abs(d.eps[0] - center)) == 0.0
 
     def test_plastic_generator_uses_recovered_state(self):
         """The internal variable comes from (eps_k, sig_k) alone."""
@@ -277,11 +269,10 @@ class TestGenerators:
         # further loading is plastic, so sample the elastic unloading side,
         # eps in [0.007, 0.009], where a generator that took q=0 would still
         # be yielding
-        cond = ConditioningState(1e-2, 600.0, q_acc=5e-3)
         g = GeneratorSpec(law=PLASTIC, n_points=9, window=WindowRule(halfwidth=1e-3))
-        d = generate_plastic_set(cond, g, step_estimate=-2e-3)
-        eps = d.strains[:, 0]
-        sig = d.stresses[:, 0]
+        d = draw_sets(g, 1e-2, 600.0, -2e-3, q_acc=5e-3)
+        eps = d.eps[0]
+        sig = d.sig[0]
         assert eps.min() == pytest.approx(7e-3, rel=1e-12)
         assert eps.max() == pytest.approx(9e-3, rel=1e-12)
         # elastic unloading about the recovered state: slope e0 + e1
@@ -290,68 +281,74 @@ class TestGenerators:
         expected = 600.0 + (PLASTIC.e0 + PLASTIC.e1) * (eps - 1e-2)
         np.testing.assert_allclose(sig, expected, rtol=1e-12, atol=1e-9)
 
-    def test_batched_march_sets_equal_public_generators(self, rng):
-        """The vectorized per-step draw matches the one-element generators
-        bit for bit, for both laws and both step kinds."""
-        m = 3
+    @pytest.mark.parametrize("law", [SLS, PLASTIC], ids=["sls", "plastic"])
+    def test_uniform_sampling_in_window_on_law_and_per_element(self, law, rng):
+        """sampling="uniform" draws every strain inside the window about the
+        predicted strain, puts every stress on the law's one-step response,
+        and seeds each row from (seed, step, element) alone."""
+        m, n, hw = 4, 256, 2e-3
         eps_prev = rng.normal(scale=1e-3, size=m)
+        sig_prev = rng.normal(scale=400.0, size=m)
+        q_acc = np.abs(rng.normal(scale=1e-3, size=m))
         est = rng.normal(scale=1e-4, size=m)
-        for law, q_acc, sig_scale in (
-            (SLS, np.zeros(m), 150.0),
-            (PLASTIC, np.abs(rng.normal(scale=1e-3, size=m)), 400.0),
-        ):
-            sig_prev = rng.normal(scale=sig_scale, size=m)
-            g = GeneratorSpec(
-                law=law,
-                n_points=17,
-                band_width=2e-4,
-                window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
-                rng_seed=42,
-                dt=1.0,
-            )
-            for step, dt in ((0, None), (3, 1.0)):
-                stacked = _stacked_step_sets(
-                    g, eps_prev, sig_prev, q_acc, est, dt, step
-                )
-                for e in range(m):
-                    cond = ConditioningState(
-                        eps_prev[e], sig_prev[e], q_acc=float(q_acc[e])
-                    )
-                    gen_rng = np.random.default_rng(
-                        np.random.SeedSequence([42, step, e])
-                    )
-                    if isinstance(law, SlsParams):
-                        d = generate_sls_set(
-                            cond, g, gen_rng, dt=dt, step_estimate=float(est[e])
-                        )
-                    else:
-                        d = generate_plastic_set(
-                            cond, g, gen_rng, step_estimate=float(est[e])
-                        )
-                    assert np.array_equal(stacked.eps[e], d.strains[:, 0])
-                    assert np.array_equal(stacked.sig[e], d.stresses[:, 0])
+        g = GeneratorSpec(
+            law=law, n_points=n, window=WindowRule(halfwidth=hw), rng_seed=5,
+            sampling="uniform",
+        )
+        d = draw_sets(g, eps_prev, sig_prev, est, q_acc=q_acc, step=3)
+        offset = d.eps - (eps_prev + est)[:, None]
+        assert np.all(np.abs(offset) <= hw)
+        assert np.all(offset.max(axis=1) - offset.min(axis=1) > 1.5 * hw)
+        if law is SLS:
+            a, b = sls_affine_coefficients(ConditioningState(eps_prev, sig_prev), SLS, 1.0)
+            assert np.array_equal(d.sig, a[:, None] + b * d.eps)
+        else:
+            q_prev = ((law.e0 + law.e1) * eps_prev - sig_prev) / law.e1
+            sig, _, _ = plastic_return_map(d.eps, q_prev[:, None], q_acc[:, None], law)
+            assert np.array_equal(d.sig, sig)
+        # the same (seed, step, element) gives the same row, whatever the
+        # other rows hold; another step or element gives another row
+        again = draw_sets(g, eps_prev, sig_prev, est, q_acc=q_acc, step=3)
+        assert np.array_equal(again.eps, d.eps)
+        moved = eps_prev.copy()
+        moved[0] += 1e-3
+        other = draw_sets(g, moved, sig_prev, est, q_acc=q_acc, step=3)
+        assert np.array_equal(other.eps[1:], d.eps[1:])
+        head = draw_sets(g, eps_prev[:2], sig_prev[:2], est[:2], q_acc=q_acc[:2], step=3)
+        assert np.array_equal(head.eps, d.eps[:2])
+        later = draw_sets(g, eps_prev, sig_prev, est, q_acc=q_acc, step=4)
+        assert not np.any(later.eps == d.eps)
+        same = draw_sets(g, np.zeros(m), np.zeros(m), np.zeros(m), step=3)
+        assert len({row.tobytes() for row in same.eps}) == m
 
 
 class TestHistoryVariable:
     """Accumulated-slip tracking from accepted increments."""
 
     def test_frozen_increment(self):
-        """(110000 * 0.01 - 600) / 100000 = 0.005."""
-        cond = ConditioningState(0.0, 0.0, q_acc=0.0)
-        q = update_history_variable(cond, LocalPhasePoint(1e-2, 600.0), PLASTIC)
+        """(110000 * 0.01 - 600) / 100000 = 0.005; per element, so a bar
+        that does not move keeps its slip."""
+        q = update_history_variable(0.0, 0.0, 0.0, 1e-2, 600.0, PLASTIC)
         assert q == pytest.approx(5e-3, rel=1e-12)
+        q = update_history_variable(
+            np.array([0.0, 2e-3]),
+            np.zeros(2),
+            np.zeros(2),
+            np.array([1e-2, 0.0]),
+            np.array([600.0, 0.0]),
+            PLASTIC,
+        )
+        np.testing.assert_allclose(q, [5e-3, 2e-3], rtol=1e-12)
 
     def test_monotone_under_any_path(self, rng):
-        q = 0.0
-        eps, sig = 0.0, 0.0
+        q = np.zeros(3)
+        eps, sig = np.zeros(3), np.zeros(3)
         for _ in range(100):
-            new_eps = eps + rng.normal(scale=1e-3)
-            new_sig = sig + rng.normal(scale=50.0)
-            cond = ConditioningState(eps, sig, q_acc=q)
-            q_new = update_history_variable(
-                cond, LocalPhasePoint(new_eps, new_sig), PLASTIC
-            )
-            assert q_new >= q
+            new_eps = eps + rng.normal(scale=1e-3, size=3)
+            new_sig = sig + rng.normal(scale=50.0, size=3)
+            q_new = update_history_variable(q, eps, sig, new_eps, new_sig, PLASTIC)
+            assert q_new.shape == (3,)
+            assert np.all(q_new >= q)
             q, eps, sig = q_new, new_eps, new_sig
 
 
@@ -488,3 +485,22 @@ class TestDatasetCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.startswith(b"step,element,strain,stress,cost\n")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0,0,1.0", "expected 5 fields, got 3"),
+            ("0,0,1.0,2.0,0.0,9", "expected 5 fields, got 6"),
+            ("0,x,1.0,2.0,0.0", "invalid literal for int"),
+            ("0,0,abc,2.0,0.0", "could not convert string to float"),
+            ("0,0,nan,2.0,0.0", "must be finite"),
+            ("0,0,1.0,inf,0.0", "must be finite"),
+            ("0,0,1.0,2.0,-1.0", "cost nonnegative"),
+        ],
+        ids=["short", "long", "bad-int", "bad-float", "nan", "inf", "negative-cost"],
+    )
+    def test_malformed_line_names_path_and_line(self, tmp_path, line, message):
+        path = tmp_path / "sets.csv"
+        path.write_text(f"step,element,strain,stress,cost\n0,0,1.0,2.0,0.0\n\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: .*{message}"):
+            read_datasets_csv(path)

@@ -41,12 +41,12 @@ class TestLocalPhasePoint:
 
 
 class TestLocalMetric:
-    """Modulus-like positive definite metric."""
+    """Scalar positive modulus-like metric."""
 
     def test_from_modulus(self):
         lm = LocalMetric.from_modulus(100.0)
-        assert lm.c[0, 0] == 100.0
-        assert lm.c_inv[0, 0] == 0.01
+        assert lm.c == 100.0
+        assert lm.c_inv == 0.01
 
     def test_norm_exact_value(self):
         """|z|^2 = eps C eps + sig C^-1 sig; 0.5^2*100 + 10^2/100 = 26."""
@@ -63,18 +63,15 @@ class TestLocalMetric:
             assert d == pytest.approx(local_norm_sq(a - b, lm), rel=1e-12)
             assert d >= 0.0
 
-    def test_from_matrix_symmetrizes(self):
-        m = np.array([[2.0, 0.1], [0.3, 3.0]])
-        lm = LocalMetric.from_matrix(m)
-        assert np.allclose(lm.c, lm.c.T)
-
     def test_rejects_non_positive_definite(self):
+        """A scalar metric is positive definite only for a positive modulus."""
         with pytest.raises(ValueError):
-            LocalMetric.from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            LocalMetric.from_modulus(-2.0)
 
     def test_rejects_nonpositive_modulus(self):
-        with pytest.raises(ValueError):
-            LocalMetric.from_modulus(0.0)
+        for bad in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                LocalMetric.from_modulus(bad)
 
 
 class TestGlobalMetric:
@@ -82,8 +79,8 @@ class TestGlobalMetric:
 
     def test_uniform_scalar_fast_path(self):
         gm = GlobalMetric.uniform(100.0, np.array([2.0, 3.0]))
-        assert gm.is_scalar
         assert np.array_equal(gm.c_diag, np.array([100.0, 100.0]))
+        assert np.array_equal(gm.c_inv_diag, np.array([0.01, 0.01]))
         assert np.array_equal(gm.weights, np.array([2.0, 3.0]))
 
     def test_global_norm_exact_value(self):
@@ -144,3 +141,5 @@ class TestGlobalState:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GlobalState(np.zeros((2, 1)), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=r"\(M, 1\)"):
+            GlobalState(np.zeros((2, 2)), np.zeros((2, 2)))
