@@ -13,8 +13,10 @@ Every search is exact and returns the lowest index among the minimizers.
 The solver searches equal-size sets stacked as (M, n) arrays with
 :func:`batch_nearest`: a scan of every point for small stacks, and above a
 size crossover a search of each row in its strain order, which evaluates the
-scan's own arithmetic on a certified block of candidates. A single set is
-scanned by :meth:`LocalDataSet.nearest`, the tests' independent reference.
+scan's own arithmetic on a certified block of candidates
+(:func:`block_lowest`, which the solver's swap polish shares with its own
+bound). A single set is scanned by :meth:`LocalDataSet.nearest`, the
+tests' independent reference.
 """
 
 from __future__ import annotations
@@ -132,18 +134,20 @@ class StrainIndex:
         self.order = np.argsort(strains, axis=1)
         self.eps = np.take_along_axis(strains, self.order, axis=1)
 
-    def search(self, x: np.ndarray) -> np.ndarray:
+    def search(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Left insertion positions of ``x`` in its sorted row.
 
-        ``x`` has one row per set and any number of columns; every entry
-        equals ``np.searchsorted(self.eps[e], x[e, i])``, NaN included. All
-        rows are bisected at once: the position is built bit by bit, from
-        the highest, as the count of row strains below x.
+        ``x`` has one row per set, or one per entry of ``rows`` when given,
+        and any number of columns; every entry equals
+        ``np.searchsorted(self.eps[e], x[i, k])`` for its row e, NaN
+        included. All rows are bisected at once: the position is built bit
+        by bit, from the highest, as the count of row strains below x.
         """
         x = np.asarray(x, dtype=float)
         m, n = self.eps.shape
+        rows = np.arange(m) if rows is None else np.asarray(rows)
         flat = self.eps.reshape(-1)
-        last = (np.arange(m) * n - 1).reshape((m,) + (1,) * (x.ndim - 1))
+        last = (rows * n - 1).reshape((rows.size,) + (1,) * (x.ndim - 1))
         pos = np.zeros(x.shape, dtype=np.intp)
         step = 1 << (n.bit_length() - 1)
         while step:
@@ -259,14 +263,13 @@ def batch_nearest(
     out = np.empty(m, dtype=np.intp)
     r = np.flatnonzero(blocked)
     if r.size:
-        pos = lo[r, None] + np.arange(int(length[r].max()))[None, :]
-        valid = pos < hi[r, None]
-        d2, _, j = _sorted_d2(
-            stacked, index, r, np.minimum(pos, n - 1), eps, sig, c, c_inv
-        )
-        d2[~valid] = np.inf
-        tied = valid & (d2 == d2.min(axis=1)[:, None])
-        out[r] = np.where(tied, j, n).min(axis=1)
+        out[r] = block_lowest(
+            index,
+            r,
+            lo[r],
+            hi[r],
+            lambda pos, j: _sorted_d2(stacked, index, r, pos, eps, sig, c, c_inv)[0],
+        )[0][:, 0]
     r = np.flatnonzero(~blocked)
     if r.size:
         sub = StackedSets(
@@ -276,6 +279,45 @@ def batch_nearest(
         )
         out[r] = scan_nearest(eps[r], sig[r], sub, c[r], c_inv[r])
     return out
+
+
+def lowest(values: np.ndarray, idx: np.ndarray, k: int = 1):
+    """The k smallest values of every row with their indices, ordered by
+    value and, among equal values, by index, so the lowest index wins every
+    tie. ``idx`` holds the index of every entry of ``values`` (broadcast
+    against it). Returns ``(indices, values)``, each with k columns.
+    """
+    out_j = np.empty((values.shape[0], k), dtype=np.intp)
+    out_v = np.empty((values.shape[0], k))
+    v = values
+    for i in range(k):
+        best = v.min(axis=1)
+        first = np.where(v == best[:, None], idx, np.iinfo(np.intp).max).min(axis=1)
+        out_j[:, i] = first
+        out_v[:, i] = best
+        if i + 1 < k:
+            v = np.where(idx == first[:, None], np.inf, v)
+    return out_j, out_v
+
+
+def block_lowest(index: StrainIndex, rows, lo, hi, value, k: int = 1):
+    """:func:`lowest` over blocks of sorted positions ``lo[i] <= p < hi[i]``
+    of rows ``rows[i]``, each block non-empty.
+
+    Blocks are padded to the longest one. ``value(pos, j)`` gives the values
+    at sorted positions ``pos`` (one row of positions per entry of ``rows``)
+    whose original indices are ``j``; padding reads as ``+inf`` at index n,
+    so it is chosen only after every entry of the block. The caller's bound
+    must guarantee that every candidate it can want lies in its block; the
+    result is then the one a scan of the whole row gives.
+    """
+    n = index.eps.shape[1]
+    pos = lo[:, None] + np.arange(int((hi - lo).max()))[None, :]
+    valid = pos < hi[:, None]
+    pos = np.minimum(pos, n - 1)
+    j = index.order.reshape(-1).take(rows[:, None] * n + pos)
+    v = np.where(valid, value(pos, j), np.inf)
+    return lowest(v, np.where(valid, j, n), k)
 
 
 def _sorted_d2(stacked, index, r, pos, eps, sig, c, c_inv):
@@ -436,8 +478,12 @@ class HistoryRepository:
         if n == 0:
             raise ValueError("a history repository must contain at least one entry")
         w = (float(self.weights[0]), float(self.weights[1]))
-        if w[0] <= 0.0 or w[1] < 0.0:
-            raise ValueError("current weight must be positive, prior weight nonnegative")
+        # written so that NaN fails every comparison and is rejected
+        if not (0.0 < w[0] < np.inf and 0.0 <= w[1] < np.inf):
+            raise ValueError(
+                f"weights must be finite, the current weight positive and the "
+                f"prior weight nonnegative; got {w}"
+            )
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
         object.__setattr__(self, "weights", w)

@@ -13,6 +13,14 @@ iteration because each half-step is an exact minimization. The enumeration
 oracle checks every data assignment and is the ground truth on instances
 small enough to afford it.
 
+Whenever the walk stops, an exact-gain swap polish (:func:`_swap_polish`)
+tries single, pair, subset and block reassignments against the same
+objective. It reads one (M, n) stack of the step's sets (ragged sets
+padded) and scores candidates with the scan's own arithmetic, over whole
+rows for short sets and, for long ones, on the certified strain blocks of
+the step's :class:`~ddmech.data.StrainIndex`, so every move, and every
+trajectory, is the one a scan of every candidate gives.
+
 Both marches run one step loop and differ only in the data sets a step
 searches. :func:`time_march` regenerates the per-element sets every step,
 conditioned on the previously accepted local states; randomness is split
@@ -31,13 +39,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import (
+    _MAX_BLOCK_SHARE,
     ConditioningState,
     GeneratorSpec,
     HistoryRepository,
     LocalDataSet,
     StackedSets,
     batch_nearest,
+    block_lowest,
     history_cost_dataset,
+    lowest,
     prior_slot_costs,
     stack_sets,
     update_history_variable,
@@ -164,7 +175,204 @@ def _objective(sys, eps, sig, y_eps, y_sig, cost) -> tuple[float, float]:
     return d2, total
 
 
-def _swap_polish(sys, eps_list, sig_list, cost_list, f, g, y_eps0, y_sig0, assign0):
+#: Points one array operation of the swap polish scores at most. The single
+#: sweep scores a chunk of rows this many points at a time, and a row this
+#: long or longer is searched through its strain order instead of scanned.
+_CHUNK_POINTS = 2048
+#: Relative slack of the polish's block bound; the rounding it must absorb
+#: is below 2^-46 relative (see :func:`_swap_polish`).
+_BOUND_SLACK = 2.0**-40
+#: Absolute slack of the same bound, for sums of underflowed terms.
+_BOUND_FLOOR = 2.0**-1000
+
+
+def _padded_sets(eps_list, sig_list, cost_list) -> StackedSets:
+    """Ragged sets as one (M, n_max) stack for the swap polish.
+
+    Each padded entry repeats its row's last point with cost +inf, so every
+    gain it has is +inf and it is never chosen.
+    """
+    m = len(eps_list)
+    n = max(a.size for a in eps_list)
+    eps = np.empty((m, n))
+    sig = np.empty((m, n))
+    costs = np.full((m, n), np.inf)
+    for e in range(m):
+        k = eps_list[e].size
+        eps[e, :k] = eps_list[e]
+        eps[e, k:] = eps_list[e][-1]
+        sig[e, :k] = sig_list[e]
+        sig[e, k:] = sig_list[e][-1]
+        costs[e, :k] = 0.0 if cost_list[e] is None else cost_list[e]
+    return StackedSets(eps, sig, costs)
+
+
+class _GainSearch:
+    """Gains of single reassignments for the swap polish, by scan or block.
+
+    Holds the polish's live arrays (current points, residuals, current
+    costs), which the polish updates in place. Every gain is the scan
+    expression of :func:`_swap_polish`, whether it is evaluated over whole
+    rows or on the certified blocks of rows searched in strain order.
+    """
+
+    def __init__(self, sys, sets, y_eps, y_sig, r_eps, r_sig, cur_cost) -> None:
+        w, c = sys.weights, sys.c
+        wc = w * c
+        hdiag = sys.leverage()[2]
+        self.sets = sets
+        self.n = sets.eps.shape[1]
+        self.w = w
+        self.m2wc = -2.0 * wc
+        self.m2w_c = -2.0 * (w / c)
+        self.a_eps = np.maximum(wc * (1.0 - wc * hdiag), 0.0)
+        self.a_sig = (w * w) * hdiag
+        self.y_eps, self.y_sig = y_eps, y_sig
+        self.r_eps, self.r_sig = r_eps, r_sig
+        self.cur_cost = cur_cost
+
+    def _gain(self, r, de, ds, cost):
+        gain = (
+            (self.m2wc[r] * self.r_eps[r])[:, None] * de
+            + self.a_eps[r][:, None] * de * de
+            + (self.m2w_c[r] * self.r_sig[r])[:, None] * ds
+            + self.a_sig[r][:, None] * ds * ds
+        )
+        if cost is not None:
+            gain = gain + self.w[r][:, None] * (cost - self.cur_cost[r][:, None])
+        return gain
+
+    def rows(self, r):
+        """Gains over whole rows r (a slice or an index array)."""
+        s = self.sets
+        de = s.eps[r] - self.y_eps[r][:, None]
+        ds = s.sig[r] - self.y_sig[r][:, None]
+        return self._gain(r, de, ds, None if s.costs is None else s.costs[r])
+
+    def at(self, r, j):
+        """Gains, strain and stress shifts of rows r at indices j (one row
+        of indices per entry of r)."""
+        s = self.sets
+        rc = r[:, None]
+        de = s.eps[rc, j] - self.y_eps[rc]
+        ds = s.sig[rc, j] - self.y_sig[rc]
+        return self._gain(r, de, ds, None if s.costs is None else s.costs[rc, j]), de, ds
+
+    def plan(self, r, bound, k):
+        """``(lo, hi, scan)``: for rows r, the blocks ``[lo, hi)`` of sorted
+        positions that hold every candidate whose gain is at most the bound
+        (empty where none can be), and the rows to scan whole instead.
+
+        ``bound`` None takes each row's bound as the k-th smallest gain among
+        k strain neighbours of its block centre.
+        """
+        n = self.n
+        index = self.sets.strain_index()
+        a_e, a_s = self.a_eps[r], self.a_sig[r]
+        l_s = self.m2w_c[r] * self.r_sig[r]
+        y = self.y_eps[r]
+        with np.errstate(all="ignore"):
+            alpha = -(self.m2wc[r] * self.r_eps[r]) / (2.0 * a_e)
+            beta = np.where(a_s > 0.0, -l_s / (2.0 * a_s), 0.0)
+            centre = y + alpha
+        ok = (a_e > 0.0) & ((a_s > 0.0) | (l_s == 0.0)) & np.isfinite(centre)
+        if bound is None:
+            t = np.full(r.size, np.nan)
+            if ok.any():
+                near = index.search(centre[ok, None], r[ok])
+                pos = np.clip(near - k // 2, 0, n - k) + np.arange(k)[None, :]
+                j = index.order[r[ok, None], pos]
+                t[ok] = self.at(r[ok], j)[0].max(axis=1)
+        else:
+            t = np.full(r.size, float(bound))
+        with np.errstate(all="ignore"):
+            kappa = a_e * alpha * alpha + a_s * beta * beta
+            reach = (
+                t
+                + _BOUND_SLACK * np.abs(t)
+                + kappa * (1.0 + _BOUND_SLACK)
+                + (self.w[r] * self.cur_cost[r]) * (1.0 + _BOUND_SLACK)
+                + _BOUND_FLOOR
+            )
+            half = np.sqrt(np.maximum(reach, 0.0) / a_e) * (
+                1.0 + _BOUND_SLACK
+            ) + _BOUND_SLACK * (np.abs(y) + np.abs(alpha))
+            ends = np.stack([centre - half, np.nextafter(centre + half, np.inf)], axis=1)
+        ok &= np.isfinite(reach) & np.isfinite(half)
+        lo, hi = index.search(ends, r).T
+        hi = np.where(reach < 0.0, lo, hi)
+        return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * n)
+
+    def lowest(self, r, k, bound=None):
+        """The k lowest gains of every row in r and their indices, ordered by
+        gain and then index. ``bound`` is the largest gain the caller needs
+        (see :meth:`plan`): gains above it may be missing, and a row with
+        none at or below it reads +inf at index n."""
+        if self.n < _CHUNK_POINTS:
+            zero = np.zeros(r.size, dtype=np.intp)
+            return self._evaluate(r, zero, zero, np.ones(r.size, dtype=bool), k)
+        return self._evaluate(r, *self.plan(r, bound, k), k)
+
+    def _evaluate(self, r, lo, hi, scan, k):
+        """:meth:`lowest` for rows r planned as ``(lo, hi, scan)``."""
+        n = self.n
+        out_j = np.full((r.size, k), n, dtype=np.intp)
+        out_v = np.full((r.size, k), np.inf)
+        blocked = np.flatnonzero(~scan & (hi > lo))
+        if blocked.size:
+            rb = r[blocked]
+            out_j[blocked], out_v[blocked] = block_lowest(
+                self.sets.strain_index(),
+                rb,
+                lo[blocked],
+                hi[blocked],
+                lambda pos, j: self.at(rb, j)[0],
+                k,
+            )
+        scanned = np.flatnonzero(scan)
+        step = max(1, _CHUNK_POINTS // n)
+        for i in range(0, scanned.size, step):
+            part = scanned[i : i + step]
+            first, last = r[part[0]], r[part[-1]]
+            # a run of consecutive rows is read as a slice, not copied
+            rows = slice(first, last + 1) if last - first == part.size - 1 else r[part]
+            out_j[part], out_v[part] = lowest(self.rows(rows), np.arange(n)[None, :], k)
+        return out_j, out_v
+
+    def first_move(self, start, assign, tol):
+        """The next single move of the sequential sweep from row ``start``.
+
+        Scores the rows of one chunk at the current residuals, so the first
+        row in it with an accepted move is where the sequential sweep moves.
+        Returns ``((row, j), row + 1)``, or ``(None, end)`` when rows
+        ``start`` to ``end - 1`` accept none. A chunk holds the rows up to
+        ``_CHUNK_POINTS`` scored points: whole rows of shorter sets, and for
+        longer ones the blocks of rows searched in strain order (a row
+        certified move-free costs nothing, a row scanned whole costs n).
+        """
+        m, n = self.sets.eps.shape
+        if n < _CHUNK_POINTS:
+            stop = min(m, start + max(1, _CHUNK_POINTS // n))
+            gain = self.rows(slice(start, stop))
+            j = gain.argmin(axis=1)
+            v = gain[np.arange(stop - start), j]
+        else:
+            r = np.arange(start, m)
+            lo, hi, scan = self.plan(r, -tol, 1)
+            points = np.where(scan, n, hi - lo)
+            size = np.searchsorted(np.cumsum(points), _CHUNK_POINTS, side="right")
+            stop = start + max(1, int(size))
+            k = stop - start
+            j, v = self._evaluate(r[:k], lo[:k], hi[:k], scan[:k], 1)
+            j, v = j[:, 0], v[:, 0]
+        hit = (j != assign[start:stop]) & (v < -tol)
+        i = int(hit.argmax())
+        if hit[i]:
+            return (start + i, int(j[i])), start + i + 1
+        return None, stop
+
+
+def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     """Greedy exact-gain reassignment descent: single swaps, then pair moves.
 
     Both projections are affine in the assigned points, so switching one
@@ -178,104 +386,130 @@ def _swap_polish(sys, eps_list, sig_list, cost_list, f, g, y_eps0, y_sig0, assig
     stalls lower-order moves cannot leave. Only strictly improving moves
     are taken, so ties never move and a global minimizer is a fixed point.
     Returns the improved assignment, or None.
+
+    ``sets`` is one (M, n) stack. Ragged sets come padded
+    (:func:`_padded_sets`): a padded entry's gain is +inf, and its index
+    sorts after every real one, so it is never chosen and leaves the finite
+    members of every candidate list, and the moves, as they would be
+    without it. The leverage is the system's cached
+    :meth:`~ddmech.truss.ConstraintSystem.leverage`.
+
+    **Scan expression.** For bar e at its current point (y, s) with
+    residuals r_eps, r_sig, candidate j scores, left to right,
+    ``gain_j = l_e de + a_e de de + l_s ds + a_s ds ds [+ w (cost_j -
+    cost_cur)]`` with ``de = eps_j - y``, ``ds = sig_j - s``,
+    ``l_e = -2 wc r_eps``, ``l_s = -2 (w/c) r_sig``. The current point
+    scores exactly 0. Every stage takes the lowest index among equal gains,
+    as a scan's argmin does. The single sweep scores a chunk of rows at a
+    time (:meth:`_GainSearch.first_move`); the pair stage scores all its
+    pairs as one (32, 32, 6, 6) array whose row-major first minimum is the
+    first best pair, and within it the first best candidates, in loop
+    order.
+
+    **Block bound.** Treat the computed coefficients as exact and write
+    ``alpha = -l_e / (2 a_e)``, ``beta = -l_s / (2 a_s)`` (0 when ``a_s =
+    l_s = 0``: zero-leverage bars are strain-only) and ``kappa = a_e
+    alpha^2 + a_s beta^2``. Completing the square, the exact gain is
+    ``G_j = a_e p^2 + a_s q^2 - kappa + w (cost_j - cost_cur)`` with
+    ``p = eps_j - y - alpha``, ``q = sig_j - s - beta``. In the scan every
+    term carries at most 8 rounding factors (its difference twice, two
+    products, four sums), so ``|gain_j - G_j| <= g S_j`` with ``g =
+    8u/(1-8u)``, u = 2^-53, and ``S_j`` the sum of the terms' magnitudes.
+    Since ``|l_e de| + a_e de^2 <= a_e (2|alpha| + |p|)^2 <= 8 a_e alpha^2
+    + 2 a_e p^2`` (and the same for stress), ``S_j <= 8 kappa + 2 a_e p^2 +
+    2 a_s q^2 + w cost_j + w cost_cur``. So ``gain_j <= T`` implies, as
+    costs are nonnegative, ``a_e p^2 (1 - 2g) <= T + kappa (1 + 8g) + w
+    cost_cur (1 + g)``: every candidate scoring at most T lies in the
+    strain interval ``|eps_j - y - alpha| <= sqrt(R / a_e)`` for that R.
+    The computed R, centre and half-width carry relative slack
+    ``_BOUND_SLACK`` = 2^-40 on every term (and ``_BOUND_FLOOR`` absolute).
+    R needs about 12g + 10u < 2^-46 relative to ``|T| + kappa + w
+    cost_cur`` for the terms above and its own few roundings, and the
+    centre and half-width need 8u relative to ``|y| + |alpha|`` and to the
+    half-width, so the interval searched in the strain order contains the
+    exact one with a factor of 60 to spare. The argument assumes no term
+    underflows to a subnormal; the absolute slack covers such terms in the
+    sums. The scan expression is then evaluated on that block only.
+
+    **Thresholds T.** A single move needs ``gain < -tol``, so T = -tol:
+    the block holds every minimizer when a move exists, and a block with
+    no candidate certifies the row move-free, which is skipped. The block
+    stage's targets (the argmin) take T = 0, the current point's gain.
+    The pair stage's top 6 and the subset stage's top 5 take T = the
+    largest gain among k strain neighbours of the block centre: the k
+    smallest gains are at most that, so they lie in the block, with ties
+    at the k-th value going to the lowest index. Rows with ``a_e = 0``,
+    with ``a_s = 0`` but ``l_s != 0`` (gain unbounded below in stress), with
+    a non-finite bound, or with a block longer than ``_MAX_BLOCK_SHARE``
+    of the row are scanned whole, as are all rows shorter than
+    ``_CHUNK_POINTS``.
     """
-    m = sys.n_elements
+    m, n = sets.eps.shape
     b = sys.b_free
     w = sys.weights
     c = sys.c
     wc = w * c
-    s = sys.solve_k(b.T)  # K^-1 B^T
-    infl = b @ s  # per-element leverage of a unit data shift
-    hdiag = np.diag(infl)
-    a_eps = np.maximum(wc * (1.0 - wc * hdiag), 0.0)
-    a_sig = (w * w) * hdiag
+    s, infl, _ = sys.leverage()
+    rows = np.arange(m)
+    costs = sets.costs
     y_eps = np.array(y_eps0, dtype=float)
     y_sig = np.array(y_sig0, dtype=float)
-    assign = assign0.copy()
+    assign = np.array(assign0, dtype=np.int64)
     x_eps = s @ (wc * (y_eps - g))
     r_eps = b @ x_eps + g - y_eps
     x_sig = sys.solve_k(f - b.T @ (w * y_sig))
     r_sig = c * (b @ x_sig)
-    cur_cost = np.array(
-        [0.0 if cost_list[e] is None else float(cost_list[e][assign[e]]) for e in range(m)]
-    )
+    cur_cost = np.zeros(m) if costs is None else costs[rows, assign]
     phi = float(np.sum(w * (c * r_eps * r_eps + r_sig * r_sig / c + cur_cost)))
     tol = 1e-12 * max(1.0, phi)
+    gains = _GainSearch(sys, sets, y_eps, y_sig, r_eps, r_sig, cur_cost)
 
-    def gain_vec(e):
-        de = eps_list[e] - y_eps[e]
-        ds = sig_list[e] - y_sig[e]
-        gain = (
-            (-2.0 * wc[e] * r_eps[e]) * de
-            + a_eps[e] * de * de
-            + (-2.0 * (w[e] / c[e]) * r_sig[e]) * ds
-            + a_sig[e] * ds * ds
-        )
-        if cost_list[e] is not None:
-            gain = gain + w[e] * (cost_list[e] - cost_list[e][assign[e]])
-        return gain, de, ds
-
-    def apply_move(e, j, de, ds):
-        dee = de[j]
-        dss = ds[j]
+    def apply_move(e, j):
+        dee = sets.eps[e, j] - y_eps[e]
+        dss = sets.sig[e, j] - y_sig[e]
         r_eps[:] += (dee * wc[e]) * infl[:, e]
         r_eps[e] -= dee
         r_sig[:] -= (dss * w[e]) * (c * infl[:, e])
-        y_eps[e] = eps_list[e][j]
-        y_sig[e] = sig_list[e][j]
+        y_eps[e] = sets.eps[e, j]
+        y_sig[e] = sets.sig[e, j]
         assign[e] = j
+        if costs is not None:
+            cur_cost[e] = costs[e, j]
 
     changed = False
     for _ in range(60):
-        swept_any = False
         for _sweep in range(60):
             accepted = False
-            for e in range(m):
-                gain, de, ds = gain_vec(e)
-                j = int(np.argmin(gain))
-                if j == assign[e] or not (gain[j] < -tol):
-                    continue
-                apply_move(e, j, de, ds)
-                accepted = True
-            if accepted:
-                swept_any = True
-                changed = True
-            else:
+            e = 0
+            while e < m:
+                move, e = gains.first_move(e, assign, tol)
+                if move is not None:
+                    apply_move(*move)
+                    accepted = True
+            if not accepted:
                 break
+            changed = True
         # pair stage: the most mismatched elements, each with its best few
-        # alternatives, scored jointly
+        # alternatives, scored jointly as one (i1, i2, j1, j2) array whose
+        # row-major first minimum is the first best pair in loop order
         loc = w * (c * r_eps * r_eps + r_sig * r_sig / c)
         k_short = min(32, m)
         short = np.sort(np.argpartition(-loc, k_short - 1)[:k_short])
-        cand: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-        for e in short:
-            gain, de, ds = gain_vec(e)
-            n_l = min(6, gain.size)
-            top = np.sort(np.argpartition(gain, n_l - 1)[:n_l])
-            cand[e] = (top, gain[top], de[top], ds[top])
-        best_pair = None
-        for i1 in range(k_short):
-            e1 = int(short[i1])
-            t1, g1, de1, ds1 = cand[e1]
-            for i2 in range(i1 + 1, k_short):
-                e2 = int(short[i2])
-                t2, g2, de2, ds2 = cand[e2]
-                cross = 2.0 * infl[e1, e2] * (
-                    (w[e1] * w[e2]) * np.outer(ds1, ds2)
-                    - (wc[e1] * wc[e2]) * np.outer(de1, de2)
-                )
-                total = g1[:, None] + g2[None, :] + cross
-                flat = int(np.argmin(total))
-                val = float(total.flat[flat])
-                if best_pair is None or val < best_pair[0]:
-                    j1, j2 = divmod(flat, t2.size)
-                    best_pair = (val, e1, int(t1[j1]), e2, int(t2[j2]))
-        if best_pair is not None and best_pair[0] < -tol:
-            _, e1, j1, e2, j2 = best_pair
-            for e, j in ((e1, j1), (e2, j2)):
-                de = eps_list[e] - y_eps[e]
-                ds = sig_list[e] - y_sig[e]
-                apply_move(e, j, de, ds)
+        top = np.sort(gains.lowest(short, min(6, n))[0], axis=1)
+        gain, de, ds = gains.at(short, top)
+        pair_w = (w[short][:, None] * w[short][None, :])[:, :, None, None]
+        pair_wc = (wc[short][:, None] * wc[short][None, :])[:, :, None, None]
+        cross = (2.0 * infl[np.ix_(short, short)])[:, :, None, None] * (
+            pair_w * (ds[:, None, :, None] * ds[None, :, None, :])
+            - pair_wc * (de[:, None, :, None] * de[None, :, None, :])
+        )
+        total = gain[:, None, :, None] + gain[None, :, None, :] + cross
+        total[np.tril_indices(k_short)] = np.inf
+        flat = int(np.argmin(total))
+        if total.flat[flat] < -tol:
+            i1, i2, j1, j2 = np.unravel_index(flat, total.shape)
+            apply_move(int(short[i1]), int(top[i1, j1]))
+            apply_move(int(short[i2]), int(top[i2, j2]))
             changed = True
             continue
         # subset stage: the objective is quadratic in the assigned points,
@@ -284,18 +518,17 @@ def _swap_polish(sys, eps_list, sig_list, cost_list, f, g, y_eps0, y_sig0, assig
         # groups of the most inconsistent elements
         order = np.lexsort((np.arange(m), -loc))
         n_grp = 6
+        top = gains.lowest(order[: 2 * n_grp], min(5, n))[0]
         sub_best = None
         for g0 in (0, n_grp):
             grp = [int(e) for e in order[g0 : g0 + n_grp]]
             if len(grp) < 2:
                 continue
             cands = []
-            for e in grp:
-                gain, de, ds = gain_vec(e)
-                n_c = min(4, gain.size - 1)
-                top = np.argpartition(gain, n_c)[: n_c + 1] if n_c > 0 else np.array([0])
-                js = np.unique(np.append(top, assign[e]))
-                cands.append((e, js, gain[js], de, ds))
+            for i, e in enumerate(grp):
+                js = np.unique(np.append(top[g0 + i], assign[e]))
+                gi, de, ds = gains.at(np.array([e]), js[None, :])
+                cands.append((e, js, gi[0], de[0], ds[0]))
             shape = tuple(ct[1].size for ct in cands)
             total = np.zeros(shape)
             for i, (e, js, gi, de, ds) in enumerate(cands):
@@ -303,12 +536,12 @@ def _swap_polish(sys, eps_list, sig_list, cost_list, f, g, y_eps0, y_sig0, assig
                 ax[i] = shape[i]
                 total += gi.reshape(ax)
             for i in range(len(cands)):
-                ei, ji, _, dei, dsi = cands[i]
+                ei, _, _, dei, dsi = cands[i]
                 for j in range(i + 1, len(cands)):
-                    ej, jj, _, dej, dsj = cands[j]
+                    ej, _, _, dej, dsj = cands[j]
                     cross = 2.0 * infl[ei, ej] * (
-                        (w[ei] * w[ej]) * np.outer(dsi[ji], dsj[jj])
-                        - (wc[ei] * wc[ej]) * np.outer(dei[ji], dej[jj])
+                        (w[ei] * w[ej]) * np.outer(dsi, dsj)
+                        - (wc[ei] * wc[ej]) * np.outer(dei, dej)
                     )
                     ax = [1] * len(shape)
                     ax[i] = shape[i]
@@ -319,15 +552,15 @@ def _swap_polish(sys, eps_list, sig_list, cost_list, f, g, y_eps0, y_sig0, assig
             if val < -tol and (sub_best is None or val < sub_best[0]):
                 combo = np.unravel_index(flat, shape)
                 moves = []
-                for i, (e, js, _, de, ds) in enumerate(cands):
+                for i, (e, js, _, _, _) in enumerate(cands):
                     jn = int(js[combo[i]])
                     if jn != assign[e]:
-                        moves.append((e, jn, de, ds))
+                        moves.append((e, jn))
                 if moves:
                     sub_best = (val, moves)
         if sub_best is not None:
-            for e, jn, de, ds in sub_best[1]:
-                apply_move(e, jn, de, ds)
+            for e, jn in sub_best[1]:
+                apply_move(e, jn)
             changed = True
             continue
         # block stage: stalls that survive subset moves are collective, so
@@ -335,14 +568,10 @@ def _swap_polish(sys, eps_list, sig_list, cost_list, f, g, y_eps0, y_sig0, assig
         # candidates and keep the block only if an exact re-projection
         # confirms the objective drops
         cost_now = sum(
-            0.0 if cost_list[e] is None else w[e] * float(cost_list[e][assign[e]])
-            for e in range(m)
+            0.0 if costs is None else w[e] * float(cur_cost[e]) for e in range(m)
         )
         phi_now = float(np.sum(w * (c * r_eps * r_eps + r_sig * r_sig / c))) + cost_now
-        targets = np.empty(m, dtype=np.int64)
-        for e in range(m):
-            gain, _, _ = gain_vec(e)
-            targets[e] = int(np.argmin(gain))
+        targets = gains.lowest(rows, 1, 0.0)[0][:, 0]
         best_block = None
         for kb in (2, 4, 8, 16, 32):
             if kb > m:
@@ -352,19 +581,24 @@ def _swap_polish(sys, eps_list, sig_list, cost_list, f, g, y_eps0, y_sig0, assig
             trial[sel] = targets[sel]
             if np.array_equal(trial, assign):
                 continue
-            ye, ys, cost_t = _gather(trial, None, eps_list, sig_list, cost_list)
+            ye = sets.eps[rows, trial]
+            ys = sets.sig[rows, trial]
+            cost_t = 0.0 if costs is None else costs[rows, trial]
             eps_t, sig_t, _ = sys.project_arrays(ye, ys, f, g)
             _, obj_t = _objective(sys, eps_t, sig_t, ye, ys, cost_t)
             if obj_t < phi_now - tol and (best_block is None or obj_t < best_block[0]):
                 best_block = (obj_t, trial)
         if best_block is None:
             break
-        assign = best_block[1]
-        y_eps, y_sig, _ = _gather(assign, None, eps_list, sig_list, cost_list)
+        assign[:] = best_block[1]
+        y_eps[:] = sets.eps[rows, assign]
+        y_sig[:] = sets.sig[rows, assign]
+        if costs is not None:
+            cur_cost[:] = costs[rows, assign]
         x_eps = s @ (wc * (y_eps - g))
-        r_eps = b @ x_eps + g - y_eps
+        r_eps[:] = b @ x_eps + g - y_eps
         x_sig = sys.solve_k(f - b.T @ (w * y_sig))
-        r_sig = c * (b @ x_sig)
+        r_sig[:] = c * (b @ x_sig)
         changed = True
     return assign if changed else None
 
@@ -495,6 +729,7 @@ def fixed_point_solve(
     assign = prev_assign
     y_eps = y_sig = None
     cost = 0.0
+    polish_sets = None
     for _round in range(64 if cfg.swap_polish else 1):
         seen: set[bytes] = set()
         if prev_assign is not None:
@@ -541,9 +776,12 @@ def fixed_point_solve(
             prev_assign = assign
         if not cfg.swap_polish:
             break
-        polished = _swap_polish(
-            sys, eps_list, sig_list, cost_list, f, g, best[6], best[7], best[5]
-        )
+        if polish_sets is None:
+            polish_sets = (
+                stacked if stacked is not None
+                else _padded_sets(eps_list, sig_list, cost_list)
+            )
+        polished = _swap_polish(sys, polish_sets, f, g, best[6], best[7], best[5])
         if polished is None:
             break
         y_eps, y_sig, cost = _gather(polished, stacked, eps_list, sig_list, cost_list)
@@ -974,10 +1212,16 @@ def export_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def trajectory_summary(traj: Trajectory) -> dict:
+    """Step counts, convergence and the largest distances and residuals.
+
+    ``n_nonconverged`` counts the steps whose fixed point was not confirmed
+    (iteration budget spent); their best iterate was accepted.
+    """
     return {
         "n_steps": int(traj.n_steps),
         "n_elements": int(traj.n_elements),
         "all_converged": bool(np.all(traj.converged)),
+        "n_nonconverged": int(np.count_nonzero(~traj.converged)),
         "max_iterations": int(np.max(traj.iterations)),
         "total_iterations": int(np.sum(traj.iterations)),
         "max_distance_sq": float(np.max(traj.distance_sq)),

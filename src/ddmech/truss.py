@@ -234,7 +234,8 @@ class ConstraintSystem:
     """Assembled strain operator, metric data and factored projection matrix.
 
     Built by :func:`assemble`; holds everything the projection and the time
-    marches need, so the factorization is computed exactly once per mesh.
+    marches need, so the factorization is computed exactly once per mesh,
+    and the leverage the swap polish reads once per system, on first use.
     """
 
     def __init__(self, mesh: TrussMesh, gm: GlobalMetric) -> None:
@@ -281,6 +282,7 @@ class ConstraintSystem:
         wc = self.weights * self.c
         self.k_matrix = b_free.T @ (wc[:, None] * b_free) if nf else np.zeros((0, 0))
         self._cho = None
+        self._leverage = None
         if nf:
             try:
                 self._cho = cho_factor(self.k_matrix)
@@ -335,6 +337,18 @@ class ConstraintSystem:
         if self.n_free == 0:
             return np.zeros_like(rhs)
         return cho_solve(self._cho, rhs)
+
+    def leverage(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(K^-1 B^T, B K^-1 B^T, its diagonal)``, computed on first use.
+
+        Column e of the middle matrix is the strain response of every bar to
+        a unit data shift of bar e, and its diagonal is each bar's leverage.
+        """
+        if self._leverage is None:
+            s = self.solve_k(self.b_free.T)
+            infl = self.b_free @ s
+            self._leverage = (s, infl, np.diag(infl).copy())
+        return self._leverage
 
     def constrained_values(self, t: float | None) -> np.ndarray:
         """Displacements of constrained dofs at time ``t`` (zero when None)."""

@@ -379,6 +379,18 @@ class TestHistoryRepository:
         with pytest.raises(ValueError):
             HistoryRepository(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2))
 
+    @pytest.mark.parametrize(
+        "weights",
+        [(np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0), (1.0, np.inf)],
+        ids=["nan-current", "nan-prior", "inf-current", "inf-prior"],
+    )
+    def test_rejects_non_finite_weights(self, weights):
+        """NaN fails every comparison, so it must not slip past the check."""
+        with pytest.raises(ValueError, match="weights"):
+            HistoryRepository(
+                np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), weights
+            )
+
     def test_nearest_history_weighs_both_slots(self):
         h = self.repo()
         metric = LocalMetric.from_modulus(1.0)

@@ -1,11 +1,17 @@
-"""Convergence studies."""
+"""Convergence studies and the oracle check."""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import replace
 
-from ddmech import data
-from ddmech.experiments import default_study_config, run_convergence_study, study_mesh
+from ddmech import cli, data
+from ddmech.experiments import (
+    default_study_config,
+    oracle_check,
+    run_convergence_study,
+    study_mesh,
+)
 from ddmech.truss import LatticeSpec
 
 
@@ -25,3 +31,26 @@ class TestConvergenceStudy:
         pooled = run_convergence_study(replace(cfg, workers=2))
         assert [r.errors for r in serial.rows] == [r.errors for r in pooled.rows]
         assert serial.rate == pooled.rate
+
+
+class TestOracleCheck:
+    """How often the fixed point reaches the enumerated minimum."""
+
+    def test_reports_hits_and_relative_gaps(self):
+        result = oracle_check(12, 5, max_elements=6, max_points=5)
+        assert result.passed
+        assert 0 < result.n_global <= result.n_systems
+        assert result.max_rel_gap >= result.mean_rel_gap
+        if result.n_global == result.n_systems:
+            assert result.max_rel_gap <= 1e-9
+
+    def test_command_writes_both_families(self, tmp_path, capsys):
+        code = cli.main(["oracle-check", "--runs", "3", "--seed", "4", "--out", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "oracle_check.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["max_elements"], r["max_points"]) for r in rows] == [
+            (str(e), str(p)) for e, p in cli.ORACLE_FAMILIES
+        ]
+        assert all(0 <= int(r["n_global"]) <= 3 for r in rows)
+        assert capsys.readouterr().out.count("at the global minimum") == 2

@@ -481,3 +481,22 @@ class TestTrajectoryOutput:
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[0] == "n_steps"
         assert len(lines) == 2
+
+    def test_summary_counts_nonconverged_steps(self, tmp_path):
+        """A march at its iteration cap reports its unconfirmed steps."""
+        mesh, gm, loads, times = small_truss_fixture(t_end=3.0)
+        g = GeneratorSpec(
+            law=DEFAULT_SLS,
+            n_points=32,
+            window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
+        )
+        cfg = SolverConfig(max_fixed_point_iters=1, swap_polish=False)
+        traj = time_march(mesh, gm, g, loads, times, cfg)
+        summary = trajectory_summary(traj)
+        assert summary["n_nonconverged"] == np.count_nonzero(~traj.converged) > 0
+        assert summary["all_converged"] is False
+        assert trajectory_summary(self.make_traj())["n_nonconverged"] == 0
+        path = tmp_path / "summary.csv"
+        write_summary_csv(traj, path)
+        header, row = (line.split(",") for line in path.read_text().splitlines())
+        assert row[header.index("n_nonconverged")] == str(summary["n_nonconverged"])
