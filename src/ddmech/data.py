@@ -10,13 +10,14 @@ stress-strain increments alone), sampled in the window :class:`WindowRule`
 and :class:`GeneratorSpec` describe.
 
 Every search is exact and returns the lowest index among the minimizers.
-The solver searches equal-size sets stacked as (M, n) arrays with
-:func:`batch_nearest`: a scan of every point for small stacks, and above a
-size crossover a search of each row in its strain order, which evaluates the
-scan's own arithmetic on a certified block of candidates
-(:func:`block_lowest`, which the solver's swap polish shares with its own
-bound). A single set is scanned by :meth:`LocalDataSet.nearest`, the
-tests' independent reference.
+The solver reads every set of a step from one :class:`StackedSets`, (M, n)
+arrays in which sets of unequal size are padded (:func:`stack_sets` holds
+the padding rule). It searches them with :func:`batch_nearest`: a scan of
+every point for small stacks, and above a size crossover a search of each
+row in its strain order, which evaluates the scan's own arithmetic on a
+certified block of candidates (:func:`block_lowest`, which the solver's
+swap polish shares with its own bound). A single set is scanned by
+:meth:`LocalDataSet.nearest`, the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -94,8 +95,6 @@ class LocalDataSet:
     def nearest(self, z: LocalPhasePoint, metric: LocalMetric) -> tuple[int, LocalPhasePoint]:
         """Lowest-index minimizer of square distance plus fidelity cost, by a
         scan of every point."""
-        if z.dim != 1:
-            raise ValueError("data sets hold scalar states")
         de = self.strains[:, 0] - z.strain[0]
         ds = self.stresses[:, 0] - z.stress[0]
         d2 = metric.c * de * de + metric.c_inv * ds * ds
@@ -160,17 +159,21 @@ class StrainIndex:
 
 @dataclass(frozen=True, eq=False)
 class StackedSets:
-    """Equal-size scalar data sets stacked as (M, n) arrays for batch search.
+    """Scalar data sets stacked as (M, n) arrays: the layout every solve,
+    search and polish reads.
 
-    ``index`` is the rows' :class:`StrainIndex`. It is built on the first
-    call of :meth:`strain_index` and then shared by every search of the
-    step (association and the response warm start); a caller whose strains
-    outlive one step (a fixed archive) passes it in once.
+    ``lengths`` holds the true row sizes of sets padded to a common width
+    by :func:`stack_sets`; it is None when no row is padded. ``index`` is
+    the rows' :class:`StrainIndex`. It is built on the first call of
+    :meth:`strain_index` and then shared by every search of the step
+    (association and the response warm start); a caller whose strains
+    outlive one step (a fixed archive) builds it once.
     """
 
     eps: np.ndarray
     sig: np.ndarray
     costs: np.ndarray | None
+    lengths: np.ndarray | None = None
     index: StrainIndex | None = field(default=None, repr=False)
 
     def strain_index(self) -> StrainIndex:
@@ -179,22 +182,59 @@ class StackedSets:
         return self.index
 
 
-def stack_sets(sets: Sequence[LocalDataSet]) -> StackedSets | None:
-    """Stacks sets of equal size; None when they are ragged."""
+def stack_sets(sets: Sequence[LocalDataSet]) -> StackedSets:
+    """Stacks the sets as one (M, n_max) :class:`StackedSets`.
+
+    Sets shorter than the longest are padded: each padded entry repeats its
+    row's last point and has cost +inf, and ``lengths`` records the true
+    sizes. Costs are None when no set has costs and no row is padded; a set
+    without costs otherwise reads cost 0.
+
+    The padding changes no search, argmin or polish move. Every row has at
+    least one real entry with a finite cost, and real indices precede
+    padded ones, so an argmin, :func:`lowest` and :func:`block_lowest`
+    never return a padded entry: even a tie among +inf values goes to a
+    real index. On a row that carries no cost of its own the added cost is
+    0, and ``x + 0.0 == x`` for every square distance ``x >= 0``, so its
+    argmin is unchanged. In the sorted path of :func:`batch_nearest` a
+    +inf bound widens the block to the whole row, which is then scanned.
+    """
     if not sets:
-        return None
-    n = sets[0].n_points
-    if any(d.n_points != n for d in sets):
-        return None
-    eps = np.stack([d.strains[:, 0] for d in sets])
-    sig = np.stack([d.stresses[:, 0] for d in sets])
-    any_costs = any(d.costs is not None for d in sets)
+        raise ValueError("at least one data set is required")
+    return _stack_rows(
+        [d.strains[:, 0] for d in sets],
+        [d.stresses[:, 0] for d in sets],
+        [d.costs for d in sets],
+    )
+
+
+def _stack_rows(eps_rows, sig_rows, cost_rows) -> StackedSets:
+    """:func:`stack_sets` on rows of strains, stresses and costs (or None)."""
+    lengths = np.array([a.size for a in eps_rows])
+    shape = (lengths.size, int(lengths.max()))
+    ragged = bool(np.any(lengths < shape[1]))
     costs = None
-    if any_costs:
-        costs = np.stack(
-            [d.costs if d.costs is not None else np.zeros(n) for d in sets]
+    if ragged or any(c is not None for c in cost_rows):
+        rows = (
+            np.zeros(a.size) if c is None else c for a, c in zip(eps_rows, cost_rows)
         )
-    return StackedSets(eps, sig, costs)
+        costs = _padded(rows, shape, np.inf)
+    return StackedSets(
+        _padded(eps_rows, shape),
+        _padded(sig_rows, shape),
+        costs,
+        lengths if ragged else None,
+    )
+
+
+def _padded(rows, shape, fill=None) -> np.ndarray:
+    """The rows as one array of ``shape``; past its length each row repeats
+    its last entry, or holds ``fill`` when one is given."""
+    out = np.empty(shape)
+    for e, a in enumerate(rows):
+        out[e, : a.size] = a
+        out[e, a.size :] = a[-1] if fill is None else fill
+    return out
 
 
 def scan_nearest(
@@ -337,17 +377,26 @@ def _sorted_d2(stacked, index, r, pos, eps, sig, c, c_inv):
 
 @dataclass(frozen=True)
 class ConditioningState:
-    """Previously converged local states, one entry per element."""
+    """Previously converged local states, one entry per element; scalars
+    are promoted to 1-vectors."""
 
     prev_strain: np.ndarray | float = 0.0
     prev_stress: np.ndarray | float = 0.0
 
     def __post_init__(self) -> None:
-        point = LocalPhasePoint(
-            np.atleast_1d(self.prev_strain), np.atleast_1d(self.prev_stress)
-        )
-        object.__setattr__(self, "prev_strain", point.strain)
-        object.__setattr__(self, "prev_stress", point.stress)
+        eps = np.array(self.prev_strain, dtype=float, ndmin=1)
+        sig = np.array(self.prev_stress, dtype=float, ndmin=1)
+        if eps.ndim != 1 or eps.shape != sig.shape or not np.all(
+            np.isfinite(eps) & np.isfinite(sig)
+        ):
+            raise ValueError(
+                "prev_strain and prev_stress must be finite and 1-D of equal "
+                f"shape, got shapes {eps.shape} and {sig.shape}"
+            )
+        eps.setflags(write=False)
+        sig.setflags(write=False)
+        object.__setattr__(self, "prev_strain", eps)
+        object.__setattr__(self, "prev_stress", sig)
 
 
 @dataclass(frozen=True)
@@ -438,17 +487,13 @@ def update_history_variable(
     return q_acc + dq
 
 
-def gaussian_fidelity_cost(std_devs, dims) -> float:
-    """Additive cost ``sum_e 2 m_e s_e^2`` of Gaussian point uncertainty."""
+def gaussian_fidelity_cost(std_devs) -> float:
+    """Additive cost ``sum_e 2 s_e^2`` of Gaussian uncertainty of scalar
+    points."""
     s = np.asarray(std_devs, dtype=float).reshape(-1)
-    m = np.asarray(dims, dtype=int).reshape(-1)
-    if s.size != m.size:
-        raise ValueError("one standard deviation per element is required")
     if np.any(s < 0.0) or np.any(~np.isfinite(s)):
         raise ValueError("standard deviations must be finite and nonnegative")
-    if np.any(m < 1):
-        raise ValueError("dimensions must be positive")
-    return float(np.sum(2.0 * m * s * s))
+    return float(np.sum(2.0 * s * s))
 
 
 @dataclass(frozen=True)
@@ -557,22 +602,28 @@ def _prior_slot_cost(
 def prior_slot_costs(
     repositories: Sequence[HistoryRepository], z_prev: GlobalState, gm: GlobalMetric
 ) -> np.ndarray | None:
-    """Fidelity costs of equal-size archives stacked as an (M, n) array.
+    """Fidelity costs of the archives as an (M, n_max) array, padded as
+    :func:`stack_sets` pads: +inf past each archive's entries.
 
     Row e holds the costs :func:`history_cost_dataset` gives element e
-    (zeros where the prior weight is zero); None when every prior weight
-    is zero. Costs are checked as :class:`LocalDataSet` checks them.
+    (zeros where the prior weight is zero); None when the archives have
+    equal sizes and every prior weight is zero. Costs are checked as
+    :class:`LocalDataSet` checks them.
     """
-    if all(h.weights[1] == 0.0 for h in repositories):
+    sizes = [h.n_entries for h in repositories]
+    if len(set(sizes)) == 1 and all(h.weights[1] == 0.0 for h in repositories):
         return None
-    costs = np.zeros((len(repositories), repositories[0].n_entries))
-    for e, h in enumerate(repositories):
-        row = _prior_slot_cost(h, z_prev.point(e), gm.locals[e])
-        if row is not None:
-            costs[e] = row
-    if np.any(~np.isfinite(costs)) or np.any(costs < 0.0):
-        raise ValueError("fidelity costs must be finite and nonnegative")
-    return costs
+
+    def rows():
+        for e, h in enumerate(repositories):
+            row = _prior_slot_cost(h, z_prev.point(e), gm.locals[e])
+            if row is None:
+                row = np.zeros(h.n_entries)
+            elif np.any(~np.isfinite(row)) or np.any(row < 0.0):
+                raise ValueError("fidelity costs must be finite and nonnegative")
+            yield row
+
+    return _padded(rows(), (len(sizes), max(sizes)), np.inf)
 
 
 def write_datasets_csv(path, rows) -> None:

@@ -32,13 +32,11 @@ __all__ = [
 ]
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a scalar or 1-D vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError(f"{name} must not be empty")
-    if not np.all(np.isfinite(v)):
+def _as_scalar(x, name: str) -> np.ndarray:
+    v = np.array(x, dtype=float, ndmin=1)
+    if v.shape != (1,):
+        raise ValueError(f"{name} must be a scalar, got shape {v.shape}")
+    if not np.isfinite(v[0]):
         raise ValueError(f"{name} must be finite")
     v.setflags(write=False)
     return v
@@ -46,30 +44,17 @@ def _as_vector(x, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocalPhasePoint:
-    """A (strain, stress) pair at one material point.
-
-    Both components are vectors of the same dimension ``m >= 1`` (``m = 1``
-    for truss bars). Scalars are promoted to 1-vectors.
-    """
+    """A scalar (strain, stress) pair at one material point, each stored as
+    a 1-vector."""
 
     strain: np.ndarray
     stress: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "strain", _as_vector(self.strain, "strain"))
-        object.__setattr__(self, "stress", _as_vector(self.stress, "stress"))
-        if self.strain.shape != self.stress.shape:
-            raise ValueError(
-                f"strain and stress dimensions differ: {self.strain.shape} vs {self.stress.shape}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.strain.size
+        object.__setattr__(self, "strain", _as_scalar(self.strain, "strain"))
+        object.__setattr__(self, "stress", _as_scalar(self.stress, "stress"))
 
     def __sub__(self, other: "LocalPhasePoint") -> "LocalPhasePoint":
-        if other.dim != self.dim:
-            raise ValueError("phase points of different dimension")
         return LocalPhasePoint(self.strain - other.strain, self.stress - other.stress)
 
 
@@ -169,15 +154,6 @@ class GlobalState:
     def zeros(cls, n_elements: int) -> "GlobalState":
         return cls(np.zeros(n_elements), np.zeros(n_elements))
 
-    @classmethod
-    def from_points(cls, points: Sequence[LocalPhasePoint]) -> "GlobalState":
-        if not points:
-            raise ValueError("at least one point is required")
-        return cls(
-            np.stack([p.strain for p in points]),
-            np.stack([p.stress for p in points]),
-        )
-
     @property
     def n_elements(self) -> int:
         return self.strain.shape[0]
@@ -195,8 +171,6 @@ class GlobalState:
 
 def local_norm_sq(z: LocalPhasePoint, metric: LocalMetric) -> float:
     """Quadratic local norm ``C eps^2 + C^{-1} sig^2`` of a scalar point."""
-    if z.dim != 1:
-        raise ValueError(f"point dimension {z.dim} is not 1")
     e, s = z.strain[0], z.stress[0]
     return float(metric.c * e * e + metric.c_inv * s * s)
 

@@ -13,13 +13,15 @@ iteration because each half-step is an exact minimization. The enumeration
 oracle checks every data assignment and is the ground truth on instances
 small enough to afford it.
 
+Every solve, search and polish reads the step's sets as one (M, n)
+:class:`~ddmech.data.StackedSets`; sets of unequal size are padded once, by
+:func:`~ddmech.data.stack_sets`, with entries that are never chosen.
 Whenever the walk stops, an exact-gain swap polish (:func:`_swap_polish`)
-tries single, pair, subset and block reassignments against the same
-objective. It reads one (M, n) stack of the step's sets (ragged sets
-padded) and scores candidates with the scan's own arithmetic, over whole
-rows for short sets and, for long ones, on the certified strain blocks of
-the step's :class:`~ddmech.data.StrainIndex`, so every move, and every
-trajectory, is the one a scan of every candidate gives.
+tries single, pair and subset reassignments against the same objective. It
+scores candidates with the scan's own arithmetic, over whole rows for short
+sets and, for long ones, on the certified strain blocks of the step's
+:class:`~ddmech.data.StrainIndex`, so every move, and every trajectory, is
+the one a scan of every candidate gives.
 
 Both marches run one step loop and differ only in the data sets a step
 searches. :func:`time_march` regenerates the per-element sets every step,
@@ -45,9 +47,11 @@ from .data import (
     HistoryRepository,
     LocalDataSet,
     StackedSets,
+    _stack_rows,
     batch_nearest,
     block_lowest,
-    history_cost_dataset,
+    # no step calls it; perfbench's layer list names it in this module
+    history_cost_dataset,  # noqa: F401
     lowest,
     prior_slot_costs,
     stack_sets,
@@ -119,51 +123,21 @@ class StepResult:
     displacements: np.ndarray | None = None
 
 
-def _as_arrays(sets: Sequence[LocalDataSet] | StackedSets):
-    """Returns (stacked | None, eps_list, sig_list, cost_list)."""
-    if isinstance(sets, StackedSets):
-        m = sets.eps.shape[0]
-        eps_list = [sets.eps[e] for e in range(m)]
-        sig_list = [sets.sig[e] for e in range(m)]
-        cost_list = [None if sets.costs is None else sets.costs[e] for e in range(m)]
-        return sets, eps_list, sig_list, cost_list
-    stacked = stack_sets(sets)
-    eps_list = [d.strains[:, 0] for d in sets]
-    sig_list = [d.stresses[:, 0] for d in sets]
-    cost_list = [d.costs for d in sets]
-    return stacked, eps_list, sig_list, cost_list
+def _stacked(sets: Sequence[LocalDataSet] | StackedSets, m: int) -> StackedSets:
+    """The sets of m elements as one stack; a list is stacked here, once."""
+    if not isinstance(sets, StackedSets):
+        sets = stack_sets(sets)
+    if sets.eps.shape[0] != m:
+        raise ValueError(f"{m} data sets required, got {sets.eps.shape[0]}")
+    return sets
 
 
-def _nearest_all(eps, sig, stacked, eps_list, sig_list, cost_list, gm):
-    """Per-element association; batch when the sets stack, scan otherwise."""
-    if stacked is not None:
-        return batch_nearest(eps, sig, stacked, gm.c_diag, gm.c_inv_diag)
-    m = len(eps_list)
-    idx = np.zeros(m, dtype=np.int64)
-    c, ci = gm.c_diag, gm.c_inv_diag
-    for e in range(m):
-        de = eps_list[e] - eps[e]
-        ds = sig_list[e] - sig[e]
-        d2 = c[e] * de * de + ci[e] * ds * ds
-        if cost_list[e] is not None:
-            d2 = d2 + cost_list[e]
-        idx[e] = np.argmin(d2)
-    return idx
-
-
-def _gather(idx, stacked, eps_list, sig_list, cost_list):
-    if stacked is not None:
-        rows = np.arange(idx.size)
-        y_eps = stacked.eps[rows, idx]
-        y_sig = stacked.sig[rows, idx]
-        cost = 0.0 if stacked.costs is None else stacked.costs[rows, idx]
-        return y_eps, y_sig, cost
-    y_eps = np.array([eps_list[e][i] for e, i in enumerate(idx)])
-    y_sig = np.array([sig_list[e][i] for e, i in enumerate(idx)])
-    cost = np.array(
-        [0.0 if cost_list[e] is None else cost_list[e][i] for e, i in enumerate(idx)]
-    )
-    return y_eps, y_sig, cost
+def _gather(idx, sets: StackedSets):
+    """Strains, stresses and costs (0.0 when the sets carry none) at the
+    assignments ``idx``, one index per element along the last axis."""
+    rows = np.arange(idx.shape[-1])
+    cost = 0.0 if sets.costs is None else sets.costs[rows, idx]
+    return sets.eps[rows, idx], sets.sig[rows, idx], cost
 
 
 def _objective(sys, eps, sig, y_eps, y_sig, cost) -> tuple[float, float]:
@@ -184,27 +158,6 @@ _CHUNK_POINTS = 2048
 _BOUND_SLACK = 2.0**-40
 #: Absolute slack of the same bound, for sums of underflowed terms.
 _BOUND_FLOOR = 2.0**-1000
-
-
-def _padded_sets(eps_list, sig_list, cost_list) -> StackedSets:
-    """Ragged sets as one (M, n_max) stack for the swap polish.
-
-    Each padded entry repeats its row's last point with cost +inf, so every
-    gain it has is +inf and it is never chosen.
-    """
-    m = len(eps_list)
-    n = max(a.size for a in eps_list)
-    eps = np.empty((m, n))
-    sig = np.empty((m, n))
-    costs = np.full((m, n), np.inf)
-    for e in range(m):
-        k = eps_list[e].size
-        eps[e, :k] = eps_list[e]
-        eps[e, k:] = eps_list[e][-1]
-        sig[e, :k] = sig_list[e]
-        sig[e, k:] = sig_list[e][-1]
-        costs[e, :k] = 0.0 if cost_list[e] is None else cost_list[e]
-    return StackedSets(eps, sig, costs)
 
 
 class _GainSearch:
@@ -303,15 +256,13 @@ class _GainSearch:
         hi = np.where(reach < 0.0, lo, hi)
         return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * n)
 
-    def lowest(self, r, k, bound=None):
+    def lowest(self, r, k):
         """The k lowest gains of every row in r and their indices, ordered by
-        gain and then index. ``bound`` is the largest gain the caller needs
-        (see :meth:`plan`): gains above it may be missing, and a row with
-        none at or below it reads +inf at index n."""
+        gain and then index."""
         if self.n < _CHUNK_POINTS:
             zero = np.zeros(r.size, dtype=np.intp)
             return self._evaluate(r, zero, zero, np.ones(r.size, dtype=bool), k)
-        return self._evaluate(r, *self.plan(r, bound, k), k)
+        return self._evaluate(r, *self.plan(r, None, k), k)
 
     def _evaluate(self, r, lo, hi, scan, k):
         """:meth:`lowest` for rows r planned as ``(lo, hi, scan)``."""
@@ -373,7 +324,8 @@ class _GainSearch:
 
 
 def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
-    """Greedy exact-gain reassignment descent: single swaps, then pair moves.
+    """Greedy exact-gain reassignment descent: single swaps, then pair and
+    subset moves.
 
     Both projections are affine in the assigned points, so switching one
     element changes the step objective by a quadratic whose coefficients
@@ -381,16 +333,15 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     O(1) and an accepted switch updates the residuals in O(m). When no
     single switch improves, coordinated pair moves are scored the same way
     (the cross term is one off-diagonal leverage entry), and when pairs
-    stall too, joint blocks of the most inconsistent elements are tried
-    against an exact re-projection, which unlocks equilibrium-coupled
-    stalls lower-order moves cannot leave. Only strictly improving moves
-    are taken, so ties never move and a global minimizer is a fixed point.
-    Returns the improved assignment, or None.
+    stall too, full candidate products over small groups of the most
+    inconsistent elements. Only strictly improving moves are taken, so ties
+    never move and a global minimizer is a fixed point. Returns the improved
+    assignment, or None.
 
-    ``sets`` is one (M, n) stack. Ragged sets come padded
-    (:func:`_padded_sets`): a padded entry's gain is +inf, and its index
-    sorts after every real one, so it is never chosen and leaves the finite
-    members of every candidate list, and the moves, as they would be
+    ``sets`` is one (M, n) stack, ragged sets padded by
+    :func:`~ddmech.data.stack_sets`: a padded entry's gain is +inf, and its
+    index sorts after every real one, so it is never chosen and leaves the
+    finite members of every candidate list, and the moves, as they would be
     without it. The leverage is the system's cached
     :meth:`~ddmech.truss.ConstraintSystem.leverage`.
 
@@ -433,16 +384,14 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
 
     **Thresholds T.** A single move needs ``gain < -tol``, so T = -tol:
     the block holds every minimizer when a move exists, and a block with
-    no candidate certifies the row move-free, which is skipped. The block
-    stage's targets (the argmin) take T = 0, the current point's gain.
-    The pair stage's top 6 and the subset stage's top 5 take T = the
-    largest gain among k strain neighbours of the block centre: the k
-    smallest gains are at most that, so they lie in the block, with ties
-    at the k-th value going to the lowest index. Rows with ``a_e = 0``,
-    with ``a_s = 0`` but ``l_s != 0`` (gain unbounded below in stress), with
-    a non-finite bound, or with a block longer than ``_MAX_BLOCK_SHARE``
-    of the row are scanned whole, as are all rows shorter than
-    ``_CHUNK_POINTS``.
+    no candidate certifies the row move-free, which is skipped. The pair
+    stage's top 6 and the subset stage's top 5 take T = the largest gain
+    among k strain neighbours of the block centre: the k smallest gains are
+    at most that, so they lie in the block, with ties at the k-th value
+    going to the lowest index. Rows with ``a_e = 0``, with ``a_s = 0`` but
+    ``l_s != 0`` (gain unbounded below in stress), with a non-finite bound,
+    or with a block longer than ``_MAX_BLOCK_SHARE`` of the row are scanned
+    whole, as are all rows shorter than ``_CHUNK_POINTS``.
     """
     m, n = sets.eps.shape
     b = sys.b_free
@@ -450,7 +399,6 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     c = sys.c
     wc = w * c
     s, infl, _ = sys.leverage()
-    rows = np.arange(m)
     costs = sets.costs
     y_eps = np.array(y_eps0, dtype=float)
     y_sig = np.array(y_sig0, dtype=float)
@@ -459,7 +407,7 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     r_eps = b @ x_eps + g - y_eps
     x_sig = sys.solve_k(f - b.T @ (w * y_sig))
     r_sig = c * (b @ x_sig)
-    cur_cost = np.zeros(m) if costs is None else costs[rows, assign]
+    cur_cost = np.zeros(m) if costs is None else costs[np.arange(m), assign]
     phi = float(np.sum(w * (c * r_eps * r_eps + r_sig * r_sig / c + cur_cost)))
     tol = 1e-12 * max(1.0, phi)
     gains = _GainSearch(sys, sets, y_eps, y_sig, r_eps, r_sig, cur_cost)
@@ -558,47 +506,10 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
                         moves.append((e, jn))
                 if moves:
                     sub_best = (val, moves)
-        if sub_best is not None:
-            for e, jn in sub_best[1]:
-                apply_move(e, jn)
-            changed = True
-            continue
-        # block stage: stalls that survive subset moves are collective, so
-        # jointly send the most inconsistent elements to their own best
-        # candidates and keep the block only if an exact re-projection
-        # confirms the objective drops
-        cost_now = sum(
-            0.0 if costs is None else w[e] * float(cur_cost[e]) for e in range(m)
-        )
-        phi_now = float(np.sum(w * (c * r_eps * r_eps + r_sig * r_sig / c))) + cost_now
-        targets = gains.lowest(rows, 1, 0.0)[0][:, 0]
-        best_block = None
-        for kb in (2, 4, 8, 16, 32):
-            if kb > m:
-                break
-            trial = assign.copy()
-            sel = order[:kb]
-            trial[sel] = targets[sel]
-            if np.array_equal(trial, assign):
-                continue
-            ye = sets.eps[rows, trial]
-            ys = sets.sig[rows, trial]
-            cost_t = 0.0 if costs is None else costs[rows, trial]
-            eps_t, sig_t, _ = sys.project_arrays(ye, ys, f, g)
-            _, obj_t = _objective(sys, eps_t, sig_t, ye, ys, cost_t)
-            if obj_t < phi_now - tol and (best_block is None or obj_t < best_block[0]):
-                best_block = (obj_t, trial)
-        if best_block is None:
+        if sub_best is None:
             break
-        assign[:] = best_block[1]
-        y_eps[:] = sets.eps[rows, assign]
-        y_sig[:] = sets.sig[rows, assign]
-        if costs is not None:
-            cur_cost[:] = costs[rows, assign]
-        x_eps = s @ (wc * (y_eps - g))
-        r_eps[:] = b @ x_eps + g - y_eps
-        x_sig = sys.solve_k(f - b.T @ (w * y_sig))
-        r_sig[:] = c * (b @ x_sig)
+        for e, jn in sub_best[1]:
+            apply_move(e, jn)
         changed = True
     return assign if changed else None
 
@@ -692,7 +603,9 @@ def fixed_point_solve(
     Stops as soon as the data association repeats (the iterate is then a
     fixed point of the composed map) or the state itself repeats bitwise.
     On hitting the iteration cap, returns the lowest-objective iterate seen
-    with ``converged=False``.
+    with ``converged=False``. A list of sets is stacked once
+    (:func:`~ddmech.data.stack_sets`); ``init_assignment`` must index a
+    real point of every set.
     """
     cfg = cfg or SolverConfig()
     m = sys.n_elements
@@ -700,9 +613,7 @@ def fixed_point_solve(
     if f.size != sys.n_free:
         raise ValueError(f"force vector must have {sys.n_free} entries")
     g = sys.affine_strain(t)
-    stacked, eps_list, sig_list, cost_list = _as_arrays(sets)
-    if len(eps_list) != m:
-        raise ValueError(f"{m} data sets required, got {len(eps_list)}")
+    sets = _stacked(sets, m)
 
     if init is None:
         eps = np.zeros(m)
@@ -718,7 +629,15 @@ def fixed_point_solve(
         prev_assign = np.asarray(init_assignment, dtype=np.int64).reshape(-1).copy()
         if prev_assign.size != m:
             raise ValueError("init_assignment must hold one index per element")
-        y_eps, y_sig, _ = _gather(prev_assign, stacked, eps_list, sig_list, cost_list)
+        sizes = np.full(m, sets.eps.shape[1]) if sets.lengths is None else sets.lengths
+        bad = np.flatnonzero((prev_assign < 0) | (prev_assign >= sizes))
+        if bad.size:
+            e = int(bad[0])
+            raise ValueError(
+                f"init_assignment[{e}] = {prev_assign[e]} is not a point of "
+                f"set {e}, which has {sizes[e]}"
+            )
+        y_eps, y_sig, _ = _gather(prev_assign, sets)
         eps, sig, u = sys.project_arrays(y_eps, y_sig, f, g)
 
     history: list[float] = []
@@ -729,7 +648,6 @@ def fixed_point_solve(
     assign = prev_assign
     y_eps = y_sig = None
     cost = 0.0
-    polish_sets = None
     for _round in range(64 if cfg.swap_polish else 1):
         seen: set[bytes] = set()
         if prev_assign is not None:
@@ -739,8 +657,8 @@ def fixed_point_solve(
         while budget > 0:
             budget -= 1
             iterations += 1
-            assign = _nearest_all(eps, sig, stacked, eps_list, sig_list, cost_list, gm)
-            y_eps, y_sig, cost = _gather(assign, stacked, eps_list, sig_list, cost_list)
+            assign = batch_nearest(eps, sig, sets, gm.c_diag, gm.c_inv_diag)
+            y_eps, y_sig, cost = _gather(assign, sets)
             if prev_assign is not None and np.array_equal(assign, prev_assign):
                 walk_done = True
                 break
@@ -776,15 +694,10 @@ def fixed_point_solve(
             prev_assign = assign
         if not cfg.swap_polish:
             break
-        if polish_sets is None:
-            polish_sets = (
-                stacked if stacked is not None
-                else _padded_sets(eps_list, sig_list, cost_list)
-            )
-        polished = _swap_polish(sys, polish_sets, f, g, best[6], best[7], best[5])
+        polished = _swap_polish(sys, sets, f, g, best[6], best[7], best[5])
         if polished is None:
             break
-        y_eps, y_sig, cost = _gather(polished, stacked, eps_list, sig_list, cost_list)
+        y_eps, y_sig, cost = _gather(polished, sets)
         eps, sig, u = sys.project_arrays(y_eps, y_sig, f, g)
         d2, obj = _objective(sys, eps, sig, y_eps, y_sig, cost)
         if obj >= best[0]:
@@ -828,15 +741,14 @@ def enumerate_global_min(
     near-minimal candidates are re-evaluated through the same scalar path the
     fixed-point solver uses, so the returned objective is float-identical to
     a fixed-point solve that lands on the same assignment. Ties resolve to
-    the lexicographically smallest assignment.
+    the lexicographically smallest assignment. Only the real points of
+    padded sets are enumerated.
     """
     m = sys.n_elements
     f = np.zeros(sys.n_free) if f is None else np.asarray(f, dtype=float).reshape(-1)
     g = sys.affine_strain(t)
-    _, eps_list, sig_list, cost_list = _as_arrays(sets)
-    if len(eps_list) != m:
-        raise ValueError(f"{m} data sets required, got {len(eps_list)}")
-    counts = np.array([a.size for a in eps_list], dtype=np.int64)
+    sets = _stacked(sets, m)
+    counts = np.full(m, sets.eps.shape[1]) if sets.lengths is None else sets.lengths
     total = 1
     for c in counts:  # python ints cannot overflow, unlike np.prod
         total *= int(c)
@@ -851,14 +763,7 @@ def enumerate_global_min(
 
     def batch_objective(ids: np.ndarray) -> np.ndarray:
         multi = np.array(np.unravel_index(ids, counts), dtype=np.int64).T  # (chunk, M)
-        eps_c = np.empty(multi.shape)
-        sig_c = np.empty(multi.shape)
-        cost_c = np.zeros(multi.shape)
-        for e in range(m):
-            eps_c[:, e] = eps_list[e][multi[:, e]]
-            sig_c[:, e] = sig_list[e][multi[:, e]]
-            if cost_list[e] is not None:
-                cost_c[:, e] = cost_list[e][multi[:, e]]
+        eps_c, sig_c, cost_c = _gather(multi, sets)
         uu = sys.solve_k(b.T @ ((wc * (eps_c - g)).T))
         eps_p = (b @ uu).T + g
         lam = sys.solve_k(f[:, None] - b.T @ ((w * sig_c).T))
@@ -884,11 +789,7 @@ def enumerate_global_min(
     best = None
     for lin in sorted(candidates):
         idx = np.array(np.unravel_index(lin, counts), dtype=np.int64)
-        y_eps = np.array([eps_list[e][idx[e]] for e in range(m)])
-        y_sig = np.array([sig_list[e][idx[e]] for e in range(m)])
-        cost = np.array(
-            [0.0 if cost_list[e] is None else cost_list[e][idx[e]] for e in range(m)]
-        )
+        y_eps, y_sig, cost = _gather(idx, sets)
         eps_p, sig_p, uu = sys.project_arrays(y_eps, y_sig, f, g)
         d2, obj = _objective(sys, eps_p, sig_p, y_eps, y_sig, cost)
         if best is None or obj < best[0]:
@@ -1018,7 +919,7 @@ def _march(
     loads: LoadProgram | None,
     t_grid: np.ndarray,
     cfg: SolverConfig,
-    step_sets: Callable[..., StackedSets | list[LocalDataSet]],
+    step_sets: Callable[..., StackedSets],
     plastic_law: PlasticParams | None,
 ) -> Trajectory:
     """The step loop of both marches.
@@ -1027,9 +928,10 @@ def _march(
     data sets from its time increment (None on the first step), its elastic
     strain estimate and the previously accepted strain, stress and
     accumulated slip. Each step is solved from the warm start
-    ``cfg.init_strategy`` picks and, for stacked sets under "response", also
-    from the empirical response init; the lower objective wins. The
-    accumulated slip is tracked only for a ``plastic_law``.
+    ``cfg.init_strategy`` picks and, under "response" on sets with no padded
+    row, also from the empirical response init (its strain-order lookups
+    would read padded entries); the lower objective wins. The accumulated
+    slip is tracked only for a ``plastic_law``.
     """
     m = system.n_elements
     steps: list[StepResult] = []
@@ -1064,7 +966,7 @@ def _march(
                     sig_prev + gm.c_diag * est + drift_sig,
                 )
             ]
-            if cfg.init_strategy == "response" and isinstance(sets, StackedSets):
+            if cfg.init_strategy == "response" and sets.lengths is None:
                 resp = _empirical_response_init(
                     system, sets, f, system.affine_strain(t), eps_prev + est
                 )
@@ -1156,9 +1058,9 @@ def history_matching_march(
     Each step searches the current slots of every element's repository with
     the prior-slot mismatch (against the previously accepted state) added as
     a fidelity cost; nothing is regenerated, so the archives can be sampled
-    entirely offline. Archives of equal size are stacked and strain-sorted
-    once per march, and each step computes only their cost rows; archives
-    of different sizes are searched set by set.
+    entirely offline. The archives are stacked (ragged ones padded as
+    :func:`~ddmech.data.stack_sets` pads) and strain-sorted once per march,
+    and each step computes only their cost rows, +inf on padded entries.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1167,23 +1069,16 @@ def history_matching_march(
     if len(repositories) != m:
         raise ValueError(f"{m} repositories required, got {len(repositories)}")
 
-    archive = None
-    if len({h.n_entries for h in repositories}) == 1:
-        archive = StackedSets(
-            np.stack([h.eps_cur for h in repositories]),
-            np.stack([h.sig_cur for h in repositories]),
-            None,
-        )
-        archive.strain_index()
+    archive = _stack_rows(
+        [h.eps_cur for h in repositories],
+        [h.sig_cur for h in repositories],
+        [None] * m,
+    )
+    archive.strain_index()
 
     def step_sets(k, dt, est, eps_prev, sig_prev, q_acc):
         z_prev = GlobalState(eps_prev, sig_prev)
-        if archive is not None:
-            return replace(archive, costs=prior_slot_costs(repositories, z_prev, gm))
-        return [
-            history_cost_dataset(h, z_prev.point(e), gm.locals[e])
-            for e, h in enumerate(repositories)
-        ]
+        return replace(archive, costs=prior_slot_costs(repositories, z_prev, gm))
 
     return _march(system, gm, loads, t_grid, cfg, step_sets, None)
 

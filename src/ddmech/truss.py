@@ -17,12 +17,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .phase import GlobalMetric, GlobalState
+from .phase import GlobalMetric
 
 __all__ = [
     "MechanismError",
@@ -31,11 +31,8 @@ __all__ = [
     "TrussMesh",
     "LoadProgram",
     "ConstraintSystem",
-    "ProjectionResult",
     "LatticeSpec",
     "assemble",
-    "project_onto_E",
-    "evaluate_load",
     "generate_lattice_truss",
     "load_mesh",
     "save_mesh",
@@ -225,11 +222,6 @@ class LoadProgram:
         return self.base_forces * self.scale(t)
 
 
-def evaluate_load(program: LoadProgram, t: float) -> np.ndarray:
-    """Force vector at time ``t`` (piecewise linear, constant beyond the ends)."""
-    return program.forces(t)
-
-
 class ConstraintSystem:
     """Assembled strain operator, metric data and factored projection matrix.
 
@@ -373,7 +365,13 @@ class ConstraintSystem:
         f: np.ndarray,
         g: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Core projection on raw per-bar arrays; returns (eps, sig, u)."""
+        """Closest compatible-equilibrated state to the per-bar arrays under
+        the metric; returns (eps, sig, u).
+
+        Two solves with the factored matrix: a displacement solve for the
+        strain part and a multiplier solve enforcing equilibrium on the
+        stress part.
+        """
         wc = self.weights * self.c
         u = self.solve_k(self.b_free.T @ (wc * (eps_in - g)))
         eps = self.b_free @ u + g
@@ -404,46 +402,9 @@ class ConstraintSystem:
         return self.b_free @ du + dg
 
 
-class ProjectionResult(NamedTuple):
-    state: GlobalState
-    displacements: np.ndarray
-    residual: float
-
-
 def assemble(mesh: TrussMesh, gm: GlobalMetric) -> ConstraintSystem:
     """Builds strain operators and factors the SPD projection matrix once."""
     return ConstraintSystem(mesh, gm)
-
-
-def project_onto_E(
-    y: GlobalState,
-    sys: ConstraintSystem,
-    gm: GlobalMetric | None = None,
-    f: np.ndarray | None = None,
-    t: float | None = None,
-) -> ProjectionResult:
-    """Closest compatible-equilibrated state to ``y`` under the global metric.
-
-    Two solves with the factored matrix: a displacement solve for the strain
-    part and a multiplier solve enforcing equilibrium on the stress part.
-    """
-    if gm is not None and gm is not sys.gm:
-        if gm.n_elements != sys.gm.n_elements:
-            raise ValueError("metric incompatible with the assembled system")
-        if not (
-            np.array_equal(gm.weights, sys.weights)
-            and np.array_equal(gm.c_diag, sys.c)
-        ):
-            raise ValueError("projection metric differs from the assembled one")
-    if y.n_elements != sys.n_elements:
-        raise ValueError("state shape does not match the assembled truss")
-    f = np.zeros(sys.n_free) if f is None else np.asarray(f, dtype=float).reshape(-1)
-    if f.size != sys.n_free:
-        raise ValueError(f"force vector must have {sys.n_free} entries, got {f.size}")
-    g = sys.affine_strain(t)
-    eps, sig, u = sys.project_arrays(y.strain[:, 0], y.stress[:, 0], f, g)
-    residual = sys.equilibrium_residual(sig, f)
-    return ProjectionResult(GlobalState(eps, sig), u, residual)
 
 
 @dataclass(frozen=True)

@@ -80,10 +80,31 @@ class TestLocalDataSet:
 class TestBatchSearch:
     """Stacked per-element search used by the solver hot loop."""
 
-    def test_stack_requires_equal_sizes(self):
-        a = LocalDataSet(np.zeros(3), np.zeros(3))
-        b = LocalDataSet(np.zeros(4), np.zeros(4))
-        assert stack_sets([a, b]) is None
+    def test_stack_pads_ragged_sets(self, rng):
+        """Shorter sets are padded to the longest: each padded entry repeats
+        its row's last point with cost +inf, and ``lengths`` keeps the true
+        sizes; equal sets without costs stack with no costs and no lengths."""
+        sizes = (3, 5, 1)
+        sets = [
+            LocalDataSet(rng.normal(size=n), rng.normal(size=n), costs)
+            for n, costs in zip(sizes, (np.ones(3), None, None))
+        ]
+        stacked = stack_sets(sets)
+        assert stacked.eps.shape == stacked.sig.shape == stacked.costs.shape == (3, 5)
+        assert stacked.lengths.tolist() == list(sizes)
+        for e, (d, n) in enumerate(zip(sets, sizes)):
+            assert np.array_equal(stacked.eps[e, :n], d.strains[:, 0])
+            assert np.array_equal(stacked.sig[e, :n], d.stresses[:, 0])
+            assert np.all(stacked.eps[e, n:] == d.strains[-1, 0])
+            assert np.all(stacked.sig[e, n:] == d.stresses[-1, 0])
+            expect = np.ones(n) if e == 0 else np.zeros(n)
+            assert np.array_equal(stacked.costs[e, :n], expect)
+            assert np.all(stacked.costs[e, n:] == np.inf)
+        equal = stack_sets(sets[1:2] * 2)
+        assert equal.costs is None and equal.lengths is None
+        assert np.array_equal(equal.eps, np.stack([sets[1].strains[:, 0]] * 2))
+        with pytest.raises(ValueError, match="at least one"):
+            stack_sets([])
 
     def test_batch_matches_per_element_nearest(self, rng):
         """batch_nearest equals LocalDataSet.nearest element by element on
@@ -322,6 +343,19 @@ class TestGenerators:
         assert len({row.tobytes() for row in same.eps}) == m
 
 
+class TestConditioningState:
+    """The previous states the per-step draw is conditioned on."""
+
+    @pytest.mark.parametrize(
+        "strain, stress",
+        [(np.zeros(2), np.zeros(3)), (np.zeros((2, 2)),) * 2, (np.nan, 0.0)],
+        ids=["unequal", "2-D", "nan"],
+    )
+    def test_rejects_bad_arrays(self, strain, stress):
+        with pytest.raises(ValueError, match="finite and 1-D of equal shape"):
+            ConditioningState(strain, stress)
+
+
 class TestHistoryVariable:
     """Accumulated-slip tracking from accepted increments."""
 
@@ -356,12 +390,12 @@ class TestFidelityCost:
     """Gaussian uncertainty cost."""
 
     def test_frozen_value(self):
-        """2 * (1 * 0.1^2 + 2 * 0.2^2) = 0.18."""
-        assert gaussian_fidelity_cost([0.1, 0.2], [1, 2]) == pytest.approx(0.18)
+        """2 * (0.1^2 + 0.2^2) = 0.1."""
+        assert gaussian_fidelity_cost([0.1, 0.2]) == pytest.approx(0.1)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            gaussian_fidelity_cost([-0.1], [1])
+            gaussian_fidelity_cost([-0.1])
 
 
 class TestHistoryRepository:
@@ -445,32 +479,35 @@ class TestHistoryRepository:
 
     def test_stacked_costs_equal_cost_datasets(self, rng):
         """Each row of the stacked costs equals the cost dataset's costs
-        bit for bit; zero prior weight gives a zero row, all zero gives None,
-        and a non-finite cost is rejected as LocalDataSet rejects it."""
-        n = 30
-        repos = [
-            HistoryRepository(
-                rng.normal(size=n),
-                rng.normal(size=n) * 100.0,
-                rng.normal(size=n),
-                rng.normal(size=n) * 100.0,
-                weights=w,
-            )
-            for w in ((1.0, 0.7), (2.0, 0.0), (0.5, 3.0))
-        ]
+        bit for bit, and is +inf past a shorter archive's entries; zero
+        prior weight gives a zero row, all zero on equal archives gives
+        None, and a non-finite cost is rejected as LocalDataSet rejects it."""
         metrics = [LocalMetric.from_modulus(v) for v in (175.0, 2.0, 9.0)]
         gm = GlobalMetric(metrics, np.ones(3))
         z_prev = GlobalState(rng.normal(size=3), rng.normal(size=3) * 100.0)
-        costs = prior_slot_costs(repos, z_prev, gm)
-        for e, h in enumerate(repos):
-            d = history_cost_dataset(h, z_prev.point(e), gm.locals[e])
-            expect = np.zeros(n) if d.costs is None else d.costs
-            assert np.array_equal(costs[e], expect)
-        one = GlobalMetric(metrics[1:2], [1.0])
-        assert prior_slot_costs(repos[1:2], z_prev, one) is None
-        huge = GlobalState(np.full(3, 1e200), np.zeros(3))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite and nonn"):
-            prior_slot_costs(repos, huge, gm)
+        for sizes in ((30, 30, 30), (30, 17, 4)):
+            repos = [
+                HistoryRepository(
+                    rng.normal(size=n),
+                    rng.normal(size=n) * 100.0,
+                    rng.normal(size=n),
+                    rng.normal(size=n) * 100.0,
+                    weights=w,
+                )
+                for n, w in zip(sizes, ((1.0, 0.7), (2.0, 0.0), (0.5, 3.0)))
+            ]
+            costs = prior_slot_costs(repos, z_prev, gm)
+            assert costs.shape == (3, 30)
+            for e, (h, n) in enumerate(zip(repos, sizes)):
+                d = history_cost_dataset(h, z_prev.point(e), gm.locals[e])
+                expect = np.zeros(n) if d.costs is None else d.costs
+                assert np.array_equal(costs[e, :n], expect)
+                assert np.all(costs[e, n:] == np.inf)
+            one = GlobalMetric(metrics[1:2], [1.0])
+            assert prior_slot_costs(repos[1:2], z_prev, one) is None
+            huge = GlobalState(np.full(3, 1e200), np.zeros(3))
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite and nonn"):
+                prior_slot_costs(repos, huge, gm)
 
 
 class TestDatasetCsv:

@@ -44,6 +44,13 @@ class TestOracleCheck:
         if result.n_global == result.n_systems:
             assert result.max_rel_gap <= 1e-9
 
+    def test_hit_counts_keep_their_floor(self):
+        """At seed 90210 the fixed point reaches the enumerated minimum on 88
+        of 100 instances of up to 3 bars x 20 points and on all 100 of up to
+        6 bars x 5 points; removing a polish stage must not lower either."""
+        assert oracle_check(100, 90210).n_global >= 88
+        assert oracle_check(100, 90210, max_elements=6, max_points=5).n_global == 100
+
     def test_command_writes_both_families(self, tmp_path, capsys):
         code = cli.main(["oracle-check", "--runs", "3", "--seed", "4", "--out", str(tmp_path)])
         assert code == 0

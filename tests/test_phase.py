@@ -18,14 +18,17 @@ from ddmech.phase import (
 
 
 class TestLocalPhasePoint:
-    """Scalar and vector points."""
+    """Scalar points."""
 
     def test_scalar_promotes_to_vector(self):
         """Scalars become one-component arrays."""
         z = LocalPhasePoint(0.5, 10.0)
         assert z.strain.shape == (1,)
         assert z.stress.shape == (1,)
-        assert z.dim == 1
+
+    def test_vectors_rejected(self):
+        with pytest.raises(ValueError, match="scalar"):
+            LocalPhasePoint(np.zeros(3), np.zeros(3))
 
     def test_subtraction(self):
         """Difference acts componentwise."""
@@ -131,12 +134,6 @@ class TestGlobalState:
         p = z.point(1)
         assert p.strain[0] == 2.0
         assert p.stress[0] == 4.0
-
-    def test_from_points(self):
-        pts = [LocalPhasePoint(1.0, 2.0), LocalPhasePoint(3.0, 4.0)]
-        z = GlobalState.from_points(pts)
-        assert z.strain[1, 0] == 3.0
-        assert [p.stress[0] for p in z] == [2.0, 4.0]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,10 @@ candidate of one element at a time with ``gain_vec``, a scan of the whole
 row, and recomputes the leverage on every call. ``solver._swap_polish``
 must return the same assignment on every instance; only where
 ``argpartition`` breaks an exact tie at the k-th smallest gain differently
-may it pick another copy of the same point.
+may it pick another copy of the same point. The reference still ends in the
+block stage the solver no longer has (joint moves confirmed by an exact
+re-projection), so the equivalence also pins that this stage would not have
+moved on any instance here.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import pytest
 
 from ddmech import data as data_module
 from ddmech import solver
-from ddmech.data import StackedSets
+from ddmech.data import LocalDataSet, StackedSets, stack_sets
 from ddmech.phase import GlobalMetric, LocalMetric
-from ddmech.solver import _GainSearch, _objective, _padded_sets, _swap_polish
+from ddmech.solver import _GainSearch, _objective, _swap_polish
 from ddmech.truss import TrussMesh, assemble
 
 
@@ -285,17 +288,12 @@ def both_polishes(rng, sys, eps_list, sig_list, cost_list, force=1.0):
     assign0 = np.array([rng.integers(0, a.size) for a in eps_list], dtype=np.int64)
     y_eps0 = np.array([eps_list[e][j] for e, j in enumerate(assign0)])
     y_sig0 = np.array([sig_list[e][j] for e, j in enumerate(assign0)])
-    if len({a.size for a in eps_list}) == 1:
-        sets = StackedSets(
-            np.stack(eps_list),
-            np.stack(sig_list),
-            None if all(c is None for c in cost_list)
-            else np.stack([np.zeros(a.size) if c is None else c
-                           for a, c in zip(eps_list, cost_list)]),
-        )
+    sets = stack_sets(
+        [LocalDataSet(*row) for row in zip(eps_list, sig_list, cost_list)]
+    )
+    if sets.lengths is None:
         ref_costs = [None] * m if sets.costs is None else list(sets.costs)
     else:
-        sets = _padded_sets(eps_list, sig_list, cost_list)
         ref_costs = cost_list
     got = _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0)
     expect = reference_polish(
@@ -433,8 +431,11 @@ class TestBlockSearch:
             r_sig[34] = sys.c[34] * step  # zero leverage but nonzero residual
             gs = _GainSearch(sys, sets, y_eps, y_sig, r_eps, r_sig, np.zeros(m))
             gain = gs.rows(slice(0, m))
-            for k, bound in ((6, None), (5, None), (1, 0.0)):
-                j, v = gs.lowest(rows, k, bound)
+            for k in (6, 5, 1):
+                if k == 1:  # the argmin on the T = 0 bound
+                    j, v = gs._evaluate(rows, *gs.plan(rows, 0.0, 1), 1)
+                else:
+                    j, v = gs.lowest(rows, k)
                 expect_j, expect_v = brute_lowest(gain, k)
                 assert np.array_equal(j, expect_j)
                 assert np.array_equal(v, expect_v)

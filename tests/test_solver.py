@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ddmech import solver
-from ddmech.data import GeneratorSpec, HistoryRepository, LocalDataSet, WindowRule
+from ddmech.data import (
+    GeneratorSpec,
+    HistoryRepository,
+    LocalDataSet,
+    WindowRule,
+    stack_sets,
+)
 from ddmech.experiments import (
     DEFAULT_PLASTIC,
     DEFAULT_SLS,
@@ -164,6 +169,50 @@ class TestFixedPoint:
                 sys, sets, gm, f,
                 init_assignment=np.zeros(sys.n_elements + 1, dtype=np.int64),
             )
+
+    @pytest.mark.parametrize("bad", ["negative", "length", "padded width"])
+    def test_init_assignment_must_index_a_real_point(self, bad):
+        """-1, a set's own size and the padded width are rejected, on the
+        list and on its stack alike, instead of reading another point."""
+        sys, gm, sets, f = ragged_instance()
+        stacked = stack_sets(sets)
+        init = np.zeros(3, dtype=np.int64)
+        init[1] = {"negative": -1, "length": stacked.lengths[1],
+                   "padded width": stacked.eps.shape[1]}[bad]
+        for data in (sets, stacked):
+            with pytest.raises(ValueError, match="init_assignment"):
+                fixed_point_solve(sys, data, gm, f, init_assignment=init)
+
+    def test_lists_are_solved_as_their_stack(self):
+        """A ragged list and its padded stack give the same fixed point and
+        the same enumerated minimum, bit for bit."""
+        sys, gm, sets, f = ragged_instance()
+        stacked = stack_sets(sets)
+        for solve in (fixed_point_solve, enumerate_global_min):
+            a = solve(sys, sets, gm, f)
+            b = solve(sys, stacked, gm, f)
+            assert np.array_equal(a.assignment, b.assignment)
+            assert a.objective_history == b.objective_history
+            assert np.array_equal(a.z.strain, b.z.strain)
+            assert np.array_equal(a.z.stress, b.z.stress)
+            assert np.all(a.assignment < stacked.lengths)
+
+
+def ragged_instance():
+    """Three bars on one free node with sets of 7, 3 and 12 points, the
+    middle one with fidelity costs."""
+    rng = np.random.default_rng(31)
+    for _ in range(64):
+        _, gm, sys, _, f = random_small_instance(rng)
+        if sys.n_elements == 3:
+            break
+    sets = []
+    for e, n in enumerate((7, 3, 12)):
+        eps = rng.normal(scale=0.2, size=n)
+        sig = sys.c[e] * rng.normal(scale=0.2, size=n)
+        costs = rng.uniform(0.0, 5.0, n) if e == 1 else None
+        sets.append(LocalDataSet(eps, sig, costs))
+    return sys, gm, sets, f
 
 
 class TestEnumeration:
@@ -391,9 +440,9 @@ class TestHistoryMatchingMarch:
         )
         assert rel < 1e-2
 
-    def test_ragged_archives_match_the_stacked_march(self, monkeypatch):
-        """Archives of different sizes are searched set by set; a far entry
-        that is never chosen leaves the march equal to the stacked one."""
+    def test_ragged_archives_match_the_stacked_march(self):
+        """Archives of different sizes are padded; a far entry that is never
+        chosen leaves the march equal to the one on equal archives."""
         mesh, gm, loads, times = small_truss_fixture(t_end=4.0)
         repos = build_truss_repositories(
             mesh, gm, DEFAULT_SLS, loads, times,
@@ -410,16 +459,7 @@ class TestHistoryMatchingMarch:
         )
         cfg = SolverConfig(init_strategy="predicted")
         stacked = history_matching_march(mesh, gm, repos, loads, times, cfg)
-        calls = []
-        per_set = solver.history_cost_dataset
-
-        def counted(*args):
-            calls.append(args)
-            return per_set(*args)
-
-        monkeypatch.setattr(solver, "history_cost_dataset", counted)
         listed = history_matching_march(mesh, gm, ragged, loads, times, cfg)
-        assert len(calls) == len(repos) * times.size
         assert np.array_equal(listed.strain, stacked.strain)
         assert np.array_equal(listed.stress, stacked.stress)
         assert np.array_equal(listed.assignment, stacked.assignment)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ddmech.phase import GlobalMetric, GlobalState
+from ddmech.phase import GlobalMetric
 from ddmech.truss import (
     LatticeSpec,
     LoadProgram,
@@ -14,10 +14,8 @@ from ddmech.truss import (
     Prescribed,
     TrussMesh,
     assemble,
-    evaluate_load,
     generate_lattice_truss,
     load_mesh,
-    project_onto_E,
     save_mesh,
 )
 
@@ -161,7 +159,6 @@ class TestLoadProgram:
         f = loads.forces(10.0)
         assert f[sys.dof_index(4, 2)] == -10.0
         assert np.count_nonzero(f) == 1
-        assert np.array_equal(evaluate_load(loads, 10.0), f)
 
     def test_rejects_supported_dof(self):
         mesh = pyramid()
@@ -226,70 +223,57 @@ class TestConstraintSystem:
         assert np.allclose(gm.c_diag * est, sig, rtol=1e-12, atol=1e-12)
 
 
+def pyramid_system():
+    mesh = pyramid()
+    return assemble(mesh, GlobalMetric.uniform(1000.0, mesh.volumes))
+
+
 class TestProjection:
     """Closest compatible-equilibrated state."""
 
     def test_idempotence(self, rng):
         """Projecting a projected state changes nothing (within 1e-10)."""
-        mesh = pyramid()
-        gm = GlobalMetric.uniform(1000.0, mesh.volumes)
-        sys = assemble(mesh, gm)
+        sys, g = pyramid_system(), np.zeros(4)
         for _ in range(25):
-            y = GlobalState(rng.normal(size=4), rng.normal(scale=100.0, size=4))
+            y_eps, y_sig = rng.normal(size=4), rng.normal(scale=100.0, size=4)
             f = rng.normal(size=sys.n_free) * 50.0
-            first = project_onto_E(y, sys, gm, f)
-            second = project_onto_E(first.state, sys, gm, f)
-            scale = max(1.0, float(np.max(np.abs(first.state.strain))))
-            assert np.max(np.abs(second.state.strain - first.state.strain)) <= 1e-10 * scale
-            sscale = max(1.0, float(np.max(np.abs(first.state.stress))))
-            assert np.max(np.abs(second.state.stress - first.state.stress)) <= 1e-10 * sscale
+            eps1, sig1, _ = sys.project_arrays(y_eps, y_sig, f, g)
+            eps2, sig2, _ = sys.project_arrays(eps1, sig1, f, g)
+            scale = max(1.0, float(np.max(np.abs(eps1))))
+            assert np.max(np.abs(eps2 - eps1)) <= 1e-10 * scale
+            sscale = max(1.0, float(np.max(np.abs(sig1))))
+            assert np.max(np.abs(sig2 - sig1)) <= 1e-10 * sscale
 
     def test_compatibility_and_equilibrium(self, rng):
         """eps = B u exactly; equilibrium residual at solver precision."""
-        mesh = pyramid()
-        gm = GlobalMetric.uniform(1000.0, mesh.volumes)
-        sys = assemble(mesh, gm)
+        sys, g = pyramid_system(), np.zeros(4)
         for _ in range(25):
-            y = GlobalState(rng.normal(size=4), rng.normal(scale=100.0, size=4))
+            y_eps, y_sig = rng.normal(size=4), rng.normal(scale=100.0, size=4)
             f = rng.normal(size=sys.n_free) * 50.0
-            out = project_onto_E(y, sys, gm, f)
-            eps = out.state.strain[:, 0]
-            assert np.allclose(eps, sys.b_free @ out.displacements, atol=1e-14)
-            assert out.residual <= 1e-9 * max(1.0, float(np.linalg.norm(f)))
+            eps, sig, u = sys.project_arrays(y_eps, y_sig, f, g)
+            assert np.allclose(eps, sys.b_free @ u, atol=1e-14)
+            residual = sys.equilibrium_residual(sig, f)
+            assert residual <= 1e-9 * max(1.0, float(np.linalg.norm(f)))
 
     def test_power_identity(self, rng):
         """f . u equals the weighted internal power sum (<= 1e-8 relative)."""
-        mesh = pyramid()
-        gm = GlobalMetric.uniform(1000.0, mesh.volumes)
-        sys = assemble(mesh, gm)
+        sys, g = pyramid_system(), np.zeros(4)
         for _ in range(25):
-            y = GlobalState(rng.normal(size=4), rng.normal(scale=100.0, size=4))
+            y_eps, y_sig = rng.normal(size=4), rng.normal(scale=100.0, size=4)
             f = rng.normal(size=sys.n_free) * 50.0
-            out = project_onto_E(y, sys, gm, f)
-            external = float(f @ out.displacements)
-            internal = float(
-                np.sum(sys.weights * out.state.stress[:, 0] * out.state.strain[:, 0])
-            )
+            eps, sig, u = sys.project_arrays(y_eps, y_sig, f, g)
+            external = float(f @ u)
+            internal = float(np.sum(sys.weights * sig * eps))
             assert internal == pytest.approx(external, rel=1e-8, abs=1e-10)
 
     def test_elastic_state_is_fixed_point(self):
         """An exactly compatible-equilibrated state projects to itself."""
-        mesh = pyramid()
-        gm = GlobalMetric.uniform(1000.0, mesh.volumes)
-        sys = assemble(mesh, gm)
+        sys, g = pyramid_system(), np.zeros(4)
         f = np.array([0.0, 0.0, -40.0])
-        eps, sig, u = sys.project_arrays(np.zeros(4), np.zeros(4), f, np.zeros(4))
-        out = project_onto_E(GlobalState(eps, sig), sys, gm, f)
-        assert np.allclose(out.state.strain[:, 0], eps, atol=1e-15)
-        assert np.allclose(out.state.stress[:, 0], sig, atol=1e-12)
-
-    def test_metric_mismatch_rejected(self):
-        mesh = pyramid()
-        gm = GlobalMetric.uniform(1000.0, mesh.volumes)
-        other = GlobalMetric.uniform(2000.0, mesh.volumes)
-        sys = assemble(mesh, gm)
-        with pytest.raises(ValueError):
-            project_onto_E(GlobalState.zeros(4), sys, other)
+        eps, sig, u = sys.project_arrays(np.zeros(4), np.zeros(4), f, g)
+        eps2, sig2, _ = sys.project_arrays(eps, sig, f, g)
+        assert np.allclose(eps2, eps, atol=1e-15)
+        assert np.allclose(sig2, sig, atol=1e-12)
 
 
 class TestMeshIO:
