@@ -2,44 +2,45 @@
 
 Subcommands: ``relaxation``, ``visco``, ``plastic``, ``convergence --kind
 {visco|plastic}`` and ``oracle-check``. Options may come from flags or from
-a plain key=value config file (flags win); outputs are UTF-8 CSV files with
-LF line endings and a header row, written into the ``--out`` directory.
+a plain key=value config file (flags win). A config key names a field of the
+config the command builds, :class:`RelaxationConfig` for ``relaxation`` and
+:class:`StudyConfig` for the others; the prefixes ``law.``, ``lattice.`` and
+``window.`` reach the fields of its material law, lattice and sampling
+window. A study also takes ``mesh``, a mesh file, and ``program.<id>``, the
+breakpoints of a PRESCRIBED program of that file. Outputs are UTF-8 CSV
+files with LF line endings and a header row, written into the ``--out``
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import WindowRule
+from .data import write_csv
 from .experiments import (
+    OracleCheckResult,
     RelaxationConfig,
     StudyConfig,
-    build_relaxation_repository,
     build_truss_repositories,
-    bv_error,
     default_study_config,
     oracle_check,
     reference_trajectory,
     run_convergence_study,
     run_relaxation,
     run_relaxation_history,
+    study_error,
     study_generator,
-    study_loads,
-    study_mesh,
-    study_metric,
-    study_times,
-    weighted_l2_error,
+    study_setup,
     write_rate_csv,
     write_relaxation_csv,
     write_study_csv,
 )
-from .materials import PlasticParams, SlsParams
 from .solver import (
     SolverConfig,
     export_trajectory_csv,
@@ -47,7 +48,7 @@ from .solver import (
     time_march,
     trajectory_summary,
 )
-from .truss import LatticeSpec, PiecewiseLinearProgram, assemble, load_mesh
+from .truss import PiecewiseLinearProgram, load_mesh
 
 __all__ = ["main", "build_parser", "parse_config_file"]
 
@@ -56,10 +57,11 @@ __all__ = ["main", "build_parser", "parse_config_file"]
 # config file: plain "key = value" text, '#' comments
 
 
-def parse_config_file(path) -> dict[str, str]:
+def parse_config_file(path) -> dict[str, tuple[str, str]]:
     """Key=value lines (bare ``key value`` also accepted); '#' starts a
-    comment; later keys override earlier ones."""
-    out: dict[str, str] = {}
+    comment; later keys override earlier ones. Maps each key to its value
+    and to the ``path:line`` it came from."""
+    out: dict[str, tuple[str, str]] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,7 +74,7 @@ def parse_config_file(path) -> dict[str, str]:
         value = value.strip()
         if not key or not value:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        out[key] = value
+        out[key] = (value, f"{path}:{lineno}")
     return out
 
 
@@ -112,126 +114,90 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _law_from_config(kind: str, cfg: dict[str, str], base):
-    """Material parameter overrides via law.e0, law.e1, law.tau1 / law.sigma1,
-    law.h config keys."""
-    keys = {k: v for k, v in cfg.items() if k.startswith("law.")}
-    if not keys:
-        return base
-    if kind == "plastic":
-        return PlasticParams(
-            e0=float(keys.get("law.e0", base.e0)),
-            e1=float(keys.get("law.e1", base.e1)),
-            sigma1=float(keys.get("law.sigma1", base.sigma1)),
-            h=float(keys.get("law.h", base.h)),
-        )
-    return SlsParams(
-        e0=float(keys.get("law.e0", base.e0)),
-        e1=float(keys.get("law.e1", base.e1)),
-        tau1=float(keys.get("law.tau1", base.tau1)),
-    )
+#: Config-key prefixes that reach the fields of a nested dataclass.
+_NESTED = ("law", "lattice", "window")
+#: Fields no config key sets: the command fixes the study kind, and a mesh
+#: file gives the mesh and its nodal loads.
+_NOT_KEYS = ("kind", "mesh", "nodal_loads") + _NESTED
 
 
-def _lattice_from_config(cfg: dict[str, str], base: LatticeSpec) -> LatticeSpec:
-    keys = {k: v for k, v in cfg.items() if k.startswith("lattice.")}
-    if not keys:
-        return base
-    return LatticeSpec(
-        nx=int(keys.get("lattice.nx", base.nx)),
-        ny=int(keys.get("lattice.ny", base.ny)),
-        nz=int(keys.get("lattice.nz", base.nz)),
-        spacing=float(keys.get("lattice.spacing", base.spacing)),
-        area=float(keys.get("lattice.area", base.area)),
-        face_diagonals=_parse_bool(keys["lattice.face_diagonals"])
-        if "lattice.face_diagonals" in keys
-        else base.face_diagonals,
-        fix_x0=_parse_bool(keys["lattice.fix_x0"])
-        if "lattice.fix_x0" in keys
-        else base.fix_x0,
-    )
+def _parse_value(key: str, current, text: str):
+    """``text`` parsed as the type of the field's current value; a field
+    left at None (the metric value, a window half-width) takes a float."""
+    if key == "window.halfwidth" and text.lower() in ("none", "auto"):
+        return None
+    if isinstance(current, bool):
+        return _parse_bool(text)
+    if isinstance(current, int):
+        return int(text)
+    if isinstance(current, str):
+        return text
+    if isinstance(current, tuple):
+        return _parse_breakpoints(text) if isinstance(current[0], tuple) else _parse_points(text)
+    return float(text)
 
 
-def _window_from_config(cfg: dict[str, str], base: WindowRule) -> WindowRule:
-    keys = {k: v for k, v in cfg.items() if k.startswith("window.")}
-    if not keys:
-        return base
-    halfwidth = base.halfwidth
-    if "window.halfwidth" in keys:
-        raw = keys["window.halfwidth"].lower()
-        halfwidth = None if raw in ("none", "auto") else float(raw)
-    return WindowRule(
-        halfwidth=halfwidth,
-        incr_factor=float(keys.get("window.incr_factor", base.incr_factor)),
-        band_factor=float(keys.get("window.band_factor", base.band_factor)),
-        floor=float(keys.get("window.floor", base.floor)),
-    )
+def _with_key(cfg, key: str, text: str):
+    """``cfg`` with the field that config key ``key`` names set from
+    ``text`` by :func:`dataclasses.replace`, so the dataclass's own checks
+    run; KeyError when ``key`` names no such field."""
+    outer, _, name = key.rpartition(".")
+    if outer and (outer not in _NESTED or not hasattr(cfg, outer)):
+        raise KeyError(key)
+    target = getattr(cfg, outer) if outer else cfg
+    if name in _NOT_KEYS or name not in {f.name for f in fields(target)}:
+        raise KeyError(key)
+    value = replace(target, **{name: _parse_value(key, getattr(target, name), text)})
+    return replace(cfg, **{outer: value}) if outer else value
 
 
-def _mesh_programs(cfg: dict[str, str]):
-    """PRESCRIBED program tables from program.<id> config keys."""
-    programs = {}
-    for key, value in cfg.items():
-        if key.startswith("program."):
-            name = key[len("program."):]
-            programs[name] = PiecewiseLinearProgram.from_breakpoints(
-                _parse_breakpoints(value)
-            )
-    return programs or None
+def _apply_config(cfg, path):
+    """``cfg`` with every key of the config file at ``path`` (if any) set,
+    the file's mesh path (or None) and its ``program.<id>`` programs; only a
+    :class:`StudyConfig` takes those two. A bad key or value raises
+    ``ValueError`` naming ``path:line`` and the key."""
+    study = isinstance(cfg, StudyConfig)
+    mesh_path, programs = None, {}
+    for key, (text, where) in (parse_config_file(path) if path else {}).items():
+        try:
+            if study and key == "mesh":
+                mesh_path = text
+            elif study and key.startswith("program."):
+                programs[key[len("program."):]] = PiecewiseLinearProgram.from_breakpoints(
+                    _parse_breakpoints(text)
+                )
+            else:
+                cfg = _with_key(cfg, key, text)
+        except KeyError:
+            raise ValueError(f"{where}: unknown key {key!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {key}: {exc}") from None
+    return cfg, mesh_path, programs
+
+
+def _with_flags(cfg, **flags):
+    """``cfg`` with every flag given on the command line set; flags win
+    over the config file."""
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _study_config(kind: str, args) -> StudyConfig:
     """Defaults <- config file <- explicit flags."""
-    cfg = parse_config_file(args.config) if args.config else {}
-    overrides: dict = {}
-    scalar_keys = {
-        "load_scale": float,
-        "dt": float,
-        "t_end": float,
-        "band_ref": float,
-        "band_exponent": float,
-        "window_exponent": float,
-        "metric_value": float,
-        "n_ref": int,
-        "seed": int,
-        "runs": int,
-        "workers": int,
-        "max_fixed_point_iters": int,
-        "sampling": str,
-    }
-    for key, cast in scalar_keys.items():
-        if key in cfg:
-            overrides[key] = cast(cfg[key])
-    if "points" in cfg:
-        overrides["points"] = _parse_points(cfg["points"])
-    if "breakpoints" in cfg:
-        overrides["breakpoints"] = _parse_breakpoints(cfg["breakpoints"])
-
-    base = default_study_config(kind)
-    overrides["law"] = _law_from_config(kind, cfg, base.law)
-    overrides["lattice"] = _lattice_from_config(cfg, base.lattice)
-    overrides["window"] = _window_from_config(cfg, base.window)
-
-    mesh_path = args.mesh or cfg.get("mesh")
-    if mesh_path:
-        mesh, nodal = load_mesh(mesh_path, _mesh_programs(cfg))
-        overrides["mesh"] = mesh
-        if nodal:
-            overrides["nodal_loads"] = tuple(
-                (n, d, v) for (n, d), v in sorted(nodal.items())
-            )
-
-    # explicit flags win over the config file
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "runs", None) is not None:
-        overrides["runs"] = args.runs
-    if getattr(args, "points", None) is not None:
-        overrides["points"] = args.points
-    if args.band is not None:
-        overrides["band_ref"] = args.band
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    return default_study_config(kind, **overrides)
+    cfg, mesh_path, programs = _apply_config(default_study_config(kind), args.config)
+    cfg = _with_flags(
+        cfg,
+        seed=args.seed,
+        runs=getattr(args, "runs", None),
+        points=args.points,
+        band_ref=args.band,
+        workers=getattr(args, "workers", None),
+    )
+    mesh_path = args.mesh or mesh_path
+    if not mesh_path:
+        return cfg
+    mesh, nodal = load_mesh(mesh_path, programs)
+    nodal_loads = tuple((n, d, v) for (n, d), v in sorted(nodal.items()))
+    return replace(cfg, mesh=mesh, nodal_loads=nodal_loads or None)
 
 
 def _out_dir(args) -> Path:
@@ -245,29 +211,15 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_relaxation(args) -> int:
-    cfg_file = parse_config_file(args.config) if args.config else {}
-    kwargs: dict = {}
-    for key, cast in (
-        ("eps_bar", float),
-        ("dt", float),
-        ("t_end", float),
-        ("n_points", int),
-        ("band_width", float),
-        ("seed", int),
-        ("metric_value", float),
-    ):
-        if key in cfg_file:
-            kwargs[key] = cast(cfg_file[key])
-    kwargs["law"] = _law_from_config("visco", cfg_file, RelaxationConfig().law)
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.band is not None:
-        kwargs["band_width"] = args.band
-    if args.points is not None:
-        if len(args.points) != 1:
-            raise ValueError("relaxation takes a single --points value")
-        kwargs["n_points"] = args.points[0]
-    cfg = RelaxationConfig(**kwargs)
+    cfg, _, _ = _apply_config(RelaxationConfig(), args.config)
+    if args.points is not None and len(args.points) != 1:
+        raise ValueError("relaxation takes a single --points value")
+    cfg = _with_flags(
+        cfg,
+        seed=args.seed,
+        band_width=args.band,
+        n_points=args.points[0] if args.points else None,
+    )
 
     started = time.perf_counter()
     if args.history_matching:
@@ -300,40 +252,31 @@ def _probe_indices(sys, loads, ref) -> tuple[int, int]:
 
 
 def _write_probe_csv(path, times, dof, bar, traj, ref, areas) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["time", "deflection", "bar_force", "ref_deflection", "ref_bar_force"]
-        )
-        for k in range(times.size):
-            writer.writerow(
-                [
-                    repr(float(times[k])),
-                    repr(float(traj.displacements[k, dof])),
-                    repr(float(traj.stress[k, bar] * areas[bar])),
-                    repr(float(ref.displacements[k, dof])),
-                    repr(float(ref.stress[k, bar] * areas[bar])),
-                ]
+    write_csv(
+        path,
+        ["time", "deflection", "bar_force", "ref_deflection", "ref_bar_force"],
+        (
+            (
+                float(times[k]),
+                float(traj.displacements[k, dof]),
+                float(traj.stress[k, bar] * areas[bar]),
+                float(ref.displacements[k, dof]),
+                float(ref.stress[k, bar] * areas[bar]),
             )
+            for k in range(times.size)
+        ),
+    )
 
 
 def _cmd_single_run(kind: str, args) -> int:
     cfg = _study_config(kind, args)
     n = cfg.points[-1]
-    mesh = study_mesh(cfg)
-    gm = study_metric(cfg, mesh)
-    sys_ = assemble(mesh, gm)
-    loads = study_loads(cfg, sys_)
-    times = study_times(cfg)
-    ref = reference_trajectory(mesh, gm, cfg.law, loads, times, sys=sys_)
+    mesh, gm, system, loads, times = study_setup(cfg)
+    ref = reference_trajectory(mesh, gm, cfg.law, loads, times, sys=system)
+    solver_cfg = SolverConfig(max_fixed_point_iters=cfg.max_fixed_point_iters)
 
     started = time.perf_counter()
     if args.history_matching:
-        if kind != "visco":
-            raise ValueError(
-                "history matching needs a rate-dependent law whose past enters "
-                "through recorded (prior, current) pairs; use the visco command"
-            )
         # size the archive grids to the entry budget; big meshes get coarse
         # offset grids rather than an out-of-memory archive
         n_cur, n_ps, cap = 33, 3, 10_000_000
@@ -344,28 +287,17 @@ def _cmd_single_run(kind: str, args) -> int:
             mesh, gm, cfg.law, loads, times,
             n_prior_strain=n_ps, n_prior_offset=n_po, n_current=n_cur,
         )
-        traj = history_matching_march(
-            mesh, gm, repos, loads, times,
-            SolverConfig(max_fixed_point_iters=cfg.max_fixed_point_iters),
-            sys=sys_,
-        )
+        traj = history_matching_march(mesh, gm, repos, loads, times, solver_cfg, sys=system)
     else:
         generator = study_generator(cfg, n, len(cfg.points) - 1, 0)
-        traj = time_march(
-            mesh, gm, generator, loads, times,
-            SolverConfig(max_fixed_point_iters=cfg.max_fixed_point_iters),
-            sys=sys_,
-        )
+        traj = time_march(mesh, gm, generator, loads, times, solver_cfg, sys=system)
     elapsed = time.perf_counter() - started
 
-    if kind == "visco":
-        err = weighted_l2_error(traj, ref, cfg.law.tau1)
-    else:
-        err = bv_error(traj, ref)
+    err = study_error(cfg, traj, ref)
     out = _out_dir(args)
     export_trajectory_csv(traj, out / f"{kind}_trajectory.csv")
     export_trajectory_csv(ref, out / f"{kind}_reference.csv")
-    dof, bar = _probe_indices(sys_, loads, ref)
+    dof, bar = _probe_indices(system, loads, ref)
     _write_probe_csv(
         out / f"{kind}_probe.csv", times, dof, bar, traj, ref, mesh.areas
     )
@@ -423,75 +355,47 @@ def _cmd_oracle_check(args) -> int:
     n_systems = args.runs if args.runs is not None else 100
     seed = args.seed if args.seed is not None else 90210
     out = _out_dir(args)
-    fields = [
-        "max_elements",
-        "max_points",
-        "n_systems",
-        "n_bound_ok",
-        "n_consistent",
-        "max_bound_gap",
-        "max_distance_mismatch",
-        "n_global",
-        "mean_rel_gap",
-        "max_rel_gap",
-        "passed",
-    ]
-    passed = True
-    with open(out / "oracle_check.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for max_elements, max_points in ORACLE_FAMILIES:
-            started = time.perf_counter()
-            result = oracle_check(
-                n_systems, seed, max_elements=max_elements, max_points=max_points
-            )
-            elapsed = time.perf_counter() - started
-            passed = passed and result.passed
-            writer.writerow(
-                [
-                    max_elements,
-                    max_points,
-                    result.n_systems,
-                    result.n_bound_ok,
-                    result.n_consistent,
-                    repr(result.max_bound_gap),
-                    repr(result.max_distance_mismatch),
-                    result.n_global,
-                    repr(result.mean_rel_gap),
-                    repr(result.max_rel_gap),
-                    result.passed,
-                ]
-            )
-            print(
-                f"oracle check: {n_systems} random systems of up to {max_elements} "
-                f"bars x {max_points} points in {elapsed:.1f}s"
-            )
-            print(
-                f"  enumerated minimum <= fixed point: {result.n_bound_ok}/{n_systems}"
-                f" (max gap {result.max_bound_gap:.3e})"
-            )
-            print(
-                f"  fixed point stable at oracle assignment: "
-                f"{result.n_consistent}/{n_systems}"
-            )
-            print(
-                f"  fixed point at the global minimum: {result.n_global}/{n_systems}"
-                f" (relative gap mean {result.mean_rel_gap:.3e},"
-                f" max {result.max_rel_gap:.3e})"
-            )
-            print("  PASS" if result.passed else "  FAIL")
-    return 0 if passed else 1
+    rows = []
+    for max_elements, max_points in ORACLE_FAMILIES:
+        started = time.perf_counter()
+        result = oracle_check(
+            n_systems, seed, max_elements=max_elements, max_points=max_points
+        )
+        elapsed = time.perf_counter() - started
+        rows.append((max_elements, max_points, *astuple(result), result.passed))
+        print(
+            f"oracle check: {n_systems} random systems of up to {max_elements} "
+            f"bars x {max_points} points in {elapsed:.1f}s"
+        )
+        print(
+            f"  enumerated minimum <= fixed point: {result.n_bound_ok}/{n_systems}"
+            f" (max gap {result.max_bound_gap:.3e})"
+        )
+        print(
+            f"  fixed point stable at oracle assignment: "
+            f"{result.n_consistent}/{n_systems}"
+        )
+        print(
+            f"  fixed point at the global minimum: {result.n_global}/{n_systems}"
+            f" (relative gap mean {result.mean_rel_gap:.3e},"
+            f" max {result.max_rel_gap:.3e})"
+        )
+        print("  PASS" if result.passed else "  FAIL")
+    header = ["max_elements", "max_points", *(f.name for f in fields(OracleCheckResult)), "passed"]
+    write_csv(out / "oracle_check.csv", header, rows)
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, *, runs=False, workers=False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, mesh=True, sweep=False) -> None:
     p.add_argument("--config", metavar="FILE", help="key=value config file")
     p.add_argument("--seed", type=int, metavar="U64", help="master seed")
     p.add_argument("--out", metavar="DIR", help="output directory (default .)")
-    p.add_argument("--mesh", metavar="FILE", help="mesh file (see README)")
+    if mesh:
+        p.add_argument("--mesh", metavar="FILE", help="mesh file (see README)")
     p.add_argument(
         "--points",
         type=_parse_points,
@@ -499,9 +403,8 @@ def _add_common(p: argparse.ArgumentParser, *, runs=False, workers=False) -> Non
         help="comma-separated data-set sizes",
     )
     p.add_argument("--band", type=float, metavar="REAL", help="data band width")
-    if runs:
+    if sweep:
         p.add_argument("--runs", type=int, metavar="N", help="independent runs")
-    if workers:
         p.add_argument(
             "--workers", type=int, metavar="N", help="parallel worker processes"
         )
@@ -517,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "relaxation", help="held-bar stress relaxation vs the closed form"
     )
-    _add_common(p)
+    _add_common(p, mesh=False)
     p.add_argument(
         "--history-matching",
         action="store_true",
@@ -550,14 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind", choices=("visco", "plastic"), required=True, help="study kind"
     )
-    _add_common(p, runs=True, workers=True)
+    _add_common(p, sweep=True)
     p.set_defaults(func=_cmd_convergence)
 
     p = sub.add_parser(
         "oracle-check",
         help="fixed point vs exhaustive enumeration on random small systems",
     )
-    p.add_argument("--config", metavar="FILE", help="unused; accepted for symmetry")
     p.add_argument("--seed", type=int, metavar="U64", help="master seed")
     p.add_argument("--out", metavar="DIR", help="output directory (default .)")
     p.add_argument("--runs", type=int, metavar="N", help="number of systems per family")

@@ -42,6 +42,7 @@ __all__ = [
     "nearest_history",
     "history_cost_dataset",
     "prior_slot_costs",
+    "write_csv",
     "write_datasets_csv",
     "read_datasets_csv",
 ]
@@ -626,24 +627,33 @@ def prior_slot_costs(
     return _padded(rows(), (len(sizes), max(sizes)), np.inf)
 
 
+def write_csv(path, header, rows) -> None:
+    """Writes a header row and then ``rows`` as CSV with LF line endings.
+
+    Floats, numpy scalars included, are written by ``repr`` of the Python
+    float, so they read back exactly; ``None`` is written as an empty field.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
 def write_datasets_csv(path, rows) -> None:
     """Writes (step, element, LocalDataSet) triples as step, element,
     strain, stress, cost lines."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "element", "strain", "stress", "cost"])
-        for step, element, d in rows:
-            costs = d.costs if d.costs is not None else np.zeros(d.n_points)
-            for i in range(d.n_points):
-                writer.writerow(
-                    [
-                        step,
-                        element,
-                        repr(float(d.strains[i, 0])),
-                        repr(float(d.stresses[i, 0])),
-                        repr(float(costs[i])),
-                    ]
-                )
+    write_csv(
+        path,
+        ["step", "element", "strain", "stress", "cost"],
+        (
+            (step, element, float(d.strains[i, 0]), float(d.stresses[i, 0]),
+             0.0 if d.costs is None else float(d.costs[i]))
+            for step, element, d in rows
+            for i in range(d.n_points)
+        ),
+    )
 
 
 def read_datasets_csv(path) -> list[tuple[int, int, LocalDataSet]]:

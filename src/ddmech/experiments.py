@@ -12,7 +12,6 @@ in time (rate-sensitive) or by a total-variation norm of the increments
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -21,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .data import GeneratorSpec, HistoryRepository, LocalDataSet, WindowRule
+from .data import GeneratorSpec, HistoryRepository, LocalDataSet, WindowRule, write_csv
 from .materials import (
     PlasticParams,
     SlsParams,
@@ -73,7 +72,9 @@ __all__ = [
     "study_loads",
     "study_times",
     "study_metric",
+    "study_setup",
     "study_generator",
+    "study_error",
     "run_convergence_study",
     "default_study_config",
     "small_truss_fixture",
@@ -524,12 +525,24 @@ def study_metric(cfg: StudyConfig, mesh: TrussMesh) -> GlobalMetric:
     return _metric_for(mesh, cfg.law, cfg.metric_value)
 
 
+def study_setup(
+    cfg: StudyConfig,
+) -> tuple[TrussMesh, GlobalMetric, ConstraintSystem, LoadProgram, np.ndarray]:
+    """The mesh, metric, assembled system, loads and time grid of a study."""
+    mesh = study_mesh(cfg)
+    gm = study_metric(cfg, mesh)
+    system = assemble(mesh, gm)
+    return mesh, gm, system, study_loads(cfg, system), study_times(cfg)
+
+
 def study_generator(cfg: StudyConfig, n: int, point_index: int, run: int) -> GeneratorSpec:
     """The data generator one (sweep index, run) cell of the study uses."""
     return _generator_for(cfg, n, _run_seed(cfg, point_index, run))
 
 
-def _study_error(cfg: StudyConfig, traj: Trajectory, ref: Trajectory) -> float:
+def study_error(cfg: StudyConfig, traj: Trajectory, ref: Trajectory) -> float:
+    """The study's trajectory error: exponentially weighted l2 on the
+    relaxation time for ``visco``, total variation for ``plastic``."""
     if cfg.kind == "visco":
         return weighted_l2_error(traj, ref, cfg.law.tau1)
     return bv_error(traj, ref)
@@ -555,21 +568,14 @@ def _generator_for(cfg: StudyConfig, n: int, run_seed: int) -> GeneratorSpec:
     )
 
 
-def _march_once(cfg: StudyConfig, n: int, run_seed: int) -> Trajectory:
-    mesh = study_mesh(cfg)
-    gm = _metric_for(mesh, cfg.law, cfg.metric_value)
-    sys = assemble(mesh, gm)
-    loads = study_loads(cfg, sys)
-    times = study_times(cfg)
+def _run_error(task: tuple[StudyConfig, int, int, Trajectory]) -> float:
+    """Error of one study march against the reference; a worker's task."""
+    cfg, n, run_seed, ref = task
+    mesh, gm, system, loads, times = study_setup(cfg)
     generator = _generator_for(cfg, n, run_seed)
     solver_cfg = SolverConfig(max_fixed_point_iters=cfg.max_fixed_point_iters)
-    return time_march(mesh, gm, generator, loads, times, solver_cfg, sys=sys)
-
-
-def _worker_run(args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    cfg, n, run_seed = args
-    traj = _march_once(cfg, n, run_seed)
-    return traj.strain, traj.stress
+    traj = time_march(mesh, gm, generator, loads, times, solver_cfg, sys=system)
+    return study_error(cfg, traj, ref)
 
 
 def run_convergence_study(cfg: StudyConfig) -> StudyResult:
@@ -579,46 +585,22 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
     repeated executions give bit-identical results regardless of worker
     count; parallel results are reduced in submission order.
     """
-    mesh = study_mesh(cfg)
-    gm = _metric_for(mesh, cfg.law, cfg.metric_value)
-    sys = assemble(mesh, gm)
-    loads = study_loads(cfg, sys)
-    times = study_times(cfg)
-    ref = reference_trajectory(mesh, gm, cfg.law, loads, times, sys=sys)
-
-    tasks = []
-    for i, n in enumerate(cfg.points):
-        for r in range(cfg.runs):
-            tasks.append((n, _run_seed(cfg, i, r)))
-
-    results: list[tuple[np.ndarray, np.ndarray]] = []
-    if cfg.workers and cfg.workers > 1 and len(tasks) > 1:
+    mesh, gm, system, loads, times = study_setup(cfg)
+    ref = reference_trajectory(mesh, gm, cfg.law, loads, times, sys=system)
+    tasks = [
+        (cfg, n, _run_seed(cfg, i, r), ref)
+        for i, n in enumerate(cfg.points)
+        for r in range(cfg.runs)
+    ]
+    if cfg.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_worker_run, (cfg, n, s)) for n, s in tasks]
-            results = [f.result() for f in futures]
+            errors = list(pool.map(_run_error, tasks))
     else:
-        for n, s in tasks:
-            results.append(_worker_run((cfg, n, s)))
+        errors = [_run_error(task) for task in tasks]
 
     rows: list[ConvergenceRow] = []
-    solver_fields = dict(
-        assignment=np.full_like(ref.assignment, -1),
-        iterations=np.zeros_like(ref.iterations),
-        distance_sq=np.zeros_like(ref.distance_sq),
-        converged=np.ones_like(ref.converged),
-        equilibrium_residual=np.zeros_like(ref.equilibrium_residual),
-        displacements=np.zeros_like(ref.displacements),
-        q_acc=np.zeros_like(ref.q_acc),
-    )
-    idx = 0
-    for n in cfg.points:
-        errors = []
-        for _ in range(cfg.runs):
-            eps, sig = results[idx]
-            idx += 1
-            traj = Trajectory(times=times, strain=eps, stress=sig, gm=gm, **solver_fields)
-            errors.append(_study_error(cfg, traj, ref))
-        arr = np.array(errors)
+    for i, n in enumerate(cfg.points):
+        arr = np.array(errors[i * cfg.runs : (i + 1) * cfg.runs])
         rows.append(
             ConvergenceRow(
                 n_points=n,
@@ -887,53 +869,33 @@ def oracle_check(
 
 
 def write_relaxation_csv(result: RelaxationResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time", "stress", "exact", "rel_error"])
-        for k in range(result.times.size):
-            rel = abs(result.stress[k] - result.exact[k]) / abs(result.exact[k])
-            writer.writerow(
-                [
-                    repr(float(result.times[k])),
-                    repr(float(result.stress[k])),
-                    repr(float(result.exact[k])),
-                    repr(float(rel)),
-                ]
-            )
+    rel = np.abs(result.stress - result.exact) / np.abs(result.exact)
+    write_csv(
+        path,
+        ["time", "stress", "exact", "rel_error"],
+        zip(result.times.tolist(), result.stress.tolist(), result.exact.tolist(), rel.tolist()),
+    )
 
 
 def write_study_csv(result: StudyResult, path) -> None:
-    runs = result.config.runs
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["n_points", "mean_error", "std_error"] + [f"err_{r}" for r in range(runs)]
-        )
-        for row in result.rows:
-            writer.writerow(
-                [row.n_points, repr(row.mean_error), repr(row.std_error)]
-                + [repr(e) for e in row.errors]
-            )
+    write_csv(
+        path,
+        ["n_points", "mean_error", "std_error"]
+        + [f"err_{r}" for r in range(result.config.runs)],
+        ((row.n_points, row.mean_error, row.std_error, *row.errors) for row in result.rows),
+    )
 
 
 def write_rate_csv(result: StudyResult, path) -> None:
     cfg = result.config
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["kind", "rate", "points", "runs", "band_ref", "band_exponent", "seed"]
-        )
-        writer.writerow(
-            [
-                cfg.kind,
-                "" if result.rate is None else repr(result.rate),
-                " ".join(str(p) for p in cfg.points),
-                cfg.runs,
-                repr(cfg.band_ref),
-                repr(cfg.band_exponent),
-                cfg.seed,
-            ]
-        )
+    write_csv(
+        path,
+        ["kind", "rate", "points", "runs", "band_ref", "band_exponent", "seed"],
+        [
+            (cfg.kind, result.rate, " ".join(str(p) for p in cfg.points), cfg.runs,
+             cfg.band_ref, cfg.band_exponent, cfg.seed)
+        ],
+    )
 
 
 def default_study_config(kind: str, **overrides) -> StudyConfig:

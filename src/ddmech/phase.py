@@ -26,8 +26,6 @@ __all__ = [
     "GlobalMetric",
     "GlobalState",
     "local_norm_sq",
-    "local_distance_sq",
-    "global_norm_sq",
     "global_distance_sq",
 ]
 
@@ -53,9 +51,6 @@ class LocalPhasePoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "strain", _as_scalar(self.strain, "strain"))
         object.__setattr__(self, "stress", _as_scalar(self.stress, "stress"))
-
-    def __sub__(self, other: "LocalPhasePoint") -> "LocalPhasePoint":
-        return LocalPhasePoint(self.strain - other.strain, self.stress - other.stress)
 
 
 @dataclass(frozen=True)
@@ -158,10 +153,6 @@ class GlobalState:
     def n_elements(self) -> int:
         return self.strain.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.strain.shape[1]
-
     def point(self, e: int) -> LocalPhasePoint:
         return LocalPhasePoint(self.strain[e], self.stress[e])
 
@@ -175,23 +166,11 @@ def local_norm_sq(z: LocalPhasePoint, metric: LocalMetric) -> float:
     return float(metric.c * e * e + metric.c_inv * s * s)
 
 
-def local_distance_sq(a: LocalPhasePoint, b: LocalPhasePoint, metric: LocalMetric) -> float:
-    return local_norm_sq(a - b, metric)
-
-
 def _check_state(z: GlobalState, gm: GlobalMetric) -> None:
     if z.n_elements != gm.n_elements:
         raise ValueError(
             f"state has {z.n_elements} elements but metric has {gm.n_elements}"
         )
-
-
-def global_norm_sq(z: GlobalState, gm: GlobalMetric) -> float:
-    """Volume-weighted sum of local square norms."""
-    _check_state(z, gm)
-    e = z.strain[:, 0]
-    s = z.stress[:, 0]
-    return float(np.sum(gm.weights * (gm.c_diag * e * e + gm.c_inv_diag * s * s)))
 
 
 def global_distance_sq(a: GlobalState, b: GlobalState, gm: GlobalMetric) -> float:

@@ -34,7 +34,6 @@ previously accepted state as a fidelity cost.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -56,6 +55,7 @@ from .data import (
     prior_slot_costs,
     stack_sets,
     update_history_variable,
+    write_csv,
 )
 from .materials import PlasticParams, SlsParams, plastic_return_map, sls_affine_coefficients
 from .phase import GlobalMetric, GlobalState
@@ -1086,24 +1086,16 @@ def history_matching_march(
 def export_trajectory_csv(traj: Trajectory, path) -> None:
     """One row per (time, element): strain, stress, assignment, iterations,
     square distance."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["time", "element", "strain", "stress", "assignment", "iterations", "distance_sq"]
-        )
-        for k in range(traj.n_steps):
-            for e in range(traj.n_elements):
-                writer.writerow(
-                    [
-                        repr(float(traj.times[k])),
-                        e,
-                        repr(float(traj.strain[k, e])),
-                        repr(float(traj.stress[k, e])),
-                        int(traj.assignment[k, e]),
-                        int(traj.iterations[k]),
-                        repr(float(traj.distance_sq[k])),
-                    ]
-                )
+    write_csv(
+        path,
+        ["time", "element", "strain", "stress", "assignment", "iterations", "distance_sq"],
+        (
+            (float(traj.times[k]), e, float(traj.strain[k, e]), float(traj.stress[k, e]),
+             int(traj.assignment[k, e]), int(traj.iterations[k]), float(traj.distance_sq[k]))
+            for k in range(traj.n_steps)
+            for e in range(traj.n_elements)
+        ),
+    )
 
 
 def trajectory_summary(traj: Trajectory) -> dict:
@@ -1127,7 +1119,4 @@ def trajectory_summary(traj: Trajectory) -> dict:
 
 def write_summary_csv(traj: Trajectory, path) -> None:
     summary = trajectory_summary(traj)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(summary))
-        writer.writerow([summary[k] for k in summary])
+    write_csv(path, list(summary), [summary.values()])

@@ -11,8 +11,6 @@ from ddmech.phase import (
     LocalMetric,
     LocalPhasePoint,
     global_distance_sq,
-    global_norm_sq,
-    local_distance_sq,
     local_norm_sq,
 )
 
@@ -29,14 +27,6 @@ class TestLocalPhasePoint:
     def test_vectors_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
             LocalPhasePoint(np.zeros(3), np.zeros(3))
-
-    def test_subtraction(self):
-        """Difference acts componentwise."""
-        a = LocalPhasePoint(0.5, 10.0)
-        b = LocalPhasePoint(0.25, 4.0)
-        d = a - b
-        assert d.strain[0] == 0.25
-        assert d.stress[0] == 6.0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -60,10 +50,11 @@ class TestLocalMetric:
     def test_distance_is_norm_of_difference(self, rng):
         lm = LocalMetric.from_modulus(175_000.0)
         for _ in range(50):
-            a = LocalPhasePoint(rng.normal(), rng.normal(scale=100.0))
-            b = LocalPhasePoint(rng.normal(), rng.normal(scale=100.0))
-            d = local_distance_sq(a, b, lm)
-            assert d == pytest.approx(local_norm_sq(a - b, lm), rel=1e-12)
+            a = GlobalState([rng.normal()], [rng.normal(scale=100.0)])
+            b = GlobalState([rng.normal()], [rng.normal(scale=100.0)])
+            d = global_distance_sq(a, b, GlobalMetric([lm], [1.0]))
+            diff = LocalPhasePoint(a.strain[0] - b.strain[0], a.stress[0] - b.stress[0])
+            assert d == pytest.approx(local_norm_sq(diff, lm), rel=1e-12)
             assert d >= 0.0
 
     def test_rejects_non_positive_definite(self):
@@ -90,7 +81,7 @@ class TestGlobalMetric:
         """2*(0.5^2*100 + 1) + 3*(1*100 + 400/100) = 364."""
         gm = GlobalMetric.uniform(100.0, np.array([2.0, 3.0]))
         z = GlobalState(np.array([0.5, 1.0]), np.array([10.0, 20.0]))
-        assert global_norm_sq(z, gm) == 364.0
+        assert global_distance_sq(z, GlobalState.zeros(2), gm) == 364.0
 
     def test_global_norm_matches_local_sum(self, rng):
         """Weighted sum of local norms, for mixed moduli."""
@@ -103,15 +94,20 @@ class TestGlobalMetric:
             manual = sum(
                 w[e] * local_norm_sq(z.point(e), gm.locals[e]) for e in range(m)
             )
-            assert global_norm_sq(z, gm) == pytest.approx(manual, rel=1e-12)
+            assert global_distance_sq(z, GlobalState.zeros(m), gm) == pytest.approx(
+                manual, rel=1e-12
+            )
 
     def test_global_distance(self, rng):
         gm = GlobalMetric.uniform(175_000.0, np.ones(4))
         a = GlobalState(rng.normal(size=4), rng.normal(size=4))
         b = GlobalState(rng.normal(size=4), rng.normal(size=4))
         d = global_distance_sq(a, b, gm)
-        manual = global_norm_sq(
-            GlobalState(a.strain - b.strain, a.stress - b.stress), gm
+        de = a.strain[:, 0] - b.strain[:, 0]
+        ds = a.stress[:, 0] - b.stress[:, 0]
+        manual = sum(
+            gm.weights[e] * local_norm_sq(LocalPhasePoint(de[e], ds[e]), gm.locals[e])
+            for e in range(4)
         )
         assert d == pytest.approx(manual, rel=1e-12)
 
@@ -126,7 +122,6 @@ class TestGlobalState:
     def test_zeros_and_shape(self):
         z = GlobalState.zeros(3)
         assert z.n_elements == 3
-        assert z.dim == 1
         assert np.all(z.strain == 0.0)
 
     def test_point_round_trip(self):
