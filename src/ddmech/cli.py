@@ -346,9 +346,10 @@ def _cmd_convergence(args) -> int:
 
 
 #: The oracle-check instance families as (max_elements, max_points): few
-#: bars with many points, and more bars with few points, where the pair and
-#: subset stages of the swap polish come into play.
-ORACLE_FAMILIES = ((3, 20), (6, 5))
+#: bars with many points, more bars with few points (6 x 5, where the
+#: subset stage of the swap polish shows) and more still (10 x 4, where the
+#: pair stage shows).
+ORACLE_FAMILIES = ((3, 20), (6, 5), (10, 4))
 
 
 def _cmd_oracle_check(args) -> int:

@@ -476,6 +476,12 @@ class StudyConfig:
         object.__setattr__(self, "runs", int(self.runs))
         if float(self.band_ref) < 0.0:
             raise ValueError("band_ref must be nonnegative")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
+        if int(self.workers) < 0:
+            raise ValueError(f"workers must be nonnegative, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -583,7 +589,9 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
 
     All randomness derives from (study seed, sweep index, run index), so
     repeated executions give bit-identical results regardless of worker
-    count; parallel results are reduced in submission order.
+    count; parallel results are reduced in submission order. With
+    ``workers`` above 1 each pool worker marches serially; otherwise each
+    march may fork its own step worker (see :func:`~ddmech.solver.time_march`).
     """
     mesh, gm, system, loads, times = study_setup(cfg)
     ref = reference_trajectory(mesh, gm, cfg.law, loads, times, sys=system)

@@ -27,13 +27,21 @@ Both marches run one step loop and differ only in the data sets a step
 searches. :func:`time_march` regenerates the per-element sets every step,
 conditioned on the previously accepted local states; randomness is split
 per (step, element) from the run seed, so trajectories are bit-reproducible
-and elements could be generated concurrently. :func:`history_matching_march`
-searches fixed two-time archives, with the prior-slot mismatch against the
-previously accepted state as a fidelity cost.
+and any process can draw a step's sets again, bit for bit.
+:func:`history_matching_march` searches fixed two-time archives, with the
+prior-slot mismatch against the previously accepted state as a fidelity
+cost. A step solved from two warm starts solves the second in a forked
+step worker (:class:`_StepWorker`) while the march solves the first, when
+the process may use two CPUs and is not itself a child process.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import threading
+import traceback
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -913,6 +921,104 @@ def _stacked_step_sets(
     return StackedSets(eps, sig, None)
 
 
+def _response_solve(
+    system: ConstraintSystem,
+    gm: GlobalMetric,
+    cfg: SolverConfig,
+    sets: StackedSets,
+    f: np.ndarray,
+    t: float,
+    eps_start: np.ndarray,
+) -> StepResult | None:
+    """A step's second solve: the fixed point from the empirical response
+    init, or None when the init declines. The march runs it after its first
+    solve, or a :class:`_StepWorker` runs it alongside."""
+    resp = _empirical_response_init(system, sets, f, system.affine_strain(t), eps_start)
+    return None if resp is None else fixed_point_solve(system, sets, gm, f, resp, cfg, t=t)
+
+
+def _may_fork() -> bool:
+    """Whether a march may fork a step worker: the process may run on at
+    least two CPUs, is not itself a child process (a study's pool worker or
+    a step worker), so a march never uses more than two processes, and runs
+    no other thread, which a fork could catch holding a lock."""
+    return (
+        hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and multiprocessing.parent_process() is None
+        and threading.active_count() == 1
+    )
+
+
+def _serve_steps(conn, parent_conn, system, gm, cfg, step_sets) -> None:
+    """The step worker's loop: a step's arguments in, its second solve (or
+    the exception it raised) out, until the march closes its end."""
+    parent_conn.close()
+    # an interrupt is the march's to handle; it then ends this process
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            k, dt, est, eps_prev, sig_prev, q_acc, f, t = conn.recv()
+        except EOFError:
+            return
+        try:
+            sets = step_sets(k, dt, est, eps_prev, sig_prev, q_acc)
+            out = (True, _response_solve(system, gm, cfg, sets, f, t, eps_prev + est))
+        except Exception as exc:
+            out = (False, (exc, traceback.format_exc()))
+        sets = None
+        conn.send(out)
+
+
+class _StepWorker:
+    """A forked process that runs each step's second solve
+    (:func:`_response_solve`) while the march runs the first.
+
+    The fork hands the child the march's system, metric, config and set
+    provider. A step sends it only ``(k, dt, est, eps_prev, sig_prev,
+    q_acc, f, t)``; from these the child draws the step's sets again, bit
+    for bit, and sends back the :class:`StepResult` or None. An exception
+    in the child is raised again by :meth:`result`. :meth:`close` ends the
+    child, at once if it is still solving, and joins it.
+    """
+
+    def __init__(self, system, gm, cfg, step_sets) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_conn = ctx.Pipe()
+        self._proc = ctx.Process(
+            target=_serve_steps,
+            args=(child_conn, self._conn, system, gm, cfg, step_sets),
+            daemon=True,
+        )
+        self._proc.start()
+        child_conn.close()
+        self._busy = False
+
+    def submit(self, *step) -> None:
+        self._conn.send(step)
+        self._busy = True
+
+    def result(self) -> StepResult | None:
+        try:
+            ok, value = self._conn.recv()
+        except EOFError:
+            self._proc.join()
+            raise RuntimeError(
+                f"the step worker exited with code {self._proc.exitcode}"
+            ) from None
+        self._busy = False
+        if ok:
+            return value
+        exc, tb = value
+        raise exc from RuntimeError(f"in the step worker:\n{tb}")
+
+    def close(self) -> None:
+        self._conn.close()
+        if self._busy:
+            self._proc.terminate()
+        self._proc.join()
+
+
 def _march(
     system: ConstraintSystem,
     gm: GlobalMetric,
@@ -921,19 +1027,33 @@ def _march(
     cfg: SolverConfig,
     step_sets: Callable[..., StackedSets],
     plastic_law: PlasticParams | None,
+    *,
+    padded: bool = False,
+    sink: Callable[[int, StackedSets], None] | None = None,
 ) -> Trajectory:
     """The step loop of both marches.
 
     ``step_sets(k, dt, est, eps_prev, sig_prev, q_acc)`` returns step k's
     data sets from its time increment (None on the first step), its elastic
     strain estimate and the previously accepted strain, stress and
-    accumulated slip. Each step is solved from the warm start
-    ``cfg.init_strategy`` picks and, under "response" on sets with no padded
-    row, also from the empirical response init (its strain-order lookups
-    would read padded entries); the lower objective wins. The accumulated
-    slip is tracked only for a ``plastic_law``.
+    accumulated slip; it must be a pure function of these, as a step worker
+    draws the same sets again. ``padded`` says that its sets have padded
+    rows, and ``sink(k, sets)`` sees every step's sets once, in the march
+    process.
+
+    Each step is solved from the warm start ``cfg.init_strategy`` picks and,
+    under "response" on sets with no padded row, also from the empirical
+    response init (its strain-order lookups would read padded entries); the
+    lower objective wins, the first on a tie. When :func:`_may_fork` allows,
+    a :class:`_StepWorker` forked for the march solves the second start
+    while the march solves the first; otherwise the march solves both in
+    turn. Either way the trajectory has the same bits, and the worker is
+    shut down and joined before the march returns or raises. The
+    accumulated slip is tracked only for a ``plastic_law``.
     """
     m = system.n_elements
+    two_starts = cfg.init_strategy == "response" and not padded
+    worker = _StepWorker(system, gm, cfg, step_sets) if two_starts and _may_fork() else None
     steps: list[StepResult] = []
     q_rows: list[np.ndarray] = []
     eps_prev = np.zeros(m)
@@ -943,57 +1063,62 @@ def _march(
     drift_sig = np.zeros(m)
     f_prev: np.ndarray | None = None
     t_prev: float | None = None
-    for k in range(t_grid.size):
-        t = float(t_grid[k])
-        f = loads.forces(t) if loads is not None else np.zeros(system.n_free)
-        dt = None if k == 0 else float(t_grid[k] - t_grid[k - 1])
-        est = system.elastic_strain_increment(f, f_prev, t, t_prev)
-        # free the previous step's sets and index before drawing this step's
-        sets = None
-        sets = step_sets(k, dt, est, eps_prev, sig_prev, q_acc)
-        if cfg.init_strategy == "zero":
-            inits = [GlobalState.zeros(m)]
-        elif cfg.init_strategy == "previous":
-            inits = [GlobalState(eps_prev, sig_prev)]
-        else:
-            # warm start at the elastic estimate plus the previous step's
-            # inelastic increment, so steady flow never has to climb out of
-            # the previous step's basin (and a cold start inside an
-            # archive's stale neighbourhood cannot pin the walk there)
-            inits = [
-                GlobalState(
+    try:
+        for k in range(t_grid.size):
+            t = float(t_grid[k])
+            f = loads.forces(t) if loads is not None else np.zeros(system.n_free)
+            dt = None if k == 0 else float(t_grid[k] - t_grid[k - 1])
+            est = system.elastic_strain_increment(f, f_prev, t, t_prev)
+            if worker is not None:
+                worker.submit(k, dt, est, eps_prev, sig_prev, q_acc, f, t)
+            # free the previous step's sets and index before drawing this step's
+            sets = None
+            sets = step_sets(k, dt, est, eps_prev, sig_prev, q_acc)
+            if sink is not None:
+                sink(k, sets)
+            if cfg.init_strategy == "zero":
+                init = GlobalState.zeros(m)
+            elif cfg.init_strategy == "previous":
+                init = GlobalState(eps_prev, sig_prev)
+            else:
+                # warm start at the elastic estimate plus the previous step's
+                # inelastic increment, so steady flow never has to climb out of
+                # the previous step's basin (and a cold start inside an
+                # archive's stale neighbourhood cannot pin the walk there)
+                init = GlobalState(
                     eps_prev + est + drift_eps,
                     sig_prev + gm.c_diag * est + drift_sig,
                 )
-            ]
-            if cfg.init_strategy == "response" and sets.lengths is None:
-                resp = _empirical_response_init(
-                    system, sets, f, system.affine_strain(t), eps_prev + est
+            step = fixed_point_solve(system, sets, gm, f, init, cfg, t=t)
+            if two_starts:
+                if worker is not None:
+                    second = worker.result()
+                else:
+                    second = _response_solve(system, gm, cfg, sets, f, t, eps_prev + est)
+                if second is not None and (
+                    second.objective_history[-1] < step.objective_history[-1]
+                ):
+                    step = second
+            if not step.converged and cfg.abort_on_nonconvergence:
+                raise RuntimeError(
+                    f"fixed point did not converge at step {k} (t={t}): {step.iterations} "
+                    f"iterations, objective {step.objective_history[-1]:.6e}"
                 )
-                if resp is not None:
-                    inits.append(resp)
-        step = None
-        for ini in inits:
-            cand = fixed_point_solve(system, sets, gm, f, ini, cfg, t=t)
-            if step is None or cand.objective_history[-1] < step.objective_history[-1]:
-                step = cand
-        if not step.converged and cfg.abort_on_nonconvergence:
-            raise RuntimeError(
-                f"fixed point did not converge at step {k} (t={t}): "
-                f"{step.iterations} iterations, objective {step.objective_history[-1]:.6e}"
-            )
-        eps_new = step.z.strain[:, 0]
-        sig_new = step.z.stress[:, 0]
-        if plastic_law is not None:
-            q_acc = update_history_variable(
-                q_acc, eps_prev, sig_prev, eps_new, sig_new, plastic_law
-            )
-        steps.append(step)
-        q_rows.append(q_acc)
-        drift_eps = (eps_new - eps_prev) - est
-        drift_sig = (sig_new - sig_prev) - gm.c_diag * est
-        eps_prev, sig_prev = eps_new, sig_new
-        f_prev, t_prev = f, t
+            eps_new = step.z.strain[:, 0]
+            sig_new = step.z.stress[:, 0]
+            if plastic_law is not None:
+                q_acc = update_history_variable(
+                    q_acc, eps_prev, sig_prev, eps_new, sig_new, plastic_law
+                )
+            steps.append(step)
+            q_rows.append(q_acc)
+            drift_eps = (eps_new - eps_prev) - est
+            drift_sig = (sig_new - sig_prev) - gm.c_diag * est
+            eps_prev, sig_prev = eps_new, sig_new
+            f_prev, t_prev = f, t
+    finally:
+        if worker is not None:
+            worker.close()
     return Trajectory(
         times=t_grid,
         strain=np.array([s.z.strain[:, 0] for s in steps]),
@@ -1026,7 +1151,11 @@ def time_march(
     previously accepted states; the first step uses the instantaneous
     (rate-free) response so a suddenly applied load or displacement yields
     the correct initial state. The step solution warm-starts from the
-    elastically advanced previous state (see SolverConfig.init_strategy).
+    elastically advanced previous state (see SolverConfig.init_strategy);
+    under "response" a forked step worker may solve the second warm start
+    (see :func:`_march`), drawing the step's sets again from the same
+    seeds. ``dataset_sink(k, sets)`` sees each step's sets once, in the
+    calling process.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1035,12 +1164,15 @@ def time_march(
     plastic_law = law if isinstance(law, PlasticParams) else None
 
     def step_sets(k, dt, est, eps_prev, sig_prev, q_acc):
-        stacked = _stacked_step_sets(generator, eps_prev, sig_prev, q_acc, est, dt, k)
-        if dataset_sink is not None:
-            dataset_sink(k, [LocalDataSet(*row) for row in zip(stacked.eps, stacked.sig)])
-        return stacked
+        return _stacked_step_sets(generator, eps_prev, sig_prev, q_acc, est, dt, k)
 
-    return _march(system, gm, loads, t_grid, cfg, step_sets, plastic_law)
+    def sink(k, stacked):
+        dataset_sink(k, [LocalDataSet(*row) for row in zip(stacked.eps, stacked.sig)])
+
+    return _march(
+        system, gm, loads, t_grid, cfg, step_sets, plastic_law,
+        sink=None if dataset_sink is None else sink,
+    )
 
 
 def history_matching_march(
@@ -1061,6 +1193,9 @@ def history_matching_march(
     entirely offline. The archives are stacked (ragged ones padded as
     :func:`~ddmech.data.stack_sets` pads) and strain-sorted once per march,
     and each step computes only their cost rows, +inf on padded entries.
+    On equal archives under "response" a forked step worker may solve the
+    second warm start (see :func:`_march`); it shares the sorted archive
+    with the march and computes its own cost rows.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1080,7 +1215,10 @@ def history_matching_march(
         z_prev = GlobalState(eps_prev, sig_prev)
         return replace(archive, costs=prior_slot_costs(repositories, z_prev, gm))
 
-    return _march(system, gm, loads, t_grid, cfg, step_sets, None)
+    return _march(
+        system, gm, loads, t_grid, cfg, step_sets, None,
+        padded=archive.lengths is not None,
+    )
 
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:

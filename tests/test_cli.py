@@ -17,8 +17,14 @@ from ddmech.truss import LatticeSpec, generate_lattice_truss
         ("plastic", "law.tau1 = 3\n", 1, "law.tau1"),
         ("visco", "# comment\nlaw.e0 = -1\n", 2, "law.e0"),
         ("relaxation", "mesh = bars.mesh\n", 1, "mesh"),
+        ("visco", "t_end = 3\ndt = 0\n", 2, "dt"),
+        ("plastic", "t_end = -1\n", 1, "t_end"),
+        ("visco", "runs = 1\nworkers = -3\n", 2, "workers"),
     ],
-    ids=["unknown-key", "bad-float", "bad-boolean", "other-law", "rejected-value", "no-mesh"],
+    ids=[
+        "unknown-key", "bad-float", "bad-boolean", "other-law", "rejected-value", "no-mesh",
+        "zero-dt", "negative-t_end", "negative-workers",
+    ],
 )
 def test_bad_config_line_names_path_line_and_key(tmp_path, capsys, command, text, line, key):
     path = tmp_path / "run.cfg"

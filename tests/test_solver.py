@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from ddmech import solver
 from ddmech.data import (
     GeneratorSpec,
     HistoryRepository,
@@ -18,9 +24,12 @@ from ddmech.experiments import (
     PLASTIC_BREAKPOINTS,
     RelaxationConfig,
     build_truss_repositories,
+    default_study_config,
     random_small_instance,
     run_relaxation,
     small_truss_fixture,
+    study_generator,
+    study_setup,
     trajectory_norm,
     weighted_l2_error,
 )
@@ -37,7 +46,7 @@ from ddmech.solver import (
     trajectory_summary,
     write_summary_csv,
 )
-from ddmech.truss import LoadProgram, TrussMesh, assemble
+from ddmech.truss import LatticeSpec, LoadProgram, TrussMesh, assemble
 
 
 def one_bar_system(modulus=1000.0):
@@ -485,6 +494,168 @@ class TestHistoryMatchingMarch:
         message = r"at step \d+ \(t=.*\): 1 iterations, objective "
         with pytest.raises(RuntimeError, match=message):
             march(mesh, gm, data, loads, times, cfg)
+
+
+def _study_march(kind, cfg=None, **kwargs):
+    """The first 12 steps of a study march on a 2 x 1 x 1 lattice at dt = 5,
+    64 points per set; the response start wins 2 of them on visco and 7 on
+    plastic."""
+    study = default_study_config(kind, lattice=LatticeSpec(2, 1, 1), dt=5.0)
+    mesh, gm, system, loads, times = study_setup(study)
+    g = study_generator(study, 64, 0, 0)
+    return time_march(
+        mesh, gm, g, loads, times[:12], cfg or SolverConfig(), sys=system, **kwargs
+    )
+
+
+def _archive_march(ragged):
+    mesh, gm, loads, times = small_truss_fixture(t_end=4.0)
+    repos = build_truss_repositories(
+        mesh, gm, DEFAULT_SLS, loads, times,
+        n_prior_strain=3, n_prior_offset=5, n_current=9,
+    )
+    if ragged:
+        h = repos[2]
+        repos[2] = HistoryRepository(
+            h.eps_prev[:-7], h.sig_prev[:-7], h.eps_cur[:-7], h.sig_cur[:-7], h.weights
+        )
+    return history_matching_march(mesh, gm, repos, loads, times, SolverConfig())
+
+
+#: One short march of each kind under the default "response" warm start.
+_MARCHES = {
+    "visco": lambda: _study_march("visco"),
+    "plastic": lambda: _study_march("plastic"),
+    "archive": lambda: _archive_march(False),
+    "ragged-archive": lambda: _archive_march(True),
+}
+
+
+def _refuse_step_worker(*args):
+    raise AssertionError("a march in a child process started a step worker")
+
+
+def _march_in_child(name):
+    """March ``name`` in a pool worker, where starting a step worker fails."""
+    solver._StepWorker = _refuse_step_worker
+    traj = _MARCHES[name]()
+    return traj.strain, traj.stress, traj.assignment
+
+
+@pytest.fixture
+def worker_starts(monkeypatch):
+    """The pids of the processes that start a step worker, on a host taken
+    to have two CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    starts: list[int] = []
+    init = solver._StepWorker.__init__
+
+    def counted(self, *args):
+        starts.append(os.getpid())
+        init(self, *args)
+
+    monkeypatch.setattr(solver._StepWorker, "__init__", counted)
+    return starts
+
+
+class TestStepWorker:
+    """The forked step worker solves each step's second warm start; a march
+    gives the same bits with it and without it, and leaves no process."""
+
+    @pytest.mark.parametrize("name", list(_MARCHES))
+    def test_worker_and_pool_worker_marches_agree(self, worker_starts, name):
+        """A march here forks a step worker (not on padded archives); the
+        same march in a pool worker runs serially, with the same bits."""
+        traj = _MARCHES[name]()
+        assert worker_starts == ([] if name == "ragged-archive" else [os.getpid()])
+        assert multiprocessing.active_children() == []
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(1, mp_context=fork) as pool:
+            strain, stress, assignment = pool.submit(_march_in_child, name).result()
+        assert np.array_equal(traj.strain, strain)
+        assert np.array_equal(traj.stress, stress)
+        assert np.array_equal(traj.assignment, assignment)
+
+    @pytest.mark.parametrize("kind", ["visco", "plastic"])
+    def test_one_cpu_marches_serially(self, worker_starts, monkeypatch, kind):
+        """As under ``taskset -c 0``: no worker, the same trajectory, which
+        the worker's solves decide in part."""
+        forked = _study_march(kind)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = _study_march(kind)
+        assert worker_starts == [os.getpid()]
+        assert np.array_equal(forked.strain, serial.strain)
+        assert np.array_equal(forked.stress, serial.stress)
+        assert multiprocessing.active_children() == []
+        predicted = _study_march(kind, SolverConfig(init_strategy="predicted"))
+        assert not np.array_equal(forked.strain, predicted.strain)
+
+    def test_threaded_process_marches_serially(self, worker_starts):
+        """A march next to another thread forks nothing."""
+        out = []
+        thread = threading.Thread(target=lambda: out.append(_MARCHES["archive"]()))
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        assert len(out) == 1
+        assert worker_starts == []
+
+    def test_dataset_sink_runs_once_per_step_in_the_march_process(
+        self, worker_starts, tmp_path
+    ):
+        log = tmp_path / "sink.log"
+
+        def sink(k, sets):
+            with open(log, "a") as fh:
+                fh.write(f"{k} {os.getpid()}\n")
+
+        traj = _study_march("visco", dataset_sink=sink)
+        assert worker_starts == [os.getpid()]
+        assert log.read_text().splitlines() == [
+            f"{k} {os.getpid()}" for k in range(traj.n_steps)
+        ]
+        assert multiprocessing.active_children() == []
+
+    def test_abort_raises_as_the_serial_march(self, worker_starts, monkeypatch):
+        cfg = SolverConfig(max_fixed_point_iters=1, abort_on_nonconvergence=True)
+        with pytest.raises(RuntimeError, match="did not converge") as forked:
+            _study_march("visco", cfg)
+        assert worker_starts == [os.getpid()]
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(RuntimeError) as serial:
+            _study_march("visco", cfg)
+        assert str(forked.value) == str(serial.value)
+        assert worker_starts == [os.getpid()]
+
+    def test_worker_exception_reaches_the_caller(self, worker_starts, monkeypatch):
+        init = solver._empirical_response_init
+
+        def failing(*args, **kwargs):
+            if multiprocessing.parent_process() is not None:
+                raise ValueError("response init failed in the step worker")
+            return init(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_empirical_response_init", failing)
+        with pytest.raises(ValueError, match="failed in the step worker"):
+            _study_march("visco")
+        assert worker_starts == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+    def test_march_error_ends_a_busy_worker(self, worker_starts, monkeypatch):
+        """An error in the march while the worker solves ends the worker."""
+        solve = solver.fixed_point_solve
+
+        def failing(*args, **kwargs):
+            if multiprocessing.parent_process() is None:
+                raise KeyError("first solve")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "fixed_point_solve", failing)
+        with pytest.raises(KeyError, match="first solve"):
+            _study_march("visco")
+        assert worker_starts == [os.getpid()]
+        assert multiprocessing.active_children() == []
 
 
 class TestTrajectoryOutput:
