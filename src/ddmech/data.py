@@ -376,6 +376,21 @@ def _sorted_d2(stacked, index, r, pos, eps, sig, c, c_inv):
     return d2, p, j
 
 
+def require_int(name: str, value, least: int) -> int:
+    """``value`` as an int, when it is an integer (an integral float
+    included) of at least ``least``; otherwise ``ValueError`` naming
+    ``name``. Nothing is truncated."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class ConditioningState:
     """Previously converged local states, one entry per element; scalars
@@ -459,9 +474,8 @@ class GeneratorSpec:
     window_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.n_points) < 1:
-            raise ValueError("n_points must be at least 1")
-        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "n_points", require_int("n_points", self.n_points, 1))
+        object.__setattr__(self, "rng_seed", require_int("rng_seed", self.rng_seed, 0))
         if not 0.0 <= float(self.band_width) < np.inf:
             raise ValueError("band_width must be finite and nonnegative")
         if self.sampling not in ("grid", "uniform"):

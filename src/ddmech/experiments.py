@@ -20,7 +20,14 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .data import GeneratorSpec, HistoryRepository, LocalDataSet, WindowRule, write_csv
+from .data import (
+    GeneratorSpec,
+    HistoryRepository,
+    LocalDataSet,
+    WindowRule,
+    require_int,
+    write_csv,
+)
 from .materials import (
     PlasticParams,
     SlsParams,
@@ -320,6 +327,7 @@ class RelaxationConfig:
     metric_value: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
         if float(self.eps_bar) == 0.0:
             raise ValueError("eps_bar must be nonzero")
         if float(self.dt) <= 0.0 or float(self.t_end) < 0.0:
@@ -465,15 +473,14 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("visco", "plastic"):
             raise ValueError(f"unknown study kind {self.kind!r}")
-        pts = tuple(int(p) for p in self.points)
-        if len(pts) < 1 or any(p < 1 for p in pts):
+        pts = tuple(require_int("points", p, 1) for p in self.points)
+        if len(pts) < 1:
             raise ValueError("points must be positive")
         if len(pts) > 1 and any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("points must be strictly increasing")
         object.__setattr__(self, "points", pts)
-        if int(self.runs) < 1:
-            raise ValueError("runs must be positive")
-        object.__setattr__(self, "runs", int(self.runs))
+        object.__setattr__(self, "runs", require_int("runs", self.runs, 1))
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
         if float(self.band_ref) < 0.0:
             raise ValueError("band_ref must be nonnegative")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
@@ -829,7 +836,7 @@ def oracle_check(
     start misses the global minimum. Instances come from
     :func:`random_small_instance` with ``max_elements`` and ``max_points``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_int("seed", seed, 0))
     n_bound = 0
     n_consistent = 0
     max_gap = 0.0

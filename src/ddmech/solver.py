@@ -18,10 +18,12 @@ Every solve, search and polish reads the step's sets as one (M, n)
 :func:`~ddmech.data.stack_sets`, with entries that are never chosen.
 Whenever the walk stops, an exact-gain swap polish (:func:`_swap_polish`)
 tries single, pair and subset reassignments against the same objective. It
-scores candidates with the scan's own arithmetic, over whole rows for short
-sets and, for long ones, on the certified strain blocks of the step's
-:class:`~ddmech.data.StrainIndex`, so every move, and every trajectory, is
-the one a scan of every candidate gives.
+scores candidates with the scan's own arithmetic: the single sweep on
+per-row candidate windows whose terms it caches (whole rows of short sets,
+and for long ones a few sorted positions of the step's
+:class:`~ddmech.data.StrainIndex` that hold each row's certified strain
+block), the other stages on whole rows or certified blocks, so every move,
+and every trajectory, is the one a scan of every candidate gives.
 
 Both marches run one step loop and differ only in the data sets a step
 searches. :func:`time_march` regenerates the per-element sets every step,
@@ -61,6 +63,7 @@ from .data import (
     history_cost_dataset,  # noqa: F401
     lowest,
     prior_slot_costs,
+    require_int,
     stack_sets,
     update_history_variable,
     write_csv,
@@ -104,9 +107,11 @@ class SolverConfig:
     swap_polish: bool = True
 
     def __post_init__(self) -> None:
-        if int(self.max_fixed_point_iters) < 1:
-            raise ValueError("max_fixed_point_iters must be positive")
-        object.__setattr__(self, "max_fixed_point_iters", int(self.max_fixed_point_iters))
+        object.__setattr__(
+            self,
+            "max_fixed_point_iters",
+            require_int("max_fixed_point_iters", self.max_fixed_point_iters, 1),
+        )
         if self.init_strategy not in ("response", "predicted", "previous", "zero"):
             raise ValueError(f"unknown init strategy {self.init_strategy!r}")
 
@@ -158,9 +163,12 @@ def _objective(sys, eps, sig, y_eps, y_sig, cost) -> tuple[float, float]:
 
 
 #: Points one array operation of the swap polish scores at most. The single
-#: sweep scores a chunk of rows this many points at a time, and a row this
-#: long or longer is searched through its strain order instead of scanned.
+#: sweep scores ``_CHUNK_POINTS // K`` rows at a time on their K-point
+#: candidate windows, and a row this long or longer is searched through its
+#: strain order instead of scanned.
 _CHUNK_POINTS = 2048
+#: K for rows searched in strain order: the sorted positions of a window.
+_WINDOW = 64
 #: Relative slack of the polish's block bound; the rounding it must absorb
 #: is below 2^-46 relative (see :func:`_swap_polish`).
 _BOUND_SLACK = 2.0**-40
@@ -169,12 +177,16 @@ _BOUND_FLOOR = 2.0**-1000
 
 
 class _GainSearch:
-    """Gains of single reassignments for the swap polish, by scan or block.
+    """Gains of single reassignments for the swap polish, by scan, block or
+    window.
 
     Holds the polish's live arrays (current points, residuals, current
-    costs), which the polish updates in place. Every gain is the scan
-    expression of :func:`_swap_polish`, whether it is evaluated over whole
-    rows or on the certified blocks of rows searched in strain order.
+    costs), which the polish updates in place, and, from
+    :meth:`open_windows` on, every row's candidate window with its cached
+    terms, which :meth:`refresh` renews for a row that moves. Every gain is
+    the scan expression of :func:`_swap_polish`, whether it is evaluated
+    over whole rows, on the certified blocks of rows searched in strain
+    order, or on their windows.
     """
 
     def __init__(self, sys, sets, y_eps, y_sig, r_eps, r_sig, cur_cost) -> None:
@@ -219,16 +231,13 @@ class _GainSearch:
         ds = s.sig[rc, j] - self.y_sig[rc]
         return self._gain(r, de, ds, None if s.costs is None else s.costs[rc, j]), de, ds
 
-    def plan(self, r, bound, k):
-        """``(lo, hi, scan)``: for rows r, the blocks ``[lo, hi)`` of sorted
-        positions that hold every candidate whose gain is at most the bound
-        (empty where none can be), and the rows to scan whole instead.
-
-        ``bound`` None takes each row's bound as the k-th smallest gain among
-        k strain neighbours of its block centre.
-        """
+    def _block(self, r, bound, k):
+        """The strain ends of :meth:`plan`'s blocks, before the search:
+        ``(lo, hi, ok, reach)``, the block of row ``r[i]`` being the sorted
+        positions whose strains lie in ``[lo[i], hi[i])``, empty where
+        ``reach[i] < 0``, and meaningful only where ``ok[i]``. ``r`` may be
+        a slice when a bound is given."""
         n = self.n
-        index = self.sets.strain_index()
         a_e, a_s = self.a_eps[r], self.a_sig[r]
         l_s = self.m2w_c[r] * self.r_sig[r]
         y = self.y_eps[r]
@@ -236,17 +245,18 @@ class _GainSearch:
             alpha = -(self.m2wc[r] * self.r_eps[r]) / (2.0 * a_e)
             beta = np.where(a_s > 0.0, -l_s / (2.0 * a_s), 0.0)
             centre = y + alpha
-        ok = (a_e > 0.0) & ((a_s > 0.0) | (l_s == 0.0)) & np.isfinite(centre)
-        if bound is None:
-            t = np.full(r.size, np.nan)
-            if ok.any():
-                near = index.search(centre[ok, None], r[ok])
-                pos = np.clip(near - k // 2, 0, n - k) + np.arange(k)[None, :]
-                j = index.order[r[ok, None], pos]
-                t[ok] = self.at(r[ok], j)[0].max(axis=1)
-        else:
-            t = np.full(r.size, float(bound))
-        with np.errstate(all="ignore"):
+            ok = (a_e > 0.0) & ((a_s > 0.0) | (l_s == 0.0)) & np.isfinite(centre)
+            if bound is None:
+                index = self.sets.strain_index()
+                t = np.full(r.size, np.nan)
+                if ok.any():
+                    near = index.search(centre[ok, None], r[ok])
+                    pos = np.clip(near - k // 2, 0, n - k) + np.arange(k)[None, :]
+                    j = index.order[r[ok, None], pos]
+                    t[ok] = self.at(r[ok], j)[0].max(axis=1)
+            else:
+                # a scalar bound rounds as an array of it would, entry by entry
+                t = float(bound)
             kappa = a_e * alpha * alpha + a_s * beta * beta
             reach = (
                 t
@@ -258,11 +268,21 @@ class _GainSearch:
             half = np.sqrt(np.maximum(reach, 0.0) / a_e) * (
                 1.0 + _BOUND_SLACK
             ) + _BOUND_SLACK * (np.abs(y) + np.abs(alpha))
-            ends = np.stack([centre - half, np.nextafter(centre + half, np.inf)], axis=1)
-        ok &= np.isfinite(reach) & np.isfinite(half)
-        lo, hi = index.search(ends, r).T
+            ok &= np.isfinite(reach) & np.isfinite(half)
+            return centre - half, np.nextafter(centre + half, np.inf), ok, reach
+
+    def plan(self, r, bound, k):
+        """``(lo, hi, scan)``: for rows r, the blocks ``[lo, hi)`` of sorted
+        positions that hold every candidate whose gain is at most the bound
+        (empty where none can be), and the rows to scan whole instead.
+
+        ``bound`` None takes each row's bound as the k-th smallest gain among
+        k strain neighbours of its block centre.
+        """
+        e_lo, e_hi, ok, reach = self._block(r, bound, k)
+        lo, hi = self.sets.strain_index().search(np.stack([e_lo, e_hi], axis=1), r).T
         hi = np.where(reach < 0.0, lo, hi)
-        return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * n)
+        return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * self.n)
 
     def lowest(self, r, k):
         """The k lowest gains of every row in r and their indices, ordered by
@@ -298,37 +318,127 @@ class _GainSearch:
             out_j[part], out_v[part] = lowest(self.rows(rows), np.arange(n)[None, :], k)
         return out_j, out_v
 
+    def open_windows(self, tol):
+        """Places every row's candidate window and caches its terms: the
+        whole row for sets shorter than ``_CHUNK_POINTS``, else ``_WINDOW``
+        sorted positions around the row's block at T = -tol."""
+        s = self.sets
+        m, n = s.eps.shape
+        self.by_strain = n >= _CHUNK_POINTS
+        self.k = _WINDOW if self.by_strain else n
+        self.de, self.ds, self.dede, self.dsds = (np.empty((m, self.k)) for _ in range(4))
+        self.dc = None if s.costs is None else np.empty((m, self.k))
+        if self.by_strain:
+            # the window's original indices, strains, stresses and costs
+            self.jwin = np.empty((m, self.k), dtype=np.intp)
+            self.win_eps, self.win_sig = np.empty((m, self.k)), np.empty((m, self.k))
+            self.win_cost = None if s.costs is None else np.empty((m, self.k))
+            self.guards = np.empty((m, 2))
+            every = np.arange(m)
+            lo, hi, _ = self.plan(every, -tol, 1)
+            self._place(every, lo, hi)
+        else:
+            self.win_eps, self.win_sig, self.win_cost = s.eps, s.sig, s.costs
+        self.refresh(slice(None))
+
+    def _place(self, r, lo, hi):
+        """Centres the windows of rows r on the sorted positions ``[lo,
+        hi)``, which a window then holds if they are at most K, and keeps
+        the strains just outside each window as its guards."""
+        s, index = self.sets, self.sets.strain_index()
+        n, k = self.n, self.k
+        rc = r[:, None]
+        start = np.clip((lo + hi) // 2 - k // 2, 0, n - k)
+        pos = start[:, None] + np.arange(k)
+        j = index.order[rc, pos]
+        self.jwin[r] = j
+        self.win_eps[r] = index.eps[rc, pos]
+        self.win_sig[r] = s.sig[rc, j]
+        if s.costs is not None:
+            self.win_cost[r] = s.costs[rc, j]
+        self.guards[r, 0] = np.where(start > 0, index.eps[r, start - 1], -np.inf)
+        self.guards[r, 1] = np.where(
+            start + k < n, index.eps[r, np.minimum(start + k, n - 1)], np.inf
+        )
+
+    def refresh(self, rows):
+        """Caches the window terms of rows (a slice) at their current
+        points: ``de``, ``ds``, ``a_eps de de``, ``a_sig ds ds`` and ``w
+        (cost - cur_cost)``, each as the scan expression computes it."""
+        de, ds, dede, dsds = self.de[rows], self.ds[rows], self.dede[rows], self.dsds[rows]
+        np.subtract(self.win_eps[rows], self.y_eps[rows, None], out=de)
+        np.subtract(self.win_sig[rows], self.y_sig[rows, None], out=ds)
+        np.multiply(self.a_eps[rows, None], de, out=dede)
+        dede *= de
+        np.multiply(self.a_sig[rows, None], ds, out=dsds)
+        dsds *= ds
+        if self.dc is not None:
+            dc = self.dc[rows]
+            np.subtract(self.win_cost[rows], self.cur_cost[rows, None], out=dc)
+            dc *= self.w[rows, None]
+
+    def _check_windows(self, start, stop, tol):
+        """Checks the block ends of rows ``start`` to ``stop - 1`` at T =
+        -tol against their windows' guards and places again the window of
+        every row whose block has left it. Returns ``{i: (j, v)}`` for the
+        rows ``start + i`` whose block is longer than K or that must be
+        scanned whole: the lowest gain v and its index j, from the planned
+        block or the whole row."""
+        e_lo, e_hi, ok, _ = self._block(slice(start, stop), -tol, 1)
+        guards = self.guards[start:stop]
+        out = np.flatnonzero(~(ok & (guards[:, 0] < e_lo) & (e_hi <= guards[:, 1])))
+        if not out.size:
+            return {}
+        lo, hi, scan = self.plan(start + out, -tol, 1)
+        fits = ~scan & (hi - lo <= self.k)
+        if fits.any():
+            self._place(start + out[fits], lo[fits], hi[fits])
+            for e in (start + out[fits]).tolist():
+                self.refresh(slice(e, e + 1))
+        rest = ~fits
+        j, v = self._evaluate(start + out[rest], lo[rest], hi[rest], scan[rest], 1)
+        return dict(zip(out[rest].tolist(), zip(j[:, 0].tolist(), v[:, 0].tolist())))
+
     def first_move(self, start, assign, tol):
         """The next single move of the sequential sweep from row ``start``.
 
-        Scores the rows of one chunk at the current residuals, so the first
-        row in it with an accepted move is where the sequential sweep moves.
-        Returns ``((row, j), row + 1)``, or ``(None, end)`` when rows
-        ``start`` to ``end - 1`` accept none. A chunk holds the rows up to
-        ``_CHUNK_POINTS`` scored points: whole rows of shorter sets, and for
-        longer ones the blocks of rows searched in strain order (a row
-        certified move-free costs nothing, a row scanned whole costs n).
+        Scores the next ``_CHUNK_POINTS // K`` rows on their windows at the
+        current residuals, so the first row among them with a gain below
+        -tol is where the sequential sweep moves, to that row's lowest
+        index of least gain. Returns ``((row, j), row + 1)``, or ``(None,
+        stop)`` when rows ``start`` to ``stop - 1`` accept none. Rows
+        searched in strain order have their windows checked first
+        (:meth:`_check_windows`).
         """
-        m, n = self.sets.eps.shape
-        if n < _CHUNK_POINTS:
-            stop = min(m, start + max(1, _CHUNK_POINTS // n))
-            gain = self.rows(slice(start, stop))
-            j = gain.argmin(axis=1)
-            v = gain[np.arange(stop - start), j]
-        else:
-            r = np.arange(start, m)
-            lo, hi, scan = self.plan(r, -tol, 1)
-            points = np.where(scan, n, hi - lo)
-            size = np.searchsorted(np.cumsum(points), _CHUNK_POINTS, side="right")
-            stop = start + max(1, int(size))
-            k = stop - start
-            j, v = self._evaluate(r[:k], lo[:k], hi[:k], scan[:k], 1)
-            j, v = j[:, 0], v[:, 0]
-        hit = (j != assign[start:stop]) & (v < -tol)
+        stop = min(self.sets.eps.shape[0], start + max(1, _CHUNK_POINTS // self.k))
+        rows = slice(start, stop)
+        fallback = self._check_windows(start, stop, tol) if self.by_strain else {}
+        gain = (
+            (self.m2wc[rows] * self.r_eps[rows])[:, None] * self.de[rows]
+            + self.dede[rows]
+            + (self.m2w_c[rows] * self.r_sig[rows])[:, None] * self.ds[rows]
+            + self.dsds[rows]
+        )
+        if self.dc is not None:
+            gain = gain + self.dc[rows]
+        j = gain.argmin(axis=1)
+        v = gain[np.arange(stop - start), j]
+        for i, (_, v_i) in fallback.items():
+            v[i] = v_i
+        # the current point scores 0, so a gain below -tol is another point
+        hit = v < -tol
         i = int(hit.argmax())
-        if hit[i]:
-            return (start + i, int(j[i])), start + i + 1
-        return None, stop
+        if not hit[i]:
+            return None, stop
+        if i in fallback:
+            j = fallback[i][0]
+        elif self.by_strain:
+            # the window is in strain order: among equal gains the lowest
+            # original index wins, as in a scan
+            j = self.jwin[start + i][gain[i] == v[i]].min()
+        else:
+            j = j[i]
+        return (start + i, int(j)), start + i + 1
 
 
 def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
@@ -364,6 +474,32 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     pairs as one (32, 32, 6, 6) array whose row-major first minimum is the
     first best pair, and within it the first best candidates, in loop
     order.
+
+    **Windows.** The single sweep scores each row on a candidate window
+    whose terms ``de``, ``ds``, ``a_e de de``, ``a_s ds ds`` and ``w
+    (cost_j - cost_cur)`` are cached, as the scan computes them, and
+    renewed only for a row that moves, in any stage; a chunk is then the
+    cached terms combined with the current residuals in the scan's operand
+    order. For sets shorter than ``_CHUNK_POINTS`` the window is the whole
+    row. For longer ones it is ``_WINDOW`` = K consecutive positions of the
+    row's strain order, centred on the row's block at T = -tol by one
+    :meth:`~_GainSearch.plan` of all rows when the polish starts. Its guard
+    strains are the sorted strains just outside it (-inf and +inf at the
+    row's ends). Before a chunk is scored, each row's block ends at T =
+    -tol are computed with ``plan``'s arithmetic, without the search; the
+    block lies in the window when its low end is above the low guard and
+    its high end (exclusive) at most the high guard. A row whose block has
+    left its window is planned again alone and its window centred anew; a
+    row whose block is longer than K, or that ``plan`` scans whole, is
+    scored on its planned block or whole row instead. The window holds the
+    block and the block every candidate scoring at most -tol, so a row has
+    a gain below -tol in its window exactly when it has one in its row, at
+    the same minimizers; the first such row and its move are the scan's.
+    Among equal gains the lowest original index wins: a long row's window
+    is in strain order, so its first minimum need not be that index, and
+    the sweep takes the least index among the window's minima. Chunks never
+    change the sequential sweep: after a move, scoring resumes at the next
+    row with the updated residuals.
 
     **Block bound.** Treat the computed coefficients as exact and write
     ``alpha = -l_e / (2 a_e)``, ``beta = -l_s / (2 a_s)`` (0 when ``a_s =
@@ -419,18 +555,20 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     phi = float(np.sum(w * (c * r_eps * r_eps + r_sig * r_sig / c + cur_cost)))
     tol = 1e-12 * max(1.0, phi)
     gains = _GainSearch(sys, sets, y_eps, y_sig, r_eps, r_sig, cur_cost)
+    gains.open_windows(tol)
 
     def apply_move(e, j):
         dee = sets.eps[e, j] - y_eps[e]
         dss = sets.sig[e, j] - y_sig[e]
-        r_eps[:] += (dee * wc[e]) * infl[:, e]
+        np.add(r_eps, (dee * wc[e]) * infl[:, e], out=r_eps)
         r_eps[e] -= dee
-        r_sig[:] -= (dss * w[e]) * (c * infl[:, e])
+        np.subtract(r_sig, (dss * w[e]) * (c * infl[:, e]), out=r_sig)
         y_eps[e] = sets.eps[e, j]
         y_sig[e] = sets.sig[e, j]
         assign[e] = j
         if costs is not None:
             cur_cost[e] = costs[e, j]
+        gains.refresh(slice(e, e + 1))
 
     changed = False
     for _ in range(60):

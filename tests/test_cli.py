@@ -20,10 +20,15 @@ from ddmech.truss import LatticeSpec, generate_lattice_truss
         ("visco", "t_end = 3\ndt = 0\n", 2, "dt"),
         ("plastic", "t_end = -1\n", 1, "t_end"),
         ("visco", "runs = 1\nworkers = -3\n", 2, "workers"),
+        ("visco", "seed = -1\n", 1, "seed"),
+        ("relaxation", "band_width = 0\nseed = -2\n", 2, "seed"),
+        ("relaxation", "band_width = 0.001\nseed = -2\n", 2, "seed"),
+        ("plastic", "runs = 2.5\n", 1, "runs"),
     ],
     ids=[
         "unknown-key", "bad-float", "bad-boolean", "other-law", "rejected-value", "no-mesh",
-        "zero-dt", "negative-t_end", "negative-workers",
+        "zero-dt", "negative-t_end", "negative-workers", "negative-seed",
+        "negative-seed-noiseless", "negative-seed-noisy", "fractional-runs",
     ],
 )
 def test_bad_config_line_names_path_line_and_key(tmp_path, capsys, command, text, line, key):
@@ -33,6 +38,13 @@ def test_bad_config_line_names_path_line_and_key(tmp_path, capsys, command, text
     err = capsys.readouterr().err
     assert f"{path}:{line}: " in err
     assert key in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["visco", "relaxation", "oracle-check"])
+def test_negative_seed_flag_is_named(tmp_path, capsys, command):
+    assert cli.main([command, "--seed", "-5", "--out", str(tmp_path)]) == 2
+    assert "error: seed must be at least 0, got -5" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -245,6 +245,27 @@ class TestWindowRule:
             cls(**kwargs)
 
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"rng_seed": 1.5}, "rng_seed"),
+            ({"rng_seed": -1}, "rng_seed"),
+            ({"n_points": 2.7}, "n_points"),
+            ({"n_points": 0}, "n_points"),
+        ],
+    )
+    def test_rejects_non_integral_or_negative_counts(self, kwargs, name):
+        """A fractional seed or size was truncated (seed 1.5 drew seed 1's
+        data); now it is refused, and the field is named."""
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            GeneratorSpec(**{"law": SLS, "n_points": 8, **kwargs})
+
+    def test_integral_floats_are_counts(self):
+        g = GeneratorSpec(law=SLS, n_points=8.0, rng_seed=np.int64(3))
+        assert (g.n_points, g.rng_seed) == (8, 3)
+        assert type(g.n_points) is int and type(g.rng_seed) is int
+
+
 def draw_sets(g, eps_prev, sig_prev, est, *, q_acc=None, dt=1.0, step=0):
     """The per-step draw for the given previous states, one row each."""
     eps_prev = np.atleast_1d(np.asarray(eps_prev, dtype=float))

@@ -240,11 +240,12 @@ def reference_polish(sys, eps_list, sig_list, cost_list, f, g, y_eps0, y_sig0, a
     return assign if changed else None
 
 
-def polish_truss(rng):
+def polish_truss(rng, special=True):
     """35 bars: 30 tie three fully free nodes to random anchors; one bar
     alone carries a one-dof node, with powers of two so its leverage is
     exactly one and ``a_eps`` exactly 0; four join fixed anchors, so their
-    leverage is exactly zero (``a_sig = r_sig = 0``)."""
+    leverage is exactly zero (``a_sig = r_sig = 0``). ``special`` False
+    keeps the first 30 bars only."""
     anchors = rng.normal(size=(12, 3)) * 1.5
     free = rng.normal(size=(3, 3)) * 0.3
     coords = np.vstack([anchors, free, [[5.0, 5.0, 5.0], [4.0, 5.0, 5.0]]])
@@ -255,8 +256,11 @@ def polish_truss(rng):
     areas[30] = 1.0
     moduli = rng.uniform(500.0, 2000.0, m)
     moduli[30] = 1024.0
+    if not special:
+        conn, areas, moduli, m = conn[:30], areas[:30], moduli[:30], 30
     supports = {(i, d) for i in list(range(12)) + [16] for d in range(3)}
-    supports |= {(15, 1), (15, 2)}
+    # node 15 moves only along its one bar, and not at all without it
+    supports |= {(15, 1), (15, 2)} if special else {(15, 0), (15, 1), (15, 2)}
     mesh = TrussMesh(coords, np.array(conn), areas, frozenset(supports))
     gm = GlobalMetric([LocalMetric.from_modulus(c) for c in moduli], mesh.volumes)
     return assemble(mesh, gm)
@@ -391,6 +395,162 @@ class TestPolishEquivalence:
             assert (got is None) == (expect is None)
             if got is not None:
                 assert np.array_equal(got, expect)
+
+
+class MoveCounter:
+    """Counts accepted single moves and ``plan`` calls."""
+
+    def __init__(self, monkeypatch):
+        self.moves = self.plans = 0
+        self._sweeping = False
+        first_move, plan = _GainSearch.first_move, _GainSearch.plan
+
+        def counted_first_move(gs, *args):
+            self._sweeping = True
+            try:
+                move, stop = first_move(gs, *args)
+            finally:
+                self._sweeping = False
+            self.moves += move is not None
+            return move, stop
+
+        def counted_plan(gs, *args):
+            self.plans += 1
+            return plan(gs, *args)
+
+        monkeypatch.setattr(_GainSearch, "first_move", counted_first_move)
+        monkeypatch.setattr(_GainSearch, "plan", counted_plan)
+
+
+class WindowCounter(MoveCounter):
+    """Also counts what the single sweep does with the windows of rows
+    searched in strain order: rows whose window it placed again, rows it
+    scored on a planned block longer than K instead, and windows that
+    touch the low or the high end of their row."""
+
+    def __init__(self, monkeypatch):
+        super().__init__(monkeypatch)
+        self.replaced = self.long = self.low_end = self.high_end = 0
+        place, evaluate = _GainSearch._place, _GainSearch._evaluate
+
+        def counted_place(gs, r, lo, hi):
+            place(gs, r, lo, hi)
+            self.replaced += r.size if self._sweeping else 0
+            self.low_end += int(np.sum(gs.guards[r, 0] == -np.inf))
+            self.high_end += int(np.sum(gs.guards[r, 1] == np.inf))
+
+        def counted_evaluate(gs, r, lo, hi, scan, k):
+            if self._sweeping:
+                self.long += int(np.sum(~scan & (hi - lo > solver._WINDOW)))
+            return evaluate(gs, r, lo, hi, scan, k)
+
+        monkeypatch.setattr(_GainSearch, "_place", counted_place)
+        monkeypatch.setattr(_GainSearch, "_evaluate", counted_evaluate)
+
+
+def assert_same(got, expect):
+    assert (got is None) == (expect is None)
+    if got is not None:
+        assert np.array_equal(got, expect)
+
+
+class TestWindows:
+    """The single sweep on K-point windows of rows of 2048 points or more
+    == the element loop, case by case of the window's life."""
+
+    def test_block_leaves_its_window(self, monkeypatch):
+        """From a random assignment the residuals move far, and blocks leave
+        the windows placed when the polish started."""
+        counter = WindowCounter(monkeypatch)
+        rng = np.random.default_rng(41)
+        for _ in range(2):
+            sys = polish_truss(rng, special=False)
+            lists = random_sets(rng, sys, [4096] * sys.n_elements)
+            assert_same(*both_polishes(rng, sys, *lists))
+        assert counter.replaced > 0
+
+    def test_block_longer_than_window(self, monkeypatch):
+        counter = WindowCounter(monkeypatch)
+        rng = np.random.default_rng(42)
+        for _ in range(2):
+            sys = polish_truss(rng)
+            lists = random_sets(rng, sys, [4096] * sys.n_elements, costs=True)
+            assert_same(*both_polishes(rng, sys, *lists, force=10.0))
+        assert counter.long > 0
+
+    def test_window_at_either_end_of_its_row(self, monkeypatch):
+        """Rows whose data lie all above or all below the strain their bar
+        is pulled to have their blocks, and windows, at an end."""
+        counter = WindowCounter(monkeypatch)
+        rng = np.random.default_rng(43)
+        for _ in range(2):
+            sys = polish_truss(rng)
+            eps_list, sig_list, cost_list = random_sets(rng, sys, [4096] * sys.n_elements)
+            for e in range(sys.n_elements):
+                eps_list[e] += 0.03 * (e % 3 - 1)
+            assert_same(*both_polishes(rng, sys, eps_list, sig_list, cost_list))
+        assert counter.low_end > 0 and counter.high_end > 0
+
+    @pytest.mark.parametrize("costs", [False, True])
+    def test_ragged_long_rows_padded(self, costs, monkeypatch):
+        """Padded entries repeat their row's last point, so they sit in its
+        strain order and may fall in a window, with gain +inf."""
+        counter = WindowCounter(monkeypatch)
+        rng = np.random.default_rng(44 + costs)
+        for _ in range(2):
+            sys = polish_truss(rng)
+            sizes = rng.integers(solver._CHUNK_POINTS, 4097, sys.n_elements)
+            lists = random_sets(rng, sys, sizes, costs=costs)
+            sets = stack_sets([LocalDataSet(*row) for row in zip(*lists)])
+            assert sets.lengths is not None and sets.lengths.min() >= solver._CHUNK_POINTS
+            assert_same(*both_polishes(rng, sys, *lists))
+        assert counter.moves > 0
+
+    def test_equal_gains_go_to_the_lowest_index(self):
+        """Every point is stored twice, at i and i + 2048; where the strain
+        order puts the higher copy first, a window's first minimum is not
+        the scan's. Ranks come in pairs, so no top-6 list breaks a tie at
+        its last place, and the indices must agree exactly."""
+        rng = np.random.default_rng(45)
+        half = solver._CHUNK_POINTS
+        flipped = 0
+        for _ in range(3):
+            sys = polish_truss(rng)
+            eps_list, sig_list, cost_list = random_sets(rng, sys, [half] * sys.n_elements)
+            eps_list = [np.concatenate([a, a]) for a in eps_list]
+            sig_list = [np.concatenate([a, a]) for a in sig_list]
+            order = StackedSets(np.stack(eps_list), np.stack(sig_list), None).strain_index().order
+            flipped += int(np.sum(order[:, :-1] == order[:, 1:] + half))
+            assert_same(*both_polishes(rng, sys, eps_list, sig_list, cost_list))
+        assert flipped > 0
+
+    def test_plans_fewer_than_moves(self, monkeypatch):
+        """On data close to a linear response, every row starts three
+        strain neighbours off a polished assignment and moves back; the
+        windows placed when the polish starts hold the short blocks, so
+        ``plan`` runs far less often than once per move."""
+        rng = np.random.default_rng(46)
+        sys = polish_truss(rng, special=False)
+        m, rows = sys.n_elements, np.arange(sys.n_elements)
+        eps = rng.normal(scale=0.01, size=(m, 4096))
+        sig = sys.c[:, None] * (eps + rng.normal(scale=4e-5, size=(m, 4096)))
+        sets = StackedSets(eps, sig, None)
+        f = rng.normal(size=sys.n_free) * 20.0
+        g = rng.normal(size=m) * 1e-3
+
+        def polish(assign0, polish_fn=_swap_polish, *lists):
+            y0 = (eps[rows, assign0], sig[rows, assign0])
+            return polish_fn(sys, *(lists or (sets,)), f, g, *y0, assign0)
+
+        polished = polish(rng.integers(0, 4096, m))
+        order = sets.strain_index().order
+        pos = np.argsort(order, axis=1)[rows, polished] + rng.choice([-3, 3], m)
+        start = order[rows, np.clip(pos, 0, 4095)]
+        counter = MoveCounter(monkeypatch)
+        got = polish(start)
+        assert counter.moves >= m
+        assert counter.plans < counter.moves
+        assert_same(got, polish(start, reference_polish, eps, sig, [None] * m))
 
 
 def brute_lowest(gain, k):

@@ -81,6 +81,31 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_fixed_point_iters=0)
 
+    def test_rejects_fractional_iters(self):
+        """3.9 was truncated to 3 iterations."""
+        with pytest.raises(ValueError, match="max_fixed_point_iters must be an integer"):
+            SolverConfig(max_fixed_point_iters=3.9)
+        assert SolverConfig(max_fixed_point_iters=3.0).max_fixed_point_iters == 3
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, name",
+    [
+        (RelaxationConfig, {"seed": -2}, "seed"),
+        (RelaxationConfig, {"seed": 0.5}, "seed"),
+        (default_study_config, {"seed": -1}, "seed"),
+        (default_study_config, {"seed": 7041.5}, "seed"),
+        (default_study_config, {"runs": 2.5}, "runs"),
+        (default_study_config, {"points": (64, 256.5)}, "points"),
+    ],
+)
+def test_configs_reject_bad_seeds_and_counts(make, kwargs, name):
+    """Seeds must be non-negative integers and counts integers; neither is
+    truncated, and the error names the field."""
+    args = ("visco",) if make is default_study_config else ()
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make(*args, **kwargs)
+
 
 class TestFixedPoint:
     """Alternating projections on random small instances."""
