@@ -8,7 +8,23 @@ repeats. History dependence enters through the data set itself: the sets
 are regenerated each step conditioned on the accepted local states (and
 internal variables, for rate-independent behaviour), or assembled from
 two-time archives of recorded transitions.
+
+BLAS runs one thread in a process that imports this package before numpy,
+as the ``ddmech`` commands do, unless ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is set: the solver's matrices
+are a few hundred rows, where BLAS threads only compete with the step
+worker and the study pool. A caller that imported numpy first keeps its
+setting.
 """
+
+import os as _os
+import sys as _sys
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARS):
+    # BLAS reads these once, when numpy loads it
+    for _var in _BLAS_THREAD_VARS:
+        _os.environ[_var] = "1"
 
 from .data import (
     ConditioningState,

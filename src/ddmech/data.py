@@ -120,12 +120,22 @@ _SORTED_SEARCH_MIN_SIZE = 100_000
 _MAX_BLOCK_SHARE = 0.125
 
 
+#: Rows :meth:`StrainIndex.sort` sorts at a time. Sorting half of a 197 x
+#: 4096 stack at once held 6 MB of work arrays next to the index, which
+#: raised the march's peak RSS by 5 MiB; 8 rows hold 0.5 MB.
+_SORT_ROWS = 8
+
+
 class StrainIndex:
     """Per-row strain order of stacked sets.
 
     ``order`` sorts every row by strain (``np.argsort``'s default kind) and
     ``eps`` holds the strains in that order. It keeps no reference to the
-    sets it was built from, so the sets and the index free together.
+    sets it was built from, so the sets and the index free together. Rows
+    are sorted one by one, so the index of some rows is those rows of the
+    index of all: a march whose rows are drawn in two processes has each
+    sort its own rows into one shared pair of arrays, and both read that
+    pair as one index (:meth:`of`).
     """
 
     __slots__ = ("order", "eps")
@@ -133,6 +143,26 @@ class StrainIndex:
     def __init__(self, strains: np.ndarray) -> None:
         self.order = np.argsort(strains, axis=1)
         self.eps = np.take_along_axis(strains, self.order, axis=1)
+
+    @classmethod
+    def of(cls, order: np.ndarray, eps: np.ndarray) -> StrainIndex:
+        """The index held in ``order`` and ``eps``, arrays shaped like the
+        strains, whose rows :meth:`sort` fills."""
+        index = cls.__new__(cls)
+        index.order, index.eps = order, eps
+        return index
+
+    def sort(self, strains: np.ndarray, rows: slice) -> None:
+        """Writes the index of the rows ``rows`` of ``strains`` into the
+        same rows of this index, as :class:`StrainIndex` of the strains
+        would hold them. Rows are sorted a few at a time, so the work
+        arrays stay small next to the index."""
+        r = range(strains.shape[0])[rows]
+        for start in range(r.start, r.stop, _SORT_ROWS):
+            block = slice(start, min(start + _SORT_ROWS, r.stop))
+            order = np.argsort(strains[block], axis=1)
+            self.order[block] = order
+            self.eps[block] = np.take_along_axis(strains[block], order, axis=1)
 
     def search(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Left insertion positions of ``x`` in its sorted row.
@@ -168,7 +198,8 @@ class StackedSets:
     the rows' :class:`StrainIndex`. It is built on the first call of
     :meth:`strain_index` and then shared by every search of the step
     (association and the response warm start); a caller whose strains
-    outlive one step (a fixed archive) builds it once.
+    outlive one step (a fixed archive) builds it once, and a march's stack
+    of regenerated sets carries an index that every step's draw fills.
     """
 
     eps: np.ndarray
@@ -228,10 +259,11 @@ def _stack_rows(eps_rows, sig_rows, cost_rows) -> StackedSets:
     )
 
 
-def _padded(rows, shape, fill=None) -> np.ndarray:
-    """The rows as one array of ``shape``; past its length each row repeats
-    its last entry, or holds ``fill`` when one is given."""
-    out = np.empty(shape)
+def _padded(rows, shape, fill=None, out=None) -> np.ndarray:
+    """The rows as one array of ``shape`` (``out`` when given); past its
+    length each row repeats its last entry, or holds ``fill`` when one is
+    given."""
+    out = np.empty(shape) if out is None else out
     for e, a in enumerate(rows):
         out[e, : a.size] = a
         out[e, a.size :] = a[-1] if fill is None else fill
@@ -615,7 +647,11 @@ def _prior_slot_cost(
 
 
 def prior_slot_costs(
-    repositories: Sequence[HistoryRepository], z_prev: GlobalState, gm: GlobalMetric
+    repositories: Sequence[HistoryRepository],
+    z_prev: GlobalState,
+    gm: GlobalMetric,
+    rows: slice = slice(None),
+    out: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Fidelity costs of the archives as an (M, n_max) array, padded as
     :func:`stack_sets` pads: +inf past each archive's entries.
@@ -623,14 +659,18 @@ def prior_slot_costs(
     Row e holds the costs :func:`history_cost_dataset` gives element e
     (zeros where the prior weight is zero); None when the archives have
     equal sizes and every prior weight is zero. Costs are checked as
-    :class:`LocalDataSet` checks them.
+    :class:`LocalDataSet` checks them. Only the ``rows`` of that array are
+    computed, and written into ``out`` when it is given; each row depends
+    on its own element alone.
     """
     sizes = [h.n_entries for h in repositories]
     if len(set(sizes)) == 1 and all(h.weights[1] == 0.0 for h in repositories):
         return None
+    chosen = range(len(sizes))[rows]
 
-    def rows():
-        for e, h in enumerate(repositories):
+    def costs():
+        for e in chosen:
+            h = repositories[e]
             row = _prior_slot_cost(h, z_prev.point(e), gm.locals[e])
             if row is None:
                 row = np.zeros(h.n_entries)
@@ -638,7 +678,7 @@ def prior_slot_costs(
                 raise ValueError("fidelity costs must be finite and nonnegative")
             yield row
 
-    return _padded(rows(), (len(sizes), max(sizes)), np.inf)
+    return _padded(costs(), (len(chosen), max(sizes)), np.inf, out)
 
 
 def write_csv(path, header, rows) -> None:

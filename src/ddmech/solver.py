@@ -26,19 +26,23 @@ block), the other stages on whole rows or certified blocks, so every move,
 and every trajectory, is the one a scan of every candidate gives.
 
 Both marches run one step loop and differ only in the data sets a step
-searches. :func:`time_march` regenerates the per-element sets every step,
+searches, which every step draws into one (M, n) stack per march.
+:func:`time_march` regenerates the per-element sets every step,
 conditioned on the previously accepted local states; randomness is split
 per (step, element) from the run seed, so trajectories are bit-reproducible
-and any process can draw a step's sets again, bit for bit.
+and any subset of a step's rows can be drawn alone, bit for bit.
 :func:`history_matching_march` searches fixed two-time archives, with the
 prior-slot mismatch against the previously accepted state as a fidelity
-cost. A step solved from two warm starts solves the second in a forked
-step worker (:class:`_StepWorker`) while the march solves the first, when
-the process may use two CPUs and is not itself a child process.
+cost. A step solved from two warm starts forks a step worker
+(:class:`_StepWorker`) when the process may use two CPUs and is not itself
+a child process. The stack is then in shared memory: the march and the
+worker each draw half of every step's rows into it, and the worker solves
+the second start while the march solves the first.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import signal
@@ -56,6 +60,7 @@ from .data import (
     HistoryRepository,
     LocalDataSet,
     StackedSets,
+    StrainIndex,
     _stack_rows,
     batch_nearest,
     block_lowest,
@@ -277,9 +282,14 @@ class _GainSearch:
         (empty where none can be), and the rows to scan whole instead.
 
         ``bound`` None takes each row's bound as the k-th smallest gain among
-        k strain neighbours of its block centre.
+        k strain neighbours of its block centre. A tuple is the rows'
+        :meth:`_block` ends, already computed for their bound, which are
+        then only searched.
         """
-        e_lo, e_hi, ok, reach = self._block(r, bound, k)
+        if isinstance(bound, tuple):
+            e_lo, e_hi, ok, reach = bound
+        else:
+            e_lo, e_hi, ok, reach = self._block(r, bound, k)
         lo, hi = self.sets.strain_index().search(np.stack([e_lo, e_hi], axis=1), r).T
         hi = np.where(reach < 0.0, lo, hi)
         return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * self.n)
@@ -380,16 +390,16 @@ class _GainSearch:
     def _check_windows(self, start, stop, tol):
         """Checks the block ends of rows ``start`` to ``stop - 1`` at T =
         -tol against their windows' guards and places again the window of
-        every row whose block has left it. Returns ``{i: (j, v)}`` for the
-        rows ``start + i`` whose block is longer than K or that must be
-        scanned whole: the lowest gain v and its index j, from the planned
-        block or the whole row."""
-        e_lo, e_hi, ok, _ = self._block(slice(start, stop), -tol, 1)
+        every row whose block has left it, planned from the same ends.
+        Returns ``{i: (j, v)}`` for the rows ``start + i`` whose block is
+        longer than K or that must be scanned whole: the lowest gain v and
+        its index j, from the planned block or the whole row."""
+        e_lo, e_hi, ok, reach = self._block(slice(start, stop), -tol, 1)
         guards = self.guards[start:stop]
         out = np.flatnonzero(~(ok & (guards[:, 0] < e_lo) & (e_hi <= guards[:, 1])))
         if not out.size:
             return {}
-        lo, hi, scan = self.plan(start + out, -tol, 1)
+        lo, hi, scan = self.plan(start + out, (e_lo[out], e_hi[out], ok[out], reach[out]), 1)
         fits = ~scan & (hi - lo <= self.k)
         if fits.any():
             self._place(start + out[fits], lo[fits], hi[fits])
@@ -489,12 +499,13 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     -tol are computed with ``plan``'s arithmetic, without the search; the
     block lies in the window when its low end is above the low guard and
     its high end (exclusive) at most the high guard. A row whose block has
-    left its window is planned again alone and its window centred anew; a
-    row whose block is longer than K, or that ``plan`` scans whole, is
-    scored on its planned block or whole row instead. The window holds the
-    block and the block every candidate scoring at most -tol, so a row has
-    a gain below -tol in its window exactly when it has one in its row, at
-    the same minimizers; the first such row and its move are the scan's.
+    left its window is planned from those same ends, which ``plan`` then
+    only searches, and its window centred anew; a row whose block is longer
+    than K, or that ``plan`` scans whole, is scored on its planned block or
+    whole row instead. The window holds the block and the block every
+    candidate scoring at most -tol, so a row has a gain below -tol in its
+    window exactly when it has one in its row, at the same minimizers; the
+    first such row and its move are the scan's.
     Among equal gains the lowest original index wins: a long row's window
     is in strain order, so its first minimum need not be that index, and
     the sweep takes the least index among the window's minima. Chunks never
@@ -1001,8 +1012,11 @@ def _stacked_step_sets(
     est: np.ndarray,
     dt: float | None,
     step: int,
+    rows: slice = slice(None),
+    out: StackedSets | None = None,
 ) -> StackedSets:
-    """The per-step data sets of every element, stacked as (M, n) arrays.
+    """The per-step data sets of the elements ``rows``, stacked as arrays
+    with one row per element (all M elements by default).
 
     Each element's strains are sampled in a window about its predicted
     strain ``eps_prev + est``, whose half-width :meth:`WindowRule.halfwidths`
@@ -1017,11 +1031,18 @@ def _stacked_step_sets(
     and for plasticity the return map from the internal variable recovered
     from the previous state alone, ``q = ((e0+e1) eps_k - sig_k) / e1``,
     with the accumulated slip ``q_acc``. Every element's noise stream is
-    seeded from (run seed, step, element), so a row does not depend on the
-    other rows or on how elements are batched.
+    seeded from (run seed, step, element), the element's index among all M,
+    and every other operation is elementwise, so a row does not depend on
+    the other rows or on which rows are drawn together. The per-element
+    arguments hold all M elements. With ``out``, an (M, n) stack, the rows
+    are written into its strains and stresses, and the result views them.
     """
-    m = eps_prev.size
+    elements = range(eps_prev.size)[rows]
+    eps_prev, sig_prev, q_acc, est = eps_prev[rows], sig_prev[rows], q_acc[rows], est[rows]
+    m = len(elements)
     n = g.n_points
+    eps = np.empty((m, n)) if out is None else out.eps[rows]
+    sig = np.empty((m, n)) if out is None else out.sig[rows]
     centers = eps_prev + est
     ab = None
     if isinstance(g.law, SlsParams):
@@ -1035,27 +1056,28 @@ def _stacked_step_sets(
     hw = hw * g.window_scale
     if g.sampling == "grid":
         steps = hw / max(n // 2, 1)
-        eps = centers[:, None] + (np.arange(n) - n // 2)[None, :] * steps[:, None]
+        np.multiply((np.arange(n) - n // 2)[None, :], steps[:, None], out=eps)
+        np.add(centers[:, None], eps, out=eps)
         if g.band_width > 0.0:
-            for e in range(m):
+            for i, e in enumerate(elements):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([int(g.rng_seed), int(step), int(e)])
                 )
-                eps[e] += rng.uniform(-0.5 * g.band_width, 0.5 * g.band_width, n)
+                eps[i] += rng.uniform(-0.5 * g.band_width, 0.5 * g.band_width, n)
     else:
-        eps = np.empty((m, n))
-        for e in range(m):
+        for i, e in enumerate(elements):
             rng = np.random.default_rng(
                 np.random.SeedSequence([int(g.rng_seed), int(step), int(e)])
             )
-            eps[e] = centers[e] + rng.uniform(-hw[e], hw[e], n)
+            eps[i] = centers[i] + rng.uniform(-hw[i], hw[i], n)
     if ab is not None:
         a, b = ab
-        sig = a[:, None] + b * eps
+        np.multiply(b, eps, out=sig)
+        np.add(a[:, None], sig, out=sig)
     else:
         p = g.law
         q_prev = ((p.e0 + p.e1) * eps_prev - sig_prev) / p.e1
-        sig, _, _ = plastic_return_map(eps, q_prev[:, None], q_acc[:, None], p)
+        sig[...] = plastic_return_map(eps, q_prev[:, None], q_acc[:, None], p)[0]
     return StackedSets(eps, sig, None)
 
 
@@ -1088,44 +1110,74 @@ def _may_fork() -> bool:
     )
 
 
-def _serve_steps(conn, parent_conn, system, gm, cfg, step_sets) -> None:
-    """The step worker's loop: a step's arguments in, its second solve (or
-    the exception it raised) out, until the march closes its end."""
+def _row_halves(m: int) -> tuple[slice, slice]:
+    """The rows of a step the march draws, ``[0, ceil(m/2))``, and those
+    its step worker draws, the rest (none for a one-bar mesh)."""
+    half = (m + 1) // 2
+    return slice(0, half), slice(half, m)
+
+
+def _shared_empty(shape, dtype) -> np.ndarray:
+    """An array in an anonymous shared mapping: a child forked after it is
+    made reads and writes the same pages, and there is nothing to unlink;
+    the mapping goes with its last view."""
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, count * dtype.itemsize)
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
+def _attempt(fn, *args):
+    """``(True, fn(*args))``, or ``(False, (exception, traceback))``."""
+    try:
+        return True, fn(*args)
+    except Exception as exc:
+        return False, (exc, traceback.format_exc())
+
+
+def _serve_steps(conn, parent_conn, system, gm, cfg, sets, draw, rows) -> None:
+    """The step worker's loop. For every step the march sends, it draws the
+    step's ``rows`` into the shared stack ``sets`` and says so (or sends
+    the exception the draw raised), waits until the march says that its
+    rows are drawn too, then runs the second solve on the whole stack and
+    sends the result or the exception. It ends when the march closes its
+    end."""
     parent_conn.close()
     # an interrupt is the march's to handle; it then ends this process
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
             k, dt, est, eps_prev, sig_prev, q_acc, f, t = conn.recv()
+            drawn = _attempt(draw, sets, rows, k, dt, est, eps_prev, sig_prev, q_acc)
+            conn.send(drawn)
+            conn.recv()
         except EOFError:
             return
-        try:
-            sets = step_sets(k, dt, est, eps_prev, sig_prev, q_acc)
-            out = (True, _response_solve(system, gm, cfg, sets, f, t, eps_prev + est))
-        except Exception as exc:
-            out = (False, (exc, traceback.format_exc()))
-        sets = None
-        conn.send(out)
+        if drawn[0]:
+            conn.send(_attempt(_response_solve, system, gm, cfg, sets, f, t, eps_prev + est))
 
 
 class _StepWorker:
-    """A forked process that runs each step's second solve
+    """A forked process that draws the second half of each step's rows
+    into the march's shared stack, and then runs the step's second solve
     (:func:`_response_solve`) while the march runs the first.
 
-    The fork hands the child the march's system, metric, config and set
-    provider. A step sends it only ``(k, dt, est, eps_prev, sig_prev,
-    q_acc, f, t)``; from these the child draws the step's sets again, bit
-    for bit, and sends back the :class:`StepResult` or None. An exception
-    in the child is raised again by :meth:`result`. :meth:`close` ends the
-    child, at once if it is still solving, and joins it.
+    The fork hands the child the march's system, metric, config, shared
+    stack and draw. A step sends it only ``(k, dt, est, eps_prev, sig_prev,
+    q_acc, f, t)``; the child draws its rows from these, bit for bit as a
+    serial march would, and :meth:`rows_drawn` exchanges the news that both
+    halves are in. It then sends back the :class:`StepResult` or None. An
+    exception in the child is raised again by :meth:`rows_drawn` or
+    :meth:`result`. :meth:`close` ends the child, at once if it is still
+    at work on a step, and joins it.
     """
 
-    def __init__(self, system, gm, cfg, step_sets) -> None:
+    def __init__(self, system, gm, cfg, sets, draw, rows) -> None:
         ctx = multiprocessing.get_context("fork")
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
             target=_serve_steps,
-            args=(child_conn, self._conn, system, gm, cfg, step_sets),
+            args=(child_conn, self._conn, system, gm, cfg, sets, draw, rows),
             daemon=True,
         )
         self._proc.start()
@@ -1136,7 +1188,18 @@ class _StepWorker:
         self._conn.send(step)
         self._busy = True
 
+    def rows_drawn(self) -> None:
+        """Says that the march's rows of the step are drawn and waits until
+        the worker's are."""
+        self._conn.send(None)
+        self._receive()
+
     def result(self) -> StepResult | None:
+        value = self._receive()
+        self._busy = False
+        return value
+
+    def _receive(self):
         try:
             ok, value = self._conn.recv()
         except EOFError:
@@ -1144,7 +1207,6 @@ class _StepWorker:
             raise RuntimeError(
                 f"the step worker exited with code {self._proc.exitcode}"
             ) from None
-        self._busy = False
         if ok:
             return value
         exc, tb = value
@@ -1163,7 +1225,8 @@ def _march(
     loads: LoadProgram | None,
     t_grid: np.ndarray,
     cfg: SolverConfig,
-    step_sets: Callable[..., StackedSets],
+    stack: Callable[[Callable], StackedSets],
+    draw: Callable[..., None],
     plastic_law: PlasticParams | None,
     *,
     padded: bool = False,
@@ -1171,27 +1234,38 @@ def _march(
 ) -> Trajectory:
     """The step loop of both marches.
 
-    ``step_sets(k, dt, est, eps_prev, sig_prev, q_acc)`` returns step k's
-    data sets from its time increment (None on the first step), its elastic
-    strain estimate and the previously accepted strain, stress and
-    accumulated slip; it must be a pure function of these, as a step worker
-    draws the same sets again. ``padded`` says that its sets have padded
-    rows, and ``sink(k, sets)`` sees every step's sets once, in the march
-    process.
+    ``stack(empty)`` makes the march's one (M, n) stack of data sets, its
+    per-step arrays made by ``empty(shape, dtype)``; every step's sets are
+    drawn into it. ``draw(sets, rows, k, dt, est, eps_prev, sig_prev,
+    q_acc)`` writes the rows ``rows`` (a slice) of step k's sets into the
+    stack ``sets``, from the step's time increment (None on the first
+    step), its elastic strain estimate and the previously accepted strain,
+    stress and accumulated slip (arrays of all M elements). Each row must
+    be a pure function of these and of its own element, as the rows of a
+    step may be drawn in two processes. ``padded`` says that the sets have
+    padded rows, and ``sink(k, sets)`` sees every step's sets once, in the
+    march process; the next step draws over them.
 
     Each step is solved from the warm start ``cfg.init_strategy`` picks and,
     under "response" on sets with no padded row, also from the empirical
     response init (its strain-order lookups would read padded entries); the
     lower objective wins, the first on a tie. When :func:`_may_fork` allows,
-    a :class:`_StepWorker` forked for the march solves the second start
-    while the march solves the first; otherwise the march solves both in
-    turn. Either way the trajectory has the same bits, and the worker is
-    shut down and joined before the march returns or raises. The
-    accumulated slip is tracked only for a ``plastic_law``.
+    the stack is made in shared memory (:func:`_shared_empty`) and a
+    :class:`_StepWorker` is forked for the march. At every step the march
+    draws the first half of the rows (:func:`_row_halves`) and the worker
+    the rest, each waits until the other's half is in, and then the worker
+    solves the second start while the march solves the first. Otherwise the
+    march draws every row and solves both in turn. Either way the
+    trajectory has the same bits, and the worker is shut down and joined
+    before the march returns or raises. The accumulated slip is tracked
+    only for a ``plastic_law``.
     """
     m = system.n_elements
     two_starts = cfg.init_strategy == "response" and not padded
-    worker = _StepWorker(system, gm, cfg, step_sets) if two_starts and _may_fork() else None
+    forked = two_starts and _may_fork()
+    sets = stack(_shared_empty if forked else np.empty)
+    rows, rest = _row_halves(m) if forked else (slice(None), None)
+    worker = _StepWorker(system, gm, cfg, sets, draw, rest) if forked else None
     steps: list[StepResult] = []
     q_rows: list[np.ndarray] = []
     eps_prev = np.zeros(m)
@@ -1209,9 +1283,9 @@ def _march(
             est = system.elastic_strain_increment(f, f_prev, t, t_prev)
             if worker is not None:
                 worker.submit(k, dt, est, eps_prev, sig_prev, q_acc, f, t)
-            # free the previous step's sets and index before drawing this step's
-            sets = None
-            sets = step_sets(k, dt, est, eps_prev, sig_prev, q_acc)
+            draw(sets, rows, k, dt, est, eps_prev, sig_prev, q_acc)
+            if worker is not None:
+                worker.rows_drawn()
             if sink is not None:
                 sink(k, sets)
             if cfg.init_strategy == "zero":
@@ -1289,26 +1363,34 @@ def time_march(
     previously accepted states; the first step uses the instantaneous
     (rate-free) response so a suddenly applied load or displacement yields
     the correct initial state. The step solution warm-starts from the
-    elastically advanced previous state (see SolverConfig.init_strategy);
-    under "response" a forked step worker may solve the second warm start
-    (see :func:`_march`), drawing the step's sets again from the same
-    seeds. ``dataset_sink(k, sets)`` sees each step's sets once, in the
-    calling process.
+    elastically advanced previous state (see SolverConfig.init_strategy).
+    Each step's sets and their strain order are drawn into one (M, n)
+    stack, which under "response" a forked step worker may share: the
+    march and the worker then each draw and sort half of the rows (see
+    :func:`_march`), and the rows, seeded per element, are the same bits.
+    ``dataset_sink(k, sets)`` sees each step's sets once, in the calling
+    process, as copies that later steps leave unchanged.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
     system = sys if sys is not None else assemble(mesh, gm)
     law = generator.law
     plastic_law = law if isinstance(law, PlasticParams) else None
+    shape = (system.n_elements, generator.n_points)
 
-    def step_sets(k, dt, est, eps_prev, sig_prev, q_acc):
-        return _stacked_step_sets(generator, eps_prev, sig_prev, q_acc, est, dt, k)
+    def stack(empty):
+        eps, sig, order, eps_sorted = (empty(shape, t) for t in (float, float, np.intp, float))
+        return StackedSets(eps, sig, None, index=StrainIndex.of(order, eps_sorted))
+
+    def draw(sets, rows, k, dt, est, eps_prev, sig_prev, q_acc):
+        _stacked_step_sets(generator, eps_prev, sig_prev, q_acc, est, dt, k, rows, sets)
+        sets.index.sort(sets.eps, rows)
 
     def sink(k, stacked):
         dataset_sink(k, [LocalDataSet(*row) for row in zip(stacked.eps, stacked.sig)])
 
     return _march(
-        system, gm, loads, t_grid, cfg, step_sets, plastic_law,
+        system, gm, loads, t_grid, cfg, stack, draw, plastic_law,
         sink=None if dataset_sink is None else sink,
     )
 
@@ -1330,10 +1412,11 @@ def history_matching_march(
     a fidelity cost; nothing is regenerated, so the archives can be sampled
     entirely offline. The archives are stacked (ragged ones padded as
     :func:`~ddmech.data.stack_sets` pads) and strain-sorted once per march,
-    and each step computes only their cost rows, +inf on padded entries.
-    On equal archives under "response" a forked step worker may solve the
-    second warm start (see :func:`_march`); it shares the sorted archive
-    with the march and computes its own cost rows.
+    and each step computes only their cost rows, +inf on padded entries,
+    into one (M, n) array. On equal archives under "response" a forked step
+    worker may solve the second warm start (see :func:`_march`): it reads
+    the sorted archive the fork shares, and the cost array is shared too,
+    each process computing the cost rows of half of the elements.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1348,13 +1431,19 @@ def history_matching_march(
         [None] * m,
     )
     archive.strain_index()
+    # no cost rows at all (None) for equal archives without a prior weight
+    costed = prior_slot_costs(repositories, GlobalState.zeros(m), gm, slice(0, 0)) is not None
 
-    def step_sets(k, dt, est, eps_prev, sig_prev, q_acc):
-        z_prev = GlobalState(eps_prev, sig_prev)
-        return replace(archive, costs=prior_slot_costs(repositories, z_prev, gm))
+    def stack(empty):
+        return replace(archive, costs=empty(archive.eps.shape, float)) if costed else archive
+
+    def draw(sets, rows, k, dt, est, eps_prev, sig_prev, q_acc):
+        if costed:
+            z_prev = GlobalState(eps_prev, sig_prev)
+            prior_slot_costs(repositories, z_prev, gm, rows, sets.costs[rows])
 
     return _march(
-        system, gm, loads, t_grid, cfg, step_sets, None,
+        system, gm, loads, t_grid, cfg, stack, draw, None,
         padded=archive.lengths is not None,
     )
 

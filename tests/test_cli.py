@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ddmech
 from ddmech import cli
 from ddmech.truss import LatticeSpec, generate_lattice_truss
 
@@ -67,3 +74,61 @@ def test_visco_run_from_a_config_file(tmp_path):
     bars = generate_lattice_truss(LatticeSpec(2, 1, 1)).n_bars
     lines = (tmp_path / "visco_trajectory.csv").read_text().splitlines()
     assert len(lines) == 1 + 4 * bars
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Imports the package as ``python -m ddmech.cli`` and the ``ddmech`` script
+#: do, then reports the thread variables and the thread count of every
+#: OpenBLAS loaded (numpy's and scipy's).
+_PROBE = """
+import ctypes, json, os
+{first}
+import ddmech.cli
+import numpy.linalg
+import scipy.linalg
+
+counts = []
+with open("/proc/self/maps") as fh:
+    paths = sorted({{line.split()[-1] for line in fh if "openblas" in line}})
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            counts.append(getattr(lib, name)())
+            break
+print(json.dumps({{"env": {{v: os.environ.get(v) for v in {names}}}, "blas": counts}}))
+"""
+
+
+def _thread_report(first="", **env):
+    """The probe's report from a fresh interpreter whose environment has no
+    thread variable but those in ``env``."""
+    clean = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    src = str(Path(ddmech.__file__).resolve().parents[1])
+    clean["PYTHONPATH"] = os.pathsep.join(filter(None, [src, clean.get("PYTHONPATH")]))
+    clean.update(env)
+    code = _PROBE.format(first=first, names=_THREAD_VARS)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=clean, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout)
+
+
+def test_commands_run_blas_with_one_thread():
+    report = _thread_report()
+    assert report["env"] == {v: "1" for v in _THREAD_VARS}
+    assert len(report["blas"]) >= 1 and set(report["blas"]) == {1}
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_users_thread_setting_wins(var):
+    report = _thread_report(**{var: "2"})
+    assert report["env"] == {v: ("2" if v == var else None) for v in _THREAD_VARS}
+    assert set(report["blas"]) == {min(2, os.cpu_count())}
+
+
+def test_a_caller_that_imported_numpy_first_is_unchanged():
+    report = _thread_report(first="import numpy")
+    assert report["env"] == {v: None for v in _THREAD_VARS}

@@ -553,6 +553,51 @@ class TestWindows:
         assert_same(got, polish(start, reference_polish, eps, sig, [None] * m))
 
 
+class CheckCounter:
+    """Counts, for every ``_check_windows`` call, the ``_block`` calls made
+    inside it, and the ``plan`` calls made inside any of them."""
+
+    def __init__(self, monkeypatch):
+        self.blocks: list[int] = []
+        self.plans = 0
+        self._inside = False
+        check, block, plan = _GainSearch._check_windows, _GainSearch._block, _GainSearch.plan
+
+        def counted_check(gs, *args):
+            self.blocks.append(0)
+            self._inside = True
+            try:
+                return check(gs, *args)
+            finally:
+                self._inside = False
+
+        def counted_block(gs, *args):
+            if self._inside:
+                self.blocks[-1] += 1
+            return block(gs, *args)
+
+        def counted_plan(gs, *args):
+            self.plans += self._inside
+            return plan(gs, *args)
+
+        monkeypatch.setattr(_GainSearch, "_check_windows", counted_check)
+        monkeypatch.setattr(_GainSearch, "_block", counted_block)
+        monkeypatch.setattr(_GainSearch, "plan", counted_plan)
+
+
+def test_block_ends_computed_once_per_checked_chunk(monkeypatch):
+    """``_check_windows`` computes its chunk's block ends once, and plans
+    the rows whose block left its window from those same ends."""
+    counter = CheckCounter(monkeypatch)
+    rng = np.random.default_rng(41)
+    for _ in range(2):
+        sys = polish_truss(rng, special=False)
+        lists = random_sets(rng, sys, [4096] * sys.n_elements)
+        assert_same(*both_polishes(rng, sys, *lists))
+    assert counter.blocks and set(counter.blocks) == {1}
+    assert counter.plans > 0
+
+
 def brute_lowest(gain, k):
     order = np.array([np.lexsort((np.arange(row.size), row))[:k] for row in gain])
     return order, np.take_along_axis(gain, order, axis=1)

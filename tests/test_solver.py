@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
@@ -15,6 +16,7 @@ from ddmech.data import (
     GeneratorSpec,
     HistoryRepository,
     LocalDataSet,
+    StrainIndex,
     WindowRule,
     stack_sets,
 )
@@ -521,23 +523,23 @@ class TestHistoryMatchingMarch:
             march(mesh, gm, data, loads, times, cfg)
 
 
-def _study_march(kind, cfg=None, **kwargs):
-    """The first 12 steps of a study march on a 2 x 1 x 1 lattice at dt = 5,
-    64 points per set; the response start wins 2 of them on visco and 7 on
-    plastic."""
-    study = default_study_config(kind, lattice=LatticeSpec(2, 1, 1), dt=5.0)
+def _study_march(kind, cfg=None, *, lattice=LatticeSpec(2, 1, 1), steps=12, **kwargs):
+    """The first ``steps`` steps of a study march on ``lattice`` at dt = 5,
+    64 points per set. By default 12 steps on a 2 x 1 x 1 lattice, where the
+    response start wins 2 of them on visco and 7 on plastic."""
+    study = default_study_config(kind, lattice=lattice, dt=5.0)
     mesh, gm, system, loads, times = study_setup(study)
     g = study_generator(study, 64, 0, 0)
     return time_march(
-        mesh, gm, g, loads, times[:12], cfg or SolverConfig(), sys=system, **kwargs
+        mesh, gm, g, loads, times[:steps], cfg or SolverConfig(), sys=system, **kwargs
     )
 
 
-def _archive_march(ragged):
+def _archive_march(ragged, weights=(1.0, 1.0)):
     mesh, gm, loads, times = small_truss_fixture(t_end=4.0)
     repos = build_truss_repositories(
         mesh, gm, DEFAULT_SLS, loads, times,
-        n_prior_strain=3, n_prior_offset=5, n_current=9,
+        n_prior_strain=3, n_prior_offset=5, n_current=9, weights=weights,
     )
     if ragged:
         h = repos[2]
@@ -681,6 +683,187 @@ class TestStepWorker:
             _study_march("visco")
         assert worker_starts == [os.getpid()]
         assert multiprocessing.active_children() == []
+
+
+def _logged_draws(monkeypatch, log):
+    """Logs every per-step draw as ``pid step first_row stop_row`` to
+    ``log``, in whichever process draws."""
+    draw = solver._stacked_step_sets
+
+    def logged(g, eps_prev, sig_prev, q_acc, est, dt, step, rows=slice(None), out=None):
+        r = range(eps_prev.size)[rows]
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {step} {r.start} {r.stop}\n")
+        return draw(g, eps_prev, sig_prev, q_acc, est, dt, step, rows, out)
+
+    monkeypatch.setattr(solver, "_stacked_step_sets", logged)
+
+
+def _draws(log):
+    """The logged draws as ``{pid: [(step, first_row, stop_row), ...]}``."""
+    out: dict[int, list[tuple[int, int, int]]] = {}
+    for line in log.read_text().splitlines():
+        pid, *rest = (int(v) for v in line.split())
+        out.setdefault(pid, []).append(tuple(rest))
+    return out
+
+
+@pytest.fixture
+def deadline():
+    """Fails the test, instead of hanging it, after 120 seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the march hung")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def _one_bar_march():
+    """A short relaxation of one bar: the step worker's half is empty."""
+    return run_relaxation(RelaxationConfig(t_end=6.0, n_points=64, band_width=1e-4, seed=3))
+
+
+class TestSharedDraw:
+    """With a step worker, the march draws the first half of each step's
+    rows and the worker the rest, into one shared stack."""
+
+    def test_row_halves(self):
+        assert solver._row_halves(73) == (slice(0, 37), slice(37, 73))
+        assert solver._row_halves(42) == (slice(0, 21), slice(21, 42))
+        assert solver._row_halves(1) == (slice(0, 1), slice(1, 1))
+
+    def test_strain_index_from_two_halves(self):
+        """Rows sorted apart into one pair of arrays give the index of all
+        rows, ties included."""
+        rng = np.random.default_rng(8)
+        strains = rng.integers(0, 40, size=(9, 300)).astype(float)
+        joined = StrainIndex.of(np.empty((9, 300), dtype=np.intp), np.empty((9, 300)))
+        first, rest = solver._row_halves(9)
+        joined.sort(strains, rest)
+        joined.sort(strains, first)
+        whole = StrainIndex(strains)
+        assert np.array_equal(joined.order, whole.order)
+        assert np.array_equal(joined.eps, whole.eps)
+
+    def test_each_process_draws_its_half(self, worker_starts, monkeypatch, tmp_path):
+        """73 bars: the march draws rows 0 to 36 of every step and the
+        worker rows 37 to 72; a serial march draws them all at once, and
+        the trajectories have the same bits."""
+        lattice = LatticeSpec(2, 2, 1)
+        log = tmp_path / "draws.log"
+        _logged_draws(monkeypatch, log)
+        forked = _study_march("visco", lattice=lattice, steps=5)
+        assert worker_starts == [os.getpid()]
+        assert multiprocessing.active_children() == []
+        draws = _draws(log)
+        child = (set(draws) - {os.getpid()}).pop()
+        assert set(draws) == {os.getpid(), child}
+        assert draws[os.getpid()] == [(k, 0, 37) for k in range(5)]
+        assert draws[child] == [(k, 37, 73) for k in range(5)]
+        log.unlink()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = _study_march("visco", lattice=lattice, steps=5)
+        assert _draws(log) == {os.getpid(): [(k, 0, 73) for k in range(5)]}
+        assert np.array_equal(forked.strain, serial.strain)
+        assert np.array_equal(forked.stress, serial.stress)
+        assert np.array_equal(forked.assignment, serial.assignment)
+
+    def test_one_bar_leaves_the_worker_no_rows(self, worker_starts, monkeypatch, tmp_path):
+        log = tmp_path / "draws.log"
+        _logged_draws(monkeypatch, log)
+        forked = _one_bar_march()
+        assert worker_starts == [os.getpid()]
+        draws = _draws(log)
+        child = (set(draws) - {os.getpid()}).pop()
+        steps = range(forked.trajectory.n_steps)
+        assert draws[os.getpid()] == [(k, 0, 1) for k in steps]
+        assert draws[child] == [(k, 1, 1) for k in steps]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = _one_bar_march()
+        assert np.array_equal(forked.stress, serial.stress)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind", ["visco", "archive"])
+    def test_failure_in_the_worker_half_reaches_the_caller(
+        self, worker_starts, monkeypatch, deadline, kind
+    ):
+        name = "_stacked_step_sets" if kind == "visco" else "prior_slot_costs"
+        draw = getattr(solver, name)
+
+        def failing(*args):
+            if multiprocessing.parent_process() is not None:
+                raise ValueError("the worker's half failed")
+            return draw(*args)
+
+        monkeypatch.setattr(solver, name, failing)
+        with pytest.raises(ValueError, match="the worker's half failed"):
+            _MARCHES[kind]()
+        assert worker_starts == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind", ["visco", "archive"])
+    def test_march_error_in_its_half_ends_the_worker(
+        self, worker_starts, monkeypatch, deadline, kind
+    ):
+        name = "_stacked_step_sets" if kind == "visco" else "prior_slot_costs"
+        draw = getattr(solver, name)
+        calls = []
+
+        def failing(*args):
+            if multiprocessing.parent_process() is None:
+                calls.append(1)
+                if len(calls) == 3:
+                    raise KeyError("the march's half failed")
+            return draw(*args)
+
+        monkeypatch.setattr(solver, name, failing)
+        with pytest.raises(KeyError, match="the march's half failed"):
+            _MARCHES[kind]()
+        assert worker_starts == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+    def test_archive_without_prior_weight_computes_no_cost_rows(
+        self, worker_starts, monkeypatch
+    ):
+        """Equal archives without a prior weight carry no costs: the only
+        cost call asks for no rows, and worker and serial marches agree."""
+        asked = []
+        costs = solver.prior_slot_costs
+
+        def logged(repositories, z_prev, gm, rows=slice(None), out=None):
+            asked.append(range(len(repositories))[rows])
+            return costs(repositories, z_prev, gm, rows, out)
+
+        monkeypatch.setattr(solver, "prior_slot_costs", logged)
+        forked = _archive_march(False, weights=(1.0, 0.0))
+        assert worker_starts == [os.getpid()]
+        assert asked == [range(0)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = _archive_march(False, weights=(1.0, 0.0))
+        assert np.array_equal(forked.strain, serial.strain)
+        assert np.array_equal(forked.stress, serial.stress)
+        assert not np.array_equal(forked.strain, _archive_march(False).strain)
+
+    def test_sink_sets_do_not_change_after_later_steps(self, worker_starts):
+        """The stack is drawn over at every step; the sets the sink keeps
+        are its own."""
+        kept = []
+
+        def sink(k, sets):
+            kept.append((sets, [(d.strains.copy(), d.stresses.copy()) for d in sets]))
+
+        traj = _study_march("visco", dataset_sink=sink)
+        assert worker_starts == [os.getpid()]
+        assert len(kept) == traj.n_steps
+        for sets, copies in kept:
+            for d, (eps, sig) in zip(sets, copies):
+                assert np.array_equal(d.strains, eps)
+                assert np.array_equal(d.stresses, sig)
+        assert not np.array_equal(kept[0][1][0][0], kept[-1][1][0][0])
 
 
 class TestTrajectoryOutput:
