@@ -27,21 +27,16 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREA
         _os.environ[_var] = "1"
 
 from .data import (
-    ConditioningState,
     GeneratorSpec,
     HistoryRepository,
     LocalDataSet,
     StackedSets,
     WindowRule,
     batch_nearest,
-    gaussian_fidelity_cost,
     history_cost_dataset,
-    nearest_history,
-    read_datasets_csv,
     stack_sets,
     update_history_variable,
     write_csv,
-    write_datasets_csv,
 )
 from .experiments import (
     DEFAULT_PLASTIC,
@@ -74,7 +69,6 @@ from .experiments import (
     study_metric,
     study_setup,
     study_times,
-    trajectory_norm,
     weighted_l2_error,
     write_rate_csv,
     write_relaxation_csv,
@@ -87,15 +81,12 @@ from .materials import (
     plastic_return_map,
     sls_affine_coefficients,
     sls_relaxation_exact,
-    sls_stress_update,
 )
 from .phase import (
     GlobalMetric,
     GlobalState,
     LocalMetric,
     LocalPhasePoint,
-    global_distance_sq,
-    local_norm_sq,
 )
 from .solver import (
     SolverConfig,
@@ -107,7 +98,6 @@ from .solver import (
     history_matching_march,
     time_march,
     trajectory_summary,
-    write_summary_csv,
 )
 from .truss import (
     ConstraintSystem,
@@ -120,7 +110,6 @@ from .truss import (
     assemble,
     generate_lattice_truss,
     load_mesh,
-    save_mesh,
 )
 
 __version__ = "0.1.0"
@@ -131,14 +120,11 @@ __all__ = [
     "LocalMetric",
     "GlobalMetric",
     "GlobalState",
-    "local_norm_sq",
-    "global_distance_sq",
     # material laws
     "SlsParams",
     "PlasticParams",
     "ReturnMapResult",
     "sls_affine_coefficients",
-    "sls_stress_update",
     "sls_relaxation_exact",
     "plastic_return_map",
     # truss mechanics
@@ -152,23 +138,17 @@ __all__ = [
     "assemble",
     "MechanismError",
     "load_mesh",
-    "save_mesh",
     # data sets
     "LocalDataSet",
     "StackedSets",
     "stack_sets",
     "batch_nearest",
-    "ConditioningState",
     "WindowRule",
     "GeneratorSpec",
     "update_history_variable",
-    "gaussian_fidelity_cost",
     "HistoryRepository",
-    "nearest_history",
     "history_cost_dataset",
     "write_csv",
-    "write_datasets_csv",
-    "read_datasets_csv",
     # solver
     "SolverConfig",
     "StepResult",
@@ -179,7 +159,6 @@ __all__ = [
     "history_matching_march",
     "export_trajectory_csv",
     "trajectory_summary",
-    "write_summary_csv",
     # experiments
     "DEFAULT_SLS",
     "DEFAULT_PLASTIC",
@@ -187,7 +166,6 @@ __all__ = [
     "PLASTIC_BREAKPOINTS",
     "weighted_l2_error",
     "bv_error",
-    "trajectory_norm",
     "fit_loglog_slope",
     "reference_trajectory",
     "relaxation_mesh",

@@ -130,8 +130,6 @@ def _parse_value(key: str, current, text: str):
         return _parse_bool(text)
     if isinstance(current, int):
         return int(text)
-    if isinstance(current, str):
-        return text
     if isinstance(current, tuple):
         return _parse_breakpoints(text) if isinstance(current[0], tuple) else _parse_points(text)
     return float(text)

@@ -16,8 +16,8 @@ the padding rule). It searches them with :func:`batch_nearest`: a scan of
 every point for small stacks, and above a size crossover a search of each
 row in its strain order, which evaluates the scan's own arithmetic on a
 certified block of candidates (:func:`block_lowest`, which the solver's
-swap polish shares with its own bound). A single set is scanned by
-:meth:`LocalDataSet.nearest`, the tests' independent reference.
+swap polish shares with its own bound), and equal to :func:`scan_nearest`,
+the reference scan. :class:`LocalDataSet` is one set as a caller gives it.
 """
 
 from __future__ import annotations
@@ -33,25 +33,19 @@ from .phase import GlobalMetric, GlobalState, LocalMetric, LocalPhasePoint
 
 __all__ = [
     "LocalDataSet",
-    "ConditioningState",
     "WindowRule",
     "GeneratorSpec",
     "HistoryRepository",
     "update_history_variable",
-    "gaussian_fidelity_cost",
-    "nearest_history",
     "history_cost_dataset",
     "prior_slot_costs",
     "write_csv",
-    "write_datasets_csv",
-    "read_datasets_csv",
 ]
 
 
 class LocalDataSet:
-    """Immutable scalar point cloud for one element, with exact nearest search.
-
-    Strains and stresses are stored as (n, 1) columns.
+    """Immutable scalar point cloud for one element, the input of
+    :func:`stack_sets`. Strains and stresses are stored as (n, 1) columns.
     """
 
     __slots__ = ("strains", "stresses", "costs")
@@ -89,20 +83,6 @@ class LocalDataSet:
     @property
     def n_points(self) -> int:
         return self.strains.shape[0]
-
-    def point(self, i: int) -> LocalPhasePoint:
-        return LocalPhasePoint(self.strains[i], self.stresses[i])
-
-    def nearest(self, z: LocalPhasePoint, metric: LocalMetric) -> tuple[int, LocalPhasePoint]:
-        """Lowest-index minimizer of square distance plus fidelity cost, by a
-        scan of every point."""
-        de = self.strains[:, 0] - z.strain[0]
-        ds = self.stresses[:, 0] - z.stress[0]
-        d2 = metric.c * de * de + metric.c_inv * ds * ds
-        if self.costs is not None:
-            d2 = d2 + self.costs
-        idx = int(np.argmin(d2))
-        return idx, self.point(idx)
 
 
 #: Smallest stacked size M*n searched through the strain order rather than
@@ -424,30 +404,6 @@ def require_int(name: str, value, least: int) -> int:
 
 
 @dataclass(frozen=True)
-class ConditioningState:
-    """Previously converged local states, one entry per element; scalars
-    are promoted to 1-vectors."""
-
-    prev_strain: np.ndarray | float = 0.0
-    prev_stress: np.ndarray | float = 0.0
-
-    def __post_init__(self) -> None:
-        eps = np.array(self.prev_strain, dtype=float, ndmin=1)
-        sig = np.array(self.prev_stress, dtype=float, ndmin=1)
-        if eps.ndim != 1 or eps.shape != sig.shape or not np.all(
-            np.isfinite(eps) & np.isfinite(sig)
-        ):
-            raise ValueError(
-                "prev_strain and prev_stress must be finite and 1-D of equal "
-                f"shape, got shapes {eps.shape} and {sig.shape}"
-            )
-        eps.setflags(write=False)
-        sig.setflags(write=False)
-        object.__setattr__(self, "prev_strain", eps)
-        object.__setattr__(self, "prev_stress", sig)
-
-
-@dataclass(frozen=True)
 class WindowRule:
     """Half-width rule for the strain sampling window.
 
@@ -489,12 +445,12 @@ class WindowRule:
 class GeneratorSpec:
     """Everything a per-step data set draw depends on.
 
-    ``band_width`` is the full width of the uniform strain perturbation;
-    zero means noiseless. ``sampling`` is 'grid' (uniform spacing, window
-    center always a sample) or 'uniform' (independent uniform positions).
-    ``window_scale`` multiplies the resolved half-width; sweeps use it to
-    couple the window to the sampling resolution. The draw itself is
-    ``solver._stacked_step_sets``; the time step comes from the march.
+    ``band_width`` is the full width of the uniform strain perturbation of
+    an evenly spaced grid whose center is the predicted strain; zero means
+    noiseless, and the center is then a sample. ``window_scale`` multiplies
+    the resolved half-width; sweeps use it to couple the window to the
+    sampling resolution. The draw itself is ``solver._stacked_step_sets``;
+    the time step comes from the march.
     """
 
     law: SlsParams | PlasticParams
@@ -502,7 +458,6 @@ class GeneratorSpec:
     band_width: float = 0.0
     window: WindowRule = WindowRule(floor=1.0)
     rng_seed: int = 0
-    sampling: str = "grid"
     window_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -510,8 +465,6 @@ class GeneratorSpec:
         object.__setattr__(self, "rng_seed", require_int("rng_seed", self.rng_seed, 0))
         if not 0.0 <= float(self.band_width) < np.inf:
             raise ValueError("band_width must be finite and nonnegative")
-        if self.sampling not in ("grid", "uniform"):
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
         if not 0.0 < float(self.window_scale) < np.inf:
             raise ValueError("window_scale must be finite and positive")
 
@@ -532,15 +485,6 @@ def update_history_variable(
     """
     dq = np.abs(((p.e0 + p.e1) * (strain - prev_strain) - (stress - prev_stress)) / p.e1)
     return q_acc + dq
-
-
-def gaussian_fidelity_cost(std_devs) -> float:
-    """Additive cost ``sum_e 2 s_e^2`` of Gaussian uncertainty of scalar
-    points."""
-    s = np.asarray(std_devs, dtype=float).reshape(-1)
-    if np.any(s < 0.0) or np.any(~np.isfinite(s)):
-        raise ValueError("standard deviations must be finite and nonnegative")
-    return float(np.sum(2.0 * s * s))
 
 
 @dataclass(frozen=True)
@@ -595,33 +539,6 @@ def _slot_distances_sq(
     de = eps - z.strain[0]
     ds = sig - z.stress[0]
     return c * de * de + ci * ds * ds
-
-
-def nearest_history(
-    z_hist: Sequence[LocalPhasePoint],
-    h: HistoryRepository,
-    metric: LocalMetric,
-    weights: tuple[float, float] | None = None,
-) -> tuple[int, tuple[LocalPhasePoint, LocalPhasePoint]]:
-    """Entry minimizing the weighted sum of slot distances.
-
-    ``z_hist = (current, prior)``; the objective is
-    ``w_cur d^2(current slot) + w_prior d^2(prior slot)`` and ties go to the
-    lowest entry index. With weights (1, 0) this reduces to a plain nearest
-    search on the current slot.
-    """
-    if len(z_hist) != 2:
-        raise ValueError("z_hist must hold (current, prior) states")
-    w = h.weights if weights is None else (float(weights[0]), float(weights[1]))
-    obj = w[0] * _slot_distances_sq(h, z_hist[0], metric, "cur")
-    if w[1] != 0.0:
-        obj = obj + w[1] * _slot_distances_sq(h, z_hist[1], metric, "prev")
-    idx = int(np.argmin(obj))
-    entry = (
-        LocalPhasePoint(h.eps_cur[idx], h.sig_cur[idx]),
-        LocalPhasePoint(h.eps_prev[idx], h.sig_prev[idx]),
-    )
-    return idx, entry
 
 
 def history_cost_dataset(
@@ -693,57 +610,3 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(
             [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
         )
-
-
-def write_datasets_csv(path, rows) -> None:
-    """Writes (step, element, LocalDataSet) triples as step, element,
-    strain, stress, cost lines."""
-    write_csv(
-        path,
-        ["step", "element", "strain", "stress", "cost"],
-        (
-            (step, element, float(d.strains[i, 0]), float(d.stresses[i, 0]),
-             0.0 if d.costs is None else float(d.costs[i]))
-            for step, element, d in rows
-            for i in range(d.n_points)
-        ),
-    )
-
-
-def read_datasets_csv(path) -> list[tuple[int, int, LocalDataSet]]:
-    """Inverse of :func:`write_datasets_csv`.
-
-    Returns the (step, element, LocalDataSet) triples in file order; each
-    run of consecutive lines with the same (step, element) is one set. An
-    all-zero cost column reads back as ``costs=None``. A malformed line
-    raises ``ValueError`` naming ``path:line``.
-    """
-    runs: list[tuple[int, int, list[tuple[float, float, float]]]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["step", "element", "strain", "stress", "cost"]:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 5:
-                raise ValueError(f"{where}: expected 5 fields, got {len(row)}")
-            try:
-                step, element = int(row[0]), int(row[1])
-                point = tuple(float(v) for v in row[2:])
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            if not np.all(np.isfinite(point)) or point[2] < 0.0:
-                raise ValueError(f"{where}: values must be finite and the cost nonnegative")
-            if not runs or runs[-1][:2] != (step, element):
-                runs.append((step, element, []))
-            runs[-1][2].append(point)
-    out = []
-    for step, element, pts in runs:
-        eps, sig, cost = (np.array(col) for col in zip(*pts))
-        out.append(
-            (step, element, LocalDataSet(eps, sig, cost if np.any(cost != 0.0) else None))
-        )
-    return out

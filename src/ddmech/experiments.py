@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +62,6 @@ __all__ = [
     "PLASTIC_BREAKPOINTS",
     "weighted_l2_error",
     "bv_error",
-    "trajectory_norm",
     "fit_loglog_slope",
     "reference_trajectory",
     "relaxation_mesh",
@@ -152,18 +150,6 @@ def bv_error(traj: Trajectory, ref: Trajectory) -> float:
     return float(np.sum(np.sqrt(_step_norms_sq(de, ds, traj.gm))))
 
 
-def trajectory_norm(traj: Trajectory, tau: float) -> float:
-    """Weighted l2 size of a trajectory (distance to the zero trajectory)."""
-    if float(tau) <= 0.0:
-        raise ValueError("tau must be positive")
-    d2 = _step_norms_sq(traj.strain, traj.stress, traj.gm)
-    t = traj.times
-    if t.size < 2:
-        return 0.0
-    weights = np.exp(-t[1:] / float(tau)) * np.diff(t)
-    return float(np.sqrt(np.sum(d2[1:] * weights)))
-
-
 def fit_loglog_slope(n_points: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) against log(n); returned sign-flipped
     so a decaying error reads as a positive convergence rate."""
@@ -175,6 +161,11 @@ def fit_loglog_slope(n_points: Sequence[float], errors: Sequence[float]) -> floa
         raise ValueError("points and errors must be positive for a log-log fit")
     slope = np.polyfit(np.log(n), np.log(e), 1)[0]
     return float(-slope)
+
+
+def _check_metric_value(value: float | None) -> None:
+    if value is not None and not 0.0 < value < np.inf:
+        raise ValueError(f"metric_value must be finite and positive, got {value}")
 
 
 def _metric_for(mesh: TrussMesh, law, metric_value: float | None) -> GlobalMetric:
@@ -229,8 +220,7 @@ def reference_trajectory(
         g = system.affine_strain(t)
         dt = None if k == 0 else float(t_grid[k] - t_grid[k - 1])
         if isinstance(law, SlsParams):
-            cond = SimpleNamespace(prev_strain=eps_prev, prev_stress=sig_prev)
-            a, bmod = sls_affine_coefficients(cond, law, dt)
+            a, bmod = sls_affine_coefficients(eps_prev, sig_prev, law, dt)
             if system.n_free:
                 rhs = f - b_op.T @ (w * (a + bmod * g))
                 u = cho_solve(cho_w, rhs) / bmod
@@ -328,10 +318,15 @@ class RelaxationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
-        if float(self.eps_bar) == 0.0:
-            raise ValueError("eps_bar must be nonzero")
-        if float(self.dt) <= 0.0 or float(self.t_end) < 0.0:
-            raise ValueError("dt must be positive and t_end nonnegative")
+        object.__setattr__(self, "n_points", require_int("n_points", self.n_points, 1))
+        _check_metric_value(self.metric_value)
+        # written so that NaN fails every comparison and is rejected
+        if not 0.0 <= self.band_width < np.inf:
+            raise ValueError(f"band_width must be finite and nonnegative, got {self.band_width}")
+        if not (np.isfinite(self.eps_bar) and self.eps_bar != 0.0):
+            raise ValueError(f"eps_bar must be finite and nonzero, got {self.eps_bar}")
+        if not (0.0 < self.dt < np.inf and 0.0 <= self.t_end < np.inf):
+            raise ValueError("dt must be finite and positive and t_end finite and nonnegative")
 
 
 @dataclass
@@ -464,7 +459,6 @@ class StudyConfig:
     band_exponent: float = 1.0
     window: WindowRule = WindowRule(incr_factor=4.0, band_factor=8.0)
     window_exponent: float = 0.0
-    sampling: str = "grid"
     seed: int = 7041
     metric_value: float | None = None
     workers: int = 0
@@ -481,8 +475,18 @@ class StudyConfig:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "runs", require_int("runs", self.runs, 1))
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
-        if float(self.band_ref) < 0.0:
-            raise ValueError("band_ref must be nonnegative")
+        object.__setattr__(self, "n_ref", require_int("n_ref", self.n_ref, 1))
+        object.__setattr__(
+            self,
+            "max_fixed_point_iters",
+            require_int("max_fixed_point_iters", self.max_fixed_point_iters, 1),
+        )
+        _check_metric_value(self.metric_value)
+        if not 0.0 <= self.band_ref < np.inf:
+            raise ValueError(f"band_ref must be finite and nonnegative, got {self.band_ref}")
+        for name in ("load_scale", "band_exponent", "window_exponent"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
@@ -576,7 +580,6 @@ def _generator_for(cfg: StudyConfig, n: int, run_seed: int) -> GeneratorSpec:
         band_width=band,
         window=cfg.window,
         rng_seed=run_seed,
-        sampling=cfg.sampling,
         window_scale=wscale,
     )
 
@@ -692,8 +695,7 @@ def build_truss_repositories(
             pe = ref.strain[k - 1, e] + d_eps
             ps = ref.stress[k - 1, e] + ci * d_eps + d_off
             dt = float(t_grid[k] - t_grid[k - 1])
-            cond = SimpleNamespace(prev_strain=pe, prev_stress=ps)
-            a, bmod = sls_affine_coefficients(cond, law, dt)
+            a, bmod = sls_affine_coefficients(pe, ps, law, dt)
             ec = ref.strain[k, e] + cur_off
             # pair every prior with the whole current grid
             eps_prev.append(np.repeat(pe, ec.size))
@@ -836,6 +838,7 @@ def oracle_check(
     start misses the global minimum. Instances come from
     :func:`random_small_instance` with ``max_elements`` and ``max_points``.
     """
+    n_systems = require_int("runs", n_systems, 1)
     rng = np.random.default_rng(require_int("seed", seed, 0))
     n_bound = 0
     n_consistent = 0

@@ -15,18 +15,14 @@ evaluates a single state or a whole sampling grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # only for annotations; data module imports this one
-    from .data import ConditioningState
 
 __all__ = [
     "SlsParams",
     "PlasticParams",
     "ReturnMapResult",
-    "sls_stress_update",
     "sls_affine_coefficients",
     "sls_relaxation_exact",
     "plastic_return_map",
@@ -52,10 +48,6 @@ class SlsParams:
     @property
     def modulus_instantaneous(self) -> float:
         return self.e0 + self.e1
-
-    @property
-    def modulus_relaxed(self) -> float:
-        return self.e0
 
 
 @dataclass(frozen=True)
@@ -88,23 +80,18 @@ class PlasticParams:
         return self.sigma1 + self.h * np.asarray(q_acc, dtype=float)
 
 
-def _cond_arrays(cond: "ConditioningState") -> tuple[np.ndarray, np.ndarray]:
-    eps = np.asarray(cond.prev_strain, dtype=float)
-    sig = np.asarray(cond.prev_stress, dtype=float)
-    return eps, sig
-
-
 def sls_affine_coefficients(
-    cond: "ConditioningState", p: SlsParams, dt: float | None
+    eps_prev, sig_prev, p: SlsParams, dt: float | None
 ) -> tuple[np.ndarray, float]:
     """Coefficients (a, b) of the one-step response line ``sig = a + b eps``.
 
-    The line collects all states reachable from the conditioning state in one
-    time step of size ``dt``. ``dt=None`` selects the instantaneous limit
-    (slope ``e0 + e1`` through the prior state), used for a suddenly applied
-    first step; otherwise ``dt`` must be positive.
+    The line collects all states reachable in one backward-difference step of
+    size ``dt`` from the previously converged state ``(eps_prev, sig_prev)``
+    (arrays, one entry per element): ``sig + tau1 (sig - sig_prev)/dt = e0
+    eps + (e0+e1) tau1 (eps - eps_prev)/dt``. ``dt=None`` selects the
+    instantaneous limit (slope ``e0 + e1`` through the prior state), used for
+    a suddenly applied first step; otherwise ``dt`` must be positive.
     """
-    eps_prev, sig_prev = _cond_arrays(cond)
     if dt is None:
         b = p.e0 + p.e1
         a = sig_prev - b * eps_prev
@@ -116,27 +103,6 @@ def sls_affine_coefficients(
     b = (p.e0 + (p.e0 + p.e1) * r) / (1.0 + r)
     a = (sig_prev * r - (p.e0 + p.e1) * r * eps_prev) / (1.0 + r)
     return a, b
-
-
-def sls_stress_update(
-    eps_new, cond: "ConditioningState", p: SlsParams, dt: float | None
-):
-    """One backward-difference step of the standard linear solid.
-
-    Solves ``sig' + tau1 (sig' - sig_k)/dt = e0 eps' + (e0+e1) tau1
-    (eps' - eps_k)/dt`` for the new stress ``sig'`` at strain ``eps_new``,
-    conditioned on the previous converged state. ``dt=None`` selects the
-    instantaneous limit ``sig' = sig_k + (e0 + e1)(eps' - eps_k)``; otherwise
-    ``dt`` must be positive (see :func:`sls_affine_coefficients`).
-    """
-    a, b = sls_affine_coefficients(cond, p, dt)
-    eps_new = np.asarray(eps_new, dtype=float)
-    out = a + b * eps_new
-    if out.ndim == 0 or (out.ndim == 1 and out.size == 1 and eps_new.ndim == 0):
-        return float(out)
-    if eps_new.ndim == 0:
-        return float(np.reshape(out, -1)[0])
-    return out
 
 
 def sls_relaxation_exact(k, p: SlsParams, eps_bar: float, dt: float):
@@ -185,4 +151,4 @@ def plastic_return_map(eps_new, q_prev, qacc_prev, p: PlasticParams) -> ReturnMa
     sig = p.e0 * eps + p.e1 * (eps - q)
     if sig.ndim == 0:
         return ReturnMapResult(float(sig), float(q), float(qa))
-    return ReturnMapResult(sig, q + np.zeros_like(sig), qa + np.zeros_like(sig))
+    return ReturnMapResult(sig, q, qa)

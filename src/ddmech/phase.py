@@ -1,4 +1,4 @@
-"""Phase-space points, local metrics, and weighted global norms.
+"""Phase-space points, local metrics, and the weighted global metric.
 
 The state of a material point is a strain-stress pair ``z = (eps, sig)``.
 States of a structure with ``M`` material points live in the product of the
@@ -11,12 +11,14 @@ with ``C > 0`` a scalar modulus-like constant of the bar, and from the
 volume-weighted global norm ``|z|^2 = sum_e w_e |z_e|^2``. The global square
 distance therefore decomposes into independent per-point terms, which is what
 makes the data-side projection a batch of local nearest-neighbour searches.
+:class:`GlobalMetric` holds ``w``, ``C`` and ``C^{-1}`` as arrays, from which
+the solver and the error norms evaluate these sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +27,6 @@ __all__ = [
     "LocalMetric",
     "GlobalMetric",
     "GlobalState",
-    "local_norm_sq",
-    "global_distance_sq",
 ]
 
 
@@ -155,29 +155,3 @@ class GlobalState:
 
     def point(self, e: int) -> LocalPhasePoint:
         return LocalPhasePoint(self.strain[e], self.stress[e])
-
-    def __iter__(self) -> Iterator[LocalPhasePoint]:
-        return (self.point(e) for e in range(self.n_elements))
-
-
-def local_norm_sq(z: LocalPhasePoint, metric: LocalMetric) -> float:
-    """Quadratic local norm ``C eps^2 + C^{-1} sig^2`` of a scalar point."""
-    e, s = z.strain[0], z.stress[0]
-    return float(metric.c * e * e + metric.c_inv * s * s)
-
-
-def _check_state(z: GlobalState, gm: GlobalMetric) -> None:
-    if z.n_elements != gm.n_elements:
-        raise ValueError(
-            f"state has {z.n_elements} elements but metric has {gm.n_elements}"
-        )
-
-
-def global_distance_sq(a: GlobalState, b: GlobalState, gm: GlobalMetric) -> float:
-    """Square distance between two global states; decomposes over elements."""
-    if a.strain.shape != b.strain.shape:
-        raise ValueError("states of different shape")
-    _check_state(a, gm)
-    de = a.strain[:, 0] - b.strain[:, 0]
-    ds = a.stress[:, 0] - b.stress[:, 0]
-    return float(np.sum(gm.weights * (gm.c_diag * de * de + gm.c_inv_diag * ds * ds)))

@@ -33,11 +33,14 @@ per (step, element) from the run seed, so trajectories are bit-reproducible
 and any subset of a step's rows can be drawn alone, bit for bit.
 :func:`history_matching_march` searches fixed two-time archives, with the
 prior-slot mismatch against the previously accepted state as a fidelity
-cost. A step solved from two warm starts forks a step worker
-(:class:`_StepWorker`) when the process may use two CPUs and is not itself
-a child process. The stack is then in shared memory: the march and the
-worker each draw half of every step's rows into it, and the worker solves
-the second start while the march solves the first.
+cost. Every step is solved from two warm starts, the predicted state and
+the empirical response read off the step's sets, and the lower objective
+wins; only sets with padded rows take the predicted start alone. A march
+forks a step worker (:class:`_StepWorker`) for the second start when the
+process may use two CPUs and is not itself a child process. The stack is
+then in shared memory: the march and the worker each draw half of every
+step's rows into it, and the worker solves the second start while the
+march solves the first.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ import numpy as np
 
 from .data import (
     _MAX_BLOCK_SHARE,
-    ConditioningState,
     GeneratorSpec,
     HistoryRepository,
     LocalDataSet,
@@ -87,29 +89,19 @@ __all__ = [
     "history_matching_march",
     "export_trajectory_csv",
     "trajectory_summary",
-    "write_summary_csv",
 ]
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration limit, warm-start policy, abort and polish switches.
-
-    ``init_strategy`` picks the marches' warm start: "response" equilibrates
-    against the empirical response read off the step's own data sets (nearest
-    stress by strain, local secant slope) and starts the walk there, which
-    keeps the association in the globally consistent basin; "predicted"
-    advances the previous accepted state by the elastic strain estimate of
-    the step, "previous" reuses the state unchanged, "zero" starts virgin.
-    ``swap_polish`` runs an exact-gain single-element reassignment descent
-    whenever the alternating walk stops, restarting the walk from any
-    improved association; it only ever lowers the same objective.
+    """The walk's iteration budget per solve, and whether a march raises
+    ``RuntimeError`` at a step whose fixed point the budget left unconfirmed
+    (by default it accepts the step's best iterate, flagged in
+    ``Trajectory.converged``).
     """
 
     max_fixed_point_iters: int = 200
-    init_strategy: str = "response"
     abort_on_nonconvergence: bool = False
-    swap_polish: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -117,8 +109,6 @@ class SolverConfig:
             "max_fixed_point_iters",
             require_int("max_fixed_point_iters", self.max_fixed_point_iters, 1),
         )
-        if self.init_strategy not in ("response", "predicted", "previous", "zero"):
-            raise ValueError(f"unknown init strategy {self.init_strategy!r}")
 
 
 @dataclass
@@ -759,6 +749,8 @@ def fixed_point_solve(
 
     Stops as soon as the data association repeats (the iterate is then a
     fixed point of the composed map) or the state itself repeats bitwise.
+    Whenever the walk stops, :func:`_swap_polish` looks for a lower
+    objective and the walk restarts from any association it finds.
     On hitting the iteration cap, returns the lowest-objective iterate seen
     with ``converged=False``. A list of sets is stacked once
     (:func:`~ddmech.data.stack_sets`); ``init_assignment`` must index a
@@ -805,7 +797,7 @@ def fixed_point_solve(
     assign = prev_assign
     y_eps = y_sig = None
     cost = 0.0
-    for _round in range(64 if cfg.swap_polish else 1):
+    for _round in range(64):
         seen: set[bytes] = set()
         if prev_assign is not None:
             seen.add(prev_assign.tobytes())
@@ -849,8 +841,6 @@ def fixed_point_solve(
         if cycled or not walk_done:
             obj, d2, eps, sig, u, assign, y_eps, y_sig = best
             prev_assign = assign
-        if not cfg.swap_polish:
-            break
         polished = _swap_polish(sys, sets, f, g, best[6], best[7], best[5])
         if polished is None:
             break
@@ -989,9 +979,6 @@ class Trajectory:
     def n_elements(self) -> int:
         return self.strain.shape[1]
 
-    def state(self, k: int) -> GlobalState:
-        return GlobalState(self.strain[k], self.stress[k])
-
 
 def _check_times(times) -> np.ndarray:
     t = np.asarray(times, dtype=float).reshape(-1)
@@ -1022,10 +1009,9 @@ def _stacked_step_sets(
     strain ``eps_prev + est``, whose half-width :meth:`WindowRule.halfwidths`
     gives from the larger of the elastic step estimate and, for the standard
     linear solid, the creep the previous state would show over ``dt``,
-    times ``window_scale``. ``sampling="grid"`` spaces the strains evenly
-    with the predicted strain a sample, perturbed uniformly within
-    ``band_width`` when it is positive; ``"uniform"`` draws them uniformly
-    in the window. Stresses are the one-step response of the law to each
+    times ``window_scale``. The strains are spaced evenly with the predicted
+    strain a sample, perturbed uniformly within ``band_width`` when it is
+    positive. Stresses are the one-step response of the law to each
     strain: the response line over ``dt`` (``dt=None``: the instantaneous
     limit of a suddenly applied first step) for the standard linear solid,
     and for plasticity the return map from the internal variable recovered
@@ -1046,30 +1032,22 @@ def _stacked_step_sets(
     centers = eps_prev + est
     ab = None
     if isinstance(g.law, SlsParams):
-        cond = ConditioningState(eps_prev, sig_prev)
-        ab = sls_affine_coefficients(cond, g.law, dt)
+        ab = sls_affine_coefficients(eps_prev, sig_prev, g.law, dt)
     if ab is not None and dt is not None:
         creep = (sig_prev - ab[0]) / ab[1] - eps_prev
     else:
         creep = np.zeros(m)
     hw = g.window.halfwidths(g.band_width, np.maximum(np.abs(est), np.abs(creep)))
     hw = hw * g.window_scale
-    if g.sampling == "grid":
-        steps = hw / max(n // 2, 1)
-        np.multiply((np.arange(n) - n // 2)[None, :], steps[:, None], out=eps)
-        np.add(centers[:, None], eps, out=eps)
-        if g.band_width > 0.0:
-            for i, e in enumerate(elements):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([int(g.rng_seed), int(step), int(e)])
-                )
-                eps[i] += rng.uniform(-0.5 * g.band_width, 0.5 * g.band_width, n)
-    else:
+    steps = hw / max(n // 2, 1)
+    np.multiply((np.arange(n) - n // 2)[None, :], steps[:, None], out=eps)
+    np.add(centers[:, None], eps, out=eps)
+    if g.band_width > 0.0:
         for i, e in enumerate(elements):
             rng = np.random.default_rng(
                 np.random.SeedSequence([int(g.rng_seed), int(step), int(e)])
             )
-            eps[i] = centers[i] + rng.uniform(-hw[i], hw[i], n)
+            eps[i] += rng.uniform(-0.5 * g.band_width, 0.5 * g.band_width, n)
     if ab is not None:
         a, b = ab
         np.multiply(b, eps, out=sig)
@@ -1230,7 +1208,6 @@ def _march(
     plastic_law: PlasticParams | None,
     *,
     padded: bool = False,
-    sink: Callable[[int, StackedSets], None] | None = None,
 ) -> Trajectory:
     """The step loop of both marches.
 
@@ -1243,26 +1220,26 @@ def _march(
     stress and accumulated slip (arrays of all M elements). Each row must
     be a pure function of these and of its own element, as the rows of a
     step may be drawn in two processes. ``padded`` says that the sets have
-    padded rows, and ``sink(k, sets)`` sees every step's sets once, in the
-    march process; the next step draws over them.
+    padded rows.
 
-    Each step is solved from the warm start ``cfg.init_strategy`` picks and,
-    under "response" on sets with no padded row, also from the empirical
-    response init (its strain-order lookups would read padded entries); the
-    lower objective wins, the first on a tie. When :func:`_may_fork` allows,
-    the stack is made in shared memory (:func:`_shared_empty`) and a
-    :class:`_StepWorker` is forked for the march. At every step the march
-    draws the first half of the rows (:func:`_row_halves`) and the worker
-    the rest, each waits until the other's half is in, and then the worker
-    solves the second start while the march solves the first. Otherwise the
-    march draws every row and solves both in turn. Either way the
+    Each step is solved from the predicted start, the previous accepted
+    state advanced by the step's elastic strain estimate plus the previous
+    step's inelastic increment, and, on sets with no padded row, also from
+    the empirical response init (its strain-order lookups would read padded
+    entries); the lower objective wins, the first on a tie. When
+    :func:`_may_fork` allows, the stack is made in shared memory
+    (:func:`_shared_empty`) and a :class:`_StepWorker` is forked for the
+    march. At every step the march draws the first half of the rows
+    (:func:`_row_halves`) and the worker the rest, each waits until the
+    other's half is in, and then the worker solves the second start while
+    the march solves the first. Otherwise the march draws every row and
+    solves both in turn. Either way the
     trajectory has the same bits, and the worker is shut down and joined
     before the march returns or raises. The accumulated slip is tracked
     only for a ``plastic_law``.
     """
     m = system.n_elements
-    two_starts = cfg.init_strategy == "response" and not padded
-    forked = two_starts and _may_fork()
+    forked = not padded and _may_fork()
     sets = stack(_shared_empty if forked else np.empty)
     rows, rest = _row_halves(m) if forked else (slice(None), None)
     worker = _StepWorker(system, gm, cfg, sets, draw, rest) if forked else None
@@ -1286,23 +1263,16 @@ def _march(
             draw(sets, rows, k, dt, est, eps_prev, sig_prev, q_acc)
             if worker is not None:
                 worker.rows_drawn()
-            if sink is not None:
-                sink(k, sets)
-            if cfg.init_strategy == "zero":
-                init = GlobalState.zeros(m)
-            elif cfg.init_strategy == "previous":
-                init = GlobalState(eps_prev, sig_prev)
-            else:
-                # warm start at the elastic estimate plus the previous step's
-                # inelastic increment, so steady flow never has to climb out of
-                # the previous step's basin (and a cold start inside an
-                # archive's stale neighbourhood cannot pin the walk there)
-                init = GlobalState(
-                    eps_prev + est + drift_eps,
-                    sig_prev + gm.c_diag * est + drift_sig,
-                )
+            # warm start at the elastic estimate plus the previous step's
+            # inelastic increment, so steady flow never has to climb out of
+            # the previous step's basin (and a cold start inside an archive's
+            # stale neighbourhood cannot pin the walk there)
+            init = GlobalState(
+                eps_prev + est + drift_eps,
+                sig_prev + gm.c_diag * est + drift_sig,
+            )
             step = fixed_point_solve(system, sets, gm, f, init, cfg, t=t)
-            if two_starts:
+            if not padded:
                 if worker is not None:
                     second = worker.result()
                 else:
@@ -1355,21 +1325,17 @@ def time_march(
     cfg: SolverConfig | None = None,
     *,
     sys: ConstraintSystem | None = None,
-    dataset_sink: Callable[[int, Sequence[LocalDataSet]], None] | None = None,
 ) -> Trajectory:
     """Incremental data-driven solve over a monotone time grid.
 
     Every step regenerates the per-element data sets conditioned on the
     previously accepted states; the first step uses the instantaneous
     (rate-free) response so a suddenly applied load or displacement yields
-    the correct initial state. The step solution warm-starts from the
-    elastically advanced previous state (see SolverConfig.init_strategy).
-    Each step's sets and their strain order are drawn into one (M, n)
-    stack, which under "response" a forked step worker may share: the
-    march and the worker then each draw and sort half of the rows (see
-    :func:`_march`), and the rows, seeded per element, are the same bits.
-    ``dataset_sink(k, sets)`` sees each step's sets once, in the calling
-    process, as copies that later steps leave unchanged.
+    the correct initial state. Each step is solved from two warm starts
+    (see :func:`_march`). Its sets and their strain order are drawn into
+    one (M, n) stack, which a forked step worker may share: the march and
+    the worker then each draw and sort half of the rows, and the rows,
+    seeded per element, are the same bits.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1386,13 +1352,7 @@ def time_march(
         _stacked_step_sets(generator, eps_prev, sig_prev, q_acc, est, dt, k, rows, sets)
         sets.index.sort(sets.eps, rows)
 
-    def sink(k, stacked):
-        dataset_sink(k, [LocalDataSet(*row) for row in zip(stacked.eps, stacked.sig)])
-
-    return _march(
-        system, gm, loads, t_grid, cfg, stack, draw, plastic_law,
-        sink=None if dataset_sink is None else sink,
-    )
+    return _march(system, gm, loads, t_grid, cfg, stack, draw, plastic_law)
 
 
 def history_matching_march(
@@ -1413,10 +1373,10 @@ def history_matching_march(
     entirely offline. The archives are stacked (ragged ones padded as
     :func:`~ddmech.data.stack_sets` pads) and strain-sorted once per march,
     and each step computes only their cost rows, +inf on padded entries,
-    into one (M, n) array. On equal archives under "response" a forked step
-    worker may solve the second warm start (see :func:`_march`): it reads
-    the sorted archive the fork shares, and the cost array is shared too,
-    each process computing the cost rows of half of the elements.
+    into one (M, n) array. On equal archives a forked step worker may solve
+    the second warm start (see :func:`_march`): it reads the sorted archive
+    the fork shares, and the cost array is shared too, each process
+    computing the cost rows of half of the elements.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1480,8 +1440,3 @@ def trajectory_summary(traj: Trajectory) -> dict:
         "max_equilibrium_residual": float(np.max(traj.equilibrium_residual)),
         "final_time": float(traj.times[-1]),
     }
-
-
-def write_summary_csv(traj: Trajectory, path) -> None:
-    summary = trajectory_summary(traj)
-    write_csv(path, list(summary), [summary.values()])

@@ -14,7 +14,6 @@ and reused for every step and iteration.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -35,7 +34,6 @@ __all__ = [
     "assemble",
     "generate_lattice_truss",
     "load_mesh",
-    "save_mesh",
 ]
 
 _DIRECTIONS = {"x": 0, "y": 1, "z": 2}
@@ -564,49 +562,3 @@ def load_mesh(
         prescribed=tuple(resolved),
     )
     return mesh, loads
-
-
-def save_mesh(
-    mesh: TrussMesh,
-    path,
-    loads: Mapping[tuple[int, int], float] | None = None,
-    program_ids: Mapping[int, str] | None = None,
-) -> dict[str, PiecewiseLinearProgram]:
-    """Writes the plain-text mesh format; returns {program-id: program}.
-
-    ``program_ids`` maps ``id(program)`` to a name; unnamed programs get
-    sequential ids p0, p1, ...
-    """
-    program_ids = dict(program_ids or {})
-    named: dict[str, PiecewiseLinearProgram] = {}
-    lines = ["# truss mesh", "NODES"]
-    for i, (x, y, z) in enumerate(mesh.node_coords):
-        lines.append(f"{i} {float(x)!r} {float(y)!r} {float(z)!r}")
-    lines.append("BARS")
-    for e in range(mesh.n_bars):
-        a, b = mesh.conn[e]
-        lines.append(f"{e} {a} {b} {float(mesh.areas[e])!r}")
-    if mesh.supports:
-        lines.append("SUPPORTS")
-        for node, d in sorted(mesh.supports):
-            lines.append(f"{node} {_DIRECTION_NAMES[d]}")
-    if loads:
-        lines.append("LOADS")
-        for (node, d), value in sorted(loads.items()):
-            lines.append(f"{node} {_DIRECTION_NAMES[parse_direction(d)]} {float(value)!r}")
-    if mesh.prescribed:
-        lines.append("PRESCRIBED")
-        counter = 0
-        for p in mesh.prescribed:
-            pid = program_ids.get(id(p.program))
-            if pid is None:
-                while f"p{counter}" in named:
-                    counter += 1
-                pid = f"p{counter}"
-                program_ids[id(p.program)] = pid
-            if not re.fullmatch(r"\S+", pid):
-                raise ValueError(f"program id {pid!r} must not contain whitespace")
-            named[pid] = p.program
-            lines.append(f"{p.node} {_DIRECTION_NAMES[p.direction]} {pid}")
-    Path(path).write_text("\n".join(lines) + "\n")
-    return named

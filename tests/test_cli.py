@@ -31,11 +31,30 @@ from ddmech.truss import LatticeSpec, generate_lattice_truss
         ("relaxation", "band_width = 0\nseed = -2\n", 2, "seed"),
         ("relaxation", "band_width = 0.001\nseed = -2\n", 2, "seed"),
         ("plastic", "runs = 2.5\n", 1, "runs"),
+        ("relaxation", "t_end = 3\ndt = nan\n", 2, "dt"),
+        ("relaxation", "dt = inf\n", 1, "dt"),
+        ("relaxation", "t_end = nan\n", 1, "t_end"),
+        ("relaxation", "eps_bar = nan\n", 1, "eps_bar"),
+        ("visco", "load_scale = nan\n", 1, "load_scale"),
+        ("visco", "band_ref = nan\n", 1, "band_ref"),
+        ("plastic", "band_exponent = inf\n", 1, "band_exponent"),
+        ("visco", "window_exponent = nan\n", 1, "window_exponent"),
+        ("plastic", "max_fixed_point_iters = 0\n", 1, "max_fixed_point_iters"),
+        ("visco", "n_ref = 0\n", 1, "n_ref"),
+        ("visco", "sampling = grid\n", 1, "unknown key 'sampling'"),
+        ("relaxation", "n_points = 0\n", 1, "n_points"),
+        ("relaxation", "band_width = nan\n", 1, "band_width"),
+        ("relaxation", "metric_value = nan\n", 1, "metric_value"),
+        ("plastic", "metric_value = -1\n", 1, "metric_value"),
     ],
     ids=[
         "unknown-key", "bad-float", "bad-boolean", "other-law", "rejected-value", "no-mesh",
         "zero-dt", "negative-t_end", "negative-workers", "negative-seed",
         "negative-seed-noiseless", "negative-seed-noisy", "fractional-runs",
+        "nan-dt", "inf-dt", "nan-t_end", "nan-eps_bar", "nan-load_scale", "nan-band_ref",
+        "inf-band_exponent", "nan-window_exponent", "zero-iters", "zero-n_ref",
+        "removed-sampling", "zero-n_points", "nan-band_width", "nan-metric_value",
+        "negative-metric_value",
     ],
 )
 def test_bad_config_line_names_path_line_and_key(tmp_path, capsys, command, text, line, key):
@@ -52,6 +71,15 @@ def test_bad_config_line_names_path_line_and_key(tmp_path, capsys, command, text
 def test_negative_seed_flag_is_named(tmp_path, capsys, command):
     assert cli.main([command, "--seed", "-5", "--out", str(tmp_path)]) == 2
     assert "error: seed must be at least 0, got -5" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_oracle_check_refuses_fewer_than_one_system(tmp_path, capsys, runs):
+    """No system checked is no pass: the count is refused, not reported."""
+    assert cli.main(["oracle-check", "--runs", runs, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: runs must be at least 1, got {runs}\n"
     assert not list(tmp_path.glob("*.csv"))
 
 

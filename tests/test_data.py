@@ -3,14 +3,11 @@ two-time archives."""
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pytest
 
 from ddmech import data as data_module
 from ddmech.data import (
-    ConditioningState,
     GeneratorSpec,
     HistoryRepository,
     LocalDataSet,
@@ -18,15 +15,11 @@ from ddmech.data import (
     StrainIndex,
     WindowRule,
     batch_nearest,
-    gaussian_fidelity_cost,
     history_cost_dataset,
-    nearest_history,
     prior_slot_costs,
-    read_datasets_csv,
     scan_nearest,
     stack_sets,
     update_history_variable,
-    write_datasets_csv,
 )
 from ddmech.materials import (
     PlasticParams,
@@ -42,8 +35,41 @@ PLASTIC = PlasticParams(e0=10_000.0, e1=100_000.0, sigma1=500.0, h=0.0)
 METRIC = LocalMetric.from_modulus(1.0)
 
 
+def nearest_in(d, z, metric):
+    """:func:`batch_nearest` on the one-row stack of the set ``d``."""
+    c, c_inv = np.array([metric.c]), np.array([metric.c_inv])
+    return int(batch_nearest(z.strain, z.stress, stack_sets([d]), c, c_inv)[0])
+
+
+def scan_one(d, z, metric):
+    """The lowest-index minimizer of square distance plus fidelity cost in
+    the set ``d``, by a scan of its points: an independent reference."""
+    de = d.strains[:, 0] - z.strain[0]
+    ds = d.stresses[:, 0] - z.stress[0]
+    d2 = metric.c * de * de + metric.c_inv * ds * ds
+    if d.costs is not None:
+        d2 = d2 + d.costs
+    return int(np.argmin(d2))
+
+
+def two_slot_nearest(current, prior, h, metric):
+    """The archive entry minimizing ``w_cur d^2(current slot) + w_prior
+    d^2(prior slot)``, the lowest index on a tie: an independent reference."""
+
+    def d2(eps, sig, z):
+        de = eps - z.strain[0]
+        ds = sig - z.stress[0]
+        return metric.c * de * de + metric.c_inv * ds * ds
+
+    w_cur, w_prior = h.weights
+    obj = w_cur * d2(h.eps_cur, h.sig_cur, current)
+    if w_prior != 0.0:
+        obj = obj + w_prior * d2(h.eps_prev, h.sig_prev, prior)
+    return int(np.argmin(obj))
+
+
 class TestLocalDataSet:
-    """Container immutability and the nearest search."""
+    """Container immutability and the search of one set."""
 
     def test_arrays_are_frozen(self):
         d = LocalDataSet(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
@@ -57,14 +83,10 @@ class TestLocalDataSet:
     def test_nearest_tie_takes_lowest_index(self):
         """Exactly equidistant points resolve to the first."""
         d = LocalDataSet(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-        idx, p = d.nearest(LocalPhasePoint(1.0, 2.0), METRIC)
-        assert idx == 0
-        assert isinstance(p, LocalPhasePoint)
-        assert (p.strain.shape, p.strain[0], p.stress[0]) == ((1,), 1.0, 2.0)
+        assert nearest_in(d, LocalPhasePoint(1.0, 2.0), METRIC) == 0
         # symmetric pair around the query as well
         d2 = LocalDataSet(np.array([-1.0, 1.0]), np.array([0.0, 0.0]))
-        idx2, _ = d2.nearest(LocalPhasePoint(0.0, 0.0), METRIC)
-        assert idx2 == 0
+        assert nearest_in(d2, LocalPhasePoint(0.0, 0.0), METRIC) == 0
 
     def test_cost_can_flip_the_winner(self):
         """Point 0 is closer but its cost moves the minimum to point 1."""
@@ -73,8 +95,7 @@ class TestLocalDataSet:
             np.array([0.0, 0.0]),
             costs=np.array([10.0, 0.0]),
         )
-        idx, _ = d.nearest(LocalPhasePoint(0.0, 0.0), METRIC)
-        assert idx == 1
+        assert nearest_in(d, LocalPhasePoint(0.0, 0.0), METRIC) == 1
 
 
 class TestBatchSearch:
@@ -107,9 +128,9 @@ class TestBatchSearch:
             stack_sets([])
 
     def test_batch_matches_per_element_nearest(self, rng):
-        """batch_nearest equals LocalDataSet.nearest element by element on
-        small sets (the scan), and equals the full scan on sets large enough
-        for the strain-sorted search."""
+        """batch_nearest equals a scan of each set element by element on
+        small sets, and equals the full scan on sets large enough for the
+        strain-sorted search."""
         m = 5
         n = 40
         sets = []
@@ -125,9 +146,7 @@ class TestBatchSearch:
             sig = rng.normal(size=m) * 50.0
             idx = batch_nearest(eps, sig, stacked, gm.c_diag, gm.c_inv_diag)
             for e in range(m):
-                ref, _ = sets[e].nearest(
-                    LocalPhasePoint(eps[e], sig[e]), gm.locals[e]
-                )
+                ref = scan_one(sets[e], LocalPhasePoint(eps[e], sig[e]), gm.locals[e])
                 assert idx[e] == ref
 
         def check(eps_rows, sig_rows, costs, queries):
@@ -285,10 +304,9 @@ class TestGenerators:
     """The conditioned one-step data set draw (one row per element)."""
 
     def test_sls_points_lie_on_the_response_line(self):
-        cond = ConditioningState(1e-3, 140.0)
         g = GeneratorSpec(law=SLS, n_points=64, band_width=1e-4, rng_seed=3)
         d = draw_sets(g, 1e-3, 140.0, 2e-4)
-        a, b = sls_affine_coefficients(cond, SLS, 1.0)
+        a, b = sls_affine_coefficients(np.array([1e-3]), np.array([140.0]), SLS, 1.0)
         assert np.array_equal(d.sig[0], float(a[0]) + b * d.eps[0])
 
     def test_grid_sampling_is_deterministic(self):
@@ -324,25 +342,25 @@ class TestGenerators:
         np.testing.assert_allclose(sig, expected, rtol=1e-12, atol=1e-9)
 
     @pytest.mark.parametrize("law", [SLS, PLASTIC], ids=["sls", "plastic"])
-    def test_uniform_sampling_in_window_on_law_and_per_element(self, law, rng):
-        """sampling="uniform" draws every strain inside the window about the
-        predicted strain, puts every stress on the law's one-step response,
-        and seeds each row from (seed, step, element) alone."""
-        m, n, hw = 4, 256, 2e-3
+    def test_grid_draw_in_window_on_law_and_per_element(self, law, rng):
+        """The noisy grid puts every strain inside the window about the
+        predicted strain, widened by half the band, puts every stress on the
+        law's one-step response, and seeds each row from (seed, step,
+        element) alone."""
+        m, n, hw, band = 4, 256, 2e-3, 2e-4
         eps_prev = rng.normal(scale=1e-3, size=m)
         sig_prev = rng.normal(scale=400.0, size=m)
         q_acc = np.abs(rng.normal(scale=1e-3, size=m))
         est = rng.normal(scale=1e-4, size=m)
         g = GeneratorSpec(
-            law=law, n_points=n, window=WindowRule(halfwidth=hw), rng_seed=5,
-            sampling="uniform",
+            law=law, n_points=n, band_width=band, window=WindowRule(halfwidth=hw), rng_seed=5
         )
         d = draw_sets(g, eps_prev, sig_prev, est, q_acc=q_acc, step=3)
         offset = d.eps - (eps_prev + est)[:, None]
-        assert np.all(np.abs(offset) <= hw)
+        assert np.all(np.abs(offset) <= hw * (1.0 + 1e-12) + 0.5 * band)
         assert np.all(offset.max(axis=1) - offset.min(axis=1) > 1.5 * hw)
         if law is SLS:
-            a, b = sls_affine_coefficients(ConditioningState(eps_prev, sig_prev), SLS, 1.0)
+            a, b = sls_affine_coefficients(eps_prev, sig_prev, SLS, 1.0)
             assert np.array_equal(d.sig, a[:, None] + b * d.eps)
         else:
             q_prev = ((law.e0 + law.e1) * eps_prev - sig_prev) / law.e1
@@ -362,19 +380,6 @@ class TestGenerators:
         assert not np.any(later.eps == d.eps)
         same = draw_sets(g, np.zeros(m), np.zeros(m), np.zeros(m), step=3)
         assert len({row.tobytes() for row in same.eps}) == m
-
-
-class TestConditioningState:
-    """The previous states the per-step draw is conditioned on."""
-
-    @pytest.mark.parametrize(
-        "strain, stress",
-        [(np.zeros(2), np.zeros(3)), (np.zeros((2, 2)),) * 2, (np.nan, 0.0)],
-        ids=["unequal", "2-D", "nan"],
-    )
-    def test_rejects_bad_arrays(self, strain, stress):
-        with pytest.raises(ValueError, match="finite and 1-D of equal shape"):
-            ConditioningState(strain, stress)
 
 
 class TestHistoryVariable:
@@ -407,18 +412,6 @@ class TestHistoryVariable:
             q, eps, sig = q_new, new_eps, new_sig
 
 
-class TestFidelityCost:
-    """Gaussian uncertainty cost."""
-
-    def test_frozen_value(self):
-        """2 * (0.1^2 + 0.2^2) = 0.1."""
-        assert gaussian_fidelity_cost([0.1, 0.2]) == pytest.approx(0.1)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            gaussian_fidelity_cost([-0.1])
-
-
 class TestHistoryRepository:
     """Two-time archives and their cost-dataset reduction."""
 
@@ -447,14 +440,17 @@ class TestHistoryRepository:
             )
 
     def test_nearest_history_weighs_both_slots(self):
+        """The search of the cost dataset weighs both slots: a prior state
+        near entry 2's prior slot moves the winner off entry 1, the nearest
+        in the current slot."""
         h = self.repo()
         metric = LocalMetric.from_modulus(1.0)
-        prior = LocalPhasePoint(0.0, 100.0)
         current = LocalPhasePoint(1e-3, 150.0)
-        idx, (cur, prev) = nearest_history((current, prior), h, metric)
-        assert idx == 1
-        assert cur.stress[0] == 150.0
-        assert prev.stress[0] == 100.0
+        d = history_cost_dataset(h, LocalPhasePoint(0.0, 100.0), metric)
+        idx = nearest_in(d, current, metric)
+        assert (idx, h.sig_cur[idx], h.sig_prev[idx]) == (1, 150.0, 100.0)
+        d = history_cost_dataset(h, LocalPhasePoint(1e-3, 160.0), metric)
+        assert nearest_in(d, current, metric) == 2
 
     def test_zero_prior_weight_reduces_to_plain_search(self):
         h = HistoryRepository(
@@ -480,7 +476,7 @@ class TestHistoryRepository:
             assert d.costs[i] == pytest.approx(expect, rel=1e-12)
 
     def test_cost_dataset_reproduces_nearest_history(self, rng):
-        """Searching the cost dataset equals the two-slot search."""
+        """Searching the cost dataset equals a two-slot search."""
         n = 30
         h = HistoryRepository(
             rng.normal(size=n),
@@ -493,10 +489,8 @@ class TestHistoryRepository:
         for _ in range(20):
             prior = LocalPhasePoint(rng.normal(), rng.normal() * 100.0)
             current = LocalPhasePoint(rng.normal(), rng.normal() * 100.0)
-            ref_idx, _ = nearest_history((current, prior), h, metric)
             d = history_cost_dataset(h, prior, metric)
-            got_idx, _ = d.nearest(current, metric)
-            assert got_idx == ref_idx
+            assert nearest_in(d, current, metric) == two_slot_nearest(current, prior, h, metric)
 
     def test_stacked_costs_equal_cost_datasets(self, rng):
         """Each row of the stacked costs equals the cost dataset's costs
@@ -529,48 +523,3 @@ class TestHistoryRepository:
             huge = GlobalState(np.full(3, 1e200), np.zeros(3))
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite and nonn"):
                 prior_slot_costs(repos, huge, gm)
-
-
-class TestDatasetCsv:
-    """Round trip of the per-step data dump."""
-
-    def test_round_trip(self, tmp_path, rng):
-        d0 = LocalDataSet(rng.normal(size=4), rng.normal(size=4))
-        d1 = LocalDataSet(
-            rng.normal(size=3), rng.normal(size=3), costs=np.abs(rng.normal(size=3))
-        )
-        path = tmp_path / "sets.csv"
-        write_datasets_csv(path, [(0, 0, d0), (0, 1, d1)])
-        rows = read_datasets_csv(path)
-        assert [(s, e) for s, e, _ in rows] == [(0, 0), (0, 1)]
-        back0 = rows[0][2]
-        assert np.array_equal(back0.strains, d0.strains)
-        back1 = rows[1][2]
-        assert np.array_equal(back1.costs, d1.costs)
-
-    def test_lf_line_endings(self, tmp_path):
-        d = LocalDataSet(np.zeros(2), np.zeros(2))
-        path = tmp_path / "sets.csv"
-        write_datasets_csv(path, [(0, 0, d)])
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        assert raw.startswith(b"step,element,strain,stress,cost\n")
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("0,0,1.0", "expected 5 fields, got 3"),
-            ("0,0,1.0,2.0,0.0,9", "expected 5 fields, got 6"),
-            ("0,x,1.0,2.0,0.0", "invalid literal for int"),
-            ("0,0,abc,2.0,0.0", "could not convert string to float"),
-            ("0,0,nan,2.0,0.0", "must be finite"),
-            ("0,0,1.0,inf,0.0", "must be finite"),
-            ("0,0,1.0,2.0,-1.0", "cost nonnegative"),
-        ],
-        ids=["short", "long", "bad-int", "bad-float", "nan", "inf", "negative-cost"],
-    )
-    def test_malformed_line_names_path_and_line(self, tmp_path, line, message):
-        path = tmp_path / "sets.csv"
-        path.write_text(f"step,element,strain,stress,cost\n0,0,1.0,2.0,0.0\n\n{line}\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: .*{message}"):
-            read_datasets_csv(path)

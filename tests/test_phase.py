@@ -5,14 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ddmech.phase import (
-    GlobalMetric,
-    GlobalState,
-    LocalMetric,
-    LocalPhasePoint,
-    global_distance_sq,
-    local_norm_sq,
-)
+from ddmech.experiments import _step_norms_sq
+from ddmech.phase import GlobalMetric, GlobalState, LocalMetric, LocalPhasePoint
+
+
+def norm_sq(z: GlobalState, gm: GlobalMetric) -> float:
+    """The weighted square norm of one state as the error norms evaluate it:
+    ``sum_e w_e (C_e eps_e^2 + sig_e^2 / C_e)``."""
+    return float(_step_norms_sq(z.strain.T, z.stress.T, gm)[0])
+
+
+def local_norm_sq(z: LocalPhasePoint, lm: LocalMetric) -> float:
+    """``C eps^2 + sig^2 / C`` of one point, evaluated independently."""
+    return float(lm.c * z.strain[0] ** 2 + lm.c_inv * z.stress[0] ** 2)
 
 
 class TestLocalPhasePoint:
@@ -44,15 +49,15 @@ class TestLocalMetric:
     def test_norm_exact_value(self):
         """|z|^2 = eps C eps + sig C^-1 sig; 0.5^2*100 + 10^2/100 = 26."""
         lm = LocalMetric.from_modulus(100.0)
-        z = LocalPhasePoint(0.5, 10.0)
-        assert local_norm_sq(z, lm) == 26.0
+        assert norm_sq(GlobalState([0.5], [10.0]), GlobalMetric([lm], [1.0])) == 26.0
 
     def test_distance_is_norm_of_difference(self, rng):
         lm = LocalMetric.from_modulus(175_000.0)
         for _ in range(50):
             a = GlobalState([rng.normal()], [rng.normal(scale=100.0)])
             b = GlobalState([rng.normal()], [rng.normal(scale=100.0)])
-            d = global_distance_sq(a, b, GlobalMetric([lm], [1.0]))
+            diff_state = GlobalState(a.strain - b.strain, a.stress - b.stress)
+            d = norm_sq(diff_state, GlobalMetric([lm], [1.0]))
             diff = LocalPhasePoint(a.strain[0] - b.strain[0], a.stress[0] - b.stress[0])
             assert d == pytest.approx(local_norm_sq(diff, lm), rel=1e-12)
             assert d >= 0.0
@@ -81,7 +86,7 @@ class TestGlobalMetric:
         """2*(0.5^2*100 + 1) + 3*(1*100 + 400/100) = 364."""
         gm = GlobalMetric.uniform(100.0, np.array([2.0, 3.0]))
         z = GlobalState(np.array([0.5, 1.0]), np.array([10.0, 20.0]))
-        assert global_distance_sq(z, GlobalState.zeros(2), gm) == 364.0
+        assert norm_sq(z, gm) == 364.0
 
     def test_global_norm_matches_local_sum(self, rng):
         """Weighted sum of local norms, for mixed moduli."""
@@ -94,15 +99,13 @@ class TestGlobalMetric:
             manual = sum(
                 w[e] * local_norm_sq(z.point(e), gm.locals[e]) for e in range(m)
             )
-            assert global_distance_sq(z, GlobalState.zeros(m), gm) == pytest.approx(
-                manual, rel=1e-12
-            )
+            assert norm_sq(z, gm) == pytest.approx(manual, rel=1e-12)
 
     def test_global_distance(self, rng):
         gm = GlobalMetric.uniform(175_000.0, np.ones(4))
         a = GlobalState(rng.normal(size=4), rng.normal(size=4))
         b = GlobalState(rng.normal(size=4), rng.normal(size=4))
-        d = global_distance_sq(a, b, gm)
+        d = norm_sq(GlobalState(a.strain - b.strain, a.stress - b.stress), gm)
         de = a.strain[:, 0] - b.strain[:, 0]
         ds = a.stress[:, 0] - b.stress[:, 0]
         manual = sum(

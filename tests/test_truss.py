@@ -16,7 +16,6 @@ from ddmech.truss import (
     assemble,
     generate_lattice_truss,
     load_mesh,
-    save_mesh,
 )
 
 
@@ -280,11 +279,16 @@ class TestMeshIO:
     """Plain-text mesh round trip and parse errors."""
 
     def test_round_trip(self, tmp_path):
+        """The unit bar written out in the format reads back as itself."""
         prog = PiecewiseLinearProgram.from_breakpoints(((0.0, 0.0), (1.0, 1e-3)))
         mesh = unit_bar([Prescribed(1, 0, prog)])
         path = tmp_path / "bar.mesh"
-        named = save_mesh(mesh, path, loads={(1, 0): 5.0})
-        again, loads = load_mesh(path, named)
+        path.write_text(
+            "# truss mesh\nNODES\n0 0.0 0.0 0.0\n1 1.0 0.0 0.0  # the free end\n"
+            "BARS\n0 0 1 1.0\nSUPPORTS\n0 x\n0 y\n0 z\n1 y\n1 z\n"
+            "LOADS\n1 x 5.0\nPRESCRIBED\n1 x p0\n"
+        )
+        again, loads = load_mesh(path, {"p0": prog})
         assert again.n_nodes == mesh.n_nodes
         assert np.array_equal(again.conn, mesh.conn)
         assert np.array_equal(again.node_coords, mesh.node_coords)
