@@ -29,7 +29,6 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREA
 from .data import (
     GeneratorSpec,
     HistoryRepository,
-    LocalDataSet,
     StackedSets,
     WindowRule,
     batch_nearest,
@@ -82,12 +81,7 @@ from .materials import (
     sls_affine_coefficients,
     sls_relaxation_exact,
 )
-from .phase import (
-    GlobalMetric,
-    GlobalState,
-    LocalMetric,
-    LocalPhasePoint,
-)
+from .phase import GlobalMetric, GlobalState
 from .solver import (
     SolverConfig,
     StepResult,
@@ -116,8 +110,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     # phase space
-    "LocalPhasePoint",
-    "LocalMetric",
     "GlobalMetric",
     "GlobalState",
     # material laws
@@ -139,7 +131,6 @@ __all__ = [
     "MechanismError",
     "load_mesh",
     # data sets
-    "LocalDataSet",
     "StackedSets",
     "stack_sets",
     "batch_nearest",

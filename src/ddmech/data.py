@@ -1,23 +1,24 @@
-"""Material data sets, the per-step set window, and nearest-point search.
+"""Per-bar data sets as one padded stack, the per-step set window, and
+nearest-point search.
 
-A local data set is a cloud of scalar (strain, stress) points for one bar,
-optionally tagged with a nonnegative fidelity cost added to the square
-distance during search. Evolving-material behaviour enters through the
-per-step draw (``solver._stacked_step_sets``): each time step gets fresh
-sets conditioned on the previously converged local states (and, for
-plasticity, on an accumulated-slip history variable recovered from
-stress-strain increments alone), sampled in the window :class:`WindowRule`
-and :class:`GeneratorSpec` describe.
+A bar's data set is a cloud of scalar (strain, stress) points, each
+optionally with a nonnegative fidelity cost added to its square distance
+in every search. The solver reads all sets of a step from one
+:class:`StackedSets`, (M, n) arrays whose row e is bar e's set;
+:func:`stack_sets` builds it from flat rows, checks them and pads unequal
+ones. Evolving-material behaviour enters through the per-step draw
+(``solver._stacked_step_sets``), which writes fresh sets conditioned on the
+previously converged states (and, for plasticity, on an accumulated-slip
+history variable recovered from stress-strain increments alone) into a
+march's stack, in the window :class:`WindowRule` and :class:`GeneratorSpec`
+describe; a two-time archive enters as its current slots with the
+prior-slot mismatch as cost (:func:`prior_slot_costs`).
 
 Every search is exact and returns the lowest index among the minimizers.
-The solver reads every set of a step from one :class:`StackedSets`, (M, n)
-arrays in which sets of unequal size are padded (:func:`stack_sets` holds
-the padding rule). It searches them with :func:`batch_nearest`: a scan of
-every point for small stacks, and above a size crossover a search of each
-row in its strain order, which evaluates the scan's own arithmetic on a
+:func:`batch_nearest` scans small stacks; above a size crossover it searches
+each row in its strain order, evaluating the scan's own arithmetic on a
 certified block of candidates (:func:`block_lowest`, which the solver's
-swap polish shares with its own bound), and equal to :func:`scan_nearest`,
-the reference scan. :class:`LocalDataSet` is one set as a caller gives it.
+swap polish shares), so it equals :func:`scan_nearest`, the reference scan.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from typing import Sequence
 import numpy as np
 
 from .materials import PlasticParams, SlsParams
-from .phase import GlobalMetric, GlobalState, LocalMetric, LocalPhasePoint
+from .phase import GlobalMetric, GlobalState
 
 __all__ = [
-    "LocalDataSet",
     "WindowRule",
     "GeneratorSpec",
     "HistoryRepository",
@@ -41,48 +41,6 @@ __all__ = [
     "prior_slot_costs",
     "write_csv",
 ]
-
-
-class LocalDataSet:
-    """Immutable scalar point cloud for one element, the input of
-    :func:`stack_sets`. Strains and stresses are stored as (n, 1) columns.
-    """
-
-    __slots__ = ("strains", "stresses", "costs")
-
-    def __init__(self, strains, stresses, costs=None) -> None:
-        eps = np.asarray(strains, dtype=float)
-        sig = np.asarray(stresses, dtype=float)
-        if eps.ndim == 1:
-            eps = eps[:, None]
-        if sig.ndim == 1:
-            sig = sig[:, None]
-        if eps.ndim != 2 or eps.shape[1] != 1 or eps.shape != sig.shape:
-            raise ValueError("strains and stresses must share shape (n, 1)")
-        if eps.shape[0] < 1:
-            raise ValueError("a data set must contain at least one point")
-        if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(sig))):
-            raise ValueError("data points must be finite")
-        eps = eps.copy()
-        sig = sig.copy()
-        eps.setflags(write=False)
-        sig.setflags(write=False)
-        self.strains = eps
-        self.stresses = sig
-        if costs is None:
-            self.costs = None
-        else:
-            c = np.asarray(costs, dtype=float).reshape(-1).copy()
-            if c.size != eps.shape[0]:
-                raise ValueError("one cost per point is required")
-            if np.any(~np.isfinite(c)) or np.any(c < 0.0):
-                raise ValueError("fidelity costs must be finite and nonnegative")
-            c.setflags(write=False)
-            self.costs = c
-
-    @property
-    def n_points(self) -> int:
-        return self.strains.shape[0]
 
 
 #: Smallest stacked size M*n searched through the strain order rather than
@@ -194,8 +152,13 @@ class StackedSets:
         return self.index
 
 
-def stack_sets(sets: Sequence[LocalDataSet]) -> StackedSets:
-    """Stacks the sets as one (M, n_max) :class:`StackedSets`.
+def stack_sets(eps_rows, sig_rows, cost_rows=None) -> StackedSets:
+    """Stacks per-bar data sets as one (M, n_max) :class:`StackedSets`.
+
+    Set e holds the strains ``eps_rows[e]``, the stresses ``sig_rows[e]``
+    and the fidelity costs ``cost_rows[e]`` (None: none) of its points, each
+    a flat array. It must hold at least one point, its points must be finite
+    and its costs finite and nonnegative; an error names the set.
 
     Sets shorter than the longest are padded: each padded entry repeats its
     row's last point and has cost +inf, and ``lengths`` records the true
@@ -211,32 +174,48 @@ def stack_sets(sets: Sequence[LocalDataSet]) -> StackedSets:
     argmin is unchanged. In the sorted path of :func:`batch_nearest` a
     +inf bound widens the block to the whole row, which is then scanned.
     """
-    if not sets:
-        raise ValueError("at least one data set is required")
-    return _stack_rows(
-        [d.strains[:, 0] for d in sets],
-        [d.stresses[:, 0] for d in sets],
-        [d.costs for d in sets],
-    )
-
-
-def _stack_rows(eps_rows, sig_rows, cost_rows) -> StackedSets:
-    """:func:`stack_sets` on rows of strains, stresses and costs (or None)."""
+    m = len(eps_rows)
+    cost_rows = [None] * m if cost_rows is None else cost_rows
+    if m < 1 or len(sig_rows) != m or len(cost_rows) != m:
+        raise ValueError(
+            f"at least one set is required, with as many stress and cost rows as "
+            f"strain rows; got {m}, {len(sig_rows)} and {len(cost_rows)}"
+        )
+    eps_rows = [np.asarray(a, dtype=float) for a in eps_rows]
+    sig_rows = [np.asarray(a, dtype=float) for a in sig_rows]
+    for e, (eps, sig) in enumerate(zip(eps_rows, sig_rows)):
+        if eps.ndim != 1 or eps.size < 1 or sig.shape != eps.shape:
+            raise ValueError(
+                f"set {e}: strains and stresses must share one shape (n,) of at least "
+                f"one point, got {eps.shape} and {sig.shape}"
+            )
+        if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(sig))):
+            raise ValueError(f"set {e}: data points must be finite")
+    cost_rows = [
+        c if c is None else _checked_costs(e, c, eps_rows[e].size) for e, c in enumerate(cost_rows)
+    ]
     lengths = np.array([a.size for a in eps_rows])
-    shape = (lengths.size, int(lengths.max()))
+    shape = (m, int(lengths.max()))
     ragged = bool(np.any(lengths < shape[1]))
     costs = None
     if ragged or any(c is not None for c in cost_rows):
-        rows = (
-            np.zeros(a.size) if c is None else c for a, c in zip(eps_rows, cost_rows)
-        )
+        rows = (np.zeros(a.size) if c is None else c for a, c in zip(eps_rows, cost_rows))
         costs = _padded(rows, shape, np.inf)
     return StackedSets(
-        _padded(eps_rows, shape),
-        _padded(sig_rows, shape),
-        costs,
-        lengths if ragged else None,
+        _padded(eps_rows, shape), _padded(sig_rows, shape), costs, lengths if ragged else None
     )
+
+
+def _checked_costs(e: int, costs, n: int) -> np.ndarray:
+    """``costs`` as an array when it holds n finite, nonnegative values;
+    otherwise ``ValueError`` naming set e."""
+    costs = np.asarray(costs, dtype=float)
+    if costs.shape != (n,):
+        raise ValueError(f"set {e}: one cost per point is required")
+    # written so that NaN fails the comparison and is rejected
+    if not np.all((0.0 <= costs) & (costs < np.inf)):
+        raise ValueError(f"set {e}: fidelity costs must be finite and nonnegative")
+    return costs
 
 
 def _padded(rows, shape, fill=None, out=None) -> np.ndarray:
@@ -437,9 +416,6 @@ class WindowRule:
             raise ValueError("sampling window collapsed to zero; set floor or halfwidth")
         return hw
 
-    def resolve(self, band_width: float, step_estimate: float = 0.0) -> float:
-        return float(self.halfwidths(band_width, step_estimate))
-
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -499,19 +475,16 @@ class HistoryRepository:
     weights: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
-        arrays = {}
-        n = None
-        for name in ("eps_prev", "sig_prev", "eps_cur", "sig_cur"):
-            a = np.asarray(getattr(self, name), dtype=float).reshape(-1).copy()
+        slots = ("eps_prev", "sig_prev", "eps_cur", "sig_cur")
+        for name in slots:
+            a = np.array(getattr(self, name), dtype=float).reshape(-1)
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be finite")
-            if n is None:
-                n = a.size
-            elif a.size != n:
-                raise ValueError("all slot arrays must have equal length")
             a.setflags(write=False)
-            arrays[name] = a
-        if n == 0:
+            object.__setattr__(self, name, a)
+        if len({getattr(self, name).size for name in slots}) != 1:
+            raise ValueError("all slot arrays must have equal length")
+        if self.eps_cur.size == 0:
             raise ValueError("a history repository must contain at least one entry")
         w = (float(self.weights[0]), float(self.weights[1]))
         # written so that NaN fails every comparison and is rejected
@@ -520,8 +493,6 @@ class HistoryRepository:
                 f"weights must be finite, the current weight positive and the "
                 f"prior weight nonnegative; got {w}"
             )
-        for name, a in arrays.items():
-            object.__setattr__(self, name, a)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -529,38 +500,34 @@ class HistoryRepository:
         return self.eps_cur.size
 
 
-def _slot_distances_sq(
-    h: HistoryRepository, z: LocalPhasePoint, metric: LocalMetric, slot: str
-) -> np.ndarray:
-    c = metric.c
-    ci = metric.c_inv
-    eps = getattr(h, f"eps_{slot}")
-    sig = getattr(h, f"sig_{slot}")
-    de = eps - z.strain[0]
-    ds = sig - z.stress[0]
-    return c * de * de + ci * ds * ds
-
-
 def history_cost_dataset(
-    h: HistoryRepository, z_prev: LocalPhasePoint, metric: LocalMetric
-) -> LocalDataSet:
-    """Current slots as a data set, prior-slot mismatch as fidelity cost.
+    h: HistoryRepository, eps_prev: float, sig_prev: float, c: float
+) -> StackedSets:
+    """One bar's archive as a one-row stack: its current slots are the
+    points, and their prior-slot mismatch against the bar's previously
+    accepted state ``(eps_prev, sig_prev)``, in the norm of modulus ``c``,
+    is their fidelity cost.
 
     Minimizing ``w_cur d^2 + w_prior d_prev^2`` equals minimizing
     ``d^2 + (w_prior / w_cur) d_prev^2``, so the prior-slot term enters the
-    standard solver as a per-point cost; weight (w, 0) reduces exactly to
-    the plain differential search.
+    standard solver as a per-point cost; weight (w, 0) gives no costs, so
+    the search reduces exactly to the plain differential one.
     """
-    return LocalDataSet(h.eps_cur, h.sig_cur, _prior_slot_cost(h, z_prev, metric))
+    return stack_sets([h.eps_cur], [h.sig_cur], [_prior_slot_cost(h, eps_prev, sig_prev, c)])
 
 
 def _prior_slot_cost(
-    h: HistoryRepository, z_prev: LocalPhasePoint, metric: LocalMetric
+    h: HistoryRepository, eps_prev: float, sig_prev: float, c: float
 ) -> np.ndarray | None:
+    """``(w_prior / w_cur) (c de^2 + ds^2 / c)`` over the prior slots of
+    ``h``, with ``(de, ds)`` their distance to ``(eps_prev, sig_prev)``;
+    None for a zero prior weight."""
     w_cur, w_prev = h.weights
     if w_prev == 0.0:
         return None
-    return (w_prev / w_cur) * _slot_distances_sq(h, z_prev, metric, "prev")
+    de = h.eps_prev - eps_prev
+    ds = h.sig_prev - sig_prev
+    return (w_prev / w_cur) * (c * de * de + (1.0 / c) * ds * ds)
 
 
 def prior_slot_costs(
@@ -570,15 +537,17 @@ def prior_slot_costs(
     rows: slice = slice(None),
     out: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Fidelity costs of the archives as an (M, n_max) array, padded as
-    :func:`stack_sets` pads: +inf past each archive's entries.
+    """Fidelity costs of the bars' archives against the previously accepted
+    state ``z_prev``, as an (M, n_max) array padded as :func:`stack_sets`
+    pads: +inf past each archive's entries.
 
-    Row e holds the costs :func:`history_cost_dataset` gives element e
-    (zeros where the prior weight is zero); None when the archives have
-    equal sizes and every prior weight is zero. Costs are checked as
-    :class:`LocalDataSet` checks them. Only the ``rows`` of that array are
-    computed, and written into ``out`` when it is given; each row depends
-    on its own element alone.
+    Row e holds the costs :func:`history_cost_dataset` gives bar e from
+    ``z_prev.strain[e]``, ``z_prev.stress[e]`` and ``gm.c_diag[e]`` (zeros
+    where the prior weight is zero), checked as :func:`stack_sets` checks
+    them; None when the archives have equal sizes and every prior weight is
+    zero. Only the ``rows`` of that array are computed, one at a time (a
+    stack of every prior slot would hold two more (M, n_max) arrays), and
+    written into ``out`` when it is given; each row depends on its own bar.
     """
     sizes = [h.n_entries for h in repositories]
     if len(set(sizes)) == 1 and all(h.weights[1] == 0.0 for h in repositories):
@@ -588,12 +557,8 @@ def prior_slot_costs(
     def costs():
         for e in chosen:
             h = repositories[e]
-            row = _prior_slot_cost(h, z_prev.point(e), gm.locals[e])
-            if row is None:
-                row = np.zeros(h.n_entries)
-            elif np.any(~np.isfinite(row)) or np.any(row < 0.0):
-                raise ValueError("fidelity costs must be finite and nonnegative")
-            yield row
+            row = _prior_slot_cost(h, z_prev.strain[e], z_prev.stress[e], gm.c_diag[e])
+            yield np.zeros(h.n_entries) if row is None else _checked_costs(e, row, h.n_entries)
 
     return _padded(costs(), (len(chosen), max(sizes)), np.inf, out)
 

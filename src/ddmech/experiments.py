@@ -22,9 +22,9 @@ from scipy.linalg import cho_factor, cho_solve
 from .data import (
     GeneratorSpec,
     HistoryRepository,
-    LocalDataSet,
     WindowRule,
     require_int,
+    stack_sets,
     write_csv,
 )
 from .materials import (
@@ -34,7 +34,7 @@ from .materials import (
     sls_affine_coefficients,
     sls_relaxation_exact,
 )
-from .phase import GlobalMetric, LocalMetric
+from .phase import GlobalMetric
 from .solver import (
     SolverConfig,
     Trajectory,
@@ -491,8 +491,14 @@ class StudyConfig:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
-        if int(self.workers) < 0:
-            raise ValueError(f"workers must be nonnegative, got {self.workers}")
+        object.__setattr__(self, "workers", require_int("workers", self.workers, 0))
+        for n in pts:
+            band = self.band_ref * _scale(self, n, self.band_exponent)
+            wscale = _scale(self, n, self.window_exponent)
+            if not np.isfinite(band):
+                raise ValueError(f"band_exponent gives band {band} at {n} points")
+            if not 0.0 < wscale < np.inf:
+                raise ValueError(f"window_exponent gives window scale {wscale} at {n} points")
 
 
 @dataclass(frozen=True)
@@ -570,17 +576,22 @@ def _run_seed(cfg: StudyConfig, point_index: int, run: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _scale(cfg: StudyConfig, n: int, exponent: float) -> float:
+    """``(n_ref / n) ** exponent``, +inf where that overflows."""
+    try:
+        return (cfg.n_ref / n) ** exponent
+    except OverflowError:
+        return np.inf
+
+
 def _generator_for(cfg: StudyConfig, n: int, run_seed: int) -> GeneratorSpec:
-    scale = (cfg.n_ref / n) ** cfg.band_exponent
-    band = cfg.band_ref * scale
-    wscale = (cfg.n_ref / n) ** cfg.window_exponent
     return GeneratorSpec(
         law=cfg.law,
         n_points=n,
-        band_width=band,
+        band_width=cfg.band_ref * _scale(cfg, n, cfg.band_exponent),
         window=cfg.window,
         rng_seed=run_seed,
-        window_scale=wscale,
+        window_scale=_scale(cfg, n, cfg.window_exponent),
     )
 
 
@@ -758,8 +769,9 @@ def random_small_instance(rng: np.random.Generator, *, max_elements: int = 3,
 
     One free node (one or two free displacement components) tied to fixed
     anchor nodes by up to ``max_elements`` bars of random geometry, with
-    per-element metric moduli, random per-element data clouds and a random
-    force vector. Degenerate (mechanism) geometries are resampled.
+    per-element metric moduli, random per-element data clouds (one
+    :func:`~ddmech.data.stack_sets` stack) and a random force vector.
+    Degenerate (mechanism) geometries are resampled.
     """
     for _ in range(64):
         m = int(rng.integers(1, max_elements + 1))
@@ -780,21 +792,18 @@ def random_small_instance(rng: np.random.Generator, *, max_elements: int = 3,
         supports |= {(m, d) for d in range(free_dirs, 3)}
         mesh = TrussMesh(coords, conn, areas, frozenset(supports))
         moduli = rng.uniform(0.5, 2.0, m) * 1000.0
-        gm = GlobalMetric(
-            [LocalMetric.from_modulus(c) for c in moduli], mesh.volumes
-        )
+        gm = GlobalMetric(moduli, mesh.volumes)
         try:
             sys = assemble(mesh, gm)
         except MechanismError:
             continue
         f = rng.normal(size=sys.n_free) * 100.0
-        sets = []
+        eps_rows, sig_rows = [], []
         for e in range(m):
             n = int(rng.integers(2, max_points + 1))
-            eps = rng.normal(scale=0.2, size=n)
-            sig = moduli[e] * rng.normal(scale=0.2, size=n)
-            sets.append(LocalDataSet(eps, sig))
-        return mesh, gm, sys, sets, f
+            eps_rows.append(rng.normal(scale=0.2, size=n))
+            sig_rows.append(moduli[e] * rng.normal(scale=0.2, size=n))
+        return mesh, gm, sys, stack_sets(eps_rows, sig_rows), f
     raise RuntimeError("could not sample a stable random truss in 64 draws")
 
 

@@ -119,14 +119,13 @@ def sls_relaxation_exact(k, p: SlsParams, eps_bar: float, dt: float):
     if np.any(k < 0):
         raise ValueError("step index must be nonnegative")
     rho = p.tau1 / (dt + p.tau1)
-    out = p.e0 * eps_bar + p.e1 * eps_bar * rho ** np.asarray(k, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return p.e0 * eps_bar + p.e1 * eps_bar * rho ** k.astype(float)
 
 
 class ReturnMapResult(NamedTuple):
-    stress: float | np.ndarray
-    q: float | np.ndarray
-    q_acc: float | np.ndarray
+    stress: np.ndarray
+    q: np.ndarray
+    q_acc: np.ndarray
 
 
 def plastic_return_map(eps_new, q_prev, qacc_prev, p: PlasticParams) -> ReturnMapResult:
@@ -148,7 +147,4 @@ def plastic_return_map(eps_new, q_prev, qacc_prev, p: PlasticParams) -> ReturnMa
     dlam = np.where(f_trial > 0.0, f_trial / (p.e1 + p.h), 0.0)
     q = q0 + dlam * np.sign(p_trial)
     qa = qa0 + dlam
-    sig = p.e0 * eps + p.e1 * (eps - q)
-    if sig.ndim == 0:
-        return ReturnMapResult(float(sig), float(q), float(qa))
-    return ReturnMapResult(sig, q, qa)
+    return ReturnMapResult(p.e0 * eps + p.e1 * (eps - q), q, qa)

@@ -1,102 +1,56 @@
-"""Phase-space points, local metrics, and the weighted global metric.
+"""Per-bar states and the weighted phase-space metric, as flat arrays.
 
-The state of a material point is a strain-stress pair ``z = (eps, sig)``.
-States of a structure with ``M`` material points live in the product of the
-local phase spaces, one factor per point. Every distance used by the
-projection solvers derives from the quadratic local norm
+The local state of a bar is one scalar strain-stress pair ``z_e = (eps_e,
+sig_e)``, and every per-bar quantity of a structure with ``M`` bars is a
+flat array of length ``M``: :class:`GlobalState` holds the strains and
+stresses, :class:`GlobalMetric` the moduli, their inverses and the volume
+weights. Every distance used by the projection solvers derives from the
+local norm
 
-    |z|^2 = C eps^2 + C^{-1} sig^2
+    |z_e|^2 = C_e eps_e^2 + C_e^{-1} sig_e^2
 
-with ``C > 0`` a scalar modulus-like constant of the bar, and from the
+with ``C_e > 0`` a modulus-like constant of bar e, and from the
 volume-weighted global norm ``|z|^2 = sum_e w_e |z_e|^2``. The global square
-distance therefore decomposes into independent per-point terms, which is what
-makes the data-side projection a batch of local nearest-neighbour searches.
-:class:`GlobalMetric` holds ``w``, ``C`` and ``C^{-1}`` as arrays, from which
-the solver and the error norms evaluate these sums.
+distance therefore decomposes into independent per-bar terms, which is what
+makes the data-side projection a batch of per-bar nearest-point searches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "LocalPhasePoint",
-    "LocalMetric",
     "GlobalMetric",
     "GlobalState",
 ]
 
 
-def _as_scalar(x, name: str) -> np.ndarray:
-    v = np.array(x, dtype=float, ndmin=1)
-    if v.shape != (1,):
-        raise ValueError(f"{name} must be a scalar, got shape {v.shape}")
-    if not np.isfinite(v[0]):
-        raise ValueError(f"{name} must be finite")
-    v.setflags(write=False)
-    return v
-
-
-@dataclass(frozen=True)
-class LocalPhasePoint:
-    """A scalar (strain, stress) pair at one material point, each stored as
-    a 1-vector."""
-
-    strain: np.ndarray
-    stress: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "strain", _as_scalar(self.strain, "strain"))
-        object.__setattr__(self, "stress", _as_scalar(self.stress, "stress"))
-
-
-@dataclass(frozen=True)
-class LocalMetric:
-    """Scalar modulus ``c`` defining the local phase-space norm, and its
-    inverse ``c_inv``, derived from it. ``c`` must be finite and positive.
-    """
-
-    c: float
-    c_inv: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        c = float(self.c)
-        if not 0.0 < c < np.inf:  # NaN fails the comparison too
-            raise ValueError(f"modulus must be finite and positive, got {c!r}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "c_inv", 1.0 / c)
-
-    @classmethod
-    def from_modulus(cls, value: float) -> "LocalMetric":
-        """Scalar metric for one-dimensional local states."""
-        return cls(value)
-
-
 class GlobalMetric:
-    """Per-element local metrics plus positive volume weights.
+    """Per-bar moduli ``C`` and volume weights ``w``.
 
-    ``c_diag`` and ``c_inv_diag`` hold every element's modulus and its
-    inverse as arrays, the form all vectorized norms and searches read.
+    ``c_diag`` holds the moduli, ``c_inv_diag`` their inverses ``1.0 / C``
+    and ``weights`` the weights: read-only copies of length M, the form
+    every norm and search reads. Moduli and weights must be finite and
+    positive, one of each per bar.
     """
 
-    __slots__ = ("locals", "weights", "c_diag", "c_inv_diag")
+    __slots__ = ("weights", "c_diag", "c_inv_diag")
 
-    def __init__(self, locals: Sequence[LocalMetric], weights) -> None:
-        self.locals = tuple(locals)
-        if not self.locals:
-            raise ValueError("at least one local metric is required")
-        w = np.asarray(weights, dtype=float).reshape(-1).copy()
-        if w.size != len(self.locals):
-            raise ValueError(
-                f"{len(self.locals)} local metrics but {w.size} weights"
-            )
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("weights must be finite and positive")
-        c = np.array([m.c for m in self.locals])
-        ci = np.array([m.c_inv for m in self.locals])
+    def __init__(self, moduli, weights) -> None:
+        c = np.array(moduli, dtype=float).reshape(-1)
+        w = np.array(weights, dtype=float).reshape(-1)
+        if c.size < 1:
+            raise ValueError("at least one modulus is required")
+        if w.size != c.size:
+            raise ValueError(f"{c.size} moduli but {w.size} weights")
+        for name, a in (("moduli", c), ("weights", w)):
+            # written so that NaN fails the comparison and is rejected
+            bad = np.flatnonzero(~((0.0 < a) & (a < np.inf)))
+            if bad.size:
+                raise ValueError(f"{name} must be finite and positive, got {a[bad[0]]} at {bad[0]}")
+        ci = 1.0 / c
         for a in (w, c, ci):
             a.setflags(write=False)
         self.weights = w
@@ -105,41 +59,33 @@ class GlobalMetric:
 
     @classmethod
     def uniform(cls, c_value: float, weights) -> "GlobalMetric":
-        """Same scalar metric for every element."""
+        """The same modulus for every bar."""
         w = np.asarray(weights, dtype=float).reshape(-1)
-        m = LocalMetric.from_modulus(c_value)
-        return cls([m] * w.size, w)
+        return cls(np.full(w.size, float(c_value)), w)
 
     @property
     def n_elements(self) -> int:
-        return len(self.locals)
+        return self.c_diag.size
 
 
 @dataclass(frozen=True)
 class GlobalState:
-    """Strain and stress arrays of shape ``(M, 1)`` for the whole structure;
-    1-D arrays of length ``M`` are promoted to columns."""
+    """Strain and stress of every bar: finite, read-only copies of shape
+    ``(M,)``; any other shape is rejected."""
 
     strain: np.ndarray
     stress: np.ndarray
 
     def __post_init__(self) -> None:
-        eps = np.asarray(self.strain, dtype=float)
-        sig = np.asarray(self.stress, dtype=float)
-        if eps.ndim == 1:
-            eps = eps[:, None]
-        if sig.ndim == 1:
-            sig = sig[:, None]
-        if eps.ndim != 2 or eps.shape[1] != 1 or sig.shape != eps.shape:
+        eps = np.array(self.strain, dtype=float)
+        sig = np.array(self.stress, dtype=float)
+        if eps.ndim != 1 or eps.size < 1 or sig.shape != eps.shape:
             raise ValueError(
-                f"strain/stress must share shape (M, 1), got {eps.shape} vs {sig.shape}"
+                f"strain/stress must share one shape (M,) with M at least one, "
+                f"got {eps.shape} vs {sig.shape}"
             )
-        if eps.shape[0] < 1:
-            raise ValueError("state must hold at least one element")
         if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(sig))):
             raise ValueError("state entries must be finite")
-        eps = eps.copy()
-        sig = sig.copy()
         eps.setflags(write=False)
         sig.setflags(write=False)
         object.__setattr__(self, "strain", eps)
@@ -151,7 +97,4 @@ class GlobalState:
 
     @property
     def n_elements(self) -> int:
-        return self.strain.shape[0]
-
-    def point(self, e: int) -> LocalPhasePoint:
-        return LocalPhasePoint(self.strain[e], self.stress[e])
+        return self.strain.size

@@ -5,17 +5,19 @@ One time step solves
 
     min |z - y|^2 + cost(y)   over z in E(t), y in D
 
-with E(t) the compatible-equilibrated set and D the product of per-element
-data sets. The fixed-point iteration alternates the two closest-point maps
-(data association, then projection onto E) and stops when the data
-association repeats; the global objective is non-increasing along the
-iteration because each half-step is an exact minimization. The enumeration
-oracle checks every data assignment and is the ground truth on instances
-small enough to afford it.
+with E(t) the compatible-equilibrated set and D the product of per-bar
+data sets. A bar's state is one (strain, stress) pair, so states and
+assignments are flat arrays over the M bars. The fixed-point iteration
+alternates the two closest-point maps (the per-bar nearest search, then
+projection onto E) and stops when the data association repeats; the global
+objective is non-increasing along the iteration because each half-step is
+an exact minimization. The enumeration oracle checks every data assignment
+and is the ground truth on instances small enough to afford it.
 
 Every solve, search and polish reads the step's sets as one (M, n)
-:class:`~ddmech.data.StackedSets`; sets of unequal size are padded once, by
-:func:`~ddmech.data.stack_sets`, with entries that are never chosen.
+:class:`~ddmech.data.StackedSets`, row e holding bar e's set; sets of
+unequal size are padded by :func:`~ddmech.data.stack_sets` with entries
+that are never chosen.
 Whenever the walk stops, an exact-gain swap polish (:func:`_swap_polish`)
 tries single, pair and subset reassignments against the same objective. It
 scores candidates with the scan's own arithmetic: the single sweep on
@@ -60,10 +62,8 @@ from .data import (
     _MAX_BLOCK_SHARE,
     GeneratorSpec,
     HistoryRepository,
-    LocalDataSet,
     StackedSets,
     StrainIndex,
-    _stack_rows,
     batch_nearest,
     block_lowest,
     # no step calls it; perfbench's layer list names it in this module
@@ -131,10 +131,8 @@ class StepResult:
     displacements: np.ndarray | None = None
 
 
-def _stacked(sets: Sequence[LocalDataSet] | StackedSets, m: int) -> StackedSets:
-    """The sets of m elements as one stack; a list is stacked here, once."""
-    if not isinstance(sets, StackedSets):
-        sets = stack_sets(sets)
+def _stacked(sets: StackedSets, m: int) -> StackedSets:
+    """The sets, checked to hold one row for each of the m elements."""
     if sets.eps.shape[0] != m:
         raise ValueError(f"{m} data sets required, got {sets.eps.shape[0]}")
     return sets
@@ -736,7 +734,7 @@ def _empirical_response_init(
 
 def fixed_point_solve(
     sys: ConstraintSystem,
-    sets: Sequence[LocalDataSet] | StackedSets,
+    sets: StackedSets,
     gm: GlobalMetric,
     f: np.ndarray | None = None,
     init: GlobalState | None = None,
@@ -747,14 +745,14 @@ def fixed_point_solve(
 ) -> StepResult:
     """Alternating closest-point iteration for one time step.
 
-    Stops as soon as the data association repeats (the iterate is then a
-    fixed point of the composed map) or the state itself repeats bitwise.
-    Whenever the walk stops, :func:`_swap_polish` looks for a lower
-    objective and the walk restarts from any association it finds.
-    On hitting the iteration cap, returns the lowest-objective iterate seen
-    with ``converged=False``. A list of sets is stacked once
-    (:func:`~ddmech.data.stack_sets`); ``init_assignment`` must index a
-    real point of every set.
+    ``sets`` holds one row per bar. The walk starts from the state ``init``
+    (zero when None) or from the projection of ``init_assignment``, which
+    must index a real point of every set. It stops as soon as the data
+    association repeats (the iterate is then a fixed point of the composed
+    map) or the state itself repeats bitwise. Whenever the walk stops,
+    :func:`_swap_polish` looks for a lower objective and the walk restarts
+    from any association it finds. On hitting the iteration cap, returns
+    the lowest-objective iterate seen with ``converged=False``.
     """
     cfg = cfg or SolverConfig()
     m = sys.n_elements
@@ -770,8 +768,7 @@ def fixed_point_solve(
     else:
         if init.n_elements != m:
             raise ValueError("initial state shape does not match the system")
-        eps = init.strain[:, 0].copy()
-        sig = init.stress[:, 0].copy()
+        eps, sig = init.strain, init.stress
     u = np.zeros(sys.n_free)
     prev_assign = None
     if init_assignment is not None:
@@ -875,17 +872,18 @@ def fixed_point_solve(
 
 def enumerate_global_min(
     sys: ConstraintSystem,
-    sets: Sequence[LocalDataSet] | StackedSets,
+    sets: StackedSets,
     gm: GlobalMetric,
     f: np.ndarray | None = None,
     *,
     t: float | None = None,
     budget: int = 1_000_000,
 ) -> StepResult:
-    """Exhaustive minimum over all data assignments (small instances only).
+    """Exhaustive minimum over all data assignments of the stacked
+    ``sets`` (small instances only).
 
     Assignments are ranked by a vectorized batched projection, then the
-    near-minimal candidates are re-evaluated through the same scalar path the
+    near-minimal candidates are re-evaluated through the same path the
     fixed-point solver uses, so the returned objective is float-identical to
     a fixed-point solve that lands on the same assignment. Ties resolve to
     the lexicographically smallest assignment. Only the real points of
@@ -1286,8 +1284,8 @@ def _march(
                     f"fixed point did not converge at step {k} (t={t}): {step.iterations} "
                     f"iterations, objective {step.objective_history[-1]:.6e}"
                 )
-            eps_new = step.z.strain[:, 0]
-            sig_new = step.z.stress[:, 0]
+            eps_new = step.z.strain
+            sig_new = step.z.stress
             if plastic_law is not None:
                 q_acc = update_history_variable(
                     q_acc, eps_prev, sig_prev, eps_new, sig_new, plastic_law
@@ -1303,8 +1301,8 @@ def _march(
             worker.close()
     return Trajectory(
         times=t_grid,
-        strain=np.array([s.z.strain[:, 0] for s in steps]),
-        stress=np.array([s.z.stress[:, 0] for s in steps]),
+        strain=np.array([s.z.strain for s in steps]),
+        stress=np.array([s.z.stress for s in steps]),
         assignment=np.array([s.assignment for s in steps]),
         iterations=np.array([s.iterations for s in steps]),
         distance_sq=np.array([s.distance_sq for s in steps]),
@@ -1370,13 +1368,14 @@ def history_matching_march(
     Each step searches the current slots of every element's repository with
     the prior-slot mismatch (against the previously accepted state) added as
     a fidelity cost; nothing is regenerated, so the archives can be sampled
-    entirely offline. The archives are stacked (ragged ones padded as
-    :func:`~ddmech.data.stack_sets` pads) and strain-sorted once per march,
-    and each step computes only their cost rows, +inf on padded entries,
-    into one (M, n) array. On equal archives a forked step worker may solve
-    the second warm start (see :func:`_march`): it reads the sorted archive
-    the fork shares, and the cost array is shared too, each process
-    computing the cost rows of half of the elements.
+    entirely offline. The archives are stacked by
+    :func:`~ddmech.data.stack_sets`, which pads ragged ones, and
+    strain-sorted once per march, and each step computes only their cost
+    rows, +inf on padded entries, into one (M, n) array. On equal archives
+    a forked step worker may solve the second warm start (see
+    :func:`_march`): it reads the sorted archive the fork shares, and the
+    cost array is shared too, each process computing the cost rows of half
+    of the elements.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1385,11 +1384,7 @@ def history_matching_march(
     if len(repositories) != m:
         raise ValueError(f"{m} repositories required, got {len(repositories)}")
 
-    archive = _stack_rows(
-        [h.eps_cur for h in repositories],
-        [h.sig_cur for h in repositories],
-        [None] * m,
-    )
+    archive = stack_sets([h.eps_cur for h in repositories], [h.sig_cur for h in repositories])
     archive.strain_index()
     # no cost rows at all (None) for equal archives without a prior weight
     costed = prior_slot_costs(repositories, GlobalState.zeros(m), gm, slice(0, 0)) is not None

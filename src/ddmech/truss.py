@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .data import require_int
 from .phase import GlobalMetric
 
 __all__ = [
@@ -420,12 +421,11 @@ class LatticeSpec:
 
     def __post_init__(self) -> None:
         for name in ("nx", "ny", "nz"):
-            v = int(getattr(self, name))
-            if v < 1:
-                raise ValueError(f"{name} must be at least 1, got {v}")
-            object.__setattr__(self, name, v)
-        if float(self.spacing) <= 0.0 or float(self.area) <= 0.0:
-            raise ValueError("spacing and area must be positive")
+            object.__setattr__(self, name, require_int(name, getattr(self, name), 1))
+        for name in ("spacing", "area"):
+            # written so that NaN fails the comparison and is rejected
+            if not 0.0 < float(getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 def generate_lattice_truss(spec: LatticeSpec) -> TrussMesh:

@@ -46,6 +46,11 @@ from ddmech.truss import LatticeSpec, generate_lattice_truss
         ("relaxation", "band_width = nan\n", 1, "band_width"),
         ("relaxation", "metric_value = nan\n", 1, "metric_value"),
         ("plastic", "metric_value = -1\n", 1, "metric_value"),
+        ("visco", "t_end = 2\nband_exponent = -1e308\n", 2, "band_exponent"),
+        ("visco", "window_exponent = 1e308\n", 1, "window_exponent"),
+        ("plastic", "window_exponent = -1e308\n", 1, "window_exponent"),
+        ("visco", "lattice.spacing = nan\n", 1, "lattice.spacing"),
+        ("plastic", "lattice.area = inf\n", 1, "lattice.area"),
     ],
     ids=[
         "unknown-key", "bad-float", "bad-boolean", "other-law", "rejected-value", "no-mesh",
@@ -54,7 +59,8 @@ from ddmech.truss import LatticeSpec, generate_lattice_truss
         "nan-dt", "inf-dt", "nan-t_end", "nan-eps_bar", "nan-load_scale", "nan-band_ref",
         "inf-band_exponent", "nan-window_exponent", "zero-iters", "zero-n_ref",
         "removed-sampling", "zero-n_points", "nan-band_width", "nan-metric_value",
-        "negative-metric_value",
+        "negative-metric_value", "overflowing-band_exponent", "vanishing-window_exponent",
+        "overflowing-window_exponent", "nan-lattice.spacing", "inf-lattice.area",
     ],
 )
 def test_bad_config_line_names_path_line_and_key(tmp_path, capsys, command, text, line, key):

@@ -10,7 +10,6 @@ from ddmech import data as data_module
 from ddmech.data import (
     GeneratorSpec,
     HistoryRepository,
-    LocalDataSet,
     StackedSets,
     StrainIndex,
     WindowRule,
@@ -27,39 +26,38 @@ from ddmech.materials import (
     plastic_return_map,
     sls_affine_coefficients,
 )
-from ddmech.phase import GlobalMetric, GlobalState, LocalMetric, LocalPhasePoint
+from ddmech.phase import GlobalMetric, GlobalState
 from ddmech.solver import _stacked_step_sets
 
 SLS = SlsParams(e0=75_000.0, e1=100_000.0, tau1=5.0)
 PLASTIC = PlasticParams(e0=10_000.0, e1=100_000.0, sigma1=500.0, h=0.0)
-METRIC = LocalMetric.from_modulus(1.0)
 
 
-def nearest_in(d, z, metric):
-    """:func:`batch_nearest` on the one-row stack of the set ``d``."""
-    c, c_inv = np.array([metric.c]), np.array([metric.c_inv])
-    return int(batch_nearest(z.strain, z.stress, stack_sets([d]), c, c_inv)[0])
+def nearest_in(d, eps, sig, c=1.0):
+    """:func:`batch_nearest` on the one-row stack ``d`` for the query (eps,
+    sig) in the norm of modulus c."""
+    return int(batch_nearest(np.array([eps]), np.array([sig]), d, np.array([c]),
+                             np.array([1.0 / c]))[0])
 
 
-def scan_one(d, z, metric):
-    """The lowest-index minimizer of square distance plus fidelity cost in
-    the set ``d``, by a scan of its points: an independent reference."""
-    de = d.strains[:, 0] - z.strain[0]
-    ds = d.stresses[:, 0] - z.stress[0]
-    d2 = metric.c * de * de + metric.c_inv * ds * ds
-    if d.costs is not None:
-        d2 = d2 + d.costs
-    return int(np.argmin(d2))
+def scan_one(eps_row, sig_row, eps, sig, c):
+    """The lowest-index minimizer of square distance in the set
+    ``(eps_row, sig_row)``, by a scan of its points: an independent
+    reference."""
+    de = eps_row - eps
+    ds = sig_row - sig
+    return int(np.argmin(c * de * de + ds * ds / c))
 
 
-def two_slot_nearest(current, prior, h, metric):
+def two_slot_nearest(current, prior, h, c):
     """The archive entry minimizing ``w_cur d^2(current slot) + w_prior
-    d^2(prior slot)``, the lowest index on a tie: an independent reference."""
+    d^2(prior slot)``, the lowest index on a tie, for (strain, stress)
+    pairs ``current`` and ``prior``: an independent reference."""
 
     def d2(eps, sig, z):
-        de = eps - z.strain[0]
-        ds = sig - z.stress[0]
-        return metric.c * de * de + metric.c_inv * ds * ds
+        de = eps - z[0]
+        ds = sig - z[1]
+        return c * de * de + ds * ds / c
 
     w_cur, w_prior = h.weights
     obj = w_cur * d2(h.eps_cur, h.sig_cur, current)
@@ -69,33 +67,54 @@ def two_slot_nearest(current, prior, h, metric):
 
 
 class TestLocalDataSet:
-    """Container immutability and the search of one set."""
+    """One bar's data set, a row of :func:`stack_sets`: the checks of its
+    points and costs, and the search of one set."""
 
-    def test_arrays_are_frozen(self):
-        d = LocalDataSet(np.array([0.0, 1.0]), np.array([0.0, 2.0]))
-        with pytest.raises(ValueError):
-            d.strains[0] = 5.0
+    @pytest.mark.parametrize(
+        "eps, sig, costs, match",
+        [
+            ([[0.0, 1.0], []], [[0.0, 1.0], []], None, "set 1: .*at least one point"),
+            ([[0.0, np.nan]], [[0.0, 1.0]], None, "set 0: data points must be finite"),
+            ([[0.0, 1.0]], [[0.0, np.inf]], None, "set 0: data points must be finite"),
+            ([[0.0], [1.0]], [[0.0], [-np.inf]], None, "set 1: data points must be finite"),
+            ([[0.0, 1.0]], [[0.0]], None, "set 0: .*share one shape"),
+            ([[[0.0], [1.0]]], [[[0.0], [1.0]]], None, r"set 0: .*shape \(n,\)"),
+            ([[0.0, 1.0]], [[0.0, 1.0]], [[1.0]], "set 0: one cost per point"),
+            ([[0.0], [1.0]], [[0.0], [1.0]], [None, [np.nan]], "set 1: .*finite and nonn"),
+            ([[0.0], [1.0]], [[0.0], [1.0]], [None, [np.inf]], "set 1: .*finite and nonn"),
+            ([[0.0], [1.0]], [[0.0], [1.0]], [[0.0], [-1.0]], "set 1: .*finite and nonn"),
+            ([[0.0], [1.0]], [[0.0]], None, "got 2, 1 and 2"),
+            ([[0.0], [1.0]], [[0.0], [1.0]], [None], "got 2, 2 and 1"),
+            ([], [], None, "at least one set"),
+        ],
+        ids=[
+            "empty-row", "nan-strain", "inf-stress", "minus-inf-stress", "unequal-row-sizes",
+            "columns", "cost-count", "nan-cost", "inf-cost", "negative-cost",
+            "unequal-stress-rows", "unequal-cost-rows", "no-rows",
+        ],
+    )
+    def test_rows_are_checked(self, eps, sig, costs, match):
+        """Every set holds at least one finite point, and its costs are one
+        finite, nonnegative value per point; the error names the set."""
+        with pytest.raises(ValueError, match=match):
+            stack_sets(eps, sig, costs)
 
     def test_rejects_negative_cost(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            LocalDataSet(np.zeros(2), np.zeros(2), costs=np.array([0.0, -1.0]))
+            stack_sets([np.zeros(2)], [np.zeros(2)], [np.array([0.0, -1.0])])
 
     def test_nearest_tie_takes_lowest_index(self):
         """Exactly equidistant points resolve to the first."""
-        d = LocalDataSet(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-        assert nearest_in(d, LocalPhasePoint(1.0, 2.0), METRIC) == 0
+        d = stack_sets([np.array([1.0, 1.0])], [np.array([2.0, 2.0])])
+        assert nearest_in(d, 1.0, 2.0) == 0
         # symmetric pair around the query as well
-        d2 = LocalDataSet(np.array([-1.0, 1.0]), np.array([0.0, 0.0]))
-        assert nearest_in(d2, LocalPhasePoint(0.0, 0.0), METRIC) == 0
+        d2 = stack_sets([np.array([-1.0, 1.0])], [np.array([0.0, 0.0])])
+        assert nearest_in(d2, 0.0, 0.0) == 0
 
     def test_cost_can_flip_the_winner(self):
         """Point 0 is closer but its cost moves the minimum to point 1."""
-        d = LocalDataSet(
-            np.array([0.0, 0.1]),
-            np.array([0.0, 0.0]),
-            costs=np.array([10.0, 0.0]),
-        )
-        assert nearest_in(d, LocalPhasePoint(0.0, 0.0), METRIC) == 1
+        d = stack_sets([np.array([0.0, 0.1])], [np.array([0.0, 0.0])], [np.array([10.0, 0.0])])
+        assert nearest_in(d, 0.0, 0.0) == 1
 
 
 class TestBatchSearch:
@@ -106,26 +125,24 @@ class TestBatchSearch:
         its row's last point with cost +inf, and ``lengths`` keeps the true
         sizes; equal sets without costs stack with no costs and no lengths."""
         sizes = (3, 5, 1)
-        sets = [
-            LocalDataSet(rng.normal(size=n), rng.normal(size=n), costs)
-            for n, costs in zip(sizes, (np.ones(3), None, None))
-        ]
-        stacked = stack_sets(sets)
+        eps = [rng.normal(size=n) for n in sizes]
+        sig = [rng.normal(size=n) for n in sizes]
+        stacked = stack_sets(eps, sig, [np.ones(3), None, None])
         assert stacked.eps.shape == stacked.sig.shape == stacked.costs.shape == (3, 5)
         assert stacked.lengths.tolist() == list(sizes)
-        for e, (d, n) in enumerate(zip(sets, sizes)):
-            assert np.array_equal(stacked.eps[e, :n], d.strains[:, 0])
-            assert np.array_equal(stacked.sig[e, :n], d.stresses[:, 0])
-            assert np.all(stacked.eps[e, n:] == d.strains[-1, 0])
-            assert np.all(stacked.sig[e, n:] == d.stresses[-1, 0])
+        for e, n in enumerate(sizes):
+            assert np.array_equal(stacked.eps[e, :n], eps[e])
+            assert np.array_equal(stacked.sig[e, :n], sig[e])
+            assert np.all(stacked.eps[e, n:] == eps[e][-1])
+            assert np.all(stacked.sig[e, n:] == sig[e][-1])
             expect = np.ones(n) if e == 0 else np.zeros(n)
             assert np.array_equal(stacked.costs[e, :n], expect)
             assert np.all(stacked.costs[e, n:] == np.inf)
-        equal = stack_sets(sets[1:2] * 2)
+        equal = stack_sets(eps[1:2] * 2, sig[1:2] * 2)
         assert equal.costs is None and equal.lengths is None
-        assert np.array_equal(equal.eps, np.stack([sets[1].strains[:, 0]] * 2))
+        assert np.array_equal(equal.eps, np.stack([eps[1]] * 2))
         with pytest.raises(ValueError, match="at least one"):
-            stack_sets([])
+            stack_sets([], [])
 
     def test_batch_matches_per_element_nearest(self, rng):
         """batch_nearest equals a scan of each set element by element on
@@ -133,21 +150,17 @@ class TestBatchSearch:
         strain-sorted search."""
         m = 5
         n = 40
-        sets = []
-        for _ in range(m):
-            sets.append(
-                LocalDataSet(rng.normal(size=n), rng.normal(size=n) * 50.0)
-            )
-        stacked = stack_sets(sets)
+        eps_rows = [rng.normal(size=n) for _ in range(m)]
+        sig_rows = [rng.normal(size=n) * 50.0 for _ in range(m)]
+        stacked = stack_sets(eps_rows, sig_rows)
         c = rng.uniform(10.0, 1000.0, m)
-        gm = GlobalMetric([LocalMetric.from_modulus(v) for v in c], np.ones(m))
+        gm = GlobalMetric(c, np.ones(m))
         for _ in range(50):
             eps = rng.normal(size=m)
             sig = rng.normal(size=m) * 50.0
             idx = batch_nearest(eps, sig, stacked, gm.c_diag, gm.c_inv_diag)
             for e in range(m):
-                ref = scan_one(sets[e], LocalPhasePoint(eps[e], sig[e]), gm.locals[e])
-                assert idx[e] == ref
+                assert idx[e] == scan_one(eps_rows[e], sig_rows[e], eps[e], sig[e], c[e])
 
         def check(eps_rows, sig_rows, costs, queries):
             stacked = StackedSets(eps_rows, sig_rows, costs)
@@ -217,18 +230,20 @@ class TestWindowRule:
 
     def test_rule_takes_the_largest_driver(self):
         rule = WindowRule(incr_factor=4.0, band_factor=8.0)
-        assert rule.resolve(0.01, 0.002) == 0.08  # band-dominated
-        assert rule.resolve(0.001, 0.01) == 0.04  # increment-dominated
+        assert rule.halfwidths(0.01, [0.002]).tolist() == [0.08]  # band-dominated
+        assert rule.halfwidths(0.001, [0.01]).tolist() == [0.04]  # increment-dominated
 
     def test_fixed_halfwidth_wins(self):
-        assert WindowRule(halfwidth=0.05).resolve(10.0, 10.0) == 0.05
+        assert WindowRule(halfwidth=0.05).halfwidths(10.0, [10.0]).tolist() == [0.05]
 
     def test_collapsed_window_rejected(self):
         with pytest.raises(ValueError):
-            WindowRule(incr_factor=1.0, band_factor=1.0, floor=0.0).resolve(0.0, 0.0)
+            WindowRule(incr_factor=1.0, band_factor=1.0, floor=0.0).halfwidths(0.0, [0.0])
 
     def test_halfwidths_equal_resolve_per_entry(self):
-        """The vectorized rule gives every entry the scalar rule's value."""
+        """The vectorized rule gives every entry the scalar rule's value,
+        ``max(incr_factor |est|, band_factor band, floor)`` or the fixed
+        half-width, computed here entry by entry."""
         est = np.array([0.0, 2e-3, -0.01, 0.03, -1e-9])
         for rule in (
             WindowRule(incr_factor=4.0, band_factor=8.0),
@@ -237,7 +252,12 @@ class TestWindowRule:
         ):
             hw = rule.halfwidths(0.01, est)
             assert hw.shape == est.shape
-            assert [float(v) for v in hw] == [rule.resolve(0.01, x) for x in est]
+            expect = [
+                rule.halfwidth if rule.halfwidth is not None
+                else max(rule.incr_factor * abs(float(x)), rule.band_factor * 0.01, rule.floor)
+                for x in est
+            ]
+            assert [float(v) for v in hw] == expect
         with pytest.raises(ValueError):
             WindowRule(incr_factor=1.0, band_factor=1.0).halfwidths(0.0, est)
 
@@ -444,13 +464,11 @@ class TestHistoryRepository:
         near entry 2's prior slot moves the winner off entry 1, the nearest
         in the current slot."""
         h = self.repo()
-        metric = LocalMetric.from_modulus(1.0)
-        current = LocalPhasePoint(1e-3, 150.0)
-        d = history_cost_dataset(h, LocalPhasePoint(0.0, 100.0), metric)
-        idx = nearest_in(d, current, metric)
+        d = history_cost_dataset(h, 0.0, 100.0, 1.0)
+        idx = nearest_in(d, 1e-3, 150.0)
         assert (idx, h.sig_cur[idx], h.sig_prev[idx]) == (1, 150.0, 100.0)
-        d = history_cost_dataset(h, LocalPhasePoint(1e-3, 160.0), metric)
-        assert nearest_in(d, current, metric) == 2
+        d = history_cost_dataset(h, 1e-3, 160.0, 1.0)
+        assert nearest_in(d, 1e-3, 150.0) == 2
 
     def test_zero_prior_weight_reduces_to_plain_search(self):
         h = HistoryRepository(
@@ -460,20 +478,19 @@ class TestHistoryRepository:
             sig_cur=np.array([0.0, 175.0]),
             weights=(1.0, 0.0),
         )
-        d = history_cost_dataset(h, LocalPhasePoint(0.0, 0.0), METRIC)
+        d = history_cost_dataset(h, 0.0, 0.0, 1.0)
         assert d.costs is None
 
     def test_cost_dataset_equals_weighted_prior_distance(self):
         h = self.repo()
-        metric = LocalMetric.from_modulus(2.0)
-        z_prev = LocalPhasePoint(1e-3, 120.0)
-        d = history_cost_dataset(h, z_prev, metric)
-        assert d.costs is not None
+        d = history_cost_dataset(h, 1e-3, 120.0, 2.0)
+        assert d.costs.shape == (1, 3)
+        assert np.array_equal(d.eps[0], h.eps_cur) and np.array_equal(d.sig[0], h.sig_cur)
         for i in range(3):
             de = h.eps_prev[i] - 1e-3
             ds = h.sig_prev[i] - 120.0
             expect = 2.0 * de * de + ds * ds / 2.0
-            assert d.costs[i] == pytest.approx(expect, rel=1e-12)
+            assert d.costs[0, i] == pytest.approx(expect, rel=1e-12)
 
     def test_cost_dataset_reproduces_nearest_history(self, rng):
         """Searching the cost dataset equals a two-slot search."""
@@ -485,20 +502,20 @@ class TestHistoryRepository:
             rng.normal(size=n) * 100.0,
             weights=(1.0, 0.7),
         )
-        metric = LocalMetric.from_modulus(175.0)
         for _ in range(20):
-            prior = LocalPhasePoint(rng.normal(), rng.normal() * 100.0)
-            current = LocalPhasePoint(rng.normal(), rng.normal() * 100.0)
-            d = history_cost_dataset(h, prior, metric)
-            assert nearest_in(d, current, metric) == two_slot_nearest(current, prior, h, metric)
+            prior = (rng.normal(), rng.normal() * 100.0)
+            current = (rng.normal(), rng.normal() * 100.0)
+            d = history_cost_dataset(h, *prior, 175.0)
+            got = nearest_in(d, *current, 175.0)
+            assert got == two_slot_nearest(current, prior, h, 175.0)
 
     def test_stacked_costs_equal_cost_datasets(self, rng):
         """Each row of the stacked costs equals the cost dataset's costs
         bit for bit, and is +inf past a shorter archive's entries; zero
         prior weight gives a zero row, all zero on equal archives gives
-        None, and a non-finite cost is rejected as LocalDataSet rejects it."""
-        metrics = [LocalMetric.from_modulus(v) for v in (175.0, 2.0, 9.0)]
-        gm = GlobalMetric(metrics, np.ones(3))
+        None, and a non-finite cost is rejected as stack_sets rejects it."""
+        moduli = (175.0, 2.0, 9.0)
+        gm = GlobalMetric(moduli, np.ones(3))
         z_prev = GlobalState(rng.normal(size=3), rng.normal(size=3) * 100.0)
         for sizes in ((30, 30, 30), (30, 17, 4)):
             repos = [
@@ -514,12 +531,15 @@ class TestHistoryRepository:
             costs = prior_slot_costs(repos, z_prev, gm)
             assert costs.shape == (3, 30)
             for e, (h, n) in enumerate(zip(repos, sizes)):
-                d = history_cost_dataset(h, z_prev.point(e), gm.locals[e])
-                expect = np.zeros(n) if d.costs is None else d.costs
+                d = history_cost_dataset(h, z_prev.strain[e], z_prev.stress[e], moduli[e])
+                expect = np.zeros(n) if d.costs is None else d.costs[0]
                 assert np.array_equal(costs[e, :n], expect)
                 assert np.all(costs[e, n:] == np.inf)
-            one = GlobalMetric(metrics[1:2], [1.0])
+            one = GlobalMetric(moduli[1:2], [1.0])
             assert prior_slot_costs(repos[1:2], z_prev, one) is None
             huge = GlobalState(np.full(3, 1e200), np.zeros(3))
-            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite and nonn"):
-                prior_slot_costs(repos, huge, gm)
+            with np.errstate(over="ignore"):
+                with pytest.raises(ValueError, match="set 0: .*finite and nonn"):
+                    prior_slot_costs(repos, huge, gm)
+                with pytest.raises(ValueError, match="set 0: .*finite and nonn"):
+                    history_cost_dataset(repos[0], 1e200, 0.0, moduli[0])

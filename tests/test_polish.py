@@ -18,8 +18,8 @@ import pytest
 
 from ddmech import data as data_module
 from ddmech import solver
-from ddmech.data import LocalDataSet, StackedSets, stack_sets
-from ddmech.phase import GlobalMetric, LocalMetric
+from ddmech.data import StackedSets, stack_sets
+from ddmech.phase import GlobalMetric
 from ddmech.solver import _GainSearch, _objective, _swap_polish
 from ddmech.truss import TrussMesh, assemble
 
@@ -262,7 +262,7 @@ def polish_truss(rng, special=True):
     # node 15 moves only along its one bar, and not at all without it
     supports |= {(15, 1), (15, 2)} if special else {(15, 0), (15, 1), (15, 2)}
     mesh = TrussMesh(coords, np.array(conn), areas, frozenset(supports))
-    gm = GlobalMetric([LocalMetric.from_modulus(c) for c in moduli], mesh.volumes)
+    gm = GlobalMetric(moduli, mesh.volumes)
     return assemble(mesh, gm)
 
 
@@ -292,9 +292,7 @@ def both_polishes(rng, sys, eps_list, sig_list, cost_list, force=1.0):
     assign0 = np.array([rng.integers(0, a.size) for a in eps_list], dtype=np.int64)
     y_eps0 = np.array([eps_list[e][j] for e, j in enumerate(assign0)])
     y_sig0 = np.array([sig_list[e][j] for e, j in enumerate(assign0)])
-    sets = stack_sets(
-        [LocalDataSet(*row) for row in zip(eps_list, sig_list, cost_list)]
-    )
+    sets = stack_sets(eps_list, sig_list, cost_list)
     if sets.lengths is None:
         ref_costs = [None] * m if sets.costs is None else list(sets.costs)
     else:
@@ -501,7 +499,7 @@ class TestWindows:
             sys = polish_truss(rng)
             sizes = rng.integers(solver._CHUNK_POINTS, 4097, sys.n_elements)
             lists = random_sets(rng, sys, sizes, costs=costs)
-            sets = stack_sets([LocalDataSet(*row) for row in zip(*lists)])
+            sets = stack_sets(*lists)
             assert sets.lengths is not None and sets.lengths.min() >= solver._CHUNK_POINTS
             assert_same(*both_polishes(rng, sys, *lists))
         assert counter.moves > 0

@@ -15,7 +15,6 @@ from ddmech import solver
 from ddmech.data import (
     GeneratorSpec,
     HistoryRepository,
-    LocalDataSet,
     StrainIndex,
     WindowRule,
     stack_sets,
@@ -70,11 +69,17 @@ def manual_objective(sys, y_eps, y_sig, f, g=None):
     return float(np.sum(sys.weights * (sys.c * de * de + sys.c_inv * ds * ds)))
 
 
+def set_sizes(sets):
+    """The number of real points of every set of a stack."""
+    m, n = sets.eps.shape
+    return np.full(m, n) if sets.lengths is None else sets.lengths
+
+
 def metric_distance_sq(a, b, gm):
     """The weighted square distance of two global states, evaluated
     independently: ``sum_e w_e (C_e de_e^2 + ds_e^2 / C_e)``."""
-    de = a.strain[:, 0] - b.strain[:, 0]
-    ds = a.stress[:, 0] - b.stress[:, 0]
+    de = a.strain - b.strain
+    ds = a.stress - b.stress
     return float(np.sum(gm.weights * (gm.c_diag * de * de + gm.c_inv_diag * ds * ds)))
 
 
@@ -112,6 +117,9 @@ class TestSolverConfig:
         (default_study_config, {"seed": 7041.5}, "seed"),
         (default_study_config, {"runs": 2.5}, "runs"),
         (default_study_config, {"points": (64, 256.5)}, "points"),
+        (default_study_config, {"workers": 1.5}, "workers"),
+        (LatticeSpec, {"nx": 2.7, "ny": 1, "nz": 1}, "nx"),
+        (LatticeSpec, {"nx": 2, "ny": 1, "nz": 0}, "nz"),
     ],
 )
 def test_configs_reject_bad_seeds_and_counts(make, kwargs, name):
@@ -152,11 +160,11 @@ class TestFixedPoint:
             base = out.objective_history[-1]
             tol = 1e-9 * max(1.0, base)
             for e in range(sys.n_elements):
-                y_eps = out.y.strain[:, 0].copy()
-                y_sig = out.y.stress[:, 0].copy()
-                for j in range(sets[e].n_points):
-                    y_eps[e] = sets[e].strains[j, 0]
-                    y_sig[e] = sets[e].stresses[j, 0]
+                y_eps = out.y.strain.copy()
+                y_sig = out.y.stress.copy()
+                for j in range(set_sizes(sets)[e]):
+                    y_eps[e] = sets.eps[e, j]
+                    y_sig[e] = sets.sig[e, j]
                     assert manual_objective(sys, y_eps, y_sig, f) >= base - tol
 
     def test_kuhn_tucker_residuals(self, rng):
@@ -164,10 +172,8 @@ class TestFixedPoint:
         for _ in range(30):
             _, gm, sys, sets, f = random_small_instance(rng)
             out = fixed_point_solve(sys, sets, gm, f)
-            eps = out.z.strain[:, 0]
-            sig = out.z.stress[:, 0]
-            y_eps = out.y.strain[:, 0]
-            y_sig = out.y.stress[:, 0]
+            eps, sig = out.z.strain, out.z.stress
+            y_eps, y_sig = out.y.strain, out.y.stress
             b, w, c = sys.b_free, sys.weights, sys.c
             # compatibility is exact by construction
             comp = eps - b @ out.displacements
@@ -189,7 +195,7 @@ class TestFixedPoint:
         _, gm, sys, sets, f = random_small_instance(rng)
         out = fixed_point_solve(sys, sets, gm, f)
         assert out.equilibrium_residual == pytest.approx(
-            float(np.linalg.norm(sys.b_free.T @ (sys.weights * out.z.stress[:, 0]) - f)),
+            float(np.linalg.norm(sys.b_free.T @ (sys.weights * out.z.stress) - f)),
             abs=1e-12,
         )
 
@@ -205,7 +211,7 @@ class TestFixedPoint:
         """Exact data ties neither oscillate nor move off the first copy."""
         _, gm, sys = one_bar_system(modulus=1000.0)
         # two identical best points, one decoy
-        sets = [LocalDataSet(np.array([1e-3, 1e-3, 5.0]), np.array([1.0, 1.0, 0.0]))]
+        sets = stack_sets([np.array([1e-3, 1e-3, 5.0])], [np.array([1.0, 1.0, 0.0])])
         f = np.array([1.0])
         out = fixed_point_solve(sys, sets, gm, f)
         assert out.converged
@@ -221,47 +227,30 @@ class TestFixedPoint:
 
     @pytest.mark.parametrize("bad", ["negative", "length", "padded width"])
     def test_init_assignment_must_index_a_real_point(self, bad):
-        """-1, a set's own size and the padded width are rejected, on the
-        list and on its stack alike, instead of reading another point."""
-        sys, gm, sets, f = ragged_instance()
-        stacked = stack_sets(sets)
+        """-1, a set's own size and the padded width are rejected instead
+        of reading another point."""
+        sys, gm, stacked, f = ragged_instance()
         init = np.zeros(3, dtype=np.int64)
         init[1] = {"negative": -1, "length": stacked.lengths[1],
                    "padded width": stacked.eps.shape[1]}[bad]
-        for data in (sets, stacked):
-            with pytest.raises(ValueError, match="init_assignment"):
-                fixed_point_solve(sys, data, gm, f, init_assignment=init)
-
-    def test_lists_are_solved_as_their_stack(self):
-        """A ragged list and its padded stack give the same fixed point and
-        the same enumerated minimum, bit for bit."""
-        sys, gm, sets, f = ragged_instance()
-        stacked = stack_sets(sets)
-        for solve in (fixed_point_solve, enumerate_global_min):
-            a = solve(sys, sets, gm, f)
-            b = solve(sys, stacked, gm, f)
-            assert np.array_equal(a.assignment, b.assignment)
-            assert a.objective_history == b.objective_history
-            assert np.array_equal(a.z.strain, b.z.strain)
-            assert np.array_equal(a.z.stress, b.z.stress)
-            assert np.all(a.assignment < stacked.lengths)
+        with pytest.raises(ValueError, match="init_assignment"):
+            fixed_point_solve(sys, stacked, gm, f, init_assignment=init)
 
 
 def ragged_instance():
-    """Three bars on one free node with sets of 7, 3 and 12 points, the
-    middle one with fidelity costs."""
+    """Three bars on one free node with stacked sets of 7, 3 and 12 points,
+    the middle one with fidelity costs."""
     rng = np.random.default_rng(31)
     for _ in range(64):
         _, gm, sys, _, f = random_small_instance(rng)
         if sys.n_elements == 3:
             break
-    sets = []
+    rows = ([], [], [])
     for e, n in enumerate((7, 3, 12)):
-        eps = rng.normal(scale=0.2, size=n)
-        sig = sys.c[e] * rng.normal(scale=0.2, size=n)
-        costs = rng.uniform(0.0, 5.0, n) if e == 1 else None
-        sets.append(LocalDataSet(eps, sig, costs))
-    return sys, gm, sets, f
+        rows[0].append(rng.normal(scale=0.2, size=n))
+        rows[1].append(sys.c[e] * rng.normal(scale=0.2, size=n))
+        rows[2].append(rng.uniform(0.0, 5.0, n) if e == 1 else None)
+    return sys, gm, stack_sets(*rows), f
 
 
 class TestEnumeration:
@@ -273,12 +262,12 @@ class TestEnumeration:
         for _ in range(10):
             _, gm, sys, sets, f = random_small_instance(rng, max_points=6)
             oracle = enumerate_global_min(sys, sets, gm, f)
-            counts = [d.n_points for d in sets]
+            counts = set_sizes(sets)
             best = np.inf
             for lin in range(int(np.prod(counts))):
                 idx = np.unravel_index(lin, counts)
-                y_eps = np.array([sets[e].strains[i, 0] for e, i in enumerate(idx)])
-                y_sig = np.array([sets[e].stresses[i, 0] for e, i in enumerate(idx)])
+                y_eps = np.array([sets.eps[e, i] for e, i in enumerate(idx)])
+                y_sig = np.array([sets.sig[e, i] for e, i in enumerate(idx)])
                 best = min(best, manual_objective(sys, y_eps, y_sig, f))
             assert oracle.objective_history[-1] == pytest.approx(best, rel=1e-12)
 
@@ -286,7 +275,7 @@ class TestEnumeration:
         """Duplicated points give equal objectives; the smallest assignment
         index vector wins."""
         _, gm, sys = one_bar_system()
-        sets = [LocalDataSet(np.array([1e-3, 1e-3]), np.array([1.0, 1.0]))]
+        sets = stack_sets([np.array([1e-3, 1e-3])], [np.array([1.0, 1.0])])
         out = enumerate_global_min(sys, sets, gm, np.array([1.0]))
         assert out.assignment[0] == 0
 
@@ -342,11 +331,11 @@ class TestResponseInit:
         )
         out = _empirical_response_init(sys, stacked, f, np.zeros(4), est)
         assert out is not None
-        res = np.linalg.norm(f - sys.b_free.T @ (sys.weights * out.stress[:, 0]))
+        res = np.linalg.norm(f - sys.b_free.T @ (sys.weights * out.stress))
         assert res <= 1e-2 * np.linalg.norm(f)
         for e in range(4):
-            assert out.strain[e, 0] in stacked.eps[e]
-            assert out.stress[e, 0] in stacked.sig[e]
+            assert out.strain[e] in stacked.eps[e]
+            assert out.stress[e] in stacked.sig[e]
 
 
 class TestTimeMarch:

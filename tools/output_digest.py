@@ -1,0 +1,77 @@
+"""Record the sha256 of every CSV a fixed set of commands writes, as JSON.
+
+Runs each command below with ``python -m ddmech.cli`` in a subprocess, in
+a fresh output directory, on the package of the checkout this script sits
+in, one command at a time, and writes the digest of every CSV the command
+leaves, by command and file name. The outputs are pure functions of the
+program and the default seeds, so two checkouts whose JSON files are
+identical write byte-identical CSVs. Run from a source checkout:
+
+    python tools/output_digest.py --out DIGEST.json
+
+To compare two programs, copy this script into the other checkout's
+``tools/`` and ``diff`` the two JSON files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SMALL_LATTICE = "lattice.nx = 2\nlattice.ny = 1\nlattice.nz = 1\nt_end = 4\n"
+
+#: (label, command arguments, config file text or None)
+COMMANDS = (
+    ("relaxation", ["relaxation"], None),
+    ("relaxation --history-matching", ["relaxation", "--history-matching"], "t_end = 5\n"),
+    ("visco", ["visco"], None),
+    ("visco --history-matching", ["visco", "--history-matching"], SMALL_LATTICE),
+    ("plastic", ["plastic"], None),
+    (
+        "convergence --kind visco",
+        ["convergence", "--kind", "visco", "--points", "64,256,1024", "--runs", "2",
+         "--workers", "2"],
+        None,
+    ),
+    ("oracle-check", ["oracle-check"], None),
+)
+
+
+def digest(args: list[str], config: str | None) -> dict[str, str]:
+    """The sha256 of every CSV that ``ddmech <args>`` writes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [sys.executable, "-m", "ddmech.cli", *args, "--out", str(out)]
+        if config is not None:
+            path = Path(tmp) / "run.cfg"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+        return {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.glob("*.csv"))
+        }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, metavar="FILE", help="JSON file to write")
+    args = parser.parse_args()
+    record = {label: digest(argv, config) for label, argv, config in COMMANDS}
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()
