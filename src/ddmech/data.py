@@ -16,9 +16,12 @@ prior-slot mismatch as cost (:func:`prior_slot_costs`).
 
 Every search is exact and returns the lowest index among the minimizers.
 :func:`batch_nearest` scans small stacks; above a size crossover it searches
-each row in its strain order, evaluating the scan's own arithmetic on a
-certified block of candidates (:func:`block_lowest`, which the solver's
-swap polish shares), so it equals :func:`scan_nearest`, the reference scan.
+each row in its strain order, so it equals :func:`scan_nearest`, the
+reference scan. The walk's association and the solver's swap polish share
+one certified block search: :func:`plan_blocks` turns a bound on a row's
+value into the block of its strain order that holds every candidate within
+it, and :func:`planned_lowest` evaluates the caller's own value expression
+on the blocks and scans the rows the plan leaves whole.
 """
 
 from __future__ import annotations
@@ -56,12 +59,12 @@ _SORTED_SEARCH_MIN_SIZE = 100_000
 #: strain order. Blocks are padded to the longest one, so a row with a
 #: longer block is scanned whole instead of widening every row's block.
 _MAX_BLOCK_SHARE = 0.125
+#: Relative slack of the block bound; the rounding it must absorb is below
+#: 2^-46 relative (see ``solver._swap_polish``'s "Block bound").
+_BOUND_SLACK = 2.0**-40
+#: Absolute slack of the same bound, for sums of underflowed terms.
+_BOUND_FLOOR = 2.0**-1000
 
-
-#: Rows :meth:`StrainIndex.sort` sorts at a time. Sorting half of a 197 x
-#: 4096 stack at once held 6 MB of work arrays next to the index, which
-#: raised the march's peak RSS by 5 MiB; 8 rows hold 0.5 MB.
-_SORT_ROWS = 8
 
 
 class StrainIndex:
@@ -79,8 +82,8 @@ class StrainIndex:
     __slots__ = ("order", "eps")
 
     def __init__(self, strains: np.ndarray) -> None:
-        self.order = np.argsort(strains, axis=1)
-        self.eps = np.take_along_axis(strains, self.order, axis=1)
+        self.order, self.eps = np.empty(strains.shape, dtype=np.intp), np.empty(strains.shape)
+        self.sort(strains, slice(None))
 
     @classmethod
     def of(cls, order: np.ndarray, eps: np.ndarray) -> StrainIndex:
@@ -92,15 +95,14 @@ class StrainIndex:
 
     def sort(self, strains: np.ndarray, rows: slice) -> None:
         """Writes the index of the rows ``rows`` of ``strains`` into the
-        same rows of this index, as :class:`StrainIndex` of the strains
-        would hold them. Rows are sorted a few at a time, so the work
-        arrays stay small next to the index."""
-        r = range(strains.shape[0])[rows]
-        for start in range(r.start, r.stop, _SORT_ROWS):
-            block = slice(start, min(start + _SORT_ROWS, r.stop))
-            order = np.argsort(strains[block], axis=1)
-            self.order[block] = order
-            self.eps[block] = np.take_along_axis(strains[block], order, axis=1)
+        same rows of this index. Rows are sorted one at a time, so the work
+        array is one row: sorting half of a 197 x 4096 stack at once held 6
+        MB of work arrays next to the index, which raised the march's peak
+        RSS by 5 MiB, and sorting a 526,565-point archive's four rows at
+        once raised it by 15 MiB."""
+        for e in range(strains.shape[0])[rows]:
+            self.order[e] = np.argsort(strains[e])
+            strains[e].take(self.order[e], out=self.eps[e])
 
     def search(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Left insertion positions of ``x`` in its sorted row.
@@ -171,8 +173,8 @@ def stack_sets(eps_rows, sig_rows, cost_rows=None) -> StackedSets:
     never return a padded entry: even a tie among +inf values goes to a
     real index. On a row that carries no cost of its own the added cost is
     0, and ``x + 0.0 == x`` for every square distance ``x >= 0``, so its
-    argmin is unchanged. In the sorted path of :func:`batch_nearest` a
-    +inf bound widens the block to the whole row, which is then scanned.
+    argmin is unchanged. A block search planned on a +inf bound
+    (:func:`plan_blocks`) scans the whole row.
     """
     m = len(eps_rows)
     cost_rows = [None] * m if cost_rows is None else cost_rows
@@ -237,12 +239,7 @@ def scan_nearest(
     c_inv: np.ndarray,
 ) -> np.ndarray:
     """Per-element argmin by a scan of every point: the reference search."""
-    de = stacked.eps - eps[:, None]
-    ds = stacked.sig - sig[:, None]
-    d2 = c[:, None] * de * de + c_inv[:, None] * ds * ds
-    if stacked.costs is not None:
-        d2 += stacked.costs
-    return np.argmin(d2, axis=1)
+    return np.argmin(_scan_d2(stacked, slice(None), eps, sig, c, c_inv), axis=1)
 
 
 def batch_nearest(
@@ -255,20 +252,14 @@ def batch_nearest(
     """Per-element argmin over stacked sets, identical to :func:`scan_nearest`.
 
     Below ``_SORTED_SEARCH_MIN_SIZE`` points in all, or for a non-finite
-    query, this is the scan. Above it, each row is searched in its strain
-    order. For query (x, s) the scan computes, per point j,
-    ``d2_j = fl(fl(c de) de) + fl(fl(c_inv ds) ds) [+ cost_j]``; call its
-    first term ``P_j``. Rounding is monotone, so ``P_j`` is non-decreasing
-    in ``|eps_j - x|``, and ``P_j <= d2_j`` because the other terms are
-    nonnegative. With ``B`` the smallest ``d2`` evaluated at the strain
-    neighbours of x, every minimizer, ties included, lies in the contiguous
-    block ``{P_j <= B}`` of the sorted row. That block is found by a
-    strain-radius search and certified by ``P > B`` just outside both its
-    ends, ``d2`` is evaluated on it with the scan's own expression, and the
-    lowest original index among its minima is returned. A row whose block
-    cannot be certified, or is long enough that padding it would cost more
-    than a scan, is scanned whole. So the result never depends on how the
-    sort orders equal strains.
+    query, this is the scan. Above it, the scan's own expression ``c de de
+    + c_inv ds ds [+ cost]`` is evaluated on the blocks :func:`plan_blocks`
+    plans in each row's strain order from the bound at the query's two
+    strain neighbours; rows it leaves whole are scanned. That expression is
+    the swap polish's gain with zero linear terms, unit weight and zero
+    current cost, so the "Block bound" of
+    :func:`~ddmech.solver._swap_polish` proves that a block holds every
+    minimizer, ties included.
     """
     m, n = stacked.eps.shape
     if m * n < _SORTED_SEARCH_MIN_SIZE or not (
@@ -277,40 +268,22 @@ def batch_nearest(
         return scan_nearest(eps, sig, stacked, c, c_inv)
     index = stacked.strain_index()
     every = np.arange(m)
-    at = index.search(eps[:, None])
-    neighbours = np.clip(np.concatenate([at - 1, at], axis=1), 0, n - 1)
-    d2_near = _sorted_d2(stacked, index, every, neighbours, eps, sig, c, c_inv)[0]
-    bound = d2_near.min(axis=1)
-    radius = np.sqrt(bound / c) * (1.0 + 1e-12)
-    # the block runs from the first strain >= x - radius to the last <= x + radius
-    ends = np.stack([eps - radius, np.nextafter(eps + radius, np.inf)], axis=1)
-    lo, hi = index.search(ends).T
-    # certify both ends: P just outside the block must exceed the bound
-    edges = np.stack([np.maximum(lo - 1, 0), np.minimum(hi, n - 1)], axis=1)
-    p_edges = _sorted_d2(stacked, index, every, edges, eps, sig, c, c_inv)[1]
-    outside = np.stack([lo > 0, hi < n], axis=1)
-    certified = np.all(~outside | (p_edges > bound[:, None]), axis=1)
-    length = hi - lo
-    blocked = certified & (length <= _MAX_BLOCK_SHARE * n)
-    out = np.empty(m, dtype=np.intp)
-    r = np.flatnonzero(blocked)
-    if r.size:
-        out[r] = block_lowest(
-            index,
-            r,
-            lo[r],
-            hi[r],
-            lambda pos, j: _sorted_d2(stacked, index, r, pos, eps, sig, c, c_inv)[0],
-        )[0][:, 0]
-    r = np.flatnonzero(~blocked)
-    if r.size:
-        sub = StackedSets(
-            stacked.eps[r],
-            stacked.sig[r],
-            None if stacked.costs is None else stacked.costs[r],
-        )
-        out[r] = scan_nearest(eps[r], sig[r], sub, c[r], c_inv[r])
-    return out
+
+    def value(r, pos, j):
+        # the scan's expression on sorted strains, the rest gathered by j
+        start = r[:, None] * n
+        de = index.eps.reshape(-1).take(start + pos) - eps[r, None]
+        ds = stacked.sig.reshape(-1).take(start + j) - sig[r, None]
+        d2 = c[r, None] * de * de + c_inv[r, None] * ds * ds
+        if stacked.costs is not None:
+            d2 += stacked.costs.reshape(-1).take(start + j)
+        return d2
+
+    def scan(r):
+        return lowest(_scan_d2(stacked, r, eps, sig, c, c_inv), np.arange(n)[None, :])
+
+    plan = plan_blocks(index, every, (c, c_inv, 0.0, 0.0, eps, 0.0), None, 1, value)
+    return planned_lowest(index, every, plan, value, scan)[0][:, 0]
 
 
 def lowest(values: np.ndarray, idx: np.ndarray, k: int = 1):
@@ -332,39 +305,101 @@ def lowest(values: np.ndarray, idx: np.ndarray, k: int = 1):
     return out_j, out_v
 
 
-def block_lowest(index: StrainIndex, rows, lo, hi, value, k: int = 1):
-    """:func:`lowest` over blocks of sorted positions ``lo[i] <= p < hi[i]``
-    of rows ``rows[i]``, each block non-empty.
-
-    Blocks are padded to the longest one. ``value(pos, j)`` gives the values
-    at sorted positions ``pos`` (one row of positions per entry of ``rows``)
-    whose original indices are ``j``; padding reads as ``+inf`` at index n,
-    so it is chosen only after every entry of the block. The caller's bound
-    must guarantee that every candidate it can want lies in its block; the
-    result is then the one a scan of the whole row gives.
+def block_ends(index: StrainIndex, rows, terms, bound, k: int = 1, value=None):
+    """The strain ends of :func:`plan_blocks`'s blocks, before the search:
+    ``(lo, hi, ok, reach)``, the block of ``rows[i]`` being the sorted
+    positions whose strains lie in ``[lo[i], hi[i])``, empty where
+    ``reach[i] < 0``, and meaningful only where ``ok[i]``. ``rows`` may be a
+    slice when a bound is given.
     """
-    n = index.eps.shape[1]
-    pos = lo[:, None] + np.arange(int((hi - lo).max()))[None, :]
-    valid = pos < hi[:, None]
-    pos = np.minimum(pos, n - 1)
-    j = index.order.reshape(-1).take(rows[:, None] * n + pos)
-    v = np.where(valid, value(pos, j), np.inf)
-    return lowest(v, np.where(valid, j, n), k)
+    a_e, a_s, l_e, l_s, y, base = terms
+    with np.errstate(all="ignore"):
+        alpha = -l_e / (2.0 * a_e)
+        beta = np.where(a_s > 0.0, -l_s / (2.0 * a_s), 0.0)
+        centre = y + alpha
+        ok = (a_e > 0.0) & ((a_s > 0.0) | (l_s == 0.0)) & np.isfinite(centre)
+        if bound is None:
+            n = index.eps.shape[1]
+            t = np.full(rows.size, np.nan)
+            if ok.any():
+                near = index.search(centre[ok, None], rows[ok])
+                width = min(k + 1, n)
+                pos = np.clip(near - width // 2, 0, n - width) + np.arange(width)[None, :]
+                j = index.order[rows[ok, None], pos]
+                t[ok] = np.sort(value(rows[ok], pos, j), axis=1)[:, min(k, n) - 1]
+        else:
+            # a scalar bound rounds as an array of it would, entry by entry
+            t = float(bound)
+        kappa = a_e * alpha * alpha + a_s * beta * beta
+        up = 1.0 + _BOUND_SLACK
+        reach = t + _BOUND_SLACK * np.abs(t) + kappa * up + base * up + _BOUND_FLOOR
+        half = np.sqrt(np.maximum(reach, 0.0) / a_e) * up
+        half += _BOUND_SLACK * (np.abs(y) + np.abs(alpha))
+        ok &= np.isfinite(reach) & np.isfinite(half)
+        return centre - half, np.nextafter(centre + half, np.inf), ok, reach
 
 
-def _sorted_d2(stacked, index, r, pos, eps, sig, c, c_inv):
-    """The scan's d2, its strain term P and the original point indices at
-    sorted positions ``pos`` (one row of positions per entry of ``r``)."""
+def plan_blocks(index: StrainIndex, rows, terms, bound, k: int = 1, value=None):
+    """``(lo, hi, scan)``: for ``rows``, the blocks ``[lo, hi)`` of sorted
+    positions that hold every candidate whose value is at most the bound
+    (empty where none can be), and the rows to scan whole instead: where
+    the bound does not apply or the block is longer than
+    ``_MAX_BLOCK_SHARE`` of the row.
+
+    ``terms = (a_e, a_s, l_e, l_s, y, base)`` (arrays over the rows, or
+    scalars) are the coefficients of the value ``l_e de + a_e de de + l_s
+    ds + a_s ds ds``, plus a nonnegative cost, minus ``base``, with ``de``
+    a strain's shift from ``y``; ``_swap_polish``'s "Block bound" proves
+    the blocks. A number ``bound`` is every row's bound. None takes a row's
+    bound as the k-th smallest of ``value(rows, pos, j)`` at the k + 1
+    sorted positions ``pos`` (original indices ``j``) nearest its block
+    centre. A tuple is the rows' :func:`block_ends`, already computed,
+    which are then only searched.
+    """
+    if isinstance(bound, tuple):
+        e_lo, e_hi, ok, reach = bound
+    else:
+        e_lo, e_hi, ok, reach = block_ends(index, rows, terms, bound, k, value)
+    lo, hi = index.search(np.stack([e_lo, e_hi], axis=1), rows).T
+    hi = np.where(reach < 0.0, lo, hi)
+    return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * index.eps.shape[1])
+
+
+def planned_lowest(index: StrainIndex, rows, plan, value, scan, k: int = 1):
+    """:func:`lowest` of every row in ``rows`` (an index array), planned as
+    ``plan = (lo, hi, scanned)`` by :func:`plan_blocks`: ``scan(r)`` of the
+    rows r to scan whole, and ``value(r, pos, j)`` on blocks, the values at
+    sorted positions ``pos`` (one row per entry of r) of original indices
+    ``j``. Blocks are padded to the longest one; padding reads as ``+inf``
+    at index n, so it is chosen only after every entry of its block, and an
+    empty block gives index n and value ``+inf``.
+    """
+    lo, hi, scanned = plan
     n = index.eps.shape[1]
-    start = r[:, None] * n
-    j = index.order.reshape(-1).take(start + pos)
-    de = index.eps.reshape(-1).take(start + pos) - eps[r, None]
-    ds = stacked.sig.reshape(-1).take(start + j) - sig[r, None]
-    p = c[r, None] * de * de
-    d2 = p + c_inv[r, None] * ds * ds
+    out_j = np.full((rows.size, k), n, dtype=np.intp)
+    out_v = np.full((rows.size, k), np.inf)
+    b = np.flatnonzero(~scanned & (hi > lo))
+    if b.size:
+        pos = lo[b, None] + np.arange(int((hi[b] - lo[b]).max()))[None, :]
+        valid = pos < hi[b, None]
+        pos = np.minimum(pos, n - 1)
+        j = index.order.reshape(-1).take(rows[b, None] * n + pos)
+        v = np.where(valid, value(rows[b], pos, j), np.inf)
+        out_j[b], out_v[b] = lowest(v, np.where(valid, j, n), k)
+    s = np.flatnonzero(scanned)
+    if s.size:
+        out_j[s], out_v[s] = scan(rows[s])
+    return out_j, out_v
+
+
+def _scan_d2(stacked, r, eps, sig, c, c_inv):
+    """The scan's d2 over whole rows r (a slice or an index array)."""
+    de = stacked.eps[r] - eps[r, None]
+    ds = stacked.sig[r] - sig[r, None]
+    d2 = c[r, None] * de * de + c_inv[r, None] * ds * ds
     if stacked.costs is not None:
-        d2 += stacked.costs.reshape(-1).take(start + j)
-    return d2, p, j
+        d2 += stacked.costs[r]
+    return d2
 
 
 def require_int(name: str, value, least: int) -> int:
@@ -486,12 +521,12 @@ class HistoryRepository:
             raise ValueError("all slot arrays must have equal length")
         if self.eps_cur.size == 0:
             raise ValueError("a history repository must contain at least one entry")
-        w = (float(self.weights[0]), float(self.weights[1]))
+        w = tuple(float(x) for x in self.weights)
         # written so that NaN fails every comparison and is rejected
-        if not (0.0 < w[0] < np.inf and 0.0 <= w[1] < np.inf):
+        if not (len(w) == 2 and 0.0 < w[0] < np.inf and 0.0 <= w[1] < np.inf):
             raise ValueError(
-                f"weights must be finite, the current weight positive and the "
-                f"prior weight nonnegative; got {w}"
+                f"weights must be two finite values, the current weight positive "
+                f"and the prior weight nonnegative; got {w}"
             )
         object.__setattr__(self, "weights", w)
 

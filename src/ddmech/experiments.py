@@ -128,7 +128,8 @@ def weighted_l2_error(traj: Trajectory, ref: Trajectory, tau: float) -> float:
     relaxation scale ``tau``.
     """
     _check_pair(traj, ref)
-    if float(tau) <= 0.0:
+    # NaN fails the comparison and is rejected; +inf is the no-decay limit
+    if not float(tau) > 0.0:
         raise ValueError("tau must be positive")
     d2 = _step_norms_sq(traj.strain - ref.strain, traj.stress - ref.stress, traj.gm)
     t = traj.times

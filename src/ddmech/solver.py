@@ -25,7 +25,10 @@ per-row candidate windows whose terms it caches (whole rows of short sets,
 and for long ones a few sorted positions of the step's
 :class:`~ddmech.data.StrainIndex` that hold each row's certified strain
 block), the other stages on whole rows or certified blocks, so every move,
-and every trajectory, is the one a scan of every candidate gives.
+and every trajectory, is the one a scan of every candidate gives. The
+walk's association and the polish plan their blocks with one search
+(:func:`~ddmech.data.plan_blocks`), whose bound is proved once, in
+:func:`_swap_polish`.
 
 Both marches run one step loop and differ only in the data sets a step
 searches, which every step draws into one (M, n) stack per march.
@@ -59,16 +62,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import (
-    _MAX_BLOCK_SHARE,
     GeneratorSpec,
     HistoryRepository,
     StackedSets,
     StrainIndex,
     batch_nearest,
-    block_lowest,
+    block_ends,
     # no step calls it; perfbench's layer list names it in this module
     history_cost_dataset,  # noqa: F401
     lowest,
+    plan_blocks,
+    planned_lowest,
     prior_slot_costs,
     require_int,
     stack_sets,
@@ -162,11 +166,6 @@ def _objective(sys, eps, sig, y_eps, y_sig, cost) -> tuple[float, float]:
 _CHUNK_POINTS = 2048
 #: K for rows searched in strain order: the sorted positions of a window.
 _WINDOW = 64
-#: Relative slack of the polish's block bound; the rounding it must absorb
-#: is below 2^-46 relative (see :func:`_swap_polish`).
-_BOUND_SLACK = 2.0**-40
-#: Absolute slack of the same bound, for sums of underflowed terms.
-_BOUND_FLOOR = 2.0**-1000
 
 
 class _GainSearch:
@@ -178,8 +177,11 @@ class _GainSearch:
     :meth:`open_windows` on, every row's candidate window with its cached
     terms, which :meth:`refresh` renews for a row that moves. Every gain is
     the scan expression of :func:`_swap_polish`, whether it is evaluated
-    over whole rows, on the certified blocks of rows searched in strain
-    order, or on their windows.
+    over whole rows, on their windows, or on the certified blocks of rows
+    searched in strain order, which the shared block search of
+    :mod:`ddmech.data` plans from the gain's coefficients (:meth:`_terms`)
+    and evaluates with :meth:`_value`, as the walk's association does with
+    its own square distance.
     """
 
     def __init__(self, sys, sets, y_eps, y_sig, r_eps, r_sig, cur_cost) -> None:
@@ -224,97 +226,43 @@ class _GainSearch:
         ds = s.sig[rc, j] - self.y_sig[rc]
         return self._gain(r, de, ds, None if s.costs is None else s.costs[rc, j]), de, ds
 
-    def _block(self, r, bound, k):
-        """The strain ends of :meth:`plan`'s blocks, before the search:
-        ``(lo, hi, ok, reach)``, the block of row ``r[i]`` being the sorted
-        positions whose strains lie in ``[lo[i], hi[i])``, empty where
-        ``reach[i] < 0``, and meaningful only where ``ok[i]``. ``r`` may be
-        a slice when a bound is given."""
+    def _terms(self, r):
+        """The gain's coefficients for rows r, as :func:`~ddmech.data.block_ends`
+        reads them."""
+        l_e, l_s = self.m2wc[r] * self.r_eps[r], self.m2w_c[r] * self.r_sig[r]
+        return self.a_eps[r], self.a_sig[r], l_e, l_s, self.y_eps[r], self.w[r] * self.cur_cost[r]
+
+    def _value(self, r, pos, j):
+        """Gains of rows r at original indices j, for the block planner."""
+        return self.at(r, j)[0]
+
+    def _scan(self, r, k):
+        """:meth:`lowest` over whole rows r, ``_CHUNK_POINTS`` points at a time."""
         n = self.n
-        a_e, a_s = self.a_eps[r], self.a_sig[r]
-        l_s = self.m2w_c[r] * self.r_sig[r]
-        y = self.y_eps[r]
-        with np.errstate(all="ignore"):
-            alpha = -(self.m2wc[r] * self.r_eps[r]) / (2.0 * a_e)
-            beta = np.where(a_s > 0.0, -l_s / (2.0 * a_s), 0.0)
-            centre = y + alpha
-            ok = (a_e > 0.0) & ((a_s > 0.0) | (l_s == 0.0)) & np.isfinite(centre)
-            if bound is None:
-                index = self.sets.strain_index()
-                t = np.full(r.size, np.nan)
-                if ok.any():
-                    near = index.search(centre[ok, None], r[ok])
-                    pos = np.clip(near - k // 2, 0, n - k) + np.arange(k)[None, :]
-                    j = index.order[r[ok, None], pos]
-                    t[ok] = self.at(r[ok], j)[0].max(axis=1)
-            else:
-                # a scalar bound rounds as an array of it would, entry by entry
-                t = float(bound)
-            kappa = a_e * alpha * alpha + a_s * beta * beta
-            reach = (
-                t
-                + _BOUND_SLACK * np.abs(t)
-                + kappa * (1.0 + _BOUND_SLACK)
-                + (self.w[r] * self.cur_cost[r]) * (1.0 + _BOUND_SLACK)
-                + _BOUND_FLOOR
-            )
-            half = np.sqrt(np.maximum(reach, 0.0) / a_e) * (
-                1.0 + _BOUND_SLACK
-            ) + _BOUND_SLACK * (np.abs(y) + np.abs(alpha))
-            ok &= np.isfinite(reach) & np.isfinite(half)
-            return centre - half, np.nextafter(centre + half, np.inf), ok, reach
-
-    def plan(self, r, bound, k):
-        """``(lo, hi, scan)``: for rows r, the blocks ``[lo, hi)`` of sorted
-        positions that hold every candidate whose gain is at most the bound
-        (empty where none can be), and the rows to scan whole instead.
-
-        ``bound`` None takes each row's bound as the k-th smallest gain among
-        k strain neighbours of its block centre. A tuple is the rows'
-        :meth:`_block` ends, already computed for their bound, which are
-        then only searched.
-        """
-        if isinstance(bound, tuple):
-            e_lo, e_hi, ok, reach = bound
-        else:
-            e_lo, e_hi, ok, reach = self._block(r, bound, k)
-        lo, hi = self.sets.strain_index().search(np.stack([e_lo, e_hi], axis=1), r).T
-        hi = np.where(reach < 0.0, lo, hi)
-        return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * self.n)
-
-    def lowest(self, r, k):
-        """The k lowest gains of every row in r and their indices, ordered by
-        gain and then index."""
-        if self.n < _CHUNK_POINTS:
-            zero = np.zeros(r.size, dtype=np.intp)
-            return self._evaluate(r, zero, zero, np.ones(r.size, dtype=bool), k)
-        return self._evaluate(r, *self.plan(r, None, k), k)
-
-    def _evaluate(self, r, lo, hi, scan, k):
-        """:meth:`lowest` for rows r planned as ``(lo, hi, scan)``."""
-        n = self.n
-        out_j = np.full((r.size, k), n, dtype=np.intp)
-        out_v = np.full((r.size, k), np.inf)
-        blocked = np.flatnonzero(~scan & (hi > lo))
-        if blocked.size:
-            rb = r[blocked]
-            out_j[blocked], out_v[blocked] = block_lowest(
-                self.sets.strain_index(),
-                rb,
-                lo[blocked],
-                hi[blocked],
-                lambda pos, j: self.at(rb, j)[0],
-                k,
-            )
-        scanned = np.flatnonzero(scan)
+        out_j = np.empty((r.size, k), dtype=np.intp)
+        out_v = np.empty((r.size, k))
         step = max(1, _CHUNK_POINTS // n)
-        for i in range(0, scanned.size, step):
-            part = scanned[i : i + step]
-            first, last = r[part[0]], r[part[-1]]
+        for i in range(0, r.size, step):
+            part = r[i : i + step]
+            first, last = part[0], part[-1]
             # a run of consecutive rows is read as a slice, not copied
-            rows = slice(first, last + 1) if last - first == part.size - 1 else r[part]
-            out_j[part], out_v[part] = lowest(self.rows(rows), np.arange(n)[None, :], k)
+            rows = slice(first, last + 1) if last - first == part.size - 1 else part
+            out_j[i : i + step], out_v[i : i + step] = lowest(
+                self.rows(rows), np.arange(n)[None, :], k
+            )
         return out_j, out_v
+
+    def lowest(self, r, k, plan=None):
+        """The k lowest gains of every row in r and their indices, ordered by
+        gain and then index: over whole rows for sets shorter than
+        ``_CHUNK_POINTS``, else on the blocks of ``plan``, by default those
+        of :func:`~ddmech.data.plan_blocks`'s neighbour bound."""
+        if self.n < _CHUNK_POINTS:
+            return self._scan(r, k)
+        index = self.sets.strain_index()
+        if plan is None:
+            plan = plan_blocks(index, r, self._terms(r), None, k, self._value)
+        return planned_lowest(index, r, plan, self._value, lambda rr: self._scan(rr, k), k)
 
     def open_windows(self, tol):
         """Places every row's candidate window and caches its terms: the
@@ -333,7 +281,7 @@ class _GainSearch:
             self.win_cost = None if s.costs is None else np.empty((m, self.k))
             self.guards = np.empty((m, 2))
             every = np.arange(m)
-            lo, hi, _ = self.plan(every, -tol, 1)
+            lo, hi, _ = plan_blocks(s.strain_index(), every, self._terms(every), -tol)
             self._place(every, lo, hi)
         else:
             self.win_eps, self.win_sig, self.win_cost = s.eps, s.sig, s.costs
@@ -382,19 +330,21 @@ class _GainSearch:
         Returns ``{i: (j, v)}`` for the rows ``start + i`` whose block is
         longer than K or that must be scanned whole: the lowest gain v and
         its index j, from the planned block or the whole row."""
-        e_lo, e_hi, ok, reach = self._block(slice(start, stop), -tol, 1)
-        guards = self.guards[start:stop]
+        index, rows = self.sets.strain_index(), slice(start, stop)
+        e_lo, e_hi, ok, reach = block_ends(index, rows, self._terms(rows), -tol)
+        guards = self.guards[rows]
         out = np.flatnonzero(~(ok & (guards[:, 0] < e_lo) & (e_hi <= guards[:, 1])))
         if not out.size:
             return {}
-        lo, hi, scan = self.plan(start + out, (e_lo[out], e_hi[out], ok[out], reach[out]), 1)
+        ends = (e_lo[out], e_hi[out], ok[out], reach[out])
+        lo, hi, scan = plan_blocks(index, start + out, None, ends)
         fits = ~scan & (hi - lo <= self.k)
         if fits.any():
             self._place(start + out[fits], lo[fits], hi[fits])
             for e in (start + out[fits]).tolist():
                 self.refresh(slice(e, e + 1))
         rest = ~fits
-        j, v = self._evaluate(start + out[rest], lo[rest], hi[rest], scan[rest], 1)
+        j, v = self.lowest(start + out[rest], 1, (lo[rest], hi[rest], scan[rest]))
         return dict(zip(out[rest].tolist(), zip(j[:, 0].tolist(), v[:, 0].tolist())))
 
     def first_move(self, start, assign, tol):
@@ -481,26 +431,28 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     order. For sets shorter than ``_CHUNK_POINTS`` the window is the whole
     row. For longer ones it is ``_WINDOW`` = K consecutive positions of the
     row's strain order, centred on the row's block at T = -tol by one
-    :meth:`~_GainSearch.plan` of all rows when the polish starts. Its guard
-    strains are the sorted strains just outside it (-inf and +inf at the
-    row's ends). Before a chunk is scored, each row's block ends at T =
-    -tol are computed with ``plan``'s arithmetic, without the search; the
-    block lies in the window when its low end is above the low guard and
-    its high end (exclusive) at most the high guard. A row whose block has
-    left its window is planned from those same ends, which ``plan`` then
-    only searches, and its window centred anew; a row whose block is longer
-    than K, or that ``plan`` scans whole, is scored on its planned block or
-    whole row instead. The window holds the block and the block every
-    candidate scoring at most -tol, so a row has a gain below -tol in its
-    window exactly when it has one in its row, at the same minimizers; the
-    first such row and its move are the scan's.
+    :func:`~ddmech.data.plan_blocks` of all rows when the polish starts. Its
+    guard strains are the sorted strains just outside it (-inf and +inf at
+    the row's ends). Before a chunk is scored, each row's block ends at T =
+    -tol are computed (:func:`~ddmech.data.block_ends`), without the search;
+    the block lies in the window when its low end is above the low guard
+    and its high end (exclusive) at most the high guard. A row whose block
+    has left its window is planned from those same ends, which
+    ``plan_blocks`` then only searches, and its window centred anew; a row
+    whose block is longer than K, or that the plan scans whole, is scored
+    on its planned block or whole row instead. The window holds the block
+    and the block every candidate scoring at most -tol, so a row has a gain
+    below -tol in its window exactly when it has one in its row, at the
+    same minimizers; the first such row and its move are the scan's.
     Among equal gains the lowest original index wins: a long row's window
     is in strain order, so its first minimum need not be that index, and
     the sweep takes the least index among the window's minima. Chunks never
     change the sequential sweep: after a move, scoring resumes at the next
     row with the updated residuals.
 
-    **Block bound.** Treat the computed coefficients as exact and write
+    **Block bound.** This is the one proof of the block search that the
+    polish and the walk's association (:func:`~ddmech.data.batch_nearest`)
+    share. Treat the computed coefficients as exact and write
     ``alpha = -l_e / (2 a_e)``, ``beta = -l_s / (2 a_s)`` (0 when ``a_s =
     l_s = 0``: zero-leverage bars are strain-only) and ``kappa = a_e
     alpha^2 + a_s beta^2``. Completing the square, the exact gain is
@@ -516,24 +468,31 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     cost_cur (1 + g)``: every candidate scoring at most T lies in the
     strain interval ``|eps_j - y - alpha| <= sqrt(R / a_e)`` for that R.
     The computed R, centre and half-width carry relative slack
-    ``_BOUND_SLACK`` = 2^-40 on every term (and ``_BOUND_FLOOR`` absolute).
+    ``data._BOUND_SLACK`` = 2^-40 on every term (and ``data._BOUND_FLOOR``
+    absolute).
     R needs about 12g + 10u < 2^-46 relative to ``|T| + kappa + w
     cost_cur`` for the terms above and its own few roundings, and the
     centre and half-width need 8u relative to ``|y| + |alpha|`` and to the
     half-width, so the interval searched in the strain order contains the
     exact one with a factor of 60 to spare. The argument assumes no term
     underflows to a subnormal; the absolute slack covers such terms in the
-    sums. The scan expression is then evaluated on that block only.
+    sums. The scan expression is then evaluated on that block only. The
+    walk's square distance ``c de de + c_inv ds ds [+ cost_j]`` is this gain
+    with ``l_e = l_s = 0``, unit weight and zero current cost, so ``alpha =
+    beta = kappa = 0``; it carries fewer roundings, and the same block holds
+    every point within its bound.
 
     **Thresholds T.** A single move needs ``gain < -tol``, so T = -tol:
     the block holds every minimizer when a move exists, and a block with
     no candidate certifies the row move-free, which is skipped. The pair
-    stage's top 6 and the subset stage's top 5 take T = the largest gain
-    among k strain neighbours of the block centre: the k smallest gains are
-    at most that, so they lie in the block, with ties at the k-th value
-    going to the lowest index. Rows with ``a_e = 0``, with ``a_s = 0`` but
-    ``l_s != 0`` (gain unbounded below in stress), with a non-finite bound,
-    or with a block longer than ``_MAX_BLOCK_SHARE`` of the row are scanned
+    stage's top 6 and the subset stage's top 5 take T = the k-th smallest
+    gain among the k + 1 strain neighbours of the block centre: the k
+    smallest gains are at most that, so they lie in the block, with ties at
+    the k-th value going to the lowest index. The walk takes the same rule
+    at k = 1, the lesser square distance at the query's two strain
+    neighbours. Rows with ``a_e = 0``, with ``a_s = 0`` but ``l_s != 0``
+    (gain unbounded below in stress), with a non-finite bound, or with a
+    block longer than ``data._MAX_BLOCK_SHARE`` of the row are scanned
     whole, as are all rows shorter than ``_CHUNK_POINTS``.
     """
     m, n = sets.eps.shape

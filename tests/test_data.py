@@ -212,6 +212,74 @@ class TestBatchSearch:
         got = check(one_eps, one_eps * 3.0, None, [query])
         assert np.all(got == 0)
 
+    def test_non_finite_query_is_scanned(self, rng, monkeypatch):
+        """A NaN or infinite query row among finite rows, on a stack large
+        enough for the sorted search, is scanned with the rest: no block
+        search sees it (``lowest`` finds no index among NaN values)."""
+        m = 8
+        n = data_module._SORTED_SEARCH_MIN_SIZE // m + 17
+        eps_rows = rng.normal(size=(m, n))
+        stacked = StackedSets(
+            eps_rows, 100.0 * eps_rows + rng.normal(size=(m, n)), rng.uniform(0.0, 50.0, (m, n))
+        )
+        c = rng.uniform(10.0, 1000.0, m)
+        plans = []
+        plan = data_module.plan_blocks
+        monkeypatch.setattr(data_module, "plan_blocks", lambda *a: plans.append(a) or plan(*a))
+        eps, sig = rng.normal(size=m), 100.0 * rng.normal(size=m)
+        queries = [(eps, sig)]
+        for bad in (np.nan, np.inf):
+            queries += [(np.where(np.arange(m) == 3, bad, eps), sig)]
+            queries += [(eps, np.where(np.arange(m) == 5, bad, sig))]
+        for q_eps, q_sig in queries:
+            got = batch_nearest(q_eps, q_sig, stacked, c, 1.0 / c)
+            assert np.array_equal(got, scan_nearest(q_eps, q_sig, stacked, c, 1.0 / c))
+        assert len(plans) == 1  # the finite query alone
+
+    def test_walk_bound_takes_both_strain_neighbours(self, rng, monkeypatch):
+        """The walk's bound is the lesser value at the query's two strain
+        neighbours. On a costed stack whose neighbour above each query
+        carries a large cost and whose neighbour below carries none, the
+        planned block stays within the lower neighbour's bound; the bound
+        of the neighbour above alone would span a fifth of the row."""
+        m = 8
+        n = data_module._SORTED_SEARCH_MIN_SIZE // m + 17
+        rows = np.arange(m)
+        c = np.full(m, 100.0)
+        eps_rows = rng.uniform(0.0, 1.0, (m, n))
+        sig_rows = c[:, None] * eps_rows + rng.normal(scale=1e-4, size=(m, n))
+        costs = rng.uniform(0.0, 1e-6, (m, n))
+        order = np.argsort(eps_rows, axis=1)
+        at = rng.integers(n // 4, 3 * n // 4, m)
+        below, above = order[rows, at - 1], order[rows, at]
+        costs[rows, below] = 0.0
+        costs[rows, above] = 1.0
+        eps = 0.5 * (eps_rows[rows, below] + eps_rows[rows, above])
+        sig = c * eps
+        stacked = StackedSets(eps_rows, sig_rows, costs)
+        plans = []
+        plan = data_module.plan_blocks
+        monkeypatch.setattr(
+            data_module, "plan_blocks", lambda *a: plans.append(plan(*a)) or plans[-1]
+        )
+        got = batch_nearest(eps, sig, stacked, c, 1.0 / c)
+        assert np.array_equal(got, scan_nearest(eps, sig, stacked, c, 1.0 / c))
+        ((lo, hi, scan),) = plans
+
+        def d2(j):
+            de, ds = eps_rows[rows, j] - eps, sig_rows[rows, j] - sig
+            return c * de * de + ds * ds / c + costs[rows, j]
+
+        def length(bound):
+            """Points within the strain radius of a bound."""
+            radius = np.sqrt(bound / c) * (1.0 + 1e-6)
+            return np.sum(np.abs(eps_rows - eps[:, None]) <= radius[:, None], axis=1)
+
+        two = length(np.minimum(d2(below), d2(above)))
+        assert not scan.any()
+        assert np.all(hi - lo <= two)
+        assert np.all(length(d2(above)) > n // 8)
+
     def test_row_search_equals_searchsorted(self, rng):
         """StrainIndex.search gives np.searchsorted's left position per row,
         for repeated strains, values on data, infinities and NaN."""
@@ -455,6 +523,15 @@ class TestHistoryRepository:
     def test_rejects_non_finite_weights(self, weights):
         """NaN fails every comparison, so it must not slip past the check."""
         with pytest.raises(ValueError, match="weights"):
+            HistoryRepository(
+                np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), weights
+            )
+
+    @pytest.mark.parametrize("weights", [(1.0,), (1.0, 2.0, 3.0)], ids=["one", "three"])
+    def test_rejects_other_than_two_weights(self, weights):
+        """A weight is neither dropped nor missed: anything but (w_current,
+        w_prior) is rejected."""
+        with pytest.raises(ValueError, match="weights must be two"):
             HistoryRepository(
                 np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), weights
             )

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 from ddmech import cli, data
 from ddmech.experiments import (
@@ -11,8 +16,50 @@ from ddmech.experiments import (
     oracle_check,
     run_convergence_study,
     study_mesh,
+    weighted_l2_error,
 )
+from ddmech.phase import GlobalMetric
+from ddmech.solver import Trajectory
 from ddmech.truss import LatticeSpec
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _trajectory(times, strain, gm):
+    """A one-bar trajectory with zero stress and no solver diagnostics."""
+    t, m = strain.shape
+    zeros = np.zeros((t, m))
+    return Trajectory(
+        times, strain, zeros, zeros.astype(int), np.zeros(t), np.zeros(t),
+        np.ones(t, dtype=bool), np.zeros(t), np.zeros((t, 1)), zeros, gm,
+    )
+
+
+class TestWeightedError:
+    def test_tau_must_be_positive(self):
+        """NaN is rejected like zero and negative tau; +inf is the no-decay
+        limit, the plain time-weighted l2 distance."""
+        times = np.array([0.0, 1.0, 3.0])
+        gm = GlobalMetric([4.0], [0.5])
+        traj = _trajectory(times, np.array([[0.0], [1.0], [1.0]]), gm)
+        ref = _trajectory(times, np.zeros((3, 1)), gm)
+        for tau in (np.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                weighted_l2_error(traj, ref, tau)
+        # 0.5 * 4 * 1^2 over steps of length 1 and 2
+        assert weighted_l2_error(traj, ref, np.inf) == np.sqrt(2.0 * 1.0 + 2.0 * 2.0)
+
+
+def test_output_digest_is_reproducible():
+    """``tools/output_digest.py`` records one oracle_check.csv digest, the
+    same on two runs."""
+    spec = importlib.util.spec_from_file_location("output_digest", TOOLS / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    first = tool.digest(["oracle-check", "--runs", "2"], None)
+    assert list(first) == ["oracle_check.csv"]
+    assert len(first["oracle_check.csv"]) == 64
+    assert tool.digest(["oracle-check", "--runs", "2"], None) == first
 
 
 class TestConvergenceStudy:

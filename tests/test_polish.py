@@ -306,23 +306,24 @@ def both_polishes(rng, sys, eps_list, sig_list, cost_list, force=1.0):
 
 class PlanCounter:
     """Counts the rows the polish searched by block, certified empty, or
-    scanned whole because the bound did not apply or the block was long."""
+    scanned whole because the bound did not apply or the block was long,
+    as the shared block planner planned them."""
 
     def __init__(self, monkeypatch):
         self.blocked = self.empty = self.long = self.uncertified = 0
-        plan = _GainSearch.plan
+        plan = solver.plan_blocks
 
-        def counted(gs, r, bound, k):
-            lo, hi, scan = plan(gs, r, bound, k)
+        def counted(index, *args):
+            lo, hi, scan = plan(index, *args)
             length = hi - lo
-            long = length > data_module._MAX_BLOCK_SHARE * gs.n
+            long = length > data_module._MAX_BLOCK_SHARE * index.eps.shape[1]
             self.blocked += int(np.sum(~scan & (length > 0)))
             self.empty += int(np.sum(~scan & (length == 0)))
             self.long += int(np.sum(scan & long))
             self.uncertified += int(np.sum(scan & ~long))
             return lo, hi, scan
 
-        monkeypatch.setattr(_GainSearch, "plan", counted)
+        monkeypatch.setattr(solver, "plan_blocks", counted)
 
 
 class TestPolishEquivalence:
@@ -396,12 +397,12 @@ class TestPolishEquivalence:
 
 
 class MoveCounter:
-    """Counts accepted single moves and ``plan`` calls."""
+    """Counts accepted single moves and the polish's ``plan_blocks`` calls."""
 
     def __init__(self, monkeypatch):
         self.moves = self.plans = 0
         self._sweeping = False
-        first_move, plan = _GainSearch.first_move, _GainSearch.plan
+        first_move, plan = _GainSearch.first_move, solver.plan_blocks
 
         def counted_first_move(gs, *args):
             self._sweeping = True
@@ -412,12 +413,12 @@ class MoveCounter:
             self.moves += move is not None
             return move, stop
 
-        def counted_plan(gs, *args):
+        def counted_plan(*args):
             self.plans += 1
-            return plan(gs, *args)
+            return plan(*args)
 
         monkeypatch.setattr(_GainSearch, "first_move", counted_first_move)
-        monkeypatch.setattr(_GainSearch, "plan", counted_plan)
+        monkeypatch.setattr(solver, "plan_blocks", counted_plan)
 
 
 class WindowCounter(MoveCounter):
@@ -429,7 +430,7 @@ class WindowCounter(MoveCounter):
     def __init__(self, monkeypatch):
         super().__init__(monkeypatch)
         self.replaced = self.long = self.low_end = self.high_end = 0
-        place, evaluate = _GainSearch._place, _GainSearch._evaluate
+        place, evaluate = _GainSearch._place, solver.planned_lowest
 
         def counted_place(gs, r, lo, hi):
             place(gs, r, lo, hi)
@@ -437,13 +438,14 @@ class WindowCounter(MoveCounter):
             self.low_end += int(np.sum(gs.guards[r, 0] == -np.inf))
             self.high_end += int(np.sum(gs.guards[r, 1] == np.inf))
 
-        def counted_evaluate(gs, r, lo, hi, scan, k):
+        def counted_evaluate(index, rows, plan, *args):
+            lo, hi, scan = plan
             if self._sweeping:
                 self.long += int(np.sum(~scan & (hi - lo > solver._WINDOW)))
-            return evaluate(gs, r, lo, hi, scan, k)
+            return evaluate(index, rows, plan, *args)
 
         monkeypatch.setattr(_GainSearch, "_place", counted_place)
-        monkeypatch.setattr(_GainSearch, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(solver, "planned_lowest", counted_evaluate)
 
 
 def assert_same(got, expect):
@@ -526,7 +528,7 @@ class TestWindows:
         """On data close to a linear response, every row starts three
         strain neighbours off a polished assignment and moves back; the
         windows placed when the polish starts hold the short blocks, so
-        ``plan`` runs far less often than once per move."""
+        ``plan_blocks`` runs far less often than once per move."""
         rng = np.random.default_rng(46)
         sys = polish_truss(rng, special=False)
         m, rows = sys.n_elements, np.arange(sys.n_elements)
@@ -552,14 +554,15 @@ class TestWindows:
 
 
 class CheckCounter:
-    """Counts, for every ``_check_windows`` call, the ``_block`` calls made
-    inside it, and the ``plan`` calls made inside any of them."""
+    """Counts, for every ``_check_windows`` call, the ``block_ends`` calls
+    made inside it, directly or through ``plan_blocks``, and the
+    ``plan_blocks`` calls made inside any of them."""
 
     def __init__(self, monkeypatch):
         self.blocks: list[int] = []
         self.plans = 0
         self._inside = False
-        check, block, plan = _GainSearch._check_windows, _GainSearch._block, _GainSearch.plan
+        check, block, plan = _GainSearch._check_windows, data_module.block_ends, solver.plan_blocks
 
         def counted_check(gs, *args):
             self.blocks.append(0)
@@ -569,18 +572,19 @@ class CheckCounter:
             finally:
                 self._inside = False
 
-        def counted_block(gs, *args):
+        def counted_block(*args):
             if self._inside:
                 self.blocks[-1] += 1
-            return block(gs, *args)
+            return block(*args)
 
-        def counted_plan(gs, *args):
+        def counted_plan(*args):
             self.plans += self._inside
-            return plan(gs, *args)
+            return plan(*args)
 
         monkeypatch.setattr(_GainSearch, "_check_windows", counted_check)
-        monkeypatch.setattr(_GainSearch, "_block", counted_block)
-        monkeypatch.setattr(_GainSearch, "plan", counted_plan)
+        monkeypatch.setattr(solver, "block_ends", counted_block)
+        monkeypatch.setattr(data_module, "block_ends", counted_block)
+        monkeypatch.setattr(solver, "plan_blocks", counted_plan)
 
 
 def test_block_ends_computed_once_per_checked_chunk(monkeypatch):
@@ -636,7 +640,8 @@ class TestBlockSearch:
             gain = gs.rows(slice(0, m))
             for k in (6, 5, 1):
                 if k == 1:  # the argmin on the T = 0 bound
-                    j, v = gs._evaluate(rows, *gs.plan(rows, 0.0, 1), 1)
+                    plan = solver.plan_blocks(sets.strain_index(), rows, gs._terms(rows), 0.0)
+                    j, v = gs.lowest(rows, 1, plan)
                 else:
                     j, v = gs.lowest(rows, k)
                 expect_j, expect_v = brute_lowest(gain, k)

@@ -710,17 +710,19 @@ class TestSharedDraw:
         assert solver._row_halves(1) == (slice(0, 1), slice(1, 1))
 
     def test_strain_index_from_two_halves(self):
-        """Rows sorted apart into one pair of arrays give the index of all
-        rows, ties included."""
+        """Rows sorted apart into one pair of arrays give ``np.argsort``'s
+        index of all rows, ties included, as does the index built whole."""
         rng = np.random.default_rng(8)
         strains = rng.integers(0, 40, size=(9, 300)).astype(float)
         joined = StrainIndex.of(np.empty((9, 300), dtype=np.intp), np.empty((9, 300)))
         first, rest = solver._row_halves(9)
         joined.sort(strains, rest)
         joined.sort(strains, first)
+        order = np.argsort(strains, axis=1)
+        assert np.array_equal(joined.order, order)
+        assert np.array_equal(joined.eps, np.take_along_axis(strains, order, axis=1))
         whole = StrainIndex(strains)
-        assert np.array_equal(joined.order, whole.order)
-        assert np.array_equal(joined.eps, whole.eps)
+        assert np.array_equal(whole.order, order) and np.array_equal(whole.eps, joined.eps)
 
     def test_each_process_draws_its_half(self, worker_starts, monkeypatch, tmp_path):
         """73 bars: the march draws rows 0 to 36 of every step and the
