@@ -36,6 +36,7 @@ from .experiments import (
     run_relaxation_history,
     study_error,
     study_generator,
+    study_metric,
     study_setup,
     write_rate_csv,
     write_relaxation_csv,
@@ -48,7 +49,7 @@ from .solver import (
     time_march,
     trajectory_summary,
 )
-from .truss import PiecewiseLinearProgram, load_mesh
+from .truss import MechanismError, PiecewiseLinearProgram, assemble, load_mesh
 
 __all__ = ["main", "build_parser", "parse_config_file"]
 
@@ -101,33 +102,30 @@ def _parse_breakpoints(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 #: Config-key prefixes that reach the fields of a nested dataclass.
 _NESTED = ("law", "lattice", "window")
 #: Fields no config key sets: the command fixes the study kind, and a mesh
 #: file gives the mesh and its nodal loads.
-_NOT_KEYS = ("kind", "mesh", "nodal_loads") + _NESTED
+_NOT_KEYS = ("kind", "mesh", "nodal_loads")
+
+
+def _config_keys(cfg) -> list[str]:
+    """The config keys of ``cfg``, in field order: its fields, and
+    ``<part>.<field>`` for the fields of its nested parts."""
+    keys = []
+    for f in fields(cfg):
+        if f.name in _NESTED:
+            keys += [f"{f.name}.{g.name}" for g in fields(getattr(cfg, f.name))]
+        elif f.name not in _NOT_KEYS:
+            keys.append(f.name)
+    return keys
 
 
 def _parse_value(key: str, current, text: str):
     """``text`` parsed as the type of the field's current value; a field
-    left at None (the metric value, a window half-width) takes a float."""
+    left at None (a window half-width) takes a float."""
     if key == "window.halfwidth" and text.lower() in ("none", "auto"):
         return None
-    if isinstance(current, bool):
-        return _parse_bool(text)
     if isinstance(current, int):
         return int(text)
     if isinstance(current, tuple):
@@ -138,13 +136,11 @@ def _parse_value(key: str, current, text: str):
 def _with_key(cfg, key: str, text: str):
     """``cfg`` with the field that config key ``key`` names set from
     ``text`` by :func:`dataclasses.replace`, so the dataclass's own checks
-    run; KeyError when ``key`` names no such field."""
+    run; KeyError when ``key`` is not one of :func:`_config_keys`."""
+    if key not in _config_keys(cfg):
+        raise KeyError(key)
     outer, _, name = key.rpartition(".")
-    if outer and (outer not in _NESTED or not hasattr(cfg, outer)):
-        raise KeyError(key)
     target = getattr(cfg, outer) if outer else cfg
-    if name in _NOT_KEYS or name not in {f.name for f in fields(target)}:
-        raise KeyError(key)
     value = replace(target, **{name: _parse_value(key, getattr(target, name), text)})
     return replace(cfg, **{outer: value}) if outer else value
 
@@ -194,6 +190,10 @@ def _study_config(kind: str, args) -> StudyConfig:
     if not mesh_path:
         return cfg
     mesh, nodal = load_mesh(mesh_path, programs)
+    try:
+        assemble(mesh, study_metric(cfg, mesh))
+    except MechanismError as exc:
+        raise ValueError(f"{mesh_path}: {exc}") from None
     nodal_loads = tuple((n, d, v) for (n, d), v in sorted(nodal.items()))
     return replace(cfg, mesh=mesh, nodal_loads=nodal_loads or None)
 
@@ -472,7 +472,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MechanismError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

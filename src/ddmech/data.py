@@ -169,7 +169,7 @@ def stack_sets(eps_rows, sig_rows, cost_rows=None) -> StackedSets:
 
     The padding changes no search, argmin or polish move. Every row has at
     least one real entry with a finite cost, and real indices precede
-    padded ones, so an argmin, :func:`lowest` and :func:`block_lowest`
+    padded ones, so an argmin, :func:`lowest` and :func:`planned_lowest`
     never return a padded entry: even a tie among +inf values goes to a
     real index. On a row that carries no cost of its own the added cost is
     0, and ``x + 0.0 == x`` for every square distance ``x >= 0``, so its
@@ -220,11 +220,10 @@ def _checked_costs(e: int, costs, n: int) -> np.ndarray:
     return costs
 
 
-def _padded(rows, shape, fill=None, out=None) -> np.ndarray:
-    """The rows as one array of ``shape`` (``out`` when given); past its
-    length each row repeats its last entry, or holds ``fill`` when one is
-    given."""
-    out = np.empty(shape) if out is None else out
+def _padded(rows, shape, fill=None) -> np.ndarray:
+    """The rows as one array of ``shape``; past its length each row
+    repeats its last entry, or holds ``fill`` when one is given."""
+    out = np.empty(shape)
     for e, a in enumerate(rows):
         out[e, : a.size] = a
         out[e, a.size :] = a[-1] if fill is None else fill
@@ -421,32 +420,26 @@ def require_int(name: str, value, least: int) -> int:
 class WindowRule:
     """Half-width rule for the strain sampling window.
 
-    The half-width is ``max(incr_factor * |elastic step estimate|,
-    band_factor * band_width, floor)``; a fixed ``halfwidth`` overrides the
-    rule entirely.
+    The half-width is ``max(4 |elastic step estimate|, 8 band_width,
+    floor)``; a fixed ``halfwidth`` overrides the rule entirely.
     """
 
     halfwidth: float | None = None
-    incr_factor: float = 4.0
-    band_factor: float = 8.0
     floor: float = 0.0
 
     def __post_init__(self) -> None:
         # written so that NaN fails every comparison and is rejected
         if self.halfwidth is not None and not 0.0 < float(self.halfwidth) < np.inf:
             raise ValueError("fixed halfwidth must be finite and positive")
-        for name in ("incr_factor", "band_factor", "floor"):
-            if not 0.0 <= float(getattr(self, name)) < np.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0.0 <= float(self.floor) < np.inf:
+            raise ValueError("floor must be finite and nonnegative")
 
     def halfwidths(self, band_width: float, step_estimates) -> np.ndarray:
         """The half-width for every entry of ``step_estimates``."""
         est = np.abs(np.asarray(step_estimates, dtype=float))
         if self.halfwidth is not None:
             return np.full(est.shape, float(self.halfwidth))
-        hw = np.maximum(
-            self.incr_factor * est, max(self.band_factor * band_width, self.floor)
-        )
+        hw = np.maximum(4.0 * est, max(8.0 * band_width, self.floor))
         if np.any(hw <= 0.0):
             raise ValueError("sampling window collapsed to zero; set floor or halfwidth")
         return hw
@@ -458,10 +451,8 @@ class GeneratorSpec:
 
     ``band_width`` is the full width of the uniform strain perturbation of
     an evenly spaced grid whose center is the predicted strain; zero means
-    noiseless, and the center is then a sample. ``window_scale`` multiplies
-    the resolved half-width; sweeps use it to couple the window to the
-    sampling resolution. The draw itself is ``solver._stacked_step_sets``;
-    the time step comes from the march.
+    noiseless, and the center is then a sample. The draw itself is
+    ``solver._stacked_step_sets``; the time step comes from the march.
     """
 
     law: SlsParams | PlasticParams
@@ -469,15 +460,12 @@ class GeneratorSpec:
     band_width: float = 0.0
     window: WindowRule = WindowRule(floor=1.0)
     rng_seed: int = 0
-    window_scale: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_points", require_int("n_points", self.n_points, 1))
         object.__setattr__(self, "rng_seed", require_int("rng_seed", self.rng_seed, 0))
         if not 0.0 <= float(self.band_width) < np.inf:
             raise ValueError("band_width must be finite and nonnegative")
-        if not 0.0 < float(self.window_scale) < np.inf:
-            raise ValueError("window_scale must be finite and positive")
 
 
 def update_history_variable(
@@ -572,30 +560,26 @@ def prior_slot_costs(
     rows: slice = slice(None),
     out: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Fidelity costs of the bars' archives against the previously accepted
-    state ``z_prev``, as an (M, n_max) array padded as :func:`stack_sets`
-    pads: +inf past each archive's entries.
+    """Fidelity costs of the bars' archives, all of one size n, against the
+    previously accepted state ``z_prev``, as an (M, n) array.
 
     Row e holds the costs :func:`history_cost_dataset` gives bar e from
     ``z_prev.strain[e]``, ``z_prev.stress[e]`` and ``gm.c_diag[e]`` (zeros
     where the prior weight is zero), checked as :func:`stack_sets` checks
-    them; None when the archives have equal sizes and every prior weight is
-    zero. Only the ``rows`` of that array are computed, one at a time (a
-    stack of every prior slot would hold two more (M, n_max) arrays), and
-    written into ``out`` when it is given; each row depends on its own bar.
+    them; None when every prior weight is zero. Only the ``rows`` of that
+    array are computed, one at a time (a stack of every prior slot would
+    hold two more (M, n) arrays), and written into ``out`` when it is
+    given; each row depends on its own bar.
     """
-    sizes = [h.n_entries for h in repositories]
-    if len(set(sizes)) == 1 and all(h.weights[1] == 0.0 for h in repositories):
+    if all(h.weights[1] == 0.0 for h in repositories):
         return None
-    chosen = range(len(sizes))[rows]
-
-    def costs():
-        for e in chosen:
-            h = repositories[e]
-            row = _prior_slot_cost(h, z_prev.strain[e], z_prev.stress[e], gm.c_diag[e])
-            yield np.zeros(h.n_entries) if row is None else _checked_costs(e, row, h.n_entries)
-
-    return _padded(costs(), (len(chosen), max(sizes)), np.inf, out)
+    chosen = range(len(repositories))[rows]
+    out = np.empty((len(chosen), repositories[0].n_entries)) if out is None else out
+    for i, e in enumerate(chosen):
+        h = repositories[e]
+        row = _prior_slot_cost(h, z_prev.strain[e], z_prev.stress[e], gm.c_diag[e])
+        out[i] = 0.0 if row is None else _checked_costs(e, row, h.n_entries)
+    return out
 
 
 def write_csv(path, header, rows) -> None:

@@ -164,14 +164,9 @@ def fit_loglog_slope(n_points: Sequence[float], errors: Sequence[float]) -> floa
     return float(-slope)
 
 
-def _check_metric_value(value: float | None) -> None:
-    if value is not None and not 0.0 < value < np.inf:
-        raise ValueError(f"metric_value must be finite and positive, got {value}")
-
-
-def _metric_for(mesh: TrussMesh, law, metric_value: float | None) -> GlobalMetric:
-    c = law.modulus_instantaneous if metric_value is None else float(metric_value)
-    return GlobalMetric.uniform(c, mesh.volumes)
+def _metric_for(mesh: TrussMesh, law) -> GlobalMetric:
+    """Every command's metric: the law's instantaneous modulus, by volume."""
+    return GlobalMetric.uniform(law.modulus_instantaneous, mesh.volumes)
 
 
 def reference_trajectory(
@@ -182,15 +177,14 @@ def reference_trajectory(
     times,
     *,
     sys: ConstraintSystem | None = None,
-    newton_tol: float = 1e-10,
-    newton_max_iters: int = 100,
 ) -> Trajectory:
     """Exact incremental solve of the generating law on the same fixture.
 
     Viscoelastic steps are linear (the one-step response is an affine line
     per element); plastic steps run Newton iterations with the consistent
-    bilinear tangent. The first step is the instantaneous response in both
-    cases.
+    bilinear tangent, at most 100 per step, until the force residual is at
+    most ``1e-10 (1 + |f|)``. The first step is the instantaneous response
+    in both cases.
     """
     t_grid = np.asarray(times, dtype=float).reshape(-1)
     system = sys if sys is not None else assemble(mesh, gm)
@@ -237,11 +231,11 @@ def reference_trajectory(
                 s_t, _, _ = plastic_return_map(e_t, q_prev, qacc_prev, law)
                 return float(d @ (b_op.T @ (w * s_t) - f))
 
-            for _ in range(newton_max_iters):
+            for _ in range(100):
                 eps = b_op @ u + g
                 sig, q_new, qacc_new = plastic_return_map(eps, q_prev, qacc_prev, law)
                 resid = b_op.T @ (w * sig) - f
-                if np.linalg.norm(resid) <= newton_tol * (1.0 + np.linalg.norm(f)):
+                if np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(f)):
                     break
                 if system.n_free == 0:
                     break
@@ -315,12 +309,10 @@ class RelaxationConfig:
     n_points: int = 2048
     band_width: float = 0.0
     seed: int = 0
-    metric_value: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
         object.__setattr__(self, "n_points", require_int("n_points", self.n_points, 1))
-        _check_metric_value(self.metric_value)
         # written so that NaN fails every comparison and is rejected
         if not 0.0 <= self.band_width < np.inf:
             raise ValueError(f"band_width must be finite and nonnegative, got {self.band_width}")
@@ -342,7 +334,7 @@ class RelaxationResult:
 
 def _relaxation_setup(cfg: RelaxationConfig):
     mesh = relaxation_mesh(cfg.eps_bar)
-    gm = _metric_for(mesh, cfg.law, cfg.metric_value)
+    gm = _metric_for(mesh, cfg.law)
     times = np.arange(0.0, cfg.t_end + 0.5 * cfg.dt, cfg.dt)
     return mesh, gm, times
 
@@ -438,10 +430,9 @@ def run_relaxation_history(
 class StudyConfig:
     """Sweep description for one data-resolution convergence study.
 
-    ``band_ref`` is the data band at the reference resolution ``n_ref``; the
-    band refines as ``band_ref * (n_ref / n) ** band_exponent`` so denser
-    sets are also more accurate, and the sampling window tightens with
-    ``window_exponent`` the same way.
+    ``band_ref`` is the data band at 64 points; at n points the band is
+    ``band_ref * (64 / n)``, so denser sets are also more accurate. The
+    sampling window follows ``window`` at every size.
     """
 
     kind: str  # "visco" or "plastic"
@@ -456,12 +447,8 @@ class StudyConfig:
     points: tuple[int, ...] = (64, 256, 1024, 4096)
     runs: int = 20
     band_ref: float = 0.030
-    n_ref: int = 64
-    band_exponent: float = 1.0
-    window: WindowRule = WindowRule(incr_factor=4.0, band_factor=8.0)
-    window_exponent: float = 0.0
+    window: WindowRule = WindowRule()
     seed: int = 7041
-    metric_value: float | None = None
     workers: int = 0
     max_fixed_point_iters: int = 200
 
@@ -476,30 +463,20 @@ class StudyConfig:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "runs", require_int("runs", self.runs, 1))
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
-        object.__setattr__(self, "n_ref", require_int("n_ref", self.n_ref, 1))
         object.__setattr__(
             self,
             "max_fixed_point_iters",
             require_int("max_fixed_point_iters", self.max_fixed_point_iters, 1),
         )
-        _check_metric_value(self.metric_value)
         if not 0.0 <= self.band_ref < np.inf:
             raise ValueError(f"band_ref must be finite and nonnegative, got {self.band_ref}")
-        for name in ("load_scale", "band_exponent", "window_exponent"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not np.isfinite(self.load_scale):
+            raise ValueError(f"load_scale must be finite, got {self.load_scale}")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
         object.__setattr__(self, "workers", require_int("workers", self.workers, 0))
-        for n in pts:
-            band = self.band_ref * _scale(self, n, self.band_exponent)
-            wscale = _scale(self, n, self.window_exponent)
-            if not np.isfinite(band):
-                raise ValueError(f"band_exponent gives band {band} at {n} points")
-            if not 0.0 < wscale < np.inf:
-                raise ValueError(f"window_exponent gives window scale {wscale} at {n} points")
 
 
 @dataclass(frozen=True)
@@ -546,7 +523,7 @@ def study_times(cfg: StudyConfig) -> np.ndarray:
 
 
 def study_metric(cfg: StudyConfig, mesh: TrussMesh) -> GlobalMetric:
-    return _metric_for(mesh, cfg.law, cfg.metric_value)
+    return _metric_for(mesh, cfg.law)
 
 
 def study_setup(
@@ -577,22 +554,13 @@ def _run_seed(cfg: StudyConfig, point_index: int, run: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _scale(cfg: StudyConfig, n: int, exponent: float) -> float:
-    """``(n_ref / n) ** exponent``, +inf where that overflows."""
-    try:
-        return (cfg.n_ref / n) ** exponent
-    except OverflowError:
-        return np.inf
-
-
 def _generator_for(cfg: StudyConfig, n: int, run_seed: int) -> GeneratorSpec:
     return GeneratorSpec(
         law=cfg.law,
         n_points=n,
-        band_width=cfg.band_ref * _scale(cfg, n, cfg.band_exponent),
+        band_width=cfg.band_ref * (64 / n),
         window=cfg.window,
         rng_seed=run_seed,
-        window_scale=_scale(cfg, n, cfg.window_exponent),
     )
 
 
@@ -726,17 +694,11 @@ def build_truss_repositories(
     return out
 
 
-def small_truss_fixture(
-    law: SlsParams = DEFAULT_SLS,
-    *,
-    load: float = 400.0,
-    t_end: float = 20.0,
-    dt: float = 1.0,
-    metric_value: float | None = None,
-):
+def small_truss_fixture(law: SlsParams = DEFAULT_SLS, *, t_end: float = 20.0):
     """4-bar pyramid: fixed unit-square base, one free apex node pulled
-    downward with a ramp-and-hold schedule. Small enough that two-time
-    archives covering its whole operating region stay compact.
+    downward by 400 with a ramp-and-hold schedule, on a unit time step.
+    Small enough that two-time archives covering its whole operating region
+    stay compact.
 
     Returns (mesh, metric, loads, times).
     """
@@ -752,11 +714,11 @@ def small_truss_fixture(
     conn = np.array([[0, 4], [1, 4], [2, 4], [3, 4]])
     supports = frozenset((n, d) for n in range(4) for d in range(3))
     mesh = TrussMesh(coords, conn, np.ones(4), supports)
-    gm = _metric_for(mesh, law, metric_value)
+    gm = _metric_for(mesh, law)
     sys = assemble(mesh, gm)
     ramp = ((0.0, 0.0), (t_end / 2.0, 1.0), (t_end, 1.0))
-    loads = LoadProgram.from_nodal(sys, {(4, 2): -load}, ramp)
-    times = np.arange(0.0, t_end + 0.5 * dt, dt)
+    loads = LoadProgram.from_nodal(sys, {(4, 2): -400.0}, ramp)
+    times = np.arange(0.0, t_end + 0.5, 1.0)
     return mesh, gm, loads, times
 
 
@@ -921,7 +883,7 @@ def write_rate_csv(result: StudyResult, path) -> None:
         ["kind", "rate", "points", "runs", "band_ref", "band_exponent", "seed"],
         [
             (cfg.kind, result.rate, " ".join(str(p) for p in cfg.points), cfg.runs,
-             cfg.band_ref, cfg.band_exponent, cfg.seed)
+             cfg.band_ref, 1.0, cfg.seed)  # 1.0: the band law's exponent
         ],
     )
 
@@ -936,11 +898,8 @@ def default_study_config(kind: str, **overrides) -> StudyConfig:
             law=DEFAULT_SLS,
             breakpoints=VISCO_BREAKPOINTS,
             load_scale=280.0,
-            dt=1.0,
             band_ref=0.030,
-            band_exponent=1.0,
-            window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
-            window_exponent=0.0,
+            window=WindowRule(floor=1e-9),
         )
     elif kind == "plastic":
         # fixed sampling window spanning the largest plastic step, so the
@@ -950,11 +909,8 @@ def default_study_config(kind: str, **overrides) -> StudyConfig:
             law=DEFAULT_PLASTIC,
             breakpoints=PLASTIC_BREAKPOINTS,
             load_scale=960.0,
-            dt=1.0,
             band_ref=0.040,
-            band_exponent=1.0,
             window=WindowRule(halfwidth=0.05),
-            window_exponent=0.0,
         )
     else:
         raise ValueError(f"unknown study kind {kind!r}")

@@ -15,9 +15,10 @@ an exact minimization. The enumeration oracle checks every data assignment
 and is the ground truth on instances small enough to afford it.
 
 Every solve, search and polish reads the step's sets as one (M, n)
-:class:`~ddmech.data.StackedSets`, row e holding bar e's set; sets of
-unequal size are padded by :func:`~ddmech.data.stack_sets` with entries
-that are never chosen.
+:class:`~ddmech.data.StackedSets`, row e holding bar e's set. A march's
+sets all have n points; the enumeration oracle's may be of unequal size,
+padded by :func:`~ddmech.data.stack_sets` with entries that are never
+chosen.
 Whenever the walk stops, an exact-gain swap polish (:func:`_swap_polish`)
 tries single, pair and subset reassignments against the same objective. It
 scores candidates with the scan's own arithmetic: the single sweep on
@@ -36,16 +37,16 @@ searches, which every step draws into one (M, n) stack per march.
 conditioned on the previously accepted local states; randomness is split
 per (step, element) from the run seed, so trajectories are bit-reproducible
 and any subset of a step's rows can be drawn alone, bit for bit.
-:func:`history_matching_march` searches fixed two-time archives, with the
-prior-slot mismatch against the previously accepted state as a fidelity
-cost. Every step is solved from two warm starts, the predicted state and
-the empirical response read off the step's sets, and the lower objective
-wins; only sets with padded rows take the predicted start alone. A march
-forks a step worker (:class:`_StepWorker`) for the second start when the
-process may use two CPUs and is not itself a child process. The stack is
-then in shared memory: the march and the worker each draw half of every
-step's rows into it, and the worker solves the second start while the
-march solves the first.
+:func:`history_matching_march` searches fixed two-time archives of one
+size, with the prior-slot mismatch against the previously accepted state
+as a fidelity cost. Every step is solved from two warm starts, the
+predicted state and the empirical response read off the step's sets, and
+the lower objective wins. A march forks a step worker
+(:class:`_StepWorker`) for the second start when the process may use two
+CPUs and is not itself a child process. The stack is then in shared
+memory: the march and the worker each draw half of every step's rows into
+it, and the worker solves the second start while the march solves the
+first.
 """
 
 from __future__ import annotations
@@ -624,9 +625,6 @@ def _empirical_response_init(
     f: np.ndarray,
     g: np.ndarray,
     eps_start: np.ndarray,
-    *,
-    max_iters: int = 20,
-    rel_tol: float = 1e-10,
 ) -> GlobalState | None:
     """Equilibrium solve against the empirical response read off the data.
 
@@ -634,10 +632,11 @@ def _empirical_response_init(
     at the nearest sampled strain and the tangent is a local secant over a
     few sorted neighbours. Newton steps on that curve land the state near
     the assignment a globally consistent walk would reach, using nothing
-    but the data itself. The returned state is the sampled (strain, stress)
-    pair of each element at the lowest-residual iterate. Returns None when
-    the sets are too small or a tangent solve fails; callers then fall back
-    to an elastic predictor.
+    but the data itself: at most 20 steps, stopping once the force
+    residual is below 1e-10 of ``max(1, |f|)``. The returned state is the
+    sampled (strain, stress) pair of each element at the lowest-residual
+    iterate. Returns None when the sets are too small or a tangent solve
+    fails; callers then fall back to an elastic predictor.
     """
     n = stacked.eps.shape[1]
     if n < 8:
@@ -659,7 +658,7 @@ def _empirical_response_init(
     eps = b @ u + g
     f_scale = max(1.0, float(np.linalg.norm(f)))
     best = None
-    for _ in range(max_iters):
+    for _ in range(20):
         # nearest sampled strain; an exact tie goes to the lower neighbour
         j = index.search(eps[:, None])[:, 0]
         above = np.minimum(j, n - 1)
@@ -671,7 +670,7 @@ def _empirical_response_init(
         res = float(np.linalg.norm(r)) / f_scale
         if best is None or res < best[0]:
             best = (res, es[rows, idx], sig_hat)
-        if res < rel_tol:
+        if res < 1e-10:
             break
         lo = np.clip(idx - k, 0, n - 1)
         hi = np.clip(idx + k, 0, n - 1)
@@ -965,10 +964,9 @@ def _stacked_step_sets(
     Each element's strains are sampled in a window about its predicted
     strain ``eps_prev + est``, whose half-width :meth:`WindowRule.halfwidths`
     gives from the larger of the elastic step estimate and, for the standard
-    linear solid, the creep the previous state would show over ``dt``,
-    times ``window_scale``. The strains are spaced evenly with the predicted
-    strain a sample, perturbed uniformly within ``band_width`` when it is
-    positive. Stresses are the one-step response of the law to each
+    linear solid, the creep the previous state would show over ``dt``. The
+    strains are spaced evenly with the predicted strain a sample, perturbed
+    uniformly within ``band_width`` when it is positive. Stresses are the one-step response of the law to each
     strain: the response line over ``dt`` (``dt=None``: the instantaneous
     limit of a suddenly applied first step) for the standard linear solid,
     and for plasticity the return map from the internal variable recovered
@@ -995,7 +993,6 @@ def _stacked_step_sets(
     else:
         creep = np.zeros(m)
     hw = g.window.halfwidths(g.band_width, np.maximum(np.abs(est), np.abs(creep)))
-    hw = hw * g.window_scale
     steps = hw / max(n // 2, 1)
     np.multiply((np.arange(n) - n // 2)[None, :], steps[:, None], out=eps)
     np.add(centers[:, None], eps, out=eps)
@@ -1163,8 +1160,6 @@ def _march(
     stack: Callable[[Callable], StackedSets],
     draw: Callable[..., None],
     plastic_law: PlasticParams | None,
-    *,
-    padded: bool = False,
 ) -> Trajectory:
     """The step loop of both marches.
 
@@ -1176,27 +1171,25 @@ def _march(
     step), its elastic strain estimate and the previously accepted strain,
     stress and accumulated slip (arrays of all M elements). Each row must
     be a pure function of these and of its own element, as the rows of a
-    step may be drawn in two processes. ``padded`` says that the sets have
-    padded rows.
+    step may be drawn in two processes. No row may be padded, as the
+    response init's strain-order lookups would read the padding.
 
-    Each step is solved from the predicted start, the previous accepted
-    state advanced by the step's elastic strain estimate plus the previous
-    step's inelastic increment, and, on sets with no padded row, also from
-    the empirical response init (its strain-order lookups would read padded
-    entries); the lower objective wins, the first on a tie. When
-    :func:`_may_fork` allows, the stack is made in shared memory
-    (:func:`_shared_empty`) and a :class:`_StepWorker` is forked for the
-    march. At every step the march draws the first half of the rows
-    (:func:`_row_halves`) and the worker the rest, each waits until the
-    other's half is in, and then the worker solves the second start while
-    the march solves the first. Otherwise the march draws every row and
-    solves both in turn. Either way the
+    Each step is solved from two starts: the predicted start, the previous
+    accepted state advanced by the step's elastic strain estimate plus the
+    previous step's inelastic increment, and the empirical response init.
+    The lower objective wins, the first on a tie. When :func:`_may_fork`
+    allows, the stack is made in shared memory (:func:`_shared_empty`) and
+    a :class:`_StepWorker` is forked for the march. At every step the march
+    draws the first half of the rows (:func:`_row_halves`) and the worker
+    the rest, each waits until the other's half is in, and then the worker
+    solves the second start while the march solves the first. Otherwise the
+    march draws every row and solves both in turn. Either way the
     trajectory has the same bits, and the worker is shut down and joined
     before the march returns or raises. The accumulated slip is tracked
     only for a ``plastic_law``.
     """
     m = system.n_elements
-    forked = not padded and _may_fork()
+    forked = _may_fork()
     sets = stack(_shared_empty if forked else np.empty)
     rows, rest = _row_halves(m) if forked else (slice(None), None)
     worker = _StepWorker(system, gm, cfg, sets, draw, rest) if forked else None
@@ -1229,15 +1222,12 @@ def _march(
                 sig_prev + gm.c_diag * est + drift_sig,
             )
             step = fixed_point_solve(system, sets, gm, f, init, cfg, t=t)
-            if not padded:
-                if worker is not None:
-                    second = worker.result()
-                else:
-                    second = _response_solve(system, gm, cfg, sets, f, t, eps_prev + est)
-                if second is not None and (
-                    second.objective_history[-1] < step.objective_history[-1]
-                ):
-                    step = second
+            if worker is not None:
+                second = worker.result()
+            else:
+                second = _response_solve(system, gm, cfg, sets, f, t, eps_prev + est)
+            if second is not None and second.objective_history[-1] < step.objective_history[-1]:
+                step = second
             if not step.converged and cfg.abort_on_nonconvergence:
                 raise RuntimeError(
                     f"fixed point did not converge at step {k} (t={t}): {step.iterations} "
@@ -1327,14 +1317,14 @@ def history_matching_march(
     Each step searches the current slots of every element's repository with
     the prior-slot mismatch (against the previously accepted state) added as
     a fidelity cost; nothing is regenerated, so the archives can be sampled
-    entirely offline. The archives are stacked by
-    :func:`~ddmech.data.stack_sets`, which pads ragged ones, and
+    entirely offline. Every archive must hold the same number n of entries
+    (``ValueError`` naming the first bar whose archive differs). The
+    archives are stacked by :func:`~ddmech.data.stack_sets` and
     strain-sorted once per march, and each step computes only their cost
-    rows, +inf on padded entries, into one (M, n) array. On equal archives
-    a forked step worker may solve the second warm start (see
-    :func:`_march`): it reads the sorted archive the fork shares, and the
-    cost array is shared too, each process computing the cost rows of half
-    of the elements.
+    rows into one (M, n) array. A forked step worker may solve the second
+    warm start (see :func:`_march`): it reads the sorted archive the fork
+    shares, and the cost array is shared too, each process computing the
+    cost rows of half of the elements.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1342,10 +1332,16 @@ def history_matching_march(
     m = system.n_elements
     if len(repositories) != m:
         raise ValueError(f"{m} repositories required, got {len(repositories)}")
+    for e, h in enumerate(repositories):
+        if h.n_entries != repositories[0].n_entries:
+            raise ValueError(
+                f"archives must all have the same size: bar {e} has {h.n_entries} "
+                f"entries, bar 0 has {repositories[0].n_entries}"
+            )
 
     archive = stack_sets([h.eps_cur for h in repositories], [h.sig_cur for h in repositories])
     archive.strain_index()
-    # no cost rows at all (None) for equal archives without a prior weight
+    # no cost rows at all (None) for archives without a prior weight
     costed = prior_slot_costs(repositories, GlobalState.zeros(m), gm, slice(0, 0)) is not None
 
     def stack(empty):
@@ -1356,10 +1352,7 @@ def history_matching_march(
             z_prev = GlobalState(eps_prev, sig_prev)
             prior_slot_costs(repositories, z_prev, gm, rows, sets.costs[rows])
 
-    return _march(
-        system, gm, loads, t_grid, cfg, stack, draw, None,
-        padded=archive.lengths is not None,
-    )
+    return _march(system, gm, loads, t_grid, cfg, stack, draw, None)
 
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:

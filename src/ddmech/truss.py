@@ -408,16 +408,14 @@ def assemble(mesh: TrussMesh, gm: GlobalMetric) -> ConstraintSystem:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Regular nx x ny x nz cell block with axis-aligned edges and, by
-    default, both diagonals on every lattice face; the x = 0 plane is fixed."""
+    """Regular nx x ny x nz cell block with axis-aligned edges and both
+    diagonals on every lattice face (a mechanism without); x = 0 is fixed."""
 
     nx: int
     ny: int
     nz: int
     spacing: float = 1.0
     area: float = 1.0
-    face_diagonals: bool = True
-    fix_x0: bool = True
 
     def __post_init__(self) -> None:
         for name in ("nx", "ny", "nz"):
@@ -453,27 +451,23 @@ def generate_lattice_truss(spec: LatticeSpec) -> TrussMesh:
                     bars.append((a, node_id(i, j + 1, k)))
                 if k < nz:
                     bars.append((a, node_id(i, j, k + 1)))
-                if spec.face_diagonals:
-                    if i < nx and j < ny:
-                        bars.append((a, node_id(i + 1, j + 1, k)))
-                        bars.append((node_id(i + 1, j, k), node_id(i, j + 1, k)))
-                    if i < nx and k < nz:
-                        bars.append((a, node_id(i + 1, j, k + 1)))
-                        bars.append((node_id(i + 1, j, k), node_id(i, j, k + 1)))
-                    if j < ny and k < nz:
-                        bars.append((a, node_id(i, j + 1, k + 1)))
-                        bars.append((node_id(i, j + 1, k), node_id(i, j, k + 1)))
-    supports: set[tuple[int, int]] = set()
-    if spec.fix_x0:
-        for j in range(ny + 1):
-            for k in range(nz + 1):
-                for d in range(3):
-                    supports.add((node_id(0, j, k), d))
+                if i < nx and j < ny:
+                    bars.append((a, node_id(i + 1, j + 1, k)))
+                    bars.append((node_id(i + 1, j, k), node_id(i, j + 1, k)))
+                if i < nx and k < nz:
+                    bars.append((a, node_id(i + 1, j, k + 1)))
+                    bars.append((node_id(i + 1, j, k), node_id(i, j, k + 1)))
+                if j < ny and k < nz:
+                    bars.append((a, node_id(i, j + 1, k + 1)))
+                    bars.append((node_id(i, j + 1, k), node_id(i, j, k + 1)))
+    supports = frozenset(
+        (node_id(0, j, k), d) for j in range(ny + 1) for k in range(nz + 1) for d in range(3)
+    )
     return TrussMesh(
         node_coords=coords,
         conn=np.array(bars, dtype=int),
         areas=np.full(len(bars), spec.area),
-        supports=frozenset(supports),
+        supports=supports,
     )
 
 
@@ -489,15 +483,21 @@ def load_mesh(
     Sections NODES (id x y z), BARS (id a b area), SUPPORTS (node dir),
     LOADS (node dir value) and PRESCRIBED (node dir program-id), whitespace
     delimited, '#' to end of line is a comment. Program ids are resolved
-    through ``programs``. Returns the mesh and the nodal load dictionary.
+    through ``programs``. ``ValueError`` names ``path:line`` of a malformed
+    line, a bar that joins a node to itself or has no positive finite area,
+    and an entry naming a node absent from NODES. Returns the mesh and the
+    nodal load dictionary.
     """
     text = Path(path).read_text()
+    programs = dict(programs or {})
     section = None
     nodes: dict[int, tuple[float, float, float]] = {}
     bars: dict[int, tuple[int, int, float]] = {}
     supports: set[tuple[int, int]] = set()
     loads: dict[tuple[int, int], float] = {}
-    prescribed: list[tuple[int, int, str]] = []
+    prescribed: list[Prescribed] = []
+    # (line, node) of every node an entry names, checked once all are read
+    refs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -518,23 +518,34 @@ def load_mesh(
             elif section == "BARS":
                 if len(parts) != 4:
                     raise ValueError("expected: id a b area")
-                bid = int(parts[0])
+                bid, a, b, area = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
                 if bid in bars:
                     raise ValueError(f"duplicate bar id {bid}")
-                bars[bid] = (int(parts[1]), int(parts[2]), float(parts[3]))
+                if a == b:
+                    raise ValueError(f"bar {bid} joins node {a} to itself")
+                # written so that NaN fails the comparison and is rejected
+                if not 0.0 < area < np.inf:
+                    raise ValueError(f"bar {bid}: area must be finite and positive, got {area}")
+                bars[bid] = (a, b, area)
+                refs += [(lineno, a), (lineno, b)]
             elif section == "SUPPORTS":
                 if len(parts) != 2:
                     raise ValueError("expected: node dir")
                 supports.add((int(parts[0]), parse_direction(parts[1])))
+                refs.append((lineno, int(parts[0])))
             elif section == "LOADS":
                 if len(parts) != 3:
                     raise ValueError("expected: node dir value")
                 key = (int(parts[0]), parse_direction(parts[1]))
                 loads[key] = loads.get(key, 0.0) + float(parts[2])
+                refs.append((lineno, key[0]))
             elif section == "PRESCRIBED":
                 if len(parts) != 3:
                     raise ValueError("expected: node dir program-id")
-                prescribed.append((int(parts[0]), parse_direction(parts[1]), parts[2]))
+                if parts[2] not in programs:
+                    raise ValueError(f"PRESCRIBED references unknown program id {parts[2]!r}")
+                prescribed.append(Prescribed(int(parts[0]), parts[1], programs[parts[2]]))
+                refs.append((lineno, int(parts[0])))
             else:
                 raise ValueError(f"data before any section header: {line!r}")
         except ValueError as exc:
@@ -545,20 +556,17 @@ def load_mesh(
         raise ValueError(f"{path}: node ids must be contiguous from 0")
     if sorted(bars) != list(range(len(bars))):
         raise ValueError(f"{path}: bar ids must be contiguous from 0")
+    for lineno, node in refs:
+        if node not in nodes:
+            raise ValueError(f"{path}:{lineno}: no node {node} in NODES")
     coords = np.array([nodes[i] for i in range(len(nodes))])
     conn = np.array([[bars[i][0], bars[i][1]] for i in range(len(bars))], dtype=int)
     areas = np.array([bars[i][2] for i in range(len(bars))])
-    programs = dict(programs or {})
-    resolved = []
-    for node, direction, pid in prescribed:
-        if pid not in programs:
-            raise ValueError(f"{path}: PRESCRIBED references unknown program id {pid!r}")
-        resolved.append(Prescribed(node, direction, programs[pid]))
     mesh = TrussMesh(
         node_coords=coords,
         conn=conn,
         areas=areas,
         supports=frozenset(supports),
-        prescribed=tuple(resolved),
+        prescribed=tuple(prescribed),
     )
     return mesh, loads

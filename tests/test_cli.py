@@ -12,7 +12,51 @@ import pytest
 
 import ddmech
 from ddmech import cli
+from ddmech.experiments import RelaxationConfig, default_study_config
 from ddmech.truss import LatticeSpec, generate_lattice_truss
+
+#: Every config key each command accepts. A new setting must be added here.
+_LAW_KEYS = {"visco": ["law.e0", "law.e1", "law.tau1"],
+             "plastic": ["law.e0", "law.e1", "law.sigma1", "law.h"]}
+_STUDY_KEYS = [
+    "lattice.nx", "lattice.ny", "lattice.nz", "lattice.spacing", "lattice.area",
+    "load_scale", "breakpoints", "dt", "t_end", "points", "runs", "band_ref",
+    "window.halfwidth", "window.floor", "seed", "workers", "max_fixed_point_iters",
+]
+CONFIG_KEYS = {
+    "relaxation": ["law.e0", "law.e1", "law.tau1", "eps_bar", "dt", "t_end", "n_points",
+                   "band_width", "seed"],
+    "visco": _LAW_KEYS["visco"] + _STUDY_KEYS,
+    "plastic": _LAW_KEYS["plastic"] + _STUDY_KEYS,
+}
+
+
+def _as_text(value) -> str:
+    """A config value as the text a config file gives for it."""
+    if value is None:
+        return "none"
+    if isinstance(value, tuple) and isinstance(value[0], tuple):
+        return "; ".join(f"{t!r},{v!r}" for t, v in value)
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return repr(value)
+
+
+@pytest.mark.parametrize("command", list(CONFIG_KEYS))
+def test_config_keys_are_pinned(tmp_path, command):
+    """Each command takes exactly its listed keys (9, 20 and 21), and a
+    file that sets every key to its default reads back as the defaults."""
+    cfg = RelaxationConfig() if command == "relaxation" else default_study_config(command)
+    keys = cli._config_keys(cfg)
+    assert keys == CONFIG_KEYS[command]
+    assert len(keys) == {"relaxation": 9, "visco": 20, "plastic": 21}[command]
+    lines = []
+    for key in keys:
+        outer, _, name = key.rpartition(".")
+        lines.append(f"{key} = {_as_text(getattr(getattr(cfg, outer) if outer else cfg, name))}")
+    path = tmp_path / "all.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli._apply_config(cfg, path)[0] == cfg
 
 
 @pytest.mark.parametrize(
@@ -20,7 +64,8 @@ from ddmech.truss import LatticeSpec, generate_lattice_truss
     [
         ("visco", "t_end = 3\nband = 0.5\n", 2, "band"),
         ("visco", "dt = abc\n", 1, "dt"),
-        ("visco", "lattice.nx = 2\nlattice.face_diagonals = maybe\n", 2, "lattice.face_diagonals"),
+        ("visco", "lattice.nx = 2\nlattice.face_diagonals = no\n", 2,
+         "unknown key 'lattice.face_diagonals'"),
         ("plastic", "law.tau1 = 3\n", 1, "law.tau1"),
         ("visco", "# comment\nlaw.e0 = -1\n", 2, "law.e0"),
         ("relaxation", "mesh = bars.mesh\n", 1, "mesh"),
@@ -37,18 +82,18 @@ from ddmech.truss import LatticeSpec, generate_lattice_truss
         ("relaxation", "eps_bar = nan\n", 1, "eps_bar"),
         ("visco", "load_scale = nan\n", 1, "load_scale"),
         ("visco", "band_ref = nan\n", 1, "band_ref"),
-        ("plastic", "band_exponent = inf\n", 1, "band_exponent"),
-        ("visco", "window_exponent = nan\n", 1, "window_exponent"),
+        ("plastic", "band_exponent = inf\n", 1, "unknown key 'band_exponent'"),
+        ("visco", "window_exponent = nan\n", 1, "unknown key 'window_exponent'"),
         ("plastic", "max_fixed_point_iters = 0\n", 1, "max_fixed_point_iters"),
-        ("visco", "n_ref = 0\n", 1, "n_ref"),
+        ("visco", "n_ref = 0\n", 1, "unknown key 'n_ref'"),
         ("visco", "sampling = grid\n", 1, "unknown key 'sampling'"),
         ("relaxation", "n_points = 0\n", 1, "n_points"),
         ("relaxation", "band_width = nan\n", 1, "band_width"),
-        ("relaxation", "metric_value = nan\n", 1, "metric_value"),
-        ("plastic", "metric_value = -1\n", 1, "metric_value"),
-        ("visco", "t_end = 2\nband_exponent = -1e308\n", 2, "band_exponent"),
-        ("visco", "window_exponent = 1e308\n", 1, "window_exponent"),
-        ("plastic", "window_exponent = -1e308\n", 1, "window_exponent"),
+        ("relaxation", "metric_value = nan\n", 1, "unknown key 'metric_value'"),
+        ("plastic", "metric_value = -1\n", 1, "unknown key 'metric_value'"),
+        ("visco", "t_end = 2\nband_exponent = -1e308\n", 2, "unknown key 'band_exponent'"),
+        ("visco", "window_exponent = 1e308\n", 1, "unknown key 'window_exponent'"),
+        ("plastic", "window_exponent = -1e308\n", 1, "unknown key 'window_exponent'"),
         ("visco", "lattice.spacing = nan\n", 1, "lattice.spacing"),
         ("plastic", "lattice.area = inf\n", 1, "lattice.area"),
     ],
@@ -166,3 +211,58 @@ def test_a_users_thread_setting_wins(var):
 def test_a_caller_that_imported_numpy_first_is_unchanged():
     report = _thread_report(first="import numpy")
     assert report["env"] == {v: None for v in _THREAD_VARS}
+
+
+#: A two-bar mesh: nodes 0 and 1 are fixed, node 2 hangs from both.
+_MESH_HEAD = "NODES\n0 0 0 0\n1 1 0 0\n2 0.5 0 -1\n"
+_MESH_FIXED = "SUPPORTS\n" + "".join(f"{n} {d}\n" for n in (0, 1) for d in "xyz")
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("BARS\n0 0 2 1.0\n1 1 7 1.0\n", 7, "no node 7 in NODES"),
+        ("BARS\n0 0 2 1.0\n1 2 2 1.0\n", 7, "bar 1 joins node 2 to itself"),
+        ("BARS\n0 0 2 1.0\n1 1 2 0\n", 7, "bar 1: area must be finite and positive, got 0.0"),
+        ("BARS\n0 0 2 -1\n1 1 2 1.0\n", 6, "bar 0: area must be finite and positive"),
+        ("BARS\n0 0 2 nan\n1 1 2 1.0\n", 6, "bar 0: area must be finite and positive"),
+        ("BARS\n0 0 2 1.0\n1 1 2 1.0\nSUPPORTS\n2 y\n9 x\n", 10, "no node 9 in NODES"),
+        ("BARS\n0 0 2 1.0\n1 1 2 1.0\nLOADS\n8 z -1\n", 9, "no node 8 in NODES"),
+        ("BARS\n0 0 2 1.0\n1 1 2 1.0\nPRESCRIBED\n5 x px\n", 9, "no node 5 in NODES"),
+        ("BARS\n0 0 2 1.0\n1 1 2 1.0\nPRESCRIBED\n2 x ramp\n", 9, "unknown program id 'ramp'"),
+    ],
+    ids=[
+        "missing-bar-end", "bar-to-itself", "zero-area", "negative-area", "nan-area",
+        "missing-support-node", "missing-load-node", "missing-prescribed-node",
+        "unknown-program",
+    ],
+)
+def test_bad_mesh_line_names_path_and_line(tmp_path, capsys, body, line, message):
+    """A mesh file entry that TrussMesh would refuse, or that names a node
+    the NODES section lacks, stops the command with ``<file>:<line>``."""
+    mesh = tmp_path / "two.mesh"
+    mesh.write_text(_MESH_HEAD + body + _MESH_FIXED)
+    config = tmp_path / "run.cfg"
+    config.write_text("program.px = 0,0; 1,0.001\nt_end = 1\n")
+    argv = ["visco", "--mesh", str(mesh), "--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mesh}:{line}: ")
+    assert message in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_mechanism_mesh_is_one_error_line(tmp_path, capsys, given):
+    """A mesh whose free node can move out of its bars' plane is bad input:
+    one ``error:`` line naming the mesh file, exit 2, no traceback."""
+    mesh = tmp_path / "two.mesh"
+    mesh.write_text(_MESH_HEAD + "BARS\n0 0 2 1.0\n1 1 2 1.0\n" + _MESH_FIXED)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"mesh = {mesh}\nt_end = 1\n" if given == "config" else "t_end = 1\n")
+    argv = ["visco", "--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(argv + (["--mesh", str(mesh)] if given == "flag" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mesh}: stiffness matrix is singular")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))

@@ -297,7 +297,7 @@ class TestWindowRule:
     """Sampling window half-width."""
 
     def test_rule_takes_the_largest_driver(self):
-        rule = WindowRule(incr_factor=4.0, band_factor=8.0)
+        rule = WindowRule()
         assert rule.halfwidths(0.01, [0.002]).tolist() == [0.08]  # band-dominated
         assert rule.halfwidths(0.001, [0.01]).tolist() == [0.04]  # increment-dominated
 
@@ -306,28 +306,29 @@ class TestWindowRule:
 
     def test_collapsed_window_rejected(self):
         with pytest.raises(ValueError):
-            WindowRule(incr_factor=1.0, band_factor=1.0, floor=0.0).halfwidths(0.0, [0.0])
+            WindowRule(floor=0.0).halfwidths(0.0, [0.0])
 
     def test_halfwidths_equal_resolve_per_entry(self):
         """The vectorized rule gives every entry the scalar rule's value,
-        ``max(incr_factor |est|, band_factor band, floor)`` or the fixed
-        half-width, computed here entry by entry."""
+        ``max(4 |est|, 8 band, floor)`` or the fixed half-width, computed
+        here entry by entry."""
         est = np.array([0.0, 2e-3, -0.01, 0.03, -1e-9])
-        for rule in (
-            WindowRule(incr_factor=4.0, band_factor=8.0),
-            WindowRule(incr_factor=3.0, band_factor=0.0, floor=1e-9),
-            WindowRule(halfwidth=0.05),
+        for rule, band in (
+            (WindowRule(), 0.01),
+            (WindowRule(floor=1e-9), 0.0),
+            (WindowRule(floor=0.05), 0.001),
+            (WindowRule(halfwidth=0.05), 0.01),
         ):
-            hw = rule.halfwidths(0.01, est)
+            hw = rule.halfwidths(band, est)
             assert hw.shape == est.shape
             expect = [
                 rule.halfwidth if rule.halfwidth is not None
-                else max(rule.incr_factor * abs(float(x)), rule.band_factor * 0.01, rule.floor)
+                else max(4.0 * abs(float(x)), 8.0 * band, rule.floor)
                 for x in est
             ]
             assert [float(v) for v in hw] == expect
         with pytest.raises(ValueError):
-            WindowRule(incr_factor=1.0, band_factor=1.0).halfwidths(0.0, est)
+            WindowRule().halfwidths(0.0, est)
 
     @pytest.mark.parametrize(
         "cls, kwargs",
@@ -336,12 +337,8 @@ class TestWindowRule:
             (WindowRule, {"halfwidth": np.inf}),
             (WindowRule, {"floor": np.nan}),
             (WindowRule, {"floor": np.inf}),
-            (WindowRule, {"incr_factor": np.inf}),
-            (WindowRule, {"band_factor": np.nan}),
             (GeneratorSpec, {"law": SLS, "n_points": 8, "band_width": np.nan}),
             (GeneratorSpec, {"law": SLS, "n_points": 8, "band_width": np.inf}),
-            (GeneratorSpec, {"law": SLS, "n_points": 8, "window_scale": np.nan}),
-            (GeneratorSpec, {"law": SLS, "n_points": 8, "window_scale": np.inf}),
         ],
         ids=lambda v: v.__name__ if isinstance(v, type) else str(list(v.items())[-1]),
     )
@@ -588,35 +585,32 @@ class TestHistoryRepository:
 
     def test_stacked_costs_equal_cost_datasets(self, rng):
         """Each row of the stacked costs equals the cost dataset's costs
-        bit for bit, and is +inf past a shorter archive's entries; zero
-        prior weight gives a zero row, all zero on equal archives gives
+        bit for bit; zero prior weight gives a zero row, all zero gives
         None, and a non-finite cost is rejected as stack_sets rejects it."""
         moduli = (175.0, 2.0, 9.0)
         gm = GlobalMetric(moduli, np.ones(3))
         z_prev = GlobalState(rng.normal(size=3), rng.normal(size=3) * 100.0)
-        for sizes in ((30, 30, 30), (30, 17, 4)):
-            repos = [
-                HistoryRepository(
-                    rng.normal(size=n),
-                    rng.normal(size=n) * 100.0,
-                    rng.normal(size=n),
-                    rng.normal(size=n) * 100.0,
-                    weights=w,
-                )
-                for n, w in zip(sizes, ((1.0, 0.7), (2.0, 0.0), (0.5, 3.0)))
-            ]
-            costs = prior_slot_costs(repos, z_prev, gm)
-            assert costs.shape == (3, 30)
-            for e, (h, n) in enumerate(zip(repos, sizes)):
-                d = history_cost_dataset(h, z_prev.strain[e], z_prev.stress[e], moduli[e])
-                expect = np.zeros(n) if d.costs is None else d.costs[0]
-                assert np.array_equal(costs[e, :n], expect)
-                assert np.all(costs[e, n:] == np.inf)
-            one = GlobalMetric(moduli[1:2], [1.0])
-            assert prior_slot_costs(repos[1:2], z_prev, one) is None
-            huge = GlobalState(np.full(3, 1e200), np.zeros(3))
-            with np.errstate(over="ignore"):
-                with pytest.raises(ValueError, match="set 0: .*finite and nonn"):
-                    prior_slot_costs(repos, huge, gm)
-                with pytest.raises(ValueError, match="set 0: .*finite and nonn"):
-                    history_cost_dataset(repos[0], 1e200, 0.0, moduli[0])
+        repos = [
+            HistoryRepository(
+                rng.normal(size=30),
+                rng.normal(size=30) * 100.0,
+                rng.normal(size=30),
+                rng.normal(size=30) * 100.0,
+                weights=w,
+            )
+            for w in ((1.0, 0.7), (2.0, 0.0), (0.5, 3.0))
+        ]
+        costs = prior_slot_costs(repos, z_prev, gm)
+        assert costs.shape == (3, 30)
+        for e, h in enumerate(repos):
+            d = history_cost_dataset(h, z_prev.strain[e], z_prev.stress[e], moduli[e])
+            expect = np.zeros(30) if d.costs is None else d.costs[0]
+            assert np.array_equal(costs[e], expect)
+        one = GlobalMetric(moduli[1:2], [1.0])
+        assert prior_slot_costs(repos[1:2], z_prev, one) is None
+        huge = GlobalState(np.full(3, 1e200), np.zeros(3))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="set 0: .*finite and nonn"):
+                prior_slot_costs(repos, huge, gm)
+            with pytest.raises(ValueError, match="set 0: .*finite and nonn"):
+                history_cost_dataset(repos[0], 1e200, 0.0, moduli[0])

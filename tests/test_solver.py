@@ -324,7 +324,7 @@ class TestResponseInit:
         g = GeneratorSpec(
             law=DEFAULT_SLS,
             n_points=2048,
-            window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
+            window=WindowRule(floor=1e-9),
         )
         stacked = _stacked_step_sets(
             g, np.zeros(4), np.zeros(4), np.zeros(4), est, None, 0
@@ -365,7 +365,7 @@ class TestTimeMarch:
             law=DEFAULT_SLS,
             n_points=64,
             band_width=5e-4,
-            window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
+            window=WindowRule(floor=1e-9),
             rng_seed=99,
         )
         a = time_march(mesh, gm, g, loads, times, SolverConfig())
@@ -377,7 +377,7 @@ class TestTimeMarch:
             law=DEFAULT_SLS,
             n_points=64,
             band_width=5e-4,
-            window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
+            window=WindowRule(floor=1e-9),
             rng_seed=100,
         )
         c = time_march(mesh, gm, other, loads, times, SolverConfig())
@@ -409,7 +409,7 @@ class TestTimeMarch:
         g = GeneratorSpec(
             law=DEFAULT_SLS,
             n_points=256,
-            window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
+            window=WindowRule(floor=1e-9),
         )
         traj = time_march(mesh, gm, g, loads, times, SolverConfig())
         assert bool(np.all(traj.converged))
@@ -424,12 +424,13 @@ class TestTimeMarch:
 
     def test_init_strategies_all_run(self, monkeypatch):
         """The march converges from both warm starts, and from the predicted
-        start alone, which is all a march on padded sets takes."""
+        start alone, which is all a march takes where the response init
+        declines."""
         mesh, gm, loads, times = small_truss_fixture(t_end=5.0)
         g = GeneratorSpec(
             law=DEFAULT_SLS,
             n_points=128,
-            window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
+            window=WindowRule(floor=1e-9),
         )
         both = time_march(mesh, gm, g, loads, times, SolverConfig())
         monkeypatch.setattr(solver, "_response_solve", lambda *args: None)
@@ -451,7 +452,7 @@ class TestHistoryMatchingMarch:
         g = GeneratorSpec(
             law=DEFAULT_SLS,
             n_points=2048,
-            window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-5),
+            window=WindowRule(floor=1e-5),
         )
         dd = time_march(mesh, gm, g, loads, times, SolverConfig())
         repos = build_truss_repositories(
@@ -464,31 +465,22 @@ class TestHistoryMatchingMarch:
         )
         assert rel < 1e-2
 
-    def test_ragged_archives_match_the_stacked_march(self, monkeypatch):
-        """Archives of different sizes are padded; a far entry that is never
-        chosen leaves the march equal to the one on equal archives, here
-        both from the predicted start alone, which is all a padded march
-        takes."""
+    def test_unequal_archives_rejected(self):
+        """Archives of different sizes are refused, naming the bar and both
+        sizes."""
         mesh, gm, loads, times = small_truss_fixture(t_end=4.0)
         repos = build_truss_repositories(
             mesh, gm, DEFAULT_SLS, loads, times,
             n_prior_strain=3, n_prior_offset=5, n_current=9,
         )
-        h = repos[1]
-        ragged = list(repos)
-        ragged[1] = HistoryRepository(
-            np.append(h.eps_prev, 1e3),
-            np.append(h.sig_prev, 1e8),
-            np.append(h.eps_cur, 1e3),
-            np.append(h.sig_cur, 1e8),
-            h.weights,
+        h = repos[2]
+        repos[2] = HistoryRepository(
+            h.eps_prev[:-7], h.sig_prev[:-7], h.eps_cur[:-7], h.sig_cur[:-7], h.weights
         )
-        monkeypatch.setattr(solver, "_response_solve", lambda *args: None)
-        stacked = history_matching_march(mesh, gm, repos, loads, times, SolverConfig())
-        listed = history_matching_march(mesh, gm, ragged, loads, times, SolverConfig())
-        assert np.array_equal(listed.strain, stacked.strain)
-        assert np.array_equal(listed.stress, stacked.stress)
-        assert np.array_equal(listed.assignment, stacked.assignment)
+        n = h.n_entries
+        message = f"same size: bar 2 has {n - 7} entries, bar 0 has {n}"
+        with pytest.raises(ValueError, match=message):
+            history_matching_march(mesh, gm, repos, loads, times, SolverConfig())
 
     @pytest.mark.parametrize("march", [time_march, history_matching_march])
     def test_abort_reports_iterations_and_objective(self, march):
@@ -498,7 +490,7 @@ class TestHistoryMatchingMarch:
             data = GeneratorSpec(
                 law=DEFAULT_SLS,
                 n_points=16,
-                window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
+                window=WindowRule(floor=1e-9),
             )
         else:
             data = build_truss_repositories(
@@ -523,17 +515,12 @@ def _study_march(kind, cfg=None, *, lattice=LatticeSpec(2, 1, 1), steps=12, **kw
     )
 
 
-def _archive_march(ragged, weights=(1.0, 1.0)):
+def _archive_march(weights=(1.0, 1.0)):
     mesh, gm, loads, times = small_truss_fixture(t_end=4.0)
     repos = build_truss_repositories(
         mesh, gm, DEFAULT_SLS, loads, times,
         n_prior_strain=3, n_prior_offset=5, n_current=9, weights=weights,
     )
-    if ragged:
-        h = repos[2]
-        repos[2] = HistoryRepository(
-            h.eps_prev[:-7], h.sig_prev[:-7], h.eps_cur[:-7], h.sig_cur[:-7], h.weights
-        )
     return history_matching_march(mesh, gm, repos, loads, times, SolverConfig())
 
 
@@ -541,8 +528,7 @@ def _archive_march(ragged, weights=(1.0, 1.0)):
 _MARCHES = {
     "visco": lambda: _study_march("visco"),
     "plastic": lambda: _study_march("plastic"),
-    "archive": lambda: _archive_march(False),
-    "ragged-archive": lambda: _archive_march(True),
+    "archive": _archive_march,
 }
 
 
@@ -579,10 +565,10 @@ class TestStepWorker:
 
     @pytest.mark.parametrize("name", list(_MARCHES))
     def test_worker_and_pool_worker_marches_agree(self, worker_starts, name):
-        """A march here forks a step worker (not on padded archives); the
-        same march in a pool worker runs serially, with the same bits."""
+        """A march here forks a step worker; the same march in a pool worker
+        runs serially, with the same bits."""
         traj = _MARCHES[name]()
-        assert worker_starts == ([] if name == "ragged-archive" else [os.getpid()])
+        assert worker_starts == [os.getpid()]
         assert multiprocessing.active_children() == []
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(1, mp_context=fork) as pool:
@@ -814,14 +800,14 @@ class TestSharedDraw:
             return costs(repositories, z_prev, gm, rows, out)
 
         monkeypatch.setattr(solver, "prior_slot_costs", logged)
-        forked = _archive_march(False, weights=(1.0, 0.0))
+        forked = _archive_march(weights=(1.0, 0.0))
         assert worker_starts == [os.getpid()]
         assert asked == [range(0)]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = _archive_march(False, weights=(1.0, 0.0))
+        serial = _archive_march(weights=(1.0, 0.0))
         assert np.array_equal(forked.strain, serial.strain)
         assert np.array_equal(forked.stress, serial.stress)
-        assert not np.array_equal(forked.strain, _archive_march(False).strain)
+        assert not np.array_equal(forked.strain, _archive_march().strain)
 
 class TestTrajectoryOutput:
     """CSV export and the summary dictionary."""
@@ -831,7 +817,7 @@ class TestTrajectoryOutput:
         g = GeneratorSpec(
             law=DEFAULT_SLS,
             n_points=32,
-            window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
+            window=WindowRule(floor=1e-9),
         )
         return time_march(mesh, gm, g, loads, times, SolverConfig())
 
@@ -860,7 +846,7 @@ class TestTrajectoryOutput:
         g = GeneratorSpec(
             law=DEFAULT_SLS,
             n_points=32,
-            window=WindowRule(incr_factor=4.0, band_factor=8.0, floor=1e-9),
+            window=WindowRule(floor=1e-9),
         )
         cfg = SolverConfig(max_fixed_point_iters=1)
         traj = time_march(mesh, gm, g, loads, times, cfg)

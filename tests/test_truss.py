@@ -119,10 +119,6 @@ class TestLattice:
         assert mesh.n_nodes == 8
         assert mesh.n_bars == 24
 
-    def test_no_diagonals(self):
-        mesh = generate_lattice_truss(LatticeSpec(1, 1, 1, face_diagonals=False))
-        assert mesh.n_bars == 12
-
     def test_default_study_lattice(self):
         """6x1x2 cantilever: 42 nodes, 197 bars, x=0 face fixed."""
         mesh = generate_lattice_truss(LatticeSpec(6, 1, 2))
