@@ -74,9 +74,10 @@ class StrainIndex:
     ``eps`` holds the strains in that order. It keeps no reference to the
     sets it was built from, so the sets and the index free together. Rows
     are sorted one by one, so the index of some rows is those rows of the
-    index of all: a march whose rows are drawn in two processes has each
-    sort its own rows into one shared pair of arrays, and both read that
-    pair as one index (:meth:`of`).
+    index of all: a march in two processes has each sort its own rows into
+    one shared pair of arrays (every step for regenerated sets, the first
+    step for a fixed archive), and both read that pair as one index
+    (:meth:`of`).
     """
 
     __slots__ = ("order", "eps")
@@ -137,9 +138,9 @@ class StackedSets:
     by :func:`stack_sets`; it is None when no row is padded. ``index`` is
     the rows' :class:`StrainIndex`. It is built on the first call of
     :meth:`strain_index` and then shared by every search of the step
-    (association and the response warm start); a caller whose strains
-    outlive one step (a fixed archive) builds it once, and a march's stack
-    of regenerated sets carries an index that every step's draw fills.
+    (association and the response warm start). A march's stack carries an
+    index that its draws fill: every step's for regenerated sets, the first
+    step's for a fixed archive.
     """
 
     eps: np.ndarray
@@ -254,7 +255,8 @@ def batch_nearest(
     query, this is the scan. Above it, the scan's own expression ``c de de
     + c_inv ds ds [+ cost]`` is evaluated on the blocks :func:`plan_blocks`
     plans in each row's strain order from the bound at the query's two
-    strain neighbours; rows it leaves whole are scanned. That expression is
+    strain neighbours; rows it leaves whole are scanned, one ``argmin`` per
+    row (:func:`lowest` over column positions). That expression is
     the swap polish's gain with zero linear terms, unit weight and zero
     current cost, so the "Block bound" of
     :func:`~ddmech.solver._swap_polish` proves that a block holds every
@@ -279,20 +281,48 @@ def batch_nearest(
         return d2
 
     def scan(r):
-        return lowest(_scan_d2(stacked, r, eps, sig, c, c_inv), np.arange(n)[None, :])
+        return lowest(_scan_d2(stacked, r, eps, sig, c, c_inv))
 
     plan = plan_blocks(index, every, (c, c_inv, 0.0, 0.0, eps, 0.0), None, 1, value)
     return planned_lowest(index, every, plan, value, scan)[0][:, 0]
 
 
-def lowest(values: np.ndarray, idx: np.ndarray, k: int = 1):
+def lowest(values: np.ndarray, idx: np.ndarray | None = None, k: int = 1):
     """The k smallest values of every row with their indices, ordered by
     value and, among equal values, by index, so the lowest index wins every
     tie. ``idx`` holds the index of every entry of ``values`` (broadcast
-    against it). Returns ``(indices, values)``, each with k columns.
+    against it), distinct among a row's finite values; None means the
+    column positions. Values must not be NaN. Returns ``(indices,
+    values)``, each with k columns. Where a row runs out of finite values,
+    every further column is ``+inf`` at the row's lowest index.
+
+    Each k is ranked in as few passes over the rows as it allows: k = 1
+    over column positions by one ``argmin``; 1 < k < width by one
+    ``np.partition`` for the k-th value, after which only the entries at or
+    below it are sorted by (row, value, index). A k of at least the width
+    keeps the k rounds of a minimum and its lowest index, whose padding
+    past the row the rule above describes.
     """
-    out_j = np.empty((values.shape[0], k), dtype=np.intp)
-    out_v = np.empty((values.shape[0], k))
+    m, width = values.shape
+    if k == 1 and idx is None:
+        j = values.argmin(axis=1)
+        return j[:, None], values[np.arange(m), j][:, None]
+    if 1 < k < width:
+        kth = np.partition(values, k - 1, axis=1)[:, k - 1]
+        r, col = np.nonzero(values <= kth[:, None])
+        full = np.broadcast_to(np.arange(width) if idx is None else idx, values.shape)
+        j, v = full[r, col], values[r, col]
+        # every row holds at least k entries at or below its k-th value
+        count = np.bincount(r, minlength=m)
+        take = np.lexsort((j, v, r))[(np.cumsum(count) - count)[:, None] + np.arange(k)]
+        out_j, out_v = j[take], v[take]
+        spent = out_v == np.inf
+        if spent.any():
+            out_j = np.where(spent, full.min(axis=1)[:, None], out_j)
+        return out_j, out_v
+    idx = np.arange(width)[None, :] if idx is None else idx
+    out_j = np.empty((m, k), dtype=np.intp)
+    out_v = np.empty((m, k))
     v = values
     for i in range(k):
         best = v.min(axis=1)

@@ -248,9 +248,7 @@ class _GainSearch:
             first, last = part[0], part[-1]
             # a run of consecutive rows is read as a slice, not copied
             rows = slice(first, last + 1) if last - first == part.size - 1 else part
-            out_j[i : i + step], out_v[i : i + step] = lowest(
-                self.rows(rows), np.arange(n)[None, :], k
-            )
+            out_j[i : i + step], out_v[i : i + step] = lowest(self.rows(rows), None, k)
         return out_j, out_v
 
     def lowest(self, r, k, plan=None):
@@ -489,7 +487,13 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     stage's top 6 and the subset stage's top 5 take T = the k-th smallest
     gain among the k + 1 strain neighbours of the block centre: the k
     smallest gains are at most that, so they lie in the block, with ties at
-    the k-th value going to the lowest index. The walk takes the same rule
+    the k-th value going to the lowest index. A row the pair stage ranked
+    takes its subset top 5 from the first five columns of that top 6, which
+    are the exact top 5 by (gain, index): the subset stage runs only when
+    no pair move was applied, so the residuals, and with them every gain,
+    are the pair stage's. Only the other rows of the subset groups, which
+    ties in ``loc`` can leave outside the pair stage's 32, are searched
+    again, at k = 5. The walk takes the same rule
     at k = 1, the lesser square distance at the query's two strain
     neighbours. Rows with ``a_e = 0``, with ``a_s = 0`` but ``l_s != 0``
     (gain unbounded below in stress), with a non-finite bound, or with a
@@ -548,7 +552,8 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
         loc = w * (c * r_eps * r_eps + r_sig * r_sig / c)
         k_short = min(32, m)
         short = np.sort(np.argpartition(-loc, k_short - 1)[:k_short])
-        top = np.sort(gains.lowest(short, min(6, n))[0], axis=1)
+        ranked = gains.lowest(short, min(6, n))[0]
+        top = np.sort(ranked, axis=1)
         gain, de, ds = gains.at(short, top)
         pair_w = (w[short][:, None] * w[short][None, :])[:, :, None, None]
         pair_wc = (wc[short][:, None] * wc[short][None, :])[:, :, None, None]
@@ -571,7 +576,14 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
         # groups of the most inconsistent elements
         order = np.lexsort((np.arange(m), -loc))
         n_grp = 6
-        top = gains.lowest(order[: 2 * n_grp], min(5, n))[0]
+        # the residuals are the pair stage's, so a row it ranked has its
+        # top 5 in the first columns of its top 6; the others are searched
+        grp_rows = order[: 2 * n_grp]
+        known = np.isin(grp_rows, short)
+        top = np.empty((grp_rows.size, min(5, n)), dtype=np.intp)
+        top[known] = ranked[np.searchsorted(short, grp_rows[known]), : top.shape[1]]
+        if not known.all():
+            top[~known] = gains.lowest(grp_rows[~known], top.shape[1])[0]
         sub_best = None
         for g0 in (0, n_grp):
             grp = [int(e) for e in order[g0 : g0 + n_grp]]
@@ -1319,12 +1331,14 @@ def history_matching_march(
     a fidelity cost; nothing is regenerated, so the archives can be sampled
     entirely offline. Every archive must hold the same number n of entries
     (``ValueError`` naming the first bar whose archive differs). The
-    archives are stacked by :func:`~ddmech.data.stack_sets` and
-    strain-sorted once per march, and each step computes only their cost
-    rows into one (M, n) array. A forked step worker may solve the second
-    warm start (see :func:`_march`): it reads the sorted archive the fork
-    shares, and the cost array is shared too, each process computing the
-    cost rows of half of the elements.
+    archives are stacked once by :func:`~ddmech.data.stack_sets`. The
+    stack's strain index and its (M, n) cost rows are arrays of the march's
+    ``empty``: the first step's draw sorts the archive rows into the index,
+    and every step's draw computes the cost rows. With a forked step worker
+    (see :func:`_march`) both are in shared memory, and each process sorts
+    and costs the rows of its half of the elements (``_row_halves``), as
+    :func:`time_march` draws and sorts its sets; the stacked archive itself
+    is written before the fork and shared copy-on-write.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1340,14 +1354,17 @@ def history_matching_march(
             )
 
     archive = stack_sets([h.eps_cur for h in repositories], [h.sig_cur for h in repositories])
-    archive.strain_index()
+    shape = archive.eps.shape
     # no cost rows at all (None) for archives without a prior weight
     costed = prior_slot_costs(repositories, GlobalState.zeros(m), gm, slice(0, 0)) is not None
 
     def stack(empty):
-        return replace(archive, costs=empty(archive.eps.shape, float)) if costed else archive
+        index = StrainIndex.of(empty(shape, np.intp), empty(shape, float))
+        return replace(archive, costs=empty(shape, float) if costed else None, index=index)
 
     def draw(sets, rows, k, dt, est, eps_prev, sig_prev, q_acc):
+        if k == 0:
+            sets.index.sort(sets.eps, rows)
         if costed:
             z_prev = GlobalState(eps_prev, sig_prev)
             prior_slot_costs(repositories, z_prev, gm, rows, sets.costs[rows])

@@ -485,8 +485,10 @@ def load_mesh(
     delimited, '#' to end of line is a comment. Program ids are resolved
     through ``programs``. ``ValueError`` names ``path:line`` of a malformed
     line, a bar that joins a node to itself or has no positive finite area,
-    and an entry naming a node absent from NODES. Returns the mesh and the
-    nodal load dictionary.
+    an entry naming a node absent from NODES, a dof prescribed twice, and,
+    checked against SUPPORTS once every line is read, a prescribed or
+    loaded dof that is supported. A load on a prescribed dof is returned as
+    read. Returns the mesh and the nodal load dictionary.
     """
     text = Path(path).read_text()
     programs = dict(programs or {})
@@ -496,8 +498,11 @@ def load_mesh(
     supports: set[tuple[int, int]] = set()
     loads: dict[tuple[int, int], float] = {}
     prescribed: list[Prescribed] = []
-    # (line, node) of every node an entry names, checked once all are read
+    # (line, node) of every node an entry names, and the first line of every
+    # loaded and every prescribed dof, checked once all are read
     refs: list[tuple[int, int]] = []
+    load_lines: dict[tuple[int, int], int] = {}
+    prescribed_lines: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -539,13 +544,19 @@ def load_mesh(
                 key = (int(parts[0]), parse_direction(parts[1]))
                 loads[key] = loads.get(key, 0.0) + float(parts[2])
                 refs.append((lineno, key[0]))
+                load_lines.setdefault(key, lineno)
             elif section == "PRESCRIBED":
                 if len(parts) != 3:
                     raise ValueError("expected: node dir program-id")
                 if parts[2] not in programs:
                     raise ValueError(f"PRESCRIBED references unknown program id {parts[2]!r}")
-                prescribed.append(Prescribed(int(parts[0]), parts[1], programs[parts[2]]))
-                refs.append((lineno, int(parts[0])))
+                entry = Prescribed(int(parts[0]), parts[1], programs[parts[2]])
+                key = (entry.node, entry.direction)
+                if key in prescribed_lines:
+                    raise ValueError(f"dof {key} prescribed twice")
+                prescribed.append(entry)
+                refs.append((lineno, entry.node))
+                prescribed_lines[key] = lineno
             else:
                 raise ValueError(f"data before any section header: {line!r}")
         except ValueError as exc:
@@ -559,6 +570,12 @@ def load_mesh(
     for lineno, node in refs:
         if node not in nodes:
             raise ValueError(f"{path}:{lineno}: no node {node} in NODES")
+    for key, lineno in prescribed_lines.items():
+        if key in supports:
+            raise ValueError(f"{path}:{lineno}: dof {key} is both supported and prescribed")
+    for key, lineno in load_lines.items():
+        if key in supports:
+            raise ValueError(f"{path}:{lineno}: load on dof {key}, which is supported")
     coords = np.array([nodes[i] for i in range(len(nodes))])
     conn = np.array([[bars[i][0], bars[i][1]] for i in range(len(bars))], dtype=int)
     areas = np.array([bars[i][2] for i in range(len(bars))])

@@ -230,11 +230,18 @@ _MESH_FIXED = "SUPPORTS\n" + "".join(f"{n} {d}\n" for n in (0, 1) for d in "xyz"
         ("BARS\n0 0 2 1.0\n1 1 2 1.0\nLOADS\n8 z -1\n", 9, "no node 8 in NODES"),
         ("BARS\n0 0 2 1.0\n1 1 2 1.0\nPRESCRIBED\n5 x px\n", 9, "no node 5 in NODES"),
         ("BARS\n0 0 2 1.0\n1 1 2 1.0\nPRESCRIBED\n2 x ramp\n", 9, "unknown program id 'ramp'"),
+        ("BARS\n0 0 2 1.0\n1 1 2 1.0\nLOADS\n2 y 1\n0 z -1\n", 10,
+         "load on dof (0, 2), which is supported"),
+        ("BARS\n0 0 2 1.0\n1 1 2 1.0\nPRESCRIBED\n2 y px\n1 x px\n", 10,
+         "dof (1, 0) is both supported and prescribed"),
+        ("BARS\n0 0 2 1.0\n1 1 2 1.0\nPRESCRIBED\n2 x px\n2 0 px\n", 10,
+         "dof (2, 0) prescribed twice"),
     ],
     ids=[
         "missing-bar-end", "bar-to-itself", "zero-area", "negative-area", "nan-area",
         "missing-support-node", "missing-load-node", "missing-prescribed-node",
-        "unknown-program",
+        "unknown-program", "load-on-support", "prescribed-support",
+        "prescribed-twice",
     ],
 )
 def test_bad_mesh_line_names_path_and_line(tmp_path, capsys, body, line, message):

@@ -293,6 +293,64 @@ class TestBatchSearch:
             assert np.array_equal(index.search(x), np.array(expect))
 
 
+def loop_lowest(values, idx, k):
+    """The ranking as k rounds of a row minimum and its lowest index, each
+    chosen entry then set to +inf: the reference for ``data.lowest``."""
+    out_j = np.empty((values.shape[0], k), dtype=np.intp)
+    out_v = np.empty((values.shape[0], k))
+    v = values
+    for i in range(k):
+        best = v.min(axis=1)
+        first = np.where(v == best[:, None], idx, np.iinfo(np.intp).max).min(axis=1)
+        out_j[:, i] = first
+        out_v[:, i] = best
+        if i + 1 < k:
+            v = np.where(idx == first[:, None], np.inf, v)
+    return out_j, out_v
+
+
+class TestLowest:
+    """``data.lowest`` ranks as the k-round loop does, for every k."""
+
+    @pytest.mark.parametrize("kind", ["positions", "broadcast", "explicit", "padded"])
+    def test_equals_the_loop(self, kind):
+        """Rows of few distinct values (forced ties) with +inf entries, some
+        rows all +inf or with fewer finite entries than k; indices as None,
+        one broadcast permutation, a permutation per row, or a permutation
+        per row padded with index n at +inf, as ``planned_lowest`` pads."""
+        rng = np.random.default_rng(["positions", "broadcast", "explicit", "padded"].index(kind))
+        for _ in range(200):
+            m, n = int(rng.integers(1, 7)), int(rng.integers(1, 14))
+            values = rng.integers(-2, 3, (m, n)).astype(float)
+            values[rng.random((m, n)) < 0.25] = np.inf
+            values[rng.random(m) < 0.1] = np.inf
+            if kind == "positions":
+                idx, ref = None, np.arange(n)[None, :]
+            elif kind == "broadcast":
+                idx = ref = rng.permutation(n)[None, :]
+            else:
+                idx = ref = np.stack([rng.permutation(n) for _ in range(m)])
+                if kind == "padded":
+                    pad = rng.random((m, n)) < 0.3
+                    idx = ref = np.where(pad, n, idx)
+                    values[pad] = np.inf
+            for k in range(1, n + 3):
+                j, v = data_module.lowest(values, idx, k)
+                expect_j, expect_v = loop_lowest(values, ref, k)
+                assert np.array_equal(j, expect_j), (kind, k)
+                assert np.array_equal(v, expect_v), (kind, k)
+
+    def test_real_values_equal_the_loop(self, rng):
+        """Continuous values with a few exact copies, wide rows, k past the
+        partition's range included."""
+        values = rng.normal(size=(9, 300))
+        values[:, 150:160] = values[:, 10:20]
+        for k in (1, 2, 5, 6, 299, 300, 301):
+            j, v = data_module.lowest(values, None, k)
+            expect_j, expect_v = loop_lowest(values, np.arange(300)[None, :], k)
+            assert np.array_equal(j, expect_j) and np.array_equal(v, expect_v)
+
+
 class TestWindowRule:
     """Sampling window half-width."""
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import importlib.util
+import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,6 +63,28 @@ def test_output_digest_is_reproducible():
     assert list(first) == ["oracle_check.csv"]
     assert len(first["oracle_check.csv"]) == 64
     assert tool.digest(["oracle-check", "--runs", "2"], None) == first
+
+
+def test_command_timing_records_time_exit_code_and_digests(tmp_path, monkeypatch):
+    """``tools/command_timing.py`` writes each command's wall time, exit
+    code and CSV digests; a failing command is recorded, not raised."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    tool = importlib.import_module("command_timing")
+    assert [label for label, _ in tool.COMMANDS] == [
+        "relaxation", "relaxation --history-matching", "visco", "plastic", "oracle-check"
+    ]
+    quick, bad = ["oracle-check", "--runs", "2"], ["oracle-check", "--runs", "0"]
+    monkeypatch.setattr(tool, "COMMANDS", (("quick", quick), ("bad", bad)))
+    out = tmp_path / "times.json"
+    monkeypatch.setattr(sys, "argv", ["command_timing.py", "--out", str(out)])
+    tool.main()
+    record = json.loads(out.read_text())
+    assert list(record) == ["quick", "bad"]
+    assert record["quick"]["exit_code"] == 0 and record["quick"]["wall_s"] > 0.0
+    assert record["quick"]["csv_sha256"] == importlib.import_module("output_digest").digest(
+        quick, None
+    )
+    assert record["bad"]["exit_code"] == 2 and record["bad"]["csv_sha256"] == {}
 
 
 class TestConvergenceStudy:

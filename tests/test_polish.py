@@ -13,6 +13,8 @@ moved on any instance here.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -649,3 +651,85 @@ class TestBlockSearch:
                 assert np.array_equal(v, expect_v)
             # the strain-only bars' own points are their minimizers
             assert np.array_equal(j[31:34, 0], assign[31:34])
+
+
+def tied_truss(rng, n, n_low=32, n_tie=60, n_free=8):
+    """A polish instance whose ``loc`` ties straddle the pair stage's 32nd
+    row. ``n_low + n_tie`` bars join the same two fixed anchors, so their
+    leverage is exactly zero and their residual is ``g - y_eps``: every
+    strain of theirs is at most 0, the current one exactly 0, and ``g`` is
+    the same ``d`` on the ``n_tie`` tied bars and less on the ``n_low``
+    bars before them, so their ``loc`` values tie exactly, none of them
+    ever moves, and no move elsewhere changes them. The last ``n_free``
+    bars hang one free node from the anchors. Returns ``(sys, eps_list,
+    sig_list, f, g, y_eps0, y_sig0, assign0)``."""
+    anchors = rng.normal(size=(12, 3)) * 1.5
+    coords = np.vstack([anchors, rng.normal(size=(1, 3)) * 0.3])
+    fixed = n_low + n_tie
+    conn = [[0, 1]] * fixed + [[12, int(a)] for a in rng.choice(12, n_free, replace=False)]
+    m = len(conn)
+    areas, moduli = np.ones(m), np.full(m, 1024.0)
+    areas[fixed:] = rng.uniform(0.5, 2.0, n_free)
+    moduli[fixed:] = rng.uniform(500.0, 2000.0, n_free)
+    supports = frozenset((i, d) for i in range(12) for d in range(3))
+    mesh = TrussMesh(coords, np.array(conn), areas, supports)
+    sys = assemble(mesh, GlobalMetric(moduli, mesh.volumes))
+    eps = rng.normal(scale=0.01, size=(m, n))
+    sig = sys.c[:, None] * (eps + rng.normal(scale=0.004, size=(m, n)))
+    assign0 = rng.integers(0, n, m)
+    eps[:fixed] = -np.abs(eps[:fixed])
+    eps[np.arange(fixed), assign0[:fixed]] = 0.0
+    g = rng.normal(size=m) * 1e-3
+    g[:n_low] = rng.uniform(0.1, 0.9, n_low) * 1e-4
+    g[n_low:fixed] = 1e-4
+    f = rng.normal(size=sys.n_free) * 20.0
+    rows = np.arange(m)
+    return sys, list(eps), list(sig), f, g, eps[rows, assign0], sig[rows, assign0], assign0
+
+
+class TestSubsetCandidates:
+    """The subset stage takes the top 5 of a row the pair stage ranked from
+    that ranking, and searches every other row of its groups."""
+
+    @pytest.mark.parametrize("n", [16, 2600])
+    def test_rows_outside_the_pair_stage_are_searched(self, n, monkeypatch):
+        """Tied ``loc`` values put rows in the subset stage's first 12 that
+        ``argpartition`` left out of the pair stage's 32. Those rows are
+        searched at k = 5, every group row's candidates hold its true top 5
+        (lowest index on ties) and its current point, and the moves equal
+        the element loop's."""
+        asked, groups = [], []
+        lowest, at = _GainSearch.lowest, _GainSearch.at
+
+        def logged_lowest(gs, r, k, plan=None):
+            asked.append((k, set(np.asarray(r).tolist())))
+            return lowest(gs, r, k, plan)
+
+        def checked_at(gs, r, j):
+            if r.size == 1 and inspect.currentframe().f_back.f_code.co_name == "_swap_polish":
+                # a subset group's row
+                gain = gs.rows(slice(r[0], r[0] + 1))[0]
+                top5 = np.lexsort((np.arange(gain.size), gain))[:5]
+                assert set(top5.tolist()) <= set(j[0].tolist()) and j.shape[1] <= 6
+                groups.append(int(r[0]))
+            return at(gs, r, j)
+
+        monkeypatch.setattr(_GainSearch, "lowest", logged_lowest)
+        monkeypatch.setattr(_GainSearch, "at", checked_at)
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            truss, eps_list, sig_list, f, g, y_eps0, y_sig0, assign0 = tied_truss(rng, n)
+            sets = stack_sets(eps_list, sig_list)
+            got = _swap_polish(truss, sets, f, g, y_eps0, y_sig0, assign0)
+            expect = reference_polish(
+                truss, eps_list, sig_list, [None] * truss.n_elements, f, g, y_eps0, y_sig0,
+                assign0,
+            )
+            assert got is not None
+            assert_same(got, expect)
+        after_pairs = [
+            (short, rows) for (k6, short), (k, rows) in zip(asked, asked[1:]) if (k6, k) == (6, 5)
+        ]
+        assert after_pairs, "no row of the subset groups lay outside the pair stage's 32"
+        for short, rows in after_pairs:
+            assert rows and not rows & short and rows <= set(groups)

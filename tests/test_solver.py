@@ -24,10 +24,12 @@ from ddmech.experiments import (
     DEFAULT_SLS,
     PLASTIC_BREAKPOINTS,
     RelaxationConfig,
+    build_relaxation_repository,
     build_truss_repositories,
     default_study_config,
     random_small_instance,
     run_relaxation,
+    run_relaxation_history,
     small_truss_fixture,
     study_generator,
     study_setup,
@@ -808,6 +810,83 @@ class TestSharedDraw:
         assert np.array_equal(forked.strain, serial.strain)
         assert np.array_equal(forked.stress, serial.stress)
         assert not np.array_equal(forked.strain, _archive_march().strain)
+
+    def test_archive_index_sorted_in_halves(self, worker_starts, monkeypatch, tmp_path):
+        """4 bars: at step 0 the march sorts archive rows 0 and 1 into the
+        shared strain index and the worker rows 2 and 3, once each; the
+        index equals the archive's own ``StrainIndex`` bit for bit. A serial
+        march sorts every row itself and has the same bits."""
+        log = tmp_path / "sorts.log"
+        _logged_sorts(monkeypatch, log)
+        stacks = _recorded_stacks(monkeypatch)
+        forked = _archive_march()
+        assert worker_starts == [os.getpid()]
+        assert multiprocessing.active_children() == []
+        sorts = _draws(log)
+        child = (set(sorts) - {os.getpid()}).pop()
+        assert sorts == {os.getpid(): [(0, 2)], child: [(2, 4)]}
+        (sets,) = stacks
+        whole = StrainIndex(sets.eps)
+        assert np.array_equal(sets.index.order, whole.order)
+        assert np.array_equal(sets.index.eps, whole.eps)
+        log.unlink()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = _archive_march()
+        assert _draws(log) == {os.getpid(): [(0, 4)]}
+        assert np.array_equal(forked.strain, serial.strain)
+        assert np.array_equal(forked.stress, serial.stress)
+        assert np.array_equal(forked.assignment, serial.assignment)
+
+    def test_one_bar_archive_leaves_the_worker_no_rows(
+        self, worker_starts, monkeypatch, tmp_path
+    ):
+        """The one-bar relaxation against its archive: the march sorts the
+        only row and the worker sorts the empty range, and the stresses
+        equal a serial march's."""
+        cfg = RelaxationConfig(t_end=6.0)
+        repository = build_relaxation_repository(cfg, n_prior=2001)
+        log = tmp_path / "sorts.log"
+        _logged_sorts(monkeypatch, log)
+        forked = run_relaxation_history(cfg, repository)
+        assert worker_starts == [os.getpid()]
+        sorts = _draws(log)
+        child = (set(sorts) - {os.getpid()}).pop()
+        assert sorts == {os.getpid(): [(0, 1)], child: [(1, 1)]}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = run_relaxation_history(cfg, repository)
+        assert np.array_equal(forked.stress, serial.stress)
+        assert multiprocessing.active_children() == []
+
+
+def _logged_sorts(monkeypatch, log):
+    """Logs every strain sort as ``pid first_row stop_row`` to ``log``, in
+    whichever process sorts."""
+    sort = StrainIndex.sort
+
+    def logged(index, strains, rows):
+        r = range(strains.shape[0])[rows]
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {r.start} {r.stop}\n")
+        return sort(index, strains, rows)
+
+    monkeypatch.setattr(StrainIndex, "sort", logged)
+
+
+def _recorded_stacks(monkeypatch):
+    """The stack of every march, kept past the march's return."""
+    stacks = []
+    march = solver._march
+
+    def recorded(system, gm, loads, t_grid, cfg, stack, draw, plastic_law):
+        def kept(empty):
+            stacks.append(stack(empty))
+            return stacks[-1]
+
+        return march(system, gm, loads, t_grid, cfg, kept, draw, plastic_law)
+
+    monkeypatch.setattr(solver, "_march", recorded)
+    return stacks
+
 
 class TestTrajectoryOutput:
     """CSV export and the summary dictionary."""

@@ -22,6 +22,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -78,12 +79,14 @@ COMMANDS = (
 )
 
 
-def digest(
-    args: list[str], config: str | None, files: dict[str, str] | None = None
-) -> dict[str, str]:
-    """The sha256 of every CSV that ``ddmech <args>`` writes. The command
-    runs in a fresh directory that holds the config file and ``files`` (name
-    to text), so the config may name them by relative path."""
+def run(
+    args: list[str], config: str | None = None, files: dict[str, str] | None = None
+) -> tuple[int, float, dict[str, str]]:
+    """Runs ``ddmech <args>`` on this checkout's package, in the caller's
+    environment, in a fresh directory that holds the config file and
+    ``files`` (name to text), so the config may name them by relative path.
+    Returns its exit code, its wall time in seconds and the sha256 of every
+    CSV it wrote."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     ))
@@ -96,11 +99,25 @@ def digest(
             path = Path(tmp) / "run.cfg"
             path.write_text(config)
             argv += ["--config", str(path)]
-        subprocess.run(argv, env=env, cwd=tmp, check=True, stdout=subprocess.DEVNULL)
-        return {
+        start = time.perf_counter()
+        code = subprocess.run(argv, env=env, cwd=tmp, stdout=subprocess.DEVNULL).returncode
+        seconds = time.perf_counter() - start
+        sums = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.glob("*.csv"))
         }
+        return code, seconds, sums
+
+
+def digest(
+    args: list[str], config: str | None, files: dict[str, str] | None = None
+) -> dict[str, str]:
+    """The sha256 of every CSV that ``ddmech <args>`` writes (see
+    :func:`run`); ``CalledProcessError`` when the command fails."""
+    code, _, sums = run(args, config, files)
+    if code:
+        raise subprocess.CalledProcessError(code, args)
+    return sums
 
 
 def main() -> None:
