@@ -296,41 +296,35 @@ def lowest(values: np.ndarray, idx: np.ndarray | None = None, k: int = 1):
     values)``, each with k columns. Where a row runs out of finite values,
     every further column is ``+inf`` at the row's lowest index.
 
-    Each k is ranked in as few passes over the rows as it allows: k = 1
-    over column positions by one ``argmin``; 1 < k < width by one
-    ``np.partition`` for the k-th value, after which only the entries at or
-    below it are sorted by (row, value, index). A k of at least the width
-    keeps the k rounds of a minimum and its lowest index, whose padding
-    past the row the rule above describes.
+    k = 1 is one pass: an ``argmin`` over column positions, else a minimum
+    and its lowest index. A larger k takes one ``np.partition`` for the
+    value ranked ``min(k, width)``; only the entries at or below it are
+    then sorted by (row, value, index), and columns past the width are
+    padding.
     """
     m, width = values.shape
-    if k == 1 and idx is None:
-        j = values.argmin(axis=1)
-        return j[:, None], values[np.arange(m), j][:, None]
-    if 1 < k < width:
-        kth = np.partition(values, k - 1, axis=1)[:, k - 1]
-        r, col = np.nonzero(values <= kth[:, None])
-        full = np.broadcast_to(np.arange(width) if idx is None else idx, values.shape)
-        j, v = full[r, col], values[r, col]
-        # every row holds at least k entries at or below its k-th value
-        count = np.bincount(r, minlength=m)
-        take = np.lexsort((j, v, r))[(np.cumsum(count) - count)[:, None] + np.arange(k)]
-        out_j, out_v = j[take], v[take]
-        spent = out_v == np.inf
-        if spent.any():
-            out_j = np.where(spent, full.min(axis=1)[:, None], out_j)
-        return out_j, out_v
-    idx = np.arange(width)[None, :] if idx is None else idx
-    out_j = np.empty((m, k), dtype=np.intp)
-    out_v = np.empty((m, k))
-    v = values
-    for i in range(k):
-        best = v.min(axis=1)
-        first = np.where(v == best[:, None], idx, np.iinfo(np.intp).max).min(axis=1)
-        out_j[:, i] = first
-        out_v[:, i] = best
-        if i + 1 < k:
-            v = np.where(idx == first[:, None], np.inf, v)
+    if k == 1:
+        if idx is None:
+            j = values.argmin(axis=1)
+            return j[:, None], values[np.arange(m), j][:, None]
+        best = values.min(axis=1)
+        first = np.where(values == best[:, None], idx, np.iinfo(np.intp).max).min(axis=1)
+        return first[:, None], best[:, None]
+    kk = min(k, width)
+    kth = np.partition(values, kk - 1, axis=1)[:, kk - 1]
+    r, col = np.nonzero(values <= kth[:, None])
+    full = np.broadcast_to(np.arange(width) if idx is None else idx, values.shape)
+    j, v = full[r, col], values[r, col]
+    # every row holds at least kk entries at or below its kk-th value
+    count = np.bincount(r, minlength=m)
+    take = np.lexsort((j, v, r))[(np.cumsum(count) - count)[:, None] + np.arange(kk)]
+    out_j, out_v = j[take], v[take]
+    if k > kk:
+        out_j = np.hstack([out_j, np.zeros((m, k - kk), out_j.dtype)])
+        out_v = np.hstack([out_v, np.full((m, k - kk), np.inf)])
+    spent = out_v == np.inf
+    if spent.any():
+        out_j = np.where(spent, full.min(axis=1)[:, None], out_j)
     return out_j, out_v
 
 

@@ -341,8 +341,8 @@ class TestLowest:
                 assert np.array_equal(v, expect_v), (kind, k)
 
     def test_real_values_equal_the_loop(self, rng):
-        """Continuous values with a few exact copies, wide rows, k past the
-        partition's range included."""
+        """Continuous values with a few exact copies, wide rows, k at and
+        past the width included."""
         values = rng.normal(size=(9, 300))
         values[:, 150:160] = values[:, 10:20]
         for k in (1, 2, 5, 6, 299, 300, 301):
