@@ -273,6 +273,9 @@ class _GainSearch:
         self.k = _WINDOW if self.by_strain else n
         self.de, self.ds, self.dede, self.dsds = (np.empty((m, self.k)) for _ in range(4))
         self.dc = None if s.costs is None else np.empty((m, self.k))
+        # the rows :meth:`first_move` scores at a time, and its two gain buffers
+        self.chunk = max(1, _CHUNK_POINTS // self.k)
+        self.gain, self.lin = np.empty((self.chunk, self.k)), np.empty((self.chunk, self.k))
         if self.by_strain:
             # the window's original indices, strains, stresses and costs
             self.jwin = np.empty((m, self.k), dtype=np.intp)
@@ -307,20 +310,23 @@ class _GainSearch:
         )
 
     def refresh(self, rows):
-        """Caches the window terms of rows (a slice) at their current
-        points: ``de``, ``ds``, ``a_eps de de``, ``a_sig ds ds`` and ``w
-        (cost - cur_cost)``, each as the scan expression computes it."""
+        """Caches the window terms of rows (a slice, or one row's index,
+        whose terms are then 1-D views) at their current points: ``de``,
+        ``ds``, ``a_eps de de``, ``a_sig ds ds`` and ``w (cost -
+        cur_cost)``, each as the scan expression computes it."""
+        # per-row factors: a column against a slice of rows, a scalar for one
+        col = (rows, None) if isinstance(rows, slice) else rows
         de, ds, dede, dsds = self.de[rows], self.ds[rows], self.dede[rows], self.dsds[rows]
-        np.subtract(self.win_eps[rows], self.y_eps[rows, None], out=de)
-        np.subtract(self.win_sig[rows], self.y_sig[rows, None], out=ds)
-        np.multiply(self.a_eps[rows, None], de, out=dede)
+        np.subtract(self.win_eps[rows], self.y_eps[col], out=de)
+        np.subtract(self.win_sig[rows], self.y_sig[col], out=ds)
+        np.multiply(self.a_eps[col], de, out=dede)
         dede *= de
-        np.multiply(self.a_sig[rows, None], ds, out=dsds)
+        np.multiply(self.a_sig[col], ds, out=dsds)
         dsds *= ds
         if self.dc is not None:
             dc = self.dc[rows]
-            np.subtract(self.win_cost[rows], self.cur_cost[rows, None], out=dc)
-            dc *= self.w[rows, None]
+            np.subtract(self.win_cost[rows], self.cur_cost[col], out=dc)
+            dc *= self.w[col]
 
     def _check_windows(self, start, stop, tol):
         """Checks the block ends of rows ``start`` to ``stop - 1`` at T =
@@ -341,12 +347,12 @@ class _GainSearch:
         if fits.any():
             self._place(start + out[fits], lo[fits], hi[fits])
             for e in (start + out[fits]).tolist():
-                self.refresh(slice(e, e + 1))
+                self.refresh(e)
         rest = ~fits
         j, v = self.lowest(start + out[rest], 1, (lo[rest], hi[rest], scan[rest]))
         return dict(zip(out[rest].tolist(), zip(j[:, 0].tolist(), v[:, 0].tolist())))
 
-    def first_move(self, start, assign, tol):
+    def first_move(self, start, tol):
         """The next single move of the sequential sweep from row ``start``.
 
         Scores the next ``_CHUNK_POINTS // K`` rows on their windows at the
@@ -357,34 +363,42 @@ class _GainSearch:
         searched in strain order have their windows checked first
         (:meth:`_check_windows`).
         """
-        stop = min(self.sets.eps.shape[0], start + max(1, _CHUNK_POINTS // self.k))
+        stop = min(self.sets.eps.shape[0], start + self.chunk)
         rows = slice(start, stop)
         fallback = self._check_windows(start, stop, tol) if self.by_strain else {}
-        gain = (
-            (self.m2wc[rows] * self.r_eps[rows])[:, None] * self.de[rows]
-            + self.dede[rows]
-            + (self.m2w_c[rows] * self.r_sig[rows])[:, None] * self.ds[rows]
-            + self.dsds[rows]
-        )
+        # the scan expression, term by term in its operand order
+        gain, lin = self.gain[: stop - start], self.lin[: stop - start]
+        np.multiply((self.m2wc[rows] * self.r_eps[rows])[:, None], self.de[rows], out=gain)
+        gain += self.dede[rows]
+        np.multiply((self.m2w_c[rows] * self.r_sig[rows])[:, None], self.ds[rows], out=lin)
+        gain += lin
+        gain += self.dsds[rows]
         if self.dc is not None:
-            gain = gain + self.dc[rows]
-        j = gain.argmin(axis=1)
-        v = gain[np.arange(stop - start), j]
+            gain += self.dc[rows]
+        # the current point scores 0, so a gain below -tol is another point
+        if not self.by_strain:
+            # no gain is NaN: points and residuals are finite, a padded
+            # entry's cost is +inf and weights are positive, so it scores
+            # +inf. The first gain below -tol in row-major order therefore
+            # lies in the first row with a move, whose argmin is the scan's.
+            hit = gain < -tol
+            i, j = divmod(int(hit.argmax()), self.k)
+            if not hit[i, j]:
+                return None, stop
+            return (start + i, int(gain[i].argmin())), start + i + 1
+        v = gain[np.arange(stop - start), gain.argmin(axis=1)]
         for i, (_, v_i) in fallback.items():
             v[i] = v_i
-        # the current point scores 0, so a gain below -tol is another point
         hit = v < -tol
         i = int(hit.argmax())
         if not hit[i]:
             return None, stop
         if i in fallback:
             j = fallback[i][0]
-        elif self.by_strain:
+        else:
             # the window is in strain order: among equal gains the lowest
             # original index wins, as in a scan
             j = self.jwin[start + i][gain[i] == v[i]].min()
-        else:
-            j = j[i]
         return (start + i, int(j)), start + i + 1
 
 
@@ -425,11 +439,18 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     **Windows.** The single sweep scores each row on a candidate window
     whose terms ``de``, ``ds``, ``a_e de de``, ``a_s ds ds`` and ``w
     (cost_j - cost_cur)`` are cached, as the scan computes them, and
-    renewed only for a row that moves, in any stage; a chunk is then the
-    cached terms combined with the current residuals in the scan's operand
-    order. For sets shorter than ``_CHUNK_POINTS`` the window is the whole
-    row. For longer ones it is ``_WINDOW`` = K consecutive positions of the
-    row's strain order, centred on the row's block at T = -tol by one
+    renewed only for a row that moves, in any stage (through 1-D views of
+    that row). A chunk is then the cached terms combined with the current
+    residuals in the scan's operand order, by in-place operations on two
+    gain buffers allocated once per polish; an accepted move shifts the
+    residuals along one column of the column-major influence matrix. For
+    sets shorter than ``_CHUNK_POINTS`` the window is the whole row, and no
+    gain is NaN (a padded entry scores +inf, as weights are positive), so
+    the first gain below -tol in row-major order, one flat ``argmax`` of
+    the chunk's mask, lies in the first row with a move, and that row's
+    ``argmin`` is the scan's move. For longer sets the window is ``_WINDOW``
+    = K consecutive positions of the row's strain order, centred on the
+    row's block at T = -tol by one
     :func:`~ddmech.data.plan_blocks` of all rows when the polish starts. Its
     guard strains are the sorted strains just outside it (-inf and +inf at
     the row's ends). Before a chunk is scored, each row's block ends at T =
@@ -521,17 +542,19 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     gains.open_windows(tol)
 
     def apply_move(e, j):
-        dee = sets.eps[e, j] - y_eps[e]
-        dss = sets.sig[e, j] - y_sig[e]
-        np.add(r_eps, (dee * wc[e]) * infl[:, e], out=r_eps)
+        col = infl[:, e]  # contiguous: the influence matrix is column-major
+        eps_j, sig_j = sets.eps[e, j], sets.sig[e, j]
+        dee = eps_j - y_eps[e]
+        dss = sig_j - y_sig[e]
+        np.add(r_eps, (dee * wc[e]) * col, out=r_eps)
         r_eps[e] -= dee
-        np.subtract(r_sig, (dss * w[e]) * (c * infl[:, e]), out=r_sig)
-        y_eps[e] = sets.eps[e, j]
-        y_sig[e] = sets.sig[e, j]
+        np.subtract(r_sig, (dss * w[e]) * (c * col), out=r_sig)
+        y_eps[e] = eps_j
+        y_sig[e] = sig_j
         assign[e] = j
         if costs is not None:
             cur_cost[e] = costs[e, j]
-        gains.refresh(slice(e, e + 1))
+        gains.refresh(e)
 
     changed = False
     for _ in range(60):
@@ -539,7 +562,7 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
             accepted = False
             e = 0
             while e < m:
-                move, e = gains.first_move(e, assign, tol)
+                move, e = gains.first_move(e, tol)
                 if move is not None:
                     apply_move(*move)
                     accepted = True
@@ -702,6 +725,11 @@ def _empirical_response_init(
     return GlobalState(best[1], best[2])
 
 
+#: Walk and polish rounds of one solve at most: a round walks to a fixed
+#: point and polishes it, and an improving polish starts the next round.
+_MAX_ROUNDS = 64
+
+
 def fixed_point_solve(
     sys: ConstraintSystem,
     sets: StackedSets,
@@ -721,8 +749,9 @@ def fixed_point_solve(
     association repeats (the iterate is then a fixed point of the composed
     map) or the state itself repeats bitwise. Whenever the walk stops,
     :func:`_swap_polish` looks for a lower objective and the walk restarts
-    from any association it finds. On hitting the iteration cap, returns
-    the lowest-objective iterate seen with ``converged=False``.
+    from any association it finds. On hitting the iteration cap, or when the
+    last of ``_MAX_ROUNDS`` rounds ends in an improving polish, returns the
+    lowest-objective iterate seen with ``converged=False``.
     """
     cfg = cfg or SolverConfig()
     m = sys.n_elements
@@ -764,7 +793,7 @@ def fixed_point_solve(
     assign = prev_assign
     y_eps = y_sig = None
     cost = 0.0
-    for _round in range(64):
+    for _round in range(_MAX_ROUNDS):
         seen: set[bytes] = set()
         if prev_assign is not None:
             seen.add(prev_assign.tobytes())
@@ -824,6 +853,9 @@ def fixed_point_solve(
             # improved association left unconfirmed by a walk restart
             converged = False
             break
+    else:
+        # the last round's polish improved, and no round is left to confirm it
+        converged = False
 
     obj, d2, eps, sig, u, assign, y_eps, y_sig = best
     residual = sys.equilibrium_residual(sig, f)

@@ -330,14 +330,18 @@ class ConstraintSystem:
         return cho_solve(self._cho, rhs)
 
     def leverage(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(K^-1 B^T, B K^-1 B^T, its diagonal)``, computed on first use.
+        """``(K^-1 B^T, B K^-1 B^T, its diagonal)``, computed on first use
+        and kept for the life of the system.
 
-        Column e of the middle matrix is the strain response of every bar to
-        a unit data shift of bar e, and its diagonal is each bar's leverage.
+        Column e of the middle matrix, the influence matrix, is the strain
+        response of every bar to a unit data shift of bar e, and its
+        diagonal is each bar's leverage. The swap polish reads one column
+        per accepted move, so the matrix is stored column-major: its values
+        are those of ``B @ K^-1 B^T``, and no row-major copy is kept.
         """
         if self._leverage is None:
             s = self.solve_k(self.b_free.T)
-            infl = self.b_free @ s
+            infl = np.asfortranarray(self.b_free @ s)
             self._leverage = (s, infl, np.diag(infl).copy())
         return self._leverage
 

@@ -67,7 +67,8 @@ def test_output_digest_is_reproducible():
 
 def test_command_timing_records_time_exit_code_and_digests(tmp_path, monkeypatch):
     """``tools/command_timing.py`` writes each command's wall time, exit
-    code and CSV digests; a failing command is recorded, not raised."""
+    code and CSV digests; a failing command is recorded, not raised; labels
+    select commands."""
     monkeypatch.syspath_prepend(str(TOOLS))
     tool = importlib.import_module("command_timing")
     assert [label for label, _ in tool.COMMANDS] == [
@@ -85,6 +86,17 @@ def test_command_timing_records_time_exit_code_and_digests(tmp_path, monkeypatch
         quick, None
     )
     assert record["bad"]["exit_code"] == 2 and record["bad"]["csv_sha256"] == {}
+    # labels run only their commands, in the table's order
+    monkeypatch.setattr(sys, "argv", ["command_timing.py", "--out", str(out), "bad"])
+    tool.main()
+    assert list(json.loads(out.read_text())) == ["bad"]
+    monkeypatch.setattr(sys, "argv", ["command_timing.py", "--out", str(out), "bad", "quick"])
+    tool.main()
+    assert list(json.loads(out.read_text())) == ["quick", "bad"]
+    monkeypatch.setattr(sys, "argv", ["command_timing.py", "--out", str(out), "visco"])
+    with pytest.raises(SystemExit) as exc:
+        tool.main()
+    assert exc.value.code == 2
 
 
 class TestConvergenceStudy:

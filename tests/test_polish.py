@@ -338,12 +338,15 @@ class TestPolishEquivalence:
         assert gs.a_eps[30] == 0.0
         assert np.all(gs.a_sig[31:] == 0.0) and np.all(gs.a_eps[31:] > 0.0)
 
-    @pytest.mark.parametrize("n", [8, 64, 300, 5000])
+    @pytest.mark.parametrize("n", [1, 8, 64, 300, solver._CHUNK_POINTS - 1, 5000])
     @pytest.mark.parametrize("costs", [False, True])
     def test_stacked_sets(self, n, costs, monkeypatch):
+        """Whole rows from one point up to one row per chunk, on 35 bars: a
+        chunk of 32 rows (n = 64) or 6 (n = 300) leaves a shorter last
+        chunk; and rows searched in strain order."""
         counter = PlanCounter(monkeypatch)
         rng = np.random.default_rng(1000 * n + costs)
-        for _ in range(3 if n == 5000 else 6):
+        for _ in range(3 if n >= solver._CHUNK_POINTS - 1 else 6):
             sys = polish_truss(rng)
             lists = random_sets(rng, sys, [n] * sys.n_elements, costs=costs)
             got, expect = both_polishes(rng, sys, *lists)
@@ -365,13 +368,13 @@ class TestPolishEquivalence:
         assert np.array_equal(got, expect)
         assert counter.long > 0 and counter.blocked > 0
 
-    @pytest.mark.parametrize("n", [64, 3000])
+    @pytest.mark.parametrize("n", [64, solver._CHUNK_POINTS - 1, 3000])
     def test_duplicate_points_and_exact_ties(self, n):
         """Copies of a point tie exactly; the lowest index wins wherever the
         loop takes an argmin. A tie at the k-th smallest gain may keep
         another copy in a candidate list, so the points are compared."""
         rng = np.random.default_rng(5 + n)
-        for _ in range(4):
+        for _ in range(2 if n == solver._CHUNK_POINTS - 1 else 4):
             sys = polish_truss(rng)
             eps_list, sig_list, cost_list = random_sets(
                 rng, sys, [n] * sys.n_elements, costs=True, duplicates=True
@@ -384,7 +387,7 @@ class TestPolishEquivalence:
                 assert np.array_equal(eps[rows, got], eps[rows, expect])
                 assert np.array_equal(sig[rows, got], sig[rows, expect])
 
-    @pytest.mark.parametrize("largest", [4, 9, 40, 2600])
+    @pytest.mark.parametrize("largest", [4, 9, 40, solver._CHUNK_POINTS - 1, 2600])
     @pytest.mark.parametrize("costs", [False, True])
     def test_ragged_sets_padded(self, largest, costs):
         rng = np.random.default_rng(largest + 3 * costs)
@@ -396,6 +399,67 @@ class TestPolishEquivalence:
             assert (got is None) == (expect is None)
             if got is not None:
                 assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("costs", [False, True])
+def test_chunk_gains_are_the_scan_expression(costs):
+    """After every call the single sweep's gain buffer holds its chunk's
+    gains with the bits of the scan expression over whole rows, on 35 bars
+    in chunks of 32 rows (the last one shorter) and, with costs, on ragged
+    rows whose padded entries score +inf."""
+    rng = np.random.default_rng(11 + costs)
+    sys = polish_truss(rng)
+    m = sys.n_elements
+    sizes = rng.integers(40, 65, m) if costs else [64] * m
+    sets = stack_sets(*random_sets(rng, sys, sizes, costs=costs))
+    assign = rng.integers(0, np.min(sizes), m)
+    y_eps, y_sig, cur_cost = solver._gather(assign, sets)
+    r_eps, r_sig = rng.normal(size=m) * 1e-3, rng.normal(size=m) * sys.c * 1e-3
+    cur_cost = np.zeros(m) + cur_cost
+    gs = _GainSearch(sys, sets, y_eps, y_sig, r_eps, r_sig, cur_cost)
+    gs.open_windows(1e-12)
+    assert gs.chunk == 32
+    moves = 0
+    for start in range(0, m, 3):
+        move, stop = gs.first_move(start, 1e-12)
+        moves += move is not None
+        rows = slice(start, min(start + gs.chunk, m))
+        expect = gs.rows(rows)
+        assert np.array_equal(gs.gain[: rows.stop - start], expect)
+        assert np.isinf(expect).any() == costs
+        if move is not None:
+            e, j = move
+            assert j == np.argmin(expect[e - start]) and expect[e - start, j] < -1e-12
+            assert not (expect[: e - start] < -1e-12).any()
+    assert moves > 0
+
+
+def test_leverage_is_computed_once_per_system(monkeypatch):
+    """Two polishes of one system solve for the leverage once, and its
+    column-major influence matrix equals ``b_free @ solve_k(b_free.T)`` bit
+    for bit."""
+    rng = np.random.default_rng(9)
+    sys = polish_truss(rng)
+    solve, solved = sys.solve_k, []
+
+    def counted(rhs):
+        solved.append(rhs.shape == sys.b_free.T.shape)
+        return solve(rhs)
+
+    monkeypatch.setattr(sys, "solve_k", counted)
+    for _ in range(2):
+        lists = random_sets(rng, sys, [64] * sys.n_elements)
+        got, expect = both_polishes(rng, sys, *lists)
+        assert got is not None
+        assert_same(got, expect)
+    assert sum(solved) == 1 + 2  # the leverage, and the reference's once per call
+    s, infl, hdiag = sys.leverage()
+    assert infl.flags.f_contiguous and not infl.flags.c_contiguous
+    expect = sys.b_free @ solve(sys.b_free.T)
+    assert np.array_equal(s, solve(sys.b_free.T))
+    for e in range(sys.n_elements):
+        assert np.array_equal(infl[:, e], expect[:, e])
+    assert np.array_equal(hdiag, np.diag(expect))
 
 
 class MoveCounter:

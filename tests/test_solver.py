@@ -209,6 +209,31 @@ class TestFixedPoint:
         )
         assert not out.converged
 
+    def test_round_cap_flags_an_unconfirmed_polish(self, rng, monkeypatch):
+        """With one round, a first polish that improves leaves its
+        assignment unconfirmed by any walk, which the default rounds go on
+        to confirm."""
+        rounds, polish = solver._MAX_ROUNDS, solver._swap_polish
+        polished = []
+
+        def recorded(*args):
+            polished.append(polish(*args))
+            return polished[-1]
+
+        monkeypatch.setattr(solver, "_swap_polish", recorded)
+        monkeypatch.setattr(solver, "_MAX_ROUNDS", 1)
+        for _ in range(200):
+            _, gm, sys, sets, f = random_small_instance(rng)
+            polished.clear()
+            out = fixed_point_solve(sys, sets, gm, f)
+            if polished[0] is not None and np.array_equal(out.assignment, polished[0]):
+                break
+        else:
+            pytest.fail("no instance whose first polish improved")
+        assert not out.converged
+        monkeypatch.setattr(solver, "_MAX_ROUNDS", rounds)
+        assert fixed_point_solve(sys, sets, gm, f).converged
+
     def test_duplicate_points_resolve_to_lowest_index(self):
         """Exact data ties neither oscillate nor move off the first copy."""
         _, gm, sys = one_bar_system(modulus=1000.0)

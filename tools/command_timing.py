@@ -5,9 +5,11 @@ Runs ``relaxation``, ``relaxation --history-matching``, ``visco``,
 once with ``python -m ddmech.cli`` in a subprocess that has the caller's
 environment and this checkout's ``src`` first on ``PYTHONPATH``. For every
 command it records the wall time in seconds, the exit code and the sha256
-of every CSV it wrote. Run from a source checkout:
+of every CSV it wrote. Labels after the options run only those commands,
+in the order above. Run from a source checkout:
 
     python tools/command_timing.py --out TIMES.json
+    python tools/command_timing.py --out TIMES.json plastic "relaxation --history-matching"
 
 To compare two programs, copy this script and ``output_digest.py`` into the
 other checkout's ``tools/`` and run the two checkouts in turn several times:
@@ -34,9 +36,16 @@ COMMANDS = (
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, metavar="FILE", help="JSON file to write")
+    parser.add_argument("labels", nargs="*", metavar="LABEL", help="commands to run (default: all)")
     args = parser.parse_args()
+    known = [label for label, _ in COMMANDS]
+    for label in args.labels:
+        if label not in known:
+            parser.error(f"unknown command label {label!r}; choose from {known}")
     record = {}
     for label, command in COMMANDS:
+        if args.labels and label not in args.labels:
+            continue
         code, seconds, sums = run(command)
         record[label] = {"wall_s": round(seconds, 3), "exit_code": code, "csv_sha256": sums}
     with open(args.out, "w") as fh:
