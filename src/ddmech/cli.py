@@ -24,6 +24,7 @@ import numpy as np
 
 from .data import write_csv
 from .experiments import (
+    MAX_ARCHIVE_ENTRIES,
     OracleCheckResult,
     RelaxationConfig,
     StudyConfig,
@@ -277,8 +278,8 @@ def _cmd_single_run(kind: str, args) -> int:
     if args.history_matching:
         # size the archive grids to the entry budget; big meshes get coarse
         # offset grids rather than an out-of-memory archive
-        n_cur, n_ps, cap = 33, 3, 10_000_000
-        per_element = cap // max(mesh.n_bars, 1)
+        n_cur, n_ps = 33, 3
+        per_element = MAX_ARCHIVE_ENTRIES // max(mesh.n_bars, 1)
         n_po = (per_element // n_cur - 1) // max((times.size - 1) * n_ps, 1)
         n_po = max(5, min(81, n_po))
         repos = build_truss_repositories(

@@ -513,13 +513,12 @@ def update_history_variable(
 @dataclass(frozen=True)
 class HistoryRepository:
     """Two-time archive for one element: entries pair a prior state with the
-    state one step later; ``weights = (w_current, w_prior)``."""
+    state one step later. A search weighs both slots equally."""
 
     eps_prev: np.ndarray
     sig_prev: np.ndarray
     eps_cur: np.ndarray
     sig_cur: np.ndarray
-    weights: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
         slots = ("eps_prev", "sig_prev", "eps_cur", "sig_cur")
@@ -533,14 +532,6 @@ class HistoryRepository:
             raise ValueError("all slot arrays must have equal length")
         if self.eps_cur.size == 0:
             raise ValueError("a history repository must contain at least one entry")
-        w = tuple(float(x) for x in self.weights)
-        # written so that NaN fails every comparison and is rejected
-        if not (len(w) == 2 and 0.0 < w[0] < np.inf and 0.0 <= w[1] < np.inf):
-            raise ValueError(
-                f"weights must be two finite values, the current weight positive "
-                f"and the prior weight nonnegative; got {w}"
-            )
-        object.__setattr__(self, "weights", w)
 
     @property
     def n_entries(self) -> int:
@@ -555,26 +546,21 @@ def history_cost_dataset(
     accepted state ``(eps_prev, sig_prev)``, in the norm of modulus ``c``,
     is their fidelity cost.
 
-    Minimizing ``w_cur d^2 + w_prior d_prev^2`` equals minimizing
-    ``d^2 + (w_prior / w_cur) d_prev^2``, so the prior-slot term enters the
-    standard solver as a per-point cost; weight (w, 0) gives no costs, so
-    the search reduces exactly to the plain differential one.
+    A search minimizes ``d^2 + d_prev^2``, the square distances in both
+    slots, so the prior-slot term enters the standard solver as a per-point
+    cost.
     """
     return stack_sets([h.eps_cur], [h.sig_cur], [_prior_slot_cost(h, eps_prev, sig_prev, c)])
 
 
 def _prior_slot_cost(
     h: HistoryRepository, eps_prev: float, sig_prev: float, c: float
-) -> np.ndarray | None:
-    """``(w_prior / w_cur) (c de^2 + ds^2 / c)`` over the prior slots of
-    ``h``, with ``(de, ds)`` their distance to ``(eps_prev, sig_prev)``;
-    None for a zero prior weight."""
-    w_cur, w_prev = h.weights
-    if w_prev == 0.0:
-        return None
+) -> np.ndarray:
+    """``c de^2 + ds^2 / c`` over the prior slots of ``h``, with ``(de,
+    ds)`` their distance to ``(eps_prev, sig_prev)``."""
     de = h.eps_prev - eps_prev
     ds = h.sig_prev - sig_prev
-    return (w_prev / w_cur) * (c * de * de + (1.0 / c) * ds * ds)
+    return c * de * de + (1.0 / c) * ds * ds
 
 
 def prior_slot_costs(
@@ -583,26 +569,23 @@ def prior_slot_costs(
     gm: GlobalMetric,
     rows: slice = slice(None),
     out: np.ndarray | None = None,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Fidelity costs of the bars' archives, all of one size n, against the
     previously accepted state ``z_prev``, as an (M, n) array.
 
     Row e holds the costs :func:`history_cost_dataset` gives bar e from
-    ``z_prev.strain[e]``, ``z_prev.stress[e]`` and ``gm.c_diag[e]`` (zeros
-    where the prior weight is zero), checked as :func:`stack_sets` checks
-    them; None when every prior weight is zero. Only the ``rows`` of that
-    array are computed, one at a time (a stack of every prior slot would
-    hold two more (M, n) arrays), and written into ``out`` when it is
-    given; each row depends on its own bar.
+    ``z_prev.strain[e]``, ``z_prev.stress[e]`` and ``gm.c_diag[e]``, checked
+    as :func:`stack_sets` checks them. Only the ``rows`` of that array are
+    computed, one at a time (a stack of every prior slot would hold two
+    more (M, n) arrays), and written into ``out`` when it is given; each
+    row depends on its own bar.
     """
-    if all(h.weights[1] == 0.0 for h in repositories):
-        return None
     chosen = range(len(repositories))[rows]
     out = np.empty((len(chosen), repositories[0].n_entries)) if out is None else out
     for i, e in enumerate(chosen):
         h = repositories[e]
         row = _prior_slot_cost(h, z_prev.strain[e], z_prev.stress[e], gm.c_diag[e])
-        out[i] = 0.0 if row is None else _checked_costs(e, row, h.n_entries)
+        out[i] = _checked_costs(e, row, h.n_entries)
     return out
 
 

@@ -373,7 +373,6 @@ def build_relaxation_repository(
     n_prior: int = 100_001,
     n_current: int = 9,
     current_halfwidth: float | None = None,
-    weights: tuple[float, float] = (1.0, 1.0),
 ) -> HistoryRepository:
     """Offline two-time archive covering the held-bar operating region.
 
@@ -406,7 +405,6 @@ def build_relaxation_repository(
         np.concatenate(
             [law.modulus_instantaneous * e_cur, (a[:, None] + bmod * e_cur).ravel()]
         ),
-        weights,
     )
 
 
@@ -613,6 +611,10 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
     return StudyResult(config=cfg, rows=rows, rate=rate, reference=ref)
 
 
+#: Most entries the archives of one mesh may hold together.
+MAX_ARCHIVE_ENTRIES = 10_000_000
+
+
 def build_truss_repositories(
     mesh: TrussMesh,
     gm: GlobalMetric,
@@ -626,8 +628,6 @@ def build_truss_repositories(
     n_prior_offset: int = 81,
     current_halfwidth: float = 2e-3,
     n_current: int = 65,
-    weights: tuple[float, float] = (1.0, 1.0),
-    max_entries: int = 10_000_000,
 ) -> list[HistoryRepository]:
     """Offline two-time archives around a fixture's operating region.
 
@@ -648,10 +648,10 @@ def build_truss_repositories(
     m = sys.n_elements
     T = t_grid.size
     per_element = n_current * (1 + (T - 1) * n_prior_strain * n_prior_offset)
-    if per_element * m > max_entries:
+    if per_element * m > MAX_ARCHIVE_ENTRIES:
         raise ValueError(
             f"repository would hold {per_element * m} entries; "
-            f"reduce the mesh, grid sizes, or time steps (cap {max_entries})"
+            f"reduce the mesh, grid sizes, or time steps (cap {MAX_ARCHIVE_ENTRIES})"
         )
     eps_scale = np.maximum(np.max(np.abs(ref.strain), axis=0), 1e-12)
     sig_scale = np.maximum(np.max(np.abs(ref.stress), axis=0), 1e-6)
@@ -688,7 +688,6 @@ def build_truss_repositories(
                 np.concatenate(sig_prev),
                 np.concatenate(eps_cur),
                 np.concatenate(sig_cur),
-                weights,
             )
         )
     return out

@@ -277,7 +277,8 @@ class _GainSearch:
         self.chunk = max(1, _CHUNK_POINTS // self.k)
         self.gain, self.lin = np.empty((self.chunk, self.k)), np.empty((self.chunk, self.k))
         if self.by_strain:
-            # the window's original indices, strains, stresses and costs
+            # the window's original indices, ascending, and their strains,
+            # stresses and costs
             self.jwin = np.empty((m, self.k), dtype=np.intp)
             self.win_eps, self.win_sig = np.empty((m, self.k)), np.empty((m, self.k))
             self.win_cost = None if s.costs is None else np.empty((m, self.k))
@@ -292,15 +293,16 @@ class _GainSearch:
     def _place(self, r, lo, hi):
         """Centres the windows of rows r on the sorted positions ``[lo,
         hi)``, which a window then holds if they are at most K, and keeps
-        the strains just outside each window as its guards."""
+        the strains just outside each window as its guards. A window holds
+        the original indices of its K positions in ascending order, so its
+        first minimum is the lowest index among its minima, as in a scan."""
         s, index = self.sets, self.sets.strain_index()
         n, k = self.n, self.k
         rc = r[:, None]
         start = np.clip((lo + hi) // 2 - k // 2, 0, n - k)
-        pos = start[:, None] + np.arange(k)
-        j = index.order[rc, pos]
+        j = np.sort(index.order[rc, start[:, None] + np.arange(k)], axis=1)
         self.jwin[r] = j
-        self.win_eps[r] = index.eps[rc, pos]
+        self.win_eps[r] = s.eps[rc, j]
         self.win_sig[r] = s.sig[rc, j]
         if s.costs is not None:
             self.win_cost[r] = s.costs[rc, j]
@@ -361,7 +363,8 @@ class _GainSearch:
         index of least gain. Returns ``((row, j), row + 1)``, or ``(None,
         stop)`` when rows ``start`` to ``stop - 1`` accept none. Rows
         searched in strain order have their windows checked first
-        (:meth:`_check_windows`).
+        (:meth:`_check_windows`); a row scored off its window holds its
+        lowest gain in column 0 of its buffer row and +inf in the others.
         """
         stop = min(self.sets.eps.shape[0], start + self.chunk)
         rows = slice(start, stop)
@@ -375,31 +378,22 @@ class _GainSearch:
         gain += self.dsds[rows]
         if self.dc is not None:
             gain += self.dc[rows]
-        # the current point scores 0, so a gain below -tol is another point
-        if not self.by_strain:
-            # no gain is NaN: points and residuals are finite, a padded
-            # entry's cost is +inf and weights are positive, so it scores
-            # +inf. The first gain below -tol in row-major order therefore
-            # lies in the first row with a move, whose argmin is the scan's.
-            hit = gain < -tol
-            i, j = divmod(int(hit.argmax()), self.k)
-            if not hit[i, j]:
-                return None, stop
-            return (start + i, int(gain[i].argmin())), start + i + 1
-        v = gain[np.arange(stop - start), gain.argmin(axis=1)]
-        for i, (_, v_i) in fallback.items():
-            v[i] = v_i
-        hit = v < -tol
-        i = int(hit.argmax())
-        if not hit[i]:
+        for i, (_, v) in fallback.items():
+            gain[i, 0] = v
+            gain[i, 1:] = np.inf
+        # the current point scores 0, so a gain below -tol is another point.
+        # No gain is NaN: points and residuals are finite, a padded entry's
+        # cost is +inf and weights are positive, so it scores +inf. The
+        # first gain below -tol in row-major order therefore lies in the
+        # first row with a move, whose argmin is the scan's.
+        hit = gain < -tol
+        i, j = divmod(int(hit.argmax()), self.k)
+        if not hit[i, j]:
             return None, stop
-        if i in fallback:
-            j = fallback[i][0]
-        else:
-            # the window is in strain order: among equal gains the lowest
-            # original index wins, as in a scan
-            j = self.jwin[start + i][gain[i] == v[i]].min()
-        return (start + i, int(j)), start + i + 1
+        j = int(gain[i].argmin())
+        if self.by_strain:
+            j = fallback[i][0] if i in fallback else int(self.jwin[start + i, j])
+        return (start + i, j), start + i + 1
 
 
 def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
@@ -443,12 +437,12 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     that row). A chunk is then the cached terms combined with the current
     residuals in the scan's operand order, by in-place operations on two
     gain buffers allocated once per polish; an accepted move shifts the
-    residuals along one column of the column-major influence matrix. For
-    sets shorter than ``_CHUNK_POINTS`` the window is the whole row, and no
+    residuals along one column of the column-major influence matrix. No
     gain is NaN (a padded entry scores +inf, as weights are positive), so
     the first gain below -tol in row-major order, one flat ``argmax`` of
     the chunk's mask, lies in the first row with a move, and that row's
-    ``argmin`` is the scan's move. For longer sets the window is ``_WINDOW``
+    ``argmin`` is the scan's move. For sets shorter than ``_CHUNK_POINTS``
+    the window is the whole row. For longer sets the window is ``_WINDOW``
     = K consecutive positions of the row's strain order, centred on the
     row's block at T = -tol by one
     :func:`~ddmech.data.plan_blocks` of all rows when the polish starts. Its
@@ -460,15 +454,15 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     has left its window is planned from those same ends, which
     ``plan_blocks`` then only searches, and its window centred anew; a row
     whose block is longer than K, or that the plan scans whole, is scored
-    on its planned block or whole row instead. The window holds the block
-    and the block every candidate scoring at most -tol, so a row has a gain
-    below -tol in its window exactly when it has one in its row, at the
-    same minimizers; the first such row and its move are the scan's.
-    Among equal gains the lowest original index wins: a long row's window
-    is in strain order, so its first minimum need not be that index, and
-    the sweep takes the least index among the window's minima. Chunks never
-    change the sequential sweep: after a move, scoring resumes at the next
-    row with the updated residuals.
+    on its planned block or whole row instead, and its buffer row holds
+    that lowest gain in column 0 and +inf in the others. The window holds
+    the block and the block every candidate scoring at most -tol, so a row
+    has a gain below -tol in its window exactly when it has one in its
+    row, at the same minimizers; the first such row and its move are the
+    scan's. A window holds the original indices of its positions in
+    ascending order, so among equal gains its ``argmin`` takes the lowest
+    index, as a scan does. Chunks never change the sequential sweep: after
+    a move, scoring resumes at the next row with the updated residuals.
 
     **Block bound.** This is the one proof of the block search that the
     polish and the walk's association (:func:`~ddmech.data.batch_nearest`)
@@ -1387,19 +1381,15 @@ def history_matching_march(
 
     archive = stack_sets([h.eps_cur for h in repositories], [h.sig_cur for h in repositories])
     shape = archive.eps.shape
-    # no cost rows at all (None) for archives without a prior weight
-    costed = prior_slot_costs(repositories, GlobalState.zeros(m), gm, slice(0, 0)) is not None
 
     def stack(empty):
         index = StrainIndex.of(empty(shape, np.intp), empty(shape, float))
-        return replace(archive, costs=empty(shape, float) if costed else None, index=index)
+        return replace(archive, costs=empty(shape, float), index=index)
 
     def draw(sets, rows, k, dt, est, eps_prev, sig_prev, q_acc):
         if k == 0:
             sets.index.sort(sets.eps, rows)
-        if costed:
-            z_prev = GlobalState(eps_prev, sig_prev)
-            prior_slot_costs(repositories, z_prev, gm, rows, sets.costs[rows])
+        prior_slot_costs(repositories, GlobalState(eps_prev, sig_prev), gm, rows, sets.costs[rows])
 
     return _march(system, gm, loads, t_grid, cfg, stack, draw, None)
 

@@ -490,9 +490,9 @@ def load_mesh(
     through ``programs``. ``ValueError`` names ``path:line`` of a malformed
     line, a bar that joins a node to itself or has no positive finite area,
     an entry naming a node absent from NODES, a dof prescribed twice, and,
-    checked against SUPPORTS once every line is read, a prescribed or
-    loaded dof that is supported. A load on a prescribed dof is returned as
-    read. Returns the mesh and the nodal load dictionary.
+    checked once every line is read, a prescribed or loaded dof that is
+    supported and a loaded dof that is prescribed. Returns the mesh and the
+    nodal load dictionary.
     """
     text = Path(path).read_text()
     programs = dict(programs or {})
@@ -580,6 +580,8 @@ def load_mesh(
     for key, lineno in load_lines.items():
         if key in supports:
             raise ValueError(f"{path}:{lineno}: load on dof {key}, which is supported")
+        if key in prescribed_lines:
+            raise ValueError(f"{path}:{lineno}: load on dof {key}, which is prescribed")
     coords = np.array([nodes[i] for i in range(len(nodes))])
     conn = np.array([[bars[i][0], bars[i][1]] for i in range(len(bars))], dtype=int)
     areas = np.array([bars[i][2] for i in range(len(bars))])

@@ -236,12 +236,14 @@ _MESH_FIXED = "SUPPORTS\n" + "".join(f"{n} {d}\n" for n in (0, 1) for d in "xyz"
          "dof (1, 0) is both supported and prescribed"),
         ("BARS\n0 0 2 1.0\n1 1 2 1.0\nPRESCRIBED\n2 x px\n2 0 px\n", 10,
          "dof (2, 0) prescribed twice"),
+        ("BARS\n0 0 2 1.0\n1 1 2 1.0\nPRESCRIBED\n2 y px\nLOADS\n2 y 1\n", 11,
+         "load on dof (2, 1), which is prescribed"),
     ],
     ids=[
         "missing-bar-end", "bar-to-itself", "zero-area", "negative-area", "nan-area",
         "missing-support-node", "missing-load-node", "missing-prescribed-node",
         "unknown-program", "load-on-support", "prescribed-support",
-        "prescribed-twice",
+        "prescribed-twice", "load-on-prescribed",
     ],
 )
 def test_bad_mesh_line_names_path_and_line(tmp_path, capsys, body, line, message):

@@ -50,20 +50,16 @@ def scan_one(eps_row, sig_row, eps, sig, c):
 
 
 def two_slot_nearest(current, prior, h, c):
-    """The archive entry minimizing ``w_cur d^2(current slot) + w_prior
-    d^2(prior slot)``, the lowest index on a tie, for (strain, stress)
-    pairs ``current`` and ``prior``: an independent reference."""
+    """The archive entry minimizing ``d^2(current slot) + d^2(prior
+    slot)``, the lowest index on a tie, for (strain, stress) pairs
+    ``current`` and ``prior``: an independent reference."""
 
     def d2(eps, sig, z):
         de = eps - z[0]
         ds = sig - z[1]
         return c * de * de + ds * ds / c
 
-    w_cur, w_prior = h.weights
-    obj = w_cur * d2(h.eps_cur, h.sig_cur, current)
-    if w_prior != 0.0:
-        obj = obj + w_prior * d2(h.eps_prev, h.sig_prev, prior)
-    return int(np.argmin(obj))
+    return int(np.argmin(d2(h.eps_cur, h.sig_cur, current) + d2(h.eps_prev, h.sig_prev, prior)))
 
 
 class TestLocalDataSet:
@@ -570,27 +566,6 @@ class TestHistoryRepository:
         with pytest.raises(ValueError):
             HistoryRepository(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2))
 
-    @pytest.mark.parametrize(
-        "weights",
-        [(np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0), (1.0, np.inf)],
-        ids=["nan-current", "nan-prior", "inf-current", "inf-prior"],
-    )
-    def test_rejects_non_finite_weights(self, weights):
-        """NaN fails every comparison, so it must not slip past the check."""
-        with pytest.raises(ValueError, match="weights"):
-            HistoryRepository(
-                np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), weights
-            )
-
-    @pytest.mark.parametrize("weights", [(1.0,), (1.0, 2.0, 3.0)], ids=["one", "three"])
-    def test_rejects_other_than_two_weights(self, weights):
-        """A weight is neither dropped nor missed: anything but (w_current,
-        w_prior) is rejected."""
-        with pytest.raises(ValueError, match="weights must be two"):
-            HistoryRepository(
-                np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), weights
-            )
-
     def test_nearest_history_weighs_both_slots(self):
         """The search of the cost dataset weighs both slots: a prior state
         near entry 2's prior slot moves the winner off entry 1, the nearest
@@ -601,17 +576,6 @@ class TestHistoryRepository:
         assert (idx, h.sig_cur[idx], h.sig_prev[idx]) == (1, 150.0, 100.0)
         d = history_cost_dataset(h, 1e-3, 160.0, 1.0)
         assert nearest_in(d, 1e-3, 150.0) == 2
-
-    def test_zero_prior_weight_reduces_to_plain_search(self):
-        h = HistoryRepository(
-            eps_prev=np.zeros(2),
-            sig_prev=np.array([0.0, 1e6]),
-            eps_cur=np.array([0.0, 1e-3]),
-            sig_cur=np.array([0.0, 175.0]),
-            weights=(1.0, 0.0),
-        )
-        d = history_cost_dataset(h, 0.0, 0.0, 1.0)
-        assert d.costs is None
 
     def test_cost_dataset_equals_weighted_prior_distance(self):
         h = self.repo()
@@ -632,7 +596,6 @@ class TestHistoryRepository:
             rng.normal(size=n) * 100.0,
             rng.normal(size=n),
             rng.normal(size=n) * 100.0,
-            weights=(1.0, 0.7),
         )
         for _ in range(20):
             prior = (rng.normal(), rng.normal() * 100.0)
@@ -643,8 +606,8 @@ class TestHistoryRepository:
 
     def test_stacked_costs_equal_cost_datasets(self, rng):
         """Each row of the stacked costs equals the cost dataset's costs
-        bit for bit; zero prior weight gives a zero row, all zero gives
-        None, and a non-finite cost is rejected as stack_sets rejects it."""
+        bit for bit, and a non-finite cost is rejected as stack_sets
+        rejects it."""
         moduli = (175.0, 2.0, 9.0)
         gm = GlobalMetric(moduli, np.ones(3))
         z_prev = GlobalState(rng.normal(size=3), rng.normal(size=3) * 100.0)
@@ -654,18 +617,14 @@ class TestHistoryRepository:
                 rng.normal(size=30) * 100.0,
                 rng.normal(size=30),
                 rng.normal(size=30) * 100.0,
-                weights=w,
             )
-            for w in ((1.0, 0.7), (2.0, 0.0), (0.5, 3.0))
+            for _ in moduli
         ]
         costs = prior_slot_costs(repos, z_prev, gm)
         assert costs.shape == (3, 30)
         for e, h in enumerate(repos):
             d = history_cost_dataset(h, z_prev.strain[e], z_prev.stress[e], moduli[e])
-            expect = np.zeros(30) if d.costs is None else d.costs[0]
-            assert np.array_equal(costs[e], expect)
-        one = GlobalMetric(moduli[1:2], [1.0])
-        assert prior_slot_costs(repos[1:2], z_prev, one) is None
+            assert np.array_equal(costs[e], d.costs[0])
         huge = GlobalState(np.full(3, 1e200), np.zeros(3))
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="set 0: .*finite and nonn"):

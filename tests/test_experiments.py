@@ -99,6 +99,36 @@ def test_command_timing_records_time_exit_code_and_digests(tmp_path, monkeypatch
     assert exc.value.code == 2
 
 
+def test_study_compare_prints_shifts_in_base_spread(tmp_path, monkeypatch, capsys):
+    """``tools/study_compare.py`` prints both mean errors per size with
+    their difference in base standard deviations, and both rates and
+    run-rate spreads; records of other points, runs or seed exit 2 with one
+    ``error:`` line."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    tool = importlib.import_module("study_compare")
+
+    def record(means, rate, spread, **changes):
+        rec = {"seed": 7, "points": [16, 64], "runs": 3, "mean_error": means,
+               "std_error": [2.0, 0.5], "rate": rate, "run_rate_std": spread}
+        return {"visco": {**rec, **changes}}
+
+    base, new = tmp_path / "base.json", tmp_path / "new.json"
+    base.write_text(json.dumps(record([10.0, 1.0], 1.5, 0.25)))
+    new.write_text(json.dumps(record([13.0, 0.75], 1.625, 0.125)))
+    assert tool.main([str(base), str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "visco    16 points: mean error 10 -> 13, +1.50 std",
+        "visco    64 points: mean error 1 -> 0.75, -0.50 std",
+        "visco rate 1.5000 -> 1.6250, run-rate spread 0.2500 -> 0.1250",
+    ]
+    for key, value in (("points", [16, 128]), ("runs", 5), ("seed", 8)):
+        new.write_text(json.dumps(record([13.0, 0.75], 1.625, 0.125, **{key: value})))
+        assert tool.main([str(base), str(new)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: visco: the records differ in {key}")
+        assert len(out.err.splitlines()) == 1
+
+
 class TestConvergenceStudy:
     """Reproducibility of the study over worker counts."""
 

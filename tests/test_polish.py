@@ -572,6 +572,40 @@ class TestWindows:
             assert_same(*both_polishes(rng, sys, *lists))
         assert counter.moves > 0
 
+    @pytest.mark.parametrize("case", ["left", "long", "ragged"])
+    def test_every_move_is_the_first_row_below_tol(self, case, monkeypatch):
+        """After every ``first_move`` call on rows of 2048 points or more,
+        the move is the first row of the chunk whose whole-row gains fall
+        below -tol, at the lowest index of that row's minimum: on blocks
+        that left their windows, blocks longer than K, and ragged padded
+        rows."""
+        counter = WindowCounter(monkeypatch)
+        first_move, calls = _GainSearch.first_move, []
+
+        def checked(gs, start, tol):
+            move, stop = first_move(gs, start, tol)
+            assert gs.by_strain
+            gain = gs.rows(slice(start, min(gs.sets.eps.shape[0], start + gs.chunk)))
+            below = np.flatnonzero((gain < -tol).any(axis=1))
+            if below.size:
+                i = int(below[0])
+                assert (move, stop) == ((start + i, int(np.argmin(gain[i]))), start + i + 1)
+            else:
+                assert (move, stop) == (None, start + gain.shape[0])
+            calls.append(move is not None)
+            return move, stop
+
+        monkeypatch.setattr(_GainSearch, "first_move", checked)
+        rng = np.random.default_rng({"left": 41, "long": 42, "ragged": 44}[case])
+        sys = polish_truss(rng, special=case != "left")
+        sizes = [4096] * sys.n_elements
+        if case == "ragged":
+            sizes = rng.integers(solver._CHUNK_POINTS, 4097, sys.n_elements)
+        lists = random_sets(rng, sys, sizes, costs=case == "long")
+        assert_same(*both_polishes(rng, sys, *lists, force=10.0 if case == "long" else 1.0))
+        assert any(calls) and not all(calls)
+        assert {"left": counter.replaced, "long": counter.long, "ragged": np.ptp(sizes)}[case] > 0
+
     def test_equal_gains_go_to_the_lowest_index(self):
         """Every point is stored twice, at i and i + 2048; where the strain
         order puts the higher copy first, a window's first minimum is not

@@ -502,7 +502,7 @@ class TestHistoryMatchingMarch:
         )
         h = repos[2]
         repos[2] = HistoryRepository(
-            h.eps_prev[:-7], h.sig_prev[:-7], h.eps_cur[:-7], h.sig_cur[:-7], h.weights
+            h.eps_prev[:-7], h.sig_prev[:-7], h.eps_cur[:-7], h.sig_cur[:-7]
         )
         n = h.n_entries
         message = f"same size: bar 2 has {n - 7} entries, bar 0 has {n}"
@@ -542,11 +542,11 @@ def _study_march(kind, cfg=None, *, lattice=LatticeSpec(2, 1, 1), steps=12, **kw
     )
 
 
-def _archive_march(weights=(1.0, 1.0)):
+def _archive_march():
     mesh, gm, loads, times = small_truss_fixture(t_end=4.0)
     repos = build_truss_repositories(
         mesh, gm, DEFAULT_SLS, loads, times,
-        n_prior_strain=3, n_prior_offset=5, n_current=9, weights=weights,
+        n_prior_strain=3, n_prior_offset=5, n_current=9,
     )
     return history_matching_march(mesh, gm, repos, loads, times, SolverConfig())
 
@@ -813,28 +813,6 @@ class TestSharedDraw:
             _MARCHES[kind]()
         assert worker_starts == [os.getpid()]
         assert multiprocessing.active_children() == []
-
-    def test_archive_without_prior_weight_computes_no_cost_rows(
-        self, worker_starts, monkeypatch
-    ):
-        """Equal archives without a prior weight carry no costs: the only
-        cost call asks for no rows, and worker and serial marches agree."""
-        asked = []
-        costs = solver.prior_slot_costs
-
-        def logged(repositories, z_prev, gm, rows=slice(None), out=None):
-            asked.append(range(len(repositories))[rows])
-            return costs(repositories, z_prev, gm, rows, out)
-
-        monkeypatch.setattr(solver, "prior_slot_costs", logged)
-        forked = _archive_march(weights=(1.0, 0.0))
-        assert worker_starts == [os.getpid()]
-        assert asked == [range(0)]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = _archive_march(weights=(1.0, 0.0))
-        assert np.array_equal(forked.strain, serial.strain)
-        assert np.array_equal(forked.stress, serial.stress)
-        assert not np.array_equal(forked.strain, _archive_march().strain)
 
     def test_archive_index_sorted_in_halves(self, worker_starts, monkeypatch, tmp_path):
         """4 bars: at step 0 the march sorts archive rows 0 and 1 into the

@@ -282,7 +282,7 @@ class TestMeshIO:
         path.write_text(
             "# truss mesh\nNODES\n0 0.0 0.0 0.0\n1 1.0 0.0 0.0  # the free end\n"
             "BARS\n0 0 1 1.0\nSUPPORTS\n0 x\n0 y\n0 z\n1 y\n1 z\n"
-            "LOADS\n1 x 5.0\nPRESCRIBED\n1 x p0\n"
+            "PRESCRIBED\n1 x p0\n"
         )
         again, loads = load_mesh(path, {"p0": prog})
         assert again.n_nodes == mesh.n_nodes
@@ -290,7 +290,7 @@ class TestMeshIO:
         assert np.array_equal(again.node_coords, mesh.node_coords)
         assert np.array_equal(again.areas, mesh.areas)
         assert again.supports == mesh.supports
-        assert loads == {(1, 0): 5.0}
+        assert loads == {}
         assert len(again.prescribed) == 1
         assert again.prescribed[0].node == 1
         assert again.prescribed[0].program(1.0) == prog(1.0)
