@@ -659,26 +659,29 @@ def _empirical_response_init(
 
     Each element's set is treated as a response curve: stress is looked up
     at the nearest sampled strain and the tangent is a local secant over a
-    few sorted neighbours. Newton steps on that curve land the state near
-    the assignment a globally consistent walk would reach, using nothing
-    but the data itself: at most 20 steps, stopping once the force
-    residual is below 1e-10 of ``max(1, |f|)``. The returned state is the
-    sampled (strain, stress) pair of each element at the lowest-residual
-    iterate. Returns None when the sets are too small or a tangent solve
-    fails; callers then fall back to an elastic predictor.
+    few sorted neighbours. Newton steps on that curve, each one banded
+    Cholesky solve with ``B^T diag(w slope) B`` (``sys.solve_tangent``),
+    land the state near the assignment a globally consistent walk would
+    reach, using nothing but the data itself: at most 20 steps, stopping
+    once the force residual is below 1e-10 of ``max(1, |f|)``. The returned
+    state is each element's sampled (strain, stress) pair at the
+    lowest-residual iterate. Returns None when the sets are too small or a
+    tangent is not positive definite; callers then fall back to an elastic
+    predictor.
     """
     n = stacked.eps.shape[1]
     if n < 8:
         return None
-    m = sys.n_elements
     b = sys.b_free
     w = sys.weights
     index = stacked.strain_index()
-    es = index.eps
-    rows = np.arange(m)
+    es = index.eps.reshape(-1)
+    order = index.order.reshape(-1)
+    sig = stacked.sig.reshape(-1)
+    base = np.arange(sys.n_elements) * n
 
     def stress_at(pos):
-        return stacked.sig[rows, index.order[rows, pos]]
+        return sig.take(order.take(base + pos) + base)
 
     k = min(4, (n - 1) // 2)
     c_ref = float(np.max(sys.c))
@@ -692,30 +695,26 @@ def _empirical_response_init(
         j = index.search(eps[:, None])[:, 0]
         above = np.minimum(j, n - 1)
         below = np.maximum(j - 1, 0)
-        lower = (j > 0) & (j < n) & (eps - es[rows, below] <= es[rows, above] - eps)
+        lower = (j > 0) & (j < n) & (eps - es.take(base + below) <= es.take(base + above) - eps)
         idx = np.where(lower, below, above)
         sig_hat = stress_at(idx)
         r = f - b.T @ (w * sig_hat)
         res = float(np.linalg.norm(r)) / f_scale
         if best is None or res < best[0]:
-            best = (res, es[rows, idx], sig_hat)
+            best = (res, es.take(base + idx), sig_hat)
         if res < 1e-10:
             break
-        lo = np.clip(idx - k, 0, n - 1)
-        hi = np.clip(idx + k, 0, n - 1)
-        de = es[rows, hi] - es[rows, lo]
+        lo = np.maximum(idx - k, 0)
+        hi = np.minimum(idx + k, n - 1)
+        de = es.take(base + hi) - es.take(base + lo)
         dsg = stress_at(hi) - stress_at(lo)
         slope = np.where(de > 0.0, dsg / np.where(de > 0.0, de, 1.0), c_ref)
         slope = np.clip(slope, 1e-3 * c_ref, 1e3 * c_ref)
-        kt = (b.T * (w * slope)) @ b
-        try:
-            du = np.linalg.solve(kt, r)
-        except np.linalg.LinAlgError:
+        du = sys.solve_tangent(w * slope, r)
+        if du is None:
             return None
         u = u + du
         eps = b @ u + g
-    if best is None:
-        return None
     return GlobalState(best[1], best[2])
 
 

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpbsv
 
 from .data import require_int
 from .phase import GlobalMetric
@@ -225,8 +226,9 @@ class ConstraintSystem:
     """Assembled strain operator, metric data and factored projection matrix.
 
     Built by :func:`assemble`; holds everything the projection and the time
-    marches need, so the factorization is computed exactly once per mesh,
-    and the leverage the swap polish reads once per system, on first use.
+    marches need, so the factorization is computed exactly once per mesh.
+    The leverage the swap polish reads and the band pattern of the response
+    init's tangent are built on first use and kept for the life of the system.
     """
 
     def __init__(self, mesh: TrussMesh, gm: GlobalMetric) -> None:
@@ -274,6 +276,7 @@ class ConstraintSystem:
         self.k_matrix = b_free.T @ (wc[:, None] * b_free) if nf else np.zeros((0, 0))
         self._cho = None
         self._leverage = None
+        self._band = None
         if nf:
             try:
                 self._cho = cho_factor(self.k_matrix)
@@ -344,6 +347,25 @@ class ConstraintSystem:
             infl = np.asfortranarray(self.b_free @ s)
             self._leverage = (s, infl, np.diag(infl).copy())
         return self._leverage
+
+    def solve_tangent(self, s: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+        """``du`` with ``B^T diag(s) B du = r`` for positive ``s``, by banded
+        Cholesky (LAPACK ``dpbsv``) on a band pattern built once, or None
+        when that matrix is not positive definite."""
+        if self._band is None:
+            e, col = np.nonzero(self.b_free)  # each bar's entries, in column order
+            # pair every entry p with the entries q <= p of its bar
+            start = np.searchsorted(e, e)
+            p = np.repeat(np.arange(e.size), np.arange(e.size) - start + 1)
+            q = start[p] + np.arange(p.size) - np.searchsorted(p, p)
+            i, j, bar = col[p], col[q], e[p]
+            kd = int(np.max(i - j, initial=0))
+            # column-major (kd + 1, n) band: row i - j of column j holds K[i, j]
+            self._band = (bar, j * (kd + 1) + i - j, self.b_free[bar, i] * self.b_free[bar, j], kd)
+        bar, pos, prod, kd = self._band
+        ab = np.bincount(pos, s.take(bar) * prod, (kd + 1) * self.n_free)
+        _, du, info = dpbsv(ab.reshape((kd + 1, self.n_free), order="F"), r, lower=1)
+        return du if info == 0 else None
 
     def constrained_values(self, t: float | None) -> np.ndarray:
         """Displacements of constrained dofs at time ``t`` (zero when None)."""
@@ -488,17 +510,18 @@ def load_mesh(
     LOADS (node dir value) and PRESCRIBED (node dir program-id), whitespace
     delimited, '#' to end of line is a comment. Program ids are resolved
     through ``programs``. ``ValueError`` names ``path:line`` of a malformed
-    line, a bar that joins a node to itself or has no positive finite area,
-    an entry naming a node absent from NODES, a dof prescribed twice, and,
-    checked once every line is read, a prescribed or loaded dof that is
-    supported and a loaded dof that is prescribed. Returns the mesh and the
-    nodal load dictionary.
+    line, a node coordinate or a dof's summed load that is not finite, a bar
+    that joins a node to itself or has no positive finite area, an entry
+    naming a node absent from NODES, a dof prescribed twice, and, checked
+    once every line is read, a zero-length bar (with its nodes), a
+    prescribed or loaded dof that is supported and a loaded dof that is
+    prescribed. Returns the mesh and the nodal load dictionary.
     """
     text = Path(path).read_text()
     programs = dict(programs or {})
     section = None
     nodes: dict[int, tuple[float, float, float]] = {}
-    bars: dict[int, tuple[int, int, float]] = {}
+    bars: dict[int, tuple[int, int, float, int]] = {}
     supports: set[tuple[int, int]] = set()
     loads: dict[tuple[int, int], float] = {}
     prescribed: list[Prescribed] = []
@@ -524,6 +547,8 @@ def load_mesh(
                 if nid in nodes:
                     raise ValueError(f"duplicate node id {nid}")
                 nodes[nid] = (float(parts[1]), float(parts[2]), float(parts[3]))
+                if not np.all(np.isfinite(nodes[nid])):
+                    raise ValueError(f"node {nid}: coordinates must be finite")
             elif section == "BARS":
                 if len(parts) != 4:
                     raise ValueError("expected: id a b area")
@@ -535,7 +560,7 @@ def load_mesh(
                 # written so that NaN fails the comparison and is rejected
                 if not 0.0 < area < np.inf:
                     raise ValueError(f"bar {bid}: area must be finite and positive, got {area}")
-                bars[bid] = (a, b, area)
+                bars[bid] = (a, b, area, lineno)
                 refs += [(lineno, a), (lineno, b)]
             elif section == "SUPPORTS":
                 if len(parts) != 2:
@@ -547,6 +572,8 @@ def load_mesh(
                     raise ValueError("expected: node dir value")
                 key = (int(parts[0]), parse_direction(parts[1]))
                 loads[key] = loads.get(key, 0.0) + float(parts[2])
+                if not np.isfinite(loads[key]):
+                    raise ValueError(f"load on dof {key} must be finite, got {loads[key]}")
                 refs.append((lineno, key[0]))
                 load_lines.setdefault(key, lineno)
             elif section == "PRESCRIBED":
@@ -585,6 +612,10 @@ def load_mesh(
     coords = np.array([nodes[i] for i in range(len(nodes))])
     conn = np.array([[bars[i][0], bars[i][1]] for i in range(len(bars))], dtype=int)
     areas = np.array([bars[i][2] for i in range(len(bars))])
+    lengths = np.linalg.norm(coords[conn[:, 1]] - coords[conn[:, 0]], axis=1)  # as TrussMesh
+    for e in np.flatnonzero(lengths <= 0.0)[:1]:
+        a, b, _, line = bars[e]
+        raise ValueError(f"{path}:{line}: zero-length bar {e}: nodes {a} and {b} lie at {nodes[a]}")
     mesh = TrussMesh(
         node_coords=coords,
         conn=conn,

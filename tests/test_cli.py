@@ -238,12 +238,25 @@ _MESH_FIXED = "SUPPORTS\n" + "".join(f"{n} {d}\n" for n in (0, 1) for d in "xyz"
          "dof (2, 0) prescribed twice"),
         ("BARS\n0 0 2 1.0\n1 1 2 1.0\nPRESCRIBED\n2 y px\nLOADS\n2 y 1\n", 11,
          "load on dof (2, 1), which is prescribed"),
+        ("NODES\n3 1 nan 0\nBARS\n0 0 2 1.0\n1 1 2 1.0\n", 6,
+         "node 3: coordinates must be finite"),
+        ("NODES\n3 inf 0 0\nBARS\n0 0 2 1.0\n1 1 2 1.0\n", 6,
+         "node 3: coordinates must be finite"),
+        ("NODES\n3 0.5 0 -1\nBARS\n1 1 2 1.0\n0 0 2 1.0\n2 3 2 1.0\n", 10,
+         "zero-length bar 2: nodes 3 and 2 lie at (0.5, 0.0, -1.0)"),
+        ("BARS\n0 0 2 1.0\n1 1 2 1.0\nLOADS\n2 y 1\n2 x nan\n", 10,
+         "load on dof (2, 0) must be finite, got nan"),
+        ("BARS\n0 0 2 1.0\n1 1 2 1.0\nLOADS\n2 y -inf\n", 9,
+         "load on dof (2, 1) must be finite, got -inf"),
+        ("BARS\n0 0 2 1.0\n1 1 2 1.0\nLOADS\n2 z 1e308\n2 z 1e308\n", 10,
+         "load on dof (2, 2) must be finite, got inf"),
     ],
     ids=[
         "missing-bar-end", "bar-to-itself", "zero-area", "negative-area", "nan-area",
         "missing-support-node", "missing-load-node", "missing-prescribed-node",
         "unknown-program", "load-on-support", "prescribed-support",
-        "prescribed-twice", "load-on-prescribed",
+        "prescribed-twice", "load-on-prescribed", "nan-coordinate", "inf-coordinate",
+        "zero-length-bar", "nan-load", "inf-load", "load-sum-overflows",
     ],
 )
 def test_bad_mesh_line_names_path_and_line(tmp_path, capsys, body, line, message):

@@ -129,6 +129,35 @@ def test_study_compare_prints_shifts_in_base_spread(tmp_path, monkeypatch, capsy
         assert len(out.err.splitlines()) == 1
 
 
+def test_perf_pairs_compares_a_checkout_with_itself(tmp_path, monkeypatch, capsys):
+    """``tools/perf_pairs.py`` runs one tiny pair of this checkout against
+    itself: the same outputs, and both sides of every end-to-end metric;
+    a run without a result line ends the script with one ``error:`` line
+    naming the side and the pair."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    tool = importlib.import_module("perf_pairs")
+    root, out = TOOLS.parent, tmp_path / "pairs.json"
+    argv = ["--parent", str(root), "--change", str(root), "--pairs", "1", "--out", str(out),
+            "--workload", "plastic-sparse", "--seconds", "1", "--tiny"]
+    assert tool.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert record["outputs_identical"] is True
+    assert [(r["pair"], r["side"]) for r in record["runs"]] == [(1, "parent"), (1, "change")]
+    for name in ("setup_s", "march_s", "traj_error", "ok_step_share", "peak_rss_mb"):
+        row = record["summary"][f"plastic-sparse/{name}"]
+        assert set(row) == {"better", "parent_median", "parent_quartiles", "change_median",
+                            "change_quartiles", "change_won"}
+    capsys.readouterr()
+    broken = tmp_path / "broken"
+    (broken / "perfbench").mkdir(parents=True)
+    for body in ("print('# no result')\n", "raise SystemExit(3)\n"):
+        (broken / "perfbench" / "run.py").write_text(body)
+        argv[1] = str(broken)
+        assert tool.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the parent run of pair 1 exited")
+
+
 class TestConvergenceStudy:
     """Reproducibility of the study over worker counts."""
 

@@ -327,6 +327,58 @@ class TestEnumeration:
             assert seeded.objective_history[-1] == oracle.objective_history[-1]
 
 
+def reference_response_init(sys, stacked, f, g, eps_start):
+    """The response init as first written: the dense tangent
+    ``(b.T * (w * slope)) @ b``, solved by LU. Kept as the reference the
+    banded solve's results are compared against."""
+    n = stacked.eps.shape[1]
+    if n < 8:
+        return None
+    m = sys.n_elements
+    b = sys.b_free
+    w = sys.weights
+    index = stacked.strain_index()
+    es = index.eps
+    rows = np.arange(m)
+
+    def stress_at(pos):
+        return stacked.sig[rows, index.order[rows, pos]]
+
+    k = min(4, (n - 1) // 2)
+    c_ref = float(np.max(sys.c))
+    u = sys.solve_k(b.T @ (w * sys.c * (eps_start - g)))
+    eps = b @ u + g
+    f_scale = max(1.0, float(np.linalg.norm(f)))
+    best = None
+    for _ in range(20):
+        j = index.search(eps[:, None])[:, 0]
+        above = np.minimum(j, n - 1)
+        below = np.maximum(j - 1, 0)
+        lower = (j > 0) & (j < n) & (eps - es[rows, below] <= es[rows, above] - eps)
+        idx = np.where(lower, below, above)
+        sig_hat = stress_at(idx)
+        r = f - b.T @ (w * sig_hat)
+        res = float(np.linalg.norm(r)) / f_scale
+        if best is None or res < best[0]:
+            best = (res, es[rows, idx], sig_hat)
+        if res < 1e-10:
+            break
+        lo = np.clip(idx - k, 0, n - 1)
+        hi = np.clip(idx + k, 0, n - 1)
+        de = es[rows, hi] - es[rows, lo]
+        dsg = stress_at(hi) - stress_at(lo)
+        slope = np.where(de > 0.0, dsg / np.where(de > 0.0, de, 1.0), c_ref)
+        slope = np.clip(slope, 1e-3 * c_ref, 1e3 * c_ref)
+        kt = (b.T * (w * slope)) @ b
+        try:
+            du = np.linalg.solve(kt, r)
+        except np.linalg.LinAlgError:
+            return None
+        u = u + du
+        eps = b @ u + g
+    return (best[1], best[2])
+
+
 class TestResponseInit:
     """Data-only equilibrium warm start."""
 
@@ -363,6 +415,28 @@ class TestResponseInit:
         for e in range(4):
             assert out.strain[e] in stacked.eps[e]
             assert out.stress[e] in stacked.sig[e]
+
+    @pytest.mark.parametrize("kind, points", [("plastic", 64), ("visco", 2048)])
+    def test_every_step_agrees_with_the_dense_reference(self, monkeypatch, kind, points):
+        """On every step of a short serial march, the banded init and the
+        dense reference both decline, or return the same bits."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        init, outcomes = solver._empirical_response_init, []
+
+        def both(sys, stacked, f, g, eps_start):
+            out = init(sys, stacked, f, g, eps_start)
+            expect = reference_response_init(sys, stacked, f, g, eps_start)
+            if out is None or expect is None:
+                outcomes.append(out is None and expect is None)
+            else:
+                outcomes.append(
+                    np.array_equal(out.strain, expect[0]) and np.array_equal(out.stress, expect[1])
+                )
+            return out
+
+        monkeypatch.setattr(solver, "_empirical_response_init", both)
+        _study_march(kind, points=points)
+        assert len(outcomes) == 12 and all(outcomes)
 
 
 class TestTimeMarch:
@@ -530,13 +604,14 @@ class TestHistoryMatchingMarch:
             march(mesh, gm, data, loads, times, cfg)
 
 
-def _study_march(kind, cfg=None, *, lattice=LatticeSpec(2, 1, 1), steps=12, **kwargs):
+def _study_march(kind, cfg=None, *, lattice=LatticeSpec(2, 1, 1), steps=12, points=64, **kwargs):
     """The first ``steps`` steps of a study march on ``lattice`` at dt = 5,
-    64 points per set. By default 12 steps on a 2 x 1 x 1 lattice, where the
-    response start wins 2 of them on visco and 7 on plastic."""
+    ``points`` points per set. By default 12 steps on a 2 x 1 x 1 lattice
+    with 64 points, where the response start wins 2 of them on visco and 7
+    on plastic."""
     study = default_study_config(kind, lattice=lattice, dt=5.0)
     mesh, gm, system, loads, times = study_setup(study)
-    g = study_generator(study, 64, 0, 0)
+    g = study_generator(study, points, 0, 0)
     return time_march(
         mesh, gm, g, loads, times[:steps], cfg or SolverConfig(), sys=system, **kwargs
     )

@@ -5,6 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ddmech.experiments import (
+    default_study_config,
+    relaxation_mesh,
+    small_truss_fixture,
+    study_setup,
+)
 from ddmech.phase import GlobalMetric
 from ddmech.truss import (
     LatticeSpec,
@@ -269,6 +275,72 @@ class TestProjection:
         eps2, sig2, _ = sys.project_arrays(eps, sig, f, g)
         assert np.allclose(eps2, eps, atol=1e-15)
         assert np.allclose(sig2, sig, atol=1e-12)
+
+
+def readme_mesh():
+    """The example mesh of README's "Mesh files" section."""
+    coords = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1]])
+    supports = frozenset((n, d) for n in range(3) for d in range(3))
+    prog = PiecewiseLinearProgram.from_breakpoints(((0.0, 0.0), (2.0, 1e-3), (4.0, 1e-3)))
+    conn = np.array([[0, 3], [1, 3], [2, 3]])
+    return TrussMesh(coords, conn, np.ones(3), supports, (Prescribed(3, 0, prog),))
+
+
+def pyramid_with_base_bar():
+    """The pyramid plus a bar between two base nodes: a bar whose strain
+    no free component moves."""
+    mesh = pyramid()
+    conn = np.vstack([mesh.conn, [[0, 1]]])
+    return TrussMesh(mesh.node_coords, conn, np.ones(5), mesh.supports)
+
+
+def _system(make):
+    mesh = make()
+    return assemble(mesh, GlobalMetric.uniform(1000.0, mesh.volumes))
+
+
+_TANGENT_SYSTEMS = {
+    "study-lattice": lambda: study_setup(default_study_config("plastic"))[2],
+    "four-bar": lambda: assemble(*small_truss_fixture()[:2]),
+    "readme": lambda: _system(readme_mesh),
+    "bar-without-free-dof": lambda: _system(pyramid_with_base_bar),
+    "relaxation-bar": lambda: _system(lambda: relaxation_mesh(1e-3)),
+}
+
+
+class TestTangentSolve:
+    """The banded Cholesky solve with ``B^T diag(s) B`` against the dense
+    matrix."""
+
+    @pytest.mark.parametrize("name", list(_TANGENT_SYSTEMS))
+    def test_solves_the_dense_tangent(self, name, rng):
+        sys = _TANGENT_SYSTEMS[name]()
+        b = sys.b_free
+        for _ in range(5):
+            s = sys.c * 10.0 ** rng.uniform(-3.0, 3.0, sys.n_elements)
+            r = rng.normal(size=sys.n_free)
+            du = sys.solve_tangent(s, r)
+            assert du.shape == (sys.n_free,)
+            k_dense = (b.T * s) @ b
+            bound = 1e-12 * np.linalg.norm(k_dense) * np.linalg.norm(du)
+            assert np.linalg.norm(k_dense @ du - r) <= bound
+        if sys.n_free == 0:
+            assert du.size == 0
+        else:
+            assert sys.solve_tangent(np.zeros(sys.n_elements), r) is None
+
+    def test_pattern_is_built_once_per_system(self, monkeypatch, rng):
+        sys = _TANGENT_SYSTEMS["four-bar"]()
+        nonzero, built = np.nonzero, []
+
+        def counted(a):
+            built.append(a is sys.b_free)
+            return nonzero(a)
+
+        monkeypatch.setattr(np, "nonzero", counted)
+        for _ in range(2):
+            assert sys.solve_tangent(sys.c, rng.normal(size=sys.n_free)) is not None
+        assert built == [True]
 
 
 class TestMeshIO:
