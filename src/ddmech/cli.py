@@ -209,7 +209,16 @@ def _out_dir(args) -> Path:
 # subcommands
 
 
+def _reject_data_flags(args) -> None:
+    """``ValueError`` for a data flag given with ``--history-matching``: the
+    archive fixes the data, so the flag would be ignored."""
+    for flag, value in (("--points", args.points), ("--band", args.band)):
+        if args.history_matching and value is not None:
+            raise ValueError(f"{flag} does not apply to --history-matching")
+
+
 def _cmd_relaxation(args) -> int:
+    _reject_data_flags(args)
     cfg, _, _ = _apply_config(RelaxationConfig(), args.config)
     if args.points is not None and len(args.points) != 1:
         raise ValueError("relaxation takes a single --points value")
@@ -268,6 +277,7 @@ def _write_probe_csv(path, times, dof, bar, traj, ref, areas) -> None:
 
 
 def _cmd_single_run(kind: str, args) -> int:
+    _reject_data_flags(args)
     cfg = _study_config(kind, args)
     n = cfg.points[-1]
     mesh, gm, system, loads, times = study_setup(cfg)
@@ -282,11 +292,11 @@ def _cmd_single_run(kind: str, args) -> int:
         per_element = MAX_ARCHIVE_ENTRIES // max(mesh.n_bars, 1)
         n_po = (per_element // n_cur - 1) // max((times.size - 1) * n_ps, 1)
         n_po = max(5, min(81, n_po))
-        repos = build_truss_repositories(
+        archive = build_truss_repositories(
             mesh, gm, cfg.law, loads, times,
             n_prior_strain=n_ps, n_prior_offset=n_po, n_current=n_cur,
         )
-        traj = history_matching_march(mesh, gm, repos, loads, times, solver_cfg, sys=system)
+        traj = history_matching_march(mesh, gm, archive, loads, times, solver_cfg, sys=system)
     else:
         generator = study_generator(cfg, n, len(cfg.points) - 1, 0)
         traj = time_march(mesh, gm, generator, loads, times, solver_cfg, sys=system)
@@ -435,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--history-matching",
         action="store_true",
-        help="march against two-time archives (small meshes only)",
+        help="march against two-time archives instead of regenerating",
     )
     p.set_defaults(func=lambda a: _cmd_single_run("visco", a))
 

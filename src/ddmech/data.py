@@ -11,8 +11,9 @@ ones. Evolving-material behaviour enters through the per-step draw
 previously converged states (and, for plasticity, on an accumulated-slip
 history variable recovered from stress-strain increments alone) into a
 march's stack, in the window :class:`WindowRule` and :class:`GeneratorSpec`
-describe; a two-time archive enters as its current slots with the
-prior-slot mismatch as cost (:func:`prior_slot_costs`).
+describe; the two-time archives of all bars enter as the current slots of
+one (M, n) :class:`HistoryRepository`, uncopied, with the prior-slot
+mismatch as cost (:func:`prior_slot_costs`).
 
 Every search is exact and returns the lowest index among the minimizers.
 :func:`batch_nearest` scans small stacks; above a size crossover it searches
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -512,8 +512,13 @@ def update_history_variable(
 
 @dataclass(frozen=True)
 class HistoryRepository:
-    """Two-time archive for one element: entries pair a prior state with the
-    state one step later. A search weighs both slots equally."""
+    """Two-time archives of all M bars as four (M, n) slot arrays: entry
+    ``(e, j)`` pairs bar e's prior state ``(eps_prev, sig_prev)`` with its
+    state ``(eps_cur, sig_cur)`` one step later. A search weighs both slots
+    equally. The slots, finite and of one shape with n >= 1, are read-only
+    views of the arrays given: float64 input is not copied, and stays
+    writable to its owner.
+    """
 
     eps_prev: np.ndarray
     sig_prev: np.ndarray
@@ -522,70 +527,60 @@ class HistoryRepository:
 
     def __post_init__(self) -> None:
         slots = ("eps_prev", "sig_prev", "eps_cur", "sig_cur")
-        for name in slots:
-            a = np.array(getattr(self, name), dtype=float).reshape(-1)
+        arrays = [np.ascontiguousarray(getattr(self, name), dtype=float) for name in slots]
+        shapes = [a.shape for a in arrays]
+        if len(shapes[0]) != 2 or shapes[0][1] < 1 or len(set(shapes)) != 1:
+            raise ValueError(
+                f"the four slot arrays must share one shape (M, n) with n >= 1, got {shapes}"
+            )
+        for name, a in zip(slots, arrays):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be finite")
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        if len({getattr(self, name).size for name in slots}) != 1:
-            raise ValueError("all slot arrays must have equal length")
-        if self.eps_cur.size == 0:
-            raise ValueError("a history repository must contain at least one entry")
-
-    @property
-    def n_entries(self) -> int:
-        return self.eps_cur.size
+            view = a.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
 
 def history_cost_dataset(
-    h: HistoryRepository, eps_prev: float, sig_prev: float, c: float
+    archive: HistoryRepository, e: int, eps_prev: float, sig_prev: float, c: float
 ) -> StackedSets:
-    """One bar's archive as a one-row stack: its current slots are the
-    points, and their prior-slot mismatch against the bar's previously
-    accepted state ``(eps_prev, sig_prev)``, in the norm of modulus ``c``,
-    is their fidelity cost.
-
-    A search minimizes ``d^2 + d_prev^2``, the square distances in both
-    slots, so the prior-slot term enters the standard solver as a per-point
-    cost.
+    """Bar e's archive as a one-row stack, the reference for a row of
+    :func:`prior_slot_costs`: its current slots are the points, and their
+    prior-slot mismatch ``c de^2 + ds^2 / c`` against the bar's previously
+    accepted state ``(eps_prev, sig_prev)`` is their fidelity cost, so a
+    search minimizes ``d^2 + d_prev^2``, the square distances in both slots.
     """
-    return stack_sets([h.eps_cur], [h.sig_cur], [_prior_slot_cost(h, eps_prev, sig_prev, c)])
-
-
-def _prior_slot_cost(
-    h: HistoryRepository, eps_prev: float, sig_prev: float, c: float
-) -> np.ndarray:
-    """``c de^2 + ds^2 / c`` over the prior slots of ``h``, with ``(de,
-    ds)`` their distance to ``(eps_prev, sig_prev)``."""
-    de = h.eps_prev - eps_prev
-    ds = h.sig_prev - sig_prev
-    return c * de * de + (1.0 / c) * ds * ds
+    de = archive.eps_prev[e] - eps_prev
+    ds = archive.sig_prev[e] - sig_prev
+    cost = c * de * de + (1.0 / c) * ds * ds
+    return stack_sets([archive.eps_cur[e]], [archive.sig_cur[e]], [cost])
 
 
 def prior_slot_costs(
-    repositories: Sequence[HistoryRepository],
+    archive: HistoryRepository,
     z_prev: GlobalState,
     gm: GlobalMetric,
     rows: slice = slice(None),
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Fidelity costs of the bars' archives, all of one size n, against the
-    previously accepted state ``z_prev``, as an (M, n) array.
+    """Fidelity costs of the archive's (M, n) entries against the previously
+    accepted state ``z_prev``.
 
     Row e holds the costs :func:`history_cost_dataset` gives bar e from
     ``z_prev.strain[e]``, ``z_prev.stress[e]`` and ``gm.c_diag[e]``, checked
     as :func:`stack_sets` checks them. Only the ``rows`` of that array are
-    computed, one at a time (a stack of every prior slot would hold two
-    more (M, n) arrays), and written into ``out`` when it is given; each
-    row depends on its own bar.
+    computed, one at a time from the archive's prior slots (a cost of every
+    row at once would hold two more (M, n) arrays), and written into
+    ``out`` when it is given; each row depends on its own bar.
     """
-    chosen = range(len(repositories))[rows]
-    out = np.empty((len(chosen), repositories[0].n_entries)) if out is None else out
+    m, n = archive.eps_prev.shape
+    chosen = range(m)[rows]
+    out = np.empty((len(chosen), n)) if out is None else out
     for i, e in enumerate(chosen):
-        h = repositories[e]
-        row = _prior_slot_cost(h, z_prev.strain[e], z_prev.stress[e], gm.c_diag[e])
-        out[i] = _checked_costs(e, row, h.n_entries)
+        de = archive.eps_prev[e] - z_prev.strain[e]
+        ds = archive.sig_prev[e] - z_prev.stress[e]
+        c = gm.c_diag[e]
+        out[i] = _checked_costs(e, c * de * de + (1.0 / c) * ds * ds, n)
     return out
 
 

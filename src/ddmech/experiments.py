@@ -374,7 +374,7 @@ def build_relaxation_repository(
     n_current: int = 9,
     current_halfwidth: float | None = None,
 ) -> HistoryRepository:
-    """Offline two-time archive covering the held-bar operating region.
+    """Offline one-row two-time archive covering the held-bar operating region.
 
     Entries pair prior states on a dense stress grid at the pinned strain
     with their one-step responses on a strain grid, plus instantaneous pairs
@@ -386,26 +386,41 @@ def build_relaxation_repository(
     eps_bar = cfg.eps_bar
     hw = abs(eps_bar) * 0.05 if current_halfwidth is None else float(current_halfwidth)
     cur_offsets = (np.arange(n_current) - n_current // 2) * (hw / max(n_current // 2, 1))
-    e_cur = eps_bar + cur_offsets
+    e_cur = (eps_bar + cur_offsets)[None, :]
 
     sig_lo = min(law.e0 * eps_bar, law.modulus_instantaneous * eps_bar)
     sig_hi = max(law.e0 * eps_bar, law.modulus_instantaneous * eps_bar)
     span = sig_hi - sig_lo
     sig_grid = np.linspace(sig_lo - 0.05 * span, sig_hi + 0.05 * span, n_prior)
-
     # one-step pairs conditioned on every prior stress level
-    r = law.tau1 / cfg.dt
-    bmod = (law.e0 + (law.e0 + law.e1) * r) / (1.0 + r)
-    a = (sig_grid * r - (law.e0 + law.e1) * r * eps_bar) / (1.0 + r)
-    return HistoryRepository(
-        # instantaneous pairs out of the virgin state come first
-        np.concatenate([np.zeros_like(e_cur), np.full(sig_grid.size * e_cur.size, eps_bar)]),
-        np.concatenate([np.zeros_like(e_cur), np.repeat(sig_grid, e_cur.size)]),
-        np.concatenate([e_cur, np.tile(e_cur, sig_grid.size)]),
-        np.concatenate(
-            [law.modulus_instantaneous * e_cur, (a[:, None] + bmod * e_cur).ravel()]
-        ),
-    )
+    block = (np.full((1, n_prior), eps_bar), sig_grid[None, :], e_cur, cfg.dt)
+    return _two_time_archive(law, e_cur, [block])
+
+
+def _two_time_archive(law: SlsParams, ec0: np.ndarray, blocks) -> HistoryRepository:
+    """The (M, n) archive whose row e holds, first, the instantaneous pairs
+    out of the virgin state at the current strains ``ec0[e]``, and then one
+    block for each ``(pe, ps, ec, dt)`` of ``blocks``: every prior state
+    ``(pe[e, i], ps[e, i])`` paired with its one-step responses of ``law``
+    at the current strains ``ec[e]``. Every entry is written once, into the
+    archive's own slot arrays.
+    """
+    (m, c), p = ec0.shape, blocks[0][0].shape[1] if blocks else 0
+    slots = [np.empty((m, c * (1 + len(blocks) * p))) for _ in range(4)]
+    eps_prev, sig_prev, eps_cur, sig_cur = slots
+    eps_prev[:, :c] = sig_prev[:, :c] = 0.0
+    eps_cur[:, :c] = ec0
+    sig_cur[:, :c] = law.modulus_instantaneous * ec0
+    # each slot's blocks as one (M, steps, priors, currents) view
+    p_eps, p_sig, c_eps, c_sig = (a[:, c:].reshape(m, len(blocks), p, c) for a in slots)
+    for k, (pe, ps, ec, dt) in enumerate(blocks):
+        a, bmod = sls_affine_coefficients(pe, ps, law, dt)
+        # pair every prior with the whole current grid
+        p_eps[:, k] = pe[:, :, None]
+        p_sig[:, k] = ps[:, :, None]
+        c_eps[:, k] = ec[:, None, :]
+        np.add(a[:, :, None], bmod * ec[:, None, :], out=c_sig[:, k])
+    return HistoryRepository(*slots)
 
 
 def run_relaxation_history(
@@ -416,7 +431,7 @@ def run_relaxation_history(
     mesh, gm, times = _relaxation_setup(cfg)
     if repository is None:
         repository = build_relaxation_repository(cfg)
-    traj = history_matching_march(mesh, gm, [repository], None, times, SolverConfig())
+    traj = history_matching_march(mesh, gm, repository, None, times, SolverConfig())
     return _relaxation_result(cfg, times, traj)
 
 
@@ -628,8 +643,9 @@ def build_truss_repositories(
     n_prior_offset: int = 81,
     current_halfwidth: float = 2e-3,
     n_current: int = 65,
-) -> list[HistoryRepository]:
-    """Offline two-time archives around a fixture's operating region.
+) -> HistoryRepository:
+    """Offline two-time archives around a fixture's operating region, one
+    row of the returned (M, n) archive per bar.
 
     For every element and step, prior states form a sheared lattice around
     the reference state one step earlier: the strain direction runs along
@@ -640,7 +656,8 @@ def build_truss_repositories(
     points over ``prior_offset_radius`` of the stress scale). Each prior is
     paired with a strain grid of its one-step responses. The offset spacing
     bounds the response error, so it is the knob that controls agreement
-    with the differential mode.
+    with the differential mode. Each step's block is written for all bars
+    at once.
     """
     t_grid = np.asarray(times, dtype=float).reshape(-1)
     sys = assemble(mesh, gm)
@@ -653,44 +670,26 @@ def build_truss_repositories(
             f"repository would hold {per_element * m} entries; "
             f"reduce the mesh, grid sizes, or time steps (cap {MAX_ARCHIVE_ENTRIES})"
         )
-    eps_scale = np.maximum(np.max(np.abs(ref.strain), axis=0), 1e-12)
-    sig_scale = np.maximum(np.max(np.abs(ref.stress), axis=0), 1e-6)
+    eps_scale = np.maximum(np.max(np.abs(ref.strain), axis=0), 1e-12)[:, None]
+    sig_scale = np.maximum(np.max(np.abs(ref.stress), axis=0), 1e-6)[:, None]
     side_i = np.linspace(-1.0, 1.0, n_prior_strain)
     side_j = np.linspace(-1.0, 1.0, n_prior_offset)
     cur_grid = (np.arange(n_current) - n_current // 2) / max(n_current // 2, 1)
     ci = law.modulus_instantaneous
-    out = []
-    for e in range(m):
-        d_eps = np.repeat(side_i * prior_strain_radius * eps_scale[e], n_prior_offset)
-        d_off = np.tile(side_j * prior_offset_radius * sig_scale[e], n_prior_strain)
-        cur_off = cur_grid * current_halfwidth * eps_scale[e]
-        eps_prev, sig_prev, eps_cur, sig_cur = [], [], [], []
-        # instantaneous responses out of the virgin state
-        ec0 = ref.strain[0, e] + cur_off
-        eps_prev.append(np.zeros_like(ec0))
-        sig_prev.append(np.zeros_like(ec0))
-        eps_cur.append(ec0)
-        sig_cur.append(ci * ec0)
-        for k in range(1, T):
-            pe = ref.strain[k - 1, e] + d_eps
-            ps = ref.stress[k - 1, e] + ci * d_eps + d_off
-            dt = float(t_grid[k] - t_grid[k - 1])
-            a, bmod = sls_affine_coefficients(pe, ps, law, dt)
-            ec = ref.strain[k, e] + cur_off
-            # pair every prior with the whole current grid
-            eps_prev.append(np.repeat(pe, ec.size))
-            sig_prev.append(np.repeat(ps, ec.size))
-            eps_cur.append(np.tile(ec, pe.size))
-            sig_cur.append((a[:, None] + bmod * ec[None, :]).ravel())
-        out.append(
-            HistoryRepository(
-                np.concatenate(eps_prev),
-                np.concatenate(sig_prev),
-                np.concatenate(eps_cur),
-                np.concatenate(sig_cur),
-            )
+    # (M, priors) prior shifts and (M, currents) current offsets
+    d_eps = np.repeat(side_i * prior_strain_radius * eps_scale, n_prior_offset, axis=1)
+    d_off = np.tile(side_j * prior_offset_radius * sig_scale, n_prior_strain)
+    cur_off = cur_grid * current_halfwidth * eps_scale
+    blocks = [
+        (
+            ref.strain[k - 1][:, None] + d_eps,
+            ref.stress[k - 1][:, None] + ci * d_eps + d_off,
+            ref.strain[k][:, None] + cur_off,
+            float(t_grid[k] - t_grid[k - 1]),
         )
-    return out
+        for k in range(1, T)
+    ]
+    return _two_time_archive(law, ref.strain[0][:, None] + cur_off, blocks)
 
 
 def small_truss_fixture(law: SlsParams = DEFAULT_SLS, *, t_end: float = 20.0):

@@ -37,9 +37,10 @@ searches, which every step draws into one (M, n) stack per march.
 conditioned on the previously accepted local states; randomness is split
 per (step, element) from the run seed, so trajectories are bit-reproducible
 and any subset of a step's rows can be drawn alone, bit for bit.
-:func:`history_matching_march` searches fixed two-time archives of one
-size, with the prior-slot mismatch against the previously accepted state
-as a fidelity cost. Every step is solved from two warm starts, the
+:func:`history_matching_march` searches fixed two-time archives, one
+(M, n) :class:`~ddmech.data.HistoryRepository` whose current slots are the
+march's stack, with the prior-slot mismatch against the previously accepted
+state as a fidelity cost. Every step is solved from two warm starts, the
 predicted state and the empirical response read off the step's sets, and
 the lower objective wins. A march forks a step worker
 (:class:`_StepWorker`) for the second start when the process may use two
@@ -57,8 +58,8 @@ import os
 import signal
 import threading
 import traceback
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -76,7 +77,8 @@ from .data import (
     planned_lowest,
     prior_slot_costs,
     require_int,
-    stack_sets,
+    # no step calls it; perfbench's layer list names it in this module
+    stack_sets,  # noqa: F401
     update_history_variable,
     write_csv,
 )
@@ -1342,7 +1344,7 @@ def time_march(
 def history_matching_march(
     mesh: TrussMesh,
     gm: GlobalMetric,
-    repositories: Sequence[HistoryRepository],
+    archive: HistoryRepository,
     loads: LoadProgram | None,
     times,
     cfg: SolverConfig | None = None,
@@ -1351,44 +1353,35 @@ def history_matching_march(
 ) -> Trajectory:
     """March against fixed two-time archives instead of regenerated sets.
 
-    Each step searches the current slots of every element's repository with
-    the prior-slot mismatch (against the previously accepted state) added as
-    a fidelity cost; nothing is regenerated, so the archives can be sampled
-    entirely offline. Every archive must hold the same number n of entries
-    (``ValueError`` naming the first bar whose archive differs). The
-    archives are stacked once by :func:`~ddmech.data.stack_sets`. The
-    stack's strain index and its (M, n) cost rows are arrays of the march's
-    ``empty``: the first step's draw sorts the archive rows into the index,
-    and every step's draw computes the cost rows. With a forked step worker
-    (see :func:`_march`) both are in shared memory, and each process sorts
-    and costs the rows of its half of the elements (``_row_halves``), as
-    :func:`time_march` draws and sorts its sets; the stacked archive itself
-    is written before the fork and shared copy-on-write.
+    Each step searches the current slots of every bar's archive, row e of
+    ``archive``, with the prior-slot mismatch (against the previously
+    accepted state) added as a fidelity cost; nothing is regenerated, so
+    the archives can be sampled entirely offline. The archive must hold one
+    row per bar (``ValueError`` naming both counts). Its current slots are
+    the march's stack as they are, uncopied. The stack's strain index and
+    its (M, n) cost rows are arrays of the march's ``empty``: the first
+    step's draw sorts the archive rows into the index, and every step's
+    draw computes the cost rows. With a forked step worker (see
+    :func:`_march`) both are in shared memory, and each process sorts and
+    costs the rows of its half of the elements (``_row_halves``), as
+    :func:`time_march` draws and sorts its sets; the archive itself, built
+    before the fork and never written, is shared copy-on-write.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
     system = sys if sys is not None else assemble(mesh, gm)
-    m = system.n_elements
-    if len(repositories) != m:
-        raise ValueError(f"{m} repositories required, got {len(repositories)}")
-    for e, h in enumerate(repositories):
-        if h.n_entries != repositories[0].n_entries:
-            raise ValueError(
-                f"archives must all have the same size: bar {e} has {h.n_entries} "
-                f"entries, bar 0 has {repositories[0].n_entries}"
-            )
-
-    archive = stack_sets([h.eps_cur for h in repositories], [h.sig_cur for h in repositories])
-    shape = archive.eps.shape
+    (m, n), bars = archive.eps_cur.shape, system.n_elements
+    if m != bars:
+        raise ValueError(f"the archive must hold one row per bar: {bars} bars, got {m} rows")
 
     def stack(empty):
-        index = StrainIndex.of(empty(shape, np.intp), empty(shape, float))
-        return replace(archive, costs=empty(shape, float), index=index)
+        index = StrainIndex.of(empty((m, n), np.intp), empty((m, n), float))
+        return StackedSets(archive.eps_cur, archive.sig_cur, empty((m, n), float), index=index)
 
     def draw(sets, rows, k, dt, est, eps_prev, sig_prev, q_acc):
         if k == 0:
             sets.index.sort(sets.eps, rows)
-        prior_slot_costs(repositories, GlobalState(eps_prev, sig_prev), gm, rows, sets.costs[rows])
+        prior_slot_costs(archive, GlobalState(eps_prev, sig_prev), gm, rows, sets.costs[rows])
 
     return _march(system, gm, loads, t_grid, cfg, stack, draw, None)
 

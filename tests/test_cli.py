@@ -155,6 +155,36 @@ def test_visco_run_from_a_config_file(tmp_path):
     assert len(lines) == 1 + 4 * bars
 
 
+@pytest.mark.parametrize(
+    "command, config, files",
+    [
+        ("relaxation", "t_end = 5\n", ["relaxation.csv", "relaxation_trajectory.csv"]),
+        (
+            "visco",
+            "lattice.nx = 2\nlattice.ny = 1\nlattice.nz = 1\nt_end = 4\n",
+            ["visco_probe.csv", "visco_reference.csv", "visco_trajectory.csv"],
+        ),
+    ],
+)
+def test_history_matching_run_writes_its_files(tmp_path, command, config, files):
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    argv = [command, "--history-matching", "--config", str(path), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == files
+
+
+@pytest.mark.parametrize("command", ["relaxation", "visco"])
+@pytest.mark.parametrize("flag, value", [("--points", "64"), ("--band", "0.1")])
+def test_history_matching_refuses_data_flags(tmp_path, capsys, command, flag, value):
+    """The archive fixes the data, so a data flag is an error, not ignored."""
+    argv = [command, "--history-matching", flag, value, "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} does not apply to --history-matching\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: Imports the package as ``python -m ddmech.cli`` and the ``ddmech`` script

@@ -49,14 +49,14 @@ def scan_one(eps_row, sig_row, eps, sig, c):
     return int(np.argmin(c * de * de + ds * ds / c))
 
 
-def two_slot_nearest(current, prior, h, c):
-    """The archive entry minimizing ``d^2(current slot) + d^2(prior
-    slot)``, the lowest index on a tie, for (strain, stress) pairs
-    ``current`` and ``prior``: an independent reference."""
+def two_slot_nearest(current, prior, h, e, c):
+    """The entry of bar e's archive minimizing ``d^2(current slot) +
+    d^2(prior slot)``, the lowest index on a tie, for (strain, stress)
+    pairs ``current`` and ``prior``: an independent reference."""
 
     def d2(eps, sig, z):
-        de = eps - z[0]
-        ds = sig - z[1]
+        de = eps[e] - z[0]
+        ds = sig[e] - z[1]
         return c * de * de + ds * ds / c
 
     return int(np.argmin(d2(h.eps_cur, h.sig_cur, current) + d2(h.eps_prev, h.sig_prev, prior)))
@@ -552,57 +552,88 @@ class TestHistoryVariable:
 
 
 class TestHistoryRepository:
-    """Two-time archives and their cost-dataset reduction."""
+    """Two-time archives of all bars as (M, n) slot arrays, and their cost
+    rows."""
 
     def repo(self):
         return HistoryRepository(
-            eps_prev=np.array([0.0, 0.0, 1e-3]),
-            sig_prev=np.array([0.0, 100.0, 160.0]),
-            eps_cur=np.array([1e-3, 1e-3, 1e-3]),
-            sig_cur=np.array([175.0, 150.0, 140.0]),
+            eps_prev=np.array([[0.0, 0.0, 1e-3]]),
+            sig_prev=np.array([[0.0, 100.0, 160.0]]),
+            eps_cur=np.array([[1e-3, 1e-3, 1e-3]]),
+            sig_cur=np.array([[175.0, 150.0, 140.0]]),
         )
 
     def test_rejects_ragged_slots(self):
-        with pytest.raises(ValueError):
-            HistoryRepository(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match=r"one shape \(M, n\).*\(1, 2\), \(1, 3\)"):
+            HistoryRepository(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 2)), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize(
+        "shape", [(3,), (2, 0), (1, 2, 2)], ids=["one-dimensional", "no-entries", "three-dimensional"]
+    )
+    def test_rejects_slots_of_the_wrong_shape(self, shape):
+        with pytest.raises(ValueError, match=r"one shape \(M, n\) with n >= 1"):
+            HistoryRepository(*(np.zeros(shape) for _ in range(4)))
+
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, slot, bad):
+        slots = [np.zeros((3, 4)) for _ in range(4)]
+        slots[slot][2, 1] = bad
+        name = ("eps_prev", "sig_prev", "eps_cur", "sig_cur")[slot]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            HistoryRepository(*slots)
+
+    def test_slots_are_read_only_views_of_float64_input(self):
+        """No slot is copied; the archive's views are read-only and the
+        caller's arrays stay writable."""
+        slots = [np.arange(6.0).reshape(2, 3) + i for i in range(4)]
+        h = HistoryRepository(*slots)
+        for name, a in zip(("eps_prev", "sig_prev", "eps_cur", "sig_cur"), slots):
+            view = getattr(h, name)
+            assert np.shares_memory(view, a)
+            assert not view.flags.writeable and a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 1.0
 
     def test_nearest_history_weighs_both_slots(self):
         """The search of the cost dataset weighs both slots: a prior state
         near entry 2's prior slot moves the winner off entry 1, the nearest
         in the current slot."""
         h = self.repo()
-        d = history_cost_dataset(h, 0.0, 100.0, 1.0)
+        d = history_cost_dataset(h, 0, 0.0, 100.0, 1.0)
         idx = nearest_in(d, 1e-3, 150.0)
-        assert (idx, h.sig_cur[idx], h.sig_prev[idx]) == (1, 150.0, 100.0)
-        d = history_cost_dataset(h, 1e-3, 160.0, 1.0)
+        assert (idx, h.sig_cur[0, idx], h.sig_prev[0, idx]) == (1, 150.0, 100.0)
+        d = history_cost_dataset(h, 0, 1e-3, 160.0, 1.0)
         assert nearest_in(d, 1e-3, 150.0) == 2
 
     def test_cost_dataset_equals_weighted_prior_distance(self):
         h = self.repo()
-        d = history_cost_dataset(h, 1e-3, 120.0, 2.0)
+        d = history_cost_dataset(h, 0, 1e-3, 120.0, 2.0)
         assert d.costs.shape == (1, 3)
-        assert np.array_equal(d.eps[0], h.eps_cur) and np.array_equal(d.sig[0], h.sig_cur)
+        assert np.array_equal(d.eps, h.eps_cur) and np.array_equal(d.sig, h.sig_cur)
         for i in range(3):
-            de = h.eps_prev[i] - 1e-3
-            ds = h.sig_prev[i] - 120.0
+            de = h.eps_prev[0, i] - 1e-3
+            ds = h.sig_prev[0, i] - 120.0
             expect = 2.0 * de * de + ds * ds / 2.0
             assert d.costs[0, i] == pytest.approx(expect, rel=1e-12)
 
     def test_cost_dataset_reproduces_nearest_history(self, rng):
-        """Searching the cost dataset equals a two-slot search."""
-        n = 30
+        """Searching the cost dataset of any bar equals a two-slot search of
+        that bar's archive."""
+        shape = (3, 30)
         h = HistoryRepository(
-            rng.normal(size=n),
-            rng.normal(size=n) * 100.0,
-            rng.normal(size=n),
-            rng.normal(size=n) * 100.0,
+            rng.normal(size=shape),
+            rng.normal(size=shape) * 100.0,
+            rng.normal(size=shape),
+            rng.normal(size=shape) * 100.0,
         )
-        for _ in range(20):
+        for k in range(20):
+            e = k % 3
             prior = (rng.normal(), rng.normal() * 100.0)
             current = (rng.normal(), rng.normal() * 100.0)
-            d = history_cost_dataset(h, *prior, 175.0)
+            d = history_cost_dataset(h, e, *prior, 175.0)
             got = nearest_in(d, *current, 175.0)
-            assert got == two_slot_nearest(current, prior, h, 175.0)
+            assert got == two_slot_nearest(current, prior, h, e, 175.0)
 
     def test_stacked_costs_equal_cost_datasets(self, rng):
         """Each row of the stacked costs equals the cost dataset's costs
@@ -611,23 +642,24 @@ class TestHistoryRepository:
         moduli = (175.0, 2.0, 9.0)
         gm = GlobalMetric(moduli, np.ones(3))
         z_prev = GlobalState(rng.normal(size=3), rng.normal(size=3) * 100.0)
-        repos = [
-            HistoryRepository(
-                rng.normal(size=30),
-                rng.normal(size=30) * 100.0,
-                rng.normal(size=30),
-                rng.normal(size=30) * 100.0,
-            )
-            for _ in moduli
-        ]
-        costs = prior_slot_costs(repos, z_prev, gm)
+        shape = (3, 30)
+        h = HistoryRepository(
+            rng.normal(size=shape),
+            rng.normal(size=shape) * 100.0,
+            rng.normal(size=shape),
+            rng.normal(size=shape) * 100.0,
+        )
+        costs = prior_slot_costs(h, z_prev, gm)
         assert costs.shape == (3, 30)
-        for e, h in enumerate(repos):
-            d = history_cost_dataset(h, z_prev.strain[e], z_prev.stress[e], moduli[e])
+        for e in range(3):
+            d = history_cost_dataset(h, e, z_prev.strain[e], z_prev.stress[e], moduli[e])
             assert np.array_equal(costs[e], d.costs[0])
+        out = np.full((2, 30), np.nan)
+        assert prior_slot_costs(h, z_prev, gm, slice(1, 3), out) is out
+        assert np.array_equal(out, costs[1:])
         huge = GlobalState(np.full(3, 1e200), np.zeros(3))
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="set 0: .*finite and nonn"):
-                prior_slot_costs(repos, huge, gm)
+                prior_slot_costs(h, huge, gm)
             with pytest.raises(ValueError, match="set 0: .*finite and nonn"):
-                history_cost_dataset(repos[0], 1e200, 0.0, moduli[0])
+                history_cost_dataset(h, 0, 1e200, 0.0, moduli[0])

@@ -82,6 +82,7 @@ def test_command_timing_records_time_exit_code_and_digests(tmp_path, monkeypatch
     record = json.loads(out.read_text())
     assert list(record) == ["quick", "bad"]
     assert record["quick"]["exit_code"] == 0 and record["quick"]["wall_s"] > 0.0
+    assert record["quick"]["max_rss_mib"] > 0.0
     assert record["quick"]["csv_sha256"] == importlib.import_module("output_digest").digest(
         quick, None
     )

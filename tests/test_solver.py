@@ -543,9 +543,12 @@ class TestHistoryMatchingMarch:
     """March against fixed two-time archives."""
 
     def test_repository_count_checked(self):
-        mesh, gm, loads, times = small_truss_fixture()
-        with pytest.raises(ValueError):
-            history_matching_march(mesh, gm, [], loads, times, SolverConfig())
+        """An archive of 3 rows for the 4 bars is refused, naming both
+        counts."""
+        mesh, gm, loads, times = small_truss_fixture(t_end=2.0)
+        archive = HistoryRepository(*(np.zeros((3, 5)) for _ in range(4)))
+        with pytest.raises(ValueError, match=r"one row per bar: 4 bars, got 3 rows"):
+            history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
 
     def test_agrees_with_differential_mode(self):
         """Archive march tracks the regenerated march on the pyramid."""
@@ -565,23 +568,6 @@ class TestHistoryMatchingMarch:
             dd, DEFAULT_SLS.tau1
         )
         assert rel < 1e-2
-
-    def test_unequal_archives_rejected(self):
-        """Archives of different sizes are refused, naming the bar and both
-        sizes."""
-        mesh, gm, loads, times = small_truss_fixture(t_end=4.0)
-        repos = build_truss_repositories(
-            mesh, gm, DEFAULT_SLS, loads, times,
-            n_prior_strain=3, n_prior_offset=5, n_current=9,
-        )
-        h = repos[2]
-        repos[2] = HistoryRepository(
-            h.eps_prev[:-7], h.sig_prev[:-7], h.eps_cur[:-7], h.sig_cur[:-7]
-        )
-        n = h.n_entries
-        message = f"same size: bar 2 has {n - 7} entries, bar 0 has {n}"
-        with pytest.raises(ValueError, match=message):
-            history_matching_march(mesh, gm, repos, loads, times, SolverConfig())
 
     @pytest.mark.parametrize("march", [time_march, history_matching_march])
     def test_abort_reports_iterations_and_objective(self, march):
@@ -617,13 +603,19 @@ def _study_march(kind, cfg=None, *, lattice=LatticeSpec(2, 1, 1), steps=12, poin
     )
 
 
-def _archive_march():
+def _archive_setup():
+    """The 4-bar fixture over 5 steps and its (4, 2709) archive."""
     mesh, gm, loads, times = small_truss_fixture(t_end=4.0)
-    repos = build_truss_repositories(
+    archive = build_truss_repositories(
         mesh, gm, DEFAULT_SLS, loads, times,
         n_prior_strain=3, n_prior_offset=5, n_current=9,
     )
-    return history_matching_march(mesh, gm, repos, loads, times, SolverConfig())
+    return mesh, gm, loads, times, archive
+
+
+def _archive_march():
+    mesh, gm, loads, times, archive = _archive_setup()
+    return history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
 
 
 #: One short march of each kind under the default "response" warm start.
@@ -914,6 +906,20 @@ class TestSharedDraw:
         assert np.array_equal(forked.strain, serial.strain)
         assert np.array_equal(forked.stress, serial.stress)
         assert np.array_equal(forked.assignment, serial.assignment)
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["worker", "serial"])
+    def test_archive_march_reads_the_archive_uncopied(self, worker_starts, monkeypatch, cpus):
+        """The march's stack holds the archive's own current slots, with a
+        step worker and without one."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        stacks = _recorded_stacks(monkeypatch)
+        mesh, gm, loads, times, archive = _archive_setup()
+        history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
+        assert worker_starts == ([os.getpid()] if len(cpus) == 2 else [])
+        assert multiprocessing.active_children() == []
+        (sets,) = stacks
+        assert np.shares_memory(sets.eps, archive.eps_cur)
+        assert np.shares_memory(sets.sig, archive.sig_cur)
 
     def test_one_bar_archive_leaves_the_worker_no_rows(
         self, worker_starts, monkeypatch, tmp_path

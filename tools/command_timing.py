@@ -4,9 +4,11 @@ Runs ``relaxation``, ``relaxation --history-matching``, ``visco``,
 ``plastic`` and ``oracle-check`` at their defaults, one after another, each
 once with ``python -m ddmech.cli`` in a subprocess that has the caller's
 environment and this checkout's ``src`` first on ``PYTHONPATH``. For every
-command it records the wall time in seconds, the exit code and the sha256
-of every CSV it wrote. Labels after the options run only those commands,
-in the order above. Run from a source checkout:
+command it records the wall time in seconds, the peak resident set size
+of its largest process in MiB (``max_rss_mib``, reaped step and pool
+workers included), the exit code and the sha256 of every CSV it wrote.
+Labels after the options run only those commands, in the order above. Run
+from a source checkout:
 
     python tools/command_timing.py --out TIMES.json
     python tools/command_timing.py --out TIMES.json plastic "relaxation --history-matching"
@@ -46,8 +48,13 @@ def main() -> None:
     for label, command in COMMANDS:
         if args.labels and label not in args.labels:
             continue
-        code, seconds, sums = run(command)
-        record[label] = {"wall_s": round(seconds, 3), "exit_code": code, "csv_sha256": sums}
+        code, seconds, rss, sums = run(command)
+        record[label] = {
+            "wall_s": round(seconds, 3),
+            "max_rss_mib": round(rss, 1),
+            "exit_code": code,
+            "csv_sha256": sums,
+        }
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

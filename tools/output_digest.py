@@ -81,12 +81,15 @@ COMMANDS = (
 
 def run(
     args: list[str], config: str | None = None, files: dict[str, str] | None = None
-) -> tuple[int, float, dict[str, str]]:
+) -> tuple[int, float, float, dict[str, str]]:
     """Runs ``ddmech <args>`` on this checkout's package, in the caller's
     environment, in a fresh directory that holds the config file and
     ``files`` (name to text), so the config may name them by relative path.
-    Returns its exit code, its wall time in seconds and the sha256 of every
-    CSV it wrote."""
+    Returns its exit code, its wall time in seconds, its peak resident set
+    size in MiB and the sha256 of every CSV it wrote. The peak is the
+    child's ``ru_maxrss`` as ``os.wait4`` reports it (in KiB on Linux):
+    that of the largest process of the command, the step and pool workers
+    it reaped included."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     ))
@@ -100,13 +103,16 @@ def run(
             path.write_text(config)
             argv += ["--config", str(path)]
         start = time.perf_counter()
-        code = subprocess.run(argv, env=env, cwd=tmp, stdout=subprocess.DEVNULL).returncode
+        proc = subprocess.Popen(argv, env=env, cwd=tmp, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
         seconds = time.perf_counter() - start
+        # reaped here, so Popen must not wait for it again
+        code = proc.returncode = os.waitstatus_to_exitcode(status)
         sums = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.glob("*.csv"))
         }
-        return code, seconds, sums
+        return code, seconds, usage.ru_maxrss / 1024.0, sums
 
 
 def digest(
@@ -114,7 +120,7 @@ def digest(
 ) -> dict[str, str]:
     """The sha256 of every CSV that ``ddmech <args>`` writes (see
     :func:`run`); ``CalledProcessError`` when the command fails."""
-    code, _, sums = run(args, config, files)
+    code, _, _, sums = run(args, config, files)
     if code:
         raise subprocess.CalledProcessError(code, args)
     return sums
