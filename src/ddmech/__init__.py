@@ -44,8 +44,6 @@ from .experiments import (
     VISCO_BREAKPOINTS,
     ConvergenceRow,
     OracleCheckResult,
-    RelaxationConfig,
-    RelaxationResult,
     StudyConfig,
     StudyResult,
     build_relaxation_repository,
@@ -53,13 +51,13 @@ from .experiments import (
     bv_error,
     default_study_config,
     fit_loglog_slope,
+    held_bar_exact,
+    held_strain,
     oracle_check,
     random_small_instance,
     reference_trajectory,
     relaxation_mesh,
     run_convergence_study,
-    run_relaxation,
-    run_relaxation_history,
     small_truss_fixture,
     study_error,
     study_generator,
@@ -70,7 +68,6 @@ from .experiments import (
     study_times,
     weighted_l2_error,
     write_rate_csv,
-    write_relaxation_csv,
     write_study_csv,
 )
 from .materials import (
@@ -160,11 +157,9 @@ __all__ = [
     "fit_loglog_slope",
     "reference_trajectory",
     "relaxation_mesh",
-    "RelaxationConfig",
-    "RelaxationResult",
-    "run_relaxation",
+    "held_strain",
+    "held_bar_exact",
     "build_relaxation_repository",
-    "run_relaxation_history",
     "StudyConfig",
     "ConvergenceRow",
     "StudyResult",
@@ -182,7 +177,6 @@ __all__ = [
     "OracleCheckResult",
     "oracle_check",
     "random_small_instance",
-    "write_relaxation_csv",
     "write_study_csv",
     "write_rate_csv",
     "__version__",

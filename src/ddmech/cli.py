@@ -1,15 +1,15 @@
 """Command-line front end for the truss experiments.
 
 Subcommands: ``relaxation``, ``visco``, ``plastic``, ``convergence --kind
-{visco|plastic}`` and ``oracle-check``. Options may come from flags or from
-a plain key=value config file (flags win). A config key names a field of the
-config the command builds, :class:`RelaxationConfig` for ``relaxation`` and
-:class:`StudyConfig` for the others; the prefixes ``law.``, ``lattice.`` and
-``window.`` reach the fields of its material law, lattice and sampling
-window. A study also takes ``mesh``, a mesh file, and ``program.<id>``, the
-breakpoints of a PRESCRIBED program of that file. Outputs are UTF-8 CSV
-files with LF line endings and a header row, written into the ``--out``
-directory.
+{relaxation|visco|plastic}`` and ``oracle-check``. Options may come from
+flags or from a plain key=value config file (flags win). Every command but
+``oracle-check`` builds a :class:`StudyConfig` from the preset of its kind,
+and a config key names one of its fields; the prefixes ``law.``,
+``lattice.`` and ``window.`` reach the fields of its material law, lattice
+and sampling window. A lattice study also takes ``mesh``, a mesh file, and
+``program.<id>``, the breakpoints of a PRESCRIBED program of that file; the
+held bar of ``relaxation`` takes neither. Outputs are UTF-8 CSV files with
+LF line endings and a header row, written into the ``--out`` directory.
 """
 
 from __future__ import annotations
@@ -26,21 +26,20 @@ from .data import write_csv
 from .experiments import (
     MAX_ARCHIVE_ENTRIES,
     OracleCheckResult,
-    RelaxationConfig,
     StudyConfig,
+    build_relaxation_repository,
     build_truss_repositories,
     default_study_config,
+    held_bar_exact,
+    held_strain,
     oracle_check,
     reference_trajectory,
     run_convergence_study,
-    run_relaxation,
-    run_relaxation_history,
     study_error,
     study_generator,
     study_metric,
     study_setup,
     write_rate_csv,
-    write_relaxation_csv,
     write_study_csv,
 )
 from .solver import (
@@ -148,16 +147,16 @@ def _with_key(cfg, key: str, text: str):
 
 def _apply_config(cfg, path):
     """``cfg`` with every key of the config file at ``path`` (if any) set,
-    the file's mesh path (or None) and its ``program.<id>`` programs; only a
-    :class:`StudyConfig` takes those two. A bad key or value raises
-    ``ValueError`` naming ``path:line`` and the key."""
-    study = isinstance(cfg, StudyConfig)
+    the file's mesh path (or None) and its ``program.<id>`` programs; the
+    held bar of ``relaxation`` takes neither of those two. A bad key or
+    value raises ``ValueError`` naming ``path:line`` and the key."""
+    lattice = cfg.kind != "relaxation"
     mesh_path, programs = None, {}
     for key, (text, where) in (parse_config_file(path) if path else {}).items():
         try:
-            if study and key == "mesh":
+            if lattice and key == "mesh":
                 mesh_path = text
-            elif study and key.startswith("program."):
+            elif lattice and key.startswith("program."):
                 programs[key[len("program."):]] = PiecewiseLinearProgram.from_breakpoints(
                     _parse_breakpoints(text)
                 )
@@ -187,7 +186,9 @@ def _study_config(kind: str, args) -> StudyConfig:
         band_ref=args.band,
         workers=getattr(args, "workers", None),
     )
-    mesh_path = args.mesh or mesh_path
+    mesh_path = getattr(args, "mesh", None) or mesh_path
+    if mesh_path and kind == "relaxation":
+        raise ValueError("--mesh does not apply to relaxation")
     if not mesh_path:
         return cfg
     mesh, nodal = load_mesh(mesh_path, programs)
@@ -215,40 +216,6 @@ def _reject_data_flags(args) -> None:
     for flag, value in (("--points", args.points), ("--band", args.band)):
         if args.history_matching and value is not None:
             raise ValueError(f"{flag} does not apply to --history-matching")
-
-
-def _cmd_relaxation(args) -> int:
-    _reject_data_flags(args)
-    cfg, _, _ = _apply_config(RelaxationConfig(), args.config)
-    if args.points is not None and len(args.points) != 1:
-        raise ValueError("relaxation takes a single --points value")
-    cfg = _with_flags(
-        cfg,
-        seed=args.seed,
-        band_width=args.band,
-        n_points=args.points[0] if args.points else None,
-    )
-
-    started = time.perf_counter()
-    if args.history_matching:
-        result = run_relaxation_history(cfg)
-    else:
-        result = run_relaxation(cfg)
-    elapsed = time.perf_counter() - started
-
-    out = _out_dir(args)
-    write_relaxation_csv(result, out / "relaxation.csv")
-    export_trajectory_csv(result.trajectory, out / "relaxation_trajectory.csv")
-    mode = "history-matching" if args.history_matching else "differential"
-    print(f"relaxation ({mode}): {result.times.size} steps in {elapsed:.3f}s")
-    print(f"  max relative error vs closed form: {result.max_rel_error:.3e}")
-    print(
-        "  instantaneous stress/strain ratio: "
-        f"{result.instantaneous_modulus_ratio!r} "
-        f"(target {cfg.law.modulus_instantaneous!r})"
-    )
-    print(f"  wrote {out / 'relaxation.csv'} and {out / 'relaxation_trajectory.csv'}")
-    return 0
 
 
 def _probe_indices(sys, loads, ref) -> tuple[int, int]:
@@ -286,16 +253,19 @@ def _cmd_single_run(kind: str, args) -> int:
 
     started = time.perf_counter()
     if args.history_matching:
-        # size the archive grids to the entry budget; big meshes get coarse
-        # offset grids rather than an out-of-memory archive
-        n_cur, n_ps = 33, 3
-        per_element = MAX_ARCHIVE_ENTRIES // max(mesh.n_bars, 1)
-        n_po = (per_element // n_cur - 1) // max((times.size - 1) * n_ps, 1)
-        n_po = max(5, min(81, n_po))
-        archive = build_truss_repositories(
-            mesh, gm, cfg.law, loads, times,
-            n_prior_strain=n_ps, n_prior_offset=n_po, n_current=n_cur,
-        )
+        if kind == "relaxation":
+            archive = build_relaxation_repository(cfg.law, held_strain(cfg), cfg.dt)
+        else:
+            # size the archive grids to the entry budget; big meshes get
+            # coarse offset grids rather than an out-of-memory archive
+            n_cur, n_ps = 33, 3
+            per_element = MAX_ARCHIVE_ENTRIES // max(mesh.n_bars, 1)
+            n_po = (per_element // n_cur - 1) // max((times.size - 1) * n_ps, 1)
+            n_po = max(5, min(81, n_po))
+            archive = build_truss_repositories(
+                mesh, gm, cfg.law, loads, times,
+                n_prior_strain=n_ps, n_prior_offset=n_po, n_current=n_cur,
+            )
         traj = history_matching_march(mesh, gm, archive, loads, times, solver_cfg, sys=system)
     else:
         generator = study_generator(cfg, n, len(cfg.points) - 1, 0)
@@ -305,27 +275,31 @@ def _cmd_single_run(kind: str, args) -> int:
     err = study_error(cfg, traj, ref)
     out = _out_dir(args)
     export_trajectory_csv(traj, out / f"{kind}_trajectory.csv")
-    export_trajectory_csv(ref, out / f"{kind}_reference.csv")
-    dof, bar = _probe_indices(system, loads, ref)
-    _write_probe_csv(
-        out / f"{kind}_probe.csv", times, dof, bar, traj, ref, mesh.areas
-    )
+    if kind == "relaxation":
+        stress, exact = traj.stress[:, 0], held_bar_exact(cfg)
+        rel = np.abs(stress - exact) / np.abs(exact)
+        columns = (times.tolist(), stress.tolist(), exact.tolist(), rel.tolist())
+        write_csv(out / "relaxation.csv", ["time", "stress", "exact", "rel_error"], zip(*columns))
+        report = (f"instantaneous stress/strain ratio: {float(stress[0]) / held_strain(cfg)!r} "
+                  f"(target {cfg.law.modulus_instantaneous!r})")
+    else:
+        export_trajectory_csv(ref, out / f"{kind}_reference.csv")
+        dof, bar = _probe_indices(system, loads, ref)
+        _write_probe_csv(out / f"{kind}_probe.csv", times, dof, bar, traj, ref, mesh.areas)
+        report = f"probes: dof {dof} deflection, bar {bar} axial force -> {kind}_probe.csv"
     summary = trajectory_summary(traj)
     mode = "history-matching" if args.history_matching else f"{n} points/step"
     print(
         f"{kind} run ({mode}): {mesh.n_bars} bars, "
         f"{times.size} steps in {elapsed:.1f}s"
     )
-    print(f"  trajectory error vs reference law: {err:.6e}")
+    print(f"  study error: {err:.6e}")
     print(
         f"  solver: all steps converged={summary['all_converged']}, "
         f"max iterations={summary['max_iterations']}, "
         f"max equilibrium residual={summary['max_equilibrium_residual']:.3e}"
     )
-    print(
-        f"  probes: dof {dof} deflection, bar {bar} axial force -> "
-        f"{out / (kind + '_probe.csv')}"
-    )
+    print(f"  {report}; wrote {out}")
     return 0
 
 
@@ -341,16 +315,19 @@ def _cmd_convergence(args) -> int:
         f"{args.kind} convergence study: {cfg.runs} runs x "
         f"{len(cfg.points)} sizes in {elapsed:.1f}s"
     )
+    steps = cfg.runs * result.reference.n_steps
     for row in result.rows:
         print(
             f"  n={row.n_points:>6}  mean={row.mean_error:.6e}  "
-            f"std={row.std_error:.3e}"
+            f"std={row.std_error:.3e}  unconverged={row.unconverged}/{steps}"
         )
     if result.rate is None:
         print("  rate: not fitted (need >= 2 sizes with positive errors)")
     else:
         print(f"  fitted rate: {result.rate:.3f}")
     print(f"  wrote {out / (args.kind + '_convergence.csv')}")
+    if any(row.unconverged for row in result.rows):
+        print(f"  warning: unconverged steps at max_fixed_point_iters = {cfg.max_fixed_point_iters}")
     return 0
 
 
@@ -412,7 +389,7 @@ def _add_common(p: argparse.ArgumentParser, *, mesh=True, sweep=False) -> None:
         metavar="LIST",
         help="comma-separated data-set sizes",
     )
-    p.add_argument("--band", type=float, metavar="REAL", help="data band width")
+    p.add_argument("--band", type=float, metavar="REAL", help="data band at 64 points")
     if sweep:
         p.add_argument("--runs", type=int, metavar="N", help="independent runs")
         p.add_argument(
@@ -436,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="march against a fixed two-time archive instead of regenerating",
     )
-    p.set_defaults(func=_cmd_relaxation)
+    p.set_defaults(func=lambda a: _cmd_single_run("relaxation", a))
 
     p = sub.add_parser(
         "visco", help="one viscoelastic lattice trajectory vs the reference law"
@@ -461,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "convergence", help="error-vs-data-size study with rate fit"
     )
     p.add_argument(
-        "--kind", choices=("visco", "plastic"), required=True, help="study kind"
+        "--kind", choices=("relaxation", "visco", "plastic"), required=True, help="study kind"
     )
     _add_common(p, sweep=True)
     p.set_defaults(func=_cmd_convergence)

@@ -1,13 +1,15 @@
 """Experiment harness: reference solves, error norms, canonical fixtures,
 and data-resolution convergence studies.
 
-The reference trajectories integrate the generating material laws exactly
-(linear solves for the viscoelastic solid, Newton with the return map for
-plasticity) on the same meshes, load programs and time grids as the
-data-driven marches, so every study compares against an independent oracle.
-Trajectory discrepancies are measured by an exponentially weighted l2 norm
-in time (rate-sensitive) or by a total-variation norm of the increments
-(rate-independent), both built on the weighted phase-space metric.
+Every experiment is a :class:`StudyConfig`; the ``relaxation`` study holds
+one bar at constant strain and measures its largest relative stress error
+against the closed form. The other references integrate the generating
+laws exactly (linear solves for the viscoelastic solid, Newton with the
+return map for plasticity) on the same meshes, load programs and time grids
+as the data-driven marches. Trajectory discrepancies are measured by an
+exponentially weighted l2 norm in time (rate-sensitive) or by a
+total-variation norm of the increments (rate-independent), both built on
+the weighted phase-space metric.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .solver import (
     Trajectory,
     enumerate_global_min,
     fixed_point_solve,
-    history_matching_march,
     time_march,
 )
 from .truss import (
@@ -65,11 +66,9 @@ __all__ = [
     "fit_loglog_slope",
     "reference_trajectory",
     "relaxation_mesh",
-    "RelaxationConfig",
-    "RelaxationResult",
-    "run_relaxation",
+    "held_strain",
+    "held_bar_exact",
     "build_relaxation_repository",
-    "run_relaxation_history",
     "StudyConfig",
     "ConvergenceRow",
     "StudyResult",
@@ -87,7 +86,6 @@ __all__ = [
     "OracleCheckResult",
     "oracle_check",
     "random_small_instance",
-    "write_relaxation_csv",
     "write_study_csv",
     "write_rate_csv",
 ]
@@ -162,11 +160,6 @@ def fit_loglog_slope(n_points: Sequence[float], errors: Sequence[float]) -> floa
         raise ValueError("points and errors must be positive for a log-log fit")
     slope = np.polyfit(np.log(n), np.log(e), 1)[0]
     return float(-slope)
-
-
-def _metric_for(mesh: TrussMesh, law) -> GlobalMetric:
-    """Every command's metric: the law's instantaneous modulus, by volume."""
-    return GlobalMetric.uniform(law.modulus_instantaneous, mesh.volumes)
 
 
 def reference_trajectory(
@@ -300,100 +293,46 @@ def relaxation_mesh(eps_bar: float) -> TrussMesh:
     )
 
 
-@dataclass(frozen=True)
-class RelaxationConfig:
-    law: SlsParams = DEFAULT_SLS
-    eps_bar: float = 1e-3
-    dt: float = 1.0
-    t_end: float = 100.0
-    n_points: int = 2048
-    band_width: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
-        object.__setattr__(self, "n_points", require_int("n_points", self.n_points, 1))
-        # written so that NaN fails every comparison and is rejected
-        if not 0.0 <= self.band_width < np.inf:
-            raise ValueError(f"band_width must be finite and nonnegative, got {self.band_width}")
-        if not (np.isfinite(self.eps_bar) and self.eps_bar != 0.0):
-            raise ValueError(f"eps_bar must be finite and nonzero, got {self.eps_bar}")
-        if not (0.0 < self.dt < np.inf and 0.0 <= self.t_end < np.inf):
-            raise ValueError("dt must be finite and positive and t_end finite and nonnegative")
+def held_strain(cfg: StudyConfig) -> float:
+    """The strain a ``relaxation`` study holds its bar at: the value of its
+    mesh's one PRESCRIBED program at t = 0."""
+    (held,) = cfg.mesh.prescribed
+    return held.program(0.0)
 
 
-@dataclass
-class RelaxationResult:
-    times: np.ndarray
-    stress: np.ndarray
-    exact: np.ndarray
-    max_rel_error: float
-    instantaneous_modulus_ratio: float  # sigma_0 / eps_bar
-    trajectory: Trajectory
-
-
-def _relaxation_setup(cfg: RelaxationConfig):
-    mesh = relaxation_mesh(cfg.eps_bar)
-    gm = _metric_for(mesh, cfg.law)
-    times = np.arange(0.0, cfg.t_end + 0.5 * cfg.dt, cfg.dt)
-    return mesh, gm, times
-
-
-def run_relaxation(cfg: RelaxationConfig = RelaxationConfig()) -> RelaxationResult:
-    """Data-driven relaxation of the held bar against the closed form."""
-    mesh, gm, times = _relaxation_setup(cfg)
-    generator = GeneratorSpec(
-        law=cfg.law,
-        n_points=cfg.n_points,
-        band_width=cfg.band_width,
-        window=WindowRule(floor=abs(cfg.eps_bar)),
-        rng_seed=cfg.seed,
-    )
-    traj = time_march(mesh, gm, generator, None, times, SolverConfig())
-    return _relaxation_result(cfg, times, traj)
-
-
-def _relaxation_result(cfg, times, traj) -> RelaxationResult:
-    stress = traj.stress[:, 0]
-    exact = sls_relaxation_exact(np.arange(times.size), cfg.law, cfg.eps_bar, cfg.dt)
-    rel = np.abs(stress - exact) / np.abs(exact)
-    return RelaxationResult(
-        times=times,
-        stress=stress,
-        exact=exact,
-        max_rel_error=float(np.max(rel)),
-        instantaneous_modulus_ratio=float(stress[0] / cfg.eps_bar),
-        trajectory=traj,
+def held_bar_exact(cfg: StudyConfig) -> np.ndarray:
+    """The closed-form stress of a ``relaxation`` study's held bar at every
+    time of :func:`study_times`."""
+    return sls_relaxation_exact(
+        np.arange(study_times(cfg).size), cfg.law, held_strain(cfg), cfg.dt
     )
 
 
 def build_relaxation_repository(
-    cfg: RelaxationConfig,
+    law: SlsParams,
+    eps_bar: float,
+    dt: float,
     *,
     n_prior: int = 100_001,
-    n_current: int = 9,
-    current_halfwidth: float | None = None,
 ) -> HistoryRepository:
-    """Offline one-row two-time archive covering the held-bar operating region.
+    """Offline one-row two-time archive covering the operating region of a
+    bar of ``law`` held at ``eps_bar``, for a march on time step ``dt``.
 
     Entries pair prior states on a dense stress grid at the pinned strain
-    with their one-step responses on a strain grid, plus instantaneous pairs
-    rooted at the virgin state for the suddenly applied first step. The
-    prior-grid spacing bounds the accumulated march bias, so it is the knob
-    that controls agreement with the differential mode.
+    with their one-step responses on a grid of nine strains across
+    ``eps_bar`` +- 5%, plus instantaneous pairs rooted at the virgin state
+    for the suddenly applied first step. The prior-grid spacing bounds the
+    accumulated march bias, so it is the knob that controls agreement with
+    the differential mode.
     """
-    law = cfg.law
-    eps_bar = cfg.eps_bar
-    hw = abs(eps_bar) * 0.05 if current_halfwidth is None else float(current_halfwidth)
-    cur_offsets = (np.arange(n_current) - n_current // 2) * (hw / max(n_current // 2, 1))
-    e_cur = (eps_bar + cur_offsets)[None, :]
+    e_cur = (eps_bar + (np.arange(9) - 4) * (abs(eps_bar) * 0.05 / 4))[None, :]
 
     sig_lo = min(law.e0 * eps_bar, law.modulus_instantaneous * eps_bar)
     sig_hi = max(law.e0 * eps_bar, law.modulus_instantaneous * eps_bar)
     span = sig_hi - sig_lo
     sig_grid = np.linspace(sig_lo - 0.05 * span, sig_hi + 0.05 * span, n_prior)
     # one-step pairs conditioned on every prior stress level
-    block = (np.full((1, n_prior), eps_bar), sig_grid[None, :], e_cur, cfg.dt)
+    block = (np.full((1, n_prior), eps_bar), sig_grid[None, :], e_cur, dt)
     return _two_time_archive(law, e_cur, [block])
 
 
@@ -423,20 +362,8 @@ def _two_time_archive(law: SlsParams, ec0: np.ndarray, blocks) -> HistoryReposit
     return HistoryRepository(*slots)
 
 
-def run_relaxation_history(
-    cfg: RelaxationConfig = RelaxationConfig(),
-    repository: HistoryRepository | None = None,
-) -> RelaxationResult:
-    """Relaxation march against a fixed two-time archive."""
-    mesh, gm, times = _relaxation_setup(cfg)
-    if repository is None:
-        repository = build_relaxation_repository(cfg)
-    traj = history_matching_march(mesh, gm, repository, None, times, SolverConfig())
-    return _relaxation_result(cfg, times, traj)
-
-
 # ---------------------------------------------------------------------------
-# convergence studies on the lattice cantilever
+# convergence studies: the lattice cantilever, a mesh file or the held bar
 
 
 @dataclass(frozen=True)
@@ -448,7 +375,7 @@ class StudyConfig:
     sampling window follows ``window`` at every size.
     """
 
-    kind: str  # "visco" or "plastic"
+    kind: str  # "relaxation", "visco" or "plastic"
     law: SlsParams | PlasticParams
     lattice: LatticeSpec = LatticeSpec(6, 1, 2)
     mesh: TrussMesh | None = None
@@ -466,7 +393,7 @@ class StudyConfig:
     max_fixed_point_iters: int = 200
 
     def __post_init__(self) -> None:
-        if self.kind not in ("visco", "plastic"):
+        if self.kind not in ("relaxation", "visco", "plastic"):
             raise ValueError(f"unknown study kind {self.kind!r}")
         pts = tuple(require_int("points", p, 1) for p in self.points)
         if len(pts) < 1:
@@ -498,6 +425,7 @@ class ConvergenceRow:
     mean_error: float
     std_error: float
     errors: tuple[float, ...]
+    unconverged: int  # steps with converged False, summed over the runs
 
 
 @dataclass
@@ -514,9 +442,9 @@ def study_mesh(cfg: StudyConfig) -> TrussMesh:
 
 def study_loads(cfg: StudyConfig, sys: ConstraintSystem) -> LoadProgram:
     """Vertical tip forces on the far face (or explicit nodal loads),
-    scheduled by the breakpoints."""
-    if cfg.nodal_loads:
-        nodal = {(int(n), int(d)): float(v) for n, d, v in cfg.nodal_loads}
+    scheduled by the breakpoints; none on a system with no free dof."""
+    if cfg.nodal_loads or not sys.n_free:
+        nodal = {(int(n), int(d)): float(v) for n, d, v in cfg.nodal_loads or ()}
         return LoadProgram.from_nodal(sys, nodal, cfg.breakpoints)
     mesh = sys.mesh
     x_max = float(np.max(mesh.node_coords[:, 0]))
@@ -536,7 +464,8 @@ def study_times(cfg: StudyConfig) -> np.ndarray:
 
 
 def study_metric(cfg: StudyConfig, mesh: TrussMesh) -> GlobalMetric:
-    return _metric_for(mesh, cfg.law)
+    """Every command's metric: the law's instantaneous modulus, by volume."""
+    return GlobalMetric.uniform(cfg.law.modulus_instantaneous, mesh.volumes)
 
 
 def study_setup(
@@ -551,12 +480,23 @@ def study_setup(
 
 def study_generator(cfg: StudyConfig, n: int, point_index: int, run: int) -> GeneratorSpec:
     """The data generator one (sweep index, run) cell of the study uses."""
-    return _generator_for(cfg, n, _run_seed(cfg, point_index, run))
+    return GeneratorSpec(
+        law=cfg.law,
+        n_points=n,
+        band_width=cfg.band_ref * (64 / n),
+        window=cfg.window,
+        rng_seed=_run_seed(cfg, point_index, run),
+    )
 
 
 def study_error(cfg: StudyConfig, traj: Trajectory, ref: Trajectory) -> float:
     """The study's trajectory error: exponentially weighted l2 on the
-    relaxation time for ``visco``, total variation for ``plastic``."""
+    relaxation time for ``visco``, total variation for ``plastic``, and for
+    ``relaxation`` the largest relative stress error against the closed
+    form :func:`held_bar_exact` (``ref`` is not read)."""
+    if cfg.kind == "relaxation":
+        exact = held_bar_exact(cfg)
+        return float(np.max(np.abs(traj.stress[:, 0] - exact) / np.abs(exact)))
     if cfg.kind == "visco":
         return weighted_l2_error(traj, ref, cfg.law.tau1)
     return bv_error(traj, ref)
@@ -567,24 +507,15 @@ def _run_seed(cfg: StudyConfig, point_index: int, run: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _generator_for(cfg: StudyConfig, n: int, run_seed: int) -> GeneratorSpec:
-    return GeneratorSpec(
-        law=cfg.law,
-        n_points=n,
-        band_width=cfg.band_ref * (64 / n),
-        window=cfg.window,
-        rng_seed=run_seed,
-    )
-
-
-def _run_error(task: tuple[StudyConfig, int, int, Trajectory]) -> float:
-    """Error of one study march against the reference; a worker's task."""
-    cfg, n, run_seed, ref = task
+def _run_error(task: tuple[StudyConfig, int, int, Trajectory]) -> tuple[float, int]:
+    """Error and unconverged-step count of the march of one (sweep index,
+    run) cell of a study; a worker's task."""
+    cfg, point_index, run, ref = task
     mesh, gm, system, loads, times = study_setup(cfg)
-    generator = _generator_for(cfg, n, run_seed)
+    generator = study_generator(cfg, cfg.points[point_index], point_index, run)
     solver_cfg = SolverConfig(max_fixed_point_iters=cfg.max_fixed_point_iters)
     traj = time_march(mesh, gm, generator, loads, times, solver_cfg, sys=system)
-    return study_error(cfg, traj, ref)
+    return study_error(cfg, traj, ref), int(np.count_nonzero(~traj.converged))
 
 
 def run_convergence_study(cfg: StudyConfig) -> StudyResult:
@@ -598,26 +529,24 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
     """
     mesh, gm, system, loads, times = study_setup(cfg)
     ref = reference_trajectory(mesh, gm, cfg.law, loads, times, sys=system)
-    tasks = [
-        (cfg, n, _run_seed(cfg, i, r), ref)
-        for i, n in enumerate(cfg.points)
-        for r in range(cfg.runs)
-    ]
+    tasks = [(cfg, i, r, ref) for i in range(len(cfg.points)) for r in range(cfg.runs)]
     if cfg.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            errors = list(pool.map(_run_error, tasks))
+            results = list(pool.map(_run_error, tasks))
     else:
-        errors = [_run_error(task) for task in tasks]
+        results = [_run_error(task) for task in tasks]
 
     rows: list[ConvergenceRow] = []
     for i, n in enumerate(cfg.points):
-        arr = np.array(errors[i * cfg.runs : (i + 1) * cfg.runs])
+        cell = results[i * cfg.runs : (i + 1) * cfg.runs]
+        arr = np.array([err for err, _ in cell])
         rows.append(
             ConvergenceRow(
                 n_points=n,
                 mean_error=float(np.mean(arr)),
                 std_error=float(np.std(arr)),
                 errors=tuple(float(x) for x in arr),
+                unconverged=sum(u for _, u in cell),
             )
         )
     rate = None
@@ -712,7 +641,7 @@ def small_truss_fixture(law: SlsParams = DEFAULT_SLS, *, t_end: float = 20.0):
     conn = np.array([[0, 4], [1, 4], [2, 4], [3, 4]])
     supports = frozenset((n, d) for n in range(4) for d in range(3))
     mesh = TrussMesh(coords, conn, np.ones(4), supports)
-    gm = _metric_for(mesh, law)
+    gm = GlobalMetric.uniform(law.modulus_instantaneous, mesh.volumes)
     sys = assemble(mesh, gm)
     ramp = ((0.0, 0.0), (t_end / 2.0, 1.0), (t_end, 1.0))
     loads = LoadProgram.from_nodal(sys, {(4, 2): -400.0}, ramp)
@@ -856,15 +785,6 @@ def oracle_check(
 # CSV writers shared by the command line and the demonstration scripts
 
 
-def write_relaxation_csv(result: RelaxationResult, path) -> None:
-    rel = np.abs(result.stress - result.exact) / np.abs(result.exact)
-    write_csv(
-        path,
-        ["time", "stress", "exact", "rel_error"],
-        zip(result.times.tolist(), result.stress.tolist(), result.exact.tolist(), rel.tolist()),
-    )
-
-
 def write_study_csv(result: StudyResult, path) -> None:
     write_csv(
         path,
@@ -887,8 +807,21 @@ def write_rate_csv(result: StudyResult, path) -> None:
 
 
 def default_study_config(kind: str, **overrides) -> StudyConfig:
-    """Calibrated defaults for the two convergence studies."""
-    if kind == "visco":
+    """Calibrated defaults for the three studies."""
+    if kind == "relaxation":
+        # one bar held at 1e-3 by its mesh, no free dof; at band 0 the held
+        # strain is a sample of every set, so every size gives round-off
+        base = dict(
+            kind="relaxation",
+            law=DEFAULT_SLS,
+            mesh=relaxation_mesh(1e-3),
+            points=(2048,),
+            runs=1,
+            band_ref=0.0,
+            window=WindowRule(floor=1e-3),
+            seed=0,
+        )
+    elif kind == "visco":
         # the window tracks the shrinking band, so the grid spacing falls as
         # n^-2; the load keeps every per-step increment inside the band term
         base = dict(

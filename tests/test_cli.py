@@ -12,10 +12,12 @@ import pytest
 
 import ddmech
 from ddmech import cli
-from ddmech.experiments import RelaxationConfig, default_study_config
+from ddmech.experiments import default_study_config
 from ddmech.truss import LatticeSpec, generate_lattice_truss
 
 #: Every config key each command accepts. A new setting must be added here.
+#: The held bar of ``relaxation`` reads the lattice keys, ``load_scale`` and
+#: ``breakpoints`` but no part of its march uses them.
 _LAW_KEYS = {"visco": ["law.e0", "law.e1", "law.tau1"],
              "plastic": ["law.e0", "law.e1", "law.sigma1", "law.h"]}
 _STUDY_KEYS = [
@@ -24,8 +26,7 @@ _STUDY_KEYS = [
     "window.halfwidth", "window.floor", "seed", "workers", "max_fixed_point_iters",
 ]
 CONFIG_KEYS = {
-    "relaxation": ["law.e0", "law.e1", "law.tau1", "eps_bar", "dt", "t_end", "n_points",
-                   "band_width", "seed"],
+    "relaxation": _LAW_KEYS["visco"] + _STUDY_KEYS,
     "visco": _LAW_KEYS["visco"] + _STUDY_KEYS,
     "plastic": _LAW_KEYS["plastic"] + _STUDY_KEYS,
 }
@@ -44,12 +45,12 @@ def _as_text(value) -> str:
 
 @pytest.mark.parametrize("command", list(CONFIG_KEYS))
 def test_config_keys_are_pinned(tmp_path, command):
-    """Each command takes exactly its listed keys (9, 20 and 21), and a
+    """Each command takes exactly its listed keys (20, 20 and 21), and a
     file that sets every key to its default reads back as the defaults."""
-    cfg = RelaxationConfig() if command == "relaxation" else default_study_config(command)
+    cfg = default_study_config(command)
     keys = cli._config_keys(cfg)
     assert keys == CONFIG_KEYS[command]
-    assert len(keys) == {"relaxation": 9, "visco": 20, "plastic": 21}[command]
+    assert len(keys) == {"relaxation": 20, "visco": 20, "plastic": 21}[command]
     lines = []
     for key in keys:
         outer, _, name = key.rpartition(".")
@@ -68,18 +69,18 @@ def test_config_keys_are_pinned(tmp_path, command):
          "unknown key 'lattice.face_diagonals'"),
         ("plastic", "law.tau1 = 3\n", 1, "law.tau1"),
         ("visco", "# comment\nlaw.e0 = -1\n", 2, "law.e0"),
-        ("relaxation", "mesh = bars.mesh\n", 1, "mesh"),
+        ("relaxation", "mesh = bars.mesh\n", 1, "unknown key 'mesh'"),
         ("visco", "t_end = 3\ndt = 0\n", 2, "dt"),
         ("plastic", "t_end = -1\n", 1, "t_end"),
         ("visco", "runs = 1\nworkers = -3\n", 2, "workers"),
         ("visco", "seed = -1\n", 1, "seed"),
-        ("relaxation", "band_width = 0\nseed = -2\n", 2, "seed"),
-        ("relaxation", "band_width = 0.001\nseed = -2\n", 2, "seed"),
+        ("relaxation", "band_ref = 0\nseed = -2\n", 2, "seed"),
+        ("relaxation", "band_ref = 0.001\nseed = -2\n", 2, "seed"),
         ("plastic", "runs = 2.5\n", 1, "runs"),
         ("relaxation", "t_end = 3\ndt = nan\n", 2, "dt"),
         ("relaxation", "dt = inf\n", 1, "dt"),
         ("relaxation", "t_end = nan\n", 1, "t_end"),
-        ("relaxation", "eps_bar = nan\n", 1, "eps_bar"),
+        ("relaxation", "eps_bar = nan\n", 1, "unknown key 'eps_bar'"),
         ("visco", "load_scale = nan\n", 1, "load_scale"),
         ("visco", "band_ref = nan\n", 1, "band_ref"),
         ("plastic", "band_exponent = inf\n", 1, "unknown key 'band_exponent'"),
@@ -87,8 +88,8 @@ def test_config_keys_are_pinned(tmp_path, command):
         ("plastic", "max_fixed_point_iters = 0\n", 1, "max_fixed_point_iters"),
         ("visco", "n_ref = 0\n", 1, "unknown key 'n_ref'"),
         ("visco", "sampling = grid\n", 1, "unknown key 'sampling'"),
-        ("relaxation", "n_points = 0\n", 1, "n_points"),
-        ("relaxation", "band_width = nan\n", 1, "band_width"),
+        ("relaxation", "n_points = 0\n", 1, "unknown key 'n_points'"),
+        ("relaxation", "band_width = nan\n", 1, "unknown key 'band_width'"),
         ("relaxation", "metric_value = nan\n", 1, "unknown key 'metric_value'"),
         ("plastic", "metric_value = -1\n", 1, "unknown key 'metric_value'"),
         ("visco", "t_end = 2\nband_exponent = -1e308\n", 2, "unknown key 'band_exponent'"),
@@ -96,6 +97,10 @@ def test_config_keys_are_pinned(tmp_path, command):
         ("plastic", "window_exponent = -1e308\n", 1, "unknown key 'window_exponent'"),
         ("visco", "lattice.spacing = nan\n", 1, "lattice.spacing"),
         ("plastic", "lattice.area = inf\n", 1, "lattice.area"),
+        ("relaxation", "t_end = 3\neps_bar = 1\n", 2, "unknown key 'eps_bar'"),
+        ("relaxation", "n_points = 64\n", 1, "unknown key 'n_points'"),
+        ("relaxation", "band_width = 0\n", 1, "unknown key 'band_width'"),
+        ("relaxation", "program.px = 0,0; 1,0.001\n", 1, "unknown key 'program.px'"),
     ],
     ids=[
         "unknown-key", "bad-float", "bad-boolean", "other-law", "rejected-value", "no-mesh",
@@ -106,6 +111,7 @@ def test_config_keys_are_pinned(tmp_path, command):
         "removed-sampling", "zero-n_points", "nan-band_width", "nan-metric_value",
         "negative-metric_value", "overflowing-band_exponent", "vanishing-window_exponent",
         "overflowing-window_exponent", "nan-lattice.spacing", "inf-lattice.area",
+        "removed-eps_bar", "removed-n_points", "removed-band_width", "no-program",
     ],
 )
 def test_bad_config_line_names_path_line_and_key(tmp_path, capsys, command, text, line, key):
@@ -183,6 +189,48 @@ def test_history_matching_refuses_data_flags(tmp_path, capsys, command, flag, va
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {flag} does not apply to --history-matching\n"
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_relaxation_marches_at_the_largest_size(tmp_path, capsys):
+    """``relaxation`` takes a size list and marches at its largest size, as
+    ``visco`` does: the same files as a run at that size alone."""
+    for points in ("64,128", "128"):
+        argv = ["relaxation", "--points", points, "--out", str(tmp_path / points)]
+        assert cli.main(argv) == 0
+        assert "relaxation run (128 points/step): 1 bars, 101 steps" in capsys.readouterr().out
+    files = ["relaxation.csv", "relaxation_trajectory.csv"]
+    for name in files:
+        assert (tmp_path / "64,128" / name).read_bytes() == (tmp_path / "128" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "128").iterdir()) == files
+
+
+def test_relaxation_study_refuses_a_mesh(tmp_path, capsys):
+    """The held bar is the preset's own mesh, so ``--mesh`` is an error."""
+    argv = ["convergence", "--kind", "relaxation", "--mesh", "bars.mesh", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: --mesh does not apply to relaxation\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("budget, unconverged", [(1, 11), (200, 0)])
+def test_convergence_reports_unconverged_steps(tmp_path, capsys, budget, unconverged):
+    """A study prints each size's count of unconverged steps, summed over
+    its runs, and ends with a warning when any is nonzero; the exit code
+    stays 0 and the CSV keeps its columns."""
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "lattice.nx = 2\nlattice.ny = 1\nlattice.nz = 1\nt_end = 10\n"
+        f"max_fixed_point_iters = {budget}\n"
+    )
+    argv = ["convergence", "--kind", "plastic", "--points", "64", "--runs", "1",
+            "--config", str(path), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith(f"  unconverged={unconverged}/11")
+    warning = f"  warning: unconverged steps at max_fixed_point_iters = {budget}"
+    assert (lines[-1] == warning) == (unconverged > 0)
+    header = (tmp_path / "plastic_convergence.csv").read_text().splitlines()[0]
+    assert header == "n_points,mean_error,std_error,err_0"
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,4 +1,4 @@
-"""Convergence studies and the oracle check."""
+"""Reference solves, convergence studies and the oracle check."""
 
 from __future__ import annotations
 
@@ -15,15 +15,18 @@ import pytest
 
 from ddmech import cli, data
 from ddmech.experiments import (
+    DEFAULT_PLASTIC,
+    DEFAULT_SLS,
     default_study_config,
     oracle_check,
+    reference_trajectory,
     run_convergence_study,
     study_mesh,
     weighted_l2_error,
 )
 from ddmech.phase import GlobalMetric
 from ddmech.solver import Trajectory
-from ddmech.truss import LatticeSpec
+from ddmech.truss import LatticeSpec, PiecewiseLinearProgram, Prescribed, TrussMesh
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -51,6 +54,93 @@ class TestWeightedError:
                 weighted_l2_error(traj, ref, tau)
         # 0.5 * 4 * 1^2 over steps of length 1 and 2
         assert weighted_l2_error(traj, ref, np.inf) == np.sqrt(2.0 * 1.0 + 2.0 * 2.0)
+
+
+def _driven_bar(breakpoints):
+    """A unit bar along x whose far end is driven along x by the program
+    ``breakpoints``, so its strain is the program: no free dof."""
+    program = PiecewiseLinearProgram.from_breakpoints(breakpoints)
+    return TrussMesh(
+        node_coords=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+        conn=np.array([[0, 1]]),
+        areas=np.array([1.0]),
+        supports=frozenset({(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)}),
+        prescribed=(Prescribed(1, 0, program),),
+    )
+
+
+def _sls_held(strain, law, dt):
+    """The backward-difference standard linear solid held at the constant
+    strain ``strain[0]`` from a virgin state: e0 eps + e1 eps rho^k with
+    rho = tau1 / (dt + tau1)."""
+    rho = law.tau1 / (dt + law.tau1)
+    return law.e0 * strain[0] + law.e1 * strain[0] * rho ** np.arange(strain.size)
+
+
+def _play_operator(strain, law, dt):
+    """The plastic law under a strain history: the branch stress s moves by
+    e1 times the strain increment and is clipped to +-(sigma1 + h q_acc),
+    where the accumulated slip q_acc grows by the excess over the yield
+    level divided by e1 + h; the stress is e0 eps + s."""
+    s = q_acc = prev = 0.0
+    out = []
+    for eps in strain:
+        trial = s + law.e1 * (eps - prev)
+        q_acc += max(abs(trial) - (law.sigma1 + law.h * q_acc), 0.0) / (law.e1 + law.h)
+        level = law.sigma1 + law.h * q_acc
+        s, prev = min(max(trial, -level), level), eps
+        out.append(law.e0 * eps + s)
+    return np.array(out)
+
+
+_REVERSAL = ((0.0, 0.0), (20.0, 0.02), (60.0, -0.02), (100.0, 0.03))
+
+
+@pytest.mark.parametrize(
+    "law, breakpoints, closed_form",
+    [
+        (DEFAULT_SLS, ((0.0, 1e-3),), _sls_held),
+        (DEFAULT_PLASTIC, _REVERSAL, _play_operator),
+        (replace(DEFAULT_PLASTIC, h=2000.0), _REVERSAL, _play_operator),
+    ],
+    ids=["sls-held", "plastic-h0", "plastic-h2000"],
+)
+def test_reference_trajectory_on_a_driven_bar(law, breakpoints, closed_form):
+    """``reference_trajectory`` on one bar driven by a PRESCRIBED strain
+    program, against closed forms written here, which share no code with
+    ``ddmech.materials``: the held SLS bar's relaxation series, and the
+    play operator of the plastic law through two reversals, with and
+    without hardening. The bar has no free dof, so the force residual is
+    empty and the plastic branch's Newton solve is not reached; a free-dof
+    oracle (a statically determinate truss) still has to pin it."""
+    mesh = _driven_bar(breakpoints)
+    gm = GlobalMetric.uniform(law.modulus_instantaneous, mesh.volumes)
+    times = np.arange(0.0, 101.0, 1.0)
+    ref = reference_trajectory(mesh, gm, law, None, times)
+    t, v = np.array(breakpoints).T
+    strain = np.interp(times, t, v)
+    exact = closed_form(strain, law, 1.0)
+    assert np.max(np.abs(ref.strain[:, 0] - strain)) <= 1e-15 * np.max(np.abs(strain))
+    assert np.max(np.abs(ref.stress[:, 0] - exact)) <= 1e-12 * np.max(np.abs(exact))
+    if closed_form is _play_operator:  # the program yields: far below the elastic line
+        assert np.max(np.abs(exact)) < 0.5 * law.modulus_instantaneous * np.max(strain)
+
+
+@pytest.mark.parametrize("band, rate", [(1e-5, 0.8), (0.0, None)])
+def test_relaxation_study_against_the_closed_form(band, rate):
+    """The held bar as a study: with a band the error against the closed
+    form falls with the data size at a rate of at least 0.8; at band 0 the
+    held strain is a sample of every set, so every size gives round-off."""
+    cfg = default_study_config(
+        "relaxation", t_end=20.0, points=(64, 256, 1024), runs=2, band_ref=band
+    )
+    result = run_convergence_study(cfg)
+    assert [row.unconverged for row in result.rows] == [0, 0, 0]
+    if rate is None:
+        assert max(max(row.errors) for row in result.rows) < 1e-14
+    else:
+        assert result.rate >= rate
+        assert all(min(row.errors) > 1e-6 for row in result.rows)
 
 
 def test_output_digest_is_reproducible():

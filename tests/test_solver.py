@@ -23,14 +23,13 @@ from ddmech.experiments import (
     DEFAULT_PLASTIC,
     DEFAULT_SLS,
     PLASTIC_BREAKPOINTS,
-    RelaxationConfig,
     build_relaxation_repository,
     build_truss_repositories,
     default_study_config,
+    held_strain,
     random_small_instance,
-    run_relaxation,
-    run_relaxation_history,
     small_truss_fixture,
+    study_error,
     study_generator,
     study_setup,
     weighted_l2_error,
@@ -96,6 +95,21 @@ def trajectory_norm(traj, tau):
     return float(np.sqrt(np.sum(d2[1:] * np.exp(-t[1:] / tau) * np.diff(t))))
 
 
+def relaxation_study(**overrides):
+    """The ``relaxation`` study preset with ``overrides``."""
+    return default_study_config("relaxation", **overrides)
+
+
+def held_bar_march(cfg, archive=None):
+    """The march of a ``relaxation`` study as the command runs it: at its
+    largest size with the last size's run-0 seed, or against ``archive``."""
+    mesh, gm, system, loads, times = study_setup(cfg)
+    if archive is not None:
+        return history_matching_march(mesh, gm, archive, loads, times, SolverConfig(), sys=system)
+    g = study_generator(cfg, cfg.points[-1], len(cfg.points) - 1, 0)
+    return time_march(mesh, gm, g, loads, times, SolverConfig(), sys=system)
+
+
 class TestSolverConfig:
     """Validation."""
 
@@ -113,8 +127,8 @@ class TestSolverConfig:
 @pytest.mark.parametrize(
     "make, kwargs, name",
     [
-        (RelaxationConfig, {"seed": -2}, "seed"),
-        (RelaxationConfig, {"seed": 0.5}, "seed"),
+        (relaxation_study, {"seed": -2}, "seed"),
+        (relaxation_study, {"seed": 0.5}, "seed"),
         (default_study_config, {"seed": -1}, "seed"),
         (default_study_config, {"seed": 7041.5}, "seed"),
         (default_study_config, {"runs": 2.5}, "runs"),
@@ -444,20 +458,18 @@ class TestTimeMarch:
 
     def test_relaxation_against_closed_form(self):
         """Held bar with noiseless data reproduces the exact recurrence."""
-        result = run_relaxation(RelaxationConfig(n_points=128))
-        assert result.max_rel_error < 1e-6
-        assert result.instantaneous_modulus_ratio == pytest.approx(
-            175_000.0, rel=1e-9
-        )
-        assert bool(np.all(result.trajectory.converged))
+        cfg = relaxation_study(points=(128,))
+        traj = held_bar_march(cfg)
+        assert study_error(cfg, traj, None) < 1e-6
+        assert traj.stress[0, 0] / held_strain(cfg) == pytest.approx(175_000.0, rel=1e-9)
+        assert bool(np.all(traj.converged))
 
     def test_first_step_is_instantaneous(self):
         """A single-time march sees the rate-free response."""
-        result = run_relaxation(RelaxationConfig(n_points=64, t_end=0.0))
-        assert result.trajectory.n_steps == 1
-        assert result.instantaneous_modulus_ratio == pytest.approx(
-            175_000.0, rel=1e-9
-        )
+        cfg = relaxation_study(points=(64,), t_end=0.0)
+        traj = held_bar_march(cfg)
+        assert traj.n_steps == 1
+        assert traj.stress[0, 0] / held_strain(cfg) == pytest.approx(175_000.0, rel=1e-9)
 
     def test_bit_reproducible(self):
         """Same seed, same march, same bits."""
@@ -777,7 +789,7 @@ def deadline():
 
 def _one_bar_march():
     """A short relaxation of one bar: the step worker's half is empty."""
-    return run_relaxation(RelaxationConfig(t_end=6.0, n_points=64, band_width=1e-4, seed=3))
+    return held_bar_march(relaxation_study(t_end=6.0, points=(64,), band_ref=1e-4, seed=3))
 
 
 class TestSharedDraw:
@@ -834,7 +846,7 @@ class TestSharedDraw:
         assert worker_starts == [os.getpid()]
         draws = _draws(log)
         child = (set(draws) - {os.getpid()}).pop()
-        steps = range(forked.trajectory.n_steps)
+        steps = range(forked.n_steps)
         assert draws[os.getpid()] == [(k, 0, 1) for k in steps]
         assert draws[child] == [(k, 1, 1) for k in steps]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -927,17 +939,17 @@ class TestSharedDraw:
         """The one-bar relaxation against its archive: the march sorts the
         only row and the worker sorts the empty range, and the stresses
         equal a serial march's."""
-        cfg = RelaxationConfig(t_end=6.0)
-        repository = build_relaxation_repository(cfg, n_prior=2001)
+        cfg = relaxation_study(t_end=6.0)
+        repository = build_relaxation_repository(cfg.law, held_strain(cfg), cfg.dt, n_prior=2001)
         log = tmp_path / "sorts.log"
         _logged_sorts(monkeypatch, log)
-        forked = run_relaxation_history(cfg, repository)
+        forked = held_bar_march(cfg, repository)
         assert worker_starts == [os.getpid()]
         sorts = _draws(log)
         child = (set(sorts) - {os.getpid()}).pop()
         assert sorts == {os.getpid(): [(0, 1)], child: [(1, 1)]}
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = run_relaxation_history(cfg, repository)
+        serial = held_bar_march(cfg, repository)
         assert np.array_equal(forked.stress, serial.stress)
         assert multiprocessing.active_children() == []
 

@@ -75,6 +75,12 @@ COMMANDS = (
          "--workers", "2"],
         None,
     ),
+    (
+        "convergence --kind relaxation",
+        ["convergence", "--kind", "relaxation", "--points", "64,256,1024", "--runs", "2",
+         "--band", "1e-5"],
+        "t_end = 20\n",
+    ),
     ("oracle-check", ["oracle-check"], None),
 )
 
