@@ -184,7 +184,6 @@ def _study_config(kind: str, args) -> StudyConfig:
         runs=getattr(args, "runs", None),
         points=args.points,
         band_ref=args.band,
-        workers=getattr(args, "workers", None),
     )
     mesh_path = getattr(args, "mesh", None) or mesh_path
     if mesh_path and kind == "relaxation":
@@ -305,6 +304,8 @@ def _cmd_single_run(kind: str, args) -> int:
 
 def _cmd_convergence(args) -> int:
     cfg = _study_config(args.kind, args)
+    if cfg.kind == "relaxation" and cfg.band_ref == 0.0 and len(cfg.points) > 1:
+        raise ValueError("a relaxation study at band 0 has round-off errors only; give --band")
     started = time.perf_counter()
     result = run_convergence_study(cfg)
     elapsed = time.perf_counter() - started
@@ -377,7 +378,7 @@ def _cmd_oracle_check(args) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, *, mesh=True, sweep=False) -> None:
+def _add_common(p: argparse.ArgumentParser, *, mesh=True) -> None:
     p.add_argument("--config", metavar="FILE", help="key=value config file")
     p.add_argument("--seed", type=int, metavar="U64", help="master seed")
     p.add_argument("--out", metavar="DIR", help="output directory (default .)")
@@ -390,11 +391,6 @@ def _add_common(p: argparse.ArgumentParser, *, mesh=True, sweep=False) -> None:
         help="comma-separated data-set sizes",
     )
     p.add_argument("--band", type=float, metavar="REAL", help="data band at 64 points")
-    if sweep:
-        p.add_argument("--runs", type=int, metavar="N", help="independent runs")
-        p.add_argument(
-            "--workers", type=int, metavar="N", help="parallel worker processes"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind", choices=("relaxation", "visco", "plastic"), required=True, help="study kind"
     )
-    _add_common(p, sweep=True)
+    _add_common(p)
+    p.add_argument("--runs", type=int, metavar="N", help="independent runs")
     p.set_defaults(func=_cmd_convergence)
 
     p = sub.add_parser(

@@ -40,6 +40,7 @@ from .phase import GlobalMetric
 from .solver import (
     SolverConfig,
     Trajectory,
+    _usable_cpus,
     enumerate_global_min,
     fixed_point_solve,
     time_march,
@@ -389,7 +390,6 @@ class StudyConfig:
     band_ref: float = 0.030
     window: WindowRule = WindowRule()
     seed: int = 7041
-    workers: int = 0
     max_fixed_point_iters: int = 200
 
     def __post_init__(self) -> None:
@@ -416,7 +416,6 @@ class StudyConfig:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
-        object.__setattr__(self, "workers", require_int("workers", self.workers, 0))
 
 
 @dataclass(frozen=True)
@@ -521,17 +520,21 @@ def _run_error(task: tuple[StudyConfig, int, int, Trajectory]) -> tuple[float, i
 def run_convergence_study(cfg: StudyConfig) -> StudyResult:
     """Mean trajectory error against data-set size, over independent runs.
 
-    All randomness derives from (study seed, sweep index, run index), so
-    repeated executions give bit-identical results regardless of worker
-    count; parallel results are reduced in submission order. With
-    ``workers`` above 1 each pool worker marches serially; otherwise each
-    march may fork its own step worker (see :func:`~ddmech.solver.time_march`).
+    All randomness derives from (study seed, sweep index, run index) and
+    results are reduced in submission order, so repeated executions give
+    bit-identical results on any number of CPUs. When
+    :func:`~ddmech.solver._usable_cpus` allows two or more processes and the
+    study has two or more (size, run) tasks, a pool of ``min(CPUs, tasks)``
+    processes runs them, each march serially. Otherwise the tasks run in
+    turn, and each march may fork its own step worker (see
+    :func:`~ddmech.solver.time_march`).
     """
     mesh, gm, system, loads, times = study_setup(cfg)
     ref = reference_trajectory(mesh, gm, cfg.law, loads, times, sys=system)
     tasks = [(cfg, i, r, ref) for i in range(len(cfg.points)) for r in range(cfg.runs)]
-    if cfg.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    processes = min(_usable_cpus(), len(tasks))
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_run_error, tasks))
     else:
         results = [_run_error(task) for task in tasks]
@@ -557,6 +560,8 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
 
 #: Most entries the archives of one mesh may hold together.
 MAX_ARCHIVE_ENTRIES = 10_000_000
+#: The grid radii of :func:`build_truss_repositories`' archives.
+PRIOR_STRAIN_RADIUS, PRIOR_OFFSET_RADIUS, CURRENT_HALFWIDTH = 0.01, 0.01, 2e-3
 
 
 def build_truss_repositories(
@@ -566,11 +571,8 @@ def build_truss_repositories(
     loads: LoadProgram | None,
     times,
     *,
-    prior_strain_radius: float = 0.01,
-    prior_offset_radius: float = 0.01,
     n_prior_strain: int = 5,
     n_prior_offset: int = 81,
-    current_halfwidth: float = 2e-3,
     n_current: int = 65,
 ) -> HistoryRepository:
     """Offline two-time archives around a fixture's operating region, one
@@ -579,11 +581,12 @@ def build_truss_repositories(
     For every element and step, prior states form a sheared lattice around
     the reference state one step earlier: the strain direction runs along
     the instantaneous line sigma = (e0+e1) eps (coarse, ``n_prior_strain``
-    points over ``prior_strain_radius`` of the element strain scale), while
+    points over ``PRIOR_STRAIN_RADIUS`` of the element strain scale), while
     the viscous offset sigma - (e0+e1) eps — the only prior combination the
     one-step response depends on — is swept densely (``n_prior_offset``
-    points over ``prior_offset_radius`` of the stress scale). Each prior is
-    paired with a strain grid of its one-step responses. The offset spacing
+    points over ``PRIOR_OFFSET_RADIUS`` of the stress scale). Each prior is
+    paired with its one-step responses on ``n_current`` strains over
+    ``CURRENT_HALFWIDTH`` of the element strain scale. The offset spacing
     bounds the response error, so it is the knob that controls agreement
     with the differential mode. Each step's block is written for all bars
     at once.
@@ -606,9 +609,9 @@ def build_truss_repositories(
     cur_grid = (np.arange(n_current) - n_current // 2) / max(n_current // 2, 1)
     ci = law.modulus_instantaneous
     # (M, priors) prior shifts and (M, currents) current offsets
-    d_eps = np.repeat(side_i * prior_strain_radius * eps_scale, n_prior_offset, axis=1)
-    d_off = np.tile(side_j * prior_offset_radius * sig_scale, n_prior_strain)
-    cur_off = cur_grid * current_halfwidth * eps_scale
+    d_eps = np.repeat(side_i * PRIOR_STRAIN_RADIUS * eps_scale, n_prior_offset, axis=1)
+    d_off = np.tile(side_j * PRIOR_OFFSET_RADIUS * sig_scale, n_prior_strain)
+    cur_off = cur_grid * CURRENT_HALFWIDTH * eps_scale
     blocks = [
         (
             ref.strain[k - 1][:, None] + d_eps,

@@ -43,11 +43,10 @@ march's stack, with the prior-slot mismatch against the previously accepted
 state as a fidelity cost. Every step is solved from two warm starts, the
 predicted state and the empirical response read off the step's sets, and
 the lower objective wins. A march forks a step worker
-(:class:`_StepWorker`) for the second start when the process may use two
-CPUs and is not itself a child process. The stack is then in shared
-memory: the march and the worker each draw half of every step's rows into
-it, and the worker solves the second start while the march solves the
-first.
+(:class:`_StepWorker`) for the second start when :func:`_usable_cpus` is
+at least 2. The stack is then in shared memory: the march and the worker
+each draw half of every step's rows into it, and the worker solves the
+second start while the march solves the first.
 """
 
 from __future__ import annotations
@@ -164,9 +163,11 @@ def _objective(sys, eps, sig, y_eps, y_sig, cost) -> tuple[float, float]:
 
 #: Points one array operation of the swap polish scores at most. The single
 #: sweep scores ``_CHUNK_POINTS // K`` rows at a time on their K-point
-#: candidate windows, and a row this long or longer is searched through its
-#: strain order instead of scanned.
+#: candidate windows, and the other stages search a row this long or longer
+#: through its strain order instead of scanning it.
 _CHUNK_POINTS = 2048
+#: Rows this long or longer have strain-order windows in the single sweep.
+_WINDOW_POINTS = 512
 #: K for rows searched in strain order: the sorted positions of a window.
 _WINDOW = 64
 
@@ -267,11 +268,11 @@ class _GainSearch:
 
     def open_windows(self, tol):
         """Places every row's candidate window and caches its terms: the
-        whole row for sets shorter than ``_CHUNK_POINTS``, else ``_WINDOW``
+        whole row for sets shorter than ``_WINDOW_POINTS``, else ``_WINDOW``
         sorted positions around the row's block at T = -tol."""
         s = self.sets
         m, n = s.eps.shape
-        self.by_strain = n >= _CHUNK_POINTS
+        self.by_strain = n >= _WINDOW_POINTS
         self.k = _WINDOW if self.by_strain else n
         self.de, self.ds, self.dede, self.dsds = (np.empty((m, self.k)) for _ in range(4))
         self.dc = None if s.costs is None else np.empty((m, self.k))
@@ -443,7 +444,7 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     gain is NaN (a padded entry scores +inf, as weights are positive), so
     the first gain below -tol in row-major order, one flat ``argmax`` of
     the chunk's mask, lies in the first row with a move, and that row's
-    ``argmin`` is the scan's move. For sets shorter than ``_CHUNK_POINTS``
+    ``argmin`` is the scan's move. For sets shorter than ``_WINDOW_POINTS``
     the window is the whole row. For longer sets the window is ``_WINDOW``
     = K consecutive positions of the row's strain order, centred on the
     row's block at T = -tol by one
@@ -916,20 +917,21 @@ def enumerate_global_min(
             w * (sys.c * de * de + sys.c_inv * ds * ds + cost_c), axis=1
         )
 
+    # one pass: keep every id within the cutoff of the best objective so
+    # far, which never falls below the final cutoff, then apply the final one
     chunk = max(1, min(total, 4_000_000 // max(m, 1)))
-    best_obj = np.inf
-    for lo in range(0, total, chunk):
-        ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        best_obj = min(best_obj, float(np.min(batch_objective(ids))))
-    candidates: list[int] = []
-    cutoff = best_obj * (1.0 + 1e-9) + 1e-300
+    best_obj, kept = np.inf, []
     for lo in range(0, total, chunk):
         ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         obj = batch_objective(ids)
-        candidates.extend(int(i) for i in ids[obj <= cutoff])
+        best_obj = min(best_obj, float(np.min(obj)))
+        near = obj <= best_obj * (1.0 + 1e-9) + 1e-300
+        kept.append((ids[near], obj[near]))
+    cutoff = best_obj * (1.0 + 1e-9) + 1e-300
+    candidates = [int(i) for ids, obj in kept for i in ids[obj <= cutoff]]
 
     best = None
-    for lin in sorted(candidates):
+    for lin in candidates:
         idx = np.array(np.unravel_index(lin, counts), dtype=np.int64)
         y_eps, y_sig, cost = _gather(idx, sets)
         eps_p, sig_p, uu = sys.project_arrays(y_eps, y_sig, f, g)
@@ -1068,17 +1070,15 @@ def _response_solve(
     return None if resp is None else fixed_point_solve(system, sets, gm, f, resp, cfg, t=t)
 
 
-def _may_fork() -> bool:
-    """Whether a march may fork a step worker: the process may run on at
-    least two CPUs, is not itself a child process (a study's pool worker or
-    a step worker), so a march never uses more than two processes, and runs
-    no other thread, which a fork could catch holding a lock."""
-    return (
-        hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and multiprocessing.parent_process() is None
-        and threading.active_count() == 1
-    )
+def _usable_cpus() -> int:
+    """How many processes the program may run at once: the CPUs this
+    process may run on (``os.sched_getaffinity``), or 1 in a child process
+    (a study's pool worker or a step worker), so processes never nest, or
+    next to another thread, which a fork could catch holding a lock. A
+    march forks its step worker when this is at least 2, and a study of two
+    or more marches pools them on up to this many processes."""
+    alone = multiprocessing.parent_process() is None and threading.active_count() == 1
+    return len(os.sched_getaffinity(0)) if alone and hasattr(os, "sched_getaffinity") else 1
 
 
 def _row_halves(m: int) -> tuple[slice, slice]:
@@ -1216,9 +1216,9 @@ def _march(
     Each step is solved from two starts: the predicted start, the previous
     accepted state advanced by the step's elastic strain estimate plus the
     previous step's inelastic increment, and the empirical response init.
-    The lower objective wins, the first on a tie. When :func:`_may_fork`
-    allows, the stack is made in shared memory (:func:`_shared_empty`) and
-    a :class:`_StepWorker` is forked for the march. At every step the march
+    The lower objective wins, the first on a tie. When :func:`_usable_cpus`
+    is at least 2, the stack is made in shared memory (:func:`_shared_empty`)
+    and a :class:`_StepWorker` is forked for the march. At every step the march
     draws the first half of the rows (:func:`_row_halves`) and the worker
     the rest, each waits until the other's half is in, and then the worker
     solves the second start while the march solves the first. Otherwise the
@@ -1228,7 +1228,7 @@ def _march(
     only for a ``plastic_law``.
     """
     m = system.n_elements
-    forked = _may_fork()
+    forked = _usable_cpus() >= 2
     sets = stack(_shared_empty if forked else np.empty)
     rows, rest = _row_halves(m) if forked else (slice(None), None)
     worker = _StepWorker(system, gm, cfg, sets, draw, rest) if forked else None

@@ -23,7 +23,7 @@ _LAW_KEYS = {"visco": ["law.e0", "law.e1", "law.tau1"],
 _STUDY_KEYS = [
     "lattice.nx", "lattice.ny", "lattice.nz", "lattice.spacing", "lattice.area",
     "load_scale", "breakpoints", "dt", "t_end", "points", "runs", "band_ref",
-    "window.halfwidth", "window.floor", "seed", "workers", "max_fixed_point_iters",
+    "window.halfwidth", "window.floor", "seed", "max_fixed_point_iters",
 ]
 CONFIG_KEYS = {
     "relaxation": _LAW_KEYS["visco"] + _STUDY_KEYS,
@@ -45,12 +45,12 @@ def _as_text(value) -> str:
 
 @pytest.mark.parametrize("command", list(CONFIG_KEYS))
 def test_config_keys_are_pinned(tmp_path, command):
-    """Each command takes exactly its listed keys (20, 20 and 21), and a
+    """Each command takes exactly its listed keys (19, 19 and 20), and a
     file that sets every key to its default reads back as the defaults."""
     cfg = default_study_config(command)
     keys = cli._config_keys(cfg)
     assert keys == CONFIG_KEYS[command]
-    assert len(keys) == {"relaxation": 20, "visco": 20, "plastic": 21}[command]
+    assert len(keys) == {"relaxation": 19, "visco": 19, "plastic": 20}[command]
     lines = []
     for key in keys:
         outer, _, name = key.rpartition(".")
@@ -72,7 +72,7 @@ def test_config_keys_are_pinned(tmp_path, command):
         ("relaxation", "mesh = bars.mesh\n", 1, "unknown key 'mesh'"),
         ("visco", "t_end = 3\ndt = 0\n", 2, "dt"),
         ("plastic", "t_end = -1\n", 1, "t_end"),
-        ("visco", "runs = 1\nworkers = -3\n", 2, "workers"),
+        ("visco", "runs = 1\nworkers = 2\n", 2, "unknown key 'workers'"),
         ("visco", "seed = -1\n", 1, "seed"),
         ("relaxation", "band_ref = 0\nseed = -2\n", 2, "seed"),
         ("relaxation", "band_ref = 0.001\nseed = -2\n", 2, "seed"),
@@ -104,7 +104,7 @@ def test_config_keys_are_pinned(tmp_path, command):
     ],
     ids=[
         "unknown-key", "bad-float", "bad-boolean", "other-law", "rejected-value", "no-mesh",
-        "zero-dt", "negative-t_end", "negative-workers", "negative-seed",
+        "zero-dt", "negative-t_end", "removed-workers", "negative-seed",
         "negative-seed-noiseless", "negative-seed-noisy", "fractional-runs",
         "nan-dt", "inf-dt", "nan-t_end", "nan-eps_bar", "nan-load_scale", "nan-band_ref",
         "inf-band_exponent", "nan-window_exponent", "zero-iters", "zero-n_ref",
@@ -141,7 +141,12 @@ def test_oracle_check_refuses_fewer_than_one_system(tmp_path, capsys, runs):
 
 
 @pytest.mark.parametrize(
-    "argv", [["relaxation", "--mesh", "bars.mesh"], ["oracle-check", "--config", "run.cfg"]]
+    "argv",
+    [
+        ["relaxation", "--mesh", "bars.mesh"],
+        ["oracle-check", "--config", "run.cfg"],
+        ["convergence", "--kind", "visco", "--workers", "2"],
+    ],
 )
 def test_unread_flags_are_rejected(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -210,6 +215,22 @@ def test_relaxation_study_refuses_a_mesh(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: --mesh does not apply to relaxation\n"
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_relaxation_study_at_band_0_asks_for_a_band(tmp_path, capsys):
+    """At band 0 the held strain is a sample of every set, so two or more
+    sizes give round-off errors and a meaningless rate: the study stops with
+    one ``error:`` line. One size at band 0 still runs."""
+    argv = ["convergence", "--kind", "relaxation", "--points", "64,256", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--band" in err
+    assert not list(tmp_path.glob("*.csv"))
+    path = tmp_path / "run.cfg"
+    path.write_text("t_end = 3\n")
+    argv[4] = "64"
+    assert cli.main(argv + ["--config", str(path)]) == 0
+    assert "rate: not fitted" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("budget, unconverged", [(1, 11), (200, 0)])

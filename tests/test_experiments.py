@@ -6,6 +6,8 @@ import csv
 import importlib
 import importlib.util
 import json
+import multiprocessing
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddmech import cli, data
+from ddmech import cli, data, experiments, solver
 from ddmech.experiments import (
     DEFAULT_PLASTIC,
     DEFAULT_SLS,
@@ -162,7 +164,8 @@ def test_command_timing_records_time_exit_code_and_digests(tmp_path, monkeypatch
     monkeypatch.syspath_prepend(str(TOOLS))
     tool = importlib.import_module("command_timing")
     assert [label for label, _ in tool.COMMANDS] == [
-        "relaxation", "relaxation --history-matching", "visco", "plastic", "oracle-check"
+        "relaxation", "relaxation --history-matching", "visco", "plastic", "oracle-check",
+        "convergence --kind plastic",
     ]
     quick, bad = ["oracle-check", "--runs", "2"], ["oracle-check", "--runs", "0"]
     monkeypatch.setattr(tool, "COMMANDS", (("quick", quick), ("bad", bad)))
@@ -249,22 +252,76 @@ def test_perf_pairs_compares_a_checkout_with_itself(tmp_path, monkeypatch, capsy
         assert len(err) == 1 and err[0].startswith("error: the parent run of pair 1 exited")
 
 
-class TestConvergenceStudy:
-    """Reproducibility of the study over worker counts."""
+def _tiny_study(points, runs):
+    return default_study_config(
+        "visco", lattice=LatticeSpec(2, 1, 1), points=points, runs=runs, t_end=3.0
+    )
 
-    def test_errors_identical_for_any_worker_count(self):
-        """Serial and pooled runs give bit-identical errors, with data sizes
-        on both sides of the sorted-search crossover."""
-        cfg = default_study_config(
-            "visco", lattice=LatticeSpec(2, 1, 1), points=(64, 4096), runs=2, t_end=3.0
-        )
+
+@pytest.fixture
+def processes(monkeypatch):
+    """The size of every pool a study makes (``pools``) and the pids of the
+    processes that start a step worker (``starts``); a pool worker that
+    starts one fails its task."""
+    made = {"pools": [], "starts": []}
+    pool, init = experiments.ProcessPoolExecutor, solver._StepWorker.__init__
+
+    def recorded_pool(max_workers):
+        made["pools"].append(max_workers)
+        return pool(max_workers=max_workers)
+
+    def recorded_init(self, *args):
+        assert multiprocessing.parent_process() is None, "a pool worker forked"
+        made["starts"].append(os.getpid())
+        init(self, *args)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", recorded_pool)
+    monkeypatch.setattr(solver._StepWorker, "__init__", recorded_init)
+    return made
+
+
+class TestConvergenceStudy:
+    """How many processes a study uses, and its bits on any number of CPUs."""
+
+    def test_errors_identical_for_any_worker_count(self, monkeypatch, processes):
+        """A pooled study and a one-CPU study give bit-identical errors, with
+        data sizes on both sides of the sorted-search crossover."""
+        cfg = _tiny_study((64, 4096), 2)
         bars = len(study_mesh(cfg).areas)
         assert bars * cfg.points[0] < data._SORTED_SEARCH_MIN_SIZE
         assert bars * cfg.points[-1] >= data._SORTED_SEARCH_MIN_SIZE
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pooled = run_convergence_study(cfg)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = run_convergence_study(cfg)
-        pooled = run_convergence_study(replace(cfg, workers=2))
+        assert processes == {"pools": [2], "starts": []}
         assert [r.errors for r in serial.rows] == [r.errors for r in pooled.rows]
         assert serial.rate == pooled.rate
+
+    @pytest.mark.parametrize(
+        "cpus, points, runs, pools",
+        [
+            ({0, 1}, (64,), 1, []),
+            ({0, 1}, (64,), 2, [2]),
+            ({0, 1, 2}, (64,), 2, [2]),
+            ({0, 1, 2}, (64, 128), 2, [3]),
+            ({0}, (64, 128), 2, []),
+        ],
+        ids=["one-task", "two-tasks", "fewer-tasks-than-cpus", "fewer-cpus-than-tasks",
+             "one-cpu"],
+    )
+    def test_one_task_forks_and_more_tasks_pool(
+        self, monkeypatch, processes, cpus, points, runs, pools
+    ):
+        """A study of two or more tasks runs them on a pool of min(CPUs,
+        tasks) processes, whose marches run serially; a one-task study's
+        march forks its step worker; on one CPU nothing forks."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        run_convergence_study(_tiny_study(points, runs))
+        assert processes["pools"] == pools
+        forks = not pools and len(cpus) > 1
+        assert processes["starts"] == ([os.getpid()] if forks else [])
+        assert multiprocessing.active_children() == []
 
 
 class TestOracleCheck:

@@ -338,24 +338,30 @@ class TestPolishEquivalence:
         assert gs.a_eps[30] == 0.0
         assert np.all(gs.a_sig[31:] == 0.0) and np.all(gs.a_eps[31:] > 0.0)
 
-    @pytest.mark.parametrize("n", [1, 8, 64, 300, solver._CHUNK_POINTS - 1, 5000])
+    @pytest.mark.parametrize(
+        "n",
+        [1, 8, 64, 300, solver._WINDOW_POINTS - 1, solver._WINDOW_POINTS,
+         solver._CHUNK_POINTS - 1, 5000],
+    )
     @pytest.mark.parametrize("costs", [False, True])
     def test_stacked_sets(self, n, costs, monkeypatch):
-        """Whole rows from one point up to one row per chunk, on 35 bars: a
-        chunk of 32 rows (n = 64) or 6 (n = 300) leaves a shorter last
-        chunk; and rows searched in strain order."""
+        """Whole rows from one point up to just below the windows' size, on
+        35 bars: a chunk of 32 rows (n = 64) or 6 (n = 300) leaves a shorter
+        last chunk; and rows with strain-order windows, whose other stages
+        scan whole rows below ``_CHUNK_POINTS`` and plan blocks from it."""
         counter = PlanCounter(monkeypatch)
         rng = np.random.default_rng(1000 * n + costs)
-        for _ in range(3 if n >= solver._CHUNK_POINTS - 1 else 6):
+        for _ in range(3 if n >= solver._WINDOW_POINTS - 1 else 6):
             sys = polish_truss(rng)
             lists = random_sets(rng, sys, [n] * sys.n_elements, costs=costs)
             got, expect = both_polishes(rng, sys, *lists)
             assert (got is None) == (expect is None)
             if got is not None:
                 assert np.array_equal(got, expect)
+        if n >= solver._WINDOW_POINTS:  # the windows are placed on planned blocks
+            assert counter.blocked > 0
         if n >= solver._CHUNK_POINTS:
-            assert counter.blocked > 0 and counter.empty > 0
-            assert counter.uncertified > 0
+            assert counter.empty > 0 and counter.uncertified > 0
 
     def test_large_residuals_scan_long_blocks(self, monkeypatch):
         """Far from the data the block bound spans most of a row, which is
@@ -368,13 +374,15 @@ class TestPolishEquivalence:
         assert np.array_equal(got, expect)
         assert counter.long > 0 and counter.blocked > 0
 
-    @pytest.mark.parametrize("n", [64, solver._CHUNK_POINTS - 1, 3000])
+    @pytest.mark.parametrize(
+        "n", [64, solver._WINDOW_POINTS - 1, solver._WINDOW_POINTS, solver._CHUNK_POINTS - 1, 3000]
+    )
     def test_duplicate_points_and_exact_ties(self, n):
         """Copies of a point tie exactly; the lowest index wins wherever the
         loop takes an argmin. A tie at the k-th smallest gain may keep
         another copy in a candidate list, so the points are compared."""
         rng = np.random.default_rng(5 + n)
-        for _ in range(2 if n == solver._CHUNK_POINTS - 1 else 4):
+        for _ in range(2 if solver._WINDOW_POINTS - 1 <= n < solver._CHUNK_POINTS else 4):
             sys = polish_truss(rng)
             eps_list, sig_list, cost_list = random_sets(
                 rng, sys, [n] * sys.n_elements, costs=True, duplicates=True
@@ -387,7 +395,11 @@ class TestPolishEquivalence:
                 assert np.array_equal(eps[rows, got], eps[rows, expect])
                 assert np.array_equal(sig[rows, got], sig[rows, expect])
 
-    @pytest.mark.parametrize("largest", [4, 9, 40, solver._CHUNK_POINTS - 1, 2600])
+    @pytest.mark.parametrize(
+        "largest",
+        [4, 9, 40, solver._WINDOW_POINTS - 1, solver._WINDOW_POINTS + 64,
+         solver._CHUNK_POINTS - 1, 2600],
+    )
     @pytest.mark.parametrize("costs", [False, True])
     def test_ragged_sets_padded(self, largest, costs):
         rng = np.random.default_rng(largest + 3 * costs)
@@ -521,8 +533,9 @@ def assert_same(got, expect):
 
 
 class TestWindows:
-    """The single sweep on K-point windows of rows of 2048 points or more
-    == the element loop, case by case of the window's life."""
+    """The single sweep on K-point windows of rows of ``_WINDOW_POINTS``
+    (512) points or more == the element loop, case by case of the window's
+    life."""
 
     def test_block_leaves_its_window(self, monkeypatch):
         """From a random assignment the residuals move far, and blocks leave
@@ -565,16 +578,16 @@ class TestWindows:
         rng = np.random.default_rng(44 + costs)
         for _ in range(2):
             sys = polish_truss(rng)
-            sizes = rng.integers(solver._CHUNK_POINTS, 4097, sys.n_elements)
+            sizes = rng.integers(solver._WINDOW_POINTS, 4097, sys.n_elements)
             lists = random_sets(rng, sys, sizes, costs=costs)
             sets = stack_sets(*lists)
-            assert sets.lengths is not None and sets.lengths.min() >= solver._CHUNK_POINTS
+            assert sets.lengths is not None and sets.lengths.min() >= solver._WINDOW_POINTS
             assert_same(*both_polishes(rng, sys, *lists))
         assert counter.moves > 0
 
     @pytest.mark.parametrize("case", ["left", "long", "ragged"])
     def test_every_move_is_the_first_row_below_tol(self, case, monkeypatch):
-        """After every ``first_move`` call on rows of 2048 points or more,
+        """After every ``first_move`` call on rows of 512 points or more,
         the move is the first row of the chunk whose whole-row gains fall
         below -tol, at the lowest index of that row's minimum: on blocks
         that left their windows, blocks longer than K, and ragged padded
@@ -600,29 +613,51 @@ class TestWindows:
         sys = polish_truss(rng, special=case != "left")
         sizes = [4096] * sys.n_elements
         if case == "ragged":
-            sizes = rng.integers(solver._CHUNK_POINTS, 4097, sys.n_elements)
+            sizes = rng.integers(solver._WINDOW_POINTS, 4097, sys.n_elements)
         lists = random_sets(rng, sys, sizes, costs=case == "long")
         assert_same(*both_polishes(rng, sys, *lists, force=10.0 if case == "long" else 1.0))
         assert any(calls) and not all(calls)
         assert {"left": counter.replaced, "long": counter.long, "ragged": np.ptp(sizes)}[case] > 0
 
     def test_equal_gains_go_to_the_lowest_index(self):
-        """Every point is stored twice, at i and i + 2048; where the strain
+        """Every point is stored twice, at i and i + half, in rows of twice
+        ``_WINDOW_POINTS`` and of twice ``_CHUNK_POINTS``; where the strain
         order puts the higher copy first, a window's first minimum is not
         the scan's. Ranks come in pairs, so no top-6 list breaks a tie at
         its last place, and the indices must agree exactly."""
         rng = np.random.default_rng(45)
-        half = solver._CHUNK_POINTS
-        flipped = 0
-        for _ in range(3):
+        for half in (solver._WINDOW_POINTS, solver._CHUNK_POINTS):
+            flipped = 0
+            for _ in range(3):
+                sys = polish_truss(rng)
+                eps_list, sig_list, cost_list = random_sets(rng, sys, [half] * sys.n_elements)
+                eps_list = [np.concatenate([a, a]) for a in eps_list]
+                sig_list = [np.concatenate([a, a]) for a in sig_list]
+                index = StackedSets(np.stack(eps_list), np.stack(sig_list), None).strain_index()
+                flipped += int(np.sum(index.order[:, :-1] == index.order[:, 1:] + half))
+                assert_same(*both_polishes(rng, sys, eps_list, sig_list, cost_list))
+            assert flipped > 0
+
+    @pytest.mark.parametrize("n", [511, 512])
+    def test_windows_from_512_points(self, n, monkeypatch):
+        """Rows of 511 points are their own windows, and rows of 512 get
+        K-point strain-order windows (at 1024 points windows were about 25%
+        faster, at 256 slower); either way the polish is the element
+        loop's."""
+        opened, open_windows = [], _GainSearch.open_windows
+
+        def recorded(gs, tol):
+            open_windows(gs, tol)
+            opened.append((gs.by_strain, gs.k))
+
+        monkeypatch.setattr(_GainSearch, "open_windows", recorded)
+        rng = np.random.default_rng(47)
+        for _ in range(2):
             sys = polish_truss(rng)
-            eps_list, sig_list, cost_list = random_sets(rng, sys, [half] * sys.n_elements)
-            eps_list = [np.concatenate([a, a]) for a in eps_list]
-            sig_list = [np.concatenate([a, a]) for a in sig_list]
-            order = StackedSets(np.stack(eps_list), np.stack(sig_list), None).strain_index().order
-            flipped += int(np.sum(order[:, :-1] == order[:, 1:] + half))
-            assert_same(*both_polishes(rng, sys, eps_list, sig_list, cost_list))
-        assert flipped > 0
+            lists = random_sets(rng, sys, [n] * sys.n_elements, costs=True)
+            assert_same(*both_polishes(rng, sys, *lists))
+        windowed = n == 512
+        assert opened and set(opened) == {(windowed, solver._WINDOW if windowed else n)}
 
     def test_plans_fewer_than_moves(self, monkeypatch):
         """On data close to a linear response, every row starts three

@@ -133,7 +133,7 @@ class TestSolverConfig:
         (default_study_config, {"seed": 7041.5}, "seed"),
         (default_study_config, {"runs": 2.5}, "runs"),
         (default_study_config, {"points": (64, 256.5)}, "points"),
-        (default_study_config, {"workers": 1.5}, "workers"),
+        (default_study_config, {"max_fixed_point_iters": 1.5}, "max_fixed_point_iters"),
         (LatticeSpec, {"nx": 2.7, "ny": 1, "nz": 1}, "nx"),
         (LatticeSpec, {"nx": 2, "ny": 1, "nz": 0}, "nz"),
     ],

@@ -1,8 +1,9 @@
 """Time the shipped commands that finish within a minute, as JSON.
 
 Runs ``relaxation``, ``relaxation --history-matching``, ``visco``,
-``plastic`` and ``oracle-check`` at their defaults, one after another, each
-once with ``python -m ddmech.cli`` in a subprocess that has the caller's
+``plastic`` and ``oracle-check`` at their defaults, and ``convergence
+--kind plastic --points 64,256 --runs 4``, one after another, each once
+with ``python -m ddmech.cli`` in a subprocess that has the caller's
 environment and this checkout's ``src`` first on ``PYTHONPATH``. For every
 command it records the wall time in seconds, the peak resident set size
 of its largest process in MiB (``max_rss_mib``, reaped step and pool
@@ -32,6 +33,10 @@ COMMANDS = (
     ("visco", ["visco"]),
     ("plastic", ["plastic"]),
     ("oracle-check", ["oracle-check"]),
+    (
+        "convergence --kind plastic",
+        ["convergence", "--kind", "plastic", "--points", "64,256", "--runs", "4"],
+    ),
 )
 
 

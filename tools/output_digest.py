@@ -65,14 +65,12 @@ COMMANDS = (
     ("plastic", ["plastic"], None),
     (
         "convergence --kind visco",
-        ["convergence", "--kind", "visco", "--points", "64,256,1024", "--runs", "2",
-         "--workers", "2"],
+        ["convergence", "--kind", "visco", "--points", "64,256,1024", "--runs", "2"],
         None,
     ),
     (
         "convergence --kind plastic",
-        ["convergence", "--kind", "plastic", "--points", "64,256", "--runs", "2",
-         "--workers", "2"],
+        ["convergence", "--kind", "plastic", "--points", "64,256", "--runs", "2"],
         None,
     ),
     (

@@ -1,11 +1,12 @@
 """Record the reduced convergence studies as one JSON file.
 
 Runs ``run_convergence_study`` for both study kinds at 64, 256 and 1024
-points, 5 runs each, on 2 pool workers, and writes every run's error, the
-mean and standard deviation at each size, the fitted rate, and the rate
-fitted to each run index alone with the mean and spread of those rates.
-Every number is a pure function of the program and the study seed, so two
-records of the same program are byte-identical. Run from a source checkout:
+points, 5 runs each, and writes every run's error, the mean and standard
+deviation at each size, the fitted rate, and the rate fitted to each run
+index alone with the mean and spread of those rates. Every number is a
+pure function of the program and the study seed, on any number of CPUs, so
+two records of the same program are byte-identical. Run from a source
+checkout:
 
     PYTHONPATH=src python tools/study_record.py --out STUDY.json
 """
@@ -22,11 +23,10 @@ from ddmech.experiments import default_study_config, fit_loglog_slope, run_conve
 
 POINTS = (64, 256, 1024)
 RUNS = 5
-WORKERS = 2
 
 
 def record(kind: str) -> dict:
-    cfg = default_study_config(kind, points=POINTS, runs=RUNS, workers=WORKERS)
+    cfg = default_study_config(kind, points=POINTS, runs=RUNS)
     result = run_convergence_study(cfg)
     errors = np.array([row.errors for row in result.rows])  # (points, runs)
     run_rates = [fit_loglog_slope(POINTS, errors[:, r]) for r in range(RUNS)]
