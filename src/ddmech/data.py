@@ -215,8 +215,8 @@ def _checked_costs(e: int, costs, n: int) -> np.ndarray:
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (n,):
         raise ValueError(f"set {e}: one cost per point is required")
-    # written so that NaN fails the comparison and is rejected
-    if not np.all((0.0 <= costs) & (costs < np.inf)):
+    # written so that NaN, which min and max return, fails and is rejected
+    if not (0.0 <= costs.min() and costs.max() < np.inf):
         raise ValueError(f"set {e}: fidelity costs must be finite and nonnegative")
     return costs
 
@@ -248,19 +248,24 @@ def batch_nearest(
     stacked: StackedSets,
     c: np.ndarray,
     c_inv: np.ndarray,
+    hint: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-element argmin over stacked sets, identical to :func:`scan_nearest`.
 
     Below ``_SORTED_SEARCH_MIN_SIZE`` points in all, or for a non-finite
     query, this is the scan. Above it, the scan's own expression ``c de de
     + c_inv ds ds [+ cost]`` is evaluated on the blocks :func:`plan_blocks`
-    plans in each row's strain order from the bound at the query's two
-    strain neighbours; rows it leaves whole are scanned, one ``argmin`` per
-    row (:func:`lowest` over column positions). That expression is
-    the swap polish's gain with zero linear terms, unit weight and zero
-    current cost, so the "Block bound" of
+    plans in each row's strain order from a bound on the row's least value:
+    the lesser value at the query's two strain neighbours, or the value at
+    the row's ``hint`` (one real index per row, such as the last
+    association) where that is lower. Rows it leaves whole are scanned, one
+    ``argmin`` per row (:func:`lowest` over column positions). That
+    expression is the swap polish's gain with zero linear terms, unit
+    weight and zero current cost, so the "Block bound" of
     :func:`~ddmech.solver._swap_polish` proves that a block holds every
-    minimizer, ties included.
+    point whose computed value is at most the bound, and so every
+    minimizer, ties included: each bound is a computed value. The scan
+    ignores ``hint``.
     """
     m, n = stacked.eps.shape
     if m * n < _SORTED_SEARCH_MIN_SIZE or not (
@@ -270,20 +275,28 @@ def batch_nearest(
     index = stacked.strain_index()
     every = np.arange(m)
 
-    def value(r, pos, j):
-        # the scan's expression on sorted strains, the rest gathered by j
+    def d2(r, eps_j, j):
+        # the scan's expression at original indices j, whose strains are eps_j
         start = r[:, None] * n
-        de = index.eps.reshape(-1).take(start + pos) - eps[r, None]
+        de = eps_j - eps[r, None]
         ds = stacked.sig.reshape(-1).take(start + j) - sig[r, None]
-        d2 = c[r, None] * de * de + c_inv[r, None] * ds * ds
+        out = c[r, None] * de * de + c_inv[r, None] * ds * ds
         if stacked.costs is not None:
-            d2 += stacked.costs.reshape(-1).take(start + j)
-        return d2
+            out += stacked.costs.reshape(-1).take(start + j)
+        return out
+
+    def value(r, pos, j):
+        # on sorted strains, the rest gathered by j
+        return d2(r, index.eps.reshape(-1).take(r[:, None] * n + pos), j)
 
     def scan(r):
         return lowest(_scan_d2(stacked, r, eps, sig, c, c_inv))
 
-    plan = plan_blocks(index, every, (c, c_inv, 0.0, 0.0, eps, 0.0), None, 1, value)
+    cap = None
+    if hint is not None:
+        h = np.asarray(hint)
+        cap = d2(every, stacked.eps[every, h][:, None], h[:, None])[:, 0]
+    plan = plan_blocks(index, every, (c, c_inv, 0.0, 0.0, eps, 0.0), None, 1, value, cap)
     return planned_lowest(index, every, plan, value, scan)[0][:, 0]
 
 
@@ -328,7 +341,7 @@ def lowest(values: np.ndarray, idx: np.ndarray | None = None, k: int = 1):
     return out_j, out_v
 
 
-def block_ends(index: StrainIndex, rows, terms, bound, k: int = 1, value=None):
+def block_ends(index: StrainIndex, rows, terms, bound, k: int = 1, value=None, cap=None):
     """The strain ends of :func:`plan_blocks`'s blocks, before the search:
     ``(lo, hi, ok, reach)``, the block of ``rows[i]`` being the sorted
     positions whose strains lie in ``[lo[i], hi[i])``, empty where
@@ -350,6 +363,8 @@ def block_ends(index: StrainIndex, rows, terms, bound, k: int = 1, value=None):
                 pos = np.clip(near - width // 2, 0, n - width) + np.arange(width)[None, :]
                 j = index.order[rows[ok, None], pos]
                 t[ok] = np.sort(value(rows[ok], pos, j), axis=1)[:, min(k, n) - 1]
+            if cap is not None:
+                t = np.fmin(t, cap)
         else:
             # a scalar bound rounds as an array of it would, entry by entry
             t = float(bound)
@@ -362,7 +377,7 @@ def block_ends(index: StrainIndex, rows, terms, bound, k: int = 1, value=None):
         return centre - half, np.nextafter(centre + half, np.inf), ok, reach
 
 
-def plan_blocks(index: StrainIndex, rows, terms, bound, k: int = 1, value=None):
+def plan_blocks(index: StrainIndex, rows, terms, bound, k: int = 1, value=None, cap=None):
     """``(lo, hi, scan)``: for ``rows``, the blocks ``[lo, hi)`` of sorted
     positions that hold every candidate whose value is at most the bound
     (empty where none can be), and the rows to scan whole instead: where
@@ -376,13 +391,14 @@ def plan_blocks(index: StrainIndex, rows, terms, bound, k: int = 1, value=None):
     the blocks. A number ``bound`` is every row's bound. None takes a row's
     bound as the k-th smallest of ``value(rows, pos, j)`` at the k + 1
     sorted positions ``pos`` (original indices ``j``) nearest its block
-    centre. A tuple is the rows' :func:`block_ends`, already computed,
-    which are then only searched.
+    centre, or as the row's entry of ``cap`` (None: none), a computed value
+    of the row, where that is lower. A tuple is the rows'
+    :func:`block_ends`, already computed, which are then only searched.
     """
     if isinstance(bound, tuple):
         e_lo, e_hi, ok, reach = bound
     else:
-        e_lo, e_hi, ok, reach = block_ends(index, rows, terms, bound, k, value)
+        e_lo, e_hi, ok, reach = block_ends(index, rows, terms, bound, k, value, cap)
     lo, hi = index.search(np.stack([e_lo, e_hi], axis=1), rows).T
     hi = np.where(reach < 0.0, lo, hi)
     return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * index.eps.shape[1])
@@ -571,16 +587,24 @@ def prior_slot_costs(
     as :func:`stack_sets` checks them. Only the ``rows`` of that array are
     computed, one at a time from the archive's prior slots (a cost of every
     row at once would hold two more (M, n) arrays), and written into
-    ``out`` when it is given; each row depends on its own bar.
+    ``out`` when it is given; each row depends on its own bar. A row is
+    computed in place, in the operand order ``c * de * de + (1.0 / c) * ds
+    * ds``, through two scratch rows.
     """
     m, n = archive.eps_prev.shape
     chosen = range(m)[rows]
     out = np.empty((len(chosen), n)) if out is None else out
+    d, term = np.empty((2, n))
     for i, e in enumerate(chosen):
-        de = archive.eps_prev[e] - z_prev.strain[e]
-        ds = archive.sig_prev[e] - z_prev.stress[e]
-        c = gm.c_diag[e]
-        out[i] = _checked_costs(e, c * de * de + (1.0 / c) * ds * ds, n)
+        c, row = gm.c_diag[e], out[i]
+        np.subtract(archive.eps_prev[e], z_prev.strain[e], out=d)
+        np.multiply(c, d, out=row)
+        row *= d
+        np.subtract(archive.sig_prev[e], z_prev.stress[e], out=d)
+        np.multiply(1.0 / c, d, out=term)
+        term *= d
+        row += term
+        _checked_costs(e, row, n)
     return out
 
 

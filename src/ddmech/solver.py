@@ -511,12 +511,15 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     no pair move was applied, so the residuals, and with them every gain,
     are the pair stage's. Only the other rows of the subset groups, which
     ties in ``loc`` can leave outside the pair stage's 32, are searched
-    again, at k = 5. The walk takes the same rule
-    at k = 1, the lesser square distance at the query's two strain
-    neighbours. Rows with ``a_e = 0``, with ``a_s = 0`` but ``l_s != 0``
-    (gain unbounded below in stress), with a non-finite bound, or with a
-    block longer than ``data._MAX_BLOCK_SHARE`` of the row are scanned
-    whole, as are all rows shorter than ``_CHUNK_POINTS``.
+    again, at k = 5. The walk takes the same rule at k = 1, the lesser
+    square distance at the query's two strain neighbours, capped by the
+    square distance at the previous association where there is one (the
+    last search's result, a given start assignment or the polish's result):
+    any computed value of a row is at least its least one, so that block
+    holds every minimizer too. Rows with ``a_e = 0``, with ``a_s = 0`` but
+    ``l_s != 0`` (gain unbounded below in stress), with a non-finite bound,
+    or with a block longer than ``data._MAX_BLOCK_SHARE`` of the row are
+    scanned whole, as are all rows shorter than ``_CHUNK_POINTS``.
     """
     m, n = sets.eps.shape
     b = sys.b_free
@@ -566,6 +569,9 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
             if not accepted:
                 break
             changed = True
+        if m < 2:
+            # one bar has no pair, and a subset group needs two bars
+            break
         # pair stage: the most mismatched elements, each with its best few
         # alternatives, scored jointly as one (i1, i2, j1, j2) array whose
         # row-major first minimum is the first best pair in loop order
@@ -745,9 +751,11 @@ def fixed_point_solve(
     association repeats (the iterate is then a fixed point of the composed
     map) or the state itself repeats bitwise. Whenever the walk stops,
     :func:`_swap_polish` looks for a lower objective and the walk restarts
-    from any association it finds. On hitting the iteration cap, or when the
-    last of ``_MAX_ROUNDS`` rounds ends in an improving polish, returns the
-    lowest-objective iterate seen with ``converged=False``.
+    from any association it finds. Every search with a previous association
+    (the last search's, ``init_assignment`` or the polish's) takes it as
+    :func:`~ddmech.data.batch_nearest`'s hint. On hitting the iteration cap,
+    or when the last of ``_MAX_ROUNDS`` rounds ends in an improving polish,
+    returns the lowest-objective iterate seen with ``converged=False``.
     """
     cfg = cfg or SolverConfig()
     m = sys.n_elements
@@ -798,7 +806,7 @@ def fixed_point_solve(
         while budget > 0:
             budget -= 1
             iterations += 1
-            assign = batch_nearest(eps, sig, sets, gm.c_diag, gm.c_inv_diag)
+            assign = batch_nearest(eps, sig, sets, gm.c_diag, gm.c_inv_diag, prev_assign)
             y_eps, y_sig, cost = _gather(assign, sets)
             if prev_assign is not None and np.array_equal(assign, prev_assign):
                 walk_done = True

@@ -62,6 +62,53 @@ def two_slot_nearest(current, prior, h, e, c):
     return int(np.argmin(d2(h.eps_cur, h.sig_cur, current) + d2(h.eps_prev, h.sig_prev, prior)))
 
 
+#: Indices of the two tied points of every row of the "ties" stack.
+TIE_LOW, TIE_HIGH = 100, 5000
+
+
+def sorted_search_stacks(rng):
+    """Stacks large enough for the sorted search, by name, each as
+    ``(eps_rows, sig_rows, costs, queries)``: near, far and on-data queries
+    without and with fidelity costs (some large enough to move the winner),
+    duplicated strains with different stresses and exact duplicates, exact
+    ties, and one-point rows."""
+    m = 8
+    n = data_module._SORTED_SEARCH_MIN_SIZE // m + 17
+    eps_rows = rng.normal(size=(m, n))
+    sig_rows = 100.0 * eps_rows + rng.normal(size=(m, n))
+    near = [(rng.normal(size=m), 100.0 * rng.normal(size=m)) for _ in range(20)]
+    far = [(np.full(m, s * 10.0), np.full(m, s * 1e3)) for s in (-1.0, 1.0)]
+    on_data = [(eps_rows[:, 7], sig_rows[:, 7])]
+    costs = rng.uniform(0.0, 50.0, (m, n))
+    dup_eps = np.round(eps_rows, 1)
+    dup_sig = rng.normal(size=(m, n)) * 20.0
+    half = n // 2
+    dup_eps[:, half : 2 * half] = dup_eps[:, :half]
+    dup_sig[:, half : 2 * half] = dup_sig[:, :half]
+    # exact ties symmetric about the query: strains x -+ 0.5, equal stress,
+    # with the lower index on the left in even rows and on the right in odd
+    # rows; the lowest index must win
+    tie_eps = rng.uniform(10.0, 20.0, (m, n))
+    lo_j = TIE_LOW + np.arange(m)
+    hi_j = TIE_HIGH + np.arange(m)
+    left = np.where(np.arange(m) % 2 == 0, lo_j, hi_j)
+    right = np.where(np.arange(m) % 2 == 0, hi_j, lo_j)
+    tie_eps[np.arange(m), left] = -0.5
+    tie_eps[np.arange(m), right] = 0.5
+    ones = data_module._SORTED_SEARCH_MIN_SIZE
+    one_eps = rng.normal(size=(ones, 1))
+    return {
+        "plain": (eps_rows, sig_rows, None, near + far + on_data),
+        "costed": (eps_rows, sig_rows, costs, near + far + on_data),
+        "duplicated": (dup_eps, dup_sig, None, near + far),
+        "duplicated-costed": (dup_eps, dup_sig, np.round(costs), near + far),
+        "ties": (tie_eps, np.zeros((m, n)), None, [(np.zeros(m), np.zeros(m))]),
+        "one-point": (
+            one_eps, one_eps * 3.0, None, [(rng.normal(size=ones), rng.normal(size=ones))]
+        ),
+    }
+
+
 class TestLocalDataSet:
     """One bar's data set, a row of :func:`stack_sets`: the checks of its
     points and costs, and the search of one set."""
@@ -169,44 +216,33 @@ class TestBatchSearch:
             assert stacked.index is not None  # the sorted path ran
             return got
 
-        m = 8
-        n = data_module._SORTED_SEARCH_MIN_SIZE // m + 17
-        eps_rows = rng.normal(size=(m, n))
-        sig_rows = 100.0 * eps_rows + rng.normal(size=(m, n))
-        near = [(rng.normal(size=m), 100.0 * rng.normal(size=m)) for _ in range(20)]
-        far = [(np.full(m, s * 10.0), np.full(m, s * 1e3)) for s in (-1.0, 1.0)]
-        on_data = [(eps_rows[:, 7], sig_rows[:, 7])]
-        check(eps_rows, sig_rows, None, near + far + on_data)
-        # fidelity costs, some of them large enough to move the winner
-        costs = rng.uniform(0.0, 50.0, (m, n))
-        check(eps_rows, sig_rows, costs, near + far + on_data)
-        # duplicated strains with different stresses (and exact duplicates)
-        dup_eps = np.round(eps_rows, 1)
-        dup_sig = rng.normal(size=(m, n)) * 20.0
-        half = n // 2
-        dup_eps[:, half : 2 * half] = dup_eps[:, :half]
-        dup_sig[:, half : 2 * half] = dup_sig[:, :half]
-        check(dup_eps, dup_sig, None, near + far)
-        check(dup_eps, dup_sig, np.round(costs), near + far)
-        # exact ties symmetric about the query: strains x -+ 0.5, equal
-        # stress, with the lower index on the left in even rows and on the
-        # right in odd rows; the lowest index must win
-        tie_eps = rng.uniform(10.0, 20.0, (m, n))
-        tie_sig = np.zeros((m, n))
-        lo_j = 100 + np.arange(m)
-        hi_j = 5000 + np.arange(m)
-        left = np.where(np.arange(m) % 2 == 0, lo_j, hi_j)
-        right = np.where(np.arange(m) % 2 == 0, hi_j, lo_j)
-        tie_eps[np.arange(m), left] = -0.5
-        tie_eps[np.arange(m), right] = 0.5
-        got = check(tie_eps, tie_sig, None, [(np.zeros(m), np.zeros(m))])
-        assert np.array_equal(got, lo_j)
-        # one-point rows
-        ones = data_module._SORTED_SEARCH_MIN_SIZE
-        one_eps = rng.normal(size=(ones, 1))
-        query = (rng.normal(size=ones), rng.normal(size=ones))
-        got = check(one_eps, one_eps * 3.0, None, [query])
-        assert np.all(got == 0)
+        for name, stack in sorted_search_stacks(rng).items():
+            got = check(*stack)
+            if name == "ties":
+                assert np.array_equal(got, TIE_LOW + np.arange(got.size))
+            if name == "one-point":
+                assert np.all(got == 0)
+
+    def test_hint_keeps_the_scan_result(self, rng):
+        """With a hint per row, the sorted search still equals the scan on
+        every stack of :func:`sorted_search_stacks`: for the scan's winner,
+        the row's worst point, random points and, on the tie stack, the
+        tied point of higher index, whose value bounds the lower one
+        exactly."""
+        for name, (eps_rows, sig_rows, costs, queries) in sorted_search_stacks(rng).items():
+            stacked = StackedSets(eps_rows, sig_rows, costs)
+            m, n = eps_rows.shape
+            c = rng.uniform(10.0, 1000.0, m)
+            for eps, sig in queries:
+                expect = scan_nearest(eps, sig, stacked, c, 1.0 / c)
+                d2 = data_module._scan_d2(stacked, slice(None), eps, sig, c, 1.0 / c)
+                hints = [expect, d2.argmax(axis=1), rng.integers(0, n, m)]
+                if name == "ties":
+                    hints.append(TIE_HIGH + np.arange(m))
+                for hint in hints:
+                    got = batch_nearest(eps, sig, stacked, c, 1.0 / c, hint)
+                    assert np.array_equal(got, expect)
+            assert stacked.index is not None  # the sorted path ran
 
     def test_non_finite_query_is_scanned(self, rng, monkeypatch):
         """A NaN or infinite query row among finite rows, on a stack large
@@ -275,6 +311,49 @@ class TestBatchSearch:
         assert not scan.any()
         assert np.all(hi - lo <= two)
         assert np.all(length(d2(above)) > n // 8)
+
+    def test_hint_bounds_the_walk_block(self, rng, monkeypatch):
+        """A hint caps the neighbour bound by the value at the hint. On a
+        costed stack whose two strain neighbours of each query carry a large
+        cost, the neighbour bound spans more than an eighth of the row, so
+        the row would be scanned; with the hint at the scan's winner, the
+        planned block is no longer than the winner's strain radius."""
+        m = 8
+        n = data_module._SORTED_SEARCH_MIN_SIZE // m + 17
+        rows = np.arange(m)
+        c = np.full(m, 100.0)
+        eps_rows = rng.uniform(0.0, 1.0, (m, n))
+        sig_rows = c[:, None] * eps_rows + rng.normal(scale=1e-4, size=(m, n))
+        costs = rng.uniform(0.0, 1e-6, (m, n))
+        order = np.argsort(eps_rows, axis=1)
+        at = rng.integers(n // 4, 3 * n // 4, m)
+        below, above = order[rows, at - 1], order[rows, at]
+        costs[rows, below] = costs[rows, above] = 1.0
+        eps = 0.5 * (eps_rows[rows, below] + eps_rows[rows, above])
+        sig = c * eps
+        stacked = StackedSets(eps_rows, sig_rows, costs)
+        winner = scan_nearest(eps, sig, stacked, c, 1.0 / c)
+        plans = []
+        plan = data_module.plan_blocks
+        monkeypatch.setattr(
+            data_module, "plan_blocks", lambda *a: plans.append(plan(*a)) or plans[-1]
+        )
+        assert np.array_equal(batch_nearest(eps, sig, stacked, c, 1.0 / c, winner), winner)
+        assert np.array_equal(batch_nearest(eps, sig, stacked, c, 1.0 / c), winner)
+        (lo, hi, scan), (_, _, unhinted) = plans
+
+        def d2(j):
+            de, ds = eps_rows[rows, j] - eps, sig_rows[rows, j] - sig
+            return c * de * de + ds * ds / c + costs[rows, j]
+
+        def length(bound):
+            """Points within the strain radius of a bound."""
+            radius = np.sqrt(bound / c) * (1.0 + 1e-6)
+            return np.sum(np.abs(eps_rows - eps[:, None]) <= radius[:, None], axis=1)
+
+        assert not scan.any() and unhinted.all()
+        assert np.all(hi - lo <= length(d2(winner)))
+        assert np.all(length(np.minimum(d2(below), d2(above))) > n // 8)
 
     def test_row_search_equals_searchsorted(self, rng):
         """StrainIndex.search gives np.searchsorted's left position per row,

@@ -413,6 +413,32 @@ class TestPolishEquivalence:
                 assert np.array_equal(got, expect)
 
 
+@pytest.mark.parametrize("n", [8, 300])
+def test_one_bar_polish_ends_after_the_single_stage(n, monkeypatch):
+    """One bar has no pair and no subset group of two, so the polish ends
+    after its single stage without ranking candidates
+    (``_GainSearch.lowest``), and returns the loop's assignment."""
+    mesh = TrussMesh(
+        np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.array([[0, 1]]), np.array([1.0]),
+        frozenset({(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)}),
+    )
+    sys = assemble(mesh, GlobalMetric(np.array([1000.0]), mesh.volumes))
+
+    def refuse(*args):
+        raise AssertionError("a one-bar polish ranked candidates")
+
+    monkeypatch.setattr(_GainSearch, "lowest", refuse)
+    rng = np.random.default_rng(n)
+    moved = 0
+    for _ in range(6):
+        got, expect = both_polishes(rng, sys, *random_sets(rng, sys, [n]))
+        assert (got is None) == (expect is None)
+        if got is not None:
+            assert np.array_equal(got, expect)
+            moved += 1
+    assert moved > 0
+
+
 @pytest.mark.parametrize("costs", [False, True])
 def test_chunk_gains_are_the_scan_expression(costs):
     """After every call the single sweep's gain buffer holds its chunk's

@@ -11,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from ddmech import data as data_module
 from ddmech import solver
 from ddmech.data import (
     GeneratorSpec,
@@ -580,6 +581,58 @@ class TestHistoryMatchingMarch:
             dd, DEFAULT_SLS.tau1
         )
         assert rel < 1e-2
+
+    def test_walk_searches_take_the_previous_association(self, monkeypatch):
+        """On an archive large enough for the sorted search, each solve's
+        first walk search gets no hint and every later one the previous
+        association: the last search's result, or the polish's where a
+        polish ran in between. The trajectory equals that of a march whose
+        searches take no hint."""
+        mesh, gm, loads, times = small_truss_fixture(t_end=4.0)
+        archive = build_truss_repositories(
+            mesh, gm, DEFAULT_SLS, loads, times,
+            n_prior_strain=3, n_prior_offset=235, n_current=9,
+        )
+        assert archive.eps_cur.size >= data_module._SORTED_SEARCH_MIN_SIZE
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+        search, polish, solve = solver.batch_nearest, solver._swap_polish, solver.fixed_point_solve
+        events = []
+
+        def searched(*args):
+            out = search(*args)
+            events.append(("search", args[5] if len(args) > 5 else None, out))
+            return out
+
+        def polished(*args):
+            out = polish(*args)
+            events.append(("polish", None, out))
+            return out
+
+        def solved(*args, **kwargs):
+            events.append(("solve", None, None))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "batch_nearest", searched)
+        monkeypatch.setattr(solver, "_swap_polish", polished)
+        monkeypatch.setattr(solver, "fixed_point_solve", solved)
+        hinted = history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
+        last, later = None, 0
+        for kind, hint, out in events:
+            if kind == "search":
+                if last is None:
+                    assert hint is None
+                else:
+                    assert np.array_equal(hint, last)
+                    later += 1
+            if kind == "solve":
+                last = None
+            elif out is not None:
+                last = out.copy()
+        assert later > 0
+        monkeypatch.setattr(solver, "batch_nearest", lambda *args: search(*args[:5]))
+        plain = history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
+        for name in ("strain", "stress", "assignment", "iterations"):
+            assert np.array_equal(getattr(hinted, name), getattr(plain, name))
 
     @pytest.mark.parametrize("march", [time_march, history_matching_march])
     def test_abort_reports_iterations_and_objective(self, march):

@@ -1,15 +1,17 @@
 """Time the shipped commands that finish within a minute, as JSON.
 
 Runs ``relaxation``, ``relaxation --history-matching``, ``visco``,
-``plastic`` and ``oracle-check`` at their defaults, and ``convergence
---kind plastic --points 64,256 --runs 4``, one after another, each once
-with ``python -m ddmech.cli`` in a subprocess that has the caller's
-environment and this checkout's ``src`` first on ``PYTHONPATH``. For every
-command it records the wall time in seconds, the peak resident set size
-of its largest process in MiB (``max_rss_mib``, reaped step and pool
-workers included), the exit code and the sha256 of every CSV it wrote.
-Labels after the options run only those commands, in the order above. Run
-from a source checkout:
+``plastic`` and ``oracle-check`` at their defaults, ``visco
+--history-matching`` on the default lattice with a config file of ``t_end
+= 6``, and ``convergence --kind plastic --points 64,256 --runs 4``, one
+after another, each once with ``python -m ddmech.cli`` in a subprocess that
+has the caller's environment and this checkout's ``src`` first on
+``PYTHONPATH`` (:func:`output_digest.run`). For every command it records
+the wall time in seconds, the peak resident set size of its largest
+process in MiB (``max_rss_mib``, reaped step and pool workers included),
+the exit code and the sha256 of every CSV it wrote. Labels after the
+options run only those commands, in the order above. Run from a source
+checkout:
 
     python tools/command_timing.py --out TIMES.json
     python tools/command_timing.py --out TIMES.json plastic "relaxation --history-matching"
@@ -26,11 +28,12 @@ import json
 
 from output_digest import run
 
-#: (label, command arguments)
+#: (label, command arguments[, config file text])
 COMMANDS = (
     ("relaxation", ["relaxation"]),
     ("relaxation --history-matching", ["relaxation", "--history-matching"]),
     ("visco", ["visco"]),
+    ("visco --history-matching", ["visco", "--history-matching"], "t_end = 6\n"),
     ("plastic", ["plastic"]),
     ("oracle-check", ["oracle-check"]),
     (
@@ -45,15 +48,15 @@ def main() -> None:
     parser.add_argument("--out", required=True, metavar="FILE", help="JSON file to write")
     parser.add_argument("labels", nargs="*", metavar="LABEL", help="commands to run (default: all)")
     args = parser.parse_args()
-    known = [label for label, _ in COMMANDS]
+    known = [label for label, *_ in COMMANDS]
     for label in args.labels:
         if label not in known:
             parser.error(f"unknown command label {label!r}; choose from {known}")
     record = {}
-    for label, command in COMMANDS:
+    for label, command, *config in COMMANDS:
         if args.labels and label not in args.labels:
             continue
-        code, seconds, rss, sums = run(command)
+        code, seconds, rss, sums = run(command, *config)
         record[label] = {
             "wall_s": round(seconds, 3),
             "max_rss_mib": round(rss, 1),
