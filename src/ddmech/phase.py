@@ -91,10 +91,6 @@ class GlobalState:
         object.__setattr__(self, "strain", eps)
         object.__setattr__(self, "stress", sig)
 
-    @classmethod
-    def zeros(cls, n_elements: int) -> "GlobalState":
-        return cls(np.zeros(n_elements), np.zeros(n_elements))
-
     @property
     def n_elements(self) -> int:
         return self.strain.size

@@ -100,14 +100,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The walk's iteration budget per solve, and whether a march raises
-    ``RuntimeError`` at a step whose fixed point the budget left unconfirmed
-    (by default it accepts the step's best iterate, flagged in
-    ``Trajectory.converged``).
+    """The walk's iteration budget per solve. A march accepts the best
+    iterate of a step whose fixed point the budget left unconfirmed, flagged
+    in ``Trajectory.converged``.
     """
 
     max_fixed_point_iters: int = 200
-    abort_on_nonconvergence: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -161,12 +159,12 @@ def _objective(sys, eps, sig, y_eps, y_sig, cost) -> tuple[float, float]:
     return d2, total
 
 
-#: Points one array operation of the swap polish scores at most. The single
+#: Points one array operation of the swap polish scores at most: the single
 #: sweep scores ``_CHUNK_POINTS // K`` rows at a time on their K-point
-#: candidate windows, and the other stages search a row this long or longer
-#: through its strain order instead of scanning it.
+#: candidate windows, and a whole-row scan ``_CHUNK_POINTS // n`` rows.
 _CHUNK_POINTS = 2048
-#: Rows this long or longer have strain-order windows in the single sweep.
+#: Rows this long or longer are searched in strain order by every stage of
+#: the swap polish: the single sweep on windows, the others on blocks.
 _WINDOW_POINTS = 512
 #: K for rows searched in strain order: the sorted positions of a window.
 _WINDOW = 64
@@ -185,7 +183,8 @@ class _GainSearch:
     searched in strain order, which the shared block search of
     :mod:`ddmech.data` plans from the gain's coefficients (:meth:`_terms`)
     and evaluates with :meth:`_value`, as the walk's association does with
-    its own square distance.
+    its own square distance. Every stage searches rows in strain order
+    (``by_strain``) exactly when they hold ``_WINDOW_POINTS`` points or more.
     """
 
     def __init__(self, sys, sets, y_eps, y_sig, r_eps, r_sig, cur_cost) -> None:
@@ -194,6 +193,7 @@ class _GainSearch:
         hdiag = sys.leverage()[2]
         self.sets = sets
         self.n = sets.eps.shape[1]
+        self.by_strain = self.n >= _WINDOW_POINTS
         self.w = w
         self.m2wc = -2.0 * wc
         self.m2w_c = -2.0 * (w / c)
@@ -257,9 +257,9 @@ class _GainSearch:
     def lowest(self, r, k, plan=None):
         """The k lowest gains of every row in r and their indices, ordered by
         gain and then index: over whole rows for sets shorter than
-        ``_CHUNK_POINTS``, else on the blocks of ``plan``, by default those
+        ``_WINDOW_POINTS``, else on the blocks of ``plan``, by default those
         of :func:`~ddmech.data.plan_blocks`'s neighbour bound."""
-        if self.n < _CHUNK_POINTS:
+        if not self.by_strain:
             return self._scan(r, k)
         index = self.sets.strain_index()
         if plan is None:
@@ -272,7 +272,6 @@ class _GainSearch:
         sorted positions around the row's block at T = -tol."""
         s = self.sets
         m, n = s.eps.shape
-        self.by_strain = n >= _WINDOW_POINTS
         self.k = _WINDOW if self.by_strain else n
         self.de, self.ds, self.dede, self.dsds = (np.empty((m, self.k)) for _ in range(4))
         self.dc = None if s.costs is None else np.empty((m, self.k))
@@ -519,7 +518,7 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     holds every minimizer too. Rows with ``a_e = 0``, with ``a_s = 0`` but
     ``l_s != 0`` (gain unbounded below in stress), with a non-finite bound,
     or with a block longer than ``data._MAX_BLOCK_SHARE`` of the row are
-    scanned whole, as are all rows shorter than ``_CHUNK_POINTS``.
+    scanned whole, as are all rows shorter than ``_WINDOW_POINTS``.
     """
     m, n = sets.eps.shape
     b = sys.b_free
@@ -836,8 +835,6 @@ def fixed_point_solve(
                 history.append(obj)
             if best is None or obj <= best[0]:
                 best = (obj, d2, eps, sig, u, assign, y_eps, y_sig)
-        if best is None:
-            break
         if cycled or not walk_done:
             obj, d2, eps, sig, u, assign, y_eps, y_sig = best
             prev_assign = assign
@@ -861,7 +858,7 @@ def fixed_point_solve(
         # the last round's polish improved, and no round is left to confirm it
         converged = False
 
-    obj, d2, eps, sig, u, assign, y_eps, y_sig = best
+    _, d2, eps, sig, u, assign, y_eps, y_sig = best
     residual = sys.equilibrium_residual(sig, f)
     return StepResult(
         z=GlobalState(eps, sig),
@@ -870,7 +867,7 @@ def fixed_point_solve(
         iterations=iterations,
         distance_sq=d2,
         converged=converged,
-        objective_history=history if history else [obj],
+        objective_history=history,
         equilibrium_residual=residual,
         displacements=u,
     )
@@ -1275,11 +1272,6 @@ def _march(
                 second = _response_solve(system, gm, cfg, sets, f, t, eps_prev + est)
             if second is not None and second.objective_history[-1] < step.objective_history[-1]:
                 step = second
-            if not step.converged and cfg.abort_on_nonconvergence:
-                raise RuntimeError(
-                    f"fixed point did not converge at step {k} (t={t}): {step.iterations} "
-                    f"iterations, objective {step.objective_history[-1]:.6e}"
-                )
             eps_new = step.z.strain
             sig_new = step.z.stress
             if plastic_law is not None:

@@ -164,8 +164,9 @@ def test_command_timing_records_time_exit_code_and_digests(tmp_path, monkeypatch
     monkeypatch.syspath_prepend(str(TOOLS))
     tool = importlib.import_module("command_timing")
     assert [label for label, *_ in tool.COMMANDS] == [
-        "relaxation", "relaxation --history-matching", "visco", "visco --history-matching",
-        "plastic", "oracle-check", "convergence --kind plastic",
+        "relaxation", "relaxation --history-matching", "visco", "visco --points 1024",
+        "visco --history-matching", "plastic", "plastic --points 1024", "oracle-check",
+        "convergence --kind plastic",
     ]
     quick, bad = ["oracle-check", "--runs", "2"], ["oracle-check", "--runs", "0"]
     monkeypatch.setattr(tool, "COMMANDS", (("quick", quick), ("bad", bad)))

@@ -119,7 +119,7 @@ class TestGlobalState:
     """Stacked per-element states."""
 
     def test_zeros_and_shape(self):
-        z = GlobalState.zeros(3)
+        z = GlobalState(np.zeros(3), np.zeros(3))
         assert z.n_elements == 3
         assert np.all(z.strain == 0.0)
 

@@ -348,7 +348,7 @@ class TestPolishEquivalence:
         """Whole rows from one point up to just below the windows' size, on
         35 bars: a chunk of 32 rows (n = 64) or 6 (n = 300) leaves a shorter
         last chunk; and rows with strain-order windows, whose other stages
-        scan whole rows below ``_CHUNK_POINTS`` and plan blocks from it."""
+        plan blocks too."""
         counter = PlanCounter(monkeypatch)
         rng = np.random.default_rng(1000 * n + costs)
         for _ in range(3 if n >= solver._WINDOW_POINTS - 1 else 6):
@@ -684,6 +684,27 @@ class TestWindows:
             assert_same(*both_polishes(rng, sys, *lists))
         windowed = n == 512
         assert opened and set(opened) == {(windowed, solver._WINDOW if windowed else n)}
+
+    @pytest.mark.parametrize("n", [solver._WINDOW_POINTS, solver._CHUNK_POINTS - 1])
+    def test_pair_stage_plans_blocks_where_the_sweep_has_windows(self, n, monkeypatch):
+        """Rows the single sweep searches in strain order are searched so by
+        the pair stage too: its top 6 (``_GainSearch.lowest``) come from
+        blocks planned on the neighbour bound, and the polish is the element
+        loop's."""
+        ranked, plan = [], solver.plan_blocks
+
+        def recorded(index, rows, terms, bound, *args):
+            if bound is None and inspect.currentframe().f_back.f_code.co_name == "lowest":
+                ranked.append(args[0])
+            return plan(index, rows, terms, bound, *args)
+
+        monkeypatch.setattr(solver, "plan_blocks", recorded)
+        rng = np.random.default_rng(48)
+        for _ in range(2):
+            sys = polish_truss(rng)
+            lists = random_sets(rng, sys, [n] * sys.n_elements, costs=True)
+            assert_same(*both_polishes(rng, sys, *lists))
+        assert 6 in ranked
 
     def test_plans_fewer_than_moves(self, monkeypatch):
         """On data close to a linear response, every row starts three

@@ -634,28 +634,8 @@ class TestHistoryMatchingMarch:
         for name in ("strain", "stress", "assignment", "iterations"):
             assert np.array_equal(getattr(hinted, name), getattr(plain, name))
 
-    @pytest.mark.parametrize("march", [time_march, history_matching_march])
-    def test_abort_reports_iterations_and_objective(self, march):
-        """Both marches name the step, iterations and objective on abort."""
-        mesh, gm, loads, times = small_truss_fixture(t_end=2.0)
-        if march is time_march:
-            data = GeneratorSpec(
-                law=DEFAULT_SLS,
-                n_points=16,
-                window=WindowRule(floor=1e-9),
-            )
-        else:
-            data = build_truss_repositories(
-                mesh, gm, DEFAULT_SLS, loads, times,
-                n_prior_strain=3, n_prior_offset=5, n_current=9,
-            )
-        cfg = SolverConfig(max_fixed_point_iters=1, abort_on_nonconvergence=True)
-        message = r"at step \d+ \(t=.*\): 1 iterations, objective "
-        with pytest.raises(RuntimeError, match=message):
-            march(mesh, gm, data, loads, times, cfg)
 
-
-def _study_march(kind, cfg=None, *, lattice=LatticeSpec(2, 1, 1), steps=12, points=64, **kwargs):
+def _study_march(kind, *, lattice=LatticeSpec(2, 1, 1), steps=12, points=64, **kwargs):
     """The first ``steps`` steps of a study march on ``lattice`` at dt = 5,
     ``points`` points per set. By default 12 steps on a 2 x 1 x 1 lattice
     with 64 points, where the response start wins 2 of them on visco and 7
@@ -664,7 +644,7 @@ def _study_march(kind, cfg=None, *, lattice=LatticeSpec(2, 1, 1), steps=12, poin
     mesh, gm, system, loads, times = study_setup(study)
     g = study_generator(study, points, 0, 0)
     return time_march(
-        mesh, gm, g, loads, times[:steps], cfg or SolverConfig(), sys=system, **kwargs
+        mesh, gm, g, loads, times[:steps], SolverConfig(), sys=system, **kwargs
     )
 
 
@@ -760,18 +740,6 @@ class TestStepWorker:
         assert not thread.is_alive()
         assert len(out) == 1
         assert worker_starts == []
-
-    def test_abort_raises_as_the_serial_march(self, worker_starts, monkeypatch):
-        cfg = SolverConfig(max_fixed_point_iters=1, abort_on_nonconvergence=True)
-        with pytest.raises(RuntimeError, match="did not converge") as forked:
-            _study_march("visco", cfg)
-        assert worker_starts == [os.getpid()]
-        assert multiprocessing.active_children() == []
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        with pytest.raises(RuntimeError) as serial:
-            _study_march("visco", cfg)
-        assert str(forked.value) == str(serial.value)
-        assert worker_starts == [os.getpid()]
 
     def test_worker_exception_reaches_the_caller(self, worker_starts, monkeypatch):
         init = solver._empirical_response_init

@@ -1,20 +1,24 @@
 """Time the shipped commands that finish within a minute, as JSON.
 
 Runs ``relaxation``, ``relaxation --history-matching``, ``visco``,
-``plastic`` and ``oracle-check`` at their defaults, ``visco
---history-matching`` on the default lattice with a config file of ``t_end
-= 6``, and ``convergence --kind plastic --points 64,256 --runs 4``, one
-after another, each once with ``python -m ddmech.cli`` in a subprocess that
-has the caller's environment and this checkout's ``src`` first on
-``PYTHONPATH`` (:func:`output_digest.run`). For every command it records
-the wall time in seconds, the peak resident set size of its largest
-process in MiB (``max_rss_mib``, reaped step and pool workers included),
-the exit code and the sha256 of every CSV it wrote. Labels after the
-options run only those commands, in the order above. Run from a source
-checkout:
+``plastic`` and ``oracle-check`` at their defaults, ``visco --points 1024``
+and ``plastic --points 1024`` (a set size no perfbench workload has),
+``visco --history-matching`` on the default lattice with a config file of
+``t_end = 6``, and ``convergence --kind plastic --points 64,256 --runs
+4``, one after another, each once with ``python -m ddmech.cli`` in a
+subprocess that has the caller's environment and this checkout's ``src``
+first on ``PYTHONPATH`` (:func:`output_digest.run`). For every command it
+records the wall time in seconds, the peak resident set size of its
+largest process in MiB (``max_rss_mib``, reaped step and pool workers
+included), the exit code and the sha256 of every CSV it wrote. Labels
+after the options run only those commands, in the order of ``COMMANDS``.
+Run from a source checkout:
 
     python tools/command_timing.py --out TIMES.json
     python tools/command_timing.py --out TIMES.json plastic "relaxation --history-matching"
+
+Under ``taskset -c 0`` every command runs on one CPU, so no march forks
+its step worker and the times are serial.
 
 To compare two programs, copy this script and ``output_digest.py`` into the
 other checkout's ``tools/`` and run the two checkouts in turn several times:
@@ -33,8 +37,10 @@ COMMANDS = (
     ("relaxation", ["relaxation"]),
     ("relaxation --history-matching", ["relaxation", "--history-matching"]),
     ("visco", ["visco"]),
+    ("visco --points 1024", ["visco", "--points", "1024"]),
     ("visco --history-matching", ["visco", "--history-matching"], "t_end = 6\n"),
     ("plastic", ["plastic"]),
+    ("plastic --points 1024", ["plastic", "--points", "1024"]),
     ("oracle-check", ["oracle-check"]),
     (
         "convergence --kind plastic",
