@@ -77,7 +77,10 @@ class StrainIndex:
     index of all: a march in two processes has each sort its own rows into
     one shared pair of arrays (every step for regenerated sets, the first
     step for a fixed archive), and both read that pair as one index
-    (:meth:`of`).
+    (:meth:`of`). The order among equal strains is the sort's own. The
+    searches and the polish give a scan's result whatever that order, and
+    the response init, which reads the stress at a sorted position,
+    declines on archives, whose rows hold many equal strains.
     """
 
     __slots__ = ("order", "eps")
@@ -138,9 +141,9 @@ class StackedSets:
     by :func:`stack_sets`; it is None when no row is padded. ``index`` is
     the rows' :class:`StrainIndex`. It is built on the first call of
     :meth:`strain_index` and then shared by every search of the step
-    (association and the response warm start). A march's stack carries an
-    index that its draws fill: every step's for regenerated sets, the first
-    step's for a fixed archive.
+    (association, the polish and, on sets without costs, the response warm
+    start). A march's stack carries an index that its draws fill: every
+    step's for regenerated sets, the first step's for a fixed archive.
     """
 
     eps: np.ndarray

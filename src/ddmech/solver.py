@@ -40,13 +40,15 @@ and any subset of a step's rows can be drawn alone, bit for bit.
 :func:`history_matching_march` searches fixed two-time archives, one
 (M, n) :class:`~ddmech.data.HistoryRepository` whose current slots are the
 march's stack, with the prior-slot mismatch against the previously accepted
-state as a fidelity cost. Every step is solved from two warm starts, the
-predicted state and the empirical response read off the step's sets, and
-the lower objective wins. A march forks a step worker
-(:class:`_StepWorker`) for the second start when :func:`_usable_cpus` is
-at least 2. The stack is then in shared memory: the march and the worker
-each draw half of every step's rows into it, and the worker solves the
-second start while the march solves the first.
+state as a fidelity cost. A step on regenerated sets is solved from two
+warm starts, the predicted state and the empirical response read off the
+step's sets, and the lower objective wins. An archive step is solved once,
+from the predicted state: its current slots trace no response curve, so
+the response init declines. A march forks a step worker
+(:class:`_StepWorker`) when :func:`_usable_cpus` is at least 2. The stack
+is then in shared memory: the march and the worker each draw half of every
+step's rows into it, and the worker solves the second start while the
+march solves the first; on an archive the worker only draws.
 """
 
 from __future__ import annotations
@@ -673,12 +675,15 @@ def _empirical_response_init(
     reach, using nothing but the data itself: at most 20 steps, stopping
     once the force residual is below 1e-10 of ``max(1, |f|)``. The returned
     state is each element's sampled (strain, stress) pair at the
-    lowest-residual iterate. Returns None when the sets are too small or a
-    tangent is not positive definite; callers then fall back to an elastic
-    predictor.
+    lowest-residual iterate. Returns None when the sets are too small, when
+    they carry fidelity costs, or when a tangent is not positive definite;
+    callers then keep the predicted start. Sets with costs are two-time
+    archives: their current slots pool the responses of every prior state
+    and trace no response curve, and on 35 measured archive steps this
+    start never ended lower than the predicted one.
     """
     n = stacked.eps.shape[1]
-    if n < 8:
+    if n < 8 or stacked.costs is not None:
         return None
     b = sys.b_free
     w = sys.weights
@@ -873,6 +878,13 @@ def fixed_point_solve(
     )
 
 
+#: Assignment entries (assignments times bars) the enumeration oracle scores
+#: at once. The peak memory grows with it and the result does not depend on
+#: it (see the cutoff below). At this size ``oracle-check`` peaks at 103
+#: MiB, and a whole 3 x 20 instance (8,000 assignments) is one chunk.
+_ENUMERATION_CHUNK_ENTRIES = 500_000
+
+
 def enumerate_global_min(
     sys: ConstraintSystem,
     sets: StackedSets,
@@ -924,7 +936,7 @@ def enumerate_global_min(
 
     # one pass: keep every id within the cutoff of the best objective so
     # far, which never falls below the final cutoff, then apply the final one
-    chunk = max(1, min(total, 4_000_000 // max(m, 1)))
+    chunk = max(1, min(total, _ENUMERATION_CHUNK_ENTRIES // max(m, 1)))
     best_obj, kept = np.inf, []
     for lo in range(0, total, chunk):
         ids = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
@@ -1221,7 +1233,9 @@ def _march(
     Each step is solved from two starts: the predicted start, the previous
     accepted state advanced by the step's elastic strain estimate plus the
     previous step's inelastic increment, and the empirical response init.
-    The lower objective wins, the first on a tie. When :func:`_usable_cpus`
+    The lower objective wins, the first on a tie. On a stack with costs (an
+    archive's) the response init declines, so the step is solved once, from
+    the predicted start, and the worker only draws. When :func:`_usable_cpus`
     is at least 2, the stack is made in shared memory (:func:`_shared_empty`)
     and a :class:`_StepWorker` is forked for the march. At every step the march
     draws the first half of the rows (:func:`_row_halves`) and the worker

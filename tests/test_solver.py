@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -341,6 +342,29 @@ class TestEnumeration:
             assert np.array_equal(seeded.assignment, oracle.assignment)
             assert seeded.objective_history[-1] == oracle.objective_history[-1]
 
+    @pytest.mark.parametrize(
+        "family, draw, chunks", [((3, 20), 3, 107), ((10, 4), 4, 768)], ids=["3x20", "10x4"]
+    )
+    def test_result_does_not_depend_on_the_chunk_size(self, monkeypatch, family, draw, chunks):
+        """Instance ``draw`` of an ``oracle-check`` family (3 bars with 2,244
+        assignments, 8 bars with 6,144) scored 64 entries at a time, in
+        ``chunks`` chunks, gives the assignment and objective bits of one
+        chunk. A whole 3 x 20 instance fits one chunk of the default size."""
+        assert solver._ENUMERATION_CHUNK_ENTRIES // 3 >= 20**3
+        rng = np.random.default_rng(90210)
+        for _ in range(draw + 1):
+            _, gm, sys, sets, f = random_small_instance(
+                rng, max_elements=family[0], max_points=family[1]
+            )
+        total, m = int(np.prod(set_sizes(sets))), sys.n_elements
+        monkeypatch.setattr(solver, "_ENUMERATION_CHUNK_ENTRIES", total * m)
+        whole = enumerate_global_min(sys, sets, gm, f)
+        monkeypatch.setattr(solver, "_ENUMERATION_CHUNK_ENTRIES", 64)
+        assert -(-total // (64 // m)) == chunks
+        chunked = enumerate_global_min(sys, sets, gm, f)
+        assert np.array_equal(chunked.assignment, whole.assignment)
+        assert chunked.objective_history == whole.objective_history
+
 
 def reference_response_init(sys, stacked, f, g, eps_start):
     """The response init as first written: the dense tangent
@@ -410,7 +434,8 @@ class TestResponseInit:
 
     def test_equilibrates_on_dense_linear_data(self):
         """On a dense sampled line the Newton walk lands near equilibrium
-        and returns states taken from the data."""
+        and returns states taken from the data. The same sets with zero
+        fidelity costs, as an archive's carry, make it decline."""
         mesh, gm, loads, _ = small_truss_fixture()
         sys = assemble(mesh, gm)
         f = loads.forces(10.0)
@@ -430,6 +455,8 @@ class TestResponseInit:
         for e in range(4):
             assert out.strain[e] in stacked.eps[e]
             assert out.stress[e] in stacked.sig[e]
+        costed = dataclasses.replace(stacked, costs=np.zeros_like(stacked.eps))
+        assert _empirical_response_init(sys, costed, f, np.zeros(4), est) is None
 
     @pytest.mark.parametrize("kind, points", [("plastic", 64), ("visco", 2048)])
     def test_every_step_agrees_with_the_dense_reference(self, monkeypatch, kind, points):
@@ -634,6 +661,53 @@ class TestHistoryMatchingMarch:
         for name in ("strain", "stress", "assignment", "iterations"):
             assert np.array_equal(getattr(hinted, name), getattr(plain, name))
 
+    def test_an_archive_step_is_solved_once(self, monkeypatch):
+        """The response init declines on every archive step, so a serial
+        march runs one fixed-point solve per step, from the predicted
+        start."""
+        mesh, gm, loads, times, archive = _archive_setup()
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+        init, solve = solver._empirical_response_init, solver.fixed_point_solve
+        inits, solves = [], []
+
+        def counted_init(*args):
+            inits.append(init(*args))
+            return inits[-1]
+
+        def counted_solve(*args, **kwargs):
+            solves.append(kwargs["t"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_empirical_response_init", counted_init)
+        monkeypatch.setattr(solver, "fixed_point_solve", counted_solve)
+        history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
+        assert solves == [float(t) for t in times]
+        assert inits == [None] * times.size
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["worker", "serial"])
+    def test_trajectory_does_not_depend_on_the_tie_order(self, worker_starts, monkeypatch, cpus):
+        """Archive rows hold many equal strains, whose order the strain
+        sort leaves to ``np.argsort``'s default kind. A march whose index
+        sorts them stably, which orders some ties differently, has the
+        same bits, with a step worker and without one."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        mesh, gm, loads, times, archive = _archive_setup()
+        default = history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
+        default_order = StrainIndex(archive.eps_cur).order
+
+        def stable_sort(index, strains, rows):
+            for e in range(strains.shape[0])[rows]:
+                index.order[e] = np.argsort(strains[e], kind="stable")
+                strains[e].take(index.order[e], out=index.eps[e])
+
+        monkeypatch.setattr(StrainIndex, "sort", stable_sort)
+        assert not np.array_equal(StrainIndex(archive.eps_cur).order, default_order)
+        stable = history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
+        assert worker_starts == ([os.getpid()] * 2 if len(cpus) == 2 else [])
+        assert multiprocessing.active_children() == []
+        for name in ("strain", "stress", "assignment", "iterations"):
+            assert np.array_equal(getattr(stable, name), getattr(default, name))
+
 
 def _study_march(kind, *, lattice=LatticeSpec(2, 1, 1), steps=12, points=64, **kwargs):
     """The first ``steps`` steps of a study march on ``lattice`` at dt = 5,
@@ -699,8 +773,9 @@ def worker_starts(monkeypatch):
 
 
 class TestStepWorker:
-    """The forked step worker solves each step's second warm start; a march
-    gives the same bits with it and without it, and leaves no process."""
+    """The forked step worker solves each step's second warm start, and on
+    an archive, where the response init declines, only draws; a march gives
+    the same bits with it and without it, and leaves no process."""
 
     @pytest.mark.parametrize("name", list(_MARCHES))
     def test_worker_and_pool_worker_marches_agree(self, worker_starts, name):

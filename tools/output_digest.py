@@ -58,7 +58,7 @@ MESH_CONFIG = "mesh = mesh.txt\nprogram.px = 0,0; 2,0.001; 4,0.001\nt_end = 4\n"
 #: by name])
 COMMANDS = (
     ("relaxation", ["relaxation"], None),
-    ("relaxation --history-matching", ["relaxation", "--history-matching"], "t_end = 5\n"),
+    ("relaxation --history-matching", ["relaxation", "--history-matching"], None),
     ("visco", ["visco"], None),
     ("visco --history-matching", ["visco", "--history-matching"], SMALL_LATTICE),
     ("visco --config mesh", ["visco"], MESH_CONFIG, {"mesh.txt": README_MESH}),
