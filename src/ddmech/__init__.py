@@ -12,8 +12,8 @@ two-time archives of recorded transitions.
 BLAS runs one thread in a process that imports this package before numpy,
 as the ``ddmech`` commands do, unless ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` is set: the solver's matrices
-are a few hundred rows, where BLAS threads only compete with the step
-worker and the study pool. A caller that imported numpy first keeps its
+are a few hundred rows, where BLAS threads only compete with the
+processes of a study's pool. A caller that imported numpy first keeps its
 setting.
 """
 

@@ -70,43 +70,47 @@ _BOUND_FLOOR = 2.0**-1000
 class StrainIndex:
     """Per-row strain order of stacked sets.
 
-    ``order`` sorts every row by strain (``np.argsort``'s default kind) and
-    ``eps`` holds the strains in that order. It keeps no reference to the
-    sets it was built from, so the sets and the index free together. Rows
-    are sorted one by one, so the index of some rows is those rows of the
-    index of all: a march in two processes has each sort its own rows into
-    one shared pair of arrays (every step for regenerated sets, the first
-    step for a fixed archive), and both read that pair as one index
-    (:meth:`of`). The order among equal strains is the sort's own. The
-    searches and the polish give a scan's result whatever that order, and
-    the response init, which reads the stress at a sorted position,
-    declines on archives, whose rows hold many equal strains.
+    ``order`` sorts every row of ``strains`` (``np.argsort``'s default
+    kind). The index keeps
+    the strains it sorts, uncopied, and no sorted copy of them: a strain at
+    sorted position p of row e is ``strains[e, order[e, p]]``. A march's
+    draw that rewrites the strains sorts them again (:meth:`sort`). The
+    order among equal strains is the sort's own. The searches and the
+    polish give a scan's result whatever that order, and the response init,
+    which reads the stress at a sorted position, declines on archives,
+    whose rows hold many equal strains.
     """
 
-    __slots__ = ("order", "eps")
+    __slots__ = ("strains", "order")
 
     def __init__(self, strains: np.ndarray) -> None:
-        self.order, self.eps = np.empty(strains.shape, dtype=np.intp), np.empty(strains.shape)
-        self.sort(strains, slice(None))
+        self.strains = strains
+        self.order = np.empty(strains.shape, dtype=np.intp)
+        self.sort()
 
-    @classmethod
-    def of(cls, order: np.ndarray, eps: np.ndarray) -> StrainIndex:
-        """The index held in ``order`` and ``eps``, arrays shaped like the
-        strains, whose rows :meth:`sort` fills."""
-        index = cls.__new__(cls)
-        index.order, index.eps = order, eps
-        return index
+    def sort(self) -> None:
+        """Sorts every row of the strains again, into ``order``. Rows are
+        sorted one at a time, so the work array is one row: sorting a
+        526,565-point archive's four rows at once raised a march's peak RSS
+        by 15 MiB."""
+        for e in range(self.strains.shape[0]):
+            self.order[e] = np.argsort(self.strains[e])
 
-    def sort(self, strains: np.ndarray, rows: slice) -> None:
-        """Writes the index of the rows ``rows`` of ``strains`` into the
-        same rows of this index. Rows are sorted one at a time, so the work
-        array is one row: sorting half of a 197 x 4096 stack at once held 6
-        MB of work arrays next to the index, which raised the march's peak
-        RSS by 5 MiB, and sorting a 526,565-point archive's four rows at
-        once raised it by 15 MiB."""
-        for e in range(strains.shape[0])[rows]:
-            self.order[e] = np.argsort(strains[e])
-            strains[e].take(self.order[e], out=self.eps[e])
+    @property
+    def eps(self) -> np.ndarray:
+        """The sorted strains, gathered anew on every read."""
+        return np.take_along_axis(self.strains, self.order, axis=1)
+
+    def take(
+        self, values: np.ndarray, pos: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Entries of ``values``, shaped like the strains (the strains, or
+        the stresses of the same points), at sorted positions ``pos``: one
+        row of positions per set, or one per entry of ``rows`` when given."""
+        m, n = self.order.shape
+        rows = np.arange(m) if rows is None else np.asarray(rows)
+        base = (rows * n).reshape((rows.size,) + (1,) * (pos.ndim - 1))
+        return values.reshape(-1).take(self.order.reshape(-1).take(base + pos) + base)
 
     def search(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Left insertion positions of ``x`` in its sorted row.
@@ -118,16 +122,17 @@ class StrainIndex:
         by bit, from the highest, as the count of row strains below x.
         """
         x = np.asarray(x, dtype=float)
-        m, n = self.eps.shape
+        m, n = self.order.shape
         rows = np.arange(m) if rows is None else np.asarray(rows)
-        flat = self.eps.reshape(-1)
-        last = (rows * n - 1).reshape((rows.size,) + (1,) * (x.ndim - 1))
+        base = (rows * n).reshape((rows.size,) + (1,) * (x.ndim - 1))
+        strains, order = self.strains.reshape(-1), self.order.reshape(-1)
         pos = np.zeros(x.shape, dtype=np.intp)
         step = 1 << (n.bit_length() - 1)
         while step:
             cand = pos + step
             # x <= s fails for NaN, so NaN counts after every number
-            pos = np.where(x <= flat.take(last + np.minimum(cand, n)), pos, cand)
+            s = strains.take(order.take(base + np.minimum(cand, n) - 1) + base)
+            pos = np.where(x <= s, pos, cand)
             step >>= 1
         return np.minimum(pos, n)
 
@@ -142,8 +147,8 @@ class StackedSets:
     the rows' :class:`StrainIndex`. It is built on the first call of
     :meth:`strain_index` and then shared by every search of the step
     (association, the polish and, on sets without costs, the response warm
-    start). A march's stack carries an index that its draws fill: every
-    step's for regenerated sets, the first step's for a fixed archive.
+    start). A march on regenerated sets draws every step into one stack and
+    sorts its index again; an archive's index is sorted once.
     """
 
     eps: np.ndarray
@@ -278,19 +283,15 @@ def batch_nearest(
     index = stacked.strain_index()
     every = np.arange(m)
 
-    def d2(r, eps_j, j):
-        # the scan's expression at original indices j, whose strains are eps_j
-        start = r[:, None] * n
-        de = eps_j - eps[r, None]
-        ds = stacked.sig.reshape(-1).take(start + j) - sig[r, None]
+    def value(r, pos, j):
+        # the scan's expression at original indices j
+        at = r[:, None] * n + j
+        de = stacked.eps.reshape(-1).take(at) - eps[r, None]
+        ds = stacked.sig.reshape(-1).take(at) - sig[r, None]
         out = c[r, None] * de * de + c_inv[r, None] * ds * ds
         if stacked.costs is not None:
-            out += stacked.costs.reshape(-1).take(start + j)
+            out += stacked.costs.reshape(-1).take(at)
         return out
-
-    def value(r, pos, j):
-        # on sorted strains, the rest gathered by j
-        return d2(r, index.eps.reshape(-1).take(r[:, None] * n + pos), j)
 
     def scan(r):
         return lowest(_scan_d2(stacked, r, eps, sig, c, c_inv))
@@ -298,7 +299,7 @@ def batch_nearest(
     cap = None
     if hint is not None:
         h = np.asarray(hint)
-        cap = d2(every, stacked.eps[every, h][:, None], h[:, None])[:, 0]
+        cap = value(every, None, h[:, None])[:, 0]
     plan = plan_blocks(index, every, (c, c_inv, 0.0, 0.0, eps, 0.0), None, 1, value, cap)
     return planned_lowest(index, every, plan, value, scan)[0][:, 0]
 
@@ -358,7 +359,7 @@ def block_ends(index: StrainIndex, rows, terms, bound, k: int = 1, value=None, c
         centre = y + alpha
         ok = (a_e > 0.0) & ((a_s > 0.0) | (l_s == 0.0)) & np.isfinite(centre)
         if bound is None:
-            n = index.eps.shape[1]
+            n = index.order.shape[1]
             t = np.full(rows.size, np.nan)
             if ok.any():
                 near = index.search(centre[ok, None], rows[ok])
@@ -404,7 +405,7 @@ def plan_blocks(index: StrainIndex, rows, terms, bound, k: int = 1, value=None, 
         e_lo, e_hi, ok, reach = block_ends(index, rows, terms, bound, k, value, cap)
     lo, hi = index.search(np.stack([e_lo, e_hi], axis=1), rows).T
     hi = np.where(reach < 0.0, lo, hi)
-    return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * index.eps.shape[1])
+    return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * index.order.shape[1])
 
 
 def planned_lowest(index: StrainIndex, rows, plan, value, scan, k: int = 1):
@@ -417,7 +418,7 @@ def planned_lowest(index: StrainIndex, rows, plan, value, scan, k: int = 1):
     empty block gives index n and value ``+inf``.
     """
     lo, hi, scanned = plan
-    n = index.eps.shape[1]
+    n = index.order.shape[1]
     out_j = np.full((rows.size, k), n, dtype=np.intp)
     out_v = np.full((rows.size, k), np.inf)
     b = np.flatnonzero(~scanned & (hi > lo))
@@ -579,27 +580,23 @@ def prior_slot_costs(
     archive: HistoryRepository,
     z_prev: GlobalState,
     gm: GlobalMetric,
-    rows: slice = slice(None),
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fidelity costs of the archive's (M, n) entries against the previously
-    accepted state ``z_prev``.
+    accepted state ``z_prev``, written into ``out`` when it is given.
 
     Row e holds the costs :func:`history_cost_dataset` gives bar e from
     ``z_prev.strain[e]``, ``z_prev.stress[e]`` and ``gm.c_diag[e]``, checked
-    as :func:`stack_sets` checks them. Only the ``rows`` of that array are
-    computed, one at a time from the archive's prior slots (a cost of every
-    row at once would hold two more (M, n) arrays), and written into
-    ``out`` when it is given; each row depends on its own bar. A row is
-    computed in place, in the operand order ``c * de * de + (1.0 / c) * ds
-    * ds``, through two scratch rows.
+    as :func:`stack_sets` checks them. Rows are computed one at a time from
+    the archive's prior slots (a cost of every row at once would hold two
+    more (M, n) arrays), each in place, in the operand order ``c * de * de +
+    (1.0 / c) * ds * ds``, through two scratch rows.
     """
     m, n = archive.eps_prev.shape
-    chosen = range(m)[rows]
-    out = np.empty((len(chosen), n)) if out is None else out
+    out = np.empty((m, n)) if out is None else out
     d, term = np.empty((2, n))
-    for i, e in enumerate(chosen):
-        c, row = gm.c_diag[e], out[i]
+    for e in range(m):
+        c, row = gm.c_diag[e], out[e]
         np.subtract(archive.eps_prev[e], z_prev.strain[e], out=d)
         np.multiply(c, d, out=row)
         row *= d

@@ -14,6 +14,9 @@ the weighted phase-space metric.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,7 +43,6 @@ from .phase import GlobalMetric
 from .solver import (
     SolverConfig,
     Trajectory,
-    _usable_cpus,
     enumerate_global_min,
     fixed_point_solve,
     time_march,
@@ -501,6 +503,15 @@ def study_error(cfg: StudyConfig, traj: Trajectory, ref: Trajectory) -> float:
     return bv_error(traj, ref)
 
 
+def _usable_cpus() -> int:
+    """How many processes a study may run at once: the CPUs this process
+    may run on (``os.sched_getaffinity``), or 1 in a child process (a
+    study's pool worker), so pools never nest, or next to another thread,
+    which a fork could catch holding a lock."""
+    alone = multiprocessing.parent_process() is None and threading.active_count() == 1
+    return len(os.sched_getaffinity(0)) if alone and hasattr(os, "sched_getaffinity") else 1
+
+
 def _run_seed(cfg: StudyConfig, point_index: int, run: int) -> int:
     ss = np.random.SeedSequence([int(cfg.seed), int(point_index), int(run)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -522,12 +533,10 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
 
     All randomness derives from (study seed, sweep index, run index) and
     results are reduced in submission order, so repeated executions give
-    bit-identical results on any number of CPUs. When
-    :func:`~ddmech.solver._usable_cpus` allows two or more processes and the
-    study has two or more (size, run) tasks, a pool of ``min(CPUs, tasks)``
-    processes runs them, each march serially. Otherwise the tasks run in
-    turn, and each march may fork its own step worker (see
-    :func:`~ddmech.solver.time_march`).
+    bit-identical results on any number of CPUs. When :func:`_usable_cpus`
+    allows two or more processes and the study has two or more (size, run)
+    tasks, a pool of ``min(CPUs, tasks)`` processes runs them; otherwise
+    they run in turn. Every march runs in one process.
     """
     mesh, gm, system, loads, times = study_setup(cfg)
     ref = reference_trajectory(mesh, gm, cfg.law, loads, times, sys=system)

@@ -35,30 +35,21 @@ Both marches run one step loop and differ only in the data sets a step
 searches, which every step draws into one (M, n) stack per march.
 :func:`time_march` regenerates the per-element sets every step,
 conditioned on the previously accepted local states; randomness is split
-per (step, element) from the run seed, so trajectories are bit-reproducible
-and any subset of a step's rows can be drawn alone, bit for bit.
+per (step, element) from the run seed, so trajectories are
+bit-reproducible.
 :func:`history_matching_march` searches fixed two-time archives, one
 (M, n) :class:`~ddmech.data.HistoryRepository` whose current slots are the
 march's stack, with the prior-slot mismatch against the previously accepted
-state as a fidelity cost. A step on regenerated sets is solved from two
-warm starts, the predicted state and the empirical response read off the
-step's sets, and the lower objective wins. An archive step is solved once,
-from the predicted state: its current slots trace no response curve, so
-the response init declines. A march forks a step worker
-(:class:`_StepWorker`) when :func:`_usable_cpus` is at least 2. The stack
-is then in shared memory: the march and the worker each draw half of every
-step's rows into it, and the worker solves the second start while the
-march solves the first; on an archive the worker only draws.
+state as a fidelity cost. Every step is solved once, in the march's own
+process. On regenerated sets the solve starts from the predicted state or
+from the empirical response read off the step's sets, whichever first
+iterate has the lower objective. An archive step starts from the predicted
+state: its current slots trace no response curve, so the response init
+declines.
 """
 
 from __future__ import annotations
 
-import mmap
-import multiprocessing
-import os
-import signal
-import threading
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,7 +59,6 @@ from .data import (
     GeneratorSpec,
     HistoryRepository,
     StackedSets,
-    StrainIndex,
     batch_nearest,
     block_ends,
     # no step calls it; perfbench's layer list names it in this module
@@ -310,10 +300,10 @@ class _GainSearch:
         self.win_sig[r] = s.sig[rc, j]
         if s.costs is not None:
             self.win_cost[r] = s.costs[rc, j]
-        self.guards[r, 0] = np.where(start > 0, index.eps[r, start - 1], -np.inf)
-        self.guards[r, 1] = np.where(
-            start + k < n, index.eps[r, np.minimum(start + k, n - 1)], np.inf
-        )
+        below = index.take(s.eps, np.maximum(start - 1, 0), r)
+        above = index.take(s.eps, np.minimum(start + k, n - 1), r)
+        self.guards[r, 0] = np.where(start > 0, below, -np.inf)
+        self.guards[r, 1] = np.where(start + k < n, above, np.inf)
 
     def refresh(self, rows):
         """Caches the window terms of rows (a slice, or one row's index,
@@ -688,13 +678,12 @@ def _empirical_response_init(
     b = sys.b_free
     w = sys.weights
     index = stacked.strain_index()
-    es = index.eps.reshape(-1)
-    order = index.order.reshape(-1)
-    sig = stacked.sig.reshape(-1)
-    base = np.arange(sys.n_elements) * n
+
+    def strain_at(pos):
+        return index.take(stacked.eps, pos)
 
     def stress_at(pos):
-        return sig.take(order.take(base + pos) + base)
+        return index.take(stacked.sig, pos)
 
     k = min(4, (n - 1) // 2)
     c_ref = float(np.max(sys.c))
@@ -708,18 +697,18 @@ def _empirical_response_init(
         j = index.search(eps[:, None])[:, 0]
         above = np.minimum(j, n - 1)
         below = np.maximum(j - 1, 0)
-        lower = (j > 0) & (j < n) & (eps - es.take(base + below) <= es.take(base + above) - eps)
+        lower = (j > 0) & (j < n) & (eps - strain_at(below) <= strain_at(above) - eps)
         idx = np.where(lower, below, above)
         sig_hat = stress_at(idx)
         r = f - b.T @ (w * sig_hat)
         res = float(np.linalg.norm(r)) / f_scale
         if best is None or res < best[0]:
-            best = (res, es.take(base + idx), sig_hat)
+            best = (res, strain_at(idx), sig_hat)
         if res < 1e-10:
             break
         lo = np.maximum(idx - k, 0)
         hi = np.minimum(idx + k, n - 1)
-        de = es.take(base + hi) - es.take(base + lo)
+        de = strain_at(hi) - strain_at(lo)
         dsg = stress_at(hi) - stress_at(lo)
         slope = np.where(de > 0.0, dsg / np.where(de > 0.0, de, 1.0), c_ref)
         slope = np.clip(slope, 1e-3 * c_ref, 1e3 * c_ref)
@@ -1013,11 +1002,10 @@ def _stacked_step_sets(
     est: np.ndarray,
     dt: float | None,
     step: int,
-    rows: slice = slice(None),
     out: StackedSets | None = None,
 ) -> StackedSets:
-    """The per-step data sets of the elements ``rows``, stacked as arrays
-    with one row per element (all M elements by default).
+    """The per-step data sets of the M elements, stacked as arrays with one
+    row per element.
 
     Each element's strains are sampled in a window about its predicted
     strain ``eps_prev + est``, whose half-width :meth:`WindowRule.halfwidths`
@@ -1030,18 +1018,15 @@ def _stacked_step_sets(
     and for plasticity the return map from the internal variable recovered
     from the previous state alone, ``q = ((e0+e1) eps_k - sig_k) / e1``,
     with the accumulated slip ``q_acc``. Every element's noise stream is
-    seeded from (run seed, step, element), the element's index among all M,
-    and every other operation is elementwise, so a row does not depend on
-    the other rows or on which rows are drawn together. The per-element
-    arguments hold all M elements. With ``out``, an (M, n) stack, the rows
-    are written into its strains and stresses, and the result views them.
+    seeded from (run seed, step, element), and every other operation is
+    elementwise, so a row does not depend on the other rows. With ``out``,
+    an (M, n) stack, the rows are written into its strains and stresses,
+    and the result views them.
     """
-    elements = range(eps_prev.size)[rows]
-    eps_prev, sig_prev, q_acc, est = eps_prev[rows], sig_prev[rows], q_acc[rows], est[rows]
-    m = len(elements)
+    m = eps_prev.size
     n = g.n_points
-    eps = np.empty((m, n)) if out is None else out.eps[rows]
-    sig = np.empty((m, n)) if out is None else out.sig[rows]
+    eps = np.empty((m, n)) if out is None else out.eps
+    sig = np.empty((m, n)) if out is None else out.sig
     centers = eps_prev + est
     ab = None
     if isinstance(g.law, SlsParams):
@@ -1055,11 +1040,11 @@ def _stacked_step_sets(
     np.multiply((np.arange(n) - n // 2)[None, :], steps[:, None], out=eps)
     np.add(centers[:, None], eps, out=eps)
     if g.band_width > 0.0:
-        for i, e in enumerate(elements):
+        for e in range(m):
             rng = np.random.default_rng(
                 np.random.SeedSequence([int(g.rng_seed), int(step), int(e)])
             )
-            eps[i] += rng.uniform(-0.5 * g.band_width, 0.5 * g.band_width, n)
+            eps[e] += rng.uniform(-0.5 * g.band_width, 0.5 * g.band_width, n)
     if ab is not None:
         a, b = ab
         np.multiply(b, eps, out=sig)
@@ -1071,140 +1056,21 @@ def _stacked_step_sets(
     return StackedSets(eps, sig, None)
 
 
-def _response_solve(
+def _first_objective(
     system: ConstraintSystem,
-    gm: GlobalMetric,
-    cfg: SolverConfig,
     sets: StackedSets,
+    gm: GlobalMetric,
     f: np.ndarray,
-    t: float,
-    eps_start: np.ndarray,
-) -> StepResult | None:
-    """A step's second solve: the fixed point from the empirical response
-    init, or None when the init declines. The march runs it after its first
-    solve, or a :class:`_StepWorker` runs it alongside."""
-    resp = _empirical_response_init(system, sets, f, system.affine_strain(t), eps_start)
-    return None if resp is None else fixed_point_solve(system, sets, gm, f, resp, cfg, t=t)
-
-
-def _usable_cpus() -> int:
-    """How many processes the program may run at once: the CPUs this
-    process may run on (``os.sched_getaffinity``), or 1 in a child process
-    (a study's pool worker or a step worker), so processes never nest, or
-    next to another thread, which a fork could catch holding a lock. A
-    march forks its step worker when this is at least 2, and a study of two
-    or more marches pools them on up to this many processes."""
-    alone = multiprocessing.parent_process() is None and threading.active_count() == 1
-    return len(os.sched_getaffinity(0)) if alone and hasattr(os, "sched_getaffinity") else 1
-
-
-def _row_halves(m: int) -> tuple[slice, slice]:
-    """The rows of a step the march draws, ``[0, ceil(m/2))``, and those
-    its step worker draws, the rest (none for a one-bar mesh)."""
-    half = (m + 1) // 2
-    return slice(0, half), slice(half, m)
-
-
-def _shared_empty(shape, dtype) -> np.ndarray:
-    """An array in an anonymous shared mapping: a child forked after it is
-    made reads and writes the same pages, and there is nothing to unlink;
-    the mapping goes with its last view."""
-    dtype = np.dtype(dtype)
-    count = int(np.prod(shape))
-    buf = mmap.mmap(-1, count * dtype.itemsize)
-    return np.frombuffer(buf, dtype, count).reshape(shape)
-
-
-def _attempt(fn, *args):
-    """``(True, fn(*args))``, or ``(False, (exception, traceback))``."""
-    try:
-        return True, fn(*args)
-    except Exception as exc:
-        return False, (exc, traceback.format_exc())
-
-
-def _serve_steps(conn, parent_conn, system, gm, cfg, sets, draw, rows) -> None:
-    """The step worker's loop. For every step the march sends, it draws the
-    step's ``rows`` into the shared stack ``sets`` and says so (or sends
-    the exception the draw raised), waits until the march says that its
-    rows are drawn too, then runs the second solve on the whole stack and
-    sends the result or the exception. It ends when the march closes its
-    end."""
-    parent_conn.close()
-    # an interrupt is the march's to handle; it then ends this process
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    while True:
-        try:
-            k, dt, est, eps_prev, sig_prev, q_acc, f, t = conn.recv()
-            drawn = _attempt(draw, sets, rows, k, dt, est, eps_prev, sig_prev, q_acc)
-            conn.send(drawn)
-            conn.recv()
-        except EOFError:
-            return
-        if drawn[0]:
-            conn.send(_attempt(_response_solve, system, gm, cfg, sets, f, t, eps_prev + est))
-
-
-class _StepWorker:
-    """A forked process that draws the second half of each step's rows
-    into the march's shared stack, and then runs the step's second solve
-    (:func:`_response_solve`) while the march runs the first.
-
-    The fork hands the child the march's system, metric, config, shared
-    stack and draw. A step sends it only ``(k, dt, est, eps_prev, sig_prev,
-    q_acc, f, t)``; the child draws its rows from these, bit for bit as a
-    serial march would, and :meth:`rows_drawn` exchanges the news that both
-    halves are in. It then sends back the :class:`StepResult` or None. An
-    exception in the child is raised again by :meth:`rows_drawn` or
-    :meth:`result`. :meth:`close` ends the child, at once if it is still
-    at work on a step, and joins it.
-    """
-
-    def __init__(self, system, gm, cfg, sets, draw, rows) -> None:
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_conn = ctx.Pipe()
-        self._proc = ctx.Process(
-            target=_serve_steps,
-            args=(child_conn, self._conn, system, gm, cfg, sets, draw, rows),
-            daemon=True,
-        )
-        self._proc.start()
-        child_conn.close()
-        self._busy = False
-
-    def submit(self, *step) -> None:
-        self._conn.send(step)
-        self._busy = True
-
-    def rows_drawn(self) -> None:
-        """Says that the march's rows of the step are drawn and waits until
-        the worker's are."""
-        self._conn.send(None)
-        self._receive()
-
-    def result(self) -> StepResult | None:
-        value = self._receive()
-        self._busy = False
-        return value
-
-    def _receive(self):
-        try:
-            ok, value = self._conn.recv()
-        except EOFError:
-            self._proc.join()
-            raise RuntimeError(
-                f"the step worker exited with code {self._proc.exitcode}"
-            ) from None
-        if ok:
-            return value
-        exc, tb = value
-        raise exc from RuntimeError(f"in the step worker:\n{tb}")
-
-    def close(self) -> None:
-        self._conn.close()
-        if self._busy:
-            self._proc.terminate()
-        self._proc.join()
+    g: np.ndarray,
+    start: GlobalState,
+) -> float:
+    """The objective of the first iterate of a solve from ``start``: one
+    nearest search and one projection, as :func:`fixed_point_solve` takes
+    them, so it is the first entry of that solve's objective history."""
+    assign = batch_nearest(start.strain, start.stress, sets, gm.c_diag, gm.c_inv_diag)
+    y_eps, y_sig, cost = _gather(assign, sets)
+    eps, sig, _ = system.project_arrays(y_eps, y_sig, f, g)
+    return _objective(system, eps, sig, y_eps, y_sig, cost)[1]
 
 
 def _march(
@@ -1213,44 +1079,29 @@ def _march(
     loads: LoadProgram | None,
     t_grid: np.ndarray,
     cfg: SolverConfig,
-    stack: Callable[[Callable], StackedSets],
+    sets: StackedSets,
     draw: Callable[..., None],
     plastic_law: PlasticParams | None,
 ) -> Trajectory:
     """The step loop of both marches.
 
-    ``stack(empty)`` makes the march's one (M, n) stack of data sets, its
-    per-step arrays made by ``empty(shape, dtype)``; every step's sets are
-    drawn into it. ``draw(sets, rows, k, dt, est, eps_prev, sig_prev,
-    q_acc)`` writes the rows ``rows`` (a slice) of step k's sets into the
-    stack ``sets``, from the step's time increment (None on the first
-    step), its elastic strain estimate and the previously accepted strain,
-    stress and accumulated slip (arrays of all M elements). Each row must
-    be a pure function of these and of its own element, as the rows of a
-    step may be drawn in two processes. No row may be padded, as the
-    response init's strain-order lookups would read the padding.
+    ``sets`` is the march's one (M, n) stack of data sets. ``draw(k, dt,
+    est, eps_prev, sig_prev, q_acc)`` writes step k's sets into it, from
+    the step's time increment (None on the first step), its elastic strain
+    estimate and the previously accepted strain, stress and accumulated
+    slip. No row may be padded, as the response init's strain-order lookups
+    would read the padding.
 
-    Each step is solved from two starts: the predicted start, the previous
-    accepted state advanced by the step's elastic strain estimate plus the
-    previous step's inelastic increment, and the empirical response init.
-    The lower objective wins, the first on a tie. On a stack with costs (an
-    archive's) the response init declines, so the step is solved once, from
-    the predicted start, and the worker only draws. When :func:`_usable_cpus`
-    is at least 2, the stack is made in shared memory (:func:`_shared_empty`)
-    and a :class:`_StepWorker` is forked for the march. At every step the march
-    draws the first half of the rows (:func:`_row_halves`) and the worker
-    the rest, each waits until the other's half is in, and then the worker
-    solves the second start while the march solves the first. Otherwise the
-    march draws every row and solves both in turn. Either way the
-    trajectory has the same bits, and the worker is shut down and joined
-    before the march returns or raises. The accumulated slip is tracked
-    only for a ``plastic_law``.
+    Each step is solved once, from one of two starts: the predicted start,
+    the previous accepted state advanced by the step's elastic strain
+    estimate plus the previous step's inelastic increment, and the
+    empirical response init. The solve starts from the response init when
+    the objective of its first iterate (:func:`_first_objective`) is
+    strictly lower than the predicted start's; on a tie, and where the init
+    declines (an archive's stack, which has costs), from the predicted
+    start. The accumulated slip is tracked only for a ``plastic_law``.
     """
     m = system.n_elements
-    forked = _usable_cpus() >= 2
-    sets = stack(_shared_empty if forked else np.empty)
-    rows, rest = _row_halves(m) if forked else (slice(None), None)
-    worker = _StepWorker(system, gm, cfg, sets, draw, rest) if forked else None
     steps: list[StepResult] = []
     q_rows: list[np.ndarray] = []
     eps_prev = np.zeros(m)
@@ -1260,47 +1111,39 @@ def _march(
     drift_sig = np.zeros(m)
     f_prev: np.ndarray | None = None
     t_prev: float | None = None
-    try:
-        for k in range(t_grid.size):
-            t = float(t_grid[k])
-            f = loads.forces(t) if loads is not None else np.zeros(system.n_free)
-            dt = None if k == 0 else float(t_grid[k] - t_grid[k - 1])
-            est = system.elastic_strain_increment(f, f_prev, t, t_prev)
-            if worker is not None:
-                worker.submit(k, dt, est, eps_prev, sig_prev, q_acc, f, t)
-            draw(sets, rows, k, dt, est, eps_prev, sig_prev, q_acc)
-            if worker is not None:
-                worker.rows_drawn()
-            # warm start at the elastic estimate plus the previous step's
-            # inelastic increment, so steady flow never has to climb out of
-            # the previous step's basin (and a cold start inside an archive's
-            # stale neighbourhood cannot pin the walk there)
-            init = GlobalState(
-                eps_prev + est + drift_eps,
-                sig_prev + gm.c_diag * est + drift_sig,
+    for k in range(t_grid.size):
+        t = float(t_grid[k])
+        f = loads.forces(t) if loads is not None else np.zeros(system.n_free)
+        dt = None if k == 0 else float(t_grid[k] - t_grid[k - 1])
+        est = system.elastic_strain_increment(f, f_prev, t, t_prev)
+        draw(k, dt, est, eps_prev, sig_prev, q_acc)
+        # warm start at the elastic estimate plus the previous step's
+        # inelastic increment, so steady flow never has to climb out of
+        # the previous step's basin (and a cold start inside an archive's
+        # stale neighbourhood cannot pin the walk there)
+        init = GlobalState(
+            eps_prev + est + drift_eps,
+            sig_prev + gm.c_diag * est + drift_sig,
+        )
+        g = system.affine_strain(t)
+        resp = _empirical_response_init(system, sets, f, g, eps_prev + est)
+        if resp is not None:
+            first = [_first_objective(system, sets, gm, f, g, s) for s in (init, resp)]
+            if first[1] < first[0]:
+                init = resp
+        step = fixed_point_solve(system, sets, gm, f, init, cfg, t=t)
+        eps_new = step.z.strain
+        sig_new = step.z.stress
+        if plastic_law is not None:
+            q_acc = update_history_variable(
+                q_acc, eps_prev, sig_prev, eps_new, sig_new, plastic_law
             )
-            step = fixed_point_solve(system, sets, gm, f, init, cfg, t=t)
-            if worker is not None:
-                second = worker.result()
-            else:
-                second = _response_solve(system, gm, cfg, sets, f, t, eps_prev + est)
-            if second is not None and second.objective_history[-1] < step.objective_history[-1]:
-                step = second
-            eps_new = step.z.strain
-            sig_new = step.z.stress
-            if plastic_law is not None:
-                q_acc = update_history_variable(
-                    q_acc, eps_prev, sig_prev, eps_new, sig_new, plastic_law
-                )
-            steps.append(step)
-            q_rows.append(q_acc)
-            drift_eps = (eps_new - eps_prev) - est
-            drift_sig = (sig_new - sig_prev) - gm.c_diag * est
-            eps_prev, sig_prev = eps_new, sig_new
-            f_prev, t_prev = f, t
-    finally:
-        if worker is not None:
-            worker.close()
+        steps.append(step)
+        q_rows.append(q_acc)
+        drift_eps = (eps_new - eps_prev) - est
+        drift_sig = (sig_new - sig_prev) - gm.c_diag * est
+        eps_prev, sig_prev = eps_new, sig_new
+        f_prev, t_prev = f, t
     return Trajectory(
         times=t_grid,
         strain=np.array([s.z.strain for s in steps]),
@@ -1331,11 +1174,10 @@ def time_march(
     Every step regenerates the per-element data sets conditioned on the
     previously accepted states; the first step uses the instantaneous
     (rate-free) response so a suddenly applied load or displacement yields
-    the correct initial state. Each step is solved from two warm starts
-    (see :func:`_march`). Its sets and their strain order are drawn into
-    one (M, n) stack, which a forked step worker may share: the march and
-    the worker then each draw and sort half of the rows, and the rows,
-    seeded per element, are the same bits.
+    the correct initial state. Each step is solved once, from the better of
+    two warm starts (see :func:`_march`). Every step's sets are drawn into
+    one (M, n) stack, whose strain index, once a search has built it, is
+    sorted again for each step's strains.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1343,16 +1185,14 @@ def time_march(
     law = generator.law
     plastic_law = law if isinstance(law, PlasticParams) else None
     shape = (system.n_elements, generator.n_points)
+    sets = StackedSets(np.empty(shape), np.empty(shape), None)
 
-    def stack(empty):
-        eps, sig, order, eps_sorted = (empty(shape, t) for t in (float, float, np.intp, float))
-        return StackedSets(eps, sig, None, index=StrainIndex.of(order, eps_sorted))
+    def draw(k, dt, est, eps_prev, sig_prev, q_acc):
+        _stacked_step_sets(generator, eps_prev, sig_prev, q_acc, est, dt, k, sets)
+        if sets.index is not None:
+            sets.index.sort()
 
-    def draw(sets, rows, k, dt, est, eps_prev, sig_prev, q_acc):
-        _stacked_step_sets(generator, eps_prev, sig_prev, q_acc, est, dt, k, rows, sets)
-        sets.index.sort(sets.eps, rows)
-
-    return _march(system, gm, loads, t_grid, cfg, stack, draw, plastic_law)
+    return _march(system, gm, loads, t_grid, cfg, sets, draw, plastic_law)
 
 
 def history_matching_march(
@@ -1372,14 +1212,8 @@ def history_matching_march(
     accepted state) added as a fidelity cost; nothing is regenerated, so
     the archives can be sampled entirely offline. The archive must hold one
     row per bar (``ValueError`` naming both counts). Its current slots are
-    the march's stack as they are, uncopied. The stack's strain index and
-    its (M, n) cost rows are arrays of the march's ``empty``: the first
-    step's draw sorts the archive rows into the index, and every step's
-    draw computes the cost rows. With a forked step worker (see
-    :func:`_march`) both are in shared memory, and each process sorts and
-    costs the rows of its half of the elements (``_row_halves``), as
-    :func:`time_march` draws and sorts its sets; the archive itself, built
-    before the fork and never written, is shared copy-on-write.
+    the march's stack as they are, uncopied, and its strain index is sorted
+    once; every step's draw writes the stack's (M, n) cost rows.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1387,17 +1221,12 @@ def history_matching_march(
     (m, n), bars = archive.eps_cur.shape, system.n_elements
     if m != bars:
         raise ValueError(f"the archive must hold one row per bar: {bars} bars, got {m} rows")
+    sets = StackedSets(archive.eps_cur, archive.sig_cur, np.empty((m, n)))
 
-    def stack(empty):
-        index = StrainIndex.of(empty((m, n), np.intp), empty((m, n), float))
-        return StackedSets(archive.eps_cur, archive.sig_cur, empty((m, n), float), index=index)
+    def draw(k, dt, est, eps_prev, sig_prev, q_acc):
+        prior_slot_costs(archive, GlobalState(eps_prev, sig_prev), gm, sets.costs)
 
-    def draw(sets, rows, k, dt, est, eps_prev, sig_prev, q_acc):
-        if k == 0:
-            sets.index.sort(sets.eps, rows)
-        prior_slot_costs(archive, GlobalState(eps_prev, sig_prev), gm, rows, sets.costs[rows])
-
-    return _march(system, gm, loads, t_grid, cfg, stack, draw, None)
+    return _march(system, gm, loads, t_grid, cfg, sets, draw, None)
 
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:

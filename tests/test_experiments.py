@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddmech import cli, data, experiments, solver
+from ddmech import cli, data, experiments
 from ddmech.experiments import (
     DEFAULT_PLASTIC,
     DEFAULT_SLS,
@@ -260,31 +260,23 @@ def _tiny_study(points, runs):
 
 
 @pytest.fixture
-def processes(monkeypatch):
-    """The size of every pool a study makes (``pools``) and the pids of the
-    processes that start a step worker (``starts``); a pool worker that
-    starts one fails its task."""
-    made = {"pools": [], "starts": []}
-    pool, init = experiments.ProcessPoolExecutor, solver._StepWorker.__init__
+def pools(monkeypatch):
+    """The size of every pool a study makes."""
+    made = []
+    pool = experiments.ProcessPoolExecutor
 
     def recorded_pool(max_workers):
-        made["pools"].append(max_workers)
+        made.append(max_workers)
         return pool(max_workers=max_workers)
 
-    def recorded_init(self, *args):
-        assert multiprocessing.parent_process() is None, "a pool worker forked"
-        made["starts"].append(os.getpid())
-        init(self, *args)
-
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", recorded_pool)
-    monkeypatch.setattr(solver._StepWorker, "__init__", recorded_init)
     return made
 
 
 class TestConvergenceStudy:
     """How many processes a study uses, and its bits on any number of CPUs."""
 
-    def test_errors_identical_for_any_worker_count(self, monkeypatch, processes):
+    def test_errors_identical_for_any_worker_count(self, monkeypatch, pools):
         """A pooled study and a one-CPU study give bit-identical errors, with
         data sizes on both sides of the sorted-search crossover."""
         cfg = _tiny_study((64, 4096), 2)
@@ -295,12 +287,12 @@ class TestConvergenceStudy:
         pooled = run_convergence_study(cfg)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         serial = run_convergence_study(cfg)
-        assert processes == {"pools": [2], "starts": []}
+        assert pools == [2]
         assert [r.errors for r in serial.rows] == [r.errors for r in pooled.rows]
         assert serial.rate == pooled.rate
 
     @pytest.mark.parametrize(
-        "cpus, points, runs, pools",
+        "cpus, points, runs, made",
         [
             ({0, 1}, (64,), 1, []),
             ({0, 1}, (64,), 2, [2]),
@@ -312,16 +304,14 @@ class TestConvergenceStudy:
              "one-cpu"],
     )
     def test_one_task_forks_and_more_tasks_pool(
-        self, monkeypatch, processes, cpus, points, runs, pools
+        self, monkeypatch, pools, cpus, points, runs, made
     ):
         """A study of two or more tasks runs them on a pool of min(CPUs,
-        tasks) processes, whose marches run serially; a one-task study's
-        march forks its step worker; on one CPU nothing forks."""
+        tasks) processes; a one-task study, or any study on one CPU, runs
+        in its own process."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         run_convergence_study(_tiny_study(points, runs))
-        assert processes["pools"] == pools
-        forks = not pools and len(cpus) > 1
-        assert processes["starts"] == ([os.getpid()] if forks else [])
+        assert pools == made
         assert multiprocessing.active_children() == []
 
 

@@ -318,7 +318,7 @@ class PlanCounter:
         def counted(index, *args):
             lo, hi, scan = plan(index, *args)
             length = hi - lo
-            long = length > data_module._MAX_BLOCK_SHARE * index.eps.shape[1]
+            long = length > data_module._MAX_BLOCK_SHARE * index.order.shape[1]
             self.blocked += int(np.sum(~scan & (length > 0)))
             self.empty += int(np.sum(~scan & (length == 0)))
             self.long += int(np.sum(scan & long))

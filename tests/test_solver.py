@@ -5,9 +5,6 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
-import signal
-import threading
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +14,7 @@ from ddmech import solver
 from ddmech.data import (
     GeneratorSpec,
     HistoryRepository,
+    StackedSets,
     StrainIndex,
     WindowRule,
     stack_sets,
@@ -25,7 +23,6 @@ from ddmech.experiments import (
     DEFAULT_PLASTIC,
     DEFAULT_SLS,
     PLASTIC_BREAKPOINTS,
-    build_relaxation_repository,
     build_truss_repositories,
     default_study_config,
     held_strain,
@@ -460,9 +457,8 @@ class TestResponseInit:
 
     @pytest.mark.parametrize("kind, points", [("plastic", 64), ("visco", 2048)])
     def test_every_step_agrees_with_the_dense_reference(self, monkeypatch, kind, points):
-        """On every step of a short serial march, the banded init and the
-        dense reference both decline, or return the same bits."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        """On every step of a short march, the banded init and the dense
+        reference both decline, or return the same bits."""
         init, outcomes = solver._empirical_response_init, []
 
         def both(sys, stacked, f, g, eps_start):
@@ -564,9 +560,9 @@ class TestTimeMarch:
             time_march(mesh, gm, g, loads, [0.0, 2.0, 1.0], SolverConfig())
 
     def test_init_strategies_all_run(self, monkeypatch):
-        """The march converges from both warm starts, and from the predicted
-        start alone, which is all a march takes where the response init
-        declines."""
+        """The march converges from the better of both warm starts, and from
+        the predicted start alone, which is all a march takes where the
+        response init declines."""
         mesh, gm, loads, times = small_truss_fixture(t_end=5.0)
         g = GeneratorSpec(
             law=DEFAULT_SLS,
@@ -574,7 +570,7 @@ class TestTimeMarch:
             window=WindowRule(floor=1e-9),
         )
         both = time_march(mesh, gm, g, loads, times, SolverConfig())
-        monkeypatch.setattr(solver, "_response_solve", lambda *args: None)
+        monkeypatch.setattr(solver, "_empirical_response_init", lambda *args: None)
         predicted = time_march(mesh, gm, g, loads, times, SolverConfig())
         assert bool(np.all(both.converged)) and bool(np.all(predicted.converged))
 
@@ -621,7 +617,6 @@ class TestHistoryMatchingMarch:
             n_prior_strain=3, n_prior_offset=235, n_current=9,
         )
         assert archive.eps_cur.size >= data_module._SORTED_SEARCH_MIN_SIZE
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
         search, polish, solve = solver.batch_nearest, solver._swap_polish, solver.fixed_point_solve
         events = []
 
@@ -662,11 +657,9 @@ class TestHistoryMatchingMarch:
             assert np.array_equal(getattr(hinted, name), getattr(plain, name))
 
     def test_an_archive_step_is_solved_once(self, monkeypatch):
-        """The response init declines on every archive step, so a serial
-        march runs one fixed-point solve per step, from the predicted
-        start."""
+        """The response init declines on every archive step, so the march
+        runs one fixed-point solve per step, from the predicted start."""
         mesh, gm, loads, times, archive = _archive_setup()
-        monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
         init, solve = solver._empirical_response_init, solver.fixed_point_solve
         inits, solves = [], []
 
@@ -684,36 +677,48 @@ class TestHistoryMatchingMarch:
         assert solves == [float(t) for t in times]
         assert inits == [None] * times.size
 
-    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["worker", "serial"])
-    def test_trajectory_does_not_depend_on_the_tie_order(self, worker_starts, monkeypatch, cpus):
+    def test_trajectory_does_not_depend_on_the_tie_order(self, monkeypatch):
         """Archive rows hold many equal strains, whose order the strain
         sort leaves to ``np.argsort``'s default kind. A march whose index
         sorts them stably, which orders some ties differently, has the
-        same bits, with a step worker and without one."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        same bits."""
         mesh, gm, loads, times, archive = _archive_setup()
         default = history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
         default_order = StrainIndex(archive.eps_cur).order
 
-        def stable_sort(index, strains, rows):
-            for e in range(strains.shape[0])[rows]:
-                index.order[e] = np.argsort(strains[e], kind="stable")
-                strains[e].take(index.order[e], out=index.eps[e])
+        def stable_sort(index):
+            for e in range(index.strains.shape[0]):
+                index.order[e] = np.argsort(index.strains[e], kind="stable")
 
         monkeypatch.setattr(StrainIndex, "sort", stable_sort)
         assert not np.array_equal(StrainIndex(archive.eps_cur).order, default_order)
         stable = history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
-        assert worker_starts == ([os.getpid()] * 2 if len(cpus) == 2 else [])
-        assert multiprocessing.active_children() == []
         for name in ("strain", "stress", "assignment", "iterations"):
             assert np.array_equal(getattr(stable, name), getattr(default, name))
+
+    def test_archive_march_reads_the_archive_uncopied(self, monkeypatch):
+        """The march's stack and its strain index hold the archive's own
+        current slots."""
+        stacks = []
+        solve = solver.fixed_point_solve
+
+        def recorded(system, sets, *args, **kwargs):
+            stacks.append(sets)
+            return solve(system, sets, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "fixed_point_solve", recorded)
+        mesh, gm, loads, times, archive = _archive_setup()
+        history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
+        assert len(stacks) == times.size and all(s is stacks[0] for s in stacks)
+        assert stacks[0].eps is archive.eps_cur and stacks[0].sig is archive.sig_cur
+        assert stacks[0].strain_index().strains is archive.eps_cur
 
 
 def _study_march(kind, *, lattice=LatticeSpec(2, 1, 1), steps=12, points=64, **kwargs):
     """The first ``steps`` steps of a study march on ``lattice`` at dt = 5,
     ``points`` points per set. By default 12 steps on a 2 x 1 x 1 lattice
-    with 64 points, where the response start wins 2 of them on visco and 7
-    on plastic."""
+    with 64 points, where the response init's first iterate is the lower on
+    9 of them on visco and 10 on plastic, and ties on one of each."""
     study = default_study_config(kind, lattice=lattice, dt=5.0)
     mesh, gm, system, loads, times = study_setup(study)
     g = study_generator(study, points, 0, 0)
@@ -737,7 +742,7 @@ def _archive_march():
     return history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
 
 
-#: One short march of each kind under the default "response" warm start.
+#: One short march of each kind: regenerated visco and plastic sets, and an archive.
 _MARCHES = {
     "visco": lambda: _study_march("visco"),
     "plastic": lambda: _study_march("plastic"),
@@ -745,339 +750,129 @@ _MARCHES = {
 }
 
 
-def _refuse_step_worker(*args):
-    raise AssertionError("a march in a child process started a step worker")
-
-
-def _march_in_child(name):
-    """March ``name`` in a pool worker, where starting a step worker fails."""
-    solver._StepWorker = _refuse_step_worker
-    traj = _MARCHES[name]()
-    return traj.strain, traj.stress, traj.assignment
-
-
-@pytest.fixture
-def worker_starts(monkeypatch):
-    """The pids of the processes that start a step worker, on a host taken
-    to have two CPUs."""
+def test_a_march_starts_no_process(monkeypatch):
+    """On a host taken to have two CPUs, with every process start refused,
+    a march of each kind runs to its end."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    starts: list[int] = []
-    init = solver._StepWorker.__init__
 
-    def counted(self, *args):
-        starts.append(os.getpid())
-        init(self, *args)
+    def refuse(self):
+        raise AssertionError("a march started a process")
 
-    monkeypatch.setattr(solver._StepWorker, "__init__", counted)
-    return starts
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    for name, march in _MARCHES.items():
+        traj = march()
+        assert traj.n_steps > 1 and np.all(np.isfinite(traj.stress)), name
+    assert multiprocessing.active_children() == []
 
 
-class TestStepWorker:
-    """The forked step worker solves each step's second warm start, and on
-    an archive, where the response init declines, only draws; a march gives
-    the same bits with it and without it, and leaves no process."""
+def _recorded_steps(kind, first_objective=None):
+    """``(traj, steps)``: the march ``_study_march(kind)`` and, for each of
+    its steps, a dict of the response init's state (``resp``, None where it
+    declines), the (start, value) pairs the march scored by their first
+    iterate (``scored``), and its solves (``solves``), each as the start,
+    force, time, a copy of the sets and the result. ``first_objective``,
+    given the step's dict and the start, replaces the scoring."""
+    steps = []
+    init, score, solve = solver._empirical_response_init, solver._first_objective, solver.fixed_point_solve
 
-    @pytest.mark.parametrize("name", list(_MARCHES))
-    def test_worker_and_pool_worker_marches_agree(self, worker_starts, name):
-        """A march here forks a step worker; the same march in a pool worker
-        runs serially, with the same bits."""
-        traj = _MARCHES[name]()
-        assert worker_starts == [os.getpid()]
-        assert multiprocessing.active_children() == []
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(1, mp_context=fork) as pool:
-            strain, stress, assignment = pool.submit(_march_in_child, name).result()
-        assert np.array_equal(traj.strain, strain)
-        assert np.array_equal(traj.stress, stress)
-        assert np.array_equal(traj.assignment, assignment)
+    def recorded_init(*args):
+        steps.append({"resp": init(*args), "scored": [], "solves": []})
+        return steps[-1]["resp"]
+
+    def recorded_score(system, sets, gm, f, g, start):
+        if first_objective is None:
+            value = score(system, sets, gm, f, g, start)
+        else:
+            value = first_objective(steps[-1], start)
+        steps[-1]["scored"].append((start, value))
+        return value
+
+    def recorded_solve(system, sets, gm, f, start, cfg, *, t):
+        out = solve(system, sets, gm, f, start, cfg, t=t)
+        copy = StackedSets(sets.eps.copy(), sets.sig.copy(), None)
+        steps[-1]["solves"].append((start, f, t, copy, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_empirical_response_init", recorded_init)
+        mp.setattr(solver, "_first_objective", recorded_score)
+        mp.setattr(solver, "fixed_point_solve", recorded_solve)
+        return _study_march(kind), steps
+
+
+def _response_lower(step, start):
+    """A scoring by which the response init is strictly lower."""
+    return 0.0 if start is step["resp"] else 1.0
+
+
+def _same_bits(traj, k, step):
+    return (
+        np.array_equal(traj.strain[k], step.z.strain)
+        and np.array_equal(traj.stress[k], step.z.stress)
+        and np.array_equal(traj.assignment[k], step.assignment)
+        and traj.iterations[k] == step.iterations
+    )
+
+
+class TestOneStart:
+    """A step on regenerated sets is solved once, from the predicted start
+    or the response init, whichever first iterate has the lower objective;
+    ties and declines take the predicted start."""
 
     @pytest.mark.parametrize("kind", ["visco", "plastic"])
-    def test_one_cpu_marches_serially(self, worker_starts, monkeypatch, kind):
-        """As under ``taskset -c 0``: no worker, the same trajectory, which
-        the worker's solves decide in part."""
-        forked = _study_march(kind)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = _study_march(kind)
-        assert worker_starts == [os.getpid()]
-        assert np.array_equal(forked.strain, serial.strain)
-        assert np.array_equal(forked.stress, serial.stress)
-        assert multiprocessing.active_children() == []
-        monkeypatch.setattr(solver, "_response_solve", lambda *args: None)
-        predicted = _study_march(kind)
-        assert not np.array_equal(forked.strain, predicted.strain)
+    def test_a_step_is_solved_once_from_the_lower_first_iterate(self, kind):
+        """Every step runs one solve. Where the init declines, nothing is
+        scored; otherwise the predicted start and the response init are,
+        and the solve starts from the response init exactly when its value
+        is strictly lower. The value scored is the first entry of the
+        objective history of the solve from that start, and the step has
+        the bits of ``fixed_point_solve`` from its start."""
+        traj, steps = _recorded_steps(kind)
+        sys = study_setup(default_study_config(kind, lattice=LatticeSpec(2, 1, 1), dt=5.0))[2]
+        assert len(steps) == traj.n_steps == 12
+        wins = 0
+        for k, step in enumerate(steps):
+            ((start, f, t, sets, out),) = step["solves"]
+            if step["resp"] is None:
+                assert step["scored"] == []
+            else:
+                (pred, v_pred), (resp, v_resp) = step["scored"]
+                assert resp is step["resp"] and pred is not resp
+                assert start is (resp if v_resp < v_pred else pred)
+                assert out.objective_history[0] == (v_resp if v_resp < v_pred else v_pred)
+                wins += start is resp
+            expect = fixed_point_solve(sys, sets, traj.gm, f, start, SolverConfig(), t=t)
+            assert _same_bits(traj, k, expect)
+        # the rule decides: each start begins some steps
+        assert 0 < wins < traj.n_steps
 
-    def test_threaded_process_marches_serially(self, worker_starts):
-        """A march next to another thread forks nothing."""
-        out = []
-        thread = threading.Thread(target=lambda: out.append(_MARCHES["archive"]()))
-        thread.start()
-        thread.join(60)
-        assert not thread.is_alive()
-        assert len(out) == 1
-        assert worker_starts == []
+    @pytest.mark.parametrize("kind", ["visco", "plastic"])
+    def test_a_strictly_lower_response_init_is_solved(self, kind):
+        """Where the response init scores strictly lower, every step has the
+        bits of ``fixed_point_solve`` from the response init."""
+        traj, steps = _recorded_steps(kind, _response_lower)
+        sys = study_setup(default_study_config(kind, lattice=LatticeSpec(2, 1, 1), dt=5.0))[2]
+        for k, step in enumerate(steps):
+            ((start, f, t, sets, _),) = step["solves"]
+            assert step["resp"] is not None and start is step["resp"]
+            expect = fixed_point_solve(sys, sets, traj.gm, f, step["resp"], SolverConfig(), t=t)
+            assert _same_bits(traj, k, expect)
 
-    def test_worker_exception_reaches_the_caller(self, worker_starts, monkeypatch):
-        init = solver._empirical_response_init
-
-        def failing(*args, **kwargs):
-            if multiprocessing.parent_process() is not None:
-                raise ValueError("response init failed in the step worker")
-            return init(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_empirical_response_init", failing)
-        with pytest.raises(ValueError, match="failed in the step worker"):
-            _study_march("visco")
-        assert worker_starts == [os.getpid()]
-        assert multiprocessing.active_children() == []
-
-    def test_march_error_ends_a_busy_worker(self, worker_starts, monkeypatch):
-        """An error in the march while the worker solves ends the worker."""
-        solve = solver.fixed_point_solve
-
-        def failing(*args, **kwargs):
-            if multiprocessing.parent_process() is None:
-                raise KeyError("first solve")
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "fixed_point_solve", failing)
-        with pytest.raises(KeyError, match="first solve"):
-            _study_march("visco")
-        assert worker_starts == [os.getpid()]
-        assert multiprocessing.active_children() == []
-
-
-def _logged_draws(monkeypatch, log):
-    """Logs every per-step draw as ``pid step first_row stop_row`` to
-    ``log``, in whichever process draws."""
-    draw = solver._stacked_step_sets
-
-    def logged(g, eps_prev, sig_prev, q_acc, est, dt, step, rows=slice(None), out=None):
-        r = range(eps_prev.size)[rows]
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {step} {r.start} {r.stop}\n")
-        return draw(g, eps_prev, sig_prev, q_acc, est, dt, step, rows, out)
-
-    monkeypatch.setattr(solver, "_stacked_step_sets", logged)
-
-
-def _draws(log):
-    """The logged draws as ``{pid: [(step, first_row, stop_row), ...]}``."""
-    out: dict[int, list[tuple[int, int, int]]] = {}
-    for line in log.read_text().splitlines():
-        pid, *rest = (int(v) for v in line.split())
-        out.setdefault(pid, []).append(tuple(rest))
-    return out
-
-
-@pytest.fixture
-def deadline():
-    """Fails the test, instead of hanging it, after 120 seconds."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the march hung")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(120)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, old)
-
-
-def _one_bar_march():
-    """A short relaxation of one bar: the step worker's half is empty."""
-    return held_bar_march(relaxation_study(t_end=6.0, points=(64,), band_ref=1e-4, seed=3))
-
-
-class TestSharedDraw:
-    """With a step worker, the march draws the first half of each step's
-    rows and the worker the rest, into one shared stack."""
-
-    def test_row_halves(self):
-        assert solver._row_halves(73) == (slice(0, 37), slice(37, 73))
-        assert solver._row_halves(42) == (slice(0, 21), slice(21, 42))
-        assert solver._row_halves(1) == (slice(0, 1), slice(1, 1))
-
-    def test_strain_index_from_two_halves(self):
-        """Rows sorted apart into one pair of arrays give ``np.argsort``'s
-        index of all rows, ties included, as does the index built whole."""
-        rng = np.random.default_rng(8)
-        strains = rng.integers(0, 40, size=(9, 300)).astype(float)
-        joined = StrainIndex.of(np.empty((9, 300), dtype=np.intp), np.empty((9, 300)))
-        first, rest = solver._row_halves(9)
-        joined.sort(strains, rest)
-        joined.sort(strains, first)
-        order = np.argsort(strains, axis=1)
-        assert np.array_equal(joined.order, order)
-        assert np.array_equal(joined.eps, np.take_along_axis(strains, order, axis=1))
-        whole = StrainIndex(strains)
-        assert np.array_equal(whole.order, order) and np.array_equal(whole.eps, joined.eps)
-
-    def test_each_process_draws_its_half(self, worker_starts, monkeypatch, tmp_path):
-        """73 bars: the march draws rows 0 to 36 of every step and the
-        worker rows 37 to 72; a serial march draws them all at once, and
-        the trajectories have the same bits."""
-        lattice = LatticeSpec(2, 2, 1)
-        log = tmp_path / "draws.log"
-        _logged_draws(monkeypatch, log)
-        forked = _study_march("visco", lattice=lattice, steps=5)
-        assert worker_starts == [os.getpid()]
-        assert multiprocessing.active_children() == []
-        draws = _draws(log)
-        child = (set(draws) - {os.getpid()}).pop()
-        assert set(draws) == {os.getpid(), child}
-        assert draws[os.getpid()] == [(k, 0, 37) for k in range(5)]
-        assert draws[child] == [(k, 37, 73) for k in range(5)]
-        log.unlink()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = _study_march("visco", lattice=lattice, steps=5)
-        assert _draws(log) == {os.getpid(): [(k, 0, 73) for k in range(5)]}
-        assert np.array_equal(forked.strain, serial.strain)
-        assert np.array_equal(forked.stress, serial.stress)
-        assert np.array_equal(forked.assignment, serial.assignment)
-
-    def test_one_bar_leaves_the_worker_no_rows(self, worker_starts, monkeypatch, tmp_path):
-        log = tmp_path / "draws.log"
-        _logged_draws(monkeypatch, log)
-        forked = _one_bar_march()
-        assert worker_starts == [os.getpid()]
-        draws = _draws(log)
-        child = (set(draws) - {os.getpid()}).pop()
-        steps = range(forked.n_steps)
-        assert draws[os.getpid()] == [(k, 0, 1) for k in steps]
-        assert draws[child] == [(k, 1, 1) for k in steps]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = _one_bar_march()
-        assert np.array_equal(forked.stress, serial.stress)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("kind", ["visco", "archive"])
-    def test_failure_in_the_worker_half_reaches_the_caller(
-        self, worker_starts, monkeypatch, deadline, kind
-    ):
-        name = "_stacked_step_sets" if kind == "visco" else "prior_slot_costs"
-        draw = getattr(solver, name)
-
-        def failing(*args):
-            if multiprocessing.parent_process() is not None:
-                raise ValueError("the worker's half failed")
-            return draw(*args)
-
-        monkeypatch.setattr(solver, name, failing)
-        with pytest.raises(ValueError, match="the worker's half failed"):
-            _MARCHES[kind]()
-        assert worker_starts == [os.getpid()]
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("kind", ["visco", "archive"])
-    def test_march_error_in_its_half_ends_the_worker(
-        self, worker_starts, monkeypatch, deadline, kind
-    ):
-        name = "_stacked_step_sets" if kind == "visco" else "prior_slot_costs"
-        draw = getattr(solver, name)
-        calls = []
-
-        def failing(*args):
-            if multiprocessing.parent_process() is None:
-                calls.append(1)
-                if len(calls) == 3:
-                    raise KeyError("the march's half failed")
-            return draw(*args)
-
-        monkeypatch.setattr(solver, name, failing)
-        with pytest.raises(KeyError, match="the march's half failed"):
-            _MARCHES[kind]()
-        assert worker_starts == [os.getpid()]
-        assert multiprocessing.active_children() == []
-
-    def test_archive_index_sorted_in_halves(self, worker_starts, monkeypatch, tmp_path):
-        """4 bars: at step 0 the march sorts archive rows 0 and 1 into the
-        shared strain index and the worker rows 2 and 3, once each; the
-        index equals the archive's own ``StrainIndex`` bit for bit. A serial
-        march sorts every row itself and has the same bits."""
-        log = tmp_path / "sorts.log"
-        _logged_sorts(monkeypatch, log)
-        stacks = _recorded_stacks(monkeypatch)
-        forked = _archive_march()
-        assert worker_starts == [os.getpid()]
-        assert multiprocessing.active_children() == []
-        sorts = _draws(log)
-        child = (set(sorts) - {os.getpid()}).pop()
-        assert sorts == {os.getpid(): [(0, 2)], child: [(2, 4)]}
-        (sets,) = stacks
-        whole = StrainIndex(sets.eps)
-        assert np.array_equal(sets.index.order, whole.order)
-        assert np.array_equal(sets.index.eps, whole.eps)
-        log.unlink()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = _archive_march()
-        assert _draws(log) == {os.getpid(): [(0, 4)]}
-        assert np.array_equal(forked.strain, serial.strain)
-        assert np.array_equal(forked.stress, serial.stress)
-        assert np.array_equal(forked.assignment, serial.assignment)
-
-    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["worker", "serial"])
-    def test_archive_march_reads_the_archive_uncopied(self, worker_starts, monkeypatch, cpus):
-        """The march's stack holds the archive's own current slots, with a
-        step worker and without one."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        stacks = _recorded_stacks(monkeypatch)
-        mesh, gm, loads, times, archive = _archive_setup()
-        history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
-        assert worker_starts == ([os.getpid()] if len(cpus) == 2 else [])
-        assert multiprocessing.active_children() == []
-        (sets,) = stacks
-        assert np.shares_memory(sets.eps, archive.eps_cur)
-        assert np.shares_memory(sets.sig, archive.sig_cur)
-
-    def test_one_bar_archive_leaves_the_worker_no_rows(
-        self, worker_starts, monkeypatch, tmp_path
-    ):
-        """The one-bar relaxation against its archive: the march sorts the
-        only row and the worker sorts the empty range, and the stresses
-        equal a serial march's."""
-        cfg = relaxation_study(t_end=6.0)
-        repository = build_relaxation_repository(cfg.law, held_strain(cfg), cfg.dt, n_prior=2001)
-        log = tmp_path / "sorts.log"
-        _logged_sorts(monkeypatch, log)
-        forked = held_bar_march(cfg, repository)
-        assert worker_starts == [os.getpid()]
-        sorts = _draws(log)
-        child = (set(sorts) - {os.getpid()}).pop()
-        assert sorts == {os.getpid(): [(0, 1)], child: [(1, 1)]}
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = held_bar_march(cfg, repository)
-        assert np.array_equal(forked.stress, serial.stress)
-        assert multiprocessing.active_children() == []
-
-
-def _logged_sorts(monkeypatch, log):
-    """Logs every strain sort as ``pid first_row stop_row`` to ``log``, in
-    whichever process sorts."""
-    sort = StrainIndex.sort
-
-    def logged(index, strains, rows):
-        r = range(strains.shape[0])[rows]
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {r.start} {r.stop}\n")
-        return sort(index, strains, rows)
-
-    monkeypatch.setattr(StrainIndex, "sort", logged)
-
-
-def _recorded_stacks(monkeypatch):
-    """The stack of every march, kept past the march's return."""
-    stacks = []
-    march = solver._march
-
-    def recorded(system, gm, loads, t_grid, cfg, stack, draw, plastic_law):
-        def kept(empty):
-            stacks.append(stack(empty))
-            return stacks[-1]
-
-        return march(system, gm, loads, t_grid, cfg, kept, draw, plastic_law)
-
-    monkeypatch.setattr(solver, "_march", recorded)
-    return stacks
+    @pytest.mark.parametrize("kind", ["visco", "plastic"])
+    def test_ties_and_declines_take_the_predicted_start(self, monkeypatch, kind):
+        """A march whose two starts always tie has the bits of a march whose
+        response init always declines, and neither solves from the
+        response init. Where it scores lower, the march differs."""
+        tied, steps = _recorded_steps(kind, lambda step, start: 1.0)
+        for step in steps:
+            ((start, *_),) = step["solves"]
+            assert step["resp"] is not None and start is not step["resp"]
+        lower, _ = _recorded_steps(kind, _response_lower)
+        monkeypatch.setattr(solver, "_empirical_response_init", lambda *args: None)
+        declined = _study_march(kind)
+        for name in ("strain", "stress", "assignment", "iterations"):
+            assert np.array_equal(getattr(tied, name), getattr(declined, name))
+        assert not np.array_equal(tied.strain, lower.strain)
 
 
 class TestTrajectoryOutput:

@@ -9,7 +9,7 @@ and ``plastic --points 1024`` (a set size no perfbench workload has),
 subprocess that has the caller's environment and this checkout's ``src``
 first on ``PYTHONPATH`` (:func:`output_digest.run`). For every command it
 records the wall time in seconds, the peak resident set size of its
-largest process in MiB (``max_rss_mib``, reaped step and pool workers
+largest process in MiB (``max_rss_mib``, reaped pool workers
 included), the exit code and the sha256 of every CSV it wrote. Labels
 after the options run only those commands, in the order of ``COMMANDS``.
 Run from a source checkout:
@@ -17,8 +17,9 @@ Run from a source checkout:
     python tools/command_timing.py --out TIMES.json
     python tools/command_timing.py --out TIMES.json plastic "relaxation --history-matching"
 
-Under ``taskset -c 0`` every command runs on one CPU, so no march forks
-its step worker and the times are serial.
+Every march runs in one process. Under ``taskset -c 0`` every command
+runs on one CPU, so the convergence study runs no pool either and every
+time is serial.
 
 To compare two programs, copy this script and ``output_digest.py`` into the
 other checkout's ``tools/`` and run the two checkouts in turn several times:

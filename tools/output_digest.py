@@ -92,8 +92,8 @@ def run(
     Returns its exit code, its wall time in seconds, its peak resident set
     size in MiB and the sha256 of every CSV it wrote. The peak is the
     child's ``ru_maxrss`` as ``os.wait4`` reports it (in KiB on Linux):
-    that of the largest process of the command, the step and pool workers
-    it reaped included."""
+    that of the largest process of the command, the pool workers it reaped
+    included."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     ))
