@@ -4,31 +4,33 @@ nearest-point search.
 A bar's data set is a cloud of scalar (strain, stress) points, each
 optionally with a nonnegative fidelity cost added to its square distance
 in every search. The solver reads all sets of a step from one
-:class:`StackedSets`, (M, n) arrays whose row e is bar e's set;
-:func:`stack_sets` builds it from flat rows, checks them and pads unequal
-ones. Evolving-material behaviour enters through the per-step draw
-(``solver._stacked_step_sets``), which writes fresh sets conditioned on the
-previously converged states (and, for plasticity, on an accumulated-slip
-history variable recovered from stress-strain increments alone) into a
-march's stack, in the window :class:`WindowRule` and :class:`GeneratorSpec`
-describe; the two-time archives of all bars enter as the current slots of
-one (M, n) :class:`HistoryRepository`, uncopied, with the prior-slot
-mismatch as cost (:func:`prior_slot_costs`).
+:class:`StackedSets`, (M, n) arrays whose row e is bar e's set, stored
+ascending in strain; :func:`stack_sets` builds it from flat rows, checks
+them, sorts them stably and pads unequal ones. Evolving-material behaviour
+enters through the per-step draw (``solver._stacked_step_sets``), which
+writes fresh sets conditioned on the previously converged states (and, for
+plasticity, on an accumulated-slip history variable recovered from
+stress-strain increments alone) into a march's stack, each row sorted, in
+the window :class:`WindowRule` and :class:`GeneratorSpec` describe; the
+two-time archives of all bars, stored in the same strain order, enter as
+the current slots of one (M, n) :class:`HistoryRepository`, uncopied, with
+the prior-slot mismatch as cost (:func:`prior_slot_costs`).
 
-Every search is exact and returns the lowest index among the minimizers.
-:func:`batch_nearest` scans small stacks; above a size crossover it searches
-each row in its strain order, so it equals :func:`scan_nearest`, the
+Every search is exact and returns the lowest index among the minimizers;
+since rows ascend in strain, an index is a position in the strain order.
+:func:`batch_nearest` scans small stacks; above a size crossover it
+bisects the rows (:func:`search`), so it equals :func:`scan_nearest`, the
 reference scan. The walk's association and the solver's swap polish share
 one certified block search: :func:`plan_blocks` turns a bound on a row's
-value into the block of its strain order that holds every candidate within
-it, and :func:`planned_lowest` evaluates the caller's own value expression
-on the blocks and scans the rows the plan leaves whole.
+value into the slice of the row that holds every candidate within it, and
+:func:`planned_lowest` evaluates the caller's own value expression on the
+blocks and scans the rows the plan leaves whole.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,18 +48,19 @@ __all__ = [
 ]
 
 
-#: Smallest stacked size M*n searched through the strain order rather than
-#: by a scan of every point. The sorted search pays a fixed cost of a few
-#: dozen vectorized calls on M-element arrays, the scan a cost per point.
-#: Measured per call on association calls recorded from visco and plastic
-#: marches (2-CPU x86-64, numpy 2.4, one thread): at 197 bars both cost
-#: about 1.2 ms near 100k points (plastic, n=512), the scan costs 2.7 ms
-#: against 1.0 ms at n=1024 and 15 ms against 1.2 ms at n=4096, and at
-#: 197 x 64 it costs 0.13 ms against 0.8 ms.
+#: Smallest stacked size M*n searched in strain order rather than by a
+#: scan of every point: the sorted search pays a fixed cost of a few dozen
+#: vectorized calls on M-element arrays, the scan a cost per point. Median
+#: ms per call, scan against sorted, on association calls recorded from
+#: plastic / visco study marches (2-CPU x86-64, numpy 2.4, one thread): at
+#: 197 x 64, 0.062 / 0.069 against 0.275 / 0.248; x 256, 0.248 / 0.244
+#: against 0.358 / 0.277; x 512, 0.618 / 0.655 against 0.461 / 0.349; x
+#: 1024, 1.31 / 1.32 against 0.617 / 0.313; x 4096, 5.82 / 6.57 against
+#: 1.39 / 0.360. No study size lies between 50k and 100k points.
 _SORTED_SEARCH_MIN_SIZE = 100_000
-#: Longest candidate block, as a share of the row, evaluated through the
-#: strain order. Blocks are padded to the longest one, so a row with a
-#: longer block is scanned whole instead of widening every row's block.
+#: Longest candidate block, as a share of the row, evaluated as a block.
+#: Blocks are padded to the longest one, so a row with a longer block is
+#: scanned whole instead of widening every row's block.
 _MAX_BLOCK_SHARE = 0.125
 #: Relative slack of the block bound; the rounding it must absorb is below
 #: 2^-46 relative (see ``solver._swap_polish``'s "Block bound").
@@ -67,74 +70,28 @@ _BOUND_FLOOR = 2.0**-1000
 
 
 
-class StrainIndex:
-    """Per-row strain order of stacked sets.
+def search(eps: np.ndarray, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Left insertion positions of ``x`` in the ascending rows of ``eps``.
 
-    ``order`` sorts every row of ``strains`` (``np.argsort``'s default
-    kind). The index keeps
-    the strains it sorts, uncopied, and no sorted copy of them: a strain at
-    sorted position p of row e is ``strains[e, order[e, p]]``. A march's
-    draw that rewrites the strains sorts them again (:meth:`sort`). The
-    order among equal strains is the sort's own. The searches and the
-    polish give a scan's result whatever that order, and the response init,
-    which reads the stress at a sorted position, declines on archives,
-    whose rows hold many equal strains.
+    ``x`` has one row per row of ``eps``, or one per entry of ``rows`` when
+    given, and any number of columns; every entry equals
+    ``np.searchsorted(eps[e], x[i, k])`` for its row e, NaN included. All
+    rows are bisected at once: the position is built bit by bit, from the
+    highest, as the count of row strains below x, with one ``take`` per bit.
     """
-
-    __slots__ = ("strains", "order")
-
-    def __init__(self, strains: np.ndarray) -> None:
-        self.strains = strains
-        self.order = np.empty(strains.shape, dtype=np.intp)
-        self.sort()
-
-    def sort(self) -> None:
-        """Sorts every row of the strains again, into ``order``. Rows are
-        sorted one at a time, so the work array is one row: sorting a
-        526,565-point archive's four rows at once raised a march's peak RSS
-        by 15 MiB."""
-        for e in range(self.strains.shape[0]):
-            self.order[e] = np.argsort(self.strains[e])
-
-    @property
-    def eps(self) -> np.ndarray:
-        """The sorted strains, gathered anew on every read."""
-        return np.take_along_axis(self.strains, self.order, axis=1)
-
-    def take(
-        self, values: np.ndarray, pos: np.ndarray, rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Entries of ``values``, shaped like the strains (the strains, or
-        the stresses of the same points), at sorted positions ``pos``: one
-        row of positions per set, or one per entry of ``rows`` when given."""
-        m, n = self.order.shape
-        rows = np.arange(m) if rows is None else np.asarray(rows)
-        base = (rows * n).reshape((rows.size,) + (1,) * (pos.ndim - 1))
-        return values.reshape(-1).take(self.order.reshape(-1).take(base + pos) + base)
-
-    def search(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Left insertion positions of ``x`` in its sorted row.
-
-        ``x`` has one row per set, or one per entry of ``rows`` when given,
-        and any number of columns; every entry equals
-        ``np.searchsorted(self.eps[e], x[i, k])`` for its row e, NaN
-        included. All rows are bisected at once: the position is built bit
-        by bit, from the highest, as the count of row strains below x.
-        """
-        x = np.asarray(x, dtype=float)
-        m, n = self.order.shape
-        rows = np.arange(m) if rows is None else np.asarray(rows)
-        base = (rows * n).reshape((rows.size,) + (1,) * (x.ndim - 1))
-        strains, order = self.strains.reshape(-1), self.order.reshape(-1)
-        pos = np.zeros(x.shape, dtype=np.intp)
-        step = 1 << (n.bit_length() - 1)
-        while step:
-            cand = pos + step
-            # x <= s fails for NaN, so NaN counts after every number
-            s = strains.take(order.take(base + np.minimum(cand, n) - 1) + base)
-            pos = np.where(x <= s, pos, cand)
-            step >>= 1
-        return np.minimum(pos, n)
+    x = np.asarray(x, dtype=float)
+    m, n = eps.shape
+    rows = np.arange(m) if rows is None else np.asarray(rows)
+    base = (rows * n - 1).reshape((rows.size,) + (1,) * (x.ndim - 1))
+    flat = eps.reshape(-1)
+    pos = np.zeros(x.shape, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        cand = pos + step
+        # x <= s fails for NaN, so NaN counts after every number
+        pos = np.where(x <= flat.take(base + np.minimum(cand, n)), pos, cand)
+        step >>= 1
+    return np.minimum(pos, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,25 +99,21 @@ class StackedSets:
     """Scalar data sets stacked as (M, n) arrays: the layout every solve,
     search and polish reads.
 
-    ``lengths`` holds the true row sizes of sets padded to a common width
-    by :func:`stack_sets`; it is None when no row is padded. ``index`` is
-    the rows' :class:`StrainIndex`. It is built on the first call of
-    :meth:`strain_index` and then shared by every search of the step
-    (association, the polish and, on sets without costs, the response warm
-    start). A march on regenerated sets draws every step into one stack and
-    sorts its index again; an archive's index is sorted once.
+    Every row is ascending in strain, with its stresses and costs at the
+    same positions, so a sorted position is an index: the searches bisect
+    ``eps`` rows, and blocks and windows of the strain order are slices of
+    a row. Each writer of a stack keeps this: :func:`stack_sets` and
+    :class:`HistoryRepository` sort their input stably, a march's draw sorts
+    each drawn strain row before computing its stresses, and the archive
+    builders write rows in strain order. ``lengths`` holds the true row
+    sizes of sets padded to a common width by :func:`stack_sets`; it is None
+    when no row is padded.
     """
 
     eps: np.ndarray
     sig: np.ndarray
     costs: np.ndarray | None
     lengths: np.ndarray | None = None
-    index: StrainIndex | None = field(default=None, repr=False)
-
-    def strain_index(self) -> StrainIndex:
-        if self.index is None:
-            object.__setattr__(self, "index", StrainIndex(self.eps))
-        return self.index
 
 
 def stack_sets(eps_rows, sig_rows, cost_rows=None) -> StackedSets:
@@ -171,8 +124,11 @@ def stack_sets(eps_rows, sig_rows, cost_rows=None) -> StackedSets:
     a flat array. It must hold at least one point, its points must be finite
     and its costs finite and nonnegative; an error names the set.
 
-    Sets shorter than the longest are padded: each padded entry repeats its
-    row's last point and has cost +inf, and ``lengths`` records the true
+    Each set is stored in ascending strain order: an unsorted set is sorted
+    stably, its stresses and costs permuted alike, so equal strains keep
+    their given order. Sets shorter than the longest are then padded: each
+    padded entry repeats its row's last point, the largest strain, and has
+    cost +inf, and ``lengths`` records the true
     sizes. Costs are None when no set has costs and no row is padded; a set
     without costs otherwise reads cost 0.
 
@@ -205,6 +161,12 @@ def stack_sets(eps_rows, sig_rows, cost_rows=None) -> StackedSets:
     cost_rows = [
         c if c is None else _checked_costs(e, c, eps_rows[e].size) for e, c in enumerate(cost_rows)
     ]
+    for e, eps in enumerate(eps_rows):
+        order = _strain_order(eps)
+        if order is not None:
+            eps_rows[e], sig_rows[e] = eps[order], sig_rows[e][order]
+            if cost_rows[e] is not None:
+                cost_rows[e] = cost_rows[e][order]
     lengths = np.array([a.size for a in eps_rows])
     shape = (m, int(lengths.max()))
     ragged = bool(np.any(lengths < shape[1]))
@@ -215,6 +177,13 @@ def stack_sets(eps_rows, sig_rows, cost_rows=None) -> StackedSets:
     return StackedSets(
         _padded(eps_rows, shape), _padded(sig_rows, shape), costs, lengths if ragged else None
     )
+
+
+def _strain_order(eps: np.ndarray) -> np.ndarray | None:
+    """None when the strains ``eps`` ascend, else their stable sort order."""
+    if np.all(eps[1:] >= eps[:-1]):
+        return None
+    return np.argsort(eps, kind="stable")
 
 
 def _checked_costs(e: int, costs, n: int) -> np.ndarray:
@@ -263,28 +232,26 @@ def batch_nearest(
     Below ``_SORTED_SEARCH_MIN_SIZE`` points in all, or for a non-finite
     query, this is the scan. Above it, the scan's own expression ``c de de
     + c_inv ds ds [+ cost]`` is evaluated on the blocks :func:`plan_blocks`
-    plans in each row's strain order from a bound on the row's least value:
-    the lesser value at the query's two strain neighbours, or the value at
-    the row's ``hint`` (one real index per row, such as the last
-    association) where that is lower. Rows it leaves whole are scanned, one
-    ``argmin`` per row (:func:`lowest` over column positions). That
-    expression is the swap polish's gain with zero linear terms, unit
-    weight and zero current cost, so the "Block bound" of
-    :func:`~ddmech.solver._swap_polish` proves that a block holds every
-    point whose computed value is at most the bound, and so every
-    minimizer, ties included: each bound is a computed value. The scan
-    ignores ``hint``.
+    plans in each row from a bound on the row's least value: the lesser
+    value at the query's two strain neighbours, or the value at the row's
+    ``hint`` (one real index per row, such as the last association) where
+    that is lower. Rows it leaves whole are scanned, one ``argmin`` per row
+    (:func:`lowest` over column positions). That expression is the swap
+    polish's gain with zero linear terms, unit weight and zero current cost,
+    so the "Block bound" of :func:`~ddmech.solver._swap_polish` proves that
+    a block holds every point whose computed value is at most the bound, and
+    so every minimizer, ties included: each bound is a computed value. The
+    scan ignores ``hint``.
     """
     m, n = stacked.eps.shape
     if m * n < _SORTED_SEARCH_MIN_SIZE or not (
         np.all(np.isfinite(eps)) and np.all(np.isfinite(sig))
     ):
         return scan_nearest(eps, sig, stacked, c, c_inv)
-    index = stacked.strain_index()
     every = np.arange(m)
 
-    def value(r, pos, j):
-        # the scan's expression at original indices j
+    def value(r, j):
+        # the scan's expression at indices j
         at = r[:, None] * n + j
         de = stacked.eps.reshape(-1).take(at) - eps[r, None]
         ds = stacked.sig.reshape(-1).take(at) - sig[r, None]
@@ -298,10 +265,9 @@ def batch_nearest(
 
     cap = None
     if hint is not None:
-        h = np.asarray(hint)
-        cap = value(every, None, h[:, None])[:, 0]
-    plan = plan_blocks(index, every, (c, c_inv, 0.0, 0.0, eps, 0.0), None, 1, value, cap)
-    return planned_lowest(index, every, plan, value, scan)[0][:, 0]
+        cap = value(every, np.asarray(hint)[:, None])[:, 0]
+    plan = plan_blocks(stacked.eps, every, (c, c_inv, 0.0, 0.0, eps, 0.0), None, 1, value, cap)
+    return planned_lowest(n, every, plan, value, scan)[0][:, 0]
 
 
 def lowest(values: np.ndarray, idx: np.ndarray | None = None, k: int = 1):
@@ -345,12 +311,12 @@ def lowest(values: np.ndarray, idx: np.ndarray | None = None, k: int = 1):
     return out_j, out_v
 
 
-def block_ends(index: StrainIndex, rows, terms, bound, k: int = 1, value=None, cap=None):
+def block_ends(eps, rows, terms, bound, k: int = 1, value=None, cap=None):
     """The strain ends of :func:`plan_blocks`'s blocks, before the search:
-    ``(lo, hi, ok, reach)``, the block of ``rows[i]`` being the sorted
-    positions whose strains lie in ``[lo[i], hi[i])``, empty where
-    ``reach[i] < 0``, and meaningful only where ``ok[i]``. ``rows`` may be a
-    slice when a bound is given.
+    ``(lo, hi, ok, reach)``, the block of ``rows[i]`` being the positions of
+    row ``rows[i]`` of the ascending strains ``eps`` whose strains lie in
+    ``[lo[i], hi[i])``, empty where ``reach[i] < 0``, and meaningful only
+    where ``ok[i]``. ``rows`` may be a slice when a bound is given.
     """
     a_e, a_s, l_e, l_s, y, base = terms
     with np.errstate(all="ignore"):
@@ -359,14 +325,13 @@ def block_ends(index: StrainIndex, rows, terms, bound, k: int = 1, value=None, c
         centre = y + alpha
         ok = (a_e > 0.0) & ((a_s > 0.0) | (l_s == 0.0)) & np.isfinite(centre)
         if bound is None:
-            n = index.order.shape[1]
+            n = eps.shape[1]
             t = np.full(rows.size, np.nan)
             if ok.any():
-                near = index.search(centre[ok, None], rows[ok])
+                near = search(eps, centre[ok, None], rows[ok])
                 width = min(k + 1, n)
                 pos = np.clip(near - width // 2, 0, n - width) + np.arange(width)[None, :]
-                j = index.order[rows[ok, None], pos]
-                t[ok] = np.sort(value(rows[ok], pos, j), axis=1)[:, min(k, n) - 1]
+                t[ok] = np.sort(value(rows[ok], pos), axis=1)[:, min(k, n) - 1]
             if cap is not None:
                 t = np.fmin(t, cap)
         else:
@@ -381,54 +346,53 @@ def block_ends(index: StrainIndex, rows, terms, bound, k: int = 1, value=None, c
         return centre - half, np.nextafter(centre + half, np.inf), ok, reach
 
 
-def plan_blocks(index: StrainIndex, rows, terms, bound, k: int = 1, value=None, cap=None):
-    """``(lo, hi, scan)``: for ``rows``, the blocks ``[lo, hi)`` of sorted
-    positions that hold every candidate whose value is at most the bound
-    (empty where none can be), and the rows to scan whole instead: where
-    the bound does not apply or the block is longer than
-    ``_MAX_BLOCK_SHARE`` of the row.
+def plan_blocks(eps, rows, terms, bound, k: int = 1, value=None, cap=None):
+    """``(lo, hi, scan)``: for ``rows`` of the ascending strains ``eps``, the
+    blocks ``[lo, hi)`` of positions that hold every candidate whose value
+    is at most the bound (empty where none can be), and the rows to scan
+    whole instead: where the bound does not apply or the block is longer
+    than ``_MAX_BLOCK_SHARE`` of the row.
 
     ``terms = (a_e, a_s, l_e, l_s, y, base)`` (arrays over the rows, or
     scalars) are the coefficients of the value ``l_e de + a_e de de + l_s
     ds + a_s ds ds``, plus a nonnegative cost, minus ``base``, with ``de``
     a strain's shift from ``y``; ``_swap_polish``'s "Block bound" proves
     the blocks. A number ``bound`` is every row's bound. None takes a row's
-    bound as the k-th smallest of ``value(rows, pos, j)`` at the k + 1
-    sorted positions ``pos`` (original indices ``j``) nearest its block
-    centre, or as the row's entry of ``cap`` (None: none), a computed value
-    of the row, where that is lower. A tuple is the rows'
-    :func:`block_ends`, already computed, which are then only searched.
+    bound as the k-th smallest of ``value(rows, j)`` at the k + 1 positions
+    j nearest its block centre, or as the row's entry of ``cap`` (None:
+    none), a computed value of the row, where that is lower. A tuple is the
+    rows' :func:`block_ends`, already computed, which are then only
+    searched.
     """
     if isinstance(bound, tuple):
         e_lo, e_hi, ok, reach = bound
     else:
-        e_lo, e_hi, ok, reach = block_ends(index, rows, terms, bound, k, value, cap)
-    lo, hi = index.search(np.stack([e_lo, e_hi], axis=1), rows).T
+        e_lo, e_hi, ok, reach = block_ends(eps, rows, terms, bound, k, value, cap)
+    lo, hi = search(eps, np.stack([e_lo, e_hi], axis=1), rows).T
     hi = np.where(reach < 0.0, lo, hi)
-    return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * index.order.shape[1])
+    return lo, hi, ~ok | (hi - lo > _MAX_BLOCK_SHARE * eps.shape[1])
 
 
-def planned_lowest(index: StrainIndex, rows, plan, value, scan, k: int = 1):
-    """:func:`lowest` of every row in ``rows`` (an index array), planned as
-    ``plan = (lo, hi, scanned)`` by :func:`plan_blocks`: ``scan(r)`` of the
-    rows r to scan whole, and ``value(r, pos, j)`` on blocks, the values at
-    sorted positions ``pos`` (one row per entry of r) of original indices
-    ``j``. Blocks are padded to the longest one; padding reads as ``+inf``
-    at index n, so it is chosen only after every entry of its block, and an
+def planned_lowest(n: int, rows, plan, value, scan, k: int = 1):
+    """:func:`lowest` of every row in ``rows`` (an index array) of n
+    points, planned as ``plan = (lo, hi, scanned)`` by :func:`plan_blocks`:
+    ``scan(r)`` of the rows r to scan whole, and ``value(r, j)`` on blocks,
+    the values at indices ``j`` (one row per entry of r). Blocks are padded
+    to the longest one; padding reads as ``+inf`` after the block's last
+    index, so it is chosen only after every entry of its block, and an
     empty block gives index n and value ``+inf``.
     """
     lo, hi, scanned = plan
-    n = index.order.shape[1]
     out_j = np.full((rows.size, k), n, dtype=np.intp)
     out_v = np.full((rows.size, k), np.inf)
     b = np.flatnonzero(~scanned & (hi > lo))
     if b.size:
-        pos = lo[b, None] + np.arange(int((hi[b] - lo[b]).max()))[None, :]
-        valid = pos < hi[b, None]
-        pos = np.minimum(pos, n - 1)
-        j = index.order.reshape(-1).take(rows[b, None] * n + pos)
-        v = np.where(valid, value(rows[b], pos, j), np.inf)
-        out_j[b], out_v[b] = lowest(v, np.where(valid, j, n), k)
+        j = lo[b, None] + np.arange(int((hi[b] - lo[b]).max()))[None, :]
+        valid = j < hi[b, None]
+        j = np.minimum(j, n - 1)
+        # a block's columns ascend in index, so a column's rank is its index's
+        col, out_v[b] = lowest(np.where(valid, value(rows[b], j), np.inf), None, k)
+        out_j[b] = lo[b, None] + col
     s = np.flatnonzero(scanned)
     if s.size:
         out_j[s], out_v[s] = scan(rows[s])
@@ -535,8 +499,11 @@ class HistoryRepository:
     """Two-time archives of all M bars as four (M, n) slot arrays: entry
     ``(e, j)`` pairs bar e's prior state ``(eps_prev, sig_prev)`` with its
     state ``(eps_cur, sig_cur)`` one step later. A search weighs both slots
-    equally. The slots, finite and of one shape with n >= 1, are read-only
-    views of the arrays given: float64 input is not copied, and stays
+    equally. The slots must be finite and of one shape with n >= 1. Each
+    row is stored ascending in current strain, as :class:`StackedSets` rows
+    are: a row given unsorted is sorted stably by ``eps_cur``, every slot
+    permuted alike, into copies of the four arrays. The slots are read-only
+    views: float64 input whose rows ascend is not copied, and stays
     writable to its owner.
     """
 
@@ -556,6 +523,15 @@ class HistoryRepository:
         for name, a in zip(slots, arrays):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be finite")
+        given = arrays
+        for e in range(shapes[0][0]):
+            order = _strain_order(arrays[2][e])
+            if order is not None:
+                if arrays is given:
+                    arrays = [a.copy() for a in given]
+                for a in arrays:
+                    a[e] = a[e, order]
+        for name, a in zip(slots, arrays):
             view = a.view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)

@@ -340,28 +340,51 @@ def build_relaxation_repository(
 
 
 def _two_time_archive(law: SlsParams, ec0: np.ndarray, blocks) -> HistoryRepository:
-    """The (M, n) archive whose row e holds, first, the instantaneous pairs
-    out of the virgin state at the current strains ``ec0[e]``, and then one
-    block for each ``(pe, ps, ec, dt)`` of ``blocks``: every prior state
-    ``(pe[e, i], ps[e, i])`` paired with its one-step responses of ``law``
-    at the current strains ``ec[e]``. Every entry is written once, into the
-    archive's own slot arrays.
+    """The (M, n) archive whose row e holds the instantaneous pairs out of
+    the virgin state at the current strains ``ec0[e]`` and, for each ``(pe,
+    ps, ec, dt)`` of ``blocks``, every prior state ``(pe[e, i], ps[e, i])``
+    paired with its one-step responses of ``law`` at the current strains
+    ``ec[e]``.
+
+    Each row is written once, ascending in current strain: its keys, the
+    virgin current strains and then each block's, are sorted stably, and a
+    virgin key stands for its one pair, a block key for the run of all its
+    block's priors in order. Between two virgin pairs, the runs are written
+    as one (keys, priors) view of each slot row.
     """
-    (m, c), p = ec0.shape, blocks[0][0].shape[1] if blocks else 0
-    slots = [np.empty((m, c * (1 + len(blocks) * p))) for _ in range(4)]
-    eps_prev, sig_prev, eps_cur, sig_cur = slots
-    eps_prev[:, :c] = sig_prev[:, :c] = 0.0
-    eps_cur[:, :c] = ec0
-    sig_cur[:, :c] = law.modulus_instantaneous * ec0
-    # each slot's blocks as one (M, steps, priors, currents) view
-    p_eps, p_sig, c_eps, c_sig = (a[:, c:].reshape(m, len(blocks), p, c) for a in slots)
-    for k, (pe, ps, ec, dt) in enumerate(blocks):
-        a, bmod = sls_affine_coefficients(pe, ps, law, dt)
-        # pair every prior with the whole current grid
-        p_eps[:, k] = pe[:, :, None]
-        p_sig[:, k] = ps[:, :, None]
-        c_eps[:, k] = ec[:, None, :]
-        np.add(a[:, :, None], bmod * ec[:, None, :], out=c_sig[:, k])
+    (m, c), steps = ec0.shape, len(blocks)
+    p = blocks[0][0].shape[1] if blocks else 0
+    slots = [np.empty((m, c * (1 + steps * p))) for _ in range(4)]
+    lines = [sls_affine_coefficients(pe, ps, law, dt) for pe, ps, _, dt in blocks]
+    slope = np.array([b for _, b in lines])
+    # (M, steps, priors): every block's prior strains, prior stresses and line offsets
+    priors = [
+        np.array(t).reshape(steps, m, p).swapaxes(0, 1).copy()
+        for t in ([b[0] for b in blocks], [b[1] for b in blocks], [a for a, _ in lines])
+    ]
+    keys = np.concatenate([ec0] + [ec for _, _, ec, _ in blocks], axis=1)
+    for e in range(m):
+        order = np.argsort(keys[e], kind="stable")
+        block = order[order >= c] // c - 1
+        key_eps = keys[e, order[order >= c]]
+        prior_eps, prior_sig, offset = (t[e] for t in priors)
+        # the block keys before each virgin pair, and then all of them
+        cuts = np.append(np.flatnonzero(order < c) - np.arange(c), block.size)
+        at = b0 = 0
+        for t, b1 in enumerate(cuts.tolist()):
+            run, ks = slice(at, at + (b1 - b0) * p), block[b0:b1]
+            eps_prev, sig_prev, eps_cur, sig_cur = (a[e, run].reshape(b1 - b0, p) for a in slots)
+            # "clip" never clips here; it keeps ``take`` from buffering ``out``
+            for view, table in ((eps_prev, prior_eps), (sig_prev, prior_sig), (sig_cur, offset)):
+                np.take(table, ks, 0, view, "clip")
+            eps_cur[...] = key_eps[b0:b1, None]
+            sig_cur += (slope[ks] * key_eps[b0:b1])[:, None]
+            at, b0 = run.stop, b1
+            if t < c:
+                eps = keys[e, order[b1 + t]]
+                for a, v in zip(slots, (0.0, 0.0, eps, law.modulus_instantaneous * eps)):
+                    a[e, at] = v
+                at += 1
     return HistoryRepository(*slots)
 
 

@@ -23,13 +23,12 @@ Whenever the walk stops, an exact-gain swap polish (:func:`_swap_polish`)
 tries single, pair and subset reassignments against the same objective. It
 scores candidates with the scan's own arithmetic: the single sweep on
 per-row candidate windows whose terms it caches (whole rows of short sets,
-and for long ones a few sorted positions of the step's
-:class:`~ddmech.data.StrainIndex` that hold each row's certified strain
-block), the other stages on whole rows or certified blocks, so every move,
-and every trajectory, is the one a scan of every candidate gives. The
-walk's association and the polish plan their blocks with one search
-(:func:`~ddmech.data.plan_blocks`), whose bound is proved once, in
-:func:`_swap_polish`.
+and for long ones a slice of each row, which ascends in strain, that holds
+its certified strain block), the other stages on whole rows or certified
+blocks, so every move, and every trajectory, is the one a scan of every
+candidate gives. The walk's association and the polish plan their blocks
+with one search (:func:`~ddmech.data.plan_blocks`), whose bound is proved
+once, in :func:`_swap_polish`.
 
 Both marches run one step loop and differ only in the data sets a step
 searches, which every step draws into one (M, n) stack per march.
@@ -68,6 +67,7 @@ from .data import (
     planned_lowest,
     prior_slot_costs,
     require_int,
+    search,
     # no step calls it; perfbench's layer list names it in this module
     stack_sets,  # noqa: F401
     update_history_variable,
@@ -158,7 +158,7 @@ _CHUNK_POINTS = 2048
 #: Rows this long or longer are searched in strain order by every stage of
 #: the swap polish: the single sweep on windows, the others on blocks.
 _WINDOW_POINTS = 512
-#: K for rows searched in strain order: the sorted positions of a window.
+#: K for rows searched in strain order: the consecutive indices of a window.
 _WINDOW = 64
 
 
@@ -228,8 +228,8 @@ class _GainSearch:
         l_e, l_s = self.m2wc[r] * self.r_eps[r], self.m2w_c[r] * self.r_sig[r]
         return self.a_eps[r], self.a_sig[r], l_e, l_s, self.y_eps[r], self.w[r] * self.cur_cost[r]
 
-    def _value(self, r, pos, j):
-        """Gains of rows r at original indices j, for the block planner."""
+    def _value(self, r, j):
+        """Gains of rows r at indices j, for the block planner."""
         return self.at(r, j)[0]
 
     def _scan(self, r, k):
@@ -253,15 +253,14 @@ class _GainSearch:
         of :func:`~ddmech.data.plan_blocks`'s neighbour bound."""
         if not self.by_strain:
             return self._scan(r, k)
-        index = self.sets.strain_index()
         if plan is None:
-            plan = plan_blocks(index, r, self._terms(r), None, k, self._value)
-        return planned_lowest(index, r, plan, self._value, lambda rr: self._scan(rr, k), k)
+            plan = plan_blocks(self.sets.eps, r, self._terms(r), None, k, self._value)
+        return planned_lowest(self.n, r, plan, self._value, lambda rr: self._scan(rr, k), k)
 
     def open_windows(self, tol):
         """Places every row's candidate window and caches its terms: the
         whole row for sets shorter than ``_WINDOW_POINTS``, else ``_WINDOW``
-        sorted positions around the row's block at T = -tol."""
+        consecutive indices around the row's block at T = -tol."""
         s = self.sets
         m, n = s.eps.shape
         self.k = _WINDOW if self.by_strain else n
@@ -271,37 +270,35 @@ class _GainSearch:
         self.chunk = max(1, _CHUNK_POINTS // self.k)
         self.gain, self.lin = np.empty((self.chunk, self.k)), np.empty((self.chunk, self.k))
         if self.by_strain:
-            # the window's original indices, ascending, and their strains,
-            # stresses and costs
-            self.jwin = np.empty((m, self.k), dtype=np.intp)
+            # the window's first index, and its strains, stresses and costs
+            self.win_start = np.empty(m, dtype=np.intp)
             self.win_eps, self.win_sig = np.empty((m, self.k)), np.empty((m, self.k))
             self.win_cost = None if s.costs is None else np.empty((m, self.k))
             self.guards = np.empty((m, 2))
             every = np.arange(m)
-            lo, hi, _ = plan_blocks(s.strain_index(), every, self._terms(every), -tol)
+            lo, hi, _ = plan_blocks(s.eps, every, self._terms(every), -tol)
             self._place(every, lo, hi)
         else:
             self.win_eps, self.win_sig, self.win_cost = s.eps, s.sig, s.costs
         self.refresh(slice(None))
 
     def _place(self, r, lo, hi):
-        """Centres the windows of rows r on the sorted positions ``[lo,
-        hi)``, which a window then holds if they are at most K, and keeps
-        the strains just outside each window as its guards. A window holds
-        the original indices of its K positions in ascending order, so its
-        first minimum is the lowest index among its minima, as in a scan."""
-        s, index = self.sets, self.sets.strain_index()
-        n, k = self.n, self.k
+        """Centres the windows of rows r on the indices ``[lo, hi)``, which
+        a window then holds if they are at most K, and keeps the strains
+        just outside each window as its guards. A window holds K consecutive
+        indices in ascending order, so its first minimum is the lowest index
+        among its minima, as in a scan."""
+        s, n, k = self.sets, self.n, self.k
         rc = r[:, None]
         start = np.clip((lo + hi) // 2 - k // 2, 0, n - k)
-        j = np.sort(index.order[rc, start[:, None] + np.arange(k)], axis=1)
-        self.jwin[r] = j
+        j = start[:, None] + np.arange(k)
+        self.win_start[r] = start
         self.win_eps[r] = s.eps[rc, j]
         self.win_sig[r] = s.sig[rc, j]
         if s.costs is not None:
             self.win_cost[r] = s.costs[rc, j]
-        below = index.take(s.eps, np.maximum(start - 1, 0), r)
-        above = index.take(s.eps, np.minimum(start + k, n - 1), r)
+        below = s.eps[r, np.maximum(start - 1, 0)]
+        above = s.eps[r, np.minimum(start + k, n - 1)]
         self.guards[r, 0] = np.where(start > 0, below, -np.inf)
         self.guards[r, 1] = np.where(start + k < n, above, np.inf)
 
@@ -331,14 +328,14 @@ class _GainSearch:
         Returns ``{i: (j, v)}`` for the rows ``start + i`` whose block is
         longer than K or that must be scanned whole: the lowest gain v and
         its index j, from the planned block or the whole row."""
-        index, rows = self.sets.strain_index(), slice(start, stop)
-        e_lo, e_hi, ok, reach = block_ends(index, rows, self._terms(rows), -tol)
+        eps, rows = self.sets.eps, slice(start, stop)
+        e_lo, e_hi, ok, reach = block_ends(eps, rows, self._terms(rows), -tol)
         guards = self.guards[rows]
         out = np.flatnonzero(~(ok & (guards[:, 0] < e_lo) & (e_hi <= guards[:, 1])))
         if not out.size:
             return {}
         ends = (e_lo[out], e_hi[out], ok[out], reach[out])
-        lo, hi, scan = plan_blocks(index, start + out, None, ends)
+        lo, hi, scan = plan_blocks(eps, start + out, None, ends)
         fits = ~scan & (hi - lo <= self.k)
         if fits.any():
             self._place(start + out[fits], lo[fits], hi[fits])
@@ -386,7 +383,7 @@ class _GainSearch:
             return None, stop
         j = int(gain[i].argmin())
         if self.by_strain:
-            j = fallback[i][0] if i in fallback else int(self.jwin[start + i, j])
+            j = fallback[i][0] if i in fallback else int(self.win_start[start + i]) + j
         return (start + i, j), start + i + 1
 
 
@@ -437,10 +434,10 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     the chunk's mask, lies in the first row with a move, and that row's
     ``argmin`` is the scan's move. For sets shorter than ``_WINDOW_POINTS``
     the window is the whole row. For longer sets the window is ``_WINDOW``
-    = K consecutive positions of the row's strain order, centred on the
-    row's block at T = -tol by one
+    = K consecutive indices of the row, which ascends in strain, centred
+    on the row's block at T = -tol by one
     :func:`~ddmech.data.plan_blocks` of all rows when the polish starts. Its
-    guard strains are the sorted strains just outside it (-inf and +inf at
+    guard strains are the row's strains just outside it (-inf and +inf at
     the row's ends). Before a chunk is scored, each row's block ends at T =
     -tol are computed (:func:`~ddmech.data.block_ends`), without the search;
     the block lies in the window when its low end is above the low guard
@@ -453,10 +450,10 @@ def _swap_polish(sys, sets, f, g, y_eps0, y_sig0, assign0):
     the block and the block every candidate scoring at most -tol, so a row
     has a gain below -tol in its window exactly when it has one in its
     row, at the same minimizers; the first such row and its move are the
-    scan's. A window holds the original indices of its positions in
-    ascending order, so among equal gains its ``argmin`` takes the lowest
-    index, as a scan does. Chunks never change the sequential sweep: after
-    a move, scoring resumes at the next row with the updated residuals.
+    scan's. A window's indices ascend, so among equal gains its ``argmin``
+    takes the lowest index, as a scan does. Chunks never change the
+    sequential sweep: after a move, scoring resumes at the next row with
+    the updated residuals.
 
     **Block bound.** This is the one proof of the block search that the
     polish and the walk's association (:func:`~ddmech.data.batch_nearest`)
@@ -677,14 +674,7 @@ def _empirical_response_init(
         return None
     b = sys.b_free
     w = sys.weights
-    index = stacked.strain_index()
-
-    def strain_at(pos):
-        return index.take(stacked.eps, pos)
-
-    def stress_at(pos):
-        return index.take(stacked.sig, pos)
-
+    es, ss, rows = stacked.eps, stacked.sig, np.arange(stacked.eps.shape[0])
     k = min(4, (n - 1) // 2)
     c_ref = float(np.max(sys.c))
     # start from the metric-least-squares displacement fit of the predictor
@@ -694,22 +684,22 @@ def _empirical_response_init(
     best = None
     for _ in range(20):
         # nearest sampled strain; an exact tie goes to the lower neighbour
-        j = index.search(eps[:, None])[:, 0]
+        j = search(es, eps[:, None])[:, 0]
         above = np.minimum(j, n - 1)
         below = np.maximum(j - 1, 0)
-        lower = (j > 0) & (j < n) & (eps - strain_at(below) <= strain_at(above) - eps)
+        lower = (j > 0) & (j < n) & (eps - es[rows, below] <= es[rows, above] - eps)
         idx = np.where(lower, below, above)
-        sig_hat = stress_at(idx)
+        sig_hat = ss[rows, idx]
         r = f - b.T @ (w * sig_hat)
         res = float(np.linalg.norm(r)) / f_scale
         if best is None or res < best[0]:
-            best = (res, strain_at(idx), sig_hat)
+            best = (res, es[rows, idx], sig_hat)
         if res < 1e-10:
             break
         lo = np.maximum(idx - k, 0)
         hi = np.minimum(idx + k, n - 1)
-        de = strain_at(hi) - strain_at(lo)
-        dsg = stress_at(hi) - stress_at(lo)
+        de = es[rows, hi] - es[rows, lo]
+        dsg = ss[rows, hi] - ss[rows, lo]
         slope = np.where(de > 0.0, dsg / np.where(de > 0.0, de, 1.0), c_ref)
         slope = np.clip(slope, 1e-3 * c_ref, 1e3 * c_ref)
         du = sys.solve_tangent(w * slope, r)
@@ -1012,9 +1002,11 @@ def _stacked_step_sets(
     gives from the larger of the elastic step estimate and, for the standard
     linear solid, the creep the previous state would show over ``dt``. The
     strains are spaced evenly with the predicted strain a sample, perturbed
-    uniformly within ``band_width`` when it is positive. Stresses are the one-step response of the law to each
-    strain: the response line over ``dt`` (``dt=None``: the instantaneous
-    limit of a suddenly applied first step) for the standard linear solid,
+    uniformly within ``band_width`` when it is positive, and each row is
+    then sorted in place, so every row ascends in strain. Stresses are the
+    one-step response of the law to each strain: the response line over
+    ``dt`` (``dt=None``: the instantaneous limit of a suddenly applied first
+    step) for the standard linear solid,
     and for plasticity the return map from the internal variable recovered
     from the previous state alone, ``q = ((e0+e1) eps_k - sig_k) / e1``,
     with the accumulated slip ``q_acc``. Every element's noise stream is
@@ -1045,6 +1037,7 @@ def _stacked_step_sets(
                 np.random.SeedSequence([int(g.rng_seed), int(step), int(e)])
             )
             eps[e] += rng.uniform(-0.5 * g.band_width, 0.5 * g.band_width, n)
+    eps.sort(axis=1)
     if ab is not None:
         a, b = ab
         np.multiply(b, eps, out=sig)
@@ -1085,11 +1078,12 @@ def _march(
 ) -> Trajectory:
     """The step loop of both marches.
 
-    ``sets`` is the march's one (M, n) stack of data sets. ``draw(k, dt,
-    est, eps_prev, sig_prev, q_acc)`` writes step k's sets into it, from
-    the step's time increment (None on the first step), its elastic strain
-    estimate and the previously accepted strain, stress and accumulated
-    slip. No row may be padded, as the response init's strain-order lookups
+    ``sets`` is the march's one (M, n) stack of data sets, every row
+    ascending in strain. ``draw(k, dt, est, eps_prev, sig_prev, q_acc)``
+    writes step k's sets into it, from the step's time increment (None on
+    the first step), its elastic strain estimate and the previously
+    accepted strain, stress and accumulated slip, and keeps every row
+    sorted. No row may be padded, as the response init's lookups by strain
     would read the padding.
 
     Each step is solved once, from one of two starts: the predicted start,
@@ -1176,8 +1170,7 @@ def time_march(
     (rate-free) response so a suddenly applied load or displacement yields
     the correct initial state. Each step is solved once, from the better of
     two warm starts (see :func:`_march`). Every step's sets are drawn into
-    one (M, n) stack, whose strain index, once a search has built it, is
-    sorted again for each step's strains.
+    one (M, n) stack, each row sorted in place by the draw.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)
@@ -1189,8 +1182,6 @@ def time_march(
 
     def draw(k, dt, est, eps_prev, sig_prev, q_acc):
         _stacked_step_sets(generator, eps_prev, sig_prev, q_acc, est, dt, k, sets)
-        if sets.index is not None:
-            sets.index.sort()
 
     return _march(system, gm, loads, t_grid, cfg, sets, draw, plastic_law)
 
@@ -1211,9 +1202,9 @@ def history_matching_march(
     ``archive``, with the prior-slot mismatch (against the previously
     accepted state) added as a fidelity cost; nothing is regenerated, so
     the archives can be sampled entirely offline. The archive must hold one
-    row per bar (``ValueError`` naming both counts). Its current slots are
-    the march's stack as they are, uncopied, and its strain index is sorted
-    once; every step's draw writes the stack's (M, n) cost rows.
+    row per bar (``ValueError`` naming both counts). Its current slots,
+    stored in strain order, are the march's stack as they are, uncopied;
+    every step's draw writes only the stack's (M, n) cost rows.
     """
     cfg = cfg or SolverConfig()
     t_grid = _check_times(times)

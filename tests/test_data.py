@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from ddmech import data as data_module
+from ddmech import experiments
 from ddmech.data import (
     GeneratorSpec,
     HistoryRepository,
     StackedSets,
-    StrainIndex,
     WindowRule,
     batch_nearest,
     history_cost_dataset,
     prior_slot_costs,
     scan_nearest,
+    search,
     stack_sets,
     update_history_variable,
 )
@@ -62,16 +63,32 @@ def two_slot_nearest(current, prior, h, e, c):
     return int(np.argmin(d2(h.eps_cur, h.sig_cur, current) + d2(h.eps_prev, h.sig_prev, prior)))
 
 
-#: Indices of the two tied points of every row of the "ties" stack.
+#: Given indices of the two tied points of every row of the "ties" stack.
 TIE_LOW, TIE_HIGH = 100, 5000
+
+
+def strain_rank(eps):
+    """The stable strain rank of every entry of the row ``eps``: the index
+    at which a stack stores it."""
+    return np.argsort(np.argsort(eps, kind="stable"), kind="stable")
+
+
+def sorted_stack(eps, sig, costs=None):
+    """The (M, n) rows as one stack, each row sorted stably by strain with
+    its stresses and costs permuted alike, as :func:`stack_sets` stores
+    them."""
+    order = np.argsort(eps, axis=1, kind="stable")
+    return StackedSets(
+        *(None if a is None else np.take_along_axis(a, order, 1) for a in (eps, sig, costs))
+    )
 
 
 def sorted_search_stacks(rng):
     """Stacks large enough for the sorted search, by name, each as
-    ``(eps_rows, sig_rows, costs, queries)``: near, far and on-data queries
-    without and with fidelity costs (some large enough to move the winner),
-    duplicated strains with different stresses and exact duplicates, exact
-    ties, and one-point rows."""
+    ``(stacked, queries)``: near, far and on-data queries without and with
+    fidelity costs (some large enough to move the winner), duplicated
+    strains with different stresses and exact duplicates, exact ties, and
+    one-point rows."""
     m = 8
     n = data_module._SORTED_SEARCH_MIN_SIZE // m + 17
     eps_rows = rng.normal(size=(m, n))
@@ -85,28 +102,44 @@ def sorted_search_stacks(rng):
     half = n // 2
     dup_eps[:, half : 2 * half] = dup_eps[:, :half]
     dup_sig[:, half : 2 * half] = dup_sig[:, :half]
-    # exact ties symmetric about the query: strains x -+ 0.5, equal stress,
-    # with the lower index on the left in even rows and on the right in odd
-    # rows; the lowest index must win
+    # exact ties about the query (0, 0), stored at indices 0 and 1: in even
+    # rows at one strain, stresses -+1, the lower given index at +1, which
+    # the stable sort keeps first; in odd rows at strains -+0.5 and equal
+    # stress, the lower given index at +0.5, which the sort puts second.
+    # The lowest stored index must win.
+    rows = np.arange(m)
+    even = rows % 2 == 0
     tie_eps = rng.uniform(10.0, 20.0, (m, n))
-    lo_j = TIE_LOW + np.arange(m)
-    hi_j = TIE_HIGH + np.arange(m)
-    left = np.where(np.arange(m) % 2 == 0, lo_j, hi_j)
-    right = np.where(np.arange(m) % 2 == 0, hi_j, lo_j)
-    tie_eps[np.arange(m), left] = -0.5
-    tie_eps[np.arange(m), right] = 0.5
+    tie_sig = np.zeros((m, n))
+    tie_eps[rows, TIE_LOW] = np.where(even, 0.0, 0.5)
+    tie_eps[rows, TIE_HIGH] = np.where(even, 0.0, -0.5)
+    tie_sig[rows, TIE_LOW] = np.where(even, 1.0, 0.0)
+    tie_sig[rows, TIE_HIGH] = np.where(even, -1.0, 0.0)
     ones = data_module._SORTED_SEARCH_MIN_SIZE
     one_eps = rng.normal(size=(ones, 1))
     return {
-        "plain": (eps_rows, sig_rows, None, near + far + on_data),
-        "costed": (eps_rows, sig_rows, costs, near + far + on_data),
-        "duplicated": (dup_eps, dup_sig, None, near + far),
-        "duplicated-costed": (dup_eps, dup_sig, np.round(costs), near + far),
-        "ties": (tie_eps, np.zeros((m, n)), None, [(np.zeros(m), np.zeros(m))]),
+        "plain": (sorted_stack(eps_rows, sig_rows), near + far + on_data),
+        "costed": (sorted_stack(eps_rows, sig_rows, costs), near + far + on_data),
+        "duplicated": (sorted_stack(dup_eps, dup_sig), near + far),
+        "duplicated-costed": (sorted_stack(dup_eps, dup_sig, np.round(costs)), near + far),
+        "ties": (sorted_stack(tie_eps, tie_sig), [(np.zeros(m), np.zeros(m))]),
         "one-point": (
-            one_eps, one_eps * 3.0, None, [(rng.normal(size=ones), rng.normal(size=ones))]
+            StackedSets(one_eps, one_eps * 3.0, None),
+            [(rng.normal(size=ones), rng.normal(size=ones))],
         ),
     }
+
+
+class PlanLog:
+    """The plans :func:`~ddmech.data.plan_blocks` returns, in call order:
+    a sorted search ran when the log is not empty."""
+
+    def __init__(self, monkeypatch):
+        self.plans = []
+        plan = data_module.plan_blocks
+        monkeypatch.setattr(
+            data_module, "plan_blocks", lambda *a: self.plans.append(plan(*a)) or self.plans[-1]
+        )
 
 
 class TestLocalDataSet:
@@ -165,10 +198,12 @@ class TestBatchSearch:
 
     def test_stack_pads_ragged_sets(self, rng):
         """Shorter sets are padded to the longest: each padded entry repeats
-        its row's last point with cost +inf, and ``lengths`` keeps the true
-        sizes; equal sets without costs stack with no costs and no lengths."""
+        its row's last point, its largest strain, with cost +inf, and
+        ``lengths`` keeps the true sizes; equal sets without costs stack
+        with no costs and no lengths. The rows are given in strain order, as
+        the stack stores them."""
         sizes = (3, 5, 1)
-        eps = [rng.normal(size=n) for n in sizes]
+        eps = [np.sort(rng.normal(size=n)) for n in sizes]
         sig = [rng.normal(size=n) for n in sizes]
         stacked = stack_sets(eps, sig, [np.ones(3), None, None])
         assert stacked.eps.shape == stacked.sig.shape == stacked.costs.shape == (3, 5)
@@ -187,9 +222,10 @@ class TestBatchSearch:
         with pytest.raises(ValueError, match="at least one"):
             stack_sets([], [])
 
-    def test_batch_matches_per_element_nearest(self, rng):
-        """batch_nearest equals a scan of each set element by element on
-        small sets, and equals the full scan on sets large enough for the
+    def test_batch_matches_per_element_nearest(self, rng, monkeypatch):
+        """batch_nearest equals a scan of each given set element by element
+        on small sets, at the index where the stack stores the scan's
+        winner, and equals the full scan on sets large enough for the
         strain-sorted search."""
         m = 5
         n = 40
@@ -203,46 +239,50 @@ class TestBatchSearch:
             sig = rng.normal(size=m) * 50.0
             idx = batch_nearest(eps, sig, stacked, gm.c_diag, gm.c_inv_diag)
             for e in range(m):
-                assert idx[e] == scan_one(eps_rows[e], sig_rows[e], eps[e], sig[e], c[e])
+                j = scan_one(eps_rows[e], sig_rows[e], eps[e], sig[e], c[e])
+                assert idx[e] == strain_rank(eps_rows[e])[j]
 
-        def check(eps_rows, sig_rows, costs, queries):
-            stacked = StackedSets(eps_rows, sig_rows, costs)
-            rows = eps_rows.shape[0]
-            assert eps_rows.size >= data_module._SORTED_SEARCH_MIN_SIZE
+        def check(stacked, queries):
+            log = PlanLog(monkeypatch)
+            rows = stacked.eps.shape[0]
+            assert stacked.eps.size >= data_module._SORTED_SEARCH_MIN_SIZE
             c = rng.uniform(10.0, 1000.0, rows)
             for eps, sig in queries:
                 got = batch_nearest(eps, sig, stacked, c, 1.0 / c)
                 assert np.array_equal(got, scan_nearest(eps, sig, stacked, c, 1.0 / c))
-            assert stacked.index is not None  # the sorted path ran
+            assert log.plans  # the sorted path ran
             return got
 
-        for name, stack in sorted_search_stacks(rng).items():
-            got = check(*stack)
+        for name, (stacked, queries) in sorted_search_stacks(rng).items():
+            got = check(stacked, queries)
             if name == "ties":
-                assert np.array_equal(got, TIE_LOW + np.arange(got.size))
+                rows = np.arange(got.size)
+                assert np.all(got == 0)
+                assert np.all(np.where(rows % 2 == 0, stacked.sig[:, 0] == 1.0,
+                                       stacked.eps[:, 0] == -0.5))
             if name == "one-point":
                 assert np.all(got == 0)
 
-    def test_hint_keeps_the_scan_result(self, rng):
+    def test_hint_keeps_the_scan_result(self, rng, monkeypatch):
         """With a hint per row, the sorted search still equals the scan on
         every stack of :func:`sorted_search_stacks`: for the scan's winner,
         the row's worst point, random points and, on the tie stack, the
         tied point of higher index, whose value bounds the lower one
         exactly."""
-        for name, (eps_rows, sig_rows, costs, queries) in sorted_search_stacks(rng).items():
-            stacked = StackedSets(eps_rows, sig_rows, costs)
-            m, n = eps_rows.shape
+        for name, (stacked, queries) in sorted_search_stacks(rng).items():
+            log = PlanLog(monkeypatch)
+            m, n = stacked.eps.shape
             c = rng.uniform(10.0, 1000.0, m)
             for eps, sig in queries:
                 expect = scan_nearest(eps, sig, stacked, c, 1.0 / c)
                 d2 = data_module._scan_d2(stacked, slice(None), eps, sig, c, 1.0 / c)
                 hints = [expect, d2.argmax(axis=1), rng.integers(0, n, m)]
                 if name == "ties":
-                    hints.append(TIE_HIGH + np.arange(m))
+                    hints.append(np.ones(m, dtype=np.intp))
                 for hint in hints:
                     got = batch_nearest(eps, sig, stacked, c, 1.0 / c, hint)
                     assert np.array_equal(got, expect)
-            assert stacked.index is not None  # the sorted path ran
+            assert log.plans  # the sorted path ran
 
     def test_non_finite_query_is_scanned(self, rng, monkeypatch):
         """A NaN or infinite query row among finite rows, on a stack large
@@ -250,7 +290,7 @@ class TestBatchSearch:
         search sees it (``lowest`` finds no index among NaN values)."""
         m = 8
         n = data_module._SORTED_SEARCH_MIN_SIZE // m + 17
-        eps_rows = rng.normal(size=(m, n))
+        eps_rows = np.sort(rng.normal(size=(m, n)), axis=1)
         stacked = StackedSets(
             eps_rows, 100.0 * eps_rows + rng.normal(size=(m, n)), rng.uniform(0.0, 50.0, (m, n))
         )
@@ -278,12 +318,11 @@ class TestBatchSearch:
         n = data_module._SORTED_SEARCH_MIN_SIZE // m + 17
         rows = np.arange(m)
         c = np.full(m, 100.0)
-        eps_rows = rng.uniform(0.0, 1.0, (m, n))
+        eps_rows = np.sort(rng.uniform(0.0, 1.0, (m, n)), axis=1)
         sig_rows = c[:, None] * eps_rows + rng.normal(scale=1e-4, size=(m, n))
         costs = rng.uniform(0.0, 1e-6, (m, n))
-        order = np.argsort(eps_rows, axis=1)
         at = rng.integers(n // 4, 3 * n // 4, m)
-        below, above = order[rows, at - 1], order[rows, at]
+        below, above = at - 1, at
         costs[rows, below] = 0.0
         costs[rows, above] = 1.0
         eps = 0.5 * (eps_rows[rows, below] + eps_rows[rows, above])
@@ -322,12 +361,11 @@ class TestBatchSearch:
         n = data_module._SORTED_SEARCH_MIN_SIZE // m + 17
         rows = np.arange(m)
         c = np.full(m, 100.0)
-        eps_rows = rng.uniform(0.0, 1.0, (m, n))
+        eps_rows = np.sort(rng.uniform(0.0, 1.0, (m, n)), axis=1)
         sig_rows = c[:, None] * eps_rows + rng.normal(scale=1e-4, size=(m, n))
         costs = rng.uniform(0.0, 1e-6, (m, n))
-        order = np.argsort(eps_rows, axis=1)
         at = rng.integers(n // 4, 3 * n // 4, m)
-        below, above = order[rows, at - 1], order[rows, at]
+        below, above = at - 1, at
         costs[rows, below] = costs[rows, above] = 1.0
         eps = 0.5 * (eps_rows[rows, below] + eps_rows[rows, above])
         sig = c * eps
@@ -356,34 +394,19 @@ class TestBatchSearch:
         assert np.all(length(np.minimum(d2(below), d2(above))) > n // 8)
 
     def test_row_search_equals_searchsorted(self, rng):
-        """StrainIndex.search gives np.searchsorted's left position per row,
-        for repeated strains, values on data, infinities and NaN."""
+        """search gives np.searchsorted's left position per ascending row,
+        for repeated strains, values on data, infinities and NaN, and for
+        the rows given by ``rows``."""
         for n in (1, 2, 3, 7, 64, 1000):
             strains = rng.normal(size=(5, n))
             strains[:, : n // 2] = np.round(strains[:, : n // 2], 1)
-            index = StrainIndex(strains)
+            strains.sort(axis=1)
             specials = np.tile([np.nan, np.inf, -np.inf], (5, 1))
             x = np.concatenate([rng.normal(size=(5, 20)), strains[:, :3], specials], axis=1)
-            expect = [np.searchsorted(index.eps[e], x[e]) for e in range(5)]
-            assert np.array_equal(index.search(x), np.array(expect))
-
-    def test_index_holds_the_order_only(self, rng):
-        """The strains read through ``order`` are ``np.sort`` of every row,
-        ties included, and ``order`` is ``np.argsort``'s. The index holds no
-        (M, n) float array of its own: its one float array is the strains
-        it sorts, uncopied. Strains rewritten in place and sorted again
-        read as the new rows' sort."""
-        strains = rng.integers(0, 40, size=(9, 300)).astype(float)
-        index = StrainIndex(strains)
-        for _ in range(2):
-            assert np.array_equal(index.order, np.argsort(strains, axis=1))
-            through = index.take(strains, np.tile(np.arange(300), (9, 1)))
-            assert np.array_equal(through, np.sort(strains, axis=1))
-            held = [getattr(index, name) for name in StrainIndex.__slots__]
-            floats = [a for a in held if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
-            assert len(floats) == 1 and floats[0] is strains
-            strains[...] = rng.normal(size=strains.shape)
-            index.sort()
+            expect = np.array([np.searchsorted(strains[e], x[e]) for e in range(5)])
+            assert np.array_equal(search(strains, x), expect)
+            rows = np.array([4, 1, 1])
+            assert np.array_equal(search(strains, x[rows], rows), expect[rows])
 
 
 def loop_lowest(values, idx, k):
@@ -760,3 +783,138 @@ class TestHistoryRepository:
                 prior_slot_costs(h, huge, gm)
             with pytest.raises(ValueError, match="set 0: .*finite and nonn"):
                 history_cost_dataset(h, 0, 1e200, 0.0, moduli[0])
+
+
+def build_order_archive(law, ec0, blocks):
+    """The four slots of ``experiments._two_time_archive``'s archive in
+    build order, each row the virgin pairs and then every block's priors,
+    prior by prior, each paired with the whole current grid: the layout the
+    builders wrote before rows were stored in strain order."""
+    (m, c), p = ec0.shape, blocks[0][0].shape[1] if blocks else 0
+    slots = [np.empty((m, c * (1 + len(blocks) * p))) for _ in range(4)]
+    eps_prev, sig_prev, eps_cur, sig_cur = slots
+    eps_prev[:, :c] = sig_prev[:, :c] = 0.0
+    eps_cur[:, :c] = ec0
+    sig_cur[:, :c] = law.modulus_instantaneous * ec0
+    p_eps, p_sig, c_eps, c_sig = (a[:, c:].reshape(m, len(blocks), p, c) for a in slots)
+    for k, (pe, ps, ec, dt) in enumerate(blocks):
+        a, b = sls_affine_coefficients(pe, ps, law, dt)
+        p_eps[:, k] = pe[:, :, None]
+        p_sig[:, k] = ps[:, :, None]
+        c_eps[:, k] = ec[:, None, :]
+        np.add(a[:, :, None], b * ec[:, None, :], out=c_sig[:, k])
+    return slots
+
+
+SLOTS = ("eps_prev", "sig_prev", "eps_cur", "sig_cur")
+
+
+class TestStrainOrder:
+    """Every writer of a stack stores each row ascending in strain, with
+    every other slot permuted alike."""
+
+    def test_stack_sets_sorts_rows_stably(self, rng):
+        """Shuffled ragged rows with repeated strains stack as their stable
+        sort by strain, stresses and costs permuted alike: the stack equals
+        the stack of the sorted rows, whose rows it keeps as given."""
+        sizes = (7, 300, 1, 64)
+        eps = [np.round(rng.normal(size=n), 1) for n in sizes]
+        sig = [rng.normal(size=n) for n in sizes]
+        costs = [rng.uniform(0.0, 1.0, n) if e % 2 else None for e, n in enumerate(sizes)]
+        stacked = stack_sets(eps, sig, costs)
+        orders = [np.argsort(a, kind="stable") for a in eps]
+        by_strain = stack_sets(
+            [a[o] for a, o in zip(eps, orders)],
+            [a[o] for a, o in zip(sig, orders)],
+            [None if a is None else a[o] for a, o in zip(costs, orders)],
+        )
+        assert np.all(np.diff(stacked.eps, axis=1) >= 0.0)
+        assert any(np.any(np.diff(a) == 0.0) for a in eps)
+        for name in ("eps", "sig", "costs", "lengths"):
+            assert np.array_equal(getattr(stacked, name), getattr(by_strain, name))
+        for e, (n, o) in enumerate(zip(sizes, orders)):
+            assert np.array_equal(by_strain.eps[e, :n], eps[e][o])
+            assert np.array_equal(by_strain.sig[e, :n], sig[e][o])
+            if costs[e] is not None:
+                assert np.array_equal(by_strain.costs[e, :n], costs[e][o])
+
+    def test_history_repository_sorts_rows_stably(self, rng):
+        """Archive rows given out of strain order are sorted stably by the
+        current strains, every slot alike, into copies, and the given
+        arrays are left as they were; rows given in order are kept, and
+        float64 input is then not copied."""
+        shape = (3, 200)
+        given = [rng.normal(size=shape) for _ in range(4)]
+        given[2] = np.round(given[2], 1)
+        given[2][1].sort()
+        kept = [a.copy() for a in given]
+        h = HistoryRepository(*given)
+        order = np.argsort(given[2], axis=1, kind="stable")
+        for name, a, b in zip(SLOTS, given, kept):
+            assert np.array_equal(a, b) and a.flags.writeable
+            assert not np.shares_memory(getattr(h, name), a)
+            assert np.array_equal(getattr(h, name), np.take_along_axis(a, order, 1))
+        again = HistoryRepository(*(getattr(h, name) for name in SLOTS))
+        for name in SLOTS:
+            assert np.shares_memory(getattr(again, name), getattr(h, name))
+
+    @pytest.mark.parametrize("law", [SLS, PLASTIC], ids=["sls", "plastic"])
+    def test_draw_sorts_each_row_in_place(self, law, rng):
+        """A noisy draw into a march's stack writes every row's strains
+        sorted, as ``np.sort`` of the noisy grid drawn from (seed, step,
+        element), into the stack's own arrays, and the stresses of the
+        sorted strains."""
+        m, n, hw, band, step = 3, 512, 2e-3, 4e-4, 2
+        eps_prev = rng.normal(scale=1e-3, size=m)
+        sig_prev = rng.normal(scale=400.0, size=m)
+        est = rng.normal(scale=1e-4, size=m)
+        g = GeneratorSpec(
+            law=law, n_points=n, band_width=band, window=WindowRule(halfwidth=hw), rng_seed=9
+        )
+        out = StackedSets(np.empty((m, n)), np.empty((m, n)), None)
+        arrays = (out.eps, out.sig)
+        d = _stacked_step_sets(g, eps_prev, sig_prev, np.zeros(m), est, 1.0, step, out)
+        assert d.eps is arrays[0] and d.sig is arrays[1]
+        grid = (np.arange(n) - n // 2) * (hw / (n // 2))
+        for e in range(m):
+            row = (eps_prev[e] + est[e]) + grid
+            noise = np.random.default_rng(np.random.SeedSequence([9, step, e]))
+            row += noise.uniform(-0.5 * band, 0.5 * band, n)
+            assert np.any(np.diff(row) < 0.0)
+            assert np.array_equal(out.eps[e], np.sort(row))
+        again = draw_sets(g, eps_prev, sig_prev, est, step=step)
+        assert np.array_equal(again.eps, out.eps) and np.array_equal(again.sig, out.sig)
+
+    def test_archive_builders_write_rows_in_strain_order(self, monkeypatch):
+        """The truss and relaxation archives equal their build-order slots
+        sorted stably by current strain, bit for bit."""
+        built = []
+        archive = experiments._two_time_archive
+
+        def recorded(law, ec0, blocks):
+            built.append(build_order_archive(law, ec0, blocks))
+            return archive(law, ec0, blocks)
+
+        monkeypatch.setattr(experiments, "_two_time_archive", recorded)
+        mesh, gm, loads, times = experiments.small_truss_fixture(t_end=4.0)
+        archives = [
+            experiments.build_truss_repositories(
+                mesh, gm, SLS, loads, times, n_prior_strain=3, n_prior_offset=5, n_current=9
+            ),
+            experiments.build_relaxation_repository(SLS, 0.01, 1.0, n_prior=1001),
+        ]
+        for h, slots in zip(archives, built):
+            order = np.argsort(slots[2], axis=1, kind="stable")
+            assert np.any(np.diff(order, axis=1) != 1)  # the build order is not sorted
+            for name, a in zip(SLOTS, slots):
+                assert np.array_equal(getattr(h, name), np.take_along_axis(a, order, 1))
+
+    def test_archive_ties_keep_their_key_order(self):
+        """Equal current strains keep the order of their keys: the virgin
+        pairs, then block by block and column by column, each key's run of
+        priors in order."""
+        pe = np.zeros((1, 3))
+        ps = np.array([[1.0, 2.0, 3.0]])
+        h = experiments._two_time_archive(SLS, np.zeros((1, 2)), [(pe, ps, np.zeros((1, 2)), 1.0)])
+        assert h.eps_cur.tolist() == [[0.0] * 8]
+        assert h.sig_prev.tolist() == [[0.0, 0.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0]]

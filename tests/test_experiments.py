@@ -157,6 +157,31 @@ def test_output_digest_is_reproducible():
     assert tool.digest(["oracle-check", "--runs", "2"], None) == first
 
 
+def test_output_digest_drops_the_assignment_column(tmp_path):
+    """A CSV with an ``assignment`` column gets a second digest, equal to
+    that of the same CSV written without the column; a CSV without one
+    gets one digest."""
+    spec = importlib.util.spec_from_file_location("output_digest", TOOLS / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    rows = [(0.5, 1, 2.5e-3, 7, ""), (1.0, 0, -1.25, 12, "a,b")]
+    data.write_csv(tmp_path / "with.csv", ["time", "element", "strain", "assignment", "x"], rows)
+    data.write_csv(
+        tmp_path / "without.csv", ["time", "element", "strain", "x"],
+        [r[:3] + r[4:] for r in rows],
+    )
+    data.write_csv(tmp_path / "renumbered.csv", ["time", "element", "strain", "assignment", "x"],
+                   [r[:3] + (r[3] + 1,) + r[4:] for r in rows])
+    with_col = tool.csv_digests(tmp_path / "with.csv")
+    without = tool.csv_digests(tmp_path / "without.csv")
+    renumbered = tool.csv_digests(tmp_path / "renumbered.csv")
+    assert list(with_col) == ["with.csv", "with.csv without assignment"]
+    assert list(without) == ["without.csv"]
+    assert with_col["with.csv without assignment"] == without["without.csv"]
+    assert renumbered["renumbered.csv without assignment"] == without["without.csv"]
+    assert renumbered["renumbered.csv"] != with_col["with.csv"]
+
+
 def test_command_timing_records_time_exit_code_and_digests(tmp_path, monkeypatch):
     """``tools/command_timing.py`` writes each command's wall time, exit
     code and CSV digests; a failing command is recorded, not raised; labels

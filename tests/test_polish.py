@@ -287,14 +287,38 @@ def random_sets(rng, sys, sizes, *, costs=False, duplicates=False, spread=1.0):
     return eps_list, sig_list, cost_list
 
 
+def strain_rank(eps):
+    """The stable strain rank of every entry of the row ``eps``: the index
+    at which a stack stores it."""
+    return np.argsort(np.argsort(eps, kind="stable"), kind="stable")
+
+
+def stored_rows(sets, eps_list, cost_list):
+    """The real entries of every row of ``sets``, stacked from the rows
+    ``eps_list`` with costs ``cost_list``, as lists: the rows in the order
+    the stack stores them, ascending in strain."""
+    sizes = [a.size for a in eps_list]
+    return (
+        [sets.eps[e, :n] for e, n in enumerate(sizes)],
+        [sets.sig[e, :n] for e, n in enumerate(sizes)],
+        [None if c is None else sets.costs[e, :n]
+         for e, (c, n) in enumerate(zip(cost_list, sizes))],
+    )
+
+
 def both_polishes(rng, sys, eps_list, sig_list, cost_list, force=1.0):
+    """The polish of the stacked rows and the reference loop's, on the rows
+    as the stack stores them, from one random point of every row, given by
+    its index in ``eps_list``."""
     m = sys.n_elements
     f = rng.normal(size=sys.n_free) * 20.0 * force
     g = rng.normal(size=m) * 1e-3
-    assign0 = np.array([rng.integers(0, a.size) for a in eps_list], dtype=np.int64)
+    given = [rng.integers(0, a.size) for a in eps_list]
+    assign0 = np.array([strain_rank(a)[j] for a, j in zip(eps_list, given)], dtype=np.int64)
+    sets = stack_sets(eps_list, sig_list, cost_list)
+    eps_list, sig_list, cost_list = stored_rows(sets, eps_list, cost_list)
     y_eps0 = np.array([eps_list[e][j] for e, j in enumerate(assign0)])
     y_sig0 = np.array([sig_list[e][j] for e, j in enumerate(assign0)])
-    sets = stack_sets(eps_list, sig_list, cost_list)
     if sets.lengths is None:
         ref_costs = [None] * m if sets.costs is None else list(sets.costs)
     else:
@@ -315,10 +339,10 @@ class PlanCounter:
         self.blocked = self.empty = self.long = self.uncertified = 0
         plan = solver.plan_blocks
 
-        def counted(index, *args):
-            lo, hi, scan = plan(index, *args)
+        def counted(eps, *args):
+            lo, hi, scan = plan(eps, *args)
             length = hi - lo
-            long = length > data_module._MAX_BLOCK_SHARE * index.order.shape[1]
+            long = length > data_module._MAX_BLOCK_SHARE * eps.shape[1]
             self.blocked += int(np.sum(~scan & (length > 0)))
             self.empty += int(np.sum(~scan & (length == 0)))
             self.long += int(np.sum(scan & long))
@@ -391,9 +415,9 @@ class TestPolishEquivalence:
             assert (got is None) == (expect is None)
             if got is not None:
                 rows = np.arange(sys.n_elements)
-                eps, sig = np.stack(eps_list), np.stack(sig_list)
-                assert np.array_equal(eps[rows, got], eps[rows, expect])
-                assert np.array_equal(sig[rows, got], sig[rows, expect])
+                stored = stack_sets(eps_list, sig_list, cost_list)
+                assert np.array_equal(stored.eps[rows, got], stored.eps[rows, expect])
+                assert np.array_equal(stored.sig[rows, got], stored.sig[rows, expect])
 
     @pytest.mark.parametrize(
         "largest",
@@ -646,23 +670,23 @@ class TestWindows:
         assert {"left": counter.replaced, "long": counter.long, "ragged": np.ptp(sizes)}[case] > 0
 
     def test_equal_gains_go_to_the_lowest_index(self):
-        """Every point is stored twice, at i and i + half, in rows of twice
-        ``_WINDOW_POINTS`` and of twice ``_CHUNK_POINTS``; where the strain
-        order puts the higher copy first, a window's first minimum is not
-        the scan's. Ranks come in pairs, so no top-6 list breaks a tie at
-        its last place, and the indices must agree exactly."""
+        """Every point is given twice, at i and i + half, in rows of twice
+        ``_WINDOW_POINTS`` and of twice ``_CHUNK_POINTS``; the stack stores
+        the two copies at adjacent indices, so every window and block holds
+        exact ties, and its first minimum must be the lower copy, as the
+        scan's is. Ranks come in pairs, so no top-6 list breaks a tie at its
+        last place, and the indices must agree exactly."""
         rng = np.random.default_rng(45)
         for half in (solver._WINDOW_POINTS, solver._CHUNK_POINTS):
-            flipped = 0
             for _ in range(3):
                 sys = polish_truss(rng)
                 eps_list, sig_list, cost_list = random_sets(rng, sys, [half] * sys.n_elements)
                 eps_list = [np.concatenate([a, a]) for a in eps_list]
                 sig_list = [np.concatenate([a, a]) for a in sig_list]
-                index = StackedSets(np.stack(eps_list), np.stack(sig_list), None).strain_index()
-                flipped += int(np.sum(index.order[:, :-1] == index.order[:, 1:] + half))
+                stored = stack_sets(eps_list, sig_list)
+                for a in (stored.eps, stored.sig):
+                    assert np.array_equal(a[:, 0::2], a[:, 1::2])
                 assert_same(*both_polishes(rng, sys, eps_list, sig_list, cost_list))
-            assert flipped > 0
 
     @pytest.mark.parametrize("n", [511, 512])
     def test_windows_from_512_points(self, n, monkeypatch):
@@ -714,9 +738,10 @@ class TestWindows:
         rng = np.random.default_rng(46)
         sys = polish_truss(rng, special=False)
         m, rows = sys.n_elements, np.arange(sys.n_elements)
-        eps = rng.normal(scale=0.01, size=(m, 4096))
-        sig = sys.c[:, None] * (eps + rng.normal(scale=4e-5, size=(m, 4096)))
-        sets = StackedSets(eps, sig, None)
+        given = rng.normal(scale=0.01, size=(m, 4096))
+        sig = sys.c[:, None] * (given + rng.normal(scale=4e-5, size=(m, 4096)))
+        sets = stack_sets(list(given), list(sig))
+        eps, sig = sets.eps, sets.sig
         f = rng.normal(size=sys.n_free) * 20.0
         g = rng.normal(size=m) * 1e-3
 
@@ -724,10 +749,9 @@ class TestWindows:
             y0 = (eps[rows, assign0], sig[rows, assign0])
             return polish_fn(sys, *(lists or (sets,)), f, g, *y0, assign0)
 
-        polished = polish(rng.integers(0, 4096, m))
-        order = sets.strain_index().order
-        pos = np.argsort(order, axis=1)[rows, polished] + rng.choice([-3, 3], m)
-        start = order[rows, np.clip(pos, 0, 4095)]
+        first = rng.integers(0, 4096, m)
+        polished = polish(np.array([strain_rank(a)[j] for a, j in zip(given, first)]))
+        start = np.clip(polished + rng.choice([-3, 3], m), 0, 4095)
         counter = MoveCounter(monkeypatch)
         got = polish(start)
         assert counter.moves >= m
@@ -799,7 +823,7 @@ class TestBlockSearch:
         m, n = sys.n_elements, 4096
         rows = np.arange(m)
         for _ in range(10):
-            # strains at least 0.6 spacings apart, in random order, with the
+            # strains at least 0.6 spacings apart, given in random order, with the
             # current point a hair off zero: the block centre is then almost
             # all alpha, and rounding it loses the point's tiny strain
             step = rng.uniform(1e-4, 1e-2)
@@ -810,8 +834,9 @@ class TestBlockSearch:
             eps -= eps[rows, assign][:, None]
             eps += rng.choice([-1.0, 1.0], (m, 1)) * 1e-20 * step
             sig = sys.c[:, None] * (eps + rng.normal(scale=1e-3, size=(m, n)))
-            sets = StackedSets(eps, sig, None)
-            y_eps, y_sig = eps[rows, assign], sig[rows, assign]
+            sets = stack_sets(list(eps), list(sig))
+            assign = np.array([strain_rank(a)[j] for a, j in zip(eps, assign)])
+            y_eps, y_sig = sets.eps[rows, assign], sets.sig[rows, assign]
             # the block centre of a strain-only bar is its point plus r_eps:
             # less than 0.3 spacings off, so the point stays its minimizer
             r_eps = rng.uniform(-0.25, 0.25, m) * step
@@ -822,7 +847,7 @@ class TestBlockSearch:
             gain = gs.rows(slice(0, m))
             for k in (6, 5, 1):
                 if k == 1:  # the argmin on the T = 0 bound
-                    plan = solver.plan_blocks(sets.strain_index(), rows, gs._terms(rows), 0.0)
+                    plan = solver.plan_blocks(sets.eps, rows, gs._terms(rows), 0.0)
                     j, v = gs.lowest(rows, 1, plan)
                 else:
                     j, v = gs.lowest(rows, k)
@@ -864,7 +889,12 @@ def tied_truss(rng, n, n_low=32, n_tie=60, n_free=8):
     g[n_low:fixed] = 1e-4
     f = rng.normal(size=sys.n_free) * 20.0
     rows = np.arange(m)
-    return sys, list(eps), list(sig), f, g, eps[rows, assign0], sig[rows, assign0], assign0
+    y_eps0, y_sig0 = eps[rows, assign0], sig[rows, assign0]
+    # the rows as a stack stores them, ascending in strain
+    order = np.argsort(eps, axis=1, kind="stable")
+    assign0 = np.argsort(order, axis=1, kind="stable")[rows, assign0]
+    eps, sig = np.take_along_axis(eps, order, 1), np.take_along_axis(sig, order, 1)
+    return sys, list(eps), list(sig), f, g, y_eps0, y_sig0, assign0
 
 
 class TestSubsetCandidates:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import multiprocessing
 import os
 
@@ -15,7 +16,6 @@ from ddmech.data import (
     GeneratorSpec,
     HistoryRepository,
     StackedSets,
-    StrainIndex,
     WindowRule,
     stack_sets,
 )
@@ -373,12 +373,11 @@ def reference_response_init(sys, stacked, f, g, eps_start):
     m = sys.n_elements
     b = sys.b_free
     w = sys.weights
-    index = stacked.strain_index()
-    es = index.eps
+    es = stacked.eps
     rows = np.arange(m)
 
     def stress_at(pos):
-        return stacked.sig[rows, index.order[rows, pos]]
+        return stacked.sig[rows, pos]
 
     k = min(4, (n - 1) // 2)
     c_ref = float(np.max(sys.c))
@@ -387,7 +386,7 @@ def reference_response_init(sys, stacked, f, g, eps_start):
     f_scale = max(1.0, float(np.linalg.norm(f)))
     best = None
     for _ in range(20):
-        j = index.search(eps[:, None])[:, 0]
+        j = np.array([np.searchsorted(es[e], eps[e]) for e in rows])
         above = np.minimum(j, n - 1)
         below = np.maximum(j - 1, 0)
         lower = (j > 0) & (j < n) & (eps - es[rows, below] <= es[rows, above] - eps)
@@ -677,28 +676,38 @@ class TestHistoryMatchingMarch:
         assert solves == [float(t) for t in times]
         assert inits == [None] * times.size
 
-    def test_trajectory_does_not_depend_on_the_tie_order(self, monkeypatch):
-        """Archive rows hold many equal strains, whose order the strain
-        sort leaves to ``np.argsort``'s default kind. A march whose index
-        sorts them stably, which orders some ties differently, has the
-        same bits."""
+    def test_trajectory_does_not_depend_on_the_tie_order(self):
+        """Archive rows hold many equal strains, stored in build order. An
+        archive whose runs of equal strains are shuffled, every slot alike,
+        marches to the same bits and assigns the same entries: the four
+        slots at its assignments are those at the first march's."""
         mesh, gm, loads, times, archive = _archive_setup()
+        rng = np.random.default_rng(0)
+        order = []
+        for row in archive.eps_cur:
+            perm = np.arange(row.size)
+            starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+            for a, b in zip(starts, np.r_[starts[1:], row.size]):
+                perm[a:b] = rng.permutation(perm[a:b])
+            order.append(perm)
+        slots = ("eps_prev", "sig_prev", "eps_cur", "sig_cur")
+        shuffled = HistoryRepository(
+            *(np.take_along_axis(getattr(archive, name), np.array(order), 1) for name in slots)
+        )
+        assert not np.array_equal(shuffled.sig_prev, archive.sig_prev)
         default = history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
-        default_order = StrainIndex(archive.eps_cur).order
-
-        def stable_sort(index):
-            for e in range(index.strains.shape[0]):
-                index.order[e] = np.argsort(index.strains[e], kind="stable")
-
-        monkeypatch.setattr(StrainIndex, "sort", stable_sort)
-        assert not np.array_equal(StrainIndex(archive.eps_cur).order, default_order)
-        stable = history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
-        for name in ("strain", "stress", "assignment", "iterations"):
-            assert np.array_equal(getattr(stable, name), getattr(default, name))
+        other = history_matching_march(mesh, gm, shuffled, loads, times, SolverConfig())
+        for name in ("strain", "stress", "iterations"):
+            assert np.array_equal(getattr(other, name), getattr(default, name))
+        rows = np.arange(archive.eps_cur.shape[0])
+        for name in slots:
+            assert np.array_equal(
+                getattr(shuffled, name)[rows, other.assignment],
+                getattr(archive, name)[rows, default.assignment],
+            )
 
     def test_archive_march_reads_the_archive_uncopied(self, monkeypatch):
-        """The march's stack and its strain index hold the archive's own
-        current slots."""
+        """The march's stack holds the archive's own current slots."""
         stacks = []
         solve = solver.fixed_point_solve
 
@@ -711,7 +720,6 @@ class TestHistoryMatchingMarch:
         history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
         assert len(stacks) == times.size and all(s is stacks[0] for s in stacks)
         assert stacks[0].eps is archive.eps_cur and stacks[0].sig is archive.sig_cur
-        assert stacks[0].strain_index().strains is archive.eps_cur
 
 
 def _study_march(kind, *, lattice=LatticeSpec(2, 1, 1), steps=12, points=64, **kwargs):
@@ -748,6 +756,68 @@ _MARCHES = {
     "plastic": lambda: _study_march("plastic"),
     "archive": _archive_march,
 }
+
+
+def _default_archive_march():
+    """The 4-bar fixture over 5 steps against its default (4, 105,365)
+    archive, large enough for the sorted search."""
+    mesh, gm, loads, times = small_truss_fixture(t_end=4.0)
+    archive = build_truss_repositories(mesh, gm, DEFAULT_SLS, loads, times)
+    return history_matching_march(mesh, gm, archive, loads, times, SolverConfig())
+
+
+#: Short marches pinned to the outputs they had before data-set rows were
+#: stored in strain order (commit df63e58), by name: the march, and the
+#: sha256 of its strain and stress arrays and of its assignments' stable
+#: strain ranks. A rank is the index at which a stable sort of the old row
+#: by strain puts the old assignment, computed from the rows the old march
+#: drew or searched.
+_PINNED = {
+    "visco-64": (
+        lambda: _study_march("visco", steps=4),
+        "a21cb6e13471861447b7990d4683793419d8ba5a4cb49b0367f0d7a967d4054e",
+        "7eb3e19c843510b99fd333aef2dd9b7384b508185f758126424505d8c6a8f9d9",
+    ),
+    "plastic-64": (
+        lambda: _study_march("plastic", steps=4),
+        "f689497cc33f5c79600e621e18aad1e38c1171e4c36fa7490fcc6722046b8762",
+        "d7b70d4c3ab592e2365c77ba880114dfc25747a34b44fd10655a25c12d8e581c",
+    ),
+    "visco-4096": (
+        lambda: _study_march("visco", steps=4, points=4096),
+        "1928810315e829f0db254669d6c1f55b8911d6929e23a8a1b5e46127daa453fd",
+        "35d7f482fb1e4d955a9632876c05b42ff64762bc2afeb68c8fed8fc9fd22b777",
+    ),
+    "plastic-4096": (
+        lambda: _study_march("plastic", steps=4, points=4096),
+        "9ac66f406dee3de5bc1096ab0c98311739815ee63c6695cf9305dc430b83b995",
+        "e364d67f822e278aa94f232c35dfb903aea476690343fc504102ba4b9fadf54a",
+    ),
+    "archive": (
+        _archive_march,
+        "99e294621a7b652238bb4954045037b41cb6faf5e8eee70859a65efae1a9eb42",
+        "4a65d48c23490d3dfbe28ae58d7a2d84fb0e3742c14b2fb86629942d9b9e9f41",
+    ),
+    "archive-default": (
+        _default_archive_march,
+        "99e294621a7b652238bb4954045037b41cb6faf5e8eee70859a65efae1a9eb42",
+        "1a5e60abe4f5c36cba28dd3f25c328ab9a7077f4242758c364d83957abf125ac",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_strain_order_keeps_the_pinned_outputs(name):
+    """Storing rows in strain order re-indexes the data and changes
+    nothing else: a march on the 2 x 1 x 1 lattice (4 steps, 42 bars, 64
+    or 4096 points, the sorted search and the polish's windows at 4096) or
+    on the 4-bar archive keeps its strains and stresses bit for bit, and
+    its assignments are the stable strain ranks of the old ones."""
+    march, states, ranks = _PINNED[name]
+    traj = march()
+    digest = hashlib.sha256(traj.strain.tobytes() + traj.stress.tobytes()).hexdigest()
+    assert digest == states
+    assert hashlib.sha256(traj.assignment.astype(np.int64).tobytes()).hexdigest() == ranks
 
 
 def test_a_march_starts_no_process(monkeypatch):

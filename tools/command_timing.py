@@ -10,7 +10,8 @@ subprocess that has the caller's environment and this checkout's ``src``
 first on ``PYTHONPATH`` (:func:`output_digest.run`). For every command it
 records the wall time in seconds, the peak resident set size of its
 largest process in MiB (``max_rss_mib``, reaped pool workers
-included), the exit code and the sha256 of every CSV it wrote. Labels
+included), the exit code and the digests of every CSV it wrote
+(:func:`output_digest.csv_digests`). Labels
 after the options run only those commands, in the order of ``COMMANDS``.
 Run from a source checkout:
 

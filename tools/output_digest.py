@@ -3,9 +3,13 @@
 Runs each command below with ``python -m ddmech.cli`` in a subprocess, in
 a fresh output directory, on the package of the checkout this script sits
 in, one command at a time, and writes the digest of every CSV the command
-leaves, by command and file name. The outputs are pure functions of the
-program and the default seeds, so two checkouts whose JSON files are
-identical write byte-identical CSVs. Run from a source checkout:
+leaves, by command and file name. A CSV with an ``assignment`` column gets
+a second digest, under ``<file name> without assignment``: that of the
+same file with the column dropped, so a change that only re-indexes data
+points can show that every other column kept its bits. The outputs are
+pure functions of the program and the default seeds, so two checkouts whose
+JSON files are identical write byte-identical CSVs. Run from a source
+checkout:
 
     python tools/output_digest.py --out DIGEST.json
 
@@ -16,7 +20,9 @@ To compare two programs, copy this script into the other checkout's
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -90,7 +96,7 @@ def run(
     environment, in a fresh directory that holds the config file and
     ``files`` (name to text), so the config may name them by relative path.
     Returns its exit code, its wall time in seconds, its peak resident set
-    size in MiB and the sha256 of every CSV it wrote. The peak is the
+    size in MiB and the digests of every CSV it wrote (:func:`csv_digests`). The peak is the
     child's ``ru_maxrss`` as ``os.wait4`` reports it (in KiB on Linux):
     that of the largest process of the command, the pool workers it reaped
     included."""
@@ -112,11 +118,29 @@ def run(
         seconds = time.perf_counter() - start
         # reaped here, so Popen must not wait for it again
         code = proc.returncode = os.waitstatus_to_exitcode(status)
-        sums = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.glob("*.csv"))
-        }
+        sums = {}
+        for p in sorted(out.glob("*.csv")):
+            sums.update(csv_digests(p))
         return code, seconds, usage.ru_maxrss / 1024.0, sums
+
+
+def csv_digests(path: Path) -> dict[str, str]:
+    """The sha256 of the CSV file ``path`` by its name and, when its header
+    has an ``assignment`` column, that of the file with the column dropped,
+    by ``<name> without assignment``. The dropped copy is written back as
+    the program writes CSVs (``csv.writer``, LF line endings), so a file
+    whose other columns are equal has an equal digest."""
+    text = path.read_bytes()
+    sums = {path.name: hashlib.sha256(text).hexdigest()}
+    rows = list(csv.reader(io.StringIO(text.decode())))
+    if rows and "assignment" in rows[0]:
+        col = rows[0].index("assignment")
+        kept = io.StringIO(newline="")
+        csv.writer(kept, lineterminator="\n").writerows(r[:col] + r[col + 1 :] for r in rows)
+        sums[f"{path.name} without assignment"] = hashlib.sha256(
+            kept.getvalue().encode()
+        ).hexdigest()
+    return sums
 
 
 def digest(
