@@ -60,9 +60,9 @@ from .data import (
     StackedSets,
     batch_nearest,
     block_ends,
+    chunked_lowest,
     # no step calls it; perfbench's layer list names it in this module
     history_cost_dataset,  # noqa: F401
-    lowest,
     plan_blocks,
     planned_lowest,
     prior_slot_costs,
@@ -73,7 +73,14 @@ from .data import (
     update_history_variable,
     write_csv,
 )
-from .materials import PlasticParams, SlsParams, plastic_return_map, sls_affine_coefficients
+from .materials import (
+    PlasticParams,
+    SlsParams,
+    # no step calls it; perfbench's layer list names it in this module
+    plastic_return_map,  # noqa: F401
+    plastic_stress,
+    sls_affine_coefficients,
+)
 from .phase import GlobalMetric, GlobalState
 from .truss import ConstraintSystem, LoadProgram, TrussMesh, assemble
 
@@ -234,17 +241,7 @@ class _GainSearch:
 
     def _scan(self, r, k):
         """:meth:`lowest` over whole rows r, ``_CHUNK_POINTS`` points at a time."""
-        n = self.n
-        out_j = np.empty((r.size, k), dtype=np.intp)
-        out_v = np.empty((r.size, k))
-        step = max(1, _CHUNK_POINTS // n)
-        for i in range(0, r.size, step):
-            part = r[i : i + step]
-            first, last = part[0], part[-1]
-            # a run of consecutive rows is read as a slice, not copied
-            rows = slice(first, last + 1) if last - first == part.size - 1 else part
-            out_j[i : i + step], out_v[i : i + step] = lowest(self.rows(rows), None, k)
-        return out_j, out_v
+        return chunked_lowest(self.rows, r, self.n, _CHUNK_POINTS, k)
 
     def lowest(self, r, k, plan=None):
         """The k lowest gains of every row in r and their indices, ordered by
@@ -1032,11 +1029,15 @@ def _stacked_step_sets(
     np.multiply((np.arange(n) - n // 2)[None, :], steps[:, None], out=eps)
     np.add(centers[:, None], eps, out=eps)
     if g.band_width > 0.0:
+        # the noise is drawn into the stresses, which the sort leaves free
         for e in range(m):
             rng = np.random.default_rng(
                 np.random.SeedSequence([int(g.rng_seed), int(step), int(e)])
             )
-            eps[e] += rng.uniform(-0.5 * g.band_width, 0.5 * g.band_width, n)
+            rng.random(out=sig[e])
+        np.multiply(sig, g.band_width, out=sig)
+        np.add(sig, -0.5 * g.band_width, out=sig)
+        np.add(eps, sig, out=eps)
     eps.sort(axis=1)
     if ab is not None:
         a, b = ab
@@ -1045,7 +1046,7 @@ def _stacked_step_sets(
     else:
         p = g.law
         q_prev = ((p.e0 + p.e1) * eps_prev - sig_prev) / p.e1
-        sig[...] = plastic_return_map(eps, q_prev[:, None], q_acc[:, None], p)[0]
+        plastic_stress(eps, q_prev, q_acc, p, out=sig)
     return StackedSets(eps, sig, None)
 
 

@@ -263,6 +263,29 @@ class TestBatchSearch:
             if name == "one-point":
                 assert np.all(got == 0)
 
+    def test_whole_rows_are_scanned_in_chunks(self, rng, monkeypatch):
+        """The rows the sorted search's plan leaves whole are scanned a few
+        rows at a time, ``_SCAN_CHUNK_POINTS // n`` (here 3 of 8), and the
+        result is still the full scan's."""
+        stacked, queries = sorted_search_stacks(rng)["plain"]
+        m, n = stacked.eps.shape
+        monkeypatch.setattr(data_module, "_SCAN_CHUNK_POINTS", 3 * n + 1)
+        scanned = []
+        scan_d2 = data_module._scan_d2
+
+        def recorded(stacked, r, *args):
+            scanned.append(np.arange(m)[r].size)
+            return scan_d2(stacked, r, *args)
+
+        c = rng.uniform(10.0, 1000.0, m)
+        for eps, sig in queries:
+            want = scan_nearest(eps, sig, stacked, c, 1.0 / c)
+            monkeypatch.setattr(data_module, "_scan_d2", recorded)
+            got = batch_nearest(eps, sig, stacked, c, 1.0 / c)
+            monkeypatch.setattr(data_module, "_scan_d2", scan_d2)
+            assert np.array_equal(got, want)
+        assert scanned and max(scanned) == 3 and sum(scanned) > m
+
     def test_hint_keeps_the_scan_result(self, rng, monkeypatch):
         """With a hint per row, the sorted search still equals the scan on
         every stack of :func:`sorted_search_stacks`: for the scan's winner,

@@ -17,6 +17,7 @@ from ddmech.materials import (
     PlasticParams,
     SlsParams,
     plastic_return_map,
+    plastic_stress,
     sls_affine_coefficients,
     sls_relaxation_exact,
 )
@@ -180,3 +181,72 @@ class TestPlasticReturnMap:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             PlasticParams(e0=1.0, e1=1.0, sigma1=0.0)
+
+
+def law_stress(eps, q, qa, p):
+    """:func:`plastic_return_map`'s stresses, row e from ``q[e]``, ``qa[e]``."""
+    return plastic_return_map(eps, q[:, None], qa[:, None], p).stress
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestPlasticStress:
+    """The draw's stresses are the return map's, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 4096])
+    def test_equals_the_return_map_bit_for_bit(self, n, rng):
+        """Rows wholly elastic, wholly plastic, and reaching past the lower,
+        the upper or both yield strains, in no order, with and without
+        hardening and prior slip, over several chunks (19 rows of 4096
+        points are 3 chunks)."""
+        m = 19
+        for h in (0.0, 1500.0):
+            p = PlasticParams(e0=10_000.0, e1=100_000.0, sigma1=500.0, h=h)
+            q = rng.normal(scale=4e-3, size=m)
+            q[:2] = [0.0, -0.0]
+            qa = np.where(np.arange(m) % 2 == 0, 0.0, rng.uniform(0.0, 1e-2, m))
+            reach = p.yield_stress(qa) / p.e1
+            # one interval of trial strains per row, in units of its yield strain
+            spans = np.array([(-0.5, 0.5), (-2.0, 0.0), (0.0, 2.0), (-2.0, 2.0), (1.5, 3.0)])
+            lo, hi = spans[np.arange(m) % len(spans)].T
+            eps = q[:, None] + reach[:, None] * rng.uniform(lo, hi, (n, m)).T
+            want = law_stress(eps, q, qa, p)
+            out = np.full((m, n), np.nan)
+            assert plastic_stress(eps, q, qa, p, out=out) is out
+            assert np.array_equal(bits(out), bits(want))
+            assert np.array_equal(bits(plastic_stress(eps, q, qa, p)), bits(want))
+        if n >= 64:
+            f = np.abs(p.e1 * (eps - q[:, None])) - p.yield_stress(qa)[:, None]
+            lower = (f > 0.0) & (eps < q[:, None])
+            upper = (f > 0.0) & (eps > q[:, None])
+            assert not (f[0] > 0.0).any() and (f[4] > 0.0).all()
+            assert lower[1].any() and not upper[1].any()
+            assert upper[2].any() and not lower[2].any()
+            assert lower[3].any() and upper[3].any() and (f[3] <= 0.0).any()
+
+    def test_exact_yield_and_signed_zeros(self):
+        """Entries exactly at a yield strain (``f_trial == 0``), hardening
+        with prior slip, and strains and prior states of either signed zero:
+        powers of two make every trial stress exact."""
+        p = PlasticParams(e0=8192.0, e1=65536.0, sigma1=512.0, h=1024.0)
+        q = np.array([0.0, -0.0, 0.0, -0.0, 2.0**-8])
+        qa = np.array([0.0, 0.0, 0.25, 0.25, 0.25])
+        reach = p.yield_stress(qa) / p.e1
+        rows = []
+        for e in range(q.size):
+            y = reach[e]
+            row = q[e] + np.array([-y - 2.0**-7, -y, -2.0**-9, 2.0**-9, y, y + 2.0**-7])
+            rows.append(np.sort(np.concatenate([row, [-0.0, 0.0]])))
+        eps = np.array(rows)
+        want = law_stress(eps, q, qa, p)
+        f = np.abs(p.e1 * (eps - q[:, None])) - p.yield_stress(qa)[:, None]
+        assert (f == 0.0).sum() == 2 * q.size
+        assert np.any((want == 0.0) & np.signbit(want))
+        assert np.any((want == 0.0) & ~np.signbit(want))
+        assert np.array_equal(bits(plastic_stress(eps, q, qa, p)), bits(want))
+
+    def test_rejects_negative_slip(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            plastic_stress(np.zeros((1, 2)), np.zeros(1), -np.ones(1), PLASTIC)
