@@ -486,8 +486,11 @@ class GeneratorSpec:
 
     ``band_width`` is the full width of the uniform strain perturbation of
     an evenly spaced grid whose center is the predicted strain; zero means
-    noiseless, and the center is then a sample. The draw itself is
-    ``solver._stacked_step_sets``; the time step comes from the march.
+    noiseless, and the center is then a sample. ``rng_seed`` keys the
+    noise: step k draws one ``PCG64`` stream from ``SeedSequence([rng_seed,
+    k])``, bar e's n uniforms at its positions ``[e n, (e + 1) n)``. The
+    draw itself is ``solver._stacked_step_sets``; the time step comes from
+    the march.
     """
 
     law: SlsParams | PlasticParams

@@ -166,14 +166,15 @@ def plastic_stress(eps, q_prev, qacc_prev, p: PlasticParams, out=None) -> np.nda
     bit for bit, signed zeros included. They are written into ``out`` (an
     (M, n) array other than ``eps``; None: a new one).
 
-    The law's ``dlam sign(p)``, with ``p = e1 (eps - q)`` the trial stress
-    and ``Y`` the yield stress, is ``(p + Y) / (e1 + h)`` where ``p < -Y``,
-    ``(p - Y) / (e1 + h)`` where ``p > Y`` and ``0`` between, where the law
-    adds ``0 sign(p)`` to ``q``: so it is ``(p - clip(p, -Y, Y)) / (e1 +
-    h)``, each case with the law's rounding. Adding ``+0`` to ``q`` differs
+    With ``p = e1 (eps - q)`` the trial stress and ``Y`` the yield stress,
+    the law's ``dlam sign(p)`` is ``(p + Y) / (e1 + h)`` where ``p < -Y``,
+    ``(p - Y) / (e1 + h)`` where ``p > Y`` and ``0 sign(p)`` between. That
+    is ``(p - clip(p, -Y, Y)) / (e1 + h)``, with the law's rounding in each
+    case, except that between it is ``+0``. Adding ``+0`` to ``q`` differs
     from the law's sum only for ``q = -0`` and ``p < 0``, where the strain
-    is not zero, so ``eps - q`` is the same. Neither ``q`` nor ``q_acc`` is
-    returned. The rows are evaluated ``_CHUNK_ENTRIES`` entries at a time.
+    is not zero, so ``eps - q`` and the stress are the same. Neither ``q``
+    nor ``q_acc`` is returned. The rows are evaluated ``_CHUNK_ENTRIES``
+    entries at a time.
     """
     q0 = np.asarray(q_prev, dtype=float)
     qa0 = np.asarray(qacc_prev, dtype=float)

@@ -33,9 +33,10 @@ once, in :func:`_swap_polish`.
 Both marches run one step loop and differ only in the data sets a step
 searches, which every step draws into one (M, n) stack per march.
 :func:`time_march` regenerates the per-element sets every step,
-conditioned on the previously accepted local states; randomness is split
-per (step, element) from the run seed, so trajectories are
-bit-reproducible.
+conditioned on the previously accepted local states; each step's noise is
+one stream keyed by (run seed, step), every element's row at its own
+offset in it, so trajectories are bit-reproducible and any row can be
+drawn alone.
 :func:`history_matching_march` searches fixed two-time archives, one
 (M, n) :class:`~ddmech.data.HistoryRepository` whose current slots are the
 march's stack, with the prior-slot mismatch against the previously accepted
@@ -1006,11 +1007,17 @@ def _stacked_step_sets(
     step) for the standard linear solid,
     and for plasticity the return map from the internal variable recovered
     from the previous state alone, ``q = ((e0+e1) eps_k - sig_k) / e1``,
-    with the accumulated slip ``q_acc``. Every element's noise stream is
-    seeded from (run seed, step, element), and every other operation is
-    elementwise, so a row does not depend on the other rows. With ``out``,
-    an (M, n) stack, the rows are written into its strains and stresses,
-    and the result views them.
+    with the accumulated slip ``q_acc``, evaluated by
+    :func:`~ddmech.materials.plastic_stress` without the law's temporaries.
+
+    The noise of a step is one ``PCG64`` stream seeded from
+    ``SeedSequence([run seed, step])``: its M n uniforms are drawn at once
+    into the stresses, which the sort leaves free, then scaled and added in
+    place, so no (M, n) temporary is made. Row e is stream positions ``[e
+    n, (e + 1) n)``, so it can be drawn alone with ``PCG64.advance(e n)``,
+    and every other operation is elementwise, so a row does not depend on
+    the other rows' states. With ``out``, an (M, n) stack, the rows are
+    written into its strains and stresses, and the result views them.
     """
     m = eps_prev.size
     n = g.n_points
@@ -1029,12 +1036,9 @@ def _stacked_step_sets(
     np.multiply((np.arange(n) - n // 2)[None, :], steps[:, None], out=eps)
     np.add(centers[:, None], eps, out=eps)
     if g.band_width > 0.0:
-        # the noise is drawn into the stresses, which the sort leaves free
-        for e in range(m):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([int(g.rng_seed), int(step), int(e)])
-            )
-            rng.random(out=sig[e])
+        # one stream per step, drawn into the stresses, which the sort leaves free
+        bits = np.random.PCG64(np.random.SeedSequence([int(g.rng_seed), int(step)]))
+        np.random.Generator(bits).random(out=sig)
         np.multiply(sig, g.band_width, out=sig)
         np.add(sig, -0.5 * g.band_width, out=sig)
         np.add(eps, sig, out=eps)

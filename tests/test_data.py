@@ -567,6 +567,14 @@ class TestWindowRule:
         assert type(g.n_points) is int and type(g.rng_seed) is int
 
 
+def step_noise_row(seed, step, e, n, band):
+    """Row e of step ``step``'s strain noise, drawn alone: the step's
+    ``PCG64`` stream advanced past the e n uniforms of the rows before it."""
+    bits = np.random.PCG64(np.random.SeedSequence([seed, step]))
+    bits.advance(e * n)
+    return np.random.Generator(bits).uniform(-0.5 * band, 0.5 * band, n)
+
+
 def draw_sets(g, eps_prev, sig_prev, est, *, q_acc=None, dt=1.0, step=0):
     """The per-step draw for the given previous states, one row each."""
     eps_prev = np.atleast_1d(np.asarray(eps_prev, dtype=float))
@@ -884,9 +892,9 @@ class TestStrainOrder:
     @pytest.mark.parametrize("law", [SLS, PLASTIC], ids=["sls", "plastic"])
     def test_draw_sorts_each_row_in_place(self, law, rng):
         """A noisy draw into a march's stack writes every row's strains
-        sorted, as ``np.sort`` of the noisy grid drawn from (seed, step,
-        element), into the stack's own arrays, and the stresses of the
-        sorted strains."""
+        sorted, as ``np.sort`` of the noisy grid whose row e is drawn alone
+        from the step's stream (:func:`step_noise_row`), into the stack's
+        own arrays, and the stresses of the sorted strains."""
         m, n, hw, band, step = 3, 512, 2e-3, 4e-4, 2
         eps_prev = rng.normal(scale=1e-3, size=m)
         sig_prev = rng.normal(scale=400.0, size=m)
@@ -901,12 +909,38 @@ class TestStrainOrder:
         grid = (np.arange(n) - n // 2) * (hw / (n // 2))
         for e in range(m):
             row = (eps_prev[e] + est[e]) + grid
-            noise = np.random.default_rng(np.random.SeedSequence([9, step, e]))
-            row += noise.uniform(-0.5 * band, 0.5 * band, n)
+            row += step_noise_row(9, step, e, n, band)
             assert np.any(np.diff(row) < 0.0)
             assert np.array_equal(out.eps[e], np.sort(row))
         again = draw_sets(g, eps_prev, sig_prev, est, step=step)
         assert np.array_equal(again.eps, out.eps) and np.array_equal(again.sig, out.sig)
+
+    def test_draw_is_one_stream_per_step(self, rng):
+        """The noise of a draw is one ``PCG64`` stream keyed by (seed, step),
+        row e at stream positions ``[e n, (e + 1) n)``: the strains equal the
+        sorted grid plus the step's (M, n) uniforms drawn at once, and each
+        row of those uniforms equals the row drawn alone with ``advance(e
+        n)``. Another step or seed draws other noise."""
+        m, n, hw, band, seed, step = 5, 96, 2e-3, 4e-4, 11, 3
+        eps_prev = rng.normal(scale=1e-3, size=m)
+        est = rng.normal(scale=1e-4, size=m)
+        g = GeneratorSpec(
+            law=SLS, n_points=n, band_width=band, window=WindowRule(halfwidth=hw), rng_seed=seed
+        )
+        d = draw_sets(g, eps_prev, np.zeros(m), est, step=step)
+        stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, step])))
+        noise = stream.uniform(-0.5 * band, 0.5 * band, (m, n))
+        grid = (np.arange(n) - n // 2) * (hw / (n // 2))
+        assert np.array_equal(d.eps, np.sort((eps_prev + est)[:, None] + grid + noise, axis=1))
+        for e in range(m):
+            assert np.array_equal(step_noise_row(seed, step, e, n, band), noise[e])
+        for other_seed, other_step in ((seed, step + 1), (seed + 1, step)):
+            g2 = GeneratorSpec(
+                law=SLS, n_points=n, band_width=band, window=WindowRule(halfwidth=hw),
+                rng_seed=other_seed,
+            )
+            other = draw_sets(g2, eps_prev, np.zeros(m), est, step=other_step)
+            assert not np.array_equal(other.eps, d.eps)
 
     def test_archive_builders_write_rows_in_strain_order(self, monkeypatch):
         """The truss and relaxation archives equal their build-order slots
